@@ -7,17 +7,20 @@
 # The runpre tests cover the matcher's multi-job candidate fan-out, which
 # shares per-unit decode caches and gram tables across worker threads.
 # The fleet test drives wave rollouts at max_in_flight 8, where worker
-# threads share the fault injector and the metrics registry.
+# threads share the fault injector and the metrics registry. The corpus
+# test boots machines from the per-release linked image that is built
+# once and shared by every boot; the kvm test covers boot itself.
 set -e
 cd "$(dirname "$0")/.."
 cmake -B build-tsan -G Ninja -DKSPLICE_SANITIZE=thread
 cmake --build build-tsan --target concurrency_test ksplice_hooks_smp_test \
   ksplice_txn_test kanalyze_test fuzz_negative_test chaos_test \
-  runpre_test runpre_index_test fleet_test howto_test watchdog_test
+  runpre_test runpre_index_test fleet_test howto_test watchdog_test \
+  kvm_test corpus_test
 for t in concurrency_test ksplice_hooks_smp_test ksplice_txn_test \
          kanalyze_test fuzz_negative_test chaos_test \
          runpre_test runpre_index_test fleet_test howto_test \
-         watchdog_test; do
+         watchdog_test kvm_test corpus_test; do
   echo "== build-tsan/tests/$t =="
   "./build-tsan/tests/$t"
 done

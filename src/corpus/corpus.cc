@@ -100,25 +100,8 @@ ks::Result<std::string> AmendedPatchFor(const Vulnerability& vuln) {
 }
 
 ks::Result<std::unique_ptr<kvm::Machine>> BootKernel() {
-  const std::vector<kelf::ObjectFile>& objects = KernelObjects();
-  if (objects.empty()) {
-    // Re-run the build to produce the error message.
-    KS_ASSIGN_OR_RETURN(std::vector<kelf::ObjectFile> rebuilt,
-                        kcc::BuildTree(KernelSource(), RunBuildOptions()));
-    return ks::Internal("corpus: kernel build raced");
-  }
-  kvm::MachineConfig config;
-  config.memory_bytes = 24u << 20;
-  KS_ASSIGN_OR_RETURN(std::unique_ptr<kvm::Machine> machine,
-                      kvm::Machine::Boot(objects, config));
-  KS_ASSIGN_OR_RETURN(int tid, machine->SpawnNamed("kernel_init", 0));
-  (void)tid;
-  KS_RETURN_IF_ERROR(machine->RunToCompletion());
-  if (!machine->Faults().empty()) {
-    return ks::Internal("corpus: kernel_init faulted: " +
-                        machine->Faults()[0]);
-  }
-  return machine;
+  // Release 0 is the pristine tree.
+  return BootKernelVersion(0);
 }
 
 const std::vector<KernelVersion>& KernelVersions() {
@@ -162,21 +145,35 @@ ks::Result<kdiff::SourceTree> KernelSourceAt(size_t index) {
 
 namespace {
 
-// Built objects per release, compiled once per process (fleet boots of N
-// same-release nodes re-link the cached objects instead of recompiling).
-ks::Result<std::vector<kelf::ObjectFile>> VersionObjects(size_t index) {
+// The linked kernel image per release, compiled and linked once per
+// process: every boot of the release, on any number of nodes, copies this
+// one immutable image into its own machine.
+ks::Result<std::shared_ptr<const kelf::LinkedImage>> VersionImage(
+    size_t index) {
   static std::mutex mu;
-  static std::map<size_t, std::vector<kelf::ObjectFile>>* built =
-      new std::map<size_t, std::vector<kelf::ObjectFile>>();
+  static auto* linked =
+      new std::map<size_t, std::shared_ptr<const kelf::LinkedImage>>();
   std::lock_guard<std::mutex> lock(mu);
-  auto it = built->find(index);
-  if (it == built->end()) {
+  auto it = linked->find(index);
+  if (it == linked->end()) {
     KS_ASSIGN_OR_RETURN(kdiff::SourceTree tree, KernelSourceAt(index));
     kcc::CompileOptions options = RunBuildOptions();
     options.cache = &SharedObjectCache();
     KS_ASSIGN_OR_RETURN(std::vector<kelf::ObjectFile> objects,
                         kcc::BuildTree(tree, options));
-    it = built->emplace(index, std::move(objects)).first;
+    kelf::Linker linker;
+    for (kelf::ObjectFile& obj : objects) {
+      linker.AddObject(std::move(obj));
+    }
+    ks::Result<kelf::LinkedImage> image =
+        linker.Link(kvm::MachineConfig().kernel_base);
+    if (!image.ok()) {
+      return ks::Status(image.status()).WithContext("linking kernel");
+    }
+    it = linked
+             ->emplace(index, std::make_shared<const kelf::LinkedImage>(
+                                  std::move(image).value()))
+             .first;
   }
   return it->second;
 }
@@ -188,12 +185,12 @@ ks::Result<std::unique_ptr<kvm::Machine>> BootKernelVersion(
   if (!KernelVersions().empty()) {
     index %= KernelVersions().size();
   }
-  KS_ASSIGN_OR_RETURN(std::vector<kelf::ObjectFile> objects,
-                      VersionObjects(index));
+  KS_ASSIGN_OR_RETURN(std::shared_ptr<const kelf::LinkedImage> image,
+                      VersionImage(index));
   kvm::MachineConfig config;
   config.memory_bytes = memory_bytes == 0 ? 24u << 20 : memory_bytes;
   KS_ASSIGN_OR_RETURN(std::unique_ptr<kvm::Machine> machine,
-                      kvm::Machine::Boot(std::move(objects), config));
+                      kvm::Machine::Boot(*image, config));
   KS_RETURN_IF_ERROR(machine->SpawnNamed("kernel_init", 0).status());
   KS_RETURN_IF_ERROR(machine->RunToCompletion());
   if (!machine->Faults().empty()) {
@@ -481,9 +478,10 @@ kcc::ObjectCache& SharedObjectCache() {
 
 std::vector<ks::Result<EvalOutcome>> EvaluateAll(
     const std::vector<Vulnerability>& vulns, const SweepOptions& options) {
-  // Force the shared kernel build before fanning out so workers don't all
-  // serialize on the KernelObjects() magic static for their first boot.
+  // Force the shared kernel build and link before fanning out so workers
+  // don't all serialize on them for their first boot.
   (void)KernelObjects();
+  (void)VersionImage(0);
   std::vector<std::optional<ks::Result<EvalOutcome>>> slots(vulns.size());
   ks::ParallelFor(options.jobs, vulns.size(), [&](size_t i) {
     slots[i] = Evaluate(vulns[i], options.eval);

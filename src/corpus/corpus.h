@@ -98,7 +98,7 @@ ks::Result<std::string> AmendedPatchFor(const Vulnerability& vuln);
 // Build options matching how corpus kernels "shipped" (monolithic text).
 kcc::CompileOptions RunBuildOptions();
 
-// Boots a fresh corpus kernel and runs kernel_init.
+// Boots a fresh corpus kernel (release 0 below) and runs kernel_init.
 ks::Result<std::unique_ptr<kvm::Machine>> BootKernel();
 
 // ---------------------------------------------------------------------
@@ -126,8 +126,9 @@ ks::Result<kdiff::SourceTree> KernelSourceAt(size_t index);
 
 // Boots a kernel of release `index % KernelVersions().size()` and runs
 // kernel_init. memory_bytes == 0 keeps BootKernel()'s default (24MB);
-// fleets pass smaller machines (the image needs ~2.5MB). Built objects
-// are cached per release, so booting N same-release nodes compiles once.
+// fleets pass smaller machines (the image needs ~2.5MB). The linked image
+// is cached per release, so booting N same-release nodes compiles and
+// links once.
 ks::Result<std::unique_ptr<kvm::Machine>> BootKernelVersion(
     size_t index, uint32_t memory_bytes = 0);
 

@@ -810,11 +810,14 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
 
   // Per-MatchUnit run-side state (indexed mode): one RunStream per
   // candidate address, shared across sections and passes, plus the n-gram
-  // table over every kallsyms function entry. The stream map is only
-  // mutated in the serial phases; streams themselves carry a mutex for the
-  // parallel verification phase.
+  // table over every kallsyms function entry. Parallel verification can
+  // reach a candidate that has no stream yet, so the map takes a lock; map
+  // nodes never move, so a returned stream stays valid after it. Streams
+  // carry their own mutex for the verification itself.
   std::map<uint32_t, std::unique_ptr<RunStream>> streams;
+  std::mutex streams_mu;
   auto stream_at = [&](uint32_t addr) -> RunStream& {
+    std::lock_guard<std::mutex> lock(streams_mu);
     auto it = streams.find(addr);
     if (it == streams.end()) {
       it = streams

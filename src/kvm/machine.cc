@@ -1,8 +1,14 @@
 #include "kvm/machine.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
+#include <utility>
 
 #include "base/endian.h"
 #include "base/faultinject.h"
@@ -24,6 +30,56 @@ uint32_t AlignUp(uint32_t value, uint32_t align) {
 
 }  // namespace
 
+ks::Result<GuestMemory> GuestMemory::Map(uint32_t size) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const size_t usable = (static_cast<size_t>(size) + page - 1) / page * page;
+  // MAP_NORESERVE: the image is sized for the worst case, but only touched
+  // pages are ever backed.
+  void* base = mmap(nullptr, usable + page, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (base == MAP_FAILED) {
+    return ks::ResourceExhausted(ks::StrPrintf(
+        "cannot map %u bytes of guest memory: %s", size,
+        std::strerror(errno)));
+  }
+  GuestMemory memory;
+  memory.data_ = static_cast<uint8_t*>(base);
+  memory.size_ = size;
+  memory.mapped_bytes_ = usable + page;
+  if (mprotect(memory.data_ + usable, page, PROT_NONE) != 0) {
+    return ks::ResourceExhausted(ks::StrPrintf(
+        "cannot protect the guest memory guard page: %s",
+        std::strerror(errno)));
+  }
+  return memory;
+}
+
+GuestMemory::GuestMemory(GuestMemory&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      mapped_bytes_(std::exchange(other.mapped_bytes_, 0)) {}
+
+GuestMemory& GuestMemory::operator=(GuestMemory&& other) noexcept {
+  if (this != &other) {
+    Release();
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+    mapped_bytes_ = std::exchange(other.mapped_bytes_, 0);
+  }
+  return *this;
+}
+
+GuestMemory::~GuestMemory() { Release(); }
+
+void GuestMemory::Release() {
+  if (data_ != nullptr) {
+    munmap(data_, mapped_bytes_);
+    data_ = nullptr;
+    size_ = 0;
+    mapped_bytes_ = 0;
+  }
+}
+
 Machine::Machine(const MachineConfig& config) : config_(config) {
   rand_state_ = config.rand_seed;
 }
@@ -31,35 +87,32 @@ Machine::Machine(const MachineConfig& config) : config_(config) {
 Machine::~Machine() { StopCpus(); }
 
 ks::Result<std::unique_ptr<Machine>> Machine::Boot(
-    std::vector<kelf::ObjectFile> kernel_objects,
-    const MachineConfig& config) {
+    const kelf::LinkedImage& image, const MachineConfig& config) {
   ks::TraceSpan span("kvm.boot");
   if (config.kernel_base < kGuardPage) {
     return ks::InvalidArgument("kernel base inside the guard page");
   }
-  kelf::Linker linker;
-  for (kelf::ObjectFile& obj : kernel_objects) {
-    linker.AddObject(std::move(obj));
+  if (image.base != config.kernel_base) {
+    return ks::InvalidArgument(ks::StrPrintf(
+        "kernel image linked at %s, machine expects %s",
+        ks::Hex32(image.base).c_str(),
+        ks::Hex32(config.kernel_base).c_str()));
   }
-  ks::Result<kelf::LinkedImage> image = linker.Link(config.kernel_base);
-  if (!image.ok()) {
-    return ks::Status(image.status()).WithContext("booting kernel");
+  if (static_cast<uint64_t>(image.end()) + (1u << 20) > config.memory_bytes) {
+    return ks::ResourceExhausted("kernel image does not fit in memory");
   }
 
   auto machine = std::unique_ptr<Machine>(new Machine(config));
-  machine->memory_.assign(config.memory_bytes, 0);
-  if (image->end() + (1u << 20) > config.memory_bytes) {
-    return ks::ResourceExhausted("kernel image does not fit in memory");
-  }
-  std::copy(image->bytes.begin(), image->bytes.end(),
-            machine->memory_.begin() + config.kernel_base);
-  machine->kernel_end_ = image->end();
+  KS_ASSIGN_OR_RETURN(machine->memory_, GuestMemory::Map(config.memory_bytes));
+  std::copy(image.bytes.begin(), image.bytes.end(),
+            machine->memory_.data() + config.kernel_base);
+  machine->kernel_end_ = image.end();
 
-  machine->kallsyms_ = std::move(image->symbols);
+  machine->kallsyms_ = image.symbols;
   for (size_t i = 0; i < machine->kallsyms_.size(); ++i) {
     machine->symbol_index_.emplace(machine->kallsyms_[i].name, i);
   }
-  machine->RegisterHowtoRegions(image->placements, /*module_id=*/-1);
+  machine->RegisterHowtoRegions(image.placements, /*module_id=*/-1);
 
   // Memory map after the kernel: module arena, heap, then stacks from the
   // top of memory growing down.
@@ -75,6 +128,20 @@ ks::Result<std::unique_ptr<Machine>> Machine::Boot(
   machine->stack_limit_ = machine->heap_limit_;
   machine->stack_cursor_ = config.memory_bytes;
   return machine;
+}
+
+ks::Result<std::unique_ptr<Machine>> Machine::Boot(
+    std::vector<kelf::ObjectFile> kernel_objects,
+    const MachineConfig& config) {
+  kelf::Linker linker;
+  for (kelf::ObjectFile& obj : kernel_objects) {
+    linker.AddObject(std::move(obj));
+  }
+  ks::Result<kelf::LinkedImage> image = linker.Link(config.kernel_base);
+  if (!image.ok()) {
+    return ks::Status(image.status()).WithContext("booting kernel");
+  }
+  return Boot(*image, config);
 }
 
 // ---------------------------------------------------------------------------
@@ -140,8 +207,8 @@ ks::Result<std::vector<uint8_t>> Machine::ReadBytes(uint32_t addr,
     return ks::InvalidArgument(ks::StrPrintf(
         "bad read of %u bytes at %s", size, ks::Hex32(addr).c_str()));
   }
-  return std::vector<uint8_t>(memory_.begin() + addr,
-                              memory_.begin() + addr + size);
+  return std::vector<uint8_t>(memory_.data() + addr,
+                              memory_.data() + addr + size);
 }
 
 ks::Status Machine::WriteBytes(uint32_t addr,
@@ -153,7 +220,7 @@ ks::Status Machine::WriteBytes(uint32_t addr,
         "bad write of %zu bytes at %s", bytes.size(),
         ks::Hex32(addr).c_str()));
   }
-  std::copy(bytes.begin(), bytes.end(), memory_.begin() + addr);
+  std::copy(bytes.begin(), bytes.end(), memory_.data() + addr);
   return ks::OkStatus();
 }
 
@@ -213,7 +280,7 @@ void Machine::ArenaFree(uint32_t base) {
     if (block.base == base) {
       block.free = true;
       // Poison so stale code faults loudly instead of executing.
-      std::fill(memory_.begin() + base, memory_.begin() + base + block.size,
+      std::fill(memory_.data() + base, memory_.data() + base + block.size,
                 0xee);
       return;
     }
@@ -282,7 +349,7 @@ ks::Result<ModuleHandle> Machine::LoadModule(
         .WithContext(ks::StrPrintf("loading module %s", name.c_str()));
   }
   std::copy(image->bytes.begin(), image->bytes.end(),
-            memory_.begin() + base);
+            memory_.data() + base);
 
   Module module;
   module.name = name;
@@ -322,21 +389,35 @@ ks::Status Machine::UnloadModule(ModuleHandle handle) {
   ArenaFree(module.base);
   UnregisterHowtoRegions(handle.id);
 
-  // Drop the module's kallsyms range and rebuild indexes.
-  kallsyms_.erase(
-      kallsyms_.begin() + static_cast<long>(module.first_symbol),
-      kallsyms_.begin() +
-          static_cast<long>(module.first_symbol + module.symbol_count));
+  // Drop the module's kallsyms range. Index entries of its own symbols are
+  // erased; those of symbols loaded after it shift down by its count. Both
+  // keep each name's entries in kallsyms order, as a full rebuild would.
+  const size_t first = module.first_symbol;
+  const size_t last = first + module.symbol_count;
+  auto find_entry = [this](size_t index) {
+    auto [begin, end] = symbol_index_.equal_range(kallsyms_[index].name);
+    return std::find_if(begin, end, [index](const auto& entry) {
+      return entry.second == index;
+    });
+  };
+  for (size_t i = first; i < last; ++i) {
+    symbol_index_.erase(find_entry(i));
+  }
+  for (size_t i = last; i < kallsyms_.size(); ++i) {
+    find_entry(i)->second -= module.symbol_count;
+  }
+  kallsyms_.erase(kallsyms_.begin() + static_cast<long>(first),
+                  kallsyms_.begin() + static_cast<long>(last));
   for (Module& other : modules_) {
-    if (other.loaded && other.first_symbol > module.first_symbol) {
+    if (other.loaded && other.first_symbol > first) {
       other.first_symbol -= module.symbol_count;
     }
   }
-  symbol_index_.clear();
-  for (size_t i = 0; i < kallsyms_.size(); ++i) {
-    symbol_index_.emplace(kallsyms_[i].name, i);
-  }
   module.symbol_count = 0;
+  // The entry itself stays (handles index modules_), but nothing reads
+  // these once the module is gone.
+  module.placements = std::vector<kelf::PlacedSection>();
+  module.imports = std::vector<std::pair<std::string, uint32_t>>();
   ks::Metrics().GetGauge("kvm.module_arena_bytes").Set(
       ModuleArenaBytesInUse());
   return ks::OkStatus();
@@ -394,7 +475,11 @@ Machine::ModuleImports(ModuleHandle handle) const {
   if (handle.id < 0 || handle.id >= static_cast<int>(modules_.size())) {
     return ks::InvalidArgument("bad module handle");
   }
-  return modules_[static_cast<size_t>(handle.id)].imports;
+  const Module& module = modules_[static_cast<size_t>(handle.id)];
+  if (!module.loaded) {
+    return ks::FailedPrecondition("module is unloaded");
+  }
+  return module.imports;
 }
 
 ks::Result<ModuleHandle> Machine::LoadBlob(const std::string& name,
@@ -580,8 +665,8 @@ ks::Result<uint32_t> Machine::HeapAlloc(uint32_t size) {
   for (ArenaBlock& block : heap_blocks_) {
     if (block.free && block.size >= size) {
       block.free = false;
-      std::fill(memory_.begin() + block.base,
-                memory_.begin() + block.base + block.size, 0);
+      std::fill(memory_.data() + block.base,
+                memory_.data() + block.base + block.size, 0);
       return block.base;
     }
   }

@@ -26,6 +26,7 @@
 #define KSPLICE_KVM_MACHINE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -111,10 +112,51 @@ struct HowtoRegion {
   int module_id = -1;   // owning module, -1 for the kernel image
 };
 
+// Guest memory: an anonymous private mapping of `size` bytes followed by
+// one PROT_NONE guard page. The host kernel supplies zero pages on first
+// touch, so a machine's resident set is only what it has touched (kernel
+// image, stacks, heap blocks, loaded modules), however large the image. An
+// unchecked host access just past the end faults on the guard page instead
+// of corrupting a neighbouring allocation.
+class GuestMemory {
+ public:
+  // Errors: ResourceExhausted when the host refuses the mapping.
+  static ks::Result<GuestMemory> Map(uint32_t size);
+
+  GuestMemory() = default;
+  GuestMemory(GuestMemory&& other) noexcept;
+  GuestMemory& operator=(GuestMemory&& other) noexcept;
+  GuestMemory(const GuestMemory&) = delete;
+  GuestMemory& operator=(const GuestMemory&) = delete;
+  ~GuestMemory();
+
+  uint8_t* data() { return data_; }
+  const uint8_t* data() const { return data_; }
+  size_t size() const { return size_; }
+  uint8_t& operator[](size_t i) { return data_[i]; }
+  uint8_t operator[](size_t i) const { return data_[i]; }
+
+ private:
+  void Release();
+
+  uint8_t* data_ = nullptr;
+  size_t size_ = 0;         // guest-visible bytes
+  size_t mapped_bytes_ = 0;  // page-rounded size plus the guard page
+};
+
 class Machine {
  public:
-  // Links `kernel_objects` at the kernel base and prepares the image.
-  // No threads are created; callers Spawn() entry points explicitly.
+  // Boots a machine from a linked kernel image: maps demand-zero guest
+  // memory, copies the image in at its base, and lays out the module
+  // arena, heap and stacks above it. The image is only read, so one link
+  // can boot any number of machines. No threads are created; callers
+  // Spawn() entry points explicitly.
+  // Errors: InvalidArgument if the image was not linked at
+  // config.kernel_base (or that base lies in the null guard page);
+  // ResourceExhausted if it does not fit or the memory cannot be mapped.
+  static ks::Result<std::unique_ptr<Machine>> Boot(
+      const kelf::LinkedImage& image, const MachineConfig& config);
+  // Links `kernel_objects` at config.kernel_base, then boots the result.
   static ks::Result<std::unique_ptr<Machine>> Boot(
       std::vector<kelf::ObjectFile> kernel_objects,
       const MachineConfig& config);
@@ -168,6 +210,7 @@ class Machine {
   // External symbols the module link resolved, with the address each bound
   // to (name -> value, deduplicated). Ksplice's out-of-order undo uses this
   // to refuse removing a module that a later module's imports point into.
+  // Errors: FailedPrecondition once the module is unloaded.
   ks::Result<std::vector<std::pair<std::string, uint32_t>>> ModuleImports(
       ModuleHandle handle) const;
 
@@ -328,7 +371,7 @@ class Machine {
   MachineConfig config_;
   mutable std::recursive_mutex mu_;
 
-  std::vector<uint8_t> memory_;
+  GuestMemory memory_;
   uint32_t kernel_end_ = 0;     // first address past the kernel image
   uint32_t arena_base_ = 0;     // module arena start
   uint32_t arena_cursor_ = 0;
@@ -359,7 +402,9 @@ class Machine {
   uint64_t extable_fixups_ = 0;  // faulting loads recovered via extable
   uint32_t hook_stack_top_ = 0;  // lazily allocated CallFunction stack
 
-  std::vector<Thread> threads_;
+  // A deque, so the kthread syscall can spawn while the running thread's
+  // reference into this table is live: push_back never moves elements.
+  std::deque<Thread> threads_;
   size_t sched_cursor_ = 0;
   uint64_t ticks_ = 0;
   uint64_t context_switches_ = 0;

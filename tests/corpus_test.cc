@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "corpus/corpus.h"
 #include "ksplice/core.h"
 #include "ksplice/create.h"
@@ -66,6 +68,55 @@ TEST(CorpusTest, KernelBootsAndPassesStress) {
   ks::Status stress = RunStress(**machine, 2);
   EXPECT_TRUE(stress.ok()) << stress.ToString();
   EXPECT_TRUE((*machine)->Faults().empty());
+}
+
+// The cached release-0 image boots the same machine as BootKernel() and as
+// linking a fresh uncached build of the pristine tree: after kernel_init,
+// all of guest memory, the symbol table and the howto regions agree.
+TEST(CorpusTest, BootKernelEqualsReleaseZeroBoot) {
+  ks::Result<std::unique_ptr<kvm::Machine>> pristine = BootKernel();
+  ASSERT_TRUE(pristine.ok()) << pristine.status().ToString();
+  ks::Result<std::unique_ptr<kvm::Machine>> release0 = BootKernelVersion(0);
+  ASSERT_TRUE(release0.ok()) << release0.status().ToString();
+  ks::Result<std::vector<kelf::ObjectFile>> objects =
+      kcc::BuildTree(KernelSource(), RunBuildOptions());
+  ASSERT_TRUE(objects.ok()) << objects.status().ToString();
+  ks::Result<std::unique_ptr<kvm::Machine>> relinked = kvm::Machine::Boot(
+      std::move(objects).value(), (*pristine)->config());
+  ASSERT_TRUE(relinked.ok()) << relinked.status().ToString();
+  ASSERT_TRUE((*relinked)->SpawnNamed("kernel_init", 0).ok());
+  ASSERT_TRUE((*relinked)->RunToCompletion().ok());
+
+  auto memory = [](const kvm::Machine& machine) {
+    ks::Result<std::vector<uint8_t>> bytes = machine.ReadBytes(
+        0x1000, machine.config().memory_bytes - 0x1000);
+    EXPECT_TRUE(bytes.ok());
+    return bytes.ok() ? *bytes : std::vector<uint8_t>();
+  };
+  auto symbols = [](const kvm::Machine& machine) {
+    std::vector<std::tuple<std::string, uint32_t, std::string>> out;
+    for (const kelf::LinkedSymbol& sym : machine.Kallsyms()) {
+      out.emplace_back(sym.name, sym.address, sym.unit);
+    }
+    return out;
+  };
+  auto regions = [](const kvm::Machine& machine) {
+    std::vector<std::tuple<std::string, uint32_t, uint32_t>> out;
+    for (const kvm::HowtoRegion& region : machine.HowtoRegions()) {
+      out.emplace_back(region.name, region.base, region.size);
+    }
+    return out;
+  };
+  const kvm::Machine& a = **pristine;
+  for (const kvm::Machine* other : {release0->get(), relinked->get()}) {
+    EXPECT_EQ(a.config().memory_bytes, other->config().memory_bytes);
+    EXPECT_EQ(a.kernel_end(), other->kernel_end());
+    EXPECT_TRUE(memory(a) == memory(*other));
+    EXPECT_EQ(symbols(a), symbols(*other));
+    EXPECT_EQ(regions(a), regions(*other));
+    EXPECT_EQ(a.Records(), other->Records());
+    EXPECT_EQ(a.Ticks(), other->Ticks());
+  }
 }
 
 TEST(CorpusTest, SymbolCensusShowsAmbiguity) {

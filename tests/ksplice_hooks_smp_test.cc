@@ -338,9 +338,10 @@ TEST(KvmFacilityTest, ModulePlacementsExposeSections) {
 
   SourceTree mod;
   mod.Write("mod.kc", R"(
+extern int x;
 int mod_data = 7;
 int mod_fn(int a) {
-  return mod_data + a;
+  return mod_data + a + x;
 }
 )");
   kcc::CompileOptions options;
@@ -367,9 +368,19 @@ int mod_fn(int a) {
   }
   EXPECT_TRUE(text);
   EXPECT_TRUE(data);
-  // Placements of an unloaded module are unavailable.
+  ks::Result<std::vector<std::pair<std::string, uint32_t>>> imports =
+      machine->ModuleImports(*handle);
+  ASSERT_TRUE(imports.ok());
+  ks::Result<uint32_t> x = machine->GlobalSymbol("x");
+  ASSERT_TRUE(x.ok());
+  EXPECT_EQ(*imports, (std::vector<std::pair<std::string, uint32_t>>{
+                          {"x", *x}}));
+  // Placements and imports of an unloaded module are released, not kept.
   ASSERT_TRUE(machine->UnloadModule(*handle).ok());
-  EXPECT_FALSE(machine->ModulePlacements(*handle).ok());
+  EXPECT_EQ(machine->ModulePlacements(*handle).status().code(),
+            ks::ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(machine->ModuleImports(*handle).status().code(),
+            ks::ErrorCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <set>
+#include <tuple>
+
 #include "kcc/compile.h"
 #include "kdiff/diff.h"
 #include "kvm/machine.h"
@@ -738,6 +743,299 @@ void main(int unused) {
   ASSERT_TRUE(machine->SpawnNamed("main", 0).ok());
   ASSERT_TRUE(machine->RunToCompletion().ok());
   EXPECT_EQ(machine->RecordsWithKey(100), std::vector<uint32_t>{1});
+}
+
+// ---------------------------------------------------------------------------
+// Boot from a linked image, and the guest memory model.
+
+std::vector<kelf::ObjectFile> BuildObjects(const std::string& source) {
+  SourceTree tree;
+  tree.Write("kernel.kc", source);
+  ks::Result<std::vector<kelf::ObjectFile>> objects =
+      kcc::BuildTree(tree, kcc::CompileOptions());
+  EXPECT_TRUE(objects.ok()) << objects.status().ToString();
+  return objects.ok() ? std::move(objects).value()
+                      : std::vector<kelf::ObjectFile>();
+}
+
+kelf::LinkedImage LinkObjects(const std::vector<kelf::ObjectFile>& objects,
+                              uint32_t base) {
+  kelf::Linker linker;
+  for (const kelf::ObjectFile& obj : objects) {
+    linker.AddObject(obj);
+  }
+  ks::Result<kelf::LinkedImage> image = linker.Link(base);
+  EXPECT_TRUE(image.ok()) << image.status().ToString();
+  return image.ok() ? std::move(image).value() : kelf::LinkedImage();
+}
+
+// A kernel with an exception table and a bug table, so boot registers
+// howto regions.
+constexpr char kHowtoKernel[] = R"(
+int slots[4];
+int guarded_read(int addr) {
+  if (addr >= 0 && addr < 4) {
+    return slots[addr];
+  }
+  return try_load(addr, 4095);
+}
+int checked(int x) {
+  if (x == 9) {
+    BUG();
+  }
+  return x + 1;
+}
+void main(int arg) {
+  slots[1] = arg;
+  record(100, guarded_read(1) + checked(arg));
+}
+)";
+
+auto SymbolKey(const kelf::LinkedSymbol& sym) {
+  return std::make_tuple(sym.name, sym.address, sym.size, sym.binding,
+                         sym.kind, sym.unit);
+}
+
+auto RegionKey(const HowtoRegion& region) {
+  return std::make_tuple(region.howto, region.base, region.size, region.name,
+                         region.module_id);
+}
+
+TEST(MachineBootTest, ObjectAndImageBootsAreIdentical) {
+  std::vector<kelf::ObjectFile> objects = BuildObjects(kHowtoKernel);
+  ASSERT_FALSE(objects.empty());
+  MachineConfig config;
+  kelf::LinkedImage image = LinkObjects(objects, config.kernel_base);
+  ks::Result<std::unique_ptr<Machine>> from_objects =
+      Machine::Boot(objects, config);
+  ks::Result<std::unique_ptr<Machine>> from_image =
+      Machine::Boot(image, config);
+  ASSERT_TRUE(from_objects.ok()) << from_objects.status().ToString();
+  ASSERT_TRUE(from_image.ok()) << from_image.status().ToString();
+  const Machine& a = **from_objects;
+  const Machine& b = **from_image;
+
+  ASSERT_EQ(a.kernel_end(), b.kernel_end());
+  ASSERT_EQ(b.kernel_end(), image.end());
+  uint32_t size = image.end() - config.kernel_base;
+  ks::Result<std::vector<uint8_t>> a_bytes =
+      a.ReadBytes(config.kernel_base, size);
+  ks::Result<std::vector<uint8_t>> b_bytes =
+      b.ReadBytes(config.kernel_base, size);
+  ASSERT_TRUE(a_bytes.ok() && b_bytes.ok());
+  EXPECT_EQ(*a_bytes, *b_bytes);
+  EXPECT_EQ(*b_bytes, image.bytes);
+
+  std::vector<kelf::LinkedSymbol> a_syms = a.Kallsyms();
+  std::vector<kelf::LinkedSymbol> b_syms = b.Kallsyms();
+  ASSERT_EQ(a_syms.size(), b_syms.size());
+  ASSERT_FALSE(a_syms.empty());
+  for (size_t i = 0; i < a_syms.size(); ++i) {
+    EXPECT_EQ(SymbolKey(a_syms[i]), SymbolKey(b_syms[i])) << i;
+  }
+
+  std::vector<HowtoRegion> a_regions = a.HowtoRegions();
+  std::vector<HowtoRegion> b_regions = b.HowtoRegions();
+  ASSERT_EQ(a_regions.size(), b_regions.size());
+  bool extable = false;
+  bool bug = false;
+  for (size_t i = 0; i < a_regions.size(); ++i) {
+    EXPECT_EQ(RegionKey(a_regions[i]), RegionKey(b_regions[i])) << i;
+    extable = extable || a_regions[i].howto == kelf::Howto::kExtable;
+    bug = bug || a_regions[i].howto == kelf::Howto::kBug;
+  }
+  EXPECT_TRUE(extable);
+  EXPECT_TRUE(bug);
+}
+
+TEST(MachineBootTest, MachinesBootedFromOneImageAreIndependent) {
+  std::vector<kelf::ObjectFile> objects = BuildObjects(kHowtoKernel);
+  MachineConfig config;
+  const kelf::LinkedImage image = LinkObjects(objects, config.kernel_base);
+  ks::Result<std::unique_ptr<Machine>> first = Machine::Boot(image, config);
+  ks::Result<std::unique_ptr<Machine>> second = Machine::Boot(image, config);
+  ASSERT_TRUE(first.ok() && second.ok());
+  Machine& a = **first;
+  Machine& b = **second;
+
+  ks::Result<uint32_t> slots = a.GlobalSymbol("slots");
+  ASSERT_TRUE(slots.ok());
+  ASSERT_TRUE(a.WriteWord(*slots, 0xdeadbeef).ok());
+  ASSERT_TRUE(a.WriteBytes(config.kernel_base, {0xee, 0xee}).ok());
+  EXPECT_EQ(*a.ReadWord(*slots), 0xdeadbeefu);
+  EXPECT_EQ(*b.ReadWord(*slots), 0u);
+  ks::Result<std::vector<uint8_t>> b_text =
+      b.ReadBytes(config.kernel_base, 2);
+  ASSERT_TRUE(b_text.ok());
+  EXPECT_EQ(*b_text, std::vector<uint8_t>(image.bytes.begin(),
+                                          image.bytes.begin() + 2));
+
+  // Running one machine leaves the other untouched too.
+  ASSERT_TRUE(b.SpawnNamed("main", 5).ok());
+  ASSERT_TRUE(b.RunToCompletion().ok());
+  EXPECT_EQ(b.RecordsWithKey(100), std::vector<uint32_t>{11});
+  EXPECT_EQ(*a.ReadWord(*slots + 4), 0u);
+  EXPECT_EQ(*b.ReadWord(*slots + 4), 5u);
+}
+
+TEST(MachineBootTest, UntouchedMemoryAtTopOfLargeImageReadsZero) {
+  std::vector<kelf::ObjectFile> objects = BuildObjects(kHowtoKernel);
+  MachineConfig config;
+  config.memory_bytes = 0xfffff000u;  // ~4 GiB, only touched pages backed
+  ks::Result<std::unique_ptr<Machine>> booted =
+      Machine::Boot(LinkObjects(objects, config.kernel_base), config);
+  ASSERT_TRUE(booted.ok()) << booted.status().ToString();
+  Machine& machine = **booted;
+
+  // Below the stacks, in the heap/stack gap nothing has written to.
+  uint32_t probe = config.memory_bytes - (64u << 20);
+  ks::Result<std::vector<uint8_t>> page = machine.ReadBytes(probe, 4096);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(*page, std::vector<uint8_t>(4096, 0));
+  ks::Result<uint32_t> last = machine.ReadWord(config.memory_bytes - 4);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(*last, 0u);
+  // Bounds are the configured size, not the host mapping's.
+  EXPECT_FALSE(machine.ReadWord(config.memory_bytes - 2).ok());
+  EXPECT_FALSE(machine.ReadByte(config.memory_bytes).ok());
+  EXPECT_FALSE(machine.WriteByte(config.memory_bytes, 1).ok());
+
+  // A thread's stack lives at the very top and works as usual.
+  ASSERT_TRUE(machine.SpawnNamed("main", 2).ok());
+  ASSERT_TRUE(machine.RunToCompletion().ok());
+  EXPECT_EQ(machine.RecordsWithKey(100), std::vector<uint32_t>{5});
+}
+
+TEST(MachineBootTest, RejectsMisplacedOrOversizedImage) {
+  std::vector<kelf::ObjectFile> objects = BuildObjects(kHowtoKernel);
+  MachineConfig config;
+  kelf::LinkedImage elsewhere =
+      LinkObjects(objects, config.kernel_base + 0x100000);
+  EXPECT_EQ(Machine::Boot(elsewhere, config).status().code(),
+            ks::ErrorCode::kInvalidArgument);
+
+  kelf::LinkedImage image = LinkObjects(objects, config.kernel_base);
+  MachineConfig tiny = config;
+  tiny.memory_bytes = image.end();  // no room for arena, heap or stacks
+  EXPECT_EQ(Machine::Boot(image, tiny).status().code(),
+            ks::ErrorCode::kResourceExhausted);
+  EXPECT_EQ(Machine::Boot(objects, tiny).status().code(),
+            ks::ErrorCode::kResourceExhausted);
+}
+
+// ---------------------------------------------------------------------------
+// Symbol index maintenance across module unloads.
+
+// SymbolsNamed/GlobalSymbol must answer for every name exactly as an index
+// rebuilt from the current kallsyms table would: every binding of the name
+// in table order, and the first global among them.
+void ExpectIndexMatchesKallsyms(const Machine& machine,
+                                const std::set<std::string>& names) {
+  std::vector<kelf::LinkedSymbol> table = machine.Kallsyms();
+  for (const std::string& name : names) {
+    std::vector<std::tuple<std::string, uint32_t, uint32_t,
+                           kelf::SymbolBinding, kelf::SymbolKind,
+                           std::string>>
+        expected;
+    std::optional<uint32_t> global;
+    for (const kelf::LinkedSymbol& sym : table) {
+      if (sym.name == name) {
+        expected.push_back(SymbolKey(sym));
+        if (!global.has_value() &&
+            sym.binding == kelf::SymbolBinding::kGlobal) {
+          global = sym.address;
+        }
+      }
+    }
+    std::vector<kelf::LinkedSymbol> named = machine.SymbolsNamed(name);
+    ASSERT_EQ(named.size(), expected.size()) << name;
+    for (size_t i = 0; i < named.size(); ++i) {
+      EXPECT_EQ(SymbolKey(named[i]), expected[i]) << name << " #" << i;
+    }
+    ks::Result<uint32_t> resolved = machine.GlobalSymbol(name);
+    ASSERT_EQ(resolved.ok(), global.has_value()) << name;
+    if (global.has_value()) {
+      EXPECT_EQ(*resolved, *global) << name;
+    }
+  }
+}
+
+TEST(MachineTest, SymbolIndexSurvivesOutOfOrderUnloads) {
+  std::unique_ptr<Machine> machine = BootSource(R"(
+static int helper(int x) { return x * 3; }
+int kernel_add(int x) { return helper(x) + 1; }
+)");
+  ASSERT_NE(machine, nullptr);
+
+  // Every module has a local `helper` (colliding with the kernel's and with
+  // each other) and a global of its own; `twin` is defined by two modules
+  // that are never loaded at once.
+  auto module_source = [](const std::string& tag, bool twin) {
+    std::string src = "int kernel_add(int x);\n"
+                      "static int helper(int x) { return x + " +
+                      std::to_string(tag.size()) + "; }\n"
+                      "int " + tag + "_entry(int x) {\n"
+                      "  return kernel_add(helper(x));\n}\n"
+                      "int " + tag + "_state = 7;\n";
+    if (twin) {
+      src += "int twin(int x) { return helper(x); }\n";
+    }
+    return src;
+  };
+  std::set<std::string> names;
+  for (const kelf::LinkedSymbol& sym : machine->Kallsyms()) {
+    names.insert(sym.name);
+  }
+  std::map<std::string, ModuleHandle> loaded;
+  auto load = [&](const std::string& tag, bool twin) {
+    SourceTree tree;
+    tree.Write(tag + ".kc", module_source(tag, twin));
+    ks::Result<std::vector<kelf::ObjectFile>> objects =
+        kcc::BuildTree(tree, kcc::CompileOptions());
+    ASSERT_TRUE(objects.ok()) << objects.status().ToString();
+    ks::Result<ModuleHandle> handle = machine->LoadModule(*objects, tag);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    loaded[tag] = *handle;
+    for (const kelf::LinkedSymbol& sym : machine->Kallsyms()) {
+      names.insert(sym.name);
+    }
+    ExpectIndexMatchesKallsyms(*machine, names);
+  };
+  auto unload = [&](const std::string& tag) {
+    ASSERT_TRUE(machine->UnloadModule(loaded.at(tag)).ok()) << tag;
+    loaded.erase(tag);
+    ExpectIndexMatchesKallsyms(*machine, names);
+  };
+  auto blob = [&](const std::string& tag) {
+    ks::Result<ModuleHandle> handle = machine->LoadBlob(tag, 4096);
+    ASSERT_TRUE(handle.ok());
+    loaded[tag] = *handle;
+    ExpectIndexMatchesKallsyms(*machine, names);
+  };
+
+  ASSERT_NO_FATAL_FAILURE(load("alpha", /*twin=*/true));
+  ASSERT_NO_FATAL_FAILURE(load("beta", false));
+  ASSERT_NO_FATAL_FAILURE(blob("blob1"));
+  ASSERT_NO_FATAL_FAILURE(load("gamma", false));
+  ASSERT_NO_FATAL_FAILURE(unload("beta"));  // middle of the table
+  ASSERT_NO_FATAL_FAILURE(load("delta", false));
+  ASSERT_NO_FATAL_FAILURE(unload("alpha"));  // first module
+  ASSERT_NO_FATAL_FAILURE(load("epsilon", /*twin=*/true));
+  ASSERT_NO_FATAL_FAILURE(unload("blob1"));
+  ASSERT_NO_FATAL_FAILURE(unload("delta"));
+  ASSERT_NO_FATAL_FAILURE(load("zeta", false));
+  ASSERT_NO_FATAL_FAILURE(unload("epsilon"));
+  ASSERT_NO_FATAL_FAILURE(unload("zeta"));  // last module
+  ASSERT_NO_FATAL_FAILURE(load("beta", /*twin=*/true));
+
+  // The survivors still link and run through the index.
+  ks::Result<uint32_t> entry = machine->GlobalSymbol("gamma_entry");
+  ASSERT_TRUE(entry.ok());
+  ks::Result<uint32_t> result = machine->CallFunction(*entry, 2);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, (2u + 5u) * 3u + 1u);
+  EXPECT_TRUE(machine->SymbolsNamed("alpha_entry").empty());
+  EXPECT_EQ(machine->SymbolsNamed("twin").size(), 1u);
 }
 
 }  // namespace
