@@ -234,10 +234,13 @@ test "$rc" -eq 1 || { echo "inspect missing file exited $rc, want 1"; exit 1; }
 # Fleet rollout smoke: a clean 8-node rollout must patch every non-stale
 # node and exit 0; a drill with a doomed canary must trip the canary wave,
 # roll every patched node back, and exit 1 — and the report JSON must say
-# so (aborted, zero nodes left patched).
+# so (aborted, zero nodes left patched). A rollout with stale nodes must
+# still parse: their errors carry run-pre's multi-line refusal.
 echo "== ksplice_tool fleet rollout smoke =="
 build/tools/ksplice_tool rollout --nodes=8 --wave=4 --max-in-flight=4 \
   --json="$obs_dir/rollout-clean.json"
+build/tools/ksplice_tool rollout --nodes=8 --lint=off \
+  --json="$obs_dir/rollout-stale.json" CVE-2005-2456
 rc=0; build/tools/ksplice_tool rollout --nodes=8 --wave=4 --max-in-flight=4 \
   --canary=0.25 --doom=1 --json="$obs_dir/rollout-drill.json" || rc=$?
 test "$rc" -eq 1 || { echo "doomed rollout exited $rc, want 1"; exit 1; }
@@ -254,9 +257,12 @@ assert drill["patched"] == 0, f"nodes left patched after abort: {drill}"
 assert drill["failed"] == 1 and drill["rolled_back"] == 1, drill
 outcomes = {n["node"]: n["outcome"] for n in drill["nodes"]}
 assert outcomes["node-000"] == "failed", outcomes
+stale = json.load(open(obs_dir + "/rollout-stale.json"))
+assert stale["skipped_stale"] > 0 and stale["failed"] == 0, stale
 print("fleet rollout JSON OK:", clean["patched"], "patched clean;",
       "drill aborted at wave", drill["tripped_wave"], "with",
-      drill["rolled_back"], "rolled back")
+      drill["rolled_back"], "rolled back;", stale["skipped_stale"],
+      "stale skipped")
 EOF
 
 # Watchdog safety-net smoke: a bad patch (BUG() armed in the replacement

@@ -3,7 +3,7 @@
 #include <bit>
 #include <fstream>
 
-#include "base/strings.h"
+#include "base/json.h"
 
 namespace ks {
 
@@ -139,56 +139,43 @@ std::map<std::string, uint64_t> MetricsRegistry::CounterValues() const {
 
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"counters\":{";
-  bool first = true;
+  JsonWriter json;
+  json.BeginObject().Key("counters").BeginObject();
   for (const auto& [name, counter] : counters_) {
-    out += StrPrintf("%s\"%s\":%llu", first ? "" : ",", name.c_str(),
-                     static_cast<unsigned long long>(counter->value()));
-    first = false;
+    json.Field(name, counter->value());
   }
-  out += "},\"gauges\":{";
-  first = true;
+  json.EndObject().Key("gauges").BeginObject();
   for (const auto& [name, gauge] : gauges_) {
-    out += StrPrintf("%s\"%s\":%lld", first ? "" : ",", name.c_str(),
-                     static_cast<long long>(gauge->value()));
-    first = false;
+    json.Field(name, gauge->value());
   }
-  out += "},\"histograms\":{";
-  first = true;
+  json.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, histogram] : histograms_) {
-    out += StrPrintf(
-        "%s\"%s\":{\"count\":%llu,\"sum\":%llu,\"min\":%llu,\"max\":%llu,"
-        "\"mean\":%.3f,\"buckets\":[",
-        first ? "" : ",", name.c_str(),
-        static_cast<unsigned long long>(histogram->count()),
-        static_cast<unsigned long long>(histogram->sum()),
-        static_cast<unsigned long long>(histogram->min()),
-        static_cast<unsigned long long>(histogram->max()),
-        histogram->mean());
-    bool first_bucket = true;
+    json.Key(name)
+        .BeginObject()
+        .Field("count", histogram->count())
+        .Field("sum", histogram->sum())
+        .Field("min", histogram->min())
+        .Field("max", histogram->max())
+        .Field("mean", histogram->mean())
+        .Key("buckets")
+        .BeginArray();
     for (int i = 0; i < Histogram::kBuckets; ++i) {
       uint64_t n = histogram->bucket(i);
       if (n == 0) {
         continue;
       }
       uint64_t bound = Histogram::BucketBound(i);
+      json.BeginObject();
       if (bound == UINT64_MAX) {
-        out += StrPrintf("%s{\"le\":\"inf\",\"n\":%llu}",
-                         first_bucket ? "" : ",",
-                         static_cast<unsigned long long>(n));
+        json.Field("le", "inf");
       } else {
-        out += StrPrintf("%s{\"le\":%llu,\"n\":%llu}",
-                         first_bucket ? "" : ",",
-                         static_cast<unsigned long long>(bound),
-                         static_cast<unsigned long long>(n));
+        json.Field("le", bound);
       }
-      first_bucket = false;
+      json.Field("n", n).EndObject();
     }
-    out += "]}";
-    first = false;
+    json.EndArray().EndObject();
   }
-  out += "}}";
-  return out;
+  return json.EndObject().EndObject().Take();
 }
 
 Status MetricsRegistry::WriteJson(const std::string& path) const {

@@ -7,6 +7,7 @@
 #include <map>
 #include <mutex>
 
+#include "base/json.h"
 #include "base/strings.h"
 
 namespace ks {
@@ -52,34 +53,6 @@ uint32_t ThisThreadId() {
 
 thread_local int tl_depth = 0;
 
-std::string JsonEscaped(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrPrintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void SetTraceEnabled(bool enabled) {
@@ -111,30 +84,27 @@ uint64_t TraceDropped() {
 }
 
 std::string TraceJson() {
-  std::vector<TraceEvent> events = TraceSnapshot();
-  std::string out = "{\"traceEvents\":[";
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& event = events[i];
-    if (i != 0) {
-      out += ',';
-    }
+  JsonWriter json;
+  json.BeginObject().Key("traceEvents").BeginArray();
+  for (const TraceEvent& event : TraceSnapshot()) {
     // Complete ("X") events with microsecond timestamps, the format both
     // chrome://tracing and Perfetto ingest.
-    out += StrPrintf(
-        "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
-        "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"depth\":%d,\"ticks\":%llu",
-        JsonEscaped(event.name).c_str(), event.thread,
-        static_cast<double>(event.start_ns) / 1000.0,
-        static_cast<double>(event.dur_ns) / 1000.0, event.depth,
-        static_cast<unsigned long long>(event.ticks));
+    json.BeginObject()
+        .Field("name", event.name)
+        .Field("ph", "X")
+        .Field("pid", 1)
+        .Field("tid", event.thread)
+        .Field("ts", static_cast<double>(event.start_ns) / 1000.0)
+        .Field("dur", static_cast<double>(event.dur_ns) / 1000.0)
+        .Key("args").BeginObject()
+        .Field("depth", event.depth)
+        .Field("ticks", event.ticks);
     for (const auto& [key, value] : event.args) {
-      out += StrPrintf(",\"%s\":\"%s\"", JsonEscaped(key).c_str(),
-                       JsonEscaped(value).c_str());
+      json.Field(key, value);
     }
-    out += "}}";
+    json.EndObject().EndObject();
   }
-  out += "]}";
-  return out;
+  return json.EndArray().EndObject().Take();
 }
 
 Status WriteTraceJson(const std::string& path) {

@@ -5,6 +5,7 @@
 #include <optional>
 #include <set>
 
+#include "base/json.h"
 #include "base/strings.h"
 #include "base/threadpool.h"
 #include "corpus/tree_parts.h"
@@ -454,21 +455,27 @@ ks::Result<EvalOutcome> Evaluate(const Vulnerability& vuln,
 }
 
 std::string EvalOutcome::ToJson() const {
-  auto b = [](bool v) { return v ? "true" : "false"; };
-  return ks::StrPrintf(
-      "{\"cve\":\"%s\",\"patch_lines\":%d,\"needed_custom_code\":%s,"
-      "\"custom_code_lines\":%d,\"create_ok\":%s,\"apply_ok\":%s,"
-      "\"stress_ok\":%s,\"exploit_before\":%s,\"exploit_after\":%s,"
-      "\"undo_ok\":%s,\"targets\":%d,\"modified_inlined_function\":%s,"
-      "\"declared_inline\":%s,\"references_ambiguous_symbol\":%s,"
-      "\"touches_assembly\":%s,\"success\":%s,\"create\":%s,\"apply\":%s,"
-      "\"undo\":%s}",
-      cve.c_str(), patch_lines, b(needed_custom_code), custom_code_lines,
-      b(create_ok), b(apply_ok), b(stress_ok), b(exploit_before),
-      b(exploit_after), b(undo_ok), targets, b(modified_inlined_function),
-      b(declared_inline), b(references_ambiguous_symbol),
-      b(touches_assembly), b(Success()), create_report.ToJson().c_str(),
-      apply_report.ToJson().c_str(), undo_report.ToJson().c_str());
+  return ks::JsonWriter().BeginObject()
+      .Field("cve", cve)
+      .Field("patch_lines", patch_lines)
+      .Field("needed_custom_code", needed_custom_code)
+      .Field("custom_code_lines", custom_code_lines)
+      .Field("create_ok", create_ok)
+      .Field("apply_ok", apply_ok)
+      .Field("stress_ok", stress_ok)
+      .Field("exploit_before", exploit_before)
+      .Field("exploit_after", exploit_after)
+      .Field("undo_ok", undo_ok)
+      .Field("targets", targets)
+      .Field("modified_inlined_function", modified_inlined_function)
+      .Field("declared_inline", declared_inline)
+      .Field("references_ambiguous_symbol", references_ambiguous_symbol)
+      .Field("touches_assembly", touches_assembly)
+      .Field("success", Success())
+      .Field("create", create_report)
+      .Field("apply", apply_report)
+      .Field("undo", undo_report)
+      .EndObject().Take();
 }
 
 kcc::ObjectCache& SharedObjectCache() {

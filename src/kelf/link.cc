@@ -168,16 +168,8 @@ ks::Result<LinkedImage> Linker::Link(uint32_t base) const {
           }
         }
         uint32_t p = sec_addr + rel.offset;
-        uint32_t word = 0;
-        switch (rel.type) {
-          case RelocType::kAbs32:
-            word = s_value + static_cast<uint32_t>(rel.addend);
-            break;
-          case RelocType::kPcrel32:
-            word = s_value + static_cast<uint32_t>(rel.addend) - p;
-            break;
-        }
-        ks::WriteLe32(image.bytes.data() + (p - base), word);
+        ks::WriteLe32(image.bytes.data() + (p - base),
+                      RelocWord(rel.type, s_value, rel.addend, p));
       }
     }
   }

@@ -53,6 +53,20 @@ enum class RelocType : uint8_t {
   kPcrel32 = 1,  // word = S + A - P
 };
 
+// The relocation equation, written once. RelocWord is the 32-bit word a
+// relocation stores at address P for symbol value S and addend A (the
+// linker's direction); RelocSymbol inverts it, recovering S from a word
+// already relocated in memory (run-pre's direction). Arithmetic wraps
+// modulo 2^32, so a PC-relative word with P > S round-trips too.
+inline uint32_t RelocWord(RelocType type, uint32_t s, int32_t a, uint32_t p) {
+  return s + static_cast<uint32_t>(a) - (type == RelocType::kPcrel32 ? p : 0);
+}
+inline uint32_t RelocSymbol(RelocType type, uint32_t word, int32_t a,
+                            uint32_t p) {
+  return word - static_cast<uint32_t>(a) +
+         (type == RelocType::kPcrel32 ? p : 0);
+}
+
 // RELA-style relocation: patches the 32-bit word at `offset` within the
 // owning section using symbol `symbol` (index into the symbol table) and
 // explicit addend.

@@ -1,40 +1,9 @@
 #include "ksplice/report.h"
 
+#include "base/json.h"
 #include "base/strings.h"
 
 namespace ksplice {
-
-namespace {
-
-std::string Escaped(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
-
-std::string JoinJson(const std::vector<std::string>& parts) {
-  std::string out = "[";
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) {
-      out += ',';
-    }
-    out += parts[i];
-  }
-  out += ']';
-  return out;
-}
-
-unsigned long long U(uint64_t v) {
-  return static_cast<unsigned long long>(v);
-}
-
-}  // namespace
 
 void MatchStats::MergeFrom(const MatchStats& other) {
   sections_matched += other.sections_matched;
@@ -58,24 +27,26 @@ void MatchStats::MergeFrom(const MatchStats& other) {
 }
 
 std::string MatchStats::ToJson() const {
-  return ks::StrPrintf(
-      "{\"sections_matched\":%llu,\"candidates_tried\":%llu,"
-      "\"run_bytes_matched\":%llu,\"pre_bytes_walked\":%llu,"
-      "\"nop_bytes_skipped\":%llu,\"reloc_sites_inverted\":%llu,"
-      "\"symbols_recovered\":%llu,\"ambiguity_deferrals\":%llu,"
-      "\"fixpoint_passes\":%llu,\"index_anchors\":%llu,"
-      "\"index_hits\":%llu,\"index_misses\":%llu,"
-      "\"pre_bytes_canonicalized\":%llu,\"run_bytes_canonicalized\":%llu,"
-      "\"revalidations\":%llu,\"extable_sections_matched\":%llu,"
-      "\"bug_table_sections_matched\":%llu,"
-      "\"date_time_sections_matched\":%llu}",
-      U(sections_matched), U(candidates_tried), U(run_bytes_matched),
-      U(pre_bytes_walked), U(nop_bytes_skipped), U(reloc_sites_inverted),
-      U(symbols_recovered), U(ambiguity_deferrals), U(fixpoint_passes),
-      U(index_anchors), U(index_hits), U(index_misses),
-      U(pre_bytes_canonicalized), U(run_bytes_canonicalized),
-      U(revalidations), U(extable_sections_matched),
-      U(bug_table_sections_matched), U(date_time_sections_matched));
+  return ks::JsonWriter().BeginObject()
+      .Field("sections_matched", sections_matched)
+      .Field("candidates_tried", candidates_tried)
+      .Field("run_bytes_matched", run_bytes_matched)
+      .Field("pre_bytes_walked", pre_bytes_walked)
+      .Field("nop_bytes_skipped", nop_bytes_skipped)
+      .Field("reloc_sites_inverted", reloc_sites_inverted)
+      .Field("symbols_recovered", symbols_recovered)
+      .Field("ambiguity_deferrals", ambiguity_deferrals)
+      .Field("fixpoint_passes", fixpoint_passes)
+      .Field("index_anchors", index_anchors)
+      .Field("index_hits", index_hits)
+      .Field("index_misses", index_misses)
+      .Field("pre_bytes_canonicalized", pre_bytes_canonicalized)
+      .Field("run_bytes_canonicalized", run_bytes_canonicalized)
+      .Field("revalidations", revalidations)
+      .Field("extable_sections_matched", extable_sections_matched)
+      .Field("bug_table_sections_matched", bug_table_sections_matched)
+      .Field("date_time_sections_matched", date_time_sections_matched)
+      .EndObject().Take();
 }
 
 std::string LintFinding::ToString() const {
@@ -100,262 +71,238 @@ std::string LintFinding::ToString() const {
 }
 
 std::string LintFinding::ToJson() const {
-  std::string offset_field =
-      has_offset ? ks::StrPrintf(",\"offset\":%u", offset) : "";
-  return ks::StrPrintf(
-      "{\"rule\":\"%s\",\"severity\":\"%s\",\"pass\":\"%s\","
-      "\"unit\":\"%s\",\"symbol\":\"%s\"%s,\"message\":\"%s\","
-      "\"hint\":\"%s\"}",
-      Escaped(rule).c_str(), LintSeverityName(severity),
-      Escaped(pass).c_str(), Escaped(unit).c_str(), Escaped(symbol).c_str(),
-      offset_field.c_str(), Escaped(message).c_str(), Escaped(hint).c_str());
-}
-
-std::string LintFindingsJson(const std::vector<LintFinding>& findings) {
-  std::vector<std::string> rows;
-  for (const LintFinding& finding : findings) {
-    rows.push_back(finding.ToJson());
+  ks::JsonWriter json;
+  json.BeginObject()
+      .Field("rule", rule)
+      .Field("severity", LintSeverityName(severity))
+      .Field("pass", pass)
+      .Field("unit", unit)
+      .Field("symbol", symbol);
+  if (has_offset) {
+    json.Field("offset", offset);
   }
-  return JoinJson(rows);
+  return json.Field("message", message)
+      .Field("hint", hint)
+      .EndObject().Take();
 }
 
 std::string LintReport::ToJson() const {
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"errors\":%zu,\"warnings\":%zu,\"notes\":%zu,"
-      "\"functions_scanned\":%llu,\"call_edges\":%llu,"
-      "\"blocks_analyzed\":%llu,\"insns_decoded\":%llu,"
-      "\"data_sections_compared\":%llu,\"functions_summarized\":%llu,"
-      "\"findings\":%s}",
-      Escaped(id).c_str(), errors(),
-      CountAtLeast(LintSeverity::kWarning) - errors(),
-      findings.size() - CountAtLeast(LintSeverity::kWarning),
-      U(functions_scanned), U(call_edges), U(blocks_analyzed),
-      U(insns_decoded), U(data_sections_compared), U(functions_summarized),
-      LintFindingsJson(findings).c_str());
+  return ks::JsonWriter().BeginObject()
+      .Field("id", id)
+      .Field("errors", errors())
+      .Field("warnings", CountAtLeast(LintSeverity::kWarning) - errors())
+      .Field("notes", findings.size() - CountAtLeast(LintSeverity::kWarning))
+      .Field("functions_scanned", functions_scanned)
+      .Field("call_edges", call_edges)
+      .Field("blocks_analyzed", blocks_analyzed)
+      .Field("insns_decoded", insns_decoded)
+      .Field("data_sections_compared", data_sections_compared)
+      .Field("functions_summarized", functions_summarized)
+      .Field("findings", findings)
+      .EndObject().Take();
 }
 
 std::string UnitReport::ToJson() const {
-  return ks::StrPrintf(
-      "{\"unit\":\"%s\",\"pre_cache_hit\":%s,\"post_cache_hit\":%s,"
-      "\"pre_text_bytes\":%u,\"post_text_bytes\":%u,"
-      "\"sections_compared\":%u,\"sections_changed\":%u,"
-      "\"text_changed\":%u,\"data_changed\":%u}",
-      Escaped(unit).c_str(), pre_cache_hit ? "true" : "false",
-      post_cache_hit ? "true" : "false", pre_text_bytes, post_text_bytes,
-      sections_compared, sections_changed, text_changed, data_changed);
+  return ks::JsonWriter().BeginObject()
+      .Field("unit", unit)
+      .Field("pre_cache_hit", pre_cache_hit)
+      .Field("post_cache_hit", post_cache_hit)
+      .Field("pre_text_bytes", pre_text_bytes)
+      .Field("post_text_bytes", post_text_bytes)
+      .Field("sections_compared", sections_compared)
+      .Field("sections_changed", sections_changed)
+      .Field("text_changed", text_changed)
+      .Field("data_changed", data_changed)
+      .EndObject().Take();
 }
 
 std::string ChangedFunction::ToJson() const {
-  return ks::StrPrintf(
-      "{\"unit\":\"%s\",\"symbol\":\"%s\",\"change\":\"%s\","
-      "\"pre_size\":%u,\"post_size\":%u}",
-      Escaped(unit).c_str(), Escaped(symbol).c_str(),
-      Escaped(change).c_str(), pre_size, post_size);
+  return ks::JsonWriter().BeginObject()
+      .Field("unit", unit)
+      .Field("symbol", symbol)
+      .Field("change", change)
+      .Field("pre_size", pre_size)
+      .Field("post_size", post_size)
+      .EndObject().Take();
 }
 
 std::string CreateReport::ToJson() const {
-  std::vector<std::string> unit_rows;
-  for (const UnitReport& unit : units) {
-    unit_rows.push_back(unit.ToJson());
-  }
-  std::vector<std::string> fn_rows;
-  for (const ChangedFunction& fn : changed_functions) {
-    fn_rows.push_back(fn.ToJson());
-  }
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"units_rebuilt\":%u,\"cache_hits\":%llu,"
-      "\"cache_misses\":%llu,\"prepost_wall_ns\":%llu,"
-      "\"create_wall_ns\":%llu,\"targets\":%u,\"units\":%s,"
-      "\"changed_functions\":%s,\"lint\":%s}",
-      Escaped(id).c_str(), units_rebuilt, U(cache_hits), U(cache_misses),
-      U(prepost_wall_ns), U(create_wall_ns), targets,
-      JoinJson(unit_rows).c_str(), JoinJson(fn_rows).c_str(),
-      lint.ToJson().c_str());
+  return ks::JsonWriter().BeginObject()
+      .Field("id", id)
+      .Field("units_rebuilt", units_rebuilt)
+      .Field("cache_hits", cache_hits)
+      .Field("cache_misses", cache_misses)
+      .Field("prepost_wall_ns", prepost_wall_ns)
+      .Field("create_wall_ns", create_wall_ns)
+      .Field("targets", targets)
+      .Field("units", units)
+      .Field("changed_functions", changed_functions)
+      .Field("lint", lint)
+      .EndObject().Take();
 }
 
 std::string SpliceRecord::ToJson() const {
-  return ks::StrPrintf(
-      "{\"unit\":\"%s\",\"symbol\":\"%s\",\"orig_address\":%u,"
-      "\"repl_address\":%u,\"code_size\":%u,\"repl_size\":%u,"
-      "\"trampoline_bytes\":%u}",
-      Escaped(unit).c_str(), Escaped(symbol).c_str(), orig_address,
-      repl_address, code_size, repl_size, trampoline_bytes);
+  return ks::JsonWriter().BeginObject()
+      .Field("unit", unit)
+      .Field("symbol", symbol)
+      .Field("orig_address", orig_address)
+      .Field("repl_address", repl_address)
+      .Field("code_size", code_size)
+      .Field("repl_size", repl_size)
+      .Field("trampoline_bytes", trampoline_bytes)
+      .EndObject().Take();
 }
 
 std::string QuiescenceBlocker::ToJson() const {
-  return ks::StrPrintf(
-      "{\"tid\":%d,\"pc\":%u,\"hit_address\":%u,\"from_stack\":%s}", tid,
-      pc, hit_address, from_stack ? "true" : "false");
+  return ks::JsonWriter().BeginObject()
+      .Field("tid", tid)
+      .Field("pc", pc)
+      .Field("hit_address", hit_address)
+      .Field("from_stack", from_stack)
+      .EndObject().Take();
 }
 
 std::string StageTiming::ToJson() const {
-  return ks::StrPrintf("{\"stage\":\"%s\",\"wall_ns\":%llu}",
-                       Escaped(stage).c_str(), U(wall_ns));
+  return ks::JsonWriter().BeginObject()
+      .Field("stage", stage)
+      .Field("wall_ns", wall_ns)
+      .EndObject().Take();
 }
-
-namespace {
-
-std::string StagesJson(const std::vector<StageTiming>& stages) {
-  std::vector<std::string> rows;
-  for (const StageTiming& stage : stages) {
-    rows.push_back(stage.ToJson());
-  }
-  return JoinJson(rows);
-}
-
-std::string BlockersJson(const std::vector<QuiescenceBlocker>& blockers) {
-  std::vector<std::string> rows;
-  for (const QuiescenceBlocker& blocker : blockers) {
-    rows.push_back(blocker.ToJson());
-  }
-  return JoinJson(rows);
-}
-
-}  // namespace
 
 std::string ApplyReport::ToJson() const {
-  std::vector<std::string> fn_rows;
-  for (const SpliceRecord& fn : functions) {
-    fn_rows.push_back(fn.ToJson());
-  }
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"functions\":%s,\"match\":%s,\"attempts\":%d,"
-      "\"quiescence_retries\":%d,\"pause_ns\":%llu,\"retry_ticks\":%llu,"
-      "\"helper_bytes\":%llu,\"primary_bytes\":%u,\"trampoline_bytes\":%u,"
-      "\"helper_retained\":%s,\"stages\":%s,\"blockers\":%s}",
-      Escaped(id).c_str(), JoinJson(fn_rows).c_str(),
-      match.ToJson().c_str(), attempts, quiescence_retries, U(pause_ns),
-      U(retry_ticks), U(helper_bytes), primary_bytes, trampoline_bytes,
-      helper_retained ? "true" : "false", StagesJson(stages).c_str(),
-      BlockersJson(blockers).c_str());
+  return ks::JsonWriter().BeginObject()
+      .Field("id", id)
+      .Field("functions", functions)
+      .Field("match", match)
+      .Field("attempts", attempts)
+      .Field("quiescence_retries", quiescence_retries)
+      .Field("pause_ns", pause_ns)
+      .Field("retry_ticks", retry_ticks)
+      .Field("helper_bytes", helper_bytes)
+      .Field("primary_bytes", primary_bytes)
+      .Field("trampoline_bytes", trampoline_bytes)
+      .Field("helper_retained", helper_retained)
+      .Field("stages", stages)
+      .Field("blockers", blockers)
+      .EndObject().Take();
 }
 
 std::string BatchApplyReport::ToJson() const {
-  std::vector<std::string> rows;
-  for (const ApplyReport& update : updates) {
-    rows.push_back(update.ToJson());
-  }
-  return ks::StrPrintf(
-      "{\"packages\":%u,\"updates\":%s,\"attempts\":%d,"
-      "\"quiescence_retries\":%d,\"pause_ns\":%llu,\"retry_ticks\":%llu,"
-      "\"functions_spliced\":%u,\"stages\":%s,\"blockers\":%s}",
-      packages, JoinJson(rows).c_str(), attempts, quiescence_retries,
-      U(pause_ns), U(retry_ticks), functions_spliced,
-      StagesJson(stages).c_str(), BlockersJson(blockers).c_str());
+  return ks::JsonWriter().BeginObject()
+      .Field("packages", packages)
+      .Field("updates", updates)
+      .Field("attempts", attempts)
+      .Field("quiescence_retries", quiescence_retries)
+      .Field("pause_ns", pause_ns)
+      .Field("retry_ticks", retry_ticks)
+      .Field("functions_spliced", functions_spliced)
+      .Field("stages", stages)
+      .Field("blockers", blockers)
+      .EndObject().Take();
 }
 
 std::string UndoReport::ToJson() const {
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"functions_restored\":%u,\"attempts\":%d,"
-      "\"quiescence_retries\":%d,\"pause_ns\":%llu,\"retry_ticks\":%llu,"
-      "\"bytes_restored\":%u,\"primary_bytes_reclaimed\":%u,"
-      "\"helper_bytes_reclaimed\":%u,\"out_of_order\":%s,"
-      "\"chains_rewritten\":%u,\"blockers\":%s}",
-      Escaped(id).c_str(), functions_restored, attempts,
-      quiescence_retries, U(pause_ns), U(retry_ticks), bytes_restored,
-      primary_bytes_reclaimed, helper_bytes_reclaimed,
-      out_of_order ? "true" : "false", chains_rewritten,
-      BlockersJson(blockers).c_str());
+  return ks::JsonWriter().BeginObject()
+      .Field("id", id)
+      .Field("functions_restored", functions_restored)
+      .Field("attempts", attempts)
+      .Field("quiescence_retries", quiescence_retries)
+      .Field("pause_ns", pause_ns)
+      .Field("retry_ticks", retry_ticks)
+      .Field("bytes_restored", bytes_restored)
+      .Field("primary_bytes_reclaimed", primary_bytes_reclaimed)
+      .Field("helper_bytes_reclaimed", helper_bytes_reclaimed)
+      .Field("out_of_order", out_of_order)
+      .Field("chains_rewritten", chains_rewritten)
+      .Field("blockers", blockers)
+      .EndObject().Take();
 }
 
 std::string AttributedFault::ToJson() const {
-  return ks::StrPrintf(
-      "{\"update\":\"%s\",\"unit\":\"%s\",\"symbol\":\"%s\",\"tid\":%d,"
-      "\"pc\":%u,\"tick\":%llu,\"reason\":\"%s\"}",
-      Escaped(update).c_str(), Escaped(unit).c_str(),
-      Escaped(symbol).c_str(), tid, pc, U(tick), Escaped(reason).c_str());
+  return ks::JsonWriter().BeginObject()
+      .Field("update", update)
+      .Field("unit", unit)
+      .Field("symbol", symbol)
+      .Field("tid", tid)
+      .Field("pc", pc)
+      .Field("tick", tick)
+      .Field("reason", reason)
+      .EndObject().Take();
 }
-
-namespace {
-
-std::string AttributedJson(const std::vector<AttributedFault>& faults) {
-  std::vector<std::string> rows;
-  for (const AttributedFault& fault : faults) {
-    rows.push_back(fault.ToJson());
-  }
-  return JoinJson(rows);
-}
-
-}  // namespace
 
 std::string RevertReport::ToJson() const {
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"package_hash\":%llu,\"trigger\":%s,"
-      "\"detected_tick\":%llu,\"attempts\":%d,\"backoff_ticks\":%llu,"
-      "\"reverted\":%s,\"quarantined\":%s,\"error\":\"%s\",\"undo\":%s}",
-      Escaped(id).c_str(), U(package_hash), trigger.ToJson().c_str(),
-      U(detected_tick), attempts, U(backoff_ticks),
-      reverted ? "true" : "false", quarantined ? "true" : "false",
-      Escaped(error).c_str(), undo.ToJson().c_str());
+  return ks::JsonWriter().BeginObject()
+      .Field("id", id)
+      .Field("package_hash", package_hash)
+      .Field("trigger", trigger)
+      .Field("detected_tick", detected_tick)
+      .Field("attempts", attempts)
+      .Field("backoff_ticks", backoff_ticks)
+      .Field("reverted", reverted)
+      .Field("quarantined", quarantined)
+      .Field("error", error)
+      .Field("undo", undo)
+      .EndObject().Take();
 }
 
 std::string WatchdogReport::ToJson() const {
-  std::vector<std::string> unattributed_rows;
-  for (const std::string& line : unattributed) {
-    unattributed_rows.push_back(
-        ks::StrPrintf("\"%s\"", Escaped(line).c_str()));
-  }
-  std::vector<std::string> revert_rows;
-  for (const RevertReport& revert : reverts) {
-    revert_rows.push_back(revert.ToJson());
-  }
-  return ks::StrPrintf(
-      "{\"window_ticks\":%llu,\"samples\":%llu,\"faults_seen\":%llu,"
-      "\"faults_attributed\":%llu,\"extable_fixups\":%llu,"
-      "\"stuck_threads\":%u,\"panicked\":%s,\"window_closed\":%s,"
-      "\"attributed\":%s,\"unattributed\":%s,\"reverts\":%s}",
-      U(window_ticks), U(samples), U(faults_seen), U(faults_attributed),
-      U(extable_fixups), stuck_threads, panicked ? "true" : "false",
-      window_closed ? "true" : "false", AttributedJson(attributed).c_str(),
-      JoinJson(unattributed_rows).c_str(), JoinJson(revert_rows).c_str());
+  return ks::JsonWriter().BeginObject()
+      .Field("window_ticks", window_ticks)
+      .Field("samples", samples)
+      .Field("faults_seen", faults_seen)
+      .Field("faults_attributed", faults_attributed)
+      .Field("extable_fixups", extable_fixups)
+      .Field("stuck_threads", stuck_threads)
+      .Field("panicked", panicked)
+      .Field("window_closed", window_closed)
+      .Field("attributed", attributed)
+      .Field("unattributed", unattributed)
+      .Field("reverts", reverts)
+      .EndObject().Take();
 }
 
 std::string QuarantineEntry::ToJson() const {
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"package_hash\":%llu,\"evidence\":\"%s\","
-      "\"tid\":%d,\"pc\":%u,\"tick\":%llu}",
-      Escaped(id).c_str(), U(package_hash), Escaped(evidence).c_str(), tid,
-      pc, U(tick));
+  return ks::JsonWriter().BeginObject()
+      .Field("id", id)
+      .Field("package_hash", package_hash)
+      .Field("evidence", evidence)
+      .Field("tid", tid)
+      .Field("pc", pc)
+      .Field("tick", tick)
+      .EndObject().Take();
 }
 
 std::string HealthStatus::ToJson() const {
-  return ks::StrPrintf(
-      "{\"faults_total\":%llu,\"faults_attributed\":%llu,"
-      "\"extable_fixups\":%llu,\"dropped_log_lines\":%llu,"
-      "\"panicked\":%s,\"attributed\":%s}",
-      U(faults_total), U(faults_attributed), U(extable_fixups),
-      U(dropped_log_lines), panicked ? "true" : "false",
-      AttributedJson(attributed).c_str());
+  return ks::JsonWriter().BeginObject()
+      .Field("faults_total", faults_total)
+      .Field("faults_attributed", faults_attributed)
+      .Field("extable_fixups", extable_fixups)
+      .Field("dropped_log_lines", dropped_log_lines)
+      .Field("panicked", panicked)
+      .Field("attributed", attributed)
+      .EndObject().Take();
 }
 
 std::string UpdateStatusRow::ToJson() const {
-  std::vector<std::string> symbol_rows;
-  for (const std::string& symbol : symbols) {
-    symbol_rows.push_back(ks::StrPrintf("\"%s\"", Escaped(symbol).c_str()));
-  }
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"functions\":%u,\"helper_loaded\":%s,"
-      "\"helper_bytes\":%u,\"primary_bytes\":%u,\"trampoline_bytes\":%u,"
-      "\"attributed_faults\":%llu,\"symbols\":%s}",
-      Escaped(id).c_str(), functions, helper_loaded ? "true" : "false",
-      helper_bytes, primary_bytes, trampoline_bytes, U(attributed_faults),
-      JoinJson(symbol_rows).c_str());
+  return ks::JsonWriter().BeginObject()
+      .Field("id", id)
+      .Field("functions", functions)
+      .Field("helper_loaded", helper_loaded)
+      .Field("helper_bytes", helper_bytes)
+      .Field("primary_bytes", primary_bytes)
+      .Field("trampoline_bytes", trampoline_bytes)
+      .Field("attributed_faults", attributed_faults)
+      .Field("symbols", symbols)
+      .EndObject().Take();
 }
 
 std::string StatusReport::ToJson() const {
-  std::vector<std::string> rows;
-  for (const UpdateStatusRow& row : updates) {
-    rows.push_back(row.ToJson());
-  }
-  std::vector<std::string> quarantine_rows;
-  for (const QuarantineEntry& entry : quarantine) {
-    quarantine_rows.push_back(entry.ToJson());
-  }
-  return ks::StrPrintf(
-      "{\"updates\":%s,\"arena_bytes_in_use\":%u,\"health\":%s,"
-      "\"quarantine\":%s}",
-      JoinJson(rows).c_str(), arena_bytes_in_use, health.ToJson().c_str(),
-      JoinJson(quarantine_rows).c_str());
+  return ks::JsonWriter().BeginObject()
+      .Field("updates", updates)
+      .Field("arena_bytes_in_use", arena_bytes_in_use)
+      .Field("health", health)
+      .Field("quarantine", quarantine)
+      .EndObject().Take();
 }
 
 const char* RolloutNodeOutcomeName(RolloutNodeOutcome outcome) {
@@ -379,57 +326,60 @@ const char* RolloutNodeOutcomeName(RolloutNodeOutcome outcome) {
 }
 
 std::string RolloutNodeReport::ToJson() const {
-  return ks::StrPrintf(
-      "{\"node\":\"%s\",\"version\":\"%s\",\"wave\":%d,\"canary\":%s,"
-      "\"outcome\":\"%s\",\"pause_ns\":%llu,\"attempts\":%d,"
-      "\"quiescence_retries\":%d,\"functions_spliced\":%u,"
-      "\"soak_faults\":%llu,\"error\":\"%s\"}",
-      Escaped(node).c_str(), Escaped(version).c_str(), wave,
-      canary ? "true" : "false", RolloutNodeOutcomeName(outcome),
-      U(pause_ns), attempts, quiescence_retries, functions_spliced,
-      U(soak_faults), Escaped(error).c_str());
+  return ks::JsonWriter().BeginObject()
+      .Field("node", node)
+      .Field("version", version)
+      .Field("wave", wave)
+      .Field("canary", canary)
+      .Field("outcome", RolloutNodeOutcomeName(outcome))
+      .Field("pause_ns", pause_ns)
+      .Field("attempts", attempts)
+      .Field("quiescence_retries", quiescence_retries)
+      .Field("functions_spliced", functions_spliced)
+      .Field("soak_faults", soak_faults)
+      .Field("error", error)
+      .EndObject().Take();
 }
 
 std::string RolloutWaveReport::ToJson() const {
-  return ks::StrPrintf(
-      "{\"wave\":%d,\"canary\":%s,\"nodes\":%u,\"patched\":%u,"
-      "\"already_applied\":%u,\"skipped_stale\":%u,\"failed\":%u,"
-      "\"auto_reverted\":%u,\"wall_ns\":%llu,\"max_pause_ns\":%llu,"
-      "\"tripped\":%s}",
-      wave, canary ? "true" : "false", nodes, patched, already_applied,
-      skipped_stale, failed, auto_reverted, U(wall_ns), U(max_pause_ns),
-      tripped ? "true" : "false");
+  return ks::JsonWriter().BeginObject()
+      .Field("wave", wave)
+      .Field("canary", canary)
+      .Field("nodes", nodes)
+      .Field("patched", patched)
+      .Field("already_applied", already_applied)
+      .Field("skipped_stale", skipped_stale)
+      .Field("failed", failed)
+      .Field("auto_reverted", auto_reverted)
+      .Field("wall_ns", wall_ns)
+      .Field("max_pause_ns", max_pause_ns)
+      .Field("tripped", tripped)
+      .EndObject().Take();
 }
 
 std::string RolloutReport::ToJson() const {
-  std::vector<std::string> wave_rows;
-  for (const RolloutWaveReport& wave : wave_reports) {
-    wave_rows.push_back(wave.ToJson());
-  }
-  std::vector<std::string> node_rows;
-  for (const RolloutNodeReport& node : nodes) {
-    node_rows.push_back(node.ToJson());
-  }
-  std::vector<std::string> blacklist_rows;
-  for (const std::string& entry : blacklisted) {
-    blacklist_rows.push_back(
-        ks::StrPrintf("\"%s\"", Escaped(entry).c_str()));
-  }
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"fleet_size\":%u,\"aborted\":%s,"
-      "\"tripped_wave\":%d,\"waves\":%u,\"patched\":%u,"
-      "\"already_applied\":%u,\"skipped_stale\":%u,\"failed\":%u,"
-      "\"rolled_back\":%u,\"auto_reverted\":%u,\"not_attempted\":%u,"
-      "\"blacklisted\":%s,\"wall_ns\":%llu,"
-      "\"nodes_per_sec\":%.3f,\"pause_p50_ns\":%llu,"
-      "\"pause_p99_ns\":%llu,\"pause_max_ns\":%llu,\"wave_reports\":%s,"
-      "\"nodes\":%s}",
-      Escaped(id).c_str(), fleet_size, aborted ? "true" : "false",
-      tripped_wave, waves, patched, already_applied, skipped_stale, failed,
-      rolled_back, auto_reverted, not_attempted,
-      JoinJson(blacklist_rows).c_str(), U(wall_ns), nodes_per_sec,
-      U(pause_p50_ns), U(pause_p99_ns), U(pause_max_ns),
-      JoinJson(wave_rows).c_str(), JoinJson(node_rows).c_str());
+  return ks::JsonWriter().BeginObject()
+      .Field("id", id)
+      .Field("fleet_size", fleet_size)
+      .Field("aborted", aborted)
+      .Field("tripped_wave", tripped_wave)
+      .Field("waves", waves)
+      .Field("patched", patched)
+      .Field("already_applied", already_applied)
+      .Field("skipped_stale", skipped_stale)
+      .Field("failed", failed)
+      .Field("rolled_back", rolled_back)
+      .Field("auto_reverted", auto_reverted)
+      .Field("not_attempted", not_attempted)
+      .Field("blacklisted", blacklisted)
+      .Field("wall_ns", wall_ns)
+      .Field("nodes_per_sec", nodes_per_sec)
+      .Field("pause_p50_ns", pause_p50_ns)
+      .Field("pause_p99_ns", pause_p99_ns)
+      .Field("pause_max_ns", pause_max_ns)
+      .Field("wave_reports", wave_reports)
+      .Field("nodes", nodes)
+      .EndObject().Take();
 }
 
 }  // namespace ksplice

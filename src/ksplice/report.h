@@ -10,10 +10,10 @@
 // ksplice_tool, the corpus evaluator — instead of scraping internal
 // ledgers like AppliedUpdate.
 //
-// Each report serializes to JSON (ToJson) with stable keys; the same
-// numbers also flow into the global metrics registry (base/metrics.h), so
-// a report is the per-operation view and the registry the per-process
-// aggregate.
+// Each report serializes to JSON (ToJson) with stable keys through the one
+// writer in base/json.h; the same numbers also flow into the global metrics
+// registry (base/metrics.h), so a report is the per-operation view and the
+// registry the per-process aggregate.
 
 #ifndef KSPLICE_KSPLICE_REPORT_H_
 #define KSPLICE_KSPLICE_REPORT_H_
@@ -95,12 +95,6 @@ struct LintFinding {
   std::string ToString() const;  // "KSA202 error [cfg] unit:sym+0x12: ..."
   std::string ToJson() const;
 };
-
-// The one serializer for a findings array: "[{...},{...}]". Every surface
-// that emits findings JSON — LintReport::ToJson, the .report.json sidecar
-// through it, `ksplice_tool lint --json` — goes through this function, so
-// the byte streams agree by construction.
-std::string LintFindingsJson(const std::vector<LintFinding>& findings);
 
 // Everything the analyzer observed over one package: the findings plus
 // per-pass work counters (the registry carries the per-process aggregate

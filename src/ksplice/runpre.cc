@@ -268,6 +268,62 @@ std::string MismatchMessage(const kelf::ObjectFile& pre,
       ks::Hex32(run_start).c_str(), why.c_str());
 }
 
+// Inverts one relocation site of a candidate and records the recovered
+// symbol value in `local`. The site at pre offset `at_pre` holds `word`,
+// relocated at run address `p_run`. The recovered value must be an address
+// the kernel knows under the symbol's name, and must agree with the
+// committed valuation and with the candidate's earlier sites. `entry`
+// prefixes refusals from a howto table ("entry 3"); text sites pass "".
+ks::Status RecoverSymbol(const kvm::Machine& machine,
+                         const kelf::ObjectFile& pre,
+                         const kelf::Relocation& rel, uint32_t word,
+                         uint32_t p_run, uint32_t at_pre,
+                         const std::string& entry,
+                         const std::map<std::string, uint32_t>& committed,
+                         LocalMatch& local, MatchStats& stats) {
+  stats.reloc_sites_inverted += 1;
+  uint32_t s = kelf::RelocSymbol(rel.type, word, rel.addend, p_run);
+  const kelf::Symbol& sym = pre.symbols()[static_cast<size_t>(rel.symbol)];
+  const std::string prefix = entry.empty() ? "" : entry + ": ";
+  // Cross-check against the symbol table: run-pre recovery can resolve
+  // *which* same-named symbol a site refers to, but the recovered value
+  // must still be one of the addresses the kernel knows by that name —
+  // otherwise the "already-relocated value" is corrupt run code (or a
+  // genuinely changed table entry), not a relocation result. (Addresses
+  // inside previously-loaded update modules are in kallsyms too, so
+  // stacking still passes.)
+  std::vector<kelf::LinkedSymbol> known = machine.SymbolsNamed(sym.name);
+  if (!known.empty() &&
+      std::none_of(known.begin(), known.end(),
+                   [&](const kelf::LinkedSymbol& candidate) {
+                     return candidate.address == s;
+                   })) {
+    return ks::Aborted(ks::StrPrintf(
+        "%s recovers '%s' = %s, which matches no symbol of that name in the "
+        "kernel",
+        entry.empty() ? "relocation site" : entry.c_str(), sym.name.c_str(),
+        ks::Hex32(s).c_str()));
+  }
+  auto committed_it = committed.find(sym.name);
+  if (committed_it != committed.end() && committed_it->second != s) {
+    return ks::Aborted(ks::StrPrintf(
+        "%ssymbol '%s' recovered as %s but already valued %s", prefix.c_str(),
+        sym.name.c_str(), ks::Hex32(s).c_str(),
+        ks::Hex32(committed_it->second).c_str()));
+  }
+  auto local_it = local.recovered.find(sym.name);
+  if (local_it != local.recovered.end() && local_it->second != s) {
+    return ks::Aborted(ks::StrPrintf(
+        "%ssymbol '%s' recovered inconsistently (%s vs %s)", prefix.c_str(),
+        sym.name.c_str(), ks::Hex32(s).c_str(),
+        ks::Hex32(local_it->second).c_str()));
+  }
+  if (local.recovered.emplace(sym.name, s).second) {
+    local.sites.push_back(RecoveredSite{at_pre, sym.name, s});
+  }
+  return ks::OkStatus();
+}
+
 // Verifies one (section, candidate) pair by walking pre and run
 // instruction records in step. `predec` carries the pre decode; `run` the
 // (lazily extended) run decode — the caller holds run.mu(). `committed`
@@ -301,60 +357,10 @@ ks::Result<LocalMatch> VerifyCandidate(
     uint32_t at;          // diagnostic: pre offset of the branch
   };
   std::vector<BranchCheck> checks;
-
-  auto recover = [&](const kelf::Relocation& rel, uint32_t value,
-                     uint32_t p_run, uint32_t at_pre) -> ks::Status {
-    stats.reloc_sites_inverted += 1;
-    uint32_t s = 0;
-    switch (rel.type) {
-      case kelf::RelocType::kAbs32:
-        s = value - static_cast<uint32_t>(rel.addend);
-        break;
-      case kelf::RelocType::kPcrel32:
-        s = value + p_run - static_cast<uint32_t>(rel.addend);
-        break;
-    }
-    const kelf::Symbol& sym =
-        pre.symbols()[static_cast<size_t>(rel.symbol)];
-    // Cross-check against the symbol table: run-pre recovery can resolve
-    // *which* same-named symbol a site refers to, but the recovered value
-    // must still be one of the addresses the kernel knows by that name —
-    // otherwise the "already-relocated value" is corrupt run code, not a
-    // relocation result. (Addresses inside previously-loaded update
-    // modules are in kallsyms too, so stacking still passes.)
-    std::vector<kelf::LinkedSymbol> known = machine.SymbolsNamed(sym.name);
-    if (!known.empty()) {
-      bool plausible = false;
-      for (const kelf::LinkedSymbol& candidate : known) {
-        if (candidate.address == s) {
-          plausible = true;
-        }
-      }
-      if (!plausible) {
-        return ks::Aborted(ks::StrPrintf(
-            "relocation site recovers '%s' = %s, which matches no symbol "
-            "of that name in the kernel",
-            sym.name.c_str(), ks::Hex32(s).c_str()));
-      }
-    }
-    auto committed_it = committed.find(sym.name);
-    if (committed_it != committed.end() && committed_it->second != s) {
-      return ks::Aborted(ks::StrPrintf(
-          "symbol '%s' recovered as %s but already valued %s",
-          sym.name.c_str(), ks::Hex32(s).c_str(),
-          ks::Hex32(committed_it->second).c_str()));
-    }
-    auto local_it = local.recovered.find(sym.name);
-    if (local_it != local.recovered.end() && local_it->second != s) {
-      return ks::Aborted(ks::StrPrintf(
-          "symbol '%s' recovered inconsistently (%s vs %s)",
-          sym.name.c_str(), ks::Hex32(s).c_str(),
-          ks::Hex32(local_it->second).c_str()));
-    }
-    if (local.recovered.emplace(sym.name, s).second) {
-      local.sites.push_back(RecoveredSite{at_pre, sym.name, s});
-    }
-    return ks::OkStatus();
+  auto recover = [&](const kelf::Relocation& rel, uint32_t word,
+                     uint32_t p_run, uint32_t at_pre) {
+    return RecoverSymbol(machine, pre, rel, word, p_run, at_pre, "",
+                         committed, local, stats);
   };
 
   const size_t npre = predec.recs.size();
@@ -603,58 +609,11 @@ ks::Result<LocalMatch> VerifyTableCandidate(
       }
       continue;
     }
-    const kelf::Relocation& rel = *rel_it->second;
-    stats.reloc_sites_inverted += 1;
-    uint32_t s = 0;
-    switch (rel.type) {
-      case kelf::RelocType::kAbs32:
-        s = run_word - static_cast<uint32_t>(rel.addend);
-        break;
-      case kelf::RelocType::kPcrel32:
-        s = run_word + (run_start + off) - static_cast<uint32_t>(rel.addend);
-        break;
-    }
-    const kelf::Symbol& sym = pre.symbols()[static_cast<size_t>(rel.symbol)];
-    // Same plausibility rule as text matching: the recovered value must be
-    // an address the kernel knows under this name. A table entry whose
-    // fixup points somewhere else (a genuinely changed extable) lands here
-    // or in the consistency checks below, with the entry index named.
-    std::vector<kelf::LinkedSymbol> known = machine.SymbolsNamed(sym.name);
-    if (!known.empty()) {
-      bool plausible = false;
-      for (const kelf::LinkedSymbol& candidate : known) {
-        if (candidate.address == s) {
-          plausible = true;
-        }
-      }
-      if (!plausible) {
-        return mismatch(
-            off, ks::StrPrintf("entry %u recovers '%s' = %s, which matches "
-                               "no symbol of that name in the kernel",
-                               entry_index, sym.name.c_str(),
-                               ks::Hex32(s).c_str()));
-      }
-    }
-    auto committed_it = committed.find(sym.name);
-    if (committed_it != committed.end() && committed_it->second != s) {
-      return mismatch(
-          off, ks::StrPrintf("entry %u: symbol '%s' recovered as %s but "
-                             "already valued %s",
-                             entry_index, sym.name.c_str(),
-                             ks::Hex32(s).c_str(),
-                             ks::Hex32(committed_it->second).c_str()));
-    }
-    auto local_it = local.recovered.find(sym.name);
-    if (local_it != local.recovered.end() && local_it->second != s) {
-      return mismatch(
-          off, ks::StrPrintf("entry %u: symbol '%s' recovered "
-                             "inconsistently (%s vs %s)",
-                             entry_index, sym.name.c_str(),
-                             ks::Hex32(s).c_str(),
-                             ks::Hex32(local_it->second).c_str()));
-    }
-    if (local.recovered.emplace(sym.name, s).second) {
-      local.sites.push_back(RecoveredSite{off, sym.name, s});
+    ks::Status recovered = RecoverSymbol(
+        machine, pre, *rel_it->second, run_word, run_start + off, off,
+        ks::StrPrintf("entry %u", entry_index), committed, local, stats);
+    if (!recovered.ok()) {
+      return mismatch(off, recovered.message());
     }
   }
   return local;

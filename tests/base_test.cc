@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "base/endian.h"
+#include "base/json.h"
 #include "base/status.h"
 #include "base/strings.h"
+#include "json_checker.h"
 
 namespace ks {
 namespace {
@@ -164,6 +166,93 @@ TEST(EndianTest, RoundTrip16And64) {
   WriteLe64(buf, 0x0102030405060708ull);
   EXPECT_EQ(ReadLe64(buf), 0x0102030405060708ull);
   EXPECT_EQ(buf[0], 0x08);
+}
+
+// A report-like type: the writer embeds anything with a ToJson() member.
+struct Pair {
+  int a = 0;
+  std::string b;
+  std::string ToJson() const {
+    return JsonWriter().BeginObject().Field("a", a).Field("b", b)
+        .EndObject().Take();
+  }
+};
+
+TEST(JsonWriterTest, EscapesEveryControlByte) {
+  std::string json =
+      JsonWriter()
+          .BeginObject()
+          .Field("quote", "say \"hi\"")
+          .Field("backslash", "a\\b")
+          .Field("newline", "line one\nline two")
+          .Field("tab", "a\tb")
+          .Field("ctrl", std::string("x\x01y\x1f"))
+          .Field("empty", "")
+          .Field("", std::string())
+          .EndObject()
+          .Take();
+  EXPECT_EQ(json,
+            "{\"quote\":\"say \\\"hi\\\"\",\"backslash\":\"a\\\\b\","
+            "\"newline\":\"line one\\nline two\",\"tab\":\"a\\tb\","
+            "\"ctrl\":\"x\\u0001y\\u001f\",\"empty\":\"\",\"\":\"\"}");
+  EXPECT_TRUE(test::ValidJson(json)) << json;
+}
+
+TEST(JsonWriterTest, NumbersBoolsAndDoubles) {
+  std::string json = JsonWriter()
+                         .BeginObject()
+                         .Field("max", UINT64_MAX)
+                         .Field("neg", -42)
+                         .Field("min64", INT64_MIN)
+                         .Field("u32", uint32_t{4000000000u})
+                         .Field("yes", true)
+                         .Field("no", false)
+                         .Field("rate", 2.0 / 3.0)
+                         .Field("zero", 0.0)
+                         .EndObject()
+                         .Take();
+  EXPECT_EQ(json,
+            "{\"max\":18446744073709551615,\"neg\":-42,"
+            "\"min64\":-9223372036854775808,\"u32\":4000000000,"
+            "\"yes\":true,\"no\":false,\"rate\":0.667,\"zero\":0.000}");
+  EXPECT_TRUE(test::ValidJson(json)) << json;
+}
+
+TEST(JsonWriterTest, NestedArraysAndReports) {
+  std::vector<Pair> pairs = {{1, "one"}, {-2, "two\n"}};
+  std::vector<std::string> names = {"a\"", ""};
+  std::string json = JsonWriter()
+                         .BeginArray()
+                         .Value(pairs)
+                         .BeginArray()
+                         .BeginArray()
+                         .EndArray()
+                         .Value(names)
+                         .EndArray()
+                         .Value(std::vector<Pair>{})
+                         .Value(pairs[0])
+                         .EndArray()
+                         .Take();
+  EXPECT_EQ(json,
+            "[[{\"a\":1,\"b\":\"one\"},{\"a\":-2,\"b\":\"two\\n\"}],"
+            "[[],[\"a\\\"\",\"\"]],[],{\"a\":1,\"b\":\"one\"}]");
+  EXPECT_TRUE(test::ValidJson(json)) << json;
+}
+
+// The test checker itself must be strict, or an escaping bug slips through.
+TEST(JsonCheckerTest, RejectsWhatRfc8259Rejects) {
+  EXPECT_TRUE(
+      test::ValidJson("{\"a\":[1,-0.5,2e10,\"\\u00e9\\/\"],\"b\":null}"));
+  EXPECT_FALSE(test::ValidJson("\"raw\nnewline\""));
+  EXPECT_FALSE(test::ValidJson(std::string("\"nul\0byte\"", 10)));
+  EXPECT_FALSE(test::ValidJson("\"bad \\x escape\""));
+  EXPECT_FALSE(test::ValidJson("\"short \\u12\""));
+  EXPECT_FALSE(test::ValidJson("\"unterminated"));
+  EXPECT_FALSE(test::ValidJson("[01]"));
+  EXPECT_FALSE(test::ValidJson("[1.]"));
+  EXPECT_FALSE(test::ValidJson("[nan]"));
+  EXPECT_FALSE(test::ValidJson("{\"a\":1,}"));
+  EXPECT_FALSE(test::ValidJson("{\"a\":1}{"));
 }
 
 }  // namespace

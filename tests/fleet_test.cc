@@ -27,6 +27,7 @@
 #include "fleet/corpus_fleet.h"
 #include "fleet/fleet.h"
 #include "fleet/rollout.h"
+#include "json_checker.h"
 #include "ksplice/core.h"
 #include "ksplice/create.h"
 #include "kvm/machine.h"
@@ -216,6 +217,9 @@ TEST_F(FleetTest, MixedVersionStaleNodesSkippedNotFailed) {
     EXPECT_EQ(node.version, "v2.6.4");
     EXPECT_FALSE(node.error.empty());
   }
+  // A stale node's error is run-pre's multi-line refusal; the report must
+  // still be valid JSON.
+  EXPECT_TRUE(ks::test::ValidJson(report->ToJson())) << report->ToJson();
 
   // Stale nodes really are unpatched; a second rollout reports everyone
   // else already applied and skips the stale pair again.

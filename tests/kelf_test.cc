@@ -381,5 +381,29 @@ TEST(LinkerTest, AlignmentIsHonoured) {
   EXPECT_EQ(image->placements[1].address % 16, 0u);
 }
 
+// The relocation equation and its inverse agree for both types, including
+// a PC-relative word whose site lies above its target (P > S wraps).
+TEST(RelocTest, WordAndSymbolRoundTrip) {
+  struct Case {
+    RelocType type;
+    uint32_t s;
+    int32_t a;
+    uint32_t p;
+    uint32_t word;
+  };
+  const Case cases[] = {
+      {RelocType::kAbs32, 0x1000, 8, 0x2000, 0x1008},
+      {RelocType::kAbs32, 0x10, -0x20, 0x2000, 0xfffffff0u},
+      {RelocType::kPcrel32, 0x2000, -4, 0x1000, 0xffc},
+      {RelocType::kPcrel32, 0x1000, -4, 0x2000, 0xffffeffcu},
+      {RelocType::kPcrel32, 0x10, 0, 0xfffffff0u, 0x20},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.s);
+    EXPECT_EQ(RelocWord(c.type, c.s, c.a, c.p), c.word);
+    EXPECT_EQ(RelocSymbol(c.type, c.word, c.a, c.p), c.s);
+  }
+}
+
 }  // namespace
 }  // namespace kelf

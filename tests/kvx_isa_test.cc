@@ -73,13 +73,21 @@ TEST(Imm32FieldTest, Offsets) {
 }
 
 // Property-style round trip over all register/immediate combinations.
+// gtest names each case after the raw bytes of its parameter, so the byte
+// between reg2 and imm is a named, zeroed member rather than padding: padding
+// would carry stack garbage into the test name and change it from build to
+// build.
 struct RoundTripCase {
+  RoundTripCase(Op o, uint8_t r1, uint8_t r2, uint32_t i, int32_t r)
+      : op(o), reg1(r1), reg2(r2), imm(i), rel(r) {}
   Op op;
   uint8_t reg1;
   uint8_t reg2;
+  uint8_t zero = 0;
   uint32_t imm;
   int32_t rel;
 };
+static_assert(sizeof(RoundTripCase) == 12, "RoundTripCase must have no padding");
 
 class EncodeDecodeTest : public ::testing::TestWithParam<RoundTripCase> {};
 

@@ -9,6 +9,7 @@
 
 #include "base/metrics.h"
 #include "base/trace.h"
+#include "json_checker.h"
 #include "kcc/compile.h"
 #include "kcc/objcache.h"
 #include "kdiff/diff.h"
@@ -22,166 +23,7 @@ namespace {
 
 using kdiff::SourceTree;
 
-// --------------------------------------------------------- JSON checker
-//
-// A minimal recursive-descent JSON well-formedness checker, so the
-// schema tests validate real syntax instead of grepping for braces.
-
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : text_(text) {}
-
-  bool Valid() {
-    pos_ = 0;
-    SkipWs();
-    if (!Value()) {
-      return false;
-    }
-    SkipWs();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool Value() {
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    switch (text_[pos_]) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object() {
-    ++pos_;  // '{'
-    SkipWs();
-    if (Peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!String()) {
-        return false;
-      }
-      SkipWs();
-      if (Peek() != ':') {
-        return false;
-      }
-      ++pos_;
-      SkipWs();
-      if (!Value()) {
-        return false;
-      }
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool Array() {
-    ++pos_;  // '['
-    SkipWs();
-    if (Peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!Value()) {
-        return false;
-      }
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool String() {
-    if (Peek() != '"') {
-      return false;
-    }
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') {
-        ++pos_;  // skip the escaped character
-        if (pos_ >= text_.size()) {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool Number() {
-    size_t start = pos_;
-    if (Peek() == '-') {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool Literal(const char* word) {
-    size_t len = std::string(word).size();
-    if (text_.compare(pos_, len, word) != 0) {
-      return false;
-    }
-    pos_ += len;
-    return true;
-  }
-
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-            text_[pos_] == '\t' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-bool ValidJson(const std::string& text) { return JsonChecker(text).Valid(); }
+using ks::test::ValidJson;
 
 // Restores the global trace switch on scope exit so one test cannot leak
 // tracing state into the next.

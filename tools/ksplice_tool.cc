@@ -876,21 +876,12 @@ int CmdApply(const std::vector<std::string>& args) {
   options.jobs = g_options.jobs;
   options.use_index = g_options.use_index;
   options.force = g_cmd.force;
-  if (packages->size() == 1) {
-    ks::Result<ksplice::ApplyReport> applied =
-        core.Apply(packages->front(), options);
-    if (!applied.ok()) {
-      return Fail(applied.status());
-    }
-    PrintApplyReport(*applied);
-  } else {
-    ks::Result<ksplice::BatchApplyReport> applied =
-        core.ApplyAll(*packages, options);
-    if (!applied.ok()) {
-      return Fail(applied.status());
-    }
-    PrintBatchApplyReport(*applied);
+  ks::Result<ksplice::BatchApplyReport> applied =
+      core.ApplyAll(*packages, options);
+  if (!applied.ok()) {
+    return Fail(applied.status());
   }
+  PrintBatchApplyReport(*applied);
   PrintStatusReport(core.Status());
   if (g_cmd.watch_ticks != 0) {
     return RunWatch(core, machine->get());
