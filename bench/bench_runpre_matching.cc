@@ -3,12 +3,12 @@
 // synthetic compilation units of increasing size and relocation density,
 // and reports bytes matched per second.
 //
-// Every benchmark runs in two modes, selected by the second argument:
-// 1 = the indexed two-stage matcher (canonical n-gram prefilter + decode
-// cache, the default), 0 = the linear fallback that walks every candidate
-// per attempt (`--no-index`). Match decisions are identical; the headline
-// comparison is pre_bytes_walked (linear) against the decode-once
-// pre/run_bytes_canonicalized counters (indexed).
+// Every benchmark runs in two modes, selected by the second argument
+// (MatcherOptions::decode_once): 1 = the production matcher, which decodes
+// each pre section and candidate once per unit, 0 = the linear oracle that
+// decodes and walks every candidate per attempt. Match decisions are
+// identical; the headline comparison is pre_bytes_walked (linear) against
+// the decode-once pre/run_bytes_canonicalized counters.
 //
 // Reported work counts (bytes matched, relocation inversions, candidate
 // attempts) are read back from the "runpre." counters the matcher
@@ -33,8 +33,6 @@ struct RunpreDeltas {
   uint64_t candidates_tried = 0;
   uint64_t reloc_sites_inverted = 0;
   uint64_t ambiguity_deferrals = 0;
-  uint64_t index_hits = 0;
-  uint64_t index_misses = 0;
   uint64_t pre_bytes_canonicalized = 0;
   uint64_t run_bytes_canonicalized = 0;
 
@@ -50,8 +48,6 @@ struct RunpreDeltas {
         ks::Metrics().GetCounter("runpre.reloc_sites_inverted").value();
     s.ambiguity_deferrals =
         ks::Metrics().GetCounter("runpre.ambiguity_deferrals").value();
-    s.index_hits = ks::Metrics().GetCounter("runpre.index.hits").value();
-    s.index_misses = ks::Metrics().GetCounter("runpre.index.misses").value();
     s.pre_bytes_canonicalized =
         ks::Metrics()
             .GetCounter("runpre.index.pre_bytes_canonicalized")
@@ -66,7 +62,7 @@ struct RunpreDeltas {
 
 ksplice::MatcherOptions ModeOptions(benchmark::State& state) {
   ksplice::MatcherOptions options;
-  options.use_index = state.range(1) != 0;
+  options.decode_once = state.range(1) != 0;
   return options;
 }
 
@@ -82,10 +78,6 @@ void ReportDeltas(benchmark::State& state, const RunpreDeltas& before,
   state.counters["run_bytes_canonicalized"] = static_cast<double>(
       (after.run_bytes_canonicalized - before.run_bytes_canonicalized) /
       iterations);
-  state.counters["index_hits"] = static_cast<double>(
-      (after.index_hits - before.index_hits) / iterations);
-  state.counters["index_misses"] = static_cast<double>(
-      (after.index_misses - before.index_misses) / iterations);
   state.counters["candidates_tried"] = static_cast<double>(
       (after.candidates_tried - before.candidates_tried) / iterations);
 }
@@ -168,7 +160,7 @@ void BM_MatchUnit(benchmark::State& state) {
   ReportDeltas(state, before, after);
 }
 BENCHMARK(BM_MatchUnit)
-    ->ArgNames({"functions", "indexed"})
+    ->ArgNames({"functions", "decode_once"})
     ->Args({4, 1})
     ->Args({16, 1})
     ->Args({64, 1})
@@ -180,8 +172,8 @@ BENCHMARK(BM_MatchUnit)
 
 // Ambiguity resolution cost: many same-named candidates force the matcher
 // to try each (fixpoint disambiguation). The bodies differ only in imm32
-// constants — which canonicalization wildcards — so the prefilter cannot
-// prune here and the indexed win is the decode cache, not the index.
+// constants, so every copy is verified; the decode-once win is that each
+// candidate's run code is decoded once for all sections and passes.
 void BM_MatchAmbiguous(benchmark::State& state) {
   int copies = static_cast<int>(state.range(0));
   kdiff::SourceTree tree;
@@ -239,93 +231,11 @@ void BM_MatchAmbiguous(benchmark::State& state) {
   ReportDeltas(state, before, after);
 }
 BENCHMARK(BM_MatchAmbiguous)
-    ->ArgNames({"copies", "indexed"})
+    ->ArgNames({"copies", "decode_once"})
     ->Args({2, 1})
     ->Args({8, 1})
     ->Args({32, 1})
     ->Args({2, 0})
-    ->Args({8, 0})
-    ->Args({32, 0});
-
-// Structurally diverse ambiguity: same-named candidates whose bodies
-// differ in shape, not just constants — the case the n-gram prefilter
-// actually prunes. Indexed mode should try far fewer candidates.
-void BM_MatchDiverseAmbiguous(benchmark::State& state) {
-  int copies = static_cast<int>(state.range(0));
-  kdiff::SourceTree tree;
-  // Six handler shapes whose first 16 canonical bytes are pairwise
-  // distinct.  Divergence must land *inside* the gram window, which the
-  // shared prologue and argument-load boilerplate nearly fill — varying
-  // trailing statements or immediate constants (wildcarded imm32s) is not
-  // enough.  These shapes differ in frame allocation, control flow,
-  // arity, or an early call, so each lands in its own gram bucket.
-  struct Shape {
-    const char* def;
-    const char* call;
-  };
-  static const Shape kShapes[] = {
-      {"static int handler(int x) { return x; }", "handler(x)"},
-      {"static int handler(int x) { return x + 1; }", "handler(x)"},
-      {"static int handler(int x) {\n  int acc = x;\n  acc = acc * 3;\n"
-       "  return acc;\n}",
-       "handler(x)"},
-      {"static int helper(int x) { return x * 2; }\n"
-       "static int handler(int x) { return helper(x) + 1; }",
-       "handler(x)"},
-      {"static int handler(int x) {\n  if (x) { return 1; }\n  return 0;\n}",
-       "handler(x)"},
-      {"static int handler(int x, int y) { return x + y; }", "handler(x, x)"},
-  };
-  constexpr int kShapeCount = 6;
-  for (int i = 0; i < copies; ++i) {
-    const Shape& shape = kShapes[i % kShapeCount];
-    tree.Write(ks::StrPrintf("unit%d.kc", i),
-               ks::StrPrintf("%s\n"
-                             "int entry_%d(int x) {\n"
-                             "  return %s + %s;\n}\n",
-                             shape.def, i, shape.call, shape.call));
-  }
-  kcc::CompileOptions run_options;
-  run_options.inline_threshold = 0;
-  ks::Result<std::vector<kelf::ObjectFile>> objects =
-      kcc::BuildTree(tree, run_options);
-  if (!objects.ok()) {
-    state.SkipWithError("build failed");
-    return;
-  }
-  kvm::MachineConfig config;
-  ks::Result<std::unique_ptr<kvm::Machine>> machine =
-      kvm::Machine::Boot(std::move(objects).value(), config);
-  if (!machine.ok()) {
-    state.SkipWithError("boot failed");
-    return;
-  }
-  kcc::CompileOptions pre_options = run_options;
-  pre_options.function_sections = true;
-  pre_options.data_sections = true;
-  ks::Result<kelf::ObjectFile> pre =
-      kcc::CompileUnit(tree, "unit0.kc", pre_options);
-  if (!pre.ok()) {
-    state.SkipWithError("pre build failed");
-    return;
-  }
-  ksplice::RunPreMatcher matcher(**machine, nullptr, ModeOptions(state));
-  RunpreDeltas before = RunpreDeltas::Snapshot();
-  for (auto _ : state) {
-    ks::Result<ksplice::UnitMatch> match = matcher.MatchUnit(*pre);
-    if (!match.ok()) {
-      state.SkipWithError(match.status().message().c_str());
-      return;
-    }
-  }
-  RunpreDeltas after = RunpreDeltas::Snapshot();
-  state.counters["same_named_candidates"] = copies;
-  ReportDeltas(state, before, after);
-}
-BENCHMARK(BM_MatchDiverseAmbiguous)
-    ->ArgNames({"copies", "indexed"})
-    ->Args({8, 1})
-    ->Args({32, 1})
     ->Args({8, 0})
     ->Args({32, 0});
 

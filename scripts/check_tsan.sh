@@ -4,8 +4,8 @@
 # directly (TSAN aborts the process on the first data race). The kanalyze
 # analyzer and parser fuzz tests run too: lint executes inside the
 # (parallelized) create pipeline, so its metrics updates must stay clean.
-# The runpre tests cover the matcher's multi-job candidate fan-out, which
-# shares per-unit decode caches and gram tables across worker threads.
+# The runpre tests cover the matcher, which reads the machine that the
+# transaction test's -j 4 batch apply matches units against concurrently.
 # The fleet test drives wave rollouts at max_in_flight 8, where worker
 # threads share the fault injector and the metrics registry. The corpus
 # test boots machines from the per-release linked image that is built

@@ -51,10 +51,6 @@ struct ApplyOptions {
   // Worker threads for the run-pre match stage (1 = serial; matching is
   // read-only on the machine, so units can be verified concurrently).
   int jobs = 1;
-  // Use the canonical n-gram prefilter in run-pre matching (see
-  // ksplice/runpre.h). Off = the linear fallback, same decisions, more
-  // bytes walked; exposed as `--no-index` in ksplice_tool.
-  bool use_index = true;
   // Apply a package even if its content hash is quarantined (the watchdog
   // reverted it after an attributed regression, quarantine.h). The
   // override also clears the quarantine entry — exposed as `--force` in

@@ -15,9 +15,6 @@ void MatchStats::MergeFrom(const MatchStats& other) {
   symbols_recovered += other.symbols_recovered;
   ambiguity_deferrals += other.ambiguity_deferrals;
   fixpoint_passes += other.fixpoint_passes;
-  index_anchors += other.index_anchors;
-  index_hits += other.index_hits;
-  index_misses += other.index_misses;
   pre_bytes_canonicalized += other.pre_bytes_canonicalized;
   run_bytes_canonicalized += other.run_bytes_canonicalized;
   revalidations += other.revalidations;
@@ -37,9 +34,6 @@ std::string MatchStats::ToJson() const {
       .Field("symbols_recovered", symbols_recovered)
       .Field("ambiguity_deferrals", ambiguity_deferrals)
       .Field("fixpoint_passes", fixpoint_passes)
-      .Field("index_anchors", index_anchors)
-      .Field("index_hits", index_hits)
-      .Field("index_misses", index_misses)
       .Field("pre_bytes_canonicalized", pre_bytes_canonicalized)
       .Field("run_bytes_canonicalized", run_bytes_canonicalized)
       .Field("revalidations", revalidations)

@@ -37,12 +37,9 @@ struct MatchStats {
   uint64_t ambiguity_deferrals = 0; // sections deferred to a later pass
   uint64_t fixpoint_passes = 0;     // disambiguation rounds
 
-  // Canonical n-gram index statistics (zero in --no-index linear mode).
-  uint64_t index_anchors = 0;     // kallsyms functions in the gram table
-  uint64_t index_hits = 0;        // candidates the prefilter admitted
-  uint64_t index_misses = 0;      // candidates the prefilter pruned
+  // Decode-once work (zero in the linear oracle).
   uint64_t pre_bytes_canonicalized = 0;  // pre bytes decoded once per section
-  uint64_t run_bytes_canonicalized = 0;  // run bytes decoded once per anchor
+  uint64_t run_bytes_canonicalized = 0;  // run bytes decoded once per address
   uint64_t revalidations = 0;  // cached successes re-checked across passes
 
   // Per-howto structural matching (special sections, §4.3): sections

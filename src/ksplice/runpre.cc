@@ -2,44 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "base/endian.h"
 #include "base/logging.h"
 #include "base/metrics.h"
 #include "base/strings.h"
-#include "base/threadpool.h"
 #include "base/trace.h"
 #include "kvx/isa.h"
 
 namespace ksplice {
-
-CanonicalPrefix CanonicalizeCode(std::span<const uint8_t> code,
-                                 size_t max_bytes) {
-  CanonicalPrefix prefix;
-  if (max_bytes == 0) {
-    return prefix;
-  }
-  kvx::WalkEnd walk =
-      kvx::WalkInsns(code, [&](uint32_t, const kvx::Insn& insn) {
-        kvx::AppendCanonicalBytes(insn, prefix.bytes);
-        return prefix.bytes.size() < max_bytes;
-      });
-  prefix.decode_ok = walk.decode_ok;
-  prefix.src_consumed = walk.end;
-  return prefix;
-}
-
-uint64_t CanonicalGramHash(std::span<const uint8_t> canonical_bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
-  for (uint8_t b : canonical_bytes) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 uint64_t NormalizeBranchTarget(std::span<const uint8_t> window,
                                uint64_t window_base, uint64_t target) {
@@ -60,7 +31,7 @@ uint64_t NormalizeBranchTarget(std::span<const uint8_t> window,
 namespace {
 
 // ------------------------------------------------------------------
-// Stage 1: decode-once representations.
+// Decoded code.
 
 // One non-nop instruction of a decoded code blob.
 struct CodeRec {
@@ -68,9 +39,9 @@ struct CodeRec {
   kvx::Insn insn;
 };
 
-// A pre text section decoded once per MatchUnit (indexed mode) or per
-// attempt (linear mode): non-nop records, the boundary map branch
-// correspondence needs, and the canonical prefilter gram.
+// A pre text section decoded once per MatchUnit (or per attempt in the
+// linear oracle): non-nop records and the boundary map branch
+// correspondence needs.
 struct PreDecoded {
   std::vector<CodeRec> recs;
   // Every instruction boundary the byte walk visits (nop starts included,
@@ -81,9 +52,6 @@ struct PreDecoded {
   std::map<uint32_t, size_t> boundary;
   uint32_t end = 0;           // bytes consumed by the decode walk
   bool decode_error = false;  // decoding failed at offset `end`
-  uint64_t nop_bytes = 0;     // nop padding inside the walked span
-  uint64_t gram_hash = 0;
-  bool gram_complete = false;  // canonical form reached kGramBytes
 };
 
 PreDecoded DecodePre(const std::vector<uint8_t>& code) {
@@ -92,9 +60,7 @@ PreDecoded DecodePre(const std::vector<uint8_t>& code) {
       std::span<const uint8_t>(code),
       [&](uint32_t pos, const kvx::Insn& insn) {
         d.boundary[pos] = d.recs.size();
-        if (kvx::GetOpInfo(insn.op).is_nop) {
-          d.nop_bytes += insn.len;
-        } else {
+        if (!kvx::GetOpInfo(insn.op).is_nop) {
           d.recs.push_back(CodeRec{pos, insn});
         }
         return true;
@@ -102,13 +68,6 @@ PreDecoded DecodePre(const std::vector<uint8_t>& code) {
   d.decode_error = !walk.decode_ok;
   d.end = walk.end;
   d.boundary[d.end] = d.recs.size();
-  CanonicalPrefix prefix =
-      CanonicalizeCode(code, RunPreMatcher::kGramBytes);
-  if (prefix.bytes.size() >= RunPreMatcher::kGramBytes) {
-    d.gram_complete = true;
-    d.gram_hash = CanonicalGramHash(std::span<const uint8_t>(prefix.bytes)
-                                        .first(RunPreMatcher::kGramBytes));
-  }
   return d;
 }
 
@@ -116,16 +75,14 @@ PreDecoded DecodePre(const std::vector<uint8_t>& code) {
 // the machine in growing chunks — the run rendering of a function can be
 // arbitrarily longer than the pre section (alignment padding), so there is
 // no fixed window slack to outgrow — and decoded into non-nop records on
-// demand. One stream per anchor is shared by every section and fixpoint
-// pass of a MatchUnit in indexed mode; callers hold mu() around use.
+// demand. One stream per candidate address is shared by every section and
+// fixpoint pass of a MatchUnit.
 class RunStream {
  public:
   RunStream(const kvm::Machine& machine, uint32_t start)
       : machine_(machine),
         start_(start),
         mem_end_(machine.config().memory_bytes) {}
-
-  std::mutex& mu() { return mu_; }
 
   enum class Pull {
     kRec,         // *rec filled
@@ -154,27 +111,6 @@ class RunStream {
   // not exceed consumed().
   std::span<const uint8_t> Window(uint64_t len) const {
     return std::span<const uint8_t>(bytes_).first(static_cast<size_t>(len));
-  }
-
-  // Canonical-gram hash of the leading instructions; nullopt when the code
-  // here cannot yield kGramBytes of canonical form (in which case no
-  // gram-complete pre section can match it either).
-  std::optional<uint64_t> GramHash() {
-    if (!gram_computed_) {
-      gram_computed_ = true;
-      std::vector<uint8_t> canon;
-      CodeRec rec;
-      uint64_t nops = 0;
-      for (size_t k = 0; canon.size() < RunPreMatcher::kGramBytes; ++k) {
-        if (GetRec(k, &rec, &nops) != Pull::kRec) {
-          return std::nullopt;
-        }
-        kvx::AppendCanonicalBytes(rec.insn, canon);
-      }
-      gram_hash_ = CanonicalGramHash(std::span<const uint8_t>(canon).first(
-          RunPreMatcher::kGramBytes));
-    }
-    return gram_hash_;
   }
 
   uint32_t start() const { return start_; }
@@ -226,7 +162,6 @@ class RunStream {
   const kvm::Machine& machine_;
   const uint32_t start_;
   const uint64_t mem_end_;
-  std::mutex mu_;
 
   std::vector<uint8_t> bytes_;  // fetched image bytes from start_
   std::vector<CodeRec> recs_;
@@ -235,12 +170,10 @@ class RunStream {
   uint64_t nop_accum_ = 0;
   uint64_t nops_skipped_ = 0;
   Pull state_ = Pull::kRec;  // kRec = decoding can continue
-  bool gram_computed_ = false;
-  std::optional<uint64_t> gram_hash_;
 };
 
 // ------------------------------------------------------------------
-// Stage 2: the verifier (the oracle).
+// The verifier.
 
 // One relocation site whose symbol value a successful verification
 // recovered, in walk order (first occurrence per symbol). Carried with the
@@ -326,12 +259,12 @@ ks::Status RecoverSymbol(const kvm::Machine& machine,
 
 // Verifies one (section, candidate) pair by walking pre and run
 // instruction records in step. `predec` carries the pre decode; `run` the
-// (lazily extended) run decode — the caller holds run.mu(). `committed`
-// is the valuation accumulated so far (a conflicting recovery fails the
-// match). When `walk_acct` is non-null (linear mode) the walk charges
-// pre_bytes_walked / nop_bytes_skipped exactly as the byte-by-byte
-// matcher did: bytes up to the mismatch point, per attempt. Relocation
-// inversions always charge into `stats`.
+// (lazily extended) run decode. `committed` is the valuation accumulated
+// so far (a conflicting recovery fails the match). When `walk_acct` is
+// set (the linear oracle) the walk charges pre_bytes_walked /
+// nop_bytes_skipped exactly as the byte-by-byte matcher did: bytes up to
+// the mismatch point, per attempt. Relocation inversions always charge
+// into `stats`.
 ks::Result<LocalMatch> VerifyCandidate(
     const kvm::Machine& machine, const kelf::ObjectFile& pre,
     const kelf::Section& section, const PreDecoded& predec,
@@ -558,9 +491,8 @@ ks::Result<LocalMatch> VerifyCandidate(
 //    and recovers the symbol value, a word without one must be identical.
 //    Failures name the entry index.
 //
-// Reads run bytes through the machine directly (no RunStream), so indexed
-// and linear mode take the identical path — matcher decisions cannot
-// depend on -j or --no-index here by construction.
+// Reads run bytes through the machine directly (no RunStream), so the
+// decode-once path and the linear oracle take the identical path here.
 ks::Result<LocalMatch> VerifyTableCandidate(
     const kvm::Machine& machine, const kelf::ObjectFile& pre,
     const kelf::Section& section, uint32_t run_start,
@@ -644,12 +576,6 @@ void PublishMatchStats(const MatchStats& stats, bool ok) {
       ks::Metrics().GetCounter("runpre.fixpoint_passes");
   static ks::Counter& revalidations =
       ks::Metrics().GetCounter("runpre.revalidations");
-  static ks::Counter& index_anchors =
-      ks::Metrics().GetCounter("runpre.index.anchors");
-  static ks::Counter& index_hits =
-      ks::Metrics().GetCounter("runpre.index.hits");
-  static ks::Counter& index_misses =
-      ks::Metrics().GetCounter("runpre.index.misses");
   static ks::Counter& index_pre_bytes =
       ks::Metrics().GetCounter("runpre.index.pre_bytes_canonicalized");
   static ks::Counter& index_run_bytes =
@@ -670,9 +596,6 @@ void PublishMatchStats(const MatchStats& stats, bool ok) {
   deferrals.Add(stats.ambiguity_deferrals);
   passes.Add(stats.fixpoint_passes);
   revalidations.Add(stats.revalidations);
-  index_anchors.Add(stats.index_anchors);
-  index_hits.Add(stats.index_hits);
-  index_misses.Add(stats.index_misses);
   index_pre_bytes.Add(stats.pre_bytes_canonicalized);
   index_run_bytes.Add(stats.run_bytes_canonicalized);
   howto_extable.Add(stats.extable_sections_matched);
@@ -688,27 +611,16 @@ void PublishMatchStats(const MatchStats& stats, bool ok) {
 // committed valuation only grows), and a successful one only needs its
 // recovered sites re-checked against the valuation, so nothing is ever
 // verified twice.
-struct Attempt {
-  enum class Kind { kSuccess, kFailure, kPruned } kind = Kind::kFailure;
-  LocalMatch local;    // kSuccess
-  ks::Status failure = ks::OkStatus();  // kFailure
-};
+using Attempt = ks::Result<LocalMatch>;
 
 struct PendingSection {
-  int index = 0;
   std::string symbol;
   const kelf::Section* section = nullptr;
   // Matching strategy selector: kNone = text (instruction-wise), anything
-  // else routes to VerifyTableCandidate. Howto sections never decode as
-  // code, so their gram stays incomplete and the n-gram prefilter
-  // automatically passes them through — indexed and linear mode agree.
+  // else routes to VerifyTableCandidate.
   kelf::Howto howto = kelf::Howto::kNone;
-  PreDecoded pre;            // decoded once (indexed mode)
-  bool pre_decoded = false;
-  std::map<uint32_t, Attempt> attempts;   // candidate addr -> outcome
-  // Scratch for the current pass:
-  std::vector<uint32_t> candidates;       // pass-start candidate list
-  std::vector<uint32_t> to_verify;        // uncached, prefilter-admitted
+  PreDecoded pre;  // text sections, decode-once mode
+  std::map<uint32_t, Attempt> attempts;  // candidate addr -> outcome
 };
 
 // How many per-candidate failure reasons an all-candidates-failed abort
@@ -755,65 +667,19 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
           section.name.c_str(), pre.source_name().c_str()));
     }
     PendingSection entry;
-    entry.index = static_cast<int>(si);
     entry.symbol = pre.symbols()[static_cast<size_t>(*def)].name;
     entry.section = &section;
     entry.howto = section.howto;
-    if (options_.use_index && !howto_table) {
+    if (options_.decode_once && !howto_table) {
       entry.pre = DecodePre(section.bytes);
-      entry.pre_decoded = true;
       tally.pre_bytes_canonicalized += entry.pre.end;
     }
     pending.push_back(std::move(entry));
   }
 
-  // Per-MatchUnit run-side state (indexed mode): one RunStream per
-  // candidate address, shared across sections and passes, plus the n-gram
-  // table over every kallsyms function entry. Parallel verification can
-  // reach a candidate that has no stream yet, so the map takes a lock; map
-  // nodes never move, so a returned stream stays valid after it. Streams
-  // carry their own mutex for the verification itself.
-  std::map<uint32_t, std::unique_ptr<RunStream>> streams;
-  std::mutex streams_mu;
-  auto stream_at = [&](uint32_t addr) -> RunStream& {
-    std::lock_guard<std::mutex> lock(streams_mu);
-    auto it = streams.find(addr);
-    if (it == streams.end()) {
-      it = streams
-               .emplace(addr, std::make_unique<RunStream>(machine_, addr))
-               .first;
-    }
-    return *it->second;
-  };
-  std::unordered_map<uint64_t, std::vector<uint32_t>> gram_table;
-  bool gram_table_built = false;
-  auto build_gram_table = [&]() {
-    if (gram_table_built) {
-      return;
-    }
-    gram_table_built = true;
-    std::vector<uint32_t> anchors;
-    for (const kelf::LinkedSymbol& sym : machine_.Kallsyms()) {
-      if (sym.kind == kelf::SymbolKind::kFunction) {
-        anchors.push_back(sym.address);
-      }
-    }
-    std::sort(anchors.begin(), anchors.end());
-    anchors.erase(std::unique(anchors.begin(), anchors.end()),
-                  anchors.end());
-    for (uint32_t addr : anchors) {
-      std::optional<uint64_t> hash;
-      {
-        RunStream& stream = stream_at(addr);
-        std::lock_guard<std::mutex> lock(stream.mu());
-        hash = stream.GramHash();
-      }
-      if (hash.has_value()) {
-        gram_table[*hash].push_back(addr);  // anchors ascending => sorted
-      }
-    }
-    tally.index_anchors += anchors.size();
-  };
+  // One RunStream per candidate address, shared across sections and
+  // passes (decode-once mode).
+  std::map<uint32_t, RunStream> streams;
 
   // The candidate list for a section under the given valuation — the same
   // precedence as always: an already-committed value pins the candidate,
@@ -850,57 +716,25 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
     return candidates;
   };
 
-  // Verifies one candidate of one section right now (serial phases and
-  // the failure-diagnostics path). Decodes per attempt in linear mode.
-  auto verify_now = [&](PendingSection& entry, uint32_t candidate,
-                        const std::map<std::string, uint32_t>& committed,
-                        MatchStats& into) -> Attempt {
-    Attempt attempt;
+  // Verifies one candidate of one section against the current valuation.
+  // The linear oracle decodes the pre section and the run code afresh for
+  // every attempt.
+  auto verify = [&](const PendingSection& entry, uint32_t candidate) {
     if (entry.howto != kelf::Howto::kNone) {
-      ks::Result<LocalMatch> result = VerifyTableCandidate(
-          machine_, pre, *entry.section, candidate, committed, into);
-      if (result.ok()) {
-        attempt.kind = Attempt::Kind::kSuccess;
-        attempt.local = std::move(result).value();
-      } else {
-        attempt.kind = Attempt::Kind::kFailure;
-        attempt.failure = result.status();
-      }
-      return attempt;
+      return VerifyTableCandidate(machine_, pre, *entry.section, candidate,
+                                  match.symbol_values, tally);
     }
-    if (!entry.pre_decoded && options_.use_index) {
-      entry.pre = DecodePre(entry.section->bytes);
-      entry.pre_decoded = true;
-      into.pre_bytes_canonicalized += entry.pre.end;
+    if (options_.decode_once) {
+      RunStream& stream =
+          streams.try_emplace(candidate, machine_, candidate).first->second;
+      return VerifyCandidate(machine_, pre, *entry.section, entry.pre,
+                             candidate, stream, match.symbol_values, tally,
+                             /*walk_acct=*/false);
     }
-    PreDecoded fresh;
-    const PreDecoded* predec = &entry.pre;
-    if (!options_.use_index) {
-      fresh = DecodePre(entry.section->bytes);
-      predec = &fresh;
-    }
-    ks::Result<LocalMatch> result = [&] {
-      if (options_.use_index) {
-        RunStream& stream = stream_at(candidate);
-        std::lock_guard<std::mutex> lock(stream.mu());
-        return VerifyCandidate(machine_, pre, *entry.section, *predec,
-                               candidate, stream, committed, into,
-                               /*walk_acct=*/false);
-      }
-      RunStream stream(machine_, candidate);
-      std::lock_guard<std::mutex> lock(stream.mu());
-      return VerifyCandidate(machine_, pre, *entry.section, *predec,
-                             candidate, stream, committed, into,
-                             /*walk_acct=*/true);
-    }();
-    if (result.ok()) {
-      attempt.kind = Attempt::Kind::kSuccess;
-      attempt.local = std::move(result).value();
-    } else {
-      attempt.kind = Attempt::Kind::kFailure;
-      attempt.failure = result.status();
-    }
-    return attempt;
+    RunStream stream(machine_, candidate);
+    return VerifyCandidate(machine_, pre, *entry.section,
+                           DecodePre(entry.section->bytes), candidate, stream,
+                           match.symbol_values, tally, /*walk_acct=*/true);
   };
 
   // Re-checks a cached successful verification against the current
@@ -925,74 +759,21 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
   // Iterate to a fixpoint: each pass matches sections whose candidate set
   // resolves to exactly one successful address; the committed valuation
   // then disambiguates harder sections on later passes. Per pass:
-  // (1) serial: compute pass-start candidate lists, prune via the n-gram
-  //     prefilter, and collect the uncached (section, candidate) pairs;
-  // (2) parallel: verify those pairs against the pass-start valuation —
-  //     verification is read-only on the machine and each task writes only
-  //     its own slot, so the fan-out is deterministic at any worker count;
-  // (3) serial, in section order: gather per-section outcomes against the
-  //     *current* valuation (commits propagate within a pass, exactly as
-  //     the sequential matcher behaved) and commit unique successes.
+  // (1) schedule: compute each section's pass-start candidate list;
+  // (2) verify every uncached (section, candidate) pair against the
+  //     pass-start valuation (nothing commits before phase 3);
+  // (3) in section order, gather per-section outcomes against the
+  //     *current* valuation (commits propagate within a pass) and commit
+  //     unique successes.
   while (!pending.empty()) {
     tally.fixpoint_passes += 1;
 
-    // (1) Schedule.
-    struct Task {
-      PendingSection* entry;
-      uint32_t candidate;
-    };
-    std::vector<Task> tasks;
+    // (1) Schedule and (2) verify.
     for (PendingSection& entry : pending) {
-      entry.candidates = compute_candidates(entry);
-      entry.to_verify.clear();
-      std::vector<uint32_t> admitted = entry.candidates;
-      if (options_.use_index && admitted.size() > 1 &&
-          entry.pre.gram_complete) {
-        build_gram_table();
-        auto bucket = gram_table.find(entry.pre.gram_hash);
-        static const std::vector<uint32_t> kEmpty;
-        const std::vector<uint32_t>& hits =
-            bucket != gram_table.end() ? bucket->second : kEmpty;
-        std::vector<uint32_t> survived;
-        for (uint32_t candidate : admitted) {
-          if (entry.attempts.count(candidate) != 0) {
-            survived.push_back(candidate);  // already decided or pruned
-            continue;
-          }
-          if (std::binary_search(hits.begin(), hits.end(), candidate)) {
-            tally.index_hits += 1;
-            survived.push_back(candidate);
-          } else {
-            tally.index_misses += 1;
-            Attempt pruned;
-            pruned.kind = Attempt::Kind::kPruned;
-            entry.attempts.emplace(candidate, std::move(pruned));
-          }
-        }
-        admitted = std::move(survived);
-      }
-      for (uint32_t candidate : admitted) {
+      for (uint32_t candidate : compute_candidates(entry)) {
         if (entry.attempts.count(candidate) == 0) {
-          entry.to_verify.push_back(candidate);
-          tasks.push_back(Task{&entry, candidate});
+          entry.attempts.emplace(candidate, verify(entry, candidate));
         }
-      }
-    }
-
-    // (2) Verify uncached pairs in parallel against the pass-start
-    // valuation snapshot.
-    if (!tasks.empty()) {
-      std::vector<Attempt> results(tasks.size());
-      std::vector<MatchStats> task_stats(tasks.size());
-      const std::map<std::string, uint32_t> snapshot = match.symbol_values;
-      ks::ParallelFor(options_.jobs, tasks.size(), [&](size_t i) {
-        results[i] = verify_now(*tasks[i].entry, tasks[i].candidate,
-                                snapshot, task_stats[i]);
-      });
-      for (size_t i = 0; i < tasks.size(); ++i) {
-        tally.MergeFrom(task_stats[i]);
-        tasks[i].entry->attempts.emplace(tasks[i].candidate,
-                                         std::move(results[i]));
       }
     }
 
@@ -1018,24 +799,17 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
         if (it == entry.attempts.end()) {
           // Never scheduled: the valuation pinned an address the pass-start
           // candidate list did not contain. Verify it now, against the
-          // current valuation. (A kPruned entry stays pruned — the gram
-          // mismatch proves the verifier would reject it; the diagnostics
-          // path below runs the verifier anyway when everything failed.)
-          Attempt attempt =
-              verify_now(entry, candidate, match.symbol_values, tally);
-          it = entry.attempts.insert_or_assign(candidate,
-                                               std::move(attempt)).first;
-        } else if (it->second.kind == Attempt::Kind::kSuccess) {
-          ks::Status still = revalidate(entry, candidate, it->second.local);
+          // current valuation.
+          it = entry.attempts.emplace(candidate, verify(entry, candidate))
+                   .first;
+        } else if (it->second.ok()) {
+          ks::Status still = revalidate(entry, candidate, *it->second);
           if (!still.ok()) {
-            Attempt failed;
-            failed.kind = Attempt::Kind::kFailure;
-            failed.failure = std::move(still);
-            it->second = std::move(failed);
+            it->second = std::move(still);
           }
         }
-        if (it->second.kind == Attempt::Kind::kSuccess) {
-          successes.emplace_back(candidate, &it->second.local);
+        if (it->second.ok()) {
+          successes.emplace_back(candidate, &*it->second);
         }
       }
 
@@ -1051,21 +825,9 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
             break;
           }
           uint32_t candidate = candidates[i];
-          auto it = entry.attempts.find(candidate);
-          if (it == entry.attempts.end() ||
-              it->second.kind == Attempt::Kind::kPruned) {
-            // Prefilter-pruned: run the verifier after all, purely for the
-            // authoritative diagnostic (this is the abort path).
-            Attempt attempt =
-                verify_now(entry, candidate, match.symbol_values, tally);
-            it = entry.attempts.insert_or_assign(candidate,
-                                                 std::move(attempt)).first;
-          }
           detail += ks::StrPrintf(
               "\n  candidate %s: %s", ks::Hex32(candidate).c_str(),
-              it->second.kind == Attempt::Kind::kFailure
-                  ? it->second.failure.message().c_str()
-                  : "matches (valuation later invalidated it)");
+              entry.attempts.at(candidate).status().message().c_str());
         }
         return ks::Aborted(ks::StrPrintf(
             "run-pre: %s in %s matches no candidate (%zu tried):%s",
@@ -1138,11 +900,11 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
     pending = std::move(still_pending);
   }
 
-  // The index's decode work, counted once per stream however many
+  // The decode-once run work, counted once per stream however many
   // sections and passes shared it.
   for (const auto& [addr, stream] : streams) {
-    tally.run_bytes_canonicalized += stream->consumed();
-    tally.nop_bytes_skipped += stream->nops_skipped();
+    tally.run_bytes_canonicalized += stream.consumed();
+    tally.nop_bytes_skipped += stream.nops_skipped();
   }
 
   tally.symbols_recovered = match.symbol_values.size();

@@ -2,38 +2,31 @@
 // to the code actually running, and recover symbol values — including
 // ambiguous local symbols — from already-relocated run bytes.
 //
-// The matcher is a two-stage design:
+// One verifier decides every (section, candidate) pair. It walks pre and
+// run instruction records in step, tolerating rel8-vs-rel32 encodings of
+// the same branch as long as the targets correspond (§4.3), and at each
+// pre relocation site inverts the relocation algebra against the
+// already-relocated run word: S = val + P_run − A (pc-relative) or
+// S = val − A (absolute), accumulating a symbol valuation that must be
+// globally consistent.
 //
-//  stage 1 (canonicalize + index, the prefilter): pre sections and run
-//  candidates are decoded once into instruction records, and a canonical
-//  byte form (kvx::AppendCanonicalBytes: nop padding dropped, rel8/rel32
-//  displacements and imm32 operand bytes wildcarded) feeds a content-hash
-//  n-gram table built once per MatchUnit over every kallsyms function
-//  address, so ambiguous-symbol candidate discovery is an index lookup
-//  instead of a byte-by-byte scan of every candidate;
-//
-//  stage 2 (verify, the oracle): surviving candidates run through the
-//  precise verifier, which walks pre and run instruction records in step,
-//  tolerating rel8-vs-rel32 encodings of the same branch as long as the
-//  targets correspond (§4.3), and at each pre relocation site inverts the
-//  relocation algebra against the already-relocated run word: S = val +
-//  P_run − A (pc-relative) or S = val − A (absolute), accumulating a
-//  symbol valuation that must be globally consistent.
-//
-// The prefilter proposes, the verifier decides: pruning is sound (equal
-// canonical streams are a necessary condition for any verifier match), so
-// match decisions, recovered valuations, and failure messages are
-// byte-identical with the index disabled (MatcherOptions::use_index =
-// false, the `--no-index` linear fallback).
-//
-// A section whose symbol name is ambiguous is matched against every
-// surviving candidate, and ambiguity is resolved by code content plus
+// Each pre section is decoded once per MatchUnit, and the run code at each
+// candidate address is decoded lazily into one stream shared by every
+// section and fixpoint pass, so no byte is decoded twice. Candidates of a
+// section are the same-named kallsyms symbols (or a committed or
+// redirected address); a section whose symbol name is ambiguous is
+// verified against each, and ambiguity is resolved by code content plus
 // valuation constraints propagated from other sections across fixpoint
-// passes; a section's successful verifications are carried forward across
+// passes. A section's successful verifications are carried forward across
 // passes (only the valuation consistency of the cached recovery is
 // re-checked), so no (section, candidate) pair is ever walked twice.
 // Residual ambiguity or any run/pre difference aborts the update (§4.3,
 // §6.2 criterion (a)/(b)).
+//
+// MatcherOptions::decode_once = false selects the linear oracle that tests
+// compare against: every attempt decodes its pre section and run code
+// afresh. Decisions, recovered valuations and failure messages are
+// byte-identical in both modes.
 
 #ifndef KSPLICE_KSPLICE_RUNPRE_H_
 #define KSPLICE_KSPLICE_RUNPRE_H_
@@ -79,33 +72,12 @@ using PatchRedirect =
 
 // Matching knobs.
 struct MatcherOptions {
-  // Use the canonical n-gram prefilter and per-MatchUnit decode cache. Off
-  // = the linear fallback: every candidate of every section is decoded and
-  // walked per attempt (same decisions, an order of magnitude more bytes
-  // walked on ambiguous units).
-  bool use_index = true;
-  // Worker threads for the per-section fan-out inside one fixpoint pass
-  // (<= 1 = serial). Verification is read-only on the machine and writes
-  // only per-section state, so sections verify concurrently; commits stay
-  // sequential in section order, so results are identical at any count.
-  int jobs = 1;
+  // Decode each pre section once and share one run stream per candidate
+  // address across sections and passes. Off = the linear oracle: every
+  // attempt decodes and walks its own copies (same decisions, charging
+  // pre_bytes_walked per attempt). Only tests and benches turn it off.
+  bool decode_once = true;
 };
-
-// The canonical prefix of a code blob: kvx canonical bytes of the leading
-// instructions, stopping at `max_bytes` canonical bytes, a decode failure,
-// or the end of `code`. Exposed for prefilter tests; the matcher uses the
-// same routine for pre sections and for run anchors.
-struct CanonicalPrefix {
-  std::vector<uint8_t> bytes;
-  uint32_t src_consumed = 0;  // original bytes the prefix covers
-  bool decode_ok = true;      // false: stopped at an undecodable byte
-};
-CanonicalPrefix CanonicalizeCode(std::span<const uint8_t> code,
-                                 size_t max_bytes);
-
-// The content hash the n-gram prefilter keys on: FNV-1a over the first
-// `RunPreMatcher::kGramBytes` canonical bytes. Exposed for tests.
-uint64_t CanonicalGramHash(std::span<const uint8_t> canonical_bytes);
 
 // Nop-normalizes a branch target (§4.3): when `target` lies inside
 // [window_base, window_base + window.size()), skips no-op instructions
@@ -119,10 +91,6 @@ uint64_t NormalizeBranchTarget(std::span<const uint8_t> window,
 
 class RunPreMatcher {
  public:
-  // Canonical bytes per prefilter gram. Sections whose canonical form is
-  // shorter are never pruned (the gram would not be content-complete).
-  static constexpr size_t kGramBytes = 16;
-
   explicit RunPreMatcher(const kvm::Machine& machine,
                          PatchRedirect redirect = nullptr,
                          MatcherOptions options = {})

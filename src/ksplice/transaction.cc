@@ -201,8 +201,7 @@ ks::Status UpdateTransaction::Match() {
       *machine_,
       [this](const std::string& unit, const std::string& symbol) {
         return manager_->CurrentCode(unit, symbol);
-      },
-      MatcherOptions{.use_index = options_.use_index, .jobs = 1});
+      });
   std::vector<MatchStats> stats(tasks.size());
   std::vector<ks::Result<UnitMatch>> results(
       tasks.size(), ks::Result<UnitMatch>(ks::Internal("not matched")));

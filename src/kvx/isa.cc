@@ -203,23 +203,6 @@ int MemValueRegister(const Insn& insn) {
   return -1;
 }
 
-void AppendCanonicalBytes(const Insn& insn, std::vector<uint8_t>& out) {
-  const OpInfo& info = GetOpInfo(insn.op);
-  if (info.mnemonic == nullptr || info.is_nop) {
-    return;
-  }
-  out.push_back(static_cast<uint8_t>(LongForm(insn.op)));
-  if (info.has_reg1) {
-    out.push_back(insn.reg1);
-  }
-  if (info.has_reg2) {
-    out.push_back(insn.reg2);
-  }
-  if (info.has_imm8) {
-    out.push_back(static_cast<uint8_t>(insn.imm));
-  }
-}
-
 ks::Result<Insn> Decode(std::span<const uint8_t> bytes) {
   if (bytes.empty()) {
     return ks::InvalidArgument("kvx: decode past end of code");

@@ -195,17 +195,6 @@ int MemAddrRegister(const Insn& insn);
 // value. -1 when `insn` is not a register-addressed memory access.
 int MemValueRegister(const Insn& insn);
 
-// Appends the canonical form of `insn` to `out`: the encoding with every
-// byte an assembler or linker may legitimately vary removed. No-ops vanish
-// entirely (alignment padding), rel8/rel32 displacement bytes are dropped
-// and the opcode normalized to its rel32 twin (relaxation picks the width),
-// and imm32 operand bytes are dropped (a relocation may have patched them
-// in a linked image). What remains — normalized opcode, register operands,
-// imm8 — is identical for any two encodings that Ksplice's run-pre matcher
-// could prove equivalent, so equal canonical streams are a necessary
-// condition for a run-pre match ("prefilter proposes, verifier decides").
-void AppendCanonicalBytes(const Insn& insn, std::vector<uint8_t>& out);
-
 // Decodes one instruction from `bytes`. Errors on invalid opcodes or
 // truncated input. Never reads past bytes.size().
 ks::Result<Insn> Decode(std::span<const uint8_t> bytes);

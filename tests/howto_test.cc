@@ -4,7 +4,7 @@
 // strategies — byte-wise for text, entry-structural for
 // .extable/.bug_table (match (insn, fixup) pairs under relocation, not
 // raw bytes), content-ignoring for .rodata.date/.rodata.time — with
-// decisions identical across -j and --no-index.
+// decisions identical in the decode-once matcher and its linear oracle.
 
 #include <gtest/gtest.h>
 
@@ -198,7 +198,7 @@ TEST(HowtoMatch, ChangedExtableFixupRefusesNamingEntry) {
 
   std::string first_message;
   for (MatcherOptions options :
-       {MatcherOptions{true, 1}, MatcherOptions{false, 1}}) {
+       {MatcherOptions{true}, MatcherOptions{false}}) {
     RunPreMatcher matcher(**machine, nullptr, options);
     ks::Result<UnitMatch> match = matcher.MatchUnit(pre);
     ASSERT_FALSE(match.ok());
@@ -210,7 +210,7 @@ TEST(HowtoMatch, ChangedExtableFixupRefusesNamingEntry) {
       first_message = match.status().message();
     } else {
       EXPECT_EQ(first_message, match.status().message())
-          << "refusals must be byte-identical with and without the index";
+          << "refusals must be byte-identical in both matcher modes";
     }
   }
 }
@@ -226,39 +226,34 @@ TEST(HowtoMatch, DecisionsIdenticalAcrossJobsAndIndex) {
 
   std::optional<UnitMatch> baseline;
   std::optional<MatchStats> baseline_stats;
-  for (bool use_index : {true, false}) {
-    for (int jobs : {1, 8}) {
-      MatcherOptions options;
-      options.use_index = use_index;
-      options.jobs = jobs;
-      RunPreMatcher matcher(**machine, nullptr, options);
-      MatchStats stats;
-      ks::Result<UnitMatch> match = matcher.MatchUnit(pre, &stats);
-      ASSERT_TRUE(match.ok())
-          << "index=" << use_index << " jobs=" << jobs << ": "
-          << match.status().ToString();
-      if (!baseline.has_value()) {
-        baseline = *match;
-        baseline_stats = stats;
-        continue;
-      }
-      EXPECT_EQ(match->symbol_values, baseline->symbol_values);
-      ASSERT_EQ(match->sections.size(), baseline->sections.size());
-      for (const auto& [name, section] : match->sections) {
-        ASSERT_TRUE(baseline->sections.count(name)) << name;
-        EXPECT_EQ(section.run_address,
-                  baseline->sections[name].run_address) << name;
-        EXPECT_EQ(section.run_size, baseline->sections[name].run_size)
-            << name;
-      }
-      EXPECT_EQ(stats.sections_matched, baseline_stats->sections_matched);
-      EXPECT_EQ(stats.extable_sections_matched,
-                baseline_stats->extable_sections_matched);
-      EXPECT_EQ(stats.bug_table_sections_matched,
-                baseline_stats->bug_table_sections_matched);
-      EXPECT_EQ(stats.date_time_sections_matched,
-                baseline_stats->date_time_sections_matched);
+  for (bool decode_once : {true, false}) {
+    RunPreMatcher matcher(**machine, nullptr,
+                          MatcherOptions{.decode_once = decode_once});
+    MatchStats stats;
+    ks::Result<UnitMatch> match = matcher.MatchUnit(pre, &stats);
+    ASSERT_TRUE(match.ok())
+        << "decode_once=" << decode_once << ": " << match.status().ToString();
+    if (!baseline.has_value()) {
+      baseline = *match;
+      baseline_stats = stats;
+      continue;
     }
+    EXPECT_EQ(match->symbol_values, baseline->symbol_values);
+    ASSERT_EQ(match->sections.size(), baseline->sections.size());
+    for (const auto& [name, section] : match->sections) {
+      ASSERT_TRUE(baseline->sections.count(name)) << name;
+      EXPECT_EQ(section.run_address, baseline->sections[name].run_address)
+          << name;
+      EXPECT_EQ(section.run_size, baseline->sections[name].run_size)
+          << name;
+    }
+    EXPECT_EQ(stats.sections_matched, baseline_stats->sections_matched);
+    EXPECT_EQ(stats.extable_sections_matched,
+              baseline_stats->extable_sections_matched);
+    EXPECT_EQ(stats.bug_table_sections_matched,
+              baseline_stats->bug_table_sections_matched);
+    EXPECT_EQ(stats.date_time_sections_matched,
+              baseline_stats->date_time_sections_matched);
   }
 }
 

@@ -1,7 +1,8 @@
 // Transaction-engine tests: batched apply with a single shared
-// stop_machine rendezvous, whole-batch rollback on any stage failure,
-// pre_apply side-effect compensation, and out-of-order undo of mid-stack
-// updates (chain rewriting and the import dependency check).
+// stop_machine rendezvous, match-stage results independent of the worker
+// count, whole-batch rollback on any stage failure, pre_apply side-effect
+// compensation, and out-of-order undo of mid-stack updates (chain
+// rewriting and the import dependency check).
 
 #include <gtest/gtest.h>
 
@@ -277,6 +278,73 @@ void sleeper(int n) {
     alpha_orig = Probe(*fresh, "alpha_probe", 1, 11);
   }
   EXPECT_EQ(Probe(*machine, "alpha_probe", 1, 11), alpha_orig);
+}
+
+// Reads the whole linked kernel image (text, trampolines included).
+std::vector<uint8_t> KernelImage(const kvm::Machine& machine) {
+  uint32_t base = machine.config().kernel_base;
+  ks::Result<std::vector<uint8_t>> bytes =
+      machine.ReadBytes(base, machine.kernel_end() - base);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? std::move(bytes).value() : std::vector<uint8_t>{};
+}
+
+// ApplyOptions::jobs fans the match stage out over every (package, helper
+// unit) pair of a batch. The worker count must be invisible: same match
+// stats, byte-identical kernel image after apply, and after UndoAll the
+// boot image again.
+TEST(BatchApplyTest, MatchJobsLeaveDecisionsAndTextUnchanged) {
+  SourceTree tree = TriKernel();
+  std::vector<UpdatePackage> packages;
+  ks::Result<CreateResult> u1 = Create(
+      tree, EditTree(tree, "alpha.kc", "int a = x + 1;", "int a = x + 10;"),
+      "jobs-alpha");
+  ASSERT_TRUE(u1.ok()) << u1.status().ToString();
+  packages.push_back(u1->package);
+  ks::Result<CreateResult> u2 = Create(
+      tree, EditTree(tree, "beta.kc", "int b = a + 5;", "int b = a + 50;"),
+      "jobs-beta");
+  ASSERT_TRUE(u2.ok()) << u2.status().ToString();
+  packages.push_back(u2->package);
+  size_t units = 0;
+  for (const UpdatePackage& package : packages) {
+    units += package.helper_objects.size();
+  }
+  ASSERT_GE(units, 2u);
+
+  struct Outcome {
+    std::vector<std::string> match_stats;  // MatchStats JSON per update
+    std::vector<uint8_t> applied;
+    std::vector<uint8_t> undone;
+  };
+  std::vector<Outcome> outcomes;
+  for (int jobs : {1, 4}) {
+    std::unique_ptr<kvm::Machine> machine = Boot(tree);
+    ASSERT_NE(machine, nullptr);
+    std::vector<uint8_t> boot = KernelImage(*machine);
+    KspliceCore core(machine.get());
+    ApplyOptions options;
+    options.jobs = jobs;
+    ks::Result<BatchApplyReport> batch = core.ApplyAll(packages, options);
+    ASSERT_TRUE(batch.ok()) << "jobs=" << jobs << ": "
+                            << batch.status().ToString();
+    Outcome outcome;
+    for (const ApplyReport& report : batch->updates) {
+      EXPECT_GT(report.match.sections_matched, 0u) << "jobs=" << jobs;
+      outcome.match_stats.push_back(report.match.ToJson());
+    }
+    outcome.applied = KernelImage(*machine);
+    EXPECT_NE(outcome.applied, boot) << "jobs=" << jobs;
+    ks::Result<std::vector<UndoReport>> undone = core.UndoAll();
+    ASSERT_TRUE(undone.ok()) << "jobs=" << jobs << ": "
+                             << undone.status().ToString();
+    outcome.undone = KernelImage(*machine);
+    EXPECT_EQ(outcome.undone, boot) << "jobs=" << jobs;
+    outcomes.push_back(std::move(outcome));
+  }
+  EXPECT_EQ(outcomes[0].match_stats, outcomes[1].match_stats);
+  EXPECT_EQ(outcomes[0].applied, outcomes[1].applied);
+  EXPECT_EQ(outcomes[0].undone, outcomes[1].undone);
 }
 
 // --------------------------------------------------------- stage rollback

@@ -1,11 +1,9 @@
-// Tests for the indexed run-pre matcher (two-stage: canonicalize + n-gram
-// prefilter, then the precise verifier): canonical-form stability across
-// assembler/linker perturbations, the prefilter-superset invariant
-// ("prefilter proposes, verifier decides"), regression coverage for the
-// fixed-window and branch-normalization overflow bugs, attempt-caching
-// across fixpoint passes, the parallel section fan-out, per-candidate
-// failure diagnostics, and a seeded fuzz round pitting the indexed matcher
-// against the linear fallback.
+// Tests for the decode-once run-pre matcher against its linear oracle
+// (MatcherOptions::decode_once = false): decision equivalence on
+// structurally diverse ambiguous candidates, regression coverage for the
+// fixed-window and branch-normalization overflow bugs, attempt caching
+// across fixpoint passes, per-candidate failure diagnostics, and a seeded
+// fuzz round pitting the two modes against each other.
 
 #include <gtest/gtest.h>
 
@@ -125,114 +123,12 @@ kelf::ObjectFile MakePreObject(const std::string& symbol,
 }
 
 // ------------------------------------------------------------------
-// Canonicalization (stage 1).
-
-TEST(RunPreIndexTest, CanonicalFormIgnoresNopPaddingAndOperandBytes) {
-  // The canonical form must be identical across everything an assembler or
-  // linker may vary: nop padding, rel8-vs-rel32 branch width and
-  // displacement values, and imm32 operand bytes (relocatable).
-  std::vector<uint8_t> a = EncodeAll({
-      RI(kvx::Op::kMovRI, 0, 0x11111111),
-      RR(kvx::Op::kAddRR, 0, 1),
-      Rel(kvx::Op::kJz32, 0x40),
-      RR(kvx::Op::kSubRR, 2, 3),
-      Ret(),
-  });
-
-  std::vector<uint8_t> b = EncodeAll({
-      RI(kvx::Op::kMovRI, 0, 0x22222222),  // different imm32 (reloc result)
-  });
-  kvx::AppendNopFill(b, 7);  // alignment padding
-  std::vector<uint8_t> tail = EncodeAll({
-      RR(kvx::Op::kAddRR, 0, 1),
-      Rel(kvx::Op::kJz8, 0x09),  // short branch form, other displacement
-      RR(kvx::Op::kSubRR, 2, 3),
-  });
-  b.insert(b.end(), tail.begin(), tail.end());
-  kvx::AppendNopFill(b, 3);
-  std::vector<uint8_t> ret = EncodeAll({Ret()});
-  b.insert(b.end(), ret.begin(), ret.end());
-
-  CanonicalPrefix ca = CanonicalizeCode(a, 64);
-  CanonicalPrefix cb = CanonicalizeCode(b, 64);
-  EXPECT_TRUE(ca.decode_ok);
-  EXPECT_TRUE(cb.decode_ok);
-  EXPECT_EQ(ca.bytes, cb.bytes);
-  EXPECT_EQ(CanonicalGramHash(ca.bytes), CanonicalGramHash(cb.bytes));
-
-  // Register operands are NOT wildcarded: a different register must change
-  // the canonical stream.
-  std::vector<uint8_t> c = EncodeAll({
-      RI(kvx::Op::kMovRI, 0, 0x11111111),
-      RR(kvx::Op::kAddRR, 0, 5),  // r5 instead of r1
-      Rel(kvx::Op::kJz32, 0x40),
-      RR(kvx::Op::kSubRR, 2, 3),
-      Ret(),
-  });
-  CanonicalPrefix cc = CanonicalizeCode(c, 64);
-  EXPECT_NE(ca.bytes, cc.bytes);
-}
-
-TEST(RunPreIndexTest, PrefilterGramIsSupersetOfTrueMatches) {
-  // Soundness of the prefilter: whenever the verifier accepts a
-  // (section, candidate) pair, their canonical grams are equal — so an
-  // index lookup can never prune a true match. Check it on real compiled
-  // code: every matched section's pre canonical gram equals the gram of
-  // the run bytes at its matched address.
-  SourceTree tree;
-  tree.Write("m.kc", R"(
-int total = 0;
-static int mix(int x) {
-  int a = x * 3 + 1;
-  int b = a * 5 + x;
-  int c = b - a + x * 7;
-  return a + b + c;
-}
-int entry(int x) {
-  total = total + mix(x) + mix(x + 1) + mix(x + 2);
-  return total;
-}
-)");
-  MatchSetup setup = MakeSetup(tree, "m.kc", /*inline_threshold=*/0);
-  ASSERT_NE(setup.machine, nullptr);
-  RunPreMatcher matcher(*setup.machine);
-  ks::Result<UnitMatch> match = matcher.MatchUnit(setup.pre);
-  ASSERT_TRUE(match.ok()) << match.status().ToString();
-
-  for (const auto& [name, matched] : match->sections) {
-    const kelf::Section* section = nullptr;
-    for (const kelf::Section& candidate : setup.pre.sections()) {
-      if (candidate.name == name) {
-        section = &candidate;
-      }
-    }
-    ASSERT_NE(section, nullptr) << name;
-    CanonicalPrefix pre_prefix =
-        CanonicalizeCode(section->bytes, RunPreMatcher::kGramBytes);
-    if (pre_prefix.bytes.size() < RunPreMatcher::kGramBytes) {
-      continue;  // gram-incomplete sections are never pruned
-    }
-    // Fetch generously: the run rendering can be longer than the pre.
-    ks::Result<std::vector<uint8_t>> run_bytes = setup.machine->ReadBytes(
-        matched.run_address,
-        static_cast<uint32_t>(section->bytes.size()) + 64);
-    ASSERT_TRUE(run_bytes.ok()) << name;
-    CanonicalPrefix run_prefix =
-        CanonicalizeCode(*run_bytes, RunPreMatcher::kGramBytes);
-    ASSERT_GE(run_prefix.bytes.size(), RunPreMatcher::kGramBytes) << name;
-    EXPECT_EQ(
-        CanonicalGramHash(std::span<const uint8_t>(pre_prefix.bytes)
-                              .first(RunPreMatcher::kGramBytes)),
-        CanonicalGramHash(std::span<const uint8_t>(run_prefix.bytes)
-                              .first(RunPreMatcher::kGramBytes)))
-        << name;
-  }
-}
+// Decision equivalence.
 
 TEST(RunPreIndexTest, PrefilterPrunesStructurallyDiverseCandidates) {
   // Two same-named statics with structurally different bodies: the
-  // prefilter must prune the wrong copy (index_misses > 0) and the match
-  // must agree with the linear fallback.
+  // verifier rejects the wrong copy, and the decode-once match must agree
+  // with the linear oracle on every decision and attempt.
   SourceTree tree;
   tree.Write("a.kc", R"(
 static int twin(int x) {
@@ -260,25 +156,32 @@ int entry_b(int x) {
   ASSERT_NE(setup.machine, nullptr);
   ASSERT_EQ(setup.machine->SymbolsNamed("twin").size(), 2u);
 
-  RunPreMatcher indexed(*setup.machine);
-  MatchStats indexed_stats;
-  ks::Result<UnitMatch> indexed_match =
-      indexed.MatchUnit(setup.pre, &indexed_stats);
-  ASSERT_TRUE(indexed_match.ok()) << indexed_match.status().ToString();
+  RunPreMatcher decode_once(*setup.machine);
+  MatchStats once_stats;
+  ks::Result<UnitMatch> once_match =
+      decode_once.MatchUnit(setup.pre, &once_stats);
+  ASSERT_TRUE(once_match.ok()) << once_match.status().ToString();
 
   RunPreMatcher linear(*setup.machine, nullptr,
-                       MatcherOptions{.use_index = false});
+                       MatcherOptions{.decode_once = false});
   MatchStats linear_stats;
   ks::Result<UnitMatch> linear_match =
       linear.MatchUnit(setup.pre, &linear_stats);
   ASSERT_TRUE(linear_match.ok()) << linear_match.status().ToString();
 
-  EXPECT_EQ(indexed_match->symbol_values, linear_match->symbol_values);
-  EXPECT_EQ(indexed_stats.sections_matched, linear_stats.sections_matched);
-  // b.kc's twin is long enough for a complete gram, so the a.kc copy is
-  // pruned by content hash: fewer verifications than the linear scan.
-  EXPECT_GT(indexed_stats.index_misses, 0u);
-  EXPECT_LT(indexed_stats.candidates_tried, linear_stats.candidates_tried);
+  EXPECT_EQ(once_match->symbol_values, linear_match->symbol_values);
+  ASSERT_EQ(once_match->sections.size(), linear_match->sections.size());
+  for (const auto& [name, matched] : once_match->sections) {
+    ASSERT_TRUE(linear_match->sections.count(name)) << name;
+    EXPECT_EQ(linear_match->sections.at(name).run_address,
+              matched.run_address)
+        << name;
+    EXPECT_EQ(linear_match->sections.at(name).run_size, matched.run_size)
+        << name;
+  }
+  EXPECT_EQ(once_stats.sections_matched, linear_stats.sections_matched);
+  // Both twin copies are verified in both modes.
+  EXPECT_EQ(once_stats.candidates_tried, linear_stats.candidates_tried);
 }
 
 // ------------------------------------------------------------------
@@ -333,13 +236,13 @@ int keep(int x) {
     return std::nullopt;
   };
 
-  for (bool use_index : {true, false}) {
+  for (bool decode_once : {true, false}) {
     RunPreMatcher matcher(*setup.machine, redirect,
-                          MatcherOptions{.use_index = use_index});
+                          MatcherOptions{.decode_once = decode_once});
     MatchStats stats;
     ks::Result<UnitMatch> match = matcher.MatchUnit(pre, &stats);
     ASSERT_TRUE(match.ok())
-        << "use_index=" << use_index << ": " << match.status().ToString();
+        << "decode_once=" << decode_once << ": " << match.status().ToString();
     ASSERT_TRUE(match->sections.count(".text.padded_fn"));
     EXPECT_EQ(match->sections[".text.padded_fn"].run_address, run_addr);
     // The matched span ends at the final ret; trailing nop fill is not
@@ -433,12 +336,12 @@ int keep(int x) {
     return std::nullopt;
   };
 
-  for (bool use_index : {true, false}) {
+  for (bool decode_once : {true, false}) {
     RunPreMatcher matcher(*machine, redirect,
-                          MatcherOptions{.use_index = use_index});
+                          MatcherOptions{.decode_once = decode_once});
     ks::Result<UnitMatch> match = matcher.MatchUnit(pre);
     ASSERT_TRUE(match.ok())
-        << "use_index=" << use_index << ": " << match.status().ToString();
+        << "decode_once=" << decode_once << ": " << match.status().ToString();
     ASSERT_TRUE(match->sections.count(".text.skyline_fn"));
     EXPECT_EQ(match->sections[".text.skyline_fn"].run_address, run_addr);
     EXPECT_EQ(match->sections[".text.skyline_fn"].run_size,
@@ -505,11 +408,11 @@ int entry_b(int x) {
     ASSERT_TRUE(setup.machine->WriteByte(copy.address, 0xee).ok());
   }
 
-  for (bool use_index : {true, false}) {
+  for (bool decode_once : {true, false}) {
     RunPreMatcher matcher(*setup.machine, nullptr,
-                          MatcherOptions{.use_index = use_index});
+                          MatcherOptions{.decode_once = decode_once});
     ks::Result<UnitMatch> match = matcher.MatchUnit(setup.pre);
-    ASSERT_FALSE(match.ok()) << "use_index=" << use_index;
+    ASSERT_FALSE(match.ok()) << "decode_once=" << decode_once;
     const std::string& message = match.status().message();
     EXPECT_NE(message.find("matches no candidate (2 tried)"),
               std::string::npos)
@@ -518,14 +421,14 @@ int entry_b(int x) {
     for (const kelf::LinkedSymbol& copy : copies) {
       EXPECT_NE(message.find("candidate " + ks::Hex32(copy.address)),
                 std::string::npos)
-          << "use_index=" << use_index << "\n"
+          << "decode_once=" << decode_once << "\n"
           << message;
     }
   }
 }
 
 // ------------------------------------------------------------------
-// Fixpoint behavior: attempt caching, carry-forward, fan-out.
+// Fixpoint behavior: attempt caching and carry-forward.
 
 // A corpus whose ambiguity is only resolved by valuation propagated from a
 // later section: `dep` copies are byte-identical, `work` copies differ
@@ -567,27 +470,27 @@ TEST(RunPreIndexTest, AmbiguitySuccessesCarryForwardAcrossPasses) {
   ASSERT_EQ(setup.machine->SymbolsNamed("dep").size(), 2u);
   ASSERT_EQ(setup.machine->SymbolsNamed("work").size(), 2u);
 
-  MatchStats indexed_stats;
+  MatchStats once_stats;
   MatchStats linear_stats;
-  ks::Result<UnitMatch> indexed_match = ks::Internal("unset");
+  ks::Result<UnitMatch> once_match = ks::Internal("unset");
   ks::Result<UnitMatch> linear_match = ks::Internal("unset");
   {
     RunPreMatcher matcher(*setup.machine);
-    indexed_match = matcher.MatchUnit(setup.pre, &indexed_stats);
+    once_match = matcher.MatchUnit(setup.pre, &once_stats);
   }
   {
     RunPreMatcher matcher(*setup.machine, nullptr,
-                          MatcherOptions{.use_index = false});
+                          MatcherOptions{.decode_once = false});
     linear_match = matcher.MatchUnit(setup.pre, &linear_stats);
   }
-  ASSERT_TRUE(indexed_match.ok()) << indexed_match.status().ToString();
+  ASSERT_TRUE(once_match.ok()) << once_match.status().ToString();
   ASSERT_TRUE(linear_match.ok()) << linear_match.status().ToString();
-  EXPECT_EQ(indexed_match->symbol_values, linear_match->symbol_values);
+  EXPECT_EQ(once_match->symbol_values, linear_match->symbol_values);
 
   // Both modes: dep and work defer on pass 1 (two verifiable candidates
   // each), entry_b commits and pins the valuation, pass 2 resolves the
   // rest from cached successes.
-  for (const MatchStats* stats : {&indexed_stats, &linear_stats}) {
+  for (const MatchStats* stats : {&once_stats, &linear_stats}) {
     EXPECT_EQ(stats->fixpoint_passes, 2u);
     EXPECT_EQ(stats->ambiguity_deferrals, 2u);
     EXPECT_EQ(stats->sections_matched, 3u);
@@ -602,7 +505,7 @@ TEST(RunPreIndexTest, AmbiguitySuccessesCarryForwardAcrossPasses) {
 
   // The recovered statics must be b.kc's copies.
   for (const char* name : {"dep", "work"}) {
-    uint32_t recovered = indexed_match->symbol_values.at(name);
+    uint32_t recovered = once_match->symbol_values.at(name);
     bool bound_to_b = false;
     for (const kelf::LinkedSymbol& sym : setup.machine->SymbolsNamed(name)) {
       if (sym.address == recovered && sym.unit == "b.kc") {
@@ -613,45 +516,8 @@ TEST(RunPreIndexTest, AmbiguitySuccessesCarryForwardAcrossPasses) {
   }
 }
 
-TEST(RunPreIndexTest, ParallelFanOutMatchesSerialDecisions) {
-  // The per-section fan-out must be invisible: same decisions, valuations
-  // and deterministic counters at any worker count.
-  SourceTree tree = CarryForwardTree();
-  MatchSetup setup = MakeSetup(tree, "b.kc", /*inline_threshold=*/0);
-  ASSERT_NE(setup.machine, nullptr);
-
-  MatchStats serial_stats;
-  RunPreMatcher serial(*setup.machine, nullptr,
-                       MatcherOptions{.use_index = true, .jobs = 1});
-  ks::Result<UnitMatch> serial_match =
-      serial.MatchUnit(setup.pre, &serial_stats);
-  ASSERT_TRUE(serial_match.ok()) << serial_match.status().ToString();
-
-  MatchStats parallel_stats;
-  RunPreMatcher parallel(*setup.machine, nullptr,
-                         MatcherOptions{.use_index = true, .jobs = 4});
-  ks::Result<UnitMatch> parallel_match =
-      parallel.MatchUnit(setup.pre, &parallel_stats);
-  ASSERT_TRUE(parallel_match.ok()) << parallel_match.status().ToString();
-
-  EXPECT_EQ(serial_match->symbol_values, parallel_match->symbol_values);
-  ASSERT_EQ(serial_match->sections.size(), parallel_match->sections.size());
-  for (const auto& [name, matched] : serial_match->sections) {
-    ASSERT_TRUE(parallel_match->sections.count(name)) << name;
-    EXPECT_EQ(parallel_match->sections.at(name).run_address,
-              matched.run_address)
-        << name;
-    EXPECT_EQ(parallel_match->sections.at(name).run_size, matched.run_size)
-        << name;
-  }
-  EXPECT_EQ(serial_stats.candidates_tried, parallel_stats.candidates_tried);
-  EXPECT_EQ(serial_stats.fixpoint_passes, parallel_stats.fixpoint_passes);
-  EXPECT_EQ(serial_stats.ambiguity_deferrals,
-            parallel_stats.ambiguity_deferrals);
-}
-
 // ------------------------------------------------------------------
-// Seeded fuzz: the indexed matcher and the linear fallback must agree on
+// Seeded fuzz: the decode-once matcher and the linear oracle must agree on
 // every decision — acceptance, recovered valuation, matched sections, and
 // the exact failure message — across random single-byte tampering of the
 // run image.
@@ -721,20 +587,20 @@ int entry_b(int x) {
       tampered = true;
     }
 
-    RunPreMatcher indexed(*setup.machine);
+    RunPreMatcher decode_once(*setup.machine);
     RunPreMatcher linear(*setup.machine, nullptr,
-                         MatcherOptions{.use_index = false});
-    ks::Result<UnitMatch> indexed_match = indexed.MatchUnit(setup.pre);
+                         MatcherOptions{.decode_once = false});
+    ks::Result<UnitMatch> once_match = decode_once.MatchUnit(setup.pre);
     ks::Result<UnitMatch> linear_match = linear.MatchUnit(setup.pre);
 
-    EXPECT_EQ(indexed_match.ok(), linear_match.ok()) << "round " << round;
-    if (indexed_match.ok() && linear_match.ok()) {
-      EXPECT_EQ(indexed_match->symbol_values, linear_match->symbol_values)
+    EXPECT_EQ(once_match.ok(), linear_match.ok()) << "round " << round;
+    if (once_match.ok() && linear_match.ok()) {
+      EXPECT_EQ(once_match->symbol_values, linear_match->symbol_values)
           << "round " << round;
-      EXPECT_EQ(indexed_match->sections.size(),
+      EXPECT_EQ(once_match->sections.size(),
                 linear_match->sections.size())
           << "round " << round;
-      for (const auto& [name, matched] : indexed_match->sections) {
+      for (const auto& [name, matched] : once_match->sections) {
         ASSERT_TRUE(linear_match->sections.count(name))
             << "round " << round << " " << name;
         EXPECT_EQ(linear_match->sections.at(name).run_address,
@@ -744,8 +610,8 @@ int entry_b(int x) {
                   matched.run_size)
             << "round " << round << " " << name;
       }
-    } else if (!indexed_match.ok() && !linear_match.ok()) {
-      EXPECT_EQ(indexed_match.status().message(),
+    } else if (!once_match.ok() && !linear_match.ok()) {
+      EXPECT_EQ(once_match.status().message(),
                 linear_match.status().message())
           << "round " << round;
     }

@@ -285,7 +285,7 @@ TEST(ReportTest, FullCyclePopulatesCreateApplyUndoReports) {
   EXPECT_GT(stats.sections_matched, 0u);
   EXPECT_GT(stats.candidates_tried, 0u);
   EXPECT_GT(stats.run_bytes_matched, 0u);
-  // Indexed mode decodes each section and anchor once (canonicalized
+  // The matcher decodes each section and candidate once (canonicalized
   // counters) instead of re-walking pre bytes per candidate attempt.
   EXPECT_GT(stats.pre_bytes_canonicalized, 0u);
   EXPECT_GT(stats.run_bytes_canonicalized, 0u);
@@ -293,18 +293,16 @@ TEST(ReportTest, FullCyclePopulatesCreateApplyUndoReports) {
   EXPECT_GE(stats.fixpoint_passes, 1u);
   EXPECT_TRUE(ValidJson(stats.ToJson())) << stats.ToJson();
 
-  // The linear fallback still reports the per-attempt byte walk, with
-  // decisions identical to the indexed run.
+  // The linear oracle reports the per-attempt byte walk, with decisions
+  // identical to the decode-once run.
   RunPreMatcher linear(**machine, nullptr,
-                       MatcherOptions{.use_index = false});
+                       MatcherOptions{.decode_once = false});
   MatchStats linear_stats;
   ks::Result<UnitMatch> linear_match = linear.MatchUnit(*pre, &linear_stats);
   ASSERT_TRUE(linear_match.ok());
   EXPECT_GT(linear_stats.pre_bytes_walked, 0u);
   EXPECT_EQ(linear_stats.sections_matched, stats.sections_matched);
   EXPECT_EQ(linear_stats.candidates_tried, stats.candidates_tried);
-  EXPECT_EQ(linear_stats.index_hits, 0u);
-  EXPECT_EQ(linear_stats.index_misses, 0u);
 
   uint64_t applies_before = ks::Metrics().GetCounter("ksplice.applies").value();
   uint64_t pauses_before =
@@ -398,14 +396,13 @@ int entry_b(int x) {
       kcc::CompileUnit(tree, "b.kc", pre_options);
   ASSERT_TRUE(pre.ok()) << pre.status().ToString();
 
-  // Linear mode, so the prefilter cannot reduce the candidate count: the
-  // unit has two sections (.text.pick with 2 candidates, .text.entry_b
-  // with 1), hence exactly 3 verification attempts — even if ambiguity
-  // forces extra fixpoint passes. The b.kc copy of `pick` differs from
+  // The linear oracle first: the unit has two sections (.text.pick with 2
+  // candidates, .text.entry_b with 1), hence exactly 3 verification
+  // attempts — even if ambiguity forces extra fixpoint passes. The b.kc copy of `pick` differs from
   // a.kc's in imm32 constants only, which run-pre content comparison
   // resolves directly.
   RunPreMatcher linear(**machine, nullptr,
-                       MatcherOptions{.use_index = false});
+                       MatcherOptions{.decode_once = false});
   MatchStats linear_stats;
   ks::Result<UnitMatch> linear_match =
       linear.MatchUnit(*pre, &linear_stats);
@@ -436,17 +433,15 @@ int entry_b(int x) {
   EXPECT_LE(linear_stats.pre_bytes_walked, text_bytes + pick_bytes);
   EXPECT_GT(linear_stats.pre_bytes_walked, 0u);
 
-  // Indexed mode agrees on every decision and never exceeds the linear
-  // attempt count.
-  RunPreMatcher indexed(**machine);
-  MatchStats indexed_stats;
-  ks::Result<UnitMatch> indexed_match =
-      indexed.MatchUnit(*pre, &indexed_stats);
-  ASSERT_TRUE(indexed_match.ok()) << indexed_match.status().ToString();
-  EXPECT_EQ(indexed_match->symbol_values, linear_match->symbol_values);
-  EXPECT_EQ(indexed_stats.sections_matched, 2u);
-  EXPECT_LE(indexed_stats.candidates_tried, linear_stats.candidates_tried);
-  EXPECT_EQ(indexed_stats.fixpoint_passes, linear_stats.fixpoint_passes);
+  // The decode-once matcher agrees on every decision and attempt.
+  RunPreMatcher decode_once(**machine);
+  MatchStats once_stats;
+  ks::Result<UnitMatch> once_match = decode_once.MatchUnit(*pre, &once_stats);
+  ASSERT_TRUE(once_match.ok()) << once_match.status().ToString();
+  EXPECT_EQ(once_match->symbol_values, linear_match->symbol_values);
+  EXPECT_EQ(once_stats.sections_matched, 2u);
+  EXPECT_EQ(once_stats.candidates_tried, linear_stats.candidates_tried);
+  EXPECT_EQ(once_stats.fixpoint_passes, linear_stats.fixpoint_passes);
 }
 
 }  // namespace

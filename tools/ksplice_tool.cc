@@ -33,11 +33,14 @@
 // Source trees on disk contain .kc (KC), .kvs (assembly), and .h files;
 // paths are taken relative to <srcdir>.
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <type_traits>
 
 #include "base/faultinject.h"
 #include "base/metrics.h"
@@ -122,7 +125,6 @@ int UsageError(const std::string& message);
 
 struct GlobalOptions {
   int jobs = 1;          // -j N (0 = one worker per hardware thread)
-  bool use_index = true;  // --no-index: linear run-pre matcher fallback
   std::string faults;    // --faults=PLAN (deterministic fault injection)
   bool trace = false;    // --trace[=FILE]
   std::string trace_file;    // empty => summary table on stderr at exit
@@ -160,60 +162,105 @@ struct CommandOptions {
 
 CommandOptions g_cmd;
 
+// Parses a whole numeric flag value into *out. An empty value, trailing
+// characters, a value out of T's range, a non-finite real, and any sign on
+// an unsigned field are malformed: returns false and leaves *out as is.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    return false;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      return false;
+    }
+  }
+  *out = value;
+  return true;
+}
+
+// ParseNumber for a kOptional tick count: an absent value means `fallback`.
+bool ParseTicks(const std::string& text, uint64_t fallback, uint64_t* out) {
+  if (text.empty()) {
+    *out = fallback;
+    return true;
+  }
+  return ParseNumber(text, out);
+}
+
 // One flag. `arg` names the value in help text; kNone takes no
 // value, kOptional accepts `--flag` or `--flag=V`, kRequired demands one.
+// `apply` returns false when the value is malformed.
 struct FlagSpec {
   const char* name;  // with leading dashes, e.g. "--trace"
   enum Arg { kNone, kOptional, kRequired } arg;
   const char* value_name;
   const char* help;
-  void (*apply)(const std::string& value);
+  bool (*apply)(const std::string& value);
 };
 
 const FlagSpec kFlags[] = {
     {"-j", FlagSpec::kRequired, "N",
      "compile with N worker threads (0 = all hardware threads); output is "
      "byte-identical for every N",
-     [](const std::string& v) { g_options.jobs = std::atoi(v.c_str()); }},
+     [](const std::string& v) { return ParseNumber(v, &g_options.jobs); }},
     {"--trace", FlagSpec::kOptional, "FILE",
      "record trace spans; write Chrome trace JSON to FILE, or print a "
      "summary table to stderr when no FILE is given",
      [](const std::string& v) {
        g_options.trace = true;
        g_options.trace_file = v;
+       return true;
      }},
-    {"--no-index", FlagSpec::kNone, nullptr,
-     "disable the run-pre canonical n-gram index; fall back to the linear "
-     "per-candidate matcher (same decisions, more bytes walked)",
-     [](const std::string&) { g_options.use_index = false; }},
     {"--metrics", FlagSpec::kRequired, "FILE",
      "write the metrics registry (counters/gauges/histograms) as JSON to "
      "FILE at exit",
-     [](const std::string& v) { g_options.metrics_file = v; }},
+     [](const std::string& v) {
+       g_options.metrics_file = v;
+       return true;
+     }},
     {"--faults", FlagSpec::kRequired, "PLAN",
      "arm deterministic fault injection before the command runs: "
      "site=mode[@code] clauses joined by commas, modes off, once, always, "
      "nth:N, prob:P (see base/faultinject.h; KSPLICE_FAULTS is the "
      "equivalent environment variable)",
-     [](const std::string& v) { g_options.faults = v; }},
+     [](const std::string& v) {
+       g_options.faults = v;
+       return true;
+     }},
     {"--build-date", FlagSpec::kRequired, "STR",
      "value of __DATE__ for every compile this command performs (default "
      "\"Jan  1 2026\"); .rodata.date sections match content-ignoring, so a "
      "package built at one date applies to a kernel built at another",
-     [](const std::string& v) { g_options.build_date = v; }},
+     [](const std::string& v) {
+       g_options.build_date = v;
+       return true;
+     }},
     {"--build-time", FlagSpec::kRequired, "STR",
      "value of __TIME__ for every compile this command performs (default "
      "\"00:00:00\")",
-     [](const std::string& v) { g_options.build_time = v; }},
+     [](const std::string& v) {
+       g_options.build_time = v;
+       return true;
+     }},
     {"--help", FlagSpec::kNone, nullptr, "show help and exit",
-     [](const std::string&) { g_options.help = true; }},
+     [](const std::string&) {
+       g_options.help = true;
+       return true;
+     }},
 };
 
 const FlagSpec kCreateFlags[] = {
     {"--lint", FlagSpec::kRequired, "MODE",
      "static-analysis gate: off, warn (default: record findings in the "
      "report) or error (refuse a package with error-severity findings)",
-     [](const std::string& v) { g_cmd.lint_mode = v; }},
+     [](const std::string& v) {
+       g_cmd.lint_mode = v;
+       return true;
+     }},
 };
 
 const FlagSpec kApplyFlags[] = {
@@ -222,41 +269,50 @@ const FlagSpec kApplyFlags[] = {
      "under the health watchdog; a fault attributed to an applied update "
      "auto-reverts it and quarantines the package, and the command exits 1",
      [](const std::string& v) {
-       g_cmd.watch_ticks =
-           v.empty() ? 200000 : std::strtoull(v.c_str(), nullptr, 10);
+       return ParseTicks(v, 200000, &g_cmd.watch_ticks);
      }},
     {"--watch-entry", FlagSpec::kRequired, "NAME",
      "workload entry spawned before the --watch soak so the patched code "
      "actually runs under load (default: soak whatever is runnable; corpus "
      "kernels ship stress_main)",
-     [](const std::string& v) { g_cmd.watch_entry = v; }},
+     [](const std::string& v) {
+       g_cmd.watch_entry = v;
+       return true;
+     }},
     {"--force", FlagSpec::kNone, nullptr,
      "apply a quarantined package anyway, clearing its quarantine entry",
-     [](const std::string&) { g_cmd.force = true; }},
+     [](const std::string&) {
+       g_cmd.force = true;
+       return true;
+     }},
 };
+
+// Shared by every command that has a --json[=FILE] flag.
+bool ApplyJsonFlag(const std::string& v) {
+  g_cmd.json = true;
+  g_cmd.json_file = v;
+  return true;
+}
 
 const FlagSpec kStatusFlags[] = {
     {"--json", FlagSpec::kOptional, "FILE",
      "emit the status report as JSON (to FILE when given, else stdout) "
      "instead of the table",
-     [](const std::string& v) {
-       g_cmd.json = true;
-       g_cmd.json_file = v;
-     }},
+     ApplyJsonFlag},
 };
 
 const FlagSpec kLintFlags[] = {
     {"--json", FlagSpec::kOptional, "FILE",
      "emit the lint report as JSON (to FILE when given, else stdout) "
      "instead of text",
-     [](const std::string& v) {
-       g_cmd.json = true;
-       g_cmd.json_file = v;
-     }},
+     ApplyJsonFlag},
     {"--fail-on", FlagSpec::kRequired, "SEV",
      "exit 1 when any finding has severity SEV (note|warning|error) or "
      "higher (default: error)",
-     [](const std::string& v) { g_cmd.fail_on = v; }},
+     [](const std::string& v) {
+       g_cmd.fail_on = v;
+       return true;
+     }},
 };
 
 const FlagSpec kRolloutFlags[] = {
@@ -264,65 +320,65 @@ const FlagSpec kRolloutFlags[] = {
      "pre-rollout static-analysis gate over every package: off, warn "
      "(print findings, proceed) or error (default: refuse to start the "
      "rollout when any package has error-severity findings)",
-     [](const std::string& v) { g_cmd.lint_mode = v; }},
+     [](const std::string& v) {
+       g_cmd.lint_mode = v;
+       return true;
+     }},
     {"--nodes", FlagSpec::kRequired, "N",
      "fleet size: N machines round-robin across the corpus kernel release "
      "line (default 8)",
-     [](const std::string& v) { g_cmd.nodes = std::atoi(v.c_str()); }},
+     [](const std::string& v) { return ParseNumber(v, &g_cmd.nodes); }},
     {"--canary", FlagSpec::kRequired, "F",
      "canary fraction: the first wave holds max(1, ceil(F * nodes)) nodes "
      "(default 0.05)",
-     [](const std::string& v) { g_cmd.canary = std::atof(v.c_str()); }},
+     [](const std::string& v) { return ParseNumber(v, &g_cmd.canary); }},
     {"--wave", FlagSpec::kRequired, "N",
      "post-canary wave size (0 = the rest of the fleet at once; default 4)",
-     [](const std::string& v) { g_cmd.wave = std::atoi(v.c_str()); }},
+     [](const std::string& v) { return ParseNumber(v, &g_cmd.wave); }},
     {"--max-in-flight", FlagSpec::kRequired, "N",
      "concurrent node applies within a wave (default 4)",
      [](const std::string& v) {
-       g_cmd.max_in_flight = std::atoi(v.c_str());
+       return ParseNumber(v, &g_cmd.max_in_flight);
      }},
     {"--abort-frac", FlagSpec::kRequired, "F",
      "abort the rollout (and roll every patched node back) when a wave's "
      "failed fraction exceeds F (default 0.0: any failure trips; stale "
      "skips never count)",
-     [](const std::string& v) { g_cmd.abort_frac = std::atof(v.c_str()); }},
+     [](const std::string& v) { return ParseNumber(v, &g_cmd.abort_frac); }},
     {"--doom", FlagSpec::kRequired, "K",
      "canary-failure drill: arm the --canary-fault plan and let it fire on "
      "the first K nodes in rollout order (everyone else applies "
      "fault-suppressed)",
-     [](const std::string& v) { g_cmd.doom = std::atoi(v.c_str()); }},
+     [](const std::string& v) { return ParseNumber(v, &g_cmd.doom); }},
     {"--canary-fault", FlagSpec::kRequired, "PLAN",
      "fault plan armed for the drill (faultinject grammar; default "
      "ksplice.txn.pre_apply=always)",
-     [](const std::string& v) { g_cmd.canary_fault = v; }},
+     [](const std::string& v) {
+       g_cmd.canary_fault = v;
+       return true;
+     }},
     {"--seed", FlagSpec::kRequired, "N",
      "seeds the rollout order shuffle and per-node rendezvous jitter "
      "(0 = visit nodes in id order; default 0)",
-     [](const std::string& v) {
-       g_cmd.seed = std::strtoull(v.c_str(), nullptr, 10);
-     }},
+     [](const std::string& v) { return ParseNumber(v, &g_cmd.seed); }},
     {"--soak", FlagSpec::kOptional, "TICKS",
      "post-wave soak: each freshly patched node runs the stress workload "
      "under the health watchdog for TICKS (default 200000); an attributed "
      "regression auto-reverts the node, counts toward --abort-frac, and on "
      "an abort the blamed packages are blacklisted fleet-wide",
      [](const std::string& v) {
-       g_cmd.soak_ticks =
-           v.empty() ? 200000 : std::strtoull(v.c_str(), nullptr, 10);
+       return ParseTicks(v, 200000, &g_cmd.soak_ticks);
      }},
     {"--max-node-faults", FlagSpec::kRequired, "N",
      "attributed faults a node tolerates during its soak before its "
      "auto-revert fires (default 0: any attributed fault is a regression)",
      [](const std::string& v) {
-       g_cmd.max_node_faults = std::strtoull(v.c_str(), nullptr, 10);
+       return ParseNumber(v, &g_cmd.max_node_faults);
      }},
     {"--json", FlagSpec::kOptional, "FILE",
      "emit the rollout report as JSON (to FILE when given, else stdout) "
      "instead of the table",
-     [](const std::string& v) {
-       g_cmd.json = true;
-       g_cmd.json_file = v;
-     }},
+     ApplyJsonFlag},
 };
 
 // Matches `arg` (argv token i) against `spec`, extracting a glued or
@@ -392,7 +448,10 @@ ks::Status ParseFlags(std::vector<std::string>& args, const FlagSpec* extra,
       return ks::InvalidArgument(std::string(matched->name) +
                                  " takes no value");
     }
-    matched->apply(value);
+    if (!matched->apply(value)) {
+      return ks::InvalidArgument(ks::StrPrintf(
+          "malformed value '%s' for %s", value.c_str(), matched->name));
+    }
   }
   args = std::move(rest);
   return ks::OkStatus();
@@ -821,10 +880,7 @@ int CmdDemo(const std::vector<std::string>& args) {
   }
   PrintCreateReport(created->report);
   ksplice::KspliceCore core(machine->get());
-  ksplice::ApplyOptions apply_options;
-  apply_options.use_index = g_options.use_index;
-  ks::Result<ksplice::ApplyReport> applied =
-      core.Apply(created->package, apply_options);
+  ks::Result<ksplice::ApplyReport> applied = core.Apply(created->package);
   if (!applied.ok()) {
     return Fail(applied.status());
   }
@@ -874,7 +930,6 @@ int CmdApply(const std::vector<std::string>& args) {
   ksplice::KspliceCore core(machine->get());
   ksplice::ApplyOptions options;
   options.jobs = g_options.jobs;
-  options.use_index = g_options.use_index;
   options.force = g_cmd.force;
   ks::Result<ksplice::BatchApplyReport> applied =
       core.ApplyAll(*packages, options);
@@ -905,8 +960,7 @@ int CmdStatus(const std::vector<std::string>& args) {
   if (!packages->empty()) {
     ksplice::ApplyOptions options;
     options.jobs = g_options.jobs;
-    options.use_index = g_options.use_index;
-    ks::Result<ksplice::BatchApplyReport> applied =
+      ks::Result<ksplice::BatchApplyReport> applied =
         core.ApplyAll(*packages, options);
     if (!applied.ok()) {
       return Fail(applied.status());
@@ -1087,7 +1141,6 @@ int CmdRollout(const std::vector<std::string>& args) {
   if (plan.soak_ticks != 0) {
     plan.soak_entry = "stress_main";  // every corpus kernel ships it
   }
-  plan.apply.use_index = g_options.use_index;
   ks::Result<ksplice::RolloutReport> report =
       fleet::RunRollout(*machines, *packages, plan);
   if (!report.ok()) {
