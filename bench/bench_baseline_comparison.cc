@@ -98,8 +98,7 @@ int main(int argc, char** argv) {
 
   auto t0 = std::chrono::steady_clock::now();
   std::vector<Row> rows(vulns.size());
-  ks::ParallelFor(jobs == 0 ? ks::ThreadPool::DefaultWorkers() : jobs,
-                  vulns.size(),
+  ks::ParallelFor(jobs, vulns.size(),
                   [&](size_t i) { rows[i] = EvaluateOne(vulns[i]); });
   double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
       ksplice::WatchdogOptions options;
       options.soak_ticks = kSoakTicks;
       options.sample_ticks = sample_ticks;
-      ksplice::HealthMonitor monitor(&core.manager(), options);
+      ksplice::HealthMonitor monitor(&core, options);
       ksplice::WatchdogReport report = monitor.Soak();
       samples = report.samples;
       if (!report.reverts.empty()) {
@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
   ksplice::WatchdogOptions drill_options;
   drill_options.soak_ticks = 500'000;
   drill_options.sample_ticks = 5'000;
-  ksplice::HealthMonitor monitor(&core.manager(), drill_options);
+  ksplice::HealthMonitor monitor(&core, drill_options);
   uint64_t start = NowNs();
   ksplice::WatchdogReport report = monitor.Soak();
   uint64_t wall_ns = NowNs() - start;

@@ -8,6 +8,15 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja ${SANITIZE:+"-DKSPLICE_SANITIZE=$SANITIZE"}
 cmake --build build
 ctest --test-dir build --output-on-failure
+# perfbench/ is its own CMake project that compiles the program's libraries
+# from src/, so nothing above builds it. Build and run each workload once so
+# an API change that breaks the benchmark fails here; run.py exits nonzero
+# on a build failure or when a run reports correct == false.
+for w in cve_pipeline fleet_rollout busy_kernel; do
+  echo "== perfbench $w =="
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 \
+    >/dev/null
+done
 scripts/check_tidy.sh
 for b in build/bench/bench_*; do echo "== $b =="; "$b"; done
 for e in build/examples/quickstart build/examples/cve_prctl build/examples/shadow_struct build/examples/stacked_updates build/examples/fleet_update; do echo "== $e =="; "$e"; done
@@ -199,6 +208,10 @@ rc=0; build/tools/ksplice_tool rollout --canary=abc --wave=0 \
   2>"$obs_dir/err5" || rc=$?
 test "$rc" -eq 2 || { echo "rollout --canary=abc exited $rc, want 2"; exit 1; }
 grep -q "usage: ksplice_tool .* rollout" "$obs_dir/err5"
+rc=0; build/tools/ksplice_tool -j -3 build "$obs_dir/corpus/src" \
+  2>"$obs_dir/err6" || rc=$?
+test "$rc" -eq 2 || { echo "-j -3 exited $rc, want 2"; exit 1; }
+grep -q "usage: ksplice_tool .* build" "$obs_dir/err6"
 rc=0; build/tools/ksplice_tool inspect "$obs_dir/no-such.kspl" \
   2>/dev/null || rc=$?
 test "$rc" -eq 1 || { echo "inspect missing file exited $rc, want 1"; exit 1; }

@@ -67,7 +67,10 @@ void ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) {
     return;
   }
-  if (jobs <= 1 || n == 1) {
+  if (jobs <= 0) {
+    jobs = ThreadPool::DefaultWorkers();
+  }
+  if (jobs == 1 || n == 1) {
     for (size_t i = 0; i < n; ++i) {
       fn(i);
     }

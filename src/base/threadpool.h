@@ -54,10 +54,11 @@ class ThreadPool {
 };
 
 // Runs fn(0), ..., fn(n-1) on a temporary pool of min(jobs, n) workers and
-// waits for all of them. jobs <= 1 (or n <= 1) runs inline on the calling
-// thread, making the serial path identical to pre-pool code. `fn` must be
-// safe to invoke concurrently; deterministic output is achieved by having
-// fn(i) write only to slot i of a caller-owned result vector.
+// waits for all of them. jobs <= 0 selects ThreadPool::DefaultWorkers(),
+// as for ThreadPool. A resolved jobs of 1 (or n <= 1) runs inline on the
+// calling thread, making the serial path identical to pre-pool code. `fn`
+// must be safe to invoke concurrently; deterministic output is achieved by
+// having fn(i) write only to slot i of a caller-owned result vector.
 void ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace ks

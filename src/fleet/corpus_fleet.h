@@ -1,6 +1,6 @@
 // Mixed-release fleets built from the evaluation corpus.
 //
-// Every fleet consumer (ksplice_tool rollout, bench_fleet_rollout, the
+// Every fleet consumer (ksplice_tool rollout, perfbench fleet_rollout, the
 // fleet_update example, fleet_test) needs the same thing: N booted
 // machines spread round-robin across the corpus kernel release line
 // (corpus::KernelVersions), small enough to stamp out by the thousand.

@@ -168,7 +168,7 @@ void ApplyOnNode(Fleet& fleet, size_t node,
   // real machine behavior and fire doomed or not; the injector drill
   // sites stay suppressed on non-doomed nodes like every other site.
   if (plan.soak_ticks != 0) {
-    kvm::Machine* machine = core.manager().machine();
+    kvm::Machine* machine = core.machine();
     if (!plan.soak_entry.empty()) {
       ks::Status spawned =
           machine->SpawnNamed(plan.soak_entry, plan.soak_arg).status();
@@ -182,7 +182,7 @@ void ApplyOnNode(Fleet& fleet, size_t node,
     wopts.soak_ticks = plan.soak_ticks;
     wopts.max_faults = plan.max_faults_per_node;
     wopts.rendezvous = options.rendezvous;
-    ksplice::HealthMonitor monitor(&core.manager(), wopts);
+    ksplice::HealthMonitor monitor(&core, wopts);
     ksplice::WatchdogReport soak = monitor.Soak();
     state->report.soak_faults = soak.faults_attributed;
     for (const ksplice::RevertReport& revert : soak.reverts) {

@@ -59,7 +59,7 @@
 
 #include "base/status.h"
 #include "fleet/fleet.h"
-#include "ksplice/manager.h"
+#include "ksplice/core.h"
 #include "ksplice/package.h"
 #include "ksplice/quarantine.h"
 #include "ksplice/report.h"

@@ -7,7 +7,6 @@
 #include "base/metrics.h"
 #include "base/strings.h"
 #include "base/trace.h"
-#include "ksplice/manager.h"
 
 namespace ksplice {
 

@@ -4,11 +4,12 @@
 // what it did and why: CreateUpdate fills a CreateReport (per-unit
 // compile/cache/diff statistics and the changed-function list), run-pre
 // matching fills a MatchStats (candidates tried, bytes walked, relocation
-// sites inverted), and KspliceCore::Apply/Undo return ApplyReport /
-// UndoReport (per-function splice records, stop_machine pause, quiescence
-// retries, arena bytes). Callers consume these structures — benches,
-// ksplice_tool, the corpus evaluator — instead of scraping internal
-// ledgers like AppliedUpdate.
+// sites inverted), and KspliceCore (core.h) returns ApplyReport from
+// Apply, BatchApplyReport from ApplyAll and UndoReport from Undo
+// (per-function splice records, stop_machine pause, quiescence retries,
+// arena bytes). Callers consume these structures — benches, ksplice_tool,
+// the corpus evaluator — instead of scraping internal ledgers like
+// AppliedUpdate.
 //
 // Each report serializes to JSON (ToJson) with stable keys through the one
 // writer in base/json.h; the same numbers also flow into the global metrics
@@ -226,7 +227,7 @@ struct ApplyReport {
   std::string ToJson() const;
 };
 
-// What UpdateManager::ApplyAll did: one transaction over N packages with a
+// What KspliceCore::ApplyAll did: one transaction over N packages with a
 // single shared rendezvous. The attempts/pause numbers are properties of
 // the batch, not of any one update.
 struct BatchApplyReport {
@@ -334,7 +335,7 @@ struct QuarantineEntry {
 
 // Machine-health summary for `ksplice_tool status --json`'s "health"
 // block: lifetime fault counters plus the attributed-fault evidence the
-// manager has accumulated.
+// core has accumulated.
 struct HealthStatus {
   uint64_t faults_total = 0;       // machine-lifetime fault count
   uint64_t faults_attributed = 0;  // faults attributed to applied updates

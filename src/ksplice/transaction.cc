@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <iterator>
 #include <set>
 #include <utility>
 
@@ -55,63 +56,55 @@ ks::Result<std::vector<uint32_t>> ReadHookTable(
   return hooks;
 }
 
-}  // namespace
+// Each stage's report name (StageTiming::stage, the failed_stage
+// annotation) and its trace span, indexed by TxnStage. Spans are static
+// strings because TraceSpan keeps a const char*; the stage's wall-time
+// histogram is the span name plus "_ns".
+struct StageNames {
+  TxnStage stage;
+  const char* name;
+  const char* span;
+};
+constexpr StageNames kStageNames[] = {
+    {TxnStage::kPrepare, "prepare", "ksplice.txn.prepare"},
+    {TxnStage::kMatch, "match", "ksplice.txn.match"},
+    {TxnStage::kLoad, "load", "ksplice.txn.load"},
+    {TxnStage::kPreApply, "pre_apply", "ksplice.txn.pre_apply"},
+    {TxnStage::kRendezvous, "rendezvous", "ksplice.txn.rendezvous"},
+    {TxnStage::kCommit, "commit", "ksplice.txn.commit"},
+};
+static_assert(
+    [] {
+      for (size_t i = 0; i < std::size(kStageNames); ++i) {
+        if (static_cast<size_t>(kStageNames[i].stage) != i) {
+          return false;
+        }
+      }
+      return true;
+    }(),
+    "kStageNames is indexed by TxnStage");
 
-const char* TxnStageName(TxnStage stage) {
-  switch (stage) {
-    case TxnStage::kPrepare:
-      return "prepare";
-    case TxnStage::kMatch:
-      return "match";
-    case TxnStage::kLoad:
-      return "load";
-    case TxnStage::kPreApply:
-      return "pre_apply";
-    case TxnStage::kRendezvous:
-      return "rendezvous";
-    case TxnStage::kCommit:
-      return "commit";
-  }
-  return "?";
-}
-
-namespace {
-
-// Static span names (TraceSpan keeps a const char*).
-const char* TxnSpanName(TxnStage stage) {
-  switch (stage) {
-    case TxnStage::kPrepare:
-      return "ksplice.txn.prepare";
-    case TxnStage::kMatch:
-      return "ksplice.txn.match";
-    case TxnStage::kLoad:
-      return "ksplice.txn.load";
-    case TxnStage::kPreApply:
-      return "ksplice.txn.pre_apply";
-    case TxnStage::kRendezvous:
-      return "ksplice.txn.rendezvous";
-    case TxnStage::kCommit:
-      return "ksplice.txn.commit";
-  }
-  return "ksplice.txn.unknown";
+const StageNames& NamesOf(TxnStage stage) {
+  return kStageNames[static_cast<size_t>(stage)];
 }
 
 }  // namespace
 
-UpdateTransaction::UpdateTransaction(UpdateManager* manager,
+UpdateTransaction::UpdateTransaction(KspliceCore* core,
                                      const ApplyOptions& options)
-    : manager_(manager), machine_(manager->machine()), options_(options) {}
+    : core_(core), machine_(core->machine()), options_(options) {}
 
 ks::Status UpdateTransaction::RunStage(TxnStage stage,
                                        const std::function<ks::Status()>& fn) {
-  ks::TraceSpan span(TxnSpanName(stage));
+  const StageNames& names = NamesOf(stage);
+  ks::TraceSpan span(names.span);
   uint64_t begin = NowNs();
   ks::Status status = fn();
   StageTiming timing;
-  timing.stage = TxnStageName(stage);
+  timing.stage = names.name;
   timing.wall_ns = NowNs() - begin;
   ks::Metrics()
-      .GetHistogram(std::string("ksplice.txn.") + timing.stage + "_ns")
+      .GetHistogram(std::string(names.span) + "_ns")
       .Observe(timing.wall_ns);
   batch_.stages.push_back(std::move(timing));
   return status;
@@ -126,7 +119,7 @@ ks::Status UpdateTransaction::Prepare(
   std::set<std::string> ids;
   std::map<std::pair<std::string, std::string>, std::string> targets;
   for (const UpdatePackage& package : packages) {
-    for (const AppliedUpdate& existing : manager_->applied()) {
+    for (const AppliedUpdate& existing : core_->applied()) {
       if (existing.id == package.id) {
         return ks::AlreadyExists(ks::StrPrintf(
             "update %s is already applied", package.id.c_str()));
@@ -142,7 +135,7 @@ ks::Status UpdateTransaction::Prepare(
     // re-apply gets a clean slate for the next soak.
     uint64_t package_hash = PackageContentHash(package);
     std::optional<QuarantineEntry> quarantined =
-        manager_->quarantine().Find(package_hash);
+        core_->quarantine().Find(package_hash);
     if (quarantined.has_value()) {
       if (!options_.force) {
         return ks::FailedPrecondition(ks::StrPrintf(
@@ -152,7 +145,7 @@ ks::Status UpdateTransaction::Prepare(
             static_cast<unsigned long long>(package_hash),
             quarantined->evidence.c_str()));
       }
-      manager_->quarantine().Remove(package_hash);
+      core_->quarantine().Remove(package_hash);
       KS_LOG(kInfo) << "force-applying quarantined package " << package.id;
     }
     // Packages inside one batch must be independent: two packages that
@@ -200,7 +193,7 @@ ks::Status UpdateTransaction::Match() {
   RunPreMatcher matcher(
       *machine_,
       [this](const std::string& unit, const std::string& symbol) {
-        return manager_->CurrentCode(unit, symbol);
+        return core_->CurrentCode(unit, symbol);
       });
   std::vector<MatchStats> stats(tasks.size());
   std::vector<ks::Result<UnitMatch>> results(
@@ -293,7 +286,7 @@ ks::Status UpdateTransaction::Load() {
     staged.report.primary_bytes = primary_info->size;
 
     // The import bindings the link chose, for the out-of-order undo
-    // dependency check (manager.h).
+    // dependency check (core.h).
     ks::Result<std::vector<std::pair<std::string, uint32_t>>> imports =
         machine_->ModuleImports(*primary_handle);
     if (!imports.ok()) {
@@ -322,7 +315,7 @@ ks::Status UpdateTransaction::Load() {
       fn.code_address = matched.run_address;
       fn.code_size = matched.run_size;
       const AppliedFunction* previous =
-          manager_->FindApplied(target.unit, target.symbol);
+          core_->FindApplied(target.unit, target.symbol);
       fn.orig_address =
           previous != nullptr ? previous->orig_address : matched.run_address;
 
@@ -378,7 +371,7 @@ ks::Status UpdateTransaction::PreApply() {
     // did run are compensated by this package's post_reverse stage during
     // rollback.
     staged.pre_applied = true;
-    ks::Status hooks = manager_->RunHooks(staged.update.hooks.pre_apply);
+    ks::Status hooks = core_->RunHooks(staged.update.hooks.pre_apply);
     if (!hooks.ok()) {
       return hooks.WithContext(
           ks::StrPrintf("applying %s", staged.package->id.c_str()));
@@ -414,11 +407,11 @@ ks::Status UpdateTransaction::Rendezvous() {
         (void)m.WriteBytes(it->first, it->second);
       }
       for (size_t i = hooked; i-- > 0;) {
-        manager_->RunHooksBestEffort(staged_[i].update.hooks.reverse);
+        core_->RunHooksBestEffort(staged_[i].update.hooks.reverse);
       }
     };
     for (Staged& staged : staged_) {
-      ks::Status hooks = manager_->RunHooks(staged.update.hooks.apply);
+      ks::Status hooks = core_->RunHooks(staged.update.hooks.apply);
       if (!hooks.ok()) {
         unwind();
         return hooks;
@@ -473,7 +466,7 @@ ks::Status UpdateTransaction::Commit() {
   ks::Status first_error = ks::Faults().Check("ksplice.txn.commit");
   for (Staged& staged : staged_) {
     if (first_error.ok()) {
-      ks::Status hooks = manager_->RunHooks(staged.update.hooks.post_apply);
+      ks::Status hooks = core_->RunHooks(staged.update.hooks.post_apply);
       if (!hooks.ok()) {
         first_error = hooks.WithContext("post_apply");
       }
@@ -519,7 +512,7 @@ ks::Status UpdateTransaction::Commit() {
     arena_bytes.Add(report.helper_bytes);
 
     size_t function_count = staged.update.functions.size();
-    manager_->Register(std::move(staged.update));
+    core_->Register(std::move(staged.update));
     KS_LOG(kInfo) << "applied " << staged.package->id << " ("
                   << function_count << " functions)";
   }
@@ -538,7 +531,7 @@ void UpdateTransaction::Rollback(TxnStage failed) {
   // machine in exactly the partial state rollback exists to prevent.
   ks::ScopedFaultSuppression suppress;
   ks::TraceSpan span("ksplice.txn.rollback");
-  span.Annotate("failed_stage", TxnStageName(failed));
+  span.Annotate("failed_stage", NamesOf(failed).name);
   static ks::Counter& rollbacks =
       ks::Metrics().GetCounter("ksplice.txn_rollbacks");
   rollbacks.Add(1);
@@ -550,7 +543,7 @@ void UpdateTransaction::Rollback(TxnStage failed) {
   // that clears them (§5.3).
   for (auto it = staged_.rbegin(); it != staged_.rend(); ++it) {
     if (it->pre_applied) {
-      manager_->RunHooksBestEffort(it->update.hooks.post_reverse);
+      core_->RunHooksBestEffort(it->update.hooks.post_reverse);
     }
   }
   // Drop every module this transaction loaded in one group unload.
@@ -559,7 +552,7 @@ void UpdateTransaction::Rollback(TxnStage failed) {
 
 ks::Result<BatchApplyReport> UpdateTransaction::Run(
     std::span<const UpdatePackage> packages) {
-  group_ = manager_->NextTransactionGroup();
+  group_ = core_->NextTransactionGroup();
 
   ks::Status prepared = RunStage(TxnStage::kPrepare, [this, packages] {
     return Prepare(packages);

@@ -1,4 +1,5 @@
-// UpdateTransaction: the staged apply engine.
+// UpdateTransaction: the staged apply engine behind KspliceCore::Apply and
+// KspliceCore::ApplyAll (core.h).
 //
 // Applying updates is a transaction over six stages:
 //
@@ -16,11 +17,13 @@
 // pre_apply stages are compensated by running that package's post_reverse
 // hooks (the stage that normally undoes pre_apply's setup), and all
 // modules the transaction loaded are dropped with one group unload — the
-// machine ends byte-identical to its pre-apply state. This closes the old
-// core's documented "side effects of pre_apply are NOT rolled back" gap.
+// machine ends byte-identical to its pre-apply state.
 //
 // A single-package Apply is just a batch of one: same stages, same
-// rollback, one function list in the rendezvous.
+// rollback, one function list in the rendezvous. The transaction is a
+// friend of KspliceCore: it reads the core's applied registry and
+// quarantine, runs hooks through it, and registers each committed update
+// there.
 
 #ifndef KSPLICE_KSPLICE_TRANSACTION_H_
 #define KSPLICE_KSPLICE_TRANSACTION_H_
@@ -32,7 +35,7 @@
 #include <vector>
 
 #include "base/status.h"
-#include "ksplice/manager.h"
+#include "ksplice/core.h"
 #include "ksplice/package.h"
 #include "ksplice/report.h"
 #include "ksplice/runpre.h"
@@ -48,14 +51,12 @@ enum class TxnStage : uint8_t {
   kCommit,
 };
 
-const char* TxnStageName(TxnStage stage);
-
 class UpdateTransaction {
  public:
-  UpdateTransaction(UpdateManager* manager, const ApplyOptions& options);
+  UpdateTransaction(KspliceCore* core, const ApplyOptions& options);
 
   // Runs the transaction over `packages`. On success every package is
-  // registered with the manager and the batch report describes the shared
+  // registered with the core and the batch report describes the shared
   // rendezvous plus one ApplyReport per package. On failure the machine is
   // rolled back to its pre-apply state (exception: a post_apply hook
   // failure after the splice leaves the updates registered, matching
@@ -90,7 +91,7 @@ class UpdateTransaction {
   ks::Status RunStage(TxnStage stage,
                       const std::function<ks::Status()>& fn);
 
-  UpdateManager* manager_;
+  KspliceCore* core_;
   kvm::Machine* machine_;
   ApplyOptions options_;
   std::string group_;  // module-group tag for this transaction's loads

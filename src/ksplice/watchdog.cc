@@ -25,9 +25,9 @@ const char* WatchdogStateName(WatchdogState state) {
   return "?";
 }
 
-HealthMonitor::HealthMonitor(UpdateManager* manager,
+HealthMonitor::HealthMonitor(KspliceCore* core,
                              const WatchdogOptions& options)
-    : manager_(manager), machine_(manager->machine()), options_(options) {
+    : core_(core), machine_(core->machine()), options_(options) {
   // Faults taken before the monitor existed predate the updates it is
   // guarding; start the cursors at the current counters so only new
   // signals are attributed.
@@ -37,7 +37,7 @@ HealthMonitor::HealthMonitor(UpdateManager* manager,
 
 std::optional<AttributedFault> HealthMonitor::Attribute(
     const kvm::FaultRecord& record) {
-  for (const AppliedUpdate& update : manager_->applied()) {
+  for (const AppliedUpdate& update : core_->applied()) {
     for (const AppliedFunction& fn : update.functions) {
       if (record.pc >= fn.repl_address &&
           record.pc < fn.repl_address + fn.repl_size) {
@@ -112,7 +112,7 @@ void HealthMonitor::ConsumeFaults(bool in_window) {
     }
     ++report_.faults_attributed;
     ++fault_tally_[attributed->update];
-    manager_->NoteAttributedFault(*attributed);
+    core_->NoteAttributedFault(*attributed);
     report_.attributed.push_back(*attributed);
     MaybeRevert(*attributed, in_window);
   }
@@ -147,7 +147,7 @@ void HealthMonitor::ConsumeFixups(bool in_window) {
     }
     ++report_.faults_attributed;
     ++fault_tally_[attributed->update];
-    manager_->NoteAttributedFault(*attributed);
+    core_->NoteAttributedFault(*attributed);
     report_.attributed.push_back(*attributed);
     MaybeRevert(*attributed, in_window);
     break;  // one regression per threshold crossing
@@ -189,7 +189,7 @@ void HealthMonitor::CheckStuckThreads(bool in_window) {
     }
     ++report_.faults_attributed;
     ++fault_tally_[attributed->update];
-    manager_->NoteAttributedFault(*attributed);
+    core_->NoteAttributedFault(*attributed);
     report_.attributed.push_back(*attributed);
     MaybeRevert(*attributed, in_window);
   }
@@ -243,7 +243,7 @@ void HealthMonitor::Poll() { Sample(window_open_); }
 ks::Result<RevertReport> HealthMonitor::Revert(
     const std::string& id, const AttributedFault& trigger) {
   const AppliedUpdate* update = nullptr;
-  for (const AppliedUpdate& applied : manager_->applied()) {
+  for (const AppliedUpdate& applied : core_->applied()) {
     if (applied.id == id) {
       update = &applied;
       break;
@@ -280,7 +280,7 @@ ks::Result<RevertReport> HealthMonitor::Revert(
     }
     ks::Status status = ks::Faults().Check("ksplice.watchdog.revert");
     if (status.ok()) {
-      ks::Result<UndoReport> undone = manager_->Undo(id, options_.rendezvous);
+      ks::Result<UndoReport> undone = core_->Undo(id, options_.rendezvous);
       if (undone.ok()) {
         revert.reverted = true;
         revert.undo = std::move(undone).value();
@@ -315,7 +315,7 @@ ks::Result<RevertReport> HealthMonitor::Revert(
   entry.tid = trigger.tid;
   entry.pc = trigger.pc;
   entry.tick = trigger.tick;
-  manager_->quarantine().Add(std::move(entry));
+  core_->quarantine().Add(std::move(entry));
   revert.quarantined = true;
   state_ = WatchdogState::kQuarantined;
   report_.reverts.push_back(revert);

@@ -2,16 +2,17 @@
 //
 // A successful apply is not the end of an update's risk: a bad patch can
 // commit cleanly and only start oopsing under real load. HealthMonitor
-// closes that loop. It samples a Machine's health signals over a
-// configurable soak window — fault count (BUG traps, oopses), the panic
-// flag, the extable fixup rate, and per-thread stuck-PC detection — and
-// *attributes* each fault by mapping its PC against every applied
-// update's replacement-code ranges (and primary-module range) from the
-// UpdateManager registry. An attributed regression inside the window
-// drives an automatic revert through the existing undo path, with its own
-// attempt/backoff loop on top of the stop_machine retry policy; the
-// offending package is then quarantined by content hash (quarantine.h) so
-// a re-apply is refused without --force.
+// closes that loop over one KspliceCore (core.h). It samples the core's
+// Machine over a configurable soak window — fault count (BUG traps,
+// oopses), the panic flag, the extable fixup rate, and per-thread
+// stuck-PC detection — and *attributes* each fault by mapping its PC
+// against every applied update's replacement-code ranges (and
+// primary-module range) in the core's registry. An attributed regression
+// inside the window drives an automatic revert through KspliceCore::Undo,
+// with its own attempt/backoff loop on top of the stop_machine retry
+// policy; the offending package is then quarantined by content hash in
+// the core's Quarantine (quarantine.h) so a re-apply is refused without
+// --force.
 //
 // State machine (see DESIGN.md "Safety net"):
 //
@@ -28,8 +29,8 @@
 // Failure semantics mirror the undo engine's restore-or-abort contract: a
 // failed revert attempt leaves the update completely applied; retries run
 // under ScopedFaultSuppression (recovery code is exempt from fault
-// injection, the same exemption PR 5 gave manual undo compensation), so
-// chaos plans can fail the first attempt but cannot wedge the safety net.
+// injection, as manual undo compensation is), so chaos plans can fail the
+// first attempt but cannot wedge the safety net.
 
 #ifndef KSPLICE_KSPLICE_WATCHDOG_H_
 #define KSPLICE_KSPLICE_WATCHDOG_H_
@@ -40,7 +41,7 @@
 #include <string>
 
 #include "base/status.h"
-#include "ksplice/manager.h"
+#include "ksplice/core.h"
 #include "ksplice/report.h"
 
 namespace ksplice {
@@ -86,7 +87,7 @@ const char* WatchdogStateName(WatchdogState state);
 
 class HealthMonitor {
  public:
-  explicit HealthMonitor(UpdateManager* manager,
+  explicit HealthMonitor(KspliceCore* core,
                          const WatchdogOptions& options = {});
 
   // Runs one soak window: alternates Advance(sample_ticks) with sampling
@@ -129,7 +130,7 @@ class HealthMonitor {
   void CheckStuckThreads(bool in_window);
   void MaybeRevert(const AttributedFault& trigger, bool in_window);
 
-  UpdateManager* manager_;
+  KspliceCore* core_;
   kvm::Machine* machine_;
   WatchdogOptions options_;
   WatchdogState state_ = WatchdogState::kMonitoring;

@@ -362,7 +362,7 @@ TEST_F(ChaosTest, EveryCatalogSiteIsReachable) {
   // attempt on a re-applied update (Revert quarantines it on the way out).
   ks::Result<ApplyReport> reapplied = core.Apply(second->package);
   ASSERT_TRUE(reapplied.ok()) << reapplied.status().ToString();
-  HealthMonitor monitor(&core.manager());
+  HealthMonitor monitor(&core);
   monitor.Poll();
   AttributedFault trigger;
   trigger.update = "coverage-2";
@@ -495,7 +495,7 @@ TEST_F(ChaosTest, WatchdogRevertSweepByteIdenticalOrQuarantined) {
     ASSERT_NE(patched, pristine);
 
     ks::Faults().ArmNth(site, 1);
-    HealthMonitor monitor(&core.manager());
+    HealthMonitor monitor(&core);
     AttributedFault trigger;
     trigger.update = "wd";
     trigger.reason = "chaos revert sweep";

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,6 +69,27 @@ TEST(ParallelForTest, SerialJobsRunInlineOnTheCaller) {
   for (const std::thread::id& id : ids) {
     EXPECT_EQ(id, caller);
   }
+}
+
+// jobs = 0 means one worker per hardware thread (the documented meaning of
+// `ksplice_tool -j 0` and CompileOptions::jobs = 0), not the serial path.
+TEST(ParallelForTest, ZeroJobsMeansOneWorkerPerHardwareThread) {
+  std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ids(16);
+  ks::ParallelFor(0, ids.size(),
+                  [&](size_t i) { ids[i] = std::this_thread::get_id(); });
+  const bool pooled = ks::ThreadPool::DefaultWorkers() > 1;
+  std::set<std::thread::id> workers;
+  for (const std::thread::id& id : ids) {
+    if (pooled) {
+      EXPECT_NE(id, caller);
+    } else {
+      EXPECT_EQ(id, caller);
+    }
+    workers.insert(id);
+  }
+  EXPECT_LE(workers.size(),
+            static_cast<size_t>(ks::ThreadPool::DefaultWorkers()));
 }
 
 // First compilation unit of the corpus kernel, for cache probes.

@@ -282,8 +282,9 @@ TEST_F(FleetTest, DeterministicAcrossMaxInFlight) {
   }
 }
 
-// Facade coverage: AppliedIds reflects stack order and UndoAll strips a
-// node back to pristine, newest first.
+// AppliedIds reflects stack order, a rollout skips a node that already
+// carries every package, and UndoAll strips the node back to pristine,
+// newest first.
 TEST_F(FleetTest, AppliedIdsAndUndoAllFacade) {
   CorpusFleetOptions options;
   options.nodes = 3;

@@ -1,11 +1,13 @@
 // Transaction-engine tests: batched apply with a single shared
 // stop_machine rendezvous, match-stage results independent of the worker
 // count, whole-batch rollback on any stage failure, pre_apply side-effect
-// compensation, and out-of-order undo of mid-stack updates (chain
-// rewriting and the import dependency check).
+// compensation, out-of-order undo of mid-stack updates (chain rewriting
+// and the import dependency check), and UndoAll's stop-at-first-failure
+// contract.
 
 #include <gtest/gtest.h>
 
+#include "base/faultinject.h"
 #include "base/metrics.h"
 #include "kcc/compile.h"
 #include "kdiff/diff.h"
@@ -567,6 +569,55 @@ TEST(OutOfOrderUndoTest, RefusedWhileNewerUpdateImportsItsModule) {
   ASSERT_TRUE(core.Undo("dep-base").ok());
   EXPECT_EQ(Probe(*machine, "alpha_probe", 1, 11), before_alpha);
   EXPECT_EQ(Probe(*machine, "beta_probe", 1, 22), before_beta);
+}
+
+// ----------------------------------------------------------------- UndoAll
+
+// UndoAll stops at the first failed undo; the updates it already reversed
+// stay reversed and the failed one stays fully applied, so a second
+// UndoAll finishes the job and returns the boot image byte for byte.
+TEST(UndoAllTest, StopsAtFirstFailureLeavingReversedUpdatesReversed) {
+  ks::Faults().Reset();
+  SourceTree tree = TriKernel();
+  std::unique_ptr<kvm::Machine> machine = Boot(tree);
+  ASSERT_NE(machine, nullptr);
+  std::vector<uint8_t> boot = KernelImage(*machine);
+
+  KspliceCore core(machine.get());
+  ks::Result<CreateResult> u1 = Create(
+      tree, EditTree(tree, "alpha.kc", "int a = x + 1;", "int a = x + 10;"),
+      "all-1");
+  ASSERT_TRUE(u1.ok()) << u1.status().ToString();
+  ASSERT_TRUE(core.Apply(u1->package).ok());
+  ks::Result<CreateResult> u2 = Create(
+      tree, EditTree(tree, "beta.kc", "int b = a + 5;", "int b = a + 50;"),
+      "all-2");
+  ASSERT_TRUE(u2.ok()) << u2.status().ToString();
+  ASSERT_TRUE(core.Apply(u2->package).ok());
+  std::vector<uint8_t> first_two = KernelImage(*machine);
+  ks::Result<CreateResult> u3 = Create(
+      tree, EditTree(tree, "gamma.kc", "int c = b - 2;", "int c = b - 20;"),
+      "all-3");
+  ASSERT_TRUE(u3.ok()) << u3.status().ToString();
+  ASSERT_TRUE(core.Apply(u3->package).ok());
+  ASSERT_NE(KernelImage(*machine), first_two);
+
+  // Each update patches one function, so each undo restores one
+  // trampoline: the second restore belongs to the second undo (all-2).
+  ks::Faults().ArmNth("ksplice.undo.restore", 2);
+  ks::Result<std::vector<UndoReport>> failed = core.UndoAll();
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(core.AppliedIds(), (std::vector<std::string>{"all-1", "all-2"}));
+  EXPECT_EQ(KernelImage(*machine), first_two);
+
+  ks::Faults().Reset();
+  ks::Result<std::vector<UndoReport>> undone = core.UndoAll();
+  ASSERT_TRUE(undone.ok()) << undone.status().ToString();
+  ASSERT_EQ(undone->size(), 2u);
+  EXPECT_EQ((*undone)[0].id, "all-2");
+  EXPECT_EQ((*undone)[1].id, "all-1");
+  EXPECT_TRUE(core.AppliedIds().empty());
+  EXPECT_EQ(KernelImage(*machine), boot);
 }
 
 }  // namespace

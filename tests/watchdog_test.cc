@@ -224,7 +224,7 @@ TEST_F(WatchdogTest, BadPatchDetectedAttributedRevertedQuarantined) {
   ASSERT_EQ(core.applied().size(), 2u);
 
   ASSERT_TRUE(machine->SpawnNamed("alpha_load", 16).ok());
-  HealthMonitor monitor(&core.manager(), FastSoak());
+  HealthMonitor monitor(&core, FastSoak());
   WatchdogReport report = monitor.Soak();
 
   ASSERT_GE(report.faults_seen, 1u);
@@ -276,7 +276,7 @@ TEST_F(WatchdogTest, FaultInUnpatchedCodeIsNotAttributed) {
   // beta_bug traps in pristine kernel text, far from any replacement
   // range or primary module.
   ASSERT_TRUE(machine->SpawnNamed("beta_bug", 1).ok());
-  HealthMonitor monitor(&core.manager(), FastSoak());
+  HealthMonitor monitor(&core, FastSoak());
   WatchdogReport report = monitor.Soak();
 
   EXPECT_GE(report.faults_seen, 1u);
@@ -300,7 +300,7 @@ TEST_F(WatchdogTest, PostWindowFaultReportedNotReverted) {
   ASSERT_TRUE(core.Apply(bad).ok());
 
   // Nothing runs during the window, so it closes clean.
-  HealthMonitor monitor(&core.manager(), FastSoak());
+  HealthMonitor monitor(&core, FastSoak());
   WatchdogReport during = monitor.Soak();
   EXPECT_EQ(during.faults_attributed, 0u);
   EXPECT_TRUE(during.reverts.empty());
@@ -329,7 +329,7 @@ TEST_F(WatchdogTest, QuarantinedPackageRefusedWithoutForce) {
   const uint64_t bad_hash = PackageContentHash(bad);
   ASSERT_TRUE(core.Apply(bad).ok());
   ASSERT_TRUE(machine->SpawnNamed("alpha_load", 8).ok());
-  HealthMonitor monitor(&core.manager(), FastSoak());
+  HealthMonitor monitor(&core, FastSoak());
   monitor.Soak();
   ASSERT_TRUE(core.applied().empty());
   ASSERT_TRUE(core.quarantine().Contains(bad_hash));
@@ -372,7 +372,7 @@ TEST_F(WatchdogTest, RevertBackoffRetriesAfterInjectedFailure) {
   ASSERT_TRUE(machine->SpawnNamed("alpha_load", 8).ok());
 
   ASSERT_TRUE(ks::Faults().Configure("ksplice.watchdog.revert=once").ok());
-  HealthMonitor monitor(&core.manager(), FastSoak());
+  HealthMonitor monitor(&core, FastSoak());
   WatchdogReport report = monitor.Soak();
   ks::Faults().Reset();
 
@@ -428,7 +428,7 @@ TEST_F(WatchdogTest, FailedRevertStaysFullyAppliedAndQuarantines) {
   options.rendezvous.max_attempts = 2;
   options.rendezvous.backoff_base_ticks = 500;
   options.rendezvous.backoff_max_ticks = 1'000;
-  HealthMonitor monitor(&core.manager(), options);
+  HealthMonitor monitor(&core, options);
   AttributedFault trigger;
   trigger.update = "spin";
   trigger.reason = "synthetic drill: operator-forced revert";
@@ -479,7 +479,7 @@ TEST_F(WatchdogTest, ChaosSeedReproducesWatchdogRun) {
     ks::Faults().SetSeed(seed);
     ks::Faults().ArmProbability("ksplice.watchdog.sample", 0.5);
     ks::Faults().ArmProbability("ksplice.watchdog.revert", 0.5);
-    HealthMonitor monitor(&core.manager(), FastSoak());
+    HealthMonitor monitor(&core, FastSoak());
     WatchdogReport report = monitor.Soak();
     ks::Faults().Reset();
     struct Outcome {

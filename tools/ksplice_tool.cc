@@ -206,7 +206,14 @@ const FlagSpec kFlags[] = {
     {"-j", FlagSpec::kRequired, "N",
      "compile with N worker threads (0 = all hardware threads); output is "
      "byte-identical for every N",
-     [](const std::string& v) { return ParseNumber(v, &g_options.jobs); }},
+     [](const std::string& v) {
+       int jobs = 0;
+       if (!ParseNumber(v, &jobs) || jobs < 0) {
+         return false;
+       }
+       g_options.jobs = jobs;
+       return true;
+     }},
     {"--trace", FlagSpec::kOptional, "FILE",
      "record trace spans; write Chrome trace JSON to FILE, or print a "
      "summary table to stderr when no FILE is given",
@@ -614,16 +621,16 @@ void PrintStatusReport(const ksplice::StatusReport& report) {
 // Runs the --watch soak over an already-applied core: spawns the
 // workload (if any), soaks under the watchdog, and prints what happened.
 // Returns 1 when the watchdog auto-reverted anything, else 0.
-int RunWatch(ksplice::KspliceCore& core, kvm::Machine* machine) {
+int RunWatch(ksplice::KspliceCore& core) {
   if (!g_cmd.watch_entry.empty()) {
-    ks::Result<int> tid = machine->SpawnNamed(g_cmd.watch_entry, 0);
+    ks::Result<int> tid = core.machine()->SpawnNamed(g_cmd.watch_entry, 0);
     if (!tid.ok()) {
       return Fail(tid.status());
     }
   }
   ksplice::WatchdogOptions options;
   options.soak_ticks = g_cmd.watch_ticks;
-  ksplice::HealthMonitor monitor(&core.manager(), options);
+  ksplice::HealthMonitor monitor(&core, options);
   ksplice::WatchdogReport soak = monitor.Soak();
   std::printf(
       "watchdog: %llu-tick soak, %llu sample(s): %llu fault(s), "
@@ -939,7 +946,7 @@ int CmdApply(const std::vector<std::string>& args) {
   PrintBatchApplyReport(*applied);
   PrintStatusReport(core.Status());
   if (g_cmd.watch_ticks != 0) {
-    return RunWatch(core, machine->get());
+    return RunWatch(core);
   }
   return 0;
 }
