@@ -11,11 +11,16 @@ ctest --test-dir build --output-on-failure
 # perfbench/ is its own CMake project that compiles the program's libraries
 # from src/, so nothing above builds it. Build and run each workload once so
 # an API change that breaks the benchmark fails here; run.py exits nonzero
-# on a build failure or when a run reports correct == false.
+# on a build failure or when a run reports correct == false. Then gate on
+# the work counters against the committed BENCH_<workload>.json baseline:
+# any counter that moved fails the check (refresh the baseline when a
+# change means to move one); wall time against the baseline only warns.
 for w in cve_pipeline fleet_rollout busy_kernel; do
   echo "== perfbench $w =="
   python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 \
     >/dev/null
+  python3 scripts/bench_compare.py "BENCH_$w.json" \
+    ".bench_out/$w-seed1-trace0.json"
 done
 scripts/check_tidy.sh
 for b in build/bench/bench_*; do echo "== $b =="; "$b"; done

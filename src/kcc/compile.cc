@@ -102,18 +102,6 @@ ks::Result<kelf::ObjectFile> CompileUnit(const kdiff::SourceTree& tree,
   return obj;
 }
 
-ks::Result<std::vector<std::string>> IncludeClosure(
-    const kdiff::SourceTree& tree, const std::string& path) {
-  std::vector<std::string> closure{path};
-  if (ks::EndsWith(path, ".kc")) {
-    KS_ASSIGN_OR_RETURN(PreprocessedSource src, Preprocess(tree, path));
-    for (std::string& include : src.includes) {
-      closure.push_back(std::move(include));
-    }
-  }
-  return closure;
-}
-
 ks::Result<std::vector<kelf::ObjectFile>> BuildTree(
     const kdiff::SourceTree& tree, const CompileOptions& options) {
   ks::TraceSpan span("kcc.build_tree");
@@ -127,13 +115,22 @@ ks::Result<std::vector<kelf::ObjectFile>> BuildTree(
     return ks::InvalidArgument("source tree has no compilation units");
   }
   span.Annotate("units", static_cast<uint64_t>(units.size()));
+  // A cached build keys each unit by its include closure; one graph of
+  // the tree serves every unit.
+  std::optional<IncludeGraph> graph;
+  if (options.cache != nullptr) {
+    graph.emplace(tree);
+  }
   // Fan out across units; each worker writes only its own slot, and the
   // reduce below walks slots in path order, so output (and the reported
   // error on failure) is identical for every worker count.
   std::vector<std::optional<ks::Result<kelf::ObjectFile>>> slots(
       units.size());
   ks::ParallelFor(options.jobs, units.size(), [&](size_t i) {
-    slots[i] = CompileUnit(tree, units[i], options);
+    slots[i] = graph.has_value()
+                   ? options.cache->GetOrCompile(
+                         tree, units[i], graph->Closure(units[i]), options)
+                   : CompileUnit(tree, units[i], options);
   });
   std::vector<kelf::ObjectFile> objects;
   objects.reserve(units.size());

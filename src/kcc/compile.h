@@ -10,6 +10,13 @@
 // Builds are deterministic: the same tree and options always produce the
 // same object bytes. That determinism is what lets Ksplice's run-pre check
 // succeed when given the source that actually built the running kernel.
+//
+// A unit's object bytes depend only on its include closure (the unit plus
+// every header it transitively includes) and the semantic options.
+// Closures come from one kcc::IncludeGraph per tree (preprocess.h), never
+// from expanding the unit: a cached BuildTree scans the tree once and keys
+// every unit by its closure, and the pre–post build (ksplice::prepost)
+// reuses the same closures to pick the units a patch can affect.
 
 #ifndef KSPLICE_KCC_COMPILE_H_
 #define KSPLICE_KCC_COMPILE_H_
@@ -70,11 +77,6 @@ ks::Result<std::string> CompileToAsm(const kdiff::SourceTree& tree,
 // Parses one .kc unit (with #include expansion) without code generation.
 ks::Result<Unit> ParseUnit(const kdiff::SourceTree& tree,
                            const std::string& path);
-
-// The include closure of `path`: every file whose contents affect the
-// unit's object code (the unit itself plus transitively included headers).
-ks::Result<std::vector<std::string>> IncludeClosure(
-    const kdiff::SourceTree& tree, const std::string& path);
 
 // True if `path` names a compilation unit (.kc or .kvs, not a header).
 bool IsCompilationUnit(const std::string& path);

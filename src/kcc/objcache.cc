@@ -1,8 +1,11 @@
 #include "kcc/objcache.h"
 
+#include <optional>
+
 #include "base/faultinject.h"
 #include "base/metrics.h"
 #include "base/strings.h"
+#include "kcc/preprocess.h"
 
 namespace kcc {
 
@@ -23,21 +26,25 @@ uint64_t Fnv64Bytes(const std::vector<uint8_t>& bytes) {
 
 // The content address: every file whose bytes reach the object (the unit
 // plus its transitive includes, in preprocess order) and every option that
-// changes codegen. `jobs` and `cache` are deliberately excluded.
-ks::Result<std::string> CacheKey(const kdiff::SourceTree& tree,
-                                 const std::string& path,
-                                 const CompileOptions& options) {
-  KS_ASSIGN_OR_RETURN(std::vector<std::string> closure,
-                      IncludeClosure(tree, path));
+// changes codegen. `jobs` and `cache` are deliberately excluded. None when
+// the closure names a file `tree` does not have (a closure of another
+// tree): there is no content to address.
+std::optional<std::string> CacheKey(const kdiff::SourceTree& tree,
+                                    const std::string& path,
+                                    const std::vector<std::string>& closure,
+                                    const CompileOptions& options) {
   std::string key = ks::StrPrintf(
       "fs=%d ds=%d it=%d fa=%u bd=%s bt=%s |%s",
       options.function_sections ? 1 : 0, options.data_sections ? 1 : 0,
       options.inline_threshold, options.func_align,
       options.build_date.c_str(), options.build_time.c_str(), path.c_str());
   for (const std::string& dep : closure) {
-    KS_ASSIGN_OR_RETURN(std::string contents, tree.Read(dep));
+    const std::string* contents = tree.Find(dep);
+    if (contents == nullptr) {
+      return std::nullopt;
+    }
     key += ks::StrPrintf("|%s:%016llx", dep.c_str(),
-                         static_cast<unsigned long long>(Fnv64(contents)));
+                         static_cast<unsigned long long>(Fnv64(*contents)));
   }
   return key;
 }
@@ -46,6 +53,14 @@ ks::Result<std::string> CacheKey(const kdiff::SourceTree& tree,
 
 ks::Result<kelf::ObjectFile> ObjectCache::GetOrCompile(
     const kdiff::SourceTree& tree, const std::string& path,
+    const CompileOptions& options, bool* was_hit) {
+  return GetOrCompile(tree, path, IncludeClosure(tree, path), options,
+                      was_hit);
+}
+
+ks::Result<kelf::ObjectFile> ObjectCache::GetOrCompile(
+    const kdiff::SourceTree& tree, const std::string& path,
+    const ks::Result<std::vector<std::string>>& closure,
     const CompileOptions& options, bool* was_hit) {
   // Registry instruments resolved once; the references stay valid for the
   // process lifetime (metrics.h).
@@ -58,10 +73,11 @@ ks::Result<kelf::ObjectFile> ObjectCache::GetOrCompile(
     *was_hit = false;
   }
 
-  ks::Result<std::string> key = CacheKey(tree, path, options);
-  if (!key.ok()) {
-    // Closure/read failures are uncacheable (no content to address); let
-    // the compiler produce its own error for the same input.
+  std::optional<std::string> key =
+      closure.ok() ? CacheKey(tree, path, *closure, options) : std::nullopt;
+  if (!key.has_value()) {
+    // Uncacheable; let the compiler produce its own error for the same
+    // input.
     return CompileUnit(tree, path, uncached);
   }
 

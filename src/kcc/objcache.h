@@ -52,6 +52,15 @@ class ObjectCache {
                                             const std::string& path,
                                             const CompileOptions& options,
                                             bool* was_hit = nullptr);
+  // The same lookup, under the same key, for a caller that already holds
+  // the unit's closure: IncludeGraph::Closure(path) on a graph of `tree`
+  // (preprocess.h). The overload above computes it with IncludeClosure.
+  // A failed closure has no content to address, so the unit is compiled
+  // uncached and the compiler reports its own error for the same input.
+  ks::Result<kelf::ObjectFile> GetOrCompile(
+      const kdiff::SourceTree& tree, const std::string& path,
+      const ks::Result<std::vector<std::string>>& closure,
+      const CompileOptions& options, bool* was_hit = nullptr);
 
   // Generic content-addressed blob store sharing the cache's lifetime,
   // monitor latching and checksum discipline. `key` must already be a

@@ -136,7 +136,9 @@ std::vector<std::string> Patch::TouchedPaths() const {
   std::vector<std::string> out;
   out.reserve(files.size());
   for (const FilePatch& file : files) {
-    out.push_back(file.path);
+    if (std::find(out.begin(), out.end(), file.path) == out.end()) {
+      out.push_back(file.path);
+    }
   }
   return out;
 }
@@ -411,10 +413,13 @@ bool MatchesAt(const std::vector<std::string>& lines, size_t pos,
 }  // namespace
 
 ks::Result<SourceTree> ApplyPatch(const SourceTree& pre, const Patch& patch) {
+  // Each file section applies to the tree the earlier sections produced,
+  // so a patch series concatenated into one file (several sections for
+  // one path, or a delete followed by a create) applies in order.
   SourceTree post = pre;
   for (const FilePatch& file : patch.files) {
     if (file.is_new) {
-      if (pre.Exists(file.path)) {
+      if (post.Exists(file.path)) {
         return ks::AlreadyExists(ks::StrPrintf(
             "patch creates %s which already exists", file.path.c_str()));
       }
@@ -434,7 +439,7 @@ ks::Result<SourceTree> ApplyPatch(const SourceTree& pre, const Patch& patch) {
       continue;
     }
 
-    ks::Result<std::string> contents = pre.Read(file.path);
+    ks::Result<std::string> contents = post.Read(file.path);
     if (!contents.ok()) {
       return ks::Status(contents.status()).WithContext("applying patch");
     }

@@ -28,6 +28,11 @@ class SourceTree {
     files_[std::move(path)] = std::move(contents);
   }
   ks::Result<std::string> Read(const std::string& path) const;
+  // The contents of `path` without a copy, or null when it does not exist.
+  const std::string* Find(const std::string& path) const {
+    auto it = files_.find(path);
+    return it == files_.end() ? nullptr : &it->second;
+  }
   bool Exists(const std::string& path) const {
     return files_.count(path) != 0;
   }
@@ -77,7 +82,7 @@ struct Patch {
   // Total changed lines (insertions + deletions), the paper's Figure 3
   // x-axis ("lines of code in the patch").
   int ChangedLines() const;
-  // Paths touched by the patch.
+  // Paths touched by the patch, each once, in first-section order.
   std::vector<std::string> TouchedPaths() const;
 };
 
@@ -91,9 +96,11 @@ std::string MakeUnifiedDiff(const SourceTree& pre, const SourceTree& post,
 // "--- path" headers; ignores any leading prose before the first header.
 ks::Result<Patch> ParseUnifiedDiff(std::string_view text);
 
-// Applies `patch` to `pre`, verifying every hunk's context. If a hunk does
-// not match at its stated position, the whole pre file is searched for a
-// unique exact match; zero or multiple matches fail the apply.
+// Applies `patch` to `pre`, verifying every hunk's context. File sections
+// apply in order, each to the tree the sections before it produced, so a
+// path may appear in several sections. If a hunk does not match at its
+// stated position, the whole file is searched for a unique exact match;
+// zero or multiple matches fail the apply.
 ks::Result<SourceTree> ApplyPatch(const SourceTree& pre, const Patch& patch);
 
 // Convenience: parse and apply.

@@ -1,6 +1,6 @@
 #include "ksplice/prepost.h"
 
-#include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 
@@ -9,6 +9,7 @@
 #include "base/threadpool.h"
 #include "base/trace.h"
 #include "kcc/objcache.h"
+#include "kcc/preprocess.h"
 
 namespace ksplice {
 
@@ -102,44 +103,67 @@ ks::Result<PrePostResult> RunPrePost(const kdiff::SourceTree& pre_tree,
     return ks::Status(post_tree.status()).WithContext("pre-post: patch");
   }
 
-  std::set<std::string> touched;
-  for (const std::string& path : patch.TouchedPaths()) {
-    touched.insert(path);
-  }
+  const std::vector<std::string> touched = patch.TouchedPaths();
+  const std::set<std::string> touched_set(touched.begin(), touched.end());
 
-  // A unit is rebuilt when any file in its include closure (on either
-  // side) was touched, or when the unit itself appears/disappears.
-  std::set<std::string> rebuilt;
-  auto consider = [&](const kdiff::SourceTree& tree,
-                      const std::string& path) -> ks::Status {
-    if (!kcc::IsCompilationUnit(path)) {
-      return ks::OkStatus();
-    }
-    ks::Result<std::vector<std::string>> closure =
-        kcc::IncludeClosure(tree, path);
-    if (!closure.ok()) {
-      // A unit whose includes are broken on one side will fail its build
-      // below with a better message; treat it as rebuilt.
-      rebuilt.insert(path);
-      return ks::OkStatus();
-    }
-    for (const std::string& dep : *closure) {
-      if (touched.count(dep) != 0) {
-        rebuilt.insert(path);
-        break;
+  // A unit is rebuilt when its include closure on either side contains a
+  // touched path (a created or deleted unit contains itself), or when its
+  // closure fails on a side: that side's build below then reports the
+  // better error. The closures are kept: they key the cached compiles.
+  using Closure = ks::Result<std::vector<std::string>>;
+  struct Sides {
+    std::optional<Closure> pre, post;  // unset where the unit is absent
+  };
+  std::map<std::string, Sides> rebuild;
+  {
+    ks::TraceSpan select("prepost.rebuild_set");
+    // One include graph per side. The post tree differs from the pre tree
+    // only at the touched paths, so the post graph is the pre graph with
+    // just those rescanned.
+    kcc::IncludeGraph pre_graph(pre_tree);
+    kcc::IncludeGraph post_graph = pre_graph;
+    post_graph.Rescan(*post_tree, touched);
+    auto affected = [&touched_set](const std::optional<Closure>& closure) {
+      if (!closure.has_value()) {
+        return false;
+      }
+      if (!closure->ok()) {
+        return true;
+      }
+      for (const std::string& dep : **closure) {
+        if (touched_set.count(dep) != 0) {
+          return true;
+        }
+      }
+      return false;
+    };
+    std::set<std::string> units;
+    for (const kdiff::SourceTree* tree :
+         {&pre_tree, static_cast<const kdiff::SourceTree*>(&*post_tree)}) {
+      for (const std::string& path : tree->Paths()) {
+        if (kcc::IsCompilationUnit(path)) {
+          units.insert(path);
+        }
       }
     }
-    return ks::OkStatus();
-  };
-  for (const std::string& path : pre_tree.Paths()) {
-    KS_RETURN_IF_ERROR(consider(pre_tree, path));
-  }
-  for (const std::string& path : post_tree->Paths()) {
-    KS_RETURN_IF_ERROR(consider(*post_tree, path));
+    for (const std::string& unit : units) {
+      Sides sides;
+      if (pre_tree.Exists(unit)) {
+        sides.pre = pre_graph.Closure(unit);
+      }
+      if (post_tree->Exists(unit)) {
+        sides.post = post_graph.Closure(unit);
+      }
+      if (affected(sides.pre) || affected(sides.post)) {
+        rebuild.emplace(unit, std::move(sides));
+      }
+    }
   }
 
   PrePostResult result;
-  result.rebuilt_units.assign(rebuilt.begin(), rebuilt.end());
+  for (const auto& [unit, sides] : rebuild) {
+    result.rebuilt_units.push_back(unit);
+  }
 
   // Every unit's double build and section diff is independent of every
   // other unit's, so fan out per unit (options.jobs workers). Workers
@@ -155,12 +179,14 @@ ks::Result<PrePostResult> RunPrePost(const kdiff::SourceTree& pre_tree,
   // Compiles one side of the double build, attributing the cache hit when
   // a cache is in play.
   auto compile_side = [&options](const kdiff::SourceTree& tree,
-                                 const std::string& unit, const char* side,
+                                 const std::string& unit,
+                                 const Closure& closure, const char* side,
                                  bool* was_hit)
       -> ks::Result<kelf::ObjectFile> {
     ks::Result<kelf::ObjectFile> built =
         options.cache != nullptr
-            ? options.cache->GetOrCompile(tree, unit, options, was_hit)
+            ? options.cache->GetOrCompile(tree, unit, closure, options,
+                                          was_hit)
             : kcc::CompileUnit(tree, unit, options);
     if (!built.ok()) {
       return ks::Status(built.status()).WithContext(side);
@@ -169,18 +195,20 @@ ks::Result<PrePostResult> RunPrePost(const kdiff::SourceTree& pre_tree,
   };
   auto build_and_diff =
       [&](const std::string& unit) -> ks::Result<UnitOutcome> {
-    ks::TraceSpan span("prepost.build_and_diff");
-    span.Annotate("unit", unit);
+    ks::TraceSpan unit_span("prepost.build_and_diff");
+    unit_span.Annotate("unit", unit);
+    const Sides& sides = rebuild.at(unit);
     UnitOutcome out{kelf::ObjectFile(unit), kelf::ObjectFile(unit), {}, {}};
     out.report.unit = unit;
-    if (pre_tree.Exists(unit)) {
+    if (sides.pre.has_value()) {
       KS_ASSIGN_OR_RETURN(out.pre_obj,
-                          compile_side(pre_tree, unit, "pre build",
+                          compile_side(pre_tree, unit, *sides.pre, "pre build",
                                        &out.report.pre_cache_hit));
     }
-    if (post_tree->Exists(unit)) {
+    if (sides.post.has_value()) {
       KS_ASSIGN_OR_RETURN(out.post_obj,
-                          compile_side(*post_tree, unit, "post build",
+                          compile_side(*post_tree, unit, *sides.post,
+                                       "post build",
                                        &out.report.post_cache_hit));
     }
     out.report.pre_text_bytes = TextBytes(out.pre_obj);

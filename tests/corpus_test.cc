@@ -129,6 +129,37 @@ TEST(CorpusTest, SymbolCensusShowsAmbiguity) {
   EXPECT_LT(census->ambiguous_symbols, census->total_symbols / 4);
 }
 
+// kdiff::ApplyPatch applies each file section to the tree the earlier
+// sections produced. Every corpus patch has one section per file, so its
+// post tree must be exactly what applying each section on its own to the
+// pristine tree gives.
+TEST(CorpusTest, AmendedPatchPostTreesMatchPerSectionApply) {
+  const kdiff::SourceTree& pre = KernelSource();
+  for (const Vulnerability& vuln : Vulnerabilities()) {
+    SCOPED_TRACE(vuln.cve);
+    ks::Result<std::string> text = AmendedPatchFor(vuln);
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    ks::Result<kdiff::Patch> patch = kdiff::ParseUnifiedDiff(*text);
+    ASSERT_TRUE(patch.ok()) << patch.status().ToString();
+    ASSERT_EQ(patch->TouchedPaths().size(), patch->files.size());
+    ks::Result<kdiff::SourceTree> post = kdiff::ApplyPatch(pre, *patch);
+    ASSERT_TRUE(post.ok()) << post.status().ToString();
+
+    kdiff::SourceTree expected = pre;
+    for (const kdiff::FilePatch& file : patch->files) {
+      ks::Result<kdiff::SourceTree> alone =
+          kdiff::ApplyPatch(pre, kdiff::Patch{{file}});
+      ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+      if (alone->Exists(file.path)) {
+        expected.Write(file.path, *alone->Read(file.path));
+      } else {
+        expected.Remove(file.path);
+      }
+    }
+    EXPECT_TRUE(*post == expected);
+  }
+}
+
 // Per-vulnerability self-check: the patch generates, applies to the source
 // tree, and the exploit works on the unpatched kernel.
 class VulnerabilityCheck : public ::testing::TestWithParam<int> {};

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "base/strings.h"
+#include "corpus/corpus.h"
 #include "kcc/codegen.h"
 #include "kcc/compile.h"
 #include "kcc/lexer.h"
+#include "kcc/objcache.h"
 #include "kcc/parser.h"
 #include "kcc/preprocess.h"
 #include "kdiff/diff.h"
@@ -213,6 +218,210 @@ TEST(PreprocessTest, UnknownDirectiveFails) {
   SourceTree tree;
   tree.Write("unit.kc", "#define X 1\n");
   EXPECT_FALSE(Preprocess(tree, "unit.kc").ok());
+}
+
+// ------------------------------------------------------------ IncludeGraph
+
+// The closure Preprocess implies: the unit, then every file it read.
+ks::Result<std::vector<std::string>> PreprocessClosure(
+    const SourceTree& tree, const std::string& unit) {
+  std::vector<std::string> closure{unit};
+  if (ks::EndsWith(unit, ".kc")) {
+    KS_ASSIGN_OR_RETURN(PreprocessedSource src, Preprocess(tree, unit));
+    closure.insert(closure.end(), src.includes.begin(), src.includes.end());
+  }
+  return closure;
+}
+
+void ExpectSameClosure(const ks::Result<std::vector<std::string>>& got,
+                       const ks::Result<std::vector<std::string>>& want) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << (got.ok() ? want.status() : got.status()).ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+    return;
+  }
+  EXPECT_EQ(*got, *want);
+}
+
+// Every unit of `tree`: the graph's closure equals Preprocess's, element by
+// element, from a graph of the whole tree and from a one-unit query.
+void ExpectGraphMatchesPreprocess(const SourceTree& tree,
+                                  const IncludeGraph& graph) {
+  for (const std::string& path : tree.Paths()) {
+    if (!IsCompilationUnit(path)) {
+      continue;
+    }
+    SCOPED_TRACE(path);
+    ks::Result<std::vector<std::string>> want = PreprocessClosure(tree, path);
+    ExpectSameClosure(graph.Closure(path), want);
+    ExpectSameClosure(IncludeClosure(tree, path), want);
+  }
+}
+
+TEST(IncludeGraphTest, MatchesPreprocessOnEveryRelease) {
+  for (size_t i = 0; i < corpus::KernelVersions().size(); ++i) {
+    SCOPED_TRACE(corpus::KernelVersions()[i].name);
+    ks::Result<SourceTree> tree = corpus::KernelSourceAt(i);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    ExpectGraphMatchesPreprocess(*tree, IncludeGraph(*tree));
+  }
+}
+
+TEST(IncludeGraphTest, MatchesPreprocessOnEveryCvePostTree) {
+  const SourceTree& pre = corpus::KernelSource();
+  const IncludeGraph pre_graph(pre);
+  for (const corpus::Vulnerability& vuln : corpus::Vulnerabilities()) {
+    SCOPED_TRACE(vuln.cve);
+    ks::Result<std::string> text = corpus::AmendedPatchFor(vuln);
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    ks::Result<kdiff::Patch> patch = kdiff::ParseUnifiedDiff(*text);
+    ASSERT_TRUE(patch.ok()) << patch.status().ToString();
+    ks::Result<SourceTree> post = kdiff::ApplyPatch(pre, *patch);
+    ASSERT_TRUE(post.ok()) << post.status().ToString();
+    ExpectGraphMatchesPreprocess(*post, IncludeGraph(*post));
+    // The incremental graph RunPrePost uses: the pre graph with only the
+    // touched paths rescanned.
+    IncludeGraph rescanned = pre_graph;
+    rescanned.Rescan(*post, patch->TouchedPaths());
+    ExpectGraphMatchesPreprocess(*post, rescanned);
+  }
+}
+
+// Synthetic trees for every way Preprocess can fail, and the include-once
+// corner cases; the graph must agree on success or on the exact error.
+TEST(IncludeGraphTest, AgreesWithPreprocessOnErrorsAndCycles) {
+  std::map<std::string, SourceTree> cases;
+  auto add = [&cases](const std::string& name,
+                      std::vector<std::pair<std::string, std::string>> files) {
+    SourceTree& tree = cases[name];
+    for (auto& [path, contents] : files) {
+      tree.Write(path, contents);
+    }
+  };
+  add("missing include", {{"unit.kc", "#include \"ghost.h\"\nint x;\n"}});
+  add("missing include below a good one",
+      {{"unit.kc", "#include \"a.h\"\n#include \"ghost.h\"\n"},
+       {"a.h", "int a;\n"}});
+  add("define", {{"unit.kc", "int x;\n  #define X 1\n"}});
+  add("define in a header after its includes",
+      {{"unit.kc", "#include \"a.h\"\n"},
+       {"a.h", "#include \"b.h\"\n#define A\n"},
+       {"b.h", "int b;\n"}});
+  add("error in an include before a bad line",
+      {{"unit.kc", "#include \"a.h\"\n#pragma once\n"},
+       {"a.h", "#include <b.h>\n"}});
+  add("define on a later line",
+      {{"unit.kc", "int z;\n#include \"a.h\"\nint x;\n\t#define X\n"},
+       {"a.h", "\n#include \"b.h\"\n"},
+       {"b.h", "int b;\n"}});
+  add("hash inside a line",
+      {{"unit.kc", "char *s = \"#include \\\"ghost.h\\\"\";\nint a; #x\n"}});
+  add("unquoted include", {{"unit.kc", "#include <stdio.h>\n"}});
+  add("bare include", {{"unit.kc", "# include\n"}});
+  add("cycle", {{"unit.kc", "#include \"a.h\"\n"},
+                {"a.h", "#include \"b.h\"\nint a;\n"},
+                {"b.h", "#include \"a.h\"\nint b;\n"}});
+  add("includes itself", {{"unit.kc", "#include \"unit.kc\"\nint x;\n"}});
+  add("diamond", {{"unit.kc", "#include \"b.h\"\n#include \"a.h\"\n"},
+                  {"a.h", "#include \"c.h\"\n"},
+                  {"b.h", "#include \"c.h\"\n#include \"a.h\"\n"},
+                  {"c.h", "int c;\n"}});
+  add("missing unit", {{"other.kc", "int y;\n"}});
+  // Nesting: unit -> h1 -> ... -> hN. Depth 32 is the deepest allowed.
+  for (int depth : {32, 33, 34}) {
+    std::vector<std::pair<std::string, std::string>> files;
+    files.emplace_back("unit.kc", "#include \"h1.h\"\n");
+    for (int i = 1; i <= depth; ++i) {
+      std::string body =
+          i < depth ? ks::StrPrintf("#include \"h%d.h\"\n", i + 1) : "";
+      files.emplace_back(ks::StrPrintf("h%d.h", i), body + "int v;\n");
+    }
+    add(ks::StrPrintf("%d-deep chain", depth), std::move(files));
+  }
+  add("kvs unit", {{"entry.kvs", "# not a directive\n.text\n"}});
+
+  for (const auto& [name, tree] : cases) {
+    SCOPED_TRACE(name);
+    const std::string unit = tree.Exists("entry.kvs") ? "entry.kvs"
+                                                      : "unit.kc";
+    ks::Result<std::vector<std::string>> want = PreprocessClosure(tree, unit);
+    ExpectSameClosure(IncludeGraph(tree).Closure(unit), want);
+    ExpectSameClosure(IncludeClosure(tree, unit), want);
+  }
+  // Spot-check the oracle itself at the nesting limit.
+  EXPECT_FALSE(Preprocess(cases["33-deep chain"], "unit.kc").ok());
+  ks::Result<std::vector<std::string>> deepest =
+      IncludeGraph(cases["32-deep chain"]).Closure("unit.kc");
+  ASSERT_TRUE(deepest.ok()) << deepest.status().ToString();
+  EXPECT_EQ(deepest->size(), 33u);
+}
+
+// One key per (closure contents, options), whichever way the closure
+// reached the cache: BuildTree's graph, a one-unit query inside
+// CompileUnit, or a caller's graph.
+TEST(IncludeGraphTest, CacheKeyIsTheSameThroughEveryEntryPoint) {
+  SourceTree tree;
+  tree.Write("defs.h", "int shared_decl(int x);\n");
+  tree.Write("a.kc", "#include \"defs.h\"\nint a() { return shared_decl(1); }\n");
+  tree.Write("b.kc", "int b() { return 2; }\n");
+  ObjectCache cache;
+  CompileOptions options;
+  options.cache = &cache;
+  ASSERT_TRUE(BuildTree(tree, options).ok());
+  EXPECT_EQ(cache.misses(), 2u);
+  ASSERT_TRUE(CompileUnit(tree, "a.kc", options).ok());
+  IncludeGraph graph(tree);
+  bool was_hit = false;
+  ASSERT_TRUE(
+      cache.GetOrCompile(tree, "b.kc", graph.Closure("b.kc"), options, &was_hit)
+          .ok());
+  EXPECT_TRUE(was_hit);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 2u);
+
+  // A header edit changes a's key only.
+  SourceTree edited = tree;
+  edited.Write("defs.h", "int shared_decl(int x);\nint other;\n");
+  ASSERT_TRUE(BuildTree(edited, options).ok());
+  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.hits(), 3u);
+
+  // A closure naming a file the tree lacks has no content address: the
+  // unit compiles uncached instead of being keyed.
+  SourceTree without = tree;
+  without.Remove("defs.h");
+  without.Write("a.kc", "int a() { return 1; }\n");
+  ks::Result<kelf::ObjectFile> stale =
+      cache.GetOrCompile(without, "a.kc", graph.Closure("a.kc"), options);
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.hits(), 3u);
+}
+
+// Rescan brings a graph up to date with an edited tree: a created header
+// reached through an edited one, a deleted header, an edited unit.
+TEST(IncludeGraphTest, RescanTracksCreatedDeletedAndEditedFiles) {
+  SourceTree pre;
+  pre.Write("api.h", "int api(int x);\n");
+  pre.Write("old.h", "int old;\n");
+  pre.Write("a.kc", "#include \"api.h\"\nint a;\n");
+  pre.Write("b.kc", "#include \"old.h\"\nint b;\n");
+  pre.Write("c.kc", "int c;\n");
+  IncludeGraph graph(pre);
+
+  SourceTree post = pre;
+  post.Write("new.h", "int fresh(int x);\n");
+  post.Write("api.h", "#include \"new.h\"\nint api(int x);\n");
+  post.Remove("old.h");
+  post.Write("c.kc", "#include \"api.h\"\nint c;\n");
+  graph.Rescan(post, {"new.h", "api.h", "old.h", "c.kc"});
+
+  ExpectGraphMatchesPreprocess(post, graph);
+  EXPECT_EQ(*graph.Closure("a.kc"),
+            (std::vector<std::string>{"a.kc", "api.h", "new.h"}));
+  EXPECT_EQ(graph.Closure("b.kc").status().code(), ks::ErrorCode::kNotFound);
 }
 
 // --------------------------------------------------------------- Codegen

@@ -273,6 +273,50 @@ TEST(UnifiedDiffTest, CreateExistingFileFails) {
             ks::ErrorCode::kAlreadyExists);
 }
 
+// A patch series concatenated into one file has several sections for the
+// same path; each applies on top of the sections before it.
+constexpr char kTwelveLines[] =
+    "l1\nl2\nl3\nl4\nl5\nl6\nl7\nl8\nl9\nl10\nl11\nl12\n";
+
+TEST(UnifiedDiffTest, TwoSectionsForOnePathBothApply) {
+  std::string diff =
+      "--- a/a.kc\n+++ b/a.kc\n@@ -1,2 +1,2 @@\n-l1\n+L1\n l2\n"
+      "--- a/a.kc\n+++ b/a.kc\n@@ -9,3 +9,3 @@\n l9\n-l10\n+L10\n l11\n";
+  ks::Result<Patch> patch = ParseUnifiedDiff(diff);
+  ASSERT_TRUE(patch.ok()) << patch.status().ToString();
+  EXPECT_EQ(patch->files.size(), 2u);
+  EXPECT_EQ(patch->TouchedPaths(), std::vector<std::string>{"a.kc"});
+  ks::Result<SourceTree> applied =
+      ApplyPatch(TreeWith({{"a.kc", kTwelveLines}}), *patch);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(*applied->Read("a.kc"),
+            "L1\nl2\nl3\nl4\nl5\nl6\nl7\nl8\nl9\nL10\nl11\nl12\n");
+}
+
+TEST(UnifiedDiffTest, DeleteThenCreateOnePathInOnePatch) {
+  std::string diff =
+      "--- a/f.kc\n+++ /dev/null\n@@ -1,1 +0,0 @@\n-old\n"
+      "--- /dev/null\n+++ b/f.kc\n@@ -0,0 +1,2 @@\n+new\n+file\n";
+  ks::Result<Patch> patch = ParseUnifiedDiff(diff);
+  ASSERT_TRUE(patch.ok()) << patch.status().ToString();
+  EXPECT_EQ(patch->TouchedPaths(), std::vector<std::string>{"f.kc"});
+  ks::Result<SourceTree> applied =
+      ApplyPatch(TreeWith({{"f.kc", "old\n"}}), *patch);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(*applied->Read("f.kc"), "new\nfile\n");
+}
+
+TEST(UnifiedDiffTest, ConflictingSectionsForOnePathAbort) {
+  // The second section still expects l1, which the first replaced.
+  std::string diff =
+      "--- a/a.kc\n+++ b/a.kc\n@@ -1,2 +1,2 @@\n-l1\n+L1\n l2\n"
+      "--- a/a.kc\n+++ b/a.kc\n@@ -1,2 +1,2 @@\n-l1\n+X1\n l2\n";
+  ks::Result<SourceTree> applied =
+      ApplyUnifiedDiff(TreeWith({{"a.kc", kTwelveLines}}), diff);
+  ASSERT_FALSE(applied.ok());
+  EXPECT_EQ(applied.status().code(), ks::ErrorCode::kAborted);
+}
+
 TEST(UnifiedDiffTest, ContextWidthVariants) {
   SourceTree pre = TreeWith({{"f.kc", "a\nb\nc\nd\ne\nf\ng\nh\ni\n"}});
   SourceTree post = TreeWith({{"f.kc", "a\nb\nc\nd\nE\nf\ng\nh\ni\n"}});

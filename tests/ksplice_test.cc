@@ -6,10 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
+#include "base/strings.h"
+#include "corpus/corpus.h"
 #include "kcc/compile.h"
+#include "kcc/objcache.h"
+#include "kcc/preprocess.h"
 #include "kdiff/diff.h"
 #include "ksplice/core.h"
 #include "ksplice/create.h"
+#include "ksplice/prepost.h"
 #include "kvm/machine.h"
 
 namespace ksplice {
@@ -629,6 +637,200 @@ TEST_F(KspliceIntegration, UpdateWhileWorkloadRuns) {
   EXPECT_TRUE(machine_->Faults().empty());
   // After the dust settles, fresh probes see the new behaviour.
   EXPECT_EQ(Probe(*machine_, "probe_access", 150, 200), 0u);
+}
+
+// ------------------------------------------------------------------------
+// The rebuild set: RunPrePost picks units from two include graphs. The
+// oracle below is the direct algorithm — preprocess every unit on both
+// trees — which the graphs must reproduce exactly.
+
+std::vector<std::string> BruteForceRebuildSet(const SourceTree& pre,
+                                              const kdiff::Patch& patch) {
+  ks::Result<SourceTree> post = kdiff::ApplyPatch(pre, patch);
+  EXPECT_TRUE(post.ok()) << post.status().ToString();
+  if (!post.ok()) {
+    return {};
+  }
+  std::vector<std::string> paths = patch.TouchedPaths();
+  std::set<std::string> touched(paths.begin(), paths.end());
+  std::set<std::string> rebuilt;
+  for (const SourceTree* tree : {&pre, static_cast<const SourceTree*>(&*post)}) {
+    for (const std::string& unit : tree->Paths()) {
+      if (!kcc::IsCompilationUnit(unit)) {
+        continue;
+      }
+      std::vector<std::string> closure{unit};
+      if (ks::EndsWith(unit, ".kc")) {
+        ks::Result<kcc::PreprocessedSource> src = kcc::Preprocess(*tree, unit);
+        if (!src.ok()) {
+          rebuilt.insert(unit);
+          continue;
+        }
+        closure.insert(closure.end(), src->includes.begin(),
+                       src->includes.end());
+      }
+      for (const std::string& dep : closure) {
+        if (touched.count(dep) != 0) {
+          rebuilt.insert(unit);
+        }
+      }
+    }
+  }
+  return std::vector<std::string>(rebuilt.begin(), rebuilt.end());
+}
+
+// Everything RunPrePost decided, for comparing runs.
+std::string Describe(const PrePostResult& result) {
+  std::string out = ks::Join(result.rebuilt_units, ",") + "\n";
+  for (const ChangedSection& change : result.changed) {
+    out += ks::StrPrintf("%s %s %d %d %s\n", change.unit.c_str(),
+                         change.name.c_str(), static_cast<int>(change.kind),
+                         static_cast<int>(change.change),
+                         change.symbol.c_str());
+  }
+  for (const auto* objects : {&result.pre_objects, &result.post_objects}) {
+    for (const kelf::ObjectFile& obj : *objects) {
+      std::vector<uint8_t> bytes = obj.Serialize();
+      out.append(bytes.begin(), bytes.end());
+    }
+  }
+  return out;
+}
+
+// Runs RunPrePost at -j 1 and -j 4 (each with a fresh object cache, so the
+// cached compiles are keyed by the graph's closures), checks the rebuild
+// set against the oracle and the two runs against each other, and returns
+// the -j 1 result.
+ks::Result<PrePostResult> CheckRebuildSet(const SourceTree& pre,
+                                          const std::string& diff,
+                                          kcc::CompileOptions options) {
+  KS_ASSIGN_OR_RETURN(kdiff::Patch patch, kdiff::ParseUnifiedDiff(diff));
+  kcc::ObjectCache serial_cache;
+  options.cache = &serial_cache;
+  options.jobs = 1;
+  KS_ASSIGN_OR_RETURN(PrePostResult serial, RunPrePost(pre, patch, options));
+  kcc::ObjectCache parallel_cache;
+  options.cache = &parallel_cache;
+  options.jobs = 4;
+  KS_ASSIGN_OR_RETURN(PrePostResult parallel,
+                      RunPrePost(pre, patch, options));
+  EXPECT_EQ(serial.rebuilt_units, BruteForceRebuildSet(pre, patch));
+  EXPECT_EQ(Describe(parallel), Describe(serial));
+  return serial;
+}
+
+bool Contains(const std::vector<std::string>& list, const std::string& item) {
+  return std::find(list.begin(), list.end(), item) != list.end();
+}
+
+TEST(RebuildSetTest, MatchesPreprocessOracleOnAllSixtyFourCves) {
+  for (const corpus::Vulnerability& vuln : corpus::Vulnerabilities()) {
+    SCOPED_TRACE(vuln.cve);
+    ks::Result<std::string> patch = corpus::AmendedPatchFor(vuln);
+    ASSERT_TRUE(patch.ok()) << patch.status().ToString();
+    ks::Result<PrePostResult> result = CheckRebuildSet(
+        corpus::KernelSource(), *patch, corpus::RunBuildOptions());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(result->rebuilt_units.empty());
+  }
+}
+
+TEST(RebuildSetTest, HeaderOnlyPrototypeChangeRebuildsIncluders) {
+  // §3.1: only kapi.h changes; every unit that includes it is rebuilt.
+  SourceTree tree = TestKernelTree();
+  std::string patch = EditPatch(tree, "kapi.h", "int narrow_channel(char c);",
+                                "int narrow_channel(int c);");
+  ks::Result<PrePostResult> result =
+      CheckRebuildSet(tree, patch, RunBuildOptions());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rebuilt_units,
+            (std::vector<std::string>{"sys/narrow.kc", "sys/probes.kc"}));
+}
+
+TEST(RebuildSetTest, HeaderCreatedAndReachedThroughAnEditedHeader) {
+  // new.h exists only after the patch and is reached only through kapi.h's
+  // new include line, i.e. only through the rescanned post graph.
+  SourceTree tree = TestKernelTree();
+  SourceTree post = tree;
+  post.Write("new.h", "int probe_extra(int x);\n");
+  post.Write("kapi.h", "#include \"new.h\"\n" + *tree.Read("kapi.h"));
+  ks::Result<PrePostResult> result = CheckRebuildSet(
+      tree, kdiff::MakeUnifiedDiff(tree, post), RunBuildOptions());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rebuilt_units,
+            (std::vector<std::string>{"sys/narrow.kc", "sys/probes.kc"}));
+  ks::Result<std::vector<std::string>> closure =
+      kcc::IncludeClosure(post, "sys/probes.kc");
+  ASSERT_TRUE(closure.ok()) << closure.status().ToString();
+  EXPECT_TRUE(Contains(*closure, "new.h"));
+}
+
+TEST(RebuildSetTest, DeletedHeaderStillIncludedFailsCreate) {
+  SourceTree tree = TestKernelTree();
+  SourceTree post = tree;
+  post.Remove("kapi.h");
+  std::string diff = kdiff::MakeUnifiedDiff(tree, post);
+  ks::Result<kdiff::Patch> patch = kdiff::ParseUnifiedDiff(diff);
+  ASSERT_TRUE(patch.ok()) << patch.status().ToString();
+  std::vector<std::string> want = BruteForceRebuildSet(tree, *patch);
+  EXPECT_TRUE(Contains(want, "sys/probes.kc"));
+  for (int jobs : {1, 4}) {
+    kcc::ObjectCache cache;
+    kcc::CompileOptions options = RunBuildOptions();
+    options.jobs = jobs;
+    options.cache = &cache;
+    ks::Result<PrePostResult> result = RunPrePost(tree, *patch, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), ks::ErrorCode::kNotFound);
+    EXPECT_EQ(result.status().message(),
+              "post build: preprocess: no such file: kapi.h");
+  }
+  // The same status through the whole create pipeline, uncached.
+  ks::Result<CreateResult> created = Create(tree, diff);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), ks::ErrorCode::kNotFound);
+  EXPECT_EQ(created.status().message(),
+            "post build: preprocess: no such file: kapi.h");
+}
+
+TEST(RebuildSetTest, UntouchedUnitWithBrokenIncludesIsRebuiltAndReported) {
+  // A unit whose closure fails goes to the build, whose error names the
+  // missing file, even when the patch touches nothing it includes.
+  SourceTree tree = TestKernelTree();
+  tree.Write("sys/broken.kc", "#include \"ghost.h\"\nint broken;\n");
+  std::string diff = EditPatch(tree, "sys/vuln.kc", "requested > 100",
+                               "requested > 99");
+  ks::Result<kdiff::Patch> patch = kdiff::ParseUnifiedDiff(diff);
+  ASSERT_TRUE(patch.ok()) << patch.status().ToString();
+  EXPECT_EQ(BruteForceRebuildSet(tree, *patch),
+            (std::vector<std::string>{"sys/broken.kc", "sys/vuln.kc"}));
+  ks::Result<PrePostResult> result =
+      RunPrePost(tree, *patch, RunBuildOptions());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), ks::ErrorCode::kNotFound);
+  EXPECT_EQ(result.status().message(),
+            "pre build: preprocess: no such file: ghost.h");
+}
+
+TEST(RebuildSetTest, CreatedDeletedAndAssemblyUnits) {
+  SourceTree tree = TestKernelTree();
+  SourceTree post = tree;
+  post.Write("sys/fresh.kc",
+             "#include \"kapi.h\"\nint fresh_op(int x) { return x + 1; }\n");
+  post.Remove("sys/limits.kc");
+  post.Write("sys/entry.kvs", [&] {
+    std::string asm_text = *tree.Read("sys/entry.kvs");
+    size_t at = asm_text.find("mov r0, 1");
+    EXPECT_NE(at, std::string::npos);
+    asm_text.replace(at, std::string("mov r0, 1").size(), "mov r0, 2");
+    return asm_text;
+  }());
+  ks::Result<PrePostResult> result = CheckRebuildSet(
+      tree, kdiff::MakeUnifiedDiff(tree, post), RunBuildOptions());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rebuilt_units,
+            (std::vector<std::string>{"sys/entry.kvs", "sys/fresh.kc",
+                                      "sys/limits.kc"}));
 }
 
 }  // namespace
