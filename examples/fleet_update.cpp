@@ -148,7 +148,6 @@ int main() {
   std::vector<ksplice::UpdatePackage> packages = {*downloaded};
   fleet::RolloutPlan plan;
   plan.canary_fraction = 0.0;
-  plan.canary_min = 1;
   plan.wave_size = 3;
   plan.max_in_flight = 2;
   ks::Result<ksplice::RolloutReport> rollout =

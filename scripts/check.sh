@@ -213,6 +213,12 @@ rc=0; build/tools/ksplice_tool rollout --canary=abc --wave=0 \
   2>"$obs_dir/err5" || rc=$?
 test "$rc" -eq 2 || { echo "rollout --canary=abc exited $rc, want 2"; exit 1; }
 grep -q "usage: ksplice_tool .* rollout" "$obs_dir/err5"
+# Out-of-range rollout values are usage errors, caught before any build.
+for flag in --wave=-1 --max-in-flight=0 --canary=1.5 --abort-frac=-1; do
+  rc=0; build/tools/ksplice_tool rollout "$flag" 2>"$obs_dir/err7" || rc=$?
+  test "$rc" -eq 2 || { echo "rollout $flag exited $rc, want 2"; exit 1; }
+  grep -q "usage: ksplice_tool .* rollout" "$obs_dir/err7"
+done
 rc=0; build/tools/ksplice_tool -j -3 build "$obs_dir/corpus/src" \
   2>"$obs_dir/err6" || rc=$?
 test "$rc" -eq 2 || { echo "-j -3 exited $rc, want 2"; exit 1; }

@@ -30,6 +30,16 @@ double NextUnit(uint64_t* state) {
 
 }  // namespace
 
+ScopedFaultPlan::~ScopedFaultPlan() {
+  for (const std::string& site : sites_) {
+    Faults().Disarm(site);
+  }
+}
+
+ks::Status ScopedFaultPlan::Arm(const std::string& plan) {
+  return Faults().Configure(plan, &sites_);
+}
+
 ScopedFaultSuppression::ScopedFaultSuppression() { ++g_suppress_depth; }
 ScopedFaultSuppression::~ScopedFaultSuppression() { --g_suppress_depth; }
 bool ScopedFaultSuppression::Active() { return g_suppress_depth > 0; }
@@ -51,7 +61,8 @@ FaultInjector::FaultInjector() : rng_state_(kDefaultSeed) {
   }
 }
 
-ks::Status FaultInjector::Configure(const std::string& plan) {
+ks::Status FaultInjector::Configure(const std::string& plan,
+                                   std::vector<std::string>* sites) {
   // Two passes: parse everything, then arm, so a bad clause arms nothing.
   struct Parsed {
     std::string site;
@@ -119,6 +130,9 @@ ks::Status FaultInjector::Configure(const std::string& plan) {
     } else {
       p.state.armed = true;
       ArmLocked(p.site, p.state);
+    }
+    if (sites != nullptr) {
+      sites->push_back(std::move(p.site));
     }
   }
   RefreshEnabled();
@@ -262,15 +276,6 @@ uint64_t FaultInjector::Injected(const std::string& site) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sites_.find(site);
   return it == sites_.end() ? 0 : it->second.injected;
-}
-
-uint64_t FaultInjector::TotalInjected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [site, state] : sites_) {
-    total += state.injected;
-  }
-  return total;
 }
 
 int FaultInjector::ArmedCount() const {

@@ -73,8 +73,10 @@ class FaultInjector {
 
   // Parses and arms a full plan (see grammar above). Sites already armed
   // stay armed unless the plan re-specifies them; a parse error arms
-  // nothing and reports the offending clause.
-  ks::Status Configure(const std::string& plan);
+  // nothing and reports the offending clause. On success, appends every
+  // site the plan names to `*sites` when `sites` is non-null.
+  ks::Status Configure(const std::string& plan,
+                       std::vector<std::string>* sites = nullptr);
 
   // Programmatic arming. (Re)arming a site restarts its hit count.
   void ArmNth(const std::string& site, uint64_t nth,
@@ -100,7 +102,6 @@ class FaultInjector {
   // Accounting.
   uint64_t Hits(const std::string& site) const;
   uint64_t Injected(const std::string& site) const;
-  uint64_t TotalInjected() const;
   int ArmedCount() const;
   std::vector<FaultSiteStats> Stats() const;
 
@@ -134,6 +135,23 @@ FaultInjector& Faults();
 // tree, in layer order. tests/chaos_test.cc iterates this list; a site
 // wired into code but missing here (or vice versa) fails the harness.
 const std::vector<std::string>& KnownFaultSites();
+
+// Arms a plan for the guard's lifetime: Arm() configures it through
+// FaultInjector::Configure, and the destructor disarms exactly the sites
+// that plan named. Sites armed before the guard and not named by its plan
+// stay armed.
+class ScopedFaultPlan {
+ public:
+  ScopedFaultPlan() = default;
+  ~ScopedFaultPlan();
+  ScopedFaultPlan(const ScopedFaultPlan&) = delete;
+  ScopedFaultPlan& operator=(const ScopedFaultPlan&) = delete;
+
+  ks::Status Arm(const std::string& plan);
+
+ private:
+  std::vector<std::string> sites_;
+};
 
 // Disables injection on this thread for the guard's lifetime (nestable).
 // Held by rollback/unwind/compensation code — see the header comment.

@@ -63,27 +63,6 @@ uint64_t Histogram::BucketBound(int i) {
   return uint64_t{1} << i;
 }
 
-uint64_t Histogram::ApproxPercentile(double q) const {
-  uint64_t n = count();
-  if (n == 0) {
-    return 0;
-  }
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Rank of the q-quantile observation (1-based, ceil).
-  uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(n));
-  if (rank < 1) rank = 1;
-  if (rank > n) rank = n;
-  uint64_t cumulative = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    cumulative += bucket(i);
-    if (cumulative >= rank) {
-      return BucketBound(i);
-    }
-  }
-  return max();
-}
-
 void Histogram::Reset() {
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);

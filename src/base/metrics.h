@@ -73,11 +73,6 @@ class Histogram {
   // Upper bound of bucket i (2^i; UINT64_MAX for the last).
   static uint64_t BucketBound(int i);
 
-  // Upper bound of the bucket containing the q-quantile (0 < q <= 1), an
-  // over-estimate by at most the bucket width (2x). 0 when empty. Benches
-  // report p99 pauses from the registry through this.
-  uint64_t ApproxPercentile(double q) const;
-
   void Reset();
 
  private:

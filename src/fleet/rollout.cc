@@ -37,53 +37,6 @@ uint64_t MixSeed(uint64_t seed, size_t index) {
   return SplitMix(&state);
 }
 
-// Arms a fault plan for one rollout and disarms exactly the sites the
-// plan named on every exit path.
-class ArmedFaultPlan {
- public:
-  static ks::Result<ArmedFaultPlan> Arm(const std::string& plan,
-                                        uint64_t seed) {
-    ArmedFaultPlan armed;
-    if (plan.empty()) {
-      return armed;
-    }
-    ks::Faults().SetSeed(seed);
-    KS_RETURN_IF_ERROR(ks::Faults().Configure(plan));
-    // Site names are the prefixes before '=' in each clause.
-    size_t start = 0;
-    while (start < plan.size()) {
-      size_t comma = plan.find(',', start);
-      if (comma == std::string::npos) {
-        comma = plan.size();
-      }
-      std::string clause = plan.substr(start, comma - start);
-      size_t eq = clause.find('=');
-      if (eq != std::string::npos) {
-        armed.sites_.push_back(clause.substr(0, eq));
-      }
-      start = comma + 1;
-    }
-    return armed;
-  }
-
-  ArmedFaultPlan(ArmedFaultPlan&& other) noexcept
-      : sites_(std::move(other.sites_)) {
-    other.sites_.clear();
-  }
-  ArmedFaultPlan& operator=(ArmedFaultPlan&&) = delete;
-  ArmedFaultPlan(const ArmedFaultPlan&) = delete;
-
-  ~ArmedFaultPlan() {
-    for (const std::string& site : sites_) {
-      ks::Faults().Disarm(site);
-    }
-  }
-
- private:
-  ArmedFaultPlan() = default;
-  std::vector<std::string> sites_;
-};
-
 // Per-node working state accumulated across the rollout.
 struct NodeState {
   ksplice::RolloutNodeReport report;
@@ -144,23 +97,6 @@ void ApplyOnNode(Fleet& fleet, size_t node,
   state->report.functions_spliced = batch->functions_spliced;
   for (const ksplice::UpdatePackage& package : missing) {
     state->applied_ids.push_back(package.id);
-  }
-
-  // Health budget: a pause over budget is a failure — undo on the spot
-  // (recovery always runs suppressed, doomed or not).
-  if (plan.max_pause_ns != 0 && batch->pause_ns > plan.max_pause_ns) {
-    ks::ScopedFaultSuppression recovery;
-    for (auto it = state->applied_ids.rbegin();
-         it != state->applied_ids.rend(); ++it) {
-      (void)core.Undo(*it, options.rendezvous);
-    }
-    state->applied_ids.clear();
-    state->report.outcome = ksplice::RolloutNodeOutcome::kFailed;
-    state->report.error = ks::StrPrintf(
-        "stop pause %llu ns over budget %llu ns",
-        static_cast<unsigned long long>(batch->pause_ns),
-        static_cast<unsigned long long>(plan.max_pause_ns));
-    return;
   }
 
   // Post-apply soak: spawn the wave workload and run the watchdog over
@@ -241,6 +177,9 @@ ks::Result<ksplice::RolloutReport> RunRollout(
   if (plan.abort_failure_fraction < 0.0) {
     return ks::InvalidArgument("rollout: negative abort_failure_fraction");
   }
+  if (plan.max_in_flight < 1) {
+    return ks::InvalidArgument("rollout: max_in_flight below 1");
+  }
   // Fleet-level blacklist gate: a package a previous rollout's watchdogs
   // blamed is refused outright, by content hash — renaming the id does
   // not sneak it past.
@@ -274,17 +213,20 @@ ks::Result<ksplice::RolloutReport> RunRollout(
   report.fleet_size = static_cast<uint32_t>(fleet.size());
 
   const uint64_t begin_ns = NowNs();
-  KS_ASSIGN_OR_RETURN(ArmedFaultPlan armed,
-                      ArmedFaultPlan::Arm(plan.canary_fault_plan,
-                                          plan.seed));
+  // The drill plan stays armed for the rollout and is disarmed on every
+  // exit path.
+  ks::ScopedFaultPlan armed;
+  if (!plan.canary_fault_plan.empty()) {
+    ks::Faults().SetSeed(plan.seed);
+    KS_RETURN_IF_ERROR(armed.Arm(plan.canary_fault_plan));
+  }
 
   // Partition the visit order into the canary wave plus wave_size chunks.
   std::vector<size_t> order = RolloutOrder(fleet.size(), plan.seed);
   size_t canary =
-      std::max<size_t>(plan.canary_min,
-                       static_cast<size_t>(std::ceil(
-                           plan.canary_fraction *
-                           static_cast<double>(fleet.size()))));
+      std::max<size_t>(1, static_cast<size_t>(std::ceil(
+                              plan.canary_fraction *
+                              static_cast<double>(fleet.size()))));
   canary = std::min(canary, fleet.size());
   std::vector<std::pair<size_t, size_t>> waves;  // [begin, end) into order
   if (canary > 0) {
@@ -397,7 +339,7 @@ ks::Result<ksplice::RolloutReport> RunRollout(
 
   // Fleet-wide rollback: undo everything this rollout applied, leaving
   // pre-existing stacks intact. Recovery runs suppressed.
-  if (report.aborted && plan.undo_on_abort) {
+  if (report.aborted) {
     ks::ParallelFor(plan.max_in_flight, fleet.size(), [&](size_t node) {
       NodeState& state = nodes[node];
       if (state.applied_ids.empty()) {

@@ -67,24 +67,19 @@
 namespace fleet {
 
 struct RolloutPlan {
-  // Canary sizing: the first wave holds max(canary_min,
-  // ceil(canary_fraction * fleet size)) nodes, capped at the fleet size.
+  // Canary sizing: the first wave holds max(1, ceil(canary_fraction *
+  // fleet size)) nodes, capped at the fleet size.
   double canary_fraction = 0.05;
-  uint32_t canary_min = 1;
 
   // Post-canary waves hold up to `wave_size` nodes (0 = the whole rest of
   // the fleet in one wave). Within a wave up to `max_in_flight` node
-  // applies run concurrently (<= 1 = serial).
+  // applies run concurrently (1 = serial; must be >= 1).
   uint32_t wave_size = 32;
   int max_in_flight = 1;
 
   // Abort when a wave's failed fraction exceeds this (strictly greater,
   // so 0.0 trips on any failure). Stale skips never count as failures.
   double abort_failure_fraction = 0.0;
-
-  // Health budget: a node whose combined stop window exceeds this is
-  // undone on the spot and counted failed (0 = no budget).
-  uint64_t max_pause_ns = 0;
 
   // Seeds RolloutOrder and each node's rendezvous backoff jitter.
   uint64_t seed = 0;
@@ -120,11 +115,6 @@ struct RolloutPlan {
   // Per-node apply options; rendezvous.backoff_seed is overridden per
   // node for deterministic jitter.
   ksplice::ApplyOptions apply;
-
-  // Roll back every patched node when a wave trips (true = the
-  // zero-partially-patched-nodes guarantee; false leaves survivors for
-  // post-mortem inspection).
-  bool undo_on_abort = true;
 };
 
 // The visit order RunRollout uses: a seeded Fisher-Yates shuffle of

@@ -43,11 +43,13 @@ int SeverityRank(LintSeverity severity) {
   return -static_cast<int>(severity);  // errors first
 }
 
-}  // namespace
+// KSA103 fires when a patched function has at least this many distinct
+// static callers in the pre kernel (a busy function is likelier to be on
+// some thread's stack when stop_machine rendezvous).
+constexpr uint32_t kFaninNoteThreshold = 8;
 
 void RunCallGraphPass(const ksplice::UpdatePackage& package,
-                      const CallGraph& graph, const AnalyzeOptions& options,
-                      LintReport* report) {
+                      const CallGraph& graph, LintReport* report) {
   report->call_edges += graph.edges;
   report->insns_decoded += graph.insns_decoded;
   report->functions_scanned += graph.nodes.size();
@@ -99,7 +101,7 @@ void RunCallGraphPass(const ksplice::UpdatePackage& package,
     if (helper >= 0) {
       uint32_t fan_in = static_cast<uint32_t>(
           graph.callers[static_cast<size_t>(helper)].size());
-      if (fan_in >= options.fanin_note_threshold) {
+      if (fan_in >= kFaninNoteThreshold) {
         report->findings.push_back(CallGraphFinding(
             "KSA103", LintSeverity::kNote, target.unit, target.symbol,
             ks::StrPrintf("high fan-in: %u static caller(s) in the pre "
@@ -154,6 +156,8 @@ void RunCfgPass(const ksplice::UpdatePackage& package, LintReport* report) {
   }
 }
 
+}  // namespace
+
 ks::Result<LintReport> AnalyzePackage(const ksplice::UpdatePackage& package,
                                       const AnalyzeOptions& options) {
   ks::TraceSpan span("kanalyze.lint");
@@ -188,7 +192,7 @@ ks::Result<LintReport> AnalyzePackage(const ksplice::UpdatePackage& package,
     ks::TraceSpan pass_span("kanalyze.callgraph");
     uint64_t begin = NowNs();
     graph = BuildCallGraph(package);
-    RunCallGraphPass(package, graph, options, &report);
+    RunCallGraphPass(package, graph, &report);
     callgraph_ns.Observe(NowNs() - begin);
     pass_span.Annotate("edges", graph.edges);
   }

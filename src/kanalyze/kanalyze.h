@@ -66,10 +66,6 @@ class ObjectCache;
 namespace kanalyze {
 
 struct AnalyzeOptions {
-  // KSA103 fires when a patched function has at least this many distinct
-  // static callers in the pre kernel (a busy function is likelier to be
-  // on some thread's stack when stop_machine rendezvous).
-  uint32_t fanin_note_threshold = 8;
   // Fan-out width for the summary phase (ks::ParallelFor). Findings are
   // byte-identical at any width.
   int jobs = 1;
@@ -90,13 +86,9 @@ ks::Result<ksplice::LintReport> AnalyzePackage(
     const ksplice::UpdatePackage& package,
     const AnalyzeOptions& options = AnalyzeOptions());
 
-// Individual passes, exposed for targeted tests. Each appends findings
-// to `report` and bumps the report's work counters.
-void RunCallGraphPass(const ksplice::UpdatePackage& package,
-                      const CallGraph& graph, const AnalyzeOptions& options,
-                      ksplice::LintReport* report);
-void RunCfgPass(const ksplice::UpdatePackage& package,
-                ksplice::LintReport* report);
+// The pass families AnalyzePackage runs that live in their own files
+// (the call-graph and CFG passes are private to kanalyze.cc). Each appends
+// findings to `report` and bumps the report's work counters.
 void RunAbiPass(const ksplice::UpdatePackage& package,
                 ksplice::LintReport* report);
 void RunQuiescencePass(const ksplice::UpdatePackage& package,

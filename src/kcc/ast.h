@@ -35,7 +35,6 @@ struct Type {
   static TypeRef ArrayOf(TypeRef element, int len);
   static TypeRef Struct(std::string name);
 
-  bool IsInt() const { return kind == Kind::kInt; }
   bool IsChar() const { return kind == Kind::kChar; }
   bool IsPointer() const { return kind == Kind::kPointer; }
   bool IsArray() const { return kind == Kind::kArray; }

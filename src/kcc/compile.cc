@@ -22,7 +22,6 @@ kvx::AsmOptions ToAsmOptions(const CompileOptions& options) {
   kvx::AsmOptions out;
   out.function_sections = options.function_sections;
   out.data_sections = options.data_sections;
-  out.func_align = options.func_align;
   return out;
 }
 

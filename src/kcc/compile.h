@@ -42,8 +42,6 @@ struct CompileOptions {
   // Inlining threshold in AST nodes (see codegen.h). Must match between
   // the build that produced the running kernel and Ksplice's builds.
   int inline_threshold = 24;
-  // Function alignment in text.
-  uint32_t func_align = 8;
   // Values substituted for __DATE__ / __TIME__. They land in
   // .rodata.date / .rodata.time howto sections, which run-pre matching
   // compares content-ignoring: two builds of identical source that differ

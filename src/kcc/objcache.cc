@@ -34,10 +34,10 @@ std::optional<std::string> CacheKey(const kdiff::SourceTree& tree,
                                     const std::vector<std::string>& closure,
                                     const CompileOptions& options) {
   std::string key = ks::StrPrintf(
-      "fs=%d ds=%d it=%d fa=%u bd=%s bt=%s |%s",
+      "fs=%d ds=%d it=%d bd=%s bt=%s |%s",
       options.function_sections ? 1 : 0, options.data_sections ? 1 : 0,
-      options.inline_threshold, options.func_align,
-      options.build_date.c_str(), options.build_time.c_str(), path.c_str());
+      options.inline_threshold, options.build_date.c_str(),
+      options.build_time.c_str(), path.c_str());
   for (const std::string& dep : closure) {
     const std::string* contents = tree.Find(dep);
     if (contents == nullptr) {

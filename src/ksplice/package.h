@@ -57,11 +57,6 @@ struct HookSet {
   std::vector<uint32_t> pre_reverse;  // machine running, before undo
   std::vector<uint32_t> reverse;      // inside stop_machine, before restore
   std::vector<uint32_t> post_reverse; // machine running, after restore
-
-  size_t TotalCount() const {
-    return pre_apply.size() + apply.size() + post_apply.size() +
-           pre_reverse.size() + reverse.size() + post_reverse.size();
-  }
 };
 
 // One hook stage's name and the note section it is declared in, bound to

@@ -36,17 +36,6 @@ uint32_t TextBytes(const kelf::ObjectFile& obj) {
 
 }  // namespace
 
-std::vector<ChangedSection> PrePostResult::ChangedOfKind(
-    kelf::SectionKind kind) const {
-  std::vector<ChangedSection> out;
-  for (const ChangedSection& section : changed) {
-    if (section.kind == kind) {
-      out.push_back(section);
-    }
-  }
-  return out;
-}
-
 std::vector<ChangedSection> PrePostResult::DataSemanticChanges() const {
   std::vector<ChangedSection> out;
   for (const ChangedSection& section : changed) {

@@ -50,8 +50,6 @@ struct PrePostResult {
   // are attributed only when options.cache is set).
   std::vector<UnitReport> unit_reports;
 
-  // Convenience filters.
-  std::vector<ChangedSection> ChangedOfKind(kelf::SectionKind kind) const;
   // Modified (not added) non-text sections: the paper's "changes the
   // semantics of persistent data structures" signal — such a patch cannot
   // be applied without custom code (Table 1).

@@ -246,7 +246,6 @@ std::string WatchdogReport::ToJson() const {
       .Field("faults_seen", faults_seen)
       .Field("faults_attributed", faults_attributed)
       .Field("extable_fixups", extable_fixups)
-      .Field("stuck_threads", stuck_threads)
       .Field("panicked", panicked)
       .Field("window_closed", window_closed)
       .Field("attributed", attributed)

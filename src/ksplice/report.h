@@ -310,7 +310,6 @@ struct WatchdogReport {
   uint64_t faults_seen = 0;   // new faults observed during the window
   uint64_t faults_attributed = 0;
   uint64_t extable_fixups = 0;  // fixup delta over the window
-  uint32_t stuck_threads = 0;   // threads pinned at one pc across samples
   bool panicked = false;        // machine halted during the window
   bool window_closed = false;   // the monitor ran the window to its end
   std::vector<AttributedFault> attributed;  // evidence rows

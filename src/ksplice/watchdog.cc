@@ -11,20 +11,6 @@
 
 namespace ksplice {
 
-const char* WatchdogStateName(WatchdogState state) {
-  switch (state) {
-    case WatchdogState::kMonitoring:
-      return "monitoring";
-    case WatchdogState::kAttributed:
-      return "attributed";
-    case WatchdogState::kReverting:
-      return "reverting";
-    case WatchdogState::kQuarantined:
-      return "quarantined";
-  }
-  return "?";
-}
-
 HealthMonitor::HealthMonitor(KspliceCore* core,
                              const WatchdogOptions& options)
     : core_(core), machine_(core->machine()), options_(options) {
@@ -71,7 +57,7 @@ std::optional<AttributedFault> HealthMonitor::Attribute(
 void HealthMonitor::MaybeRevert(const AttributedFault& trigger,
                                 bool in_window) {
   state_ = WatchdogState::kAttributed;
-  if (!in_window || !options_.auto_revert) {
+  if (!in_window) {
     return;
   }
   if (fault_tally_[trigger.update] <= options_.max_faults) {
@@ -118,81 +104,10 @@ void HealthMonitor::ConsumeFaults(bool in_window) {
   }
 }
 
-void HealthMonitor::ConsumeFixups(bool in_window) {
-  uint64_t total = machine_->ExtableFixups();
-  if (total <= seen_fixups_) {
-    return;
-  }
-  uint64_t fresh = total - seen_fixups_;
+void HealthMonitor::ConsumeFixups() {
+  uint64_t total = machine_->ExtableFixups();  // monotonic
+  report_.extable_fixups += total - seen_fixups_;
   seen_fixups_ = total;
-  report_.extable_fixups += fresh;
-  if (options_.max_extable_fixups == 0) {
-    return;  // fixups are normal recovered loads, not a signal
-  }
-  if (report_.extable_fixups <= options_.max_extable_fixups) {
-    return;
-  }
-  // Excessive fixup rate: attribute the most recent fixup sites; a hit in
-  // an update's replacement code makes the rate that update's regression.
-  std::vector<kvm::FaultRecord> records = machine_->ExtableFixupRecords();
-  uint64_t available = std::min<uint64_t>(fresh, records.size());
-  for (size_t i = records.size() - available; i < records.size(); ++i) {
-    kvm::FaultRecord record = records[i];
-    record.reason = ks::StrPrintf(
-        "extable fixup rate: %llu fixups in the soak window",
-        static_cast<unsigned long long>(report_.extable_fixups));
-    std::optional<AttributedFault> attributed = Attribute(record);
-    if (!attributed.has_value()) {
-      continue;
-    }
-    ++report_.faults_attributed;
-    ++fault_tally_[attributed->update];
-    core_->NoteAttributedFault(*attributed);
-    report_.attributed.push_back(*attributed);
-    MaybeRevert(*attributed, in_window);
-    break;  // one regression per threshold crossing
-  }
-}
-
-void HealthMonitor::CheckStuckThreads(bool in_window) {
-  for (const kvm::ThreadInfo& info : machine_->Threads()) {
-    if (info.state != kvm::ThreadState::kRunnable &&
-        info.state != kvm::ThreadState::kLockWait) {
-      stuck_.erase(info.tid);
-      continue;
-    }
-    auto [it, inserted] = stuck_.emplace(info.tid, std::make_pair(info.pc, 1u));
-    if (!inserted) {
-      if (it->second.first == info.pc) {
-        ++it->second.second;
-      } else {
-        it->second = std::make_pair(info.pc, 1u);
-      }
-    }
-    if (it->second.second < options_.stuck_samples) {
-      continue;
-    }
-    ++report_.stuck_threads;
-    it->second.second = 0;  // one report per stuck episode
-    kvm::FaultRecord record;
-    record.tid = info.tid;
-    record.pc = info.pc;
-    record.tick = machine_->Ticks();
-    record.reason = ks::StrPrintf("stuck pc across %u samples",
-                                  options_.stuck_samples);
-    std::optional<AttributedFault> attributed = Attribute(record);
-    if (!attributed.has_value()) {
-      report_.unattributed.push_back(
-          ks::StrPrintf("tid %d at 0x%08x: %s", record.tid, record.pc,
-                        record.reason.c_str()));
-      continue;
-    }
-    ++report_.faults_attributed;
-    ++fault_tally_[attributed->update];
-    core_->NoteAttributedFault(*attributed);
-    report_.attributed.push_back(*attributed);
-    MaybeRevert(*attributed, in_window);
-  }
 }
 
 void HealthMonitor::Sample(bool in_window) {
@@ -208,10 +123,7 @@ void HealthMonitor::Sample(bool in_window) {
     report_.panicked = true;
   }
   ConsumeFaults(in_window);
-  ConsumeFixups(in_window);
-  if (options_.stuck_samples > 0) {
-    CheckStuckThreads(in_window);
-  }
+  ConsumeFixups();
 }
 
 WatchdogReport HealthMonitor::Soak() {

@@ -4,9 +4,8 @@
 // commit cleanly and only start oopsing under real load. HealthMonitor
 // closes that loop over one KspliceCore (core.h). It samples the core's
 // Machine over a configurable soak window — fault count (BUG traps,
-// oopses), the panic flag, the extable fixup rate, and per-thread
-// stuck-PC detection — and *attributes* each fault by mapping its PC
-// against every applied update's replacement-code ranges (and
+// oopses) and the panic flag — and *attributes* each fault by mapping
+// its PC against every applied update's replacement-code ranges (and
 // primary-module range) in the core's registry. An attributed regression
 // inside the window drives an automatic revert through KspliceCore::Undo,
 // with its own attempt/backoff loop on top of the stop_machine retry
@@ -56,16 +55,6 @@ struct WatchdogOptions {
   // Attributed faults tolerated per update before the revert fires (0 =
   // any attributed fault is a regression).
   uint64_t max_faults = 0;
-  // Extable fixup delta over the window that counts as a regression when
-  // the fixups attribute to an update (0 = fixup rate is not a signal;
-  // recovered loads are normal kernel behavior).
-  uint64_t max_extable_fixups = 0;
-  // Consecutive samples a runnable/lock-waiting thread may sit at one PC
-  // before it counts as stuck (0 = stuck-PC detection off).
-  uint32_t stuck_samples = 0;
-  // Drive the automatic revert on an attributed regression (off = detect
-  // and report only).
-  bool auto_revert = true;
   // Revert attempt budget and the backoff between failed attempts: the
   // machine advances attempt * revert_backoff_ticks before the retry, on
   // the reasoning that whatever blocked the undo (a thread in the patched
@@ -83,8 +72,6 @@ enum class WatchdogState : uint8_t {
   kQuarantined = 3,
 };
 
-const char* WatchdogStateName(WatchdogState state);
-
 class HealthMonitor {
  public:
   explicit HealthMonitor(KspliceCore* core,
@@ -93,8 +80,8 @@ class HealthMonitor {
   // Runs one soak window: alternates Advance(sample_ticks) with sampling
   // passes until the window is consumed, the machine halts, or no thread
   // can make progress. Attributed regressions inside the window are
-  // auto-reverted (options.auto_revert). Returns the window's report;
-  // report() keeps it for later Poll() calls to extend.
+  // auto-reverted. Returns the window's report; report() keeps it for
+  // later Poll() calls to extend.
   WatchdogReport Soak();
 
   // One sampling pass over the current signals without advancing the
@@ -123,11 +110,13 @@ class HealthMonitor {
   // One sampling pass; `in_window` gates the auto-revert.
   void Sample(bool in_window);
 
-  // Consumes fault/fixup records the monitor has not seen yet, attributes
-  // them, and fires reverts for updates whose tally crossed max_faults.
+  // Consumes fault records the monitor has not seen yet, attributes them,
+  // and fires reverts for updates whose tally crossed max_faults.
   void ConsumeFaults(bool in_window);
-  void ConsumeFixups(bool in_window);
-  void CheckStuckThreads(bool in_window);
+  // Counts extable fixups taken since the last pass. Fixups are recovered
+  // loads — normal kernel behavior — so they are reported, never
+  // attributed.
+  void ConsumeFixups();
   void MaybeRevert(const AttributedFault& trigger, bool in_window);
 
   KspliceCore* core_;
@@ -143,8 +132,6 @@ class HealthMonitor {
   uint64_t seen_fixups_ = 0;
   // Per-update attributed-fault tallies for the max_faults threshold.
   std::map<std::string, uint64_t> fault_tally_;
-  // tid -> (pc, consecutive samples at that pc) for stuck-PC detection.
-  std::map<int, std::pair<uint32_t, uint32_t>> stuck_;
 };
 
 }  // namespace ksplice

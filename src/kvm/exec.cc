@@ -58,6 +58,8 @@ uint64_t Machine::ExecThread(Thread& thread, int budget) {
   // inner loop free of atomics.
   static ks::Counter& instructions =
       ks::Metrics().GetCounter("kvm.instructions");
+  // Slices that retired at least one instruction: the virtual analogue
+  // of a context switch.
   static ks::Counter& switches =
       ks::Metrics().GetCounter("kvm.context_switches");
   uint64_t retired = 0;
@@ -73,7 +75,6 @@ uint64_t Machine::ExecThread(Thread& thread, int budget) {
     }
   }
   if (retired > 0) {
-    context_switches_ += 1;
     instructions.Add(retired);
     switches.Add(1);
   }
@@ -183,13 +184,6 @@ bool Machine::StepLocked(Thread& thread) {
         static ks::Counter& fixups =
             ks::Metrics().GetCounter("kvm.extable_fixups");
         fixups.Add(1);
-        FaultRecord record;
-        record.tid = thread.tid;
-        record.pc = thread.pc;
-        record.tick = ticks_;
-        record.reason = "extable fixup";
-        extable_records_.push_back(std::move(record));
-        CapLog(extable_records_);
         next_pc = *fixup;
         break;
       }

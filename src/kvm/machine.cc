@@ -437,17 +437,6 @@ ks::Result<ModuleInfo> Machine::GetModuleInfo(ModuleHandle handle) const {
   return info;
 }
 
-uint32_t Machine::ModuleArenaBytesForGroup(const std::string& group) const {
-  std::unique_lock<std::recursive_mutex> lock(mu_);
-  uint32_t bytes = 0;
-  for (const Module& module : modules_) {
-    if (module.loaded && module.group == group) {
-      bytes += module.size;
-    }
-  }
-  return bytes;
-}
-
 ks::Result<int> Machine::UnloadGroup(const std::string& group) {
   KS_FAULT_POINT("kvm.unload_group");
   std::unique_lock<std::recursive_mutex> lock(mu_);
@@ -785,11 +774,6 @@ uint64_t Machine::Ticks() const {
   return ticks_;
 }
 
-uint64_t Machine::ContextSwitches() const {
-  std::unique_lock<std::recursive_mutex> lock(mu_);
-  return context_switches_;
-}
-
 void Machine::WakeSleepers() {
   for (Thread& thread : threads_) {
     if (thread.state == ThreadState::kSleeping &&
@@ -978,11 +962,6 @@ std::vector<FaultRecord> Machine::FaultRecords() const {
 uint64_t Machine::FaultCount() const {
   std::unique_lock<std::recursive_mutex> lock(mu_);
   return total_faults_;
-}
-
-std::vector<FaultRecord> Machine::ExtableFixupRecords() const {
-  std::unique_lock<std::recursive_mutex> lock(mu_);
-  return extable_records_;
 }
 
 uint64_t Machine::DroppedLogLines() const {

@@ -202,10 +202,9 @@ class Machine {
   // Bytes currently allocated to loaded modules (memory-cost accounting;
   // helper unload should reduce this, §5.1).
   uint32_t ModuleArenaBytesInUse() const;
-  // Group bookkeeping: bytes held by loaded modules tagged `group`, and a
-  // bulk unload of all of them (transaction rollback drops every module an
-  // aborted batch loaded in one call). Returns the number unloaded.
-  uint32_t ModuleArenaBytesForGroup(const std::string& group) const;
+  // Group bookkeeping: a bulk unload of every loaded module tagged `group`
+  // (transaction rollback drops every module an aborted batch loaded in
+  // one call). Returns the number unloaded.
   ks::Result<int> UnloadGroup(const std::string& group);
   // External symbols the module link resolved, with the address each bound
   // to (name -> value, deduplicated). Ksplice's out-of-order undo uses this
@@ -227,9 +226,6 @@ class Machine {
 
   // Execution ---------------------------------------------------------------
   uint64_t Ticks() const;
-  // Scheduler slices that retired at least one instruction (the virtual
-  // analogue of a context switch). Also published as "kvm.context_switches".
-  uint64_t ContextSwitches() const;
   // Cooperative driver: schedules threads round-robin until all are done,
   // faulted, or `max_ticks` instructions have executed. Sleeping threads
   // fast-forward virtual time when everyone sleeps.
@@ -286,9 +282,6 @@ class Machine {
   // ring drops old entries, so health monitors can sample by delta.
   std::vector<FaultRecord> FaultRecords() const;
   uint64_t FaultCount() const;
-  // Per-fixup records of extable-recovered loads (tid, pc of the LOADF).
-  // ExtableFixups() stays the monotonic count.
-  std::vector<FaultRecord> ExtableFixupRecords() const;
   // Lines evicted from the bounded logs (config().max_log_lines).
   uint64_t DroppedLogLines() const;
   bool Halted() const {
@@ -407,7 +400,6 @@ class Machine {
   std::deque<Thread> threads_;
   size_t sched_cursor_ = 0;
   uint64_t ticks_ = 0;
-  uint64_t context_switches_ = 0;
   int next_tid_ = 1;
   bool halted_ = false;
   uint32_t rand_state_ = 0;
@@ -419,7 +411,7 @@ class Machine {
   std::map<std::pair<uint32_t, uint32_t>, uint32_t> shadows_;
 
   // Observation logs. printk/fault/record logs and the structured fault
-  // and fixup records are rings bounded by config_.max_log_lines (except
+  // records are rings bounded by config_.max_log_lines (except
   // records_, whose exact counts tests depend on); evictions are counted
   // in dropped_log_lines_. total_faults_ is monotonic and survives ring
   // eviction.
@@ -429,7 +421,6 @@ class Machine {
   std::vector<std::pair<uint32_t, uint32_t>> records_;
   std::vector<std::string> fault_log_;
   std::vector<FaultRecord> fault_records_;
-  std::vector<FaultRecord> extable_records_;
   uint64_t total_faults_ = 0;
   uint64_t dropped_log_lines_ = 0;
 

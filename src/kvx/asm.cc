@@ -20,6 +20,9 @@ using kelf::Symbol;
 using kelf::SymbolBinding;
 using kelf::SymbolKind;
 
+// Text alignment before every function label (see the header comment).
+constexpr uint32_t kFuncAlign = 8;
+
 struct ItemReloc {
   uint32_t offset = 0;  // within the item
   std::string symbol;
@@ -177,7 +180,7 @@ std::vector<std::string> Tokenize(std::string_view line) {
 }
 
 ks::Result<ObjectFile> Assembler::Run(std::string_view source) {
-  EnsureSection(".text", SectionKind::kText, options_.func_align);
+  EnsureSection(".text", SectionKind::kText, kFuncAlign);
   initialized_ = true;
   for (const std::string& raw_line : ks::SplitLines(source)) {
     ++line_number_;
@@ -242,7 +245,7 @@ ks::Status Assembler::SwitchSegment(Segment segment) {
   custom_section_ = false;
   switch (segment) {
     case Segment::kText:
-      EnsureSection(".text", SectionKind::kText, options_.func_align);
+      EnsureSection(".text", SectionKind::kText, kFuncAlign);
       break;
     case Segment::kData:
       EnsureSection(".data", SectionKind::kData, 4);
@@ -281,7 +284,7 @@ ks::Status Assembler::DefineLabel(const std::string& name) {
       case Segment::kText:
         split = options_.function_sections;
         kind = SectionKind::kText;
-        align = options_.func_align;
+        align = kFuncAlign;
         prefix = ".text.";
         break;
       case Segment::kData:

@@ -14,9 +14,9 @@
 //    whole file shares one ".text"/".data"/".bss" and intra-file branches
 //    are resolved at assembly time with no relocation — exactly the
 //    monolithic layout the paper says makes naive differencing useless.
-//  - Function alignment: a no-op filler pads text to `func_align` before
-//    every function label, so run images contain inter-function no-op
-//    sequences the matcher must skip.
+//  - Function alignment: a no-op filler pads text to an 8-byte boundary
+//    before every function label, so run images contain inter-function
+//    no-op sequences the matcher must skip.
 //
 // Syntax (one statement per line; ';' or '#' start comments):
 //   .text | .data | .bss          segment switch
@@ -51,7 +51,6 @@ namespace kvx {
 struct AsmOptions {
   bool function_sections = false;
   bool data_sections = false;
-  uint32_t func_align = 8;
 };
 
 // Assembles `source` into an object file named `source_name`.

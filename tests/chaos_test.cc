@@ -227,6 +227,32 @@ TEST_F(FaultInjectorTest, BadPlansArmNothing) {
   }
 }
 
+// A scoped plan disarms exactly the sites its plan named — `@code`
+// clauses included — and leaves a site armed before the scope armed.
+TEST_F(FaultInjectorTest, ScopedPlanDisarmsExactlyItsSites) {
+  ks::Faults().ArmAlways("chaos.outer");
+  {
+    ks::ScopedFaultPlan plan;
+    ASSERT_TRUE(plan.Arm("chaos.a=always@not_found,chaos.b=nth:2").ok());
+    EXPECT_EQ(ks::Faults().ArmedCount(), 3);
+    EXPECT_EQ(ks::Faults().Check("chaos.a").code(),
+              ks::ErrorCode::kNotFound);
+  }
+  EXPECT_EQ(ks::Faults().ArmedCount(), 1);
+  EXPECT_TRUE(ks::Faults().Check("chaos.a").ok());
+  EXPECT_TRUE(ks::Faults().Check("chaos.b").ok());
+  EXPECT_TRUE(ks::Faults().Check("chaos.b").ok());
+  EXPECT_FALSE(ks::Faults().Check("chaos.outer").ok());
+
+  // A rejected plan arms nothing, so its scope exit disarms nothing.
+  {
+    ks::ScopedFaultPlan bad;
+    EXPECT_FALSE(bad.Arm("chaos.outer=off,chaos.c=wat").ok());
+  }
+  EXPECT_EQ(ks::Faults().ArmedCount(), 1);
+  EXPECT_FALSE(ks::Faults().Check("chaos.outer").ok());
+}
+
 TEST_F(FaultInjectorTest, NthFailsExactlyThatHitThenHeals) {
   ks::Faults().ArmNth("chaos.unit", 3, ks::ErrorCode::kAborted);
   EXPECT_TRUE(ks::Faults().Check("chaos.unit").ok());

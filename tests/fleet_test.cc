@@ -188,6 +188,47 @@ TEST_F(FleetTest, CanaryTripFleetUndoByteIdentical) {
   EXPECT_EQ(retry->patched, 8u);
 }
 
+// An aborted rollout always rolls back — CanaryTripFleetUndoByteIdentical
+// above pins that. These pin the plan's fixed shapes: the canary wave never
+// shrinks below one node, and the per-wave worker count must be >= 1.
+TEST_F(FleetTest, ZeroCanaryFractionStillCanariesOneNode) {
+  CorpusFleetOptions options;
+  options.nodes = 4;
+  ks::Result<Fleet> fleet = MakeCorpusFleet(options);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  std::vector<ksplice::UpdatePackage> packages = {
+      CorpusPackage("CVE-2008-0600", "vmsplice-fix")};
+  RolloutPlan plan;
+  plan.canary_fraction = 0.0;
+  plan.wave_size = 0;
+  ks::Result<ksplice::RolloutReport> report =
+      RunRollout(*fleet, packages, plan);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->aborted);
+  EXPECT_EQ(report->patched, 4u);
+  ASSERT_EQ(report->wave_reports.size(), 2u);
+  EXPECT_TRUE(report->wave_reports[0].canary);
+  EXPECT_EQ(report->wave_reports[0].nodes, 1u);
+  EXPECT_FALSE(report->wave_reports[1].canary);
+  EXPECT_EQ(report->wave_reports[1].nodes, 3u);
+}
+
+TEST_F(FleetTest, MaxInFlightBelowOneIsInvalid) {
+  Fleet fleet;
+  std::vector<ksplice::UpdatePackage> packages(1);
+  packages[0].id = "unused";
+  for (int max_in_flight : {0, -1}) {
+    RolloutPlan plan;
+    plan.max_in_flight = max_in_flight;
+    ks::Result<ksplice::RolloutReport> report =
+        RunRollout(fleet, packages, plan);
+    ASSERT_FALSE(report.ok()) << max_in_flight;
+    EXPECT_EQ(report.status().code(), ks::ErrorCode::kInvalidArgument);
+    EXPECT_NE(report.status().message().find("max_in_flight"),
+              std::string::npos);
+  }
+}
+
 // Stale nodes (release drifted the patched unit) are skipped by run-pre
 // matching: counted skipped_stale, never failed, never tripping a wave.
 TEST_F(FleetTest, MixedVersionStaleNodesSkippedNotFailed) {

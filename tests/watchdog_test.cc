@@ -289,6 +289,52 @@ TEST_F(WatchdogTest, FaultInUnpatchedCodeIsNotAttributed) {
   EXPECT_TRUE(core.quarantine().Entries().empty());
 }
 
+// Exception-table fixups are recovered loads, normal kernel behavior: a
+// soak over patched code that takes them counts every one and blames
+// nothing.
+TEST_F(WatchdogTest, ExtableFixupsCountedNeverAttributed) {
+  SourceTree tree;
+  tree.Write("gamma.kc", R"(
+int gamma_bad = 0 - 4;
+int gamma_read(int x) {
+  return try_load(gamma_bad, x);
+}
+void gamma_load(int n) {
+  int i = 0;
+  while (i < n) {
+    record(33, gamma_read(i));
+    i = i + 1;
+  }
+}
+)");
+  std::unique_ptr<kvm::Machine> machine = Boot(tree);
+  ASSERT_NE(machine, nullptr);
+  KspliceCore core(machine.get());
+  ks::Result<CreateResult> created =
+      Create(tree,
+             EditTree(tree, "gamma.kc", "try_load(gamma_bad, x)",
+                      "try_load(gamma_bad, x + 100)"),
+             "gamma-fix");
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ASSERT_TRUE(core.Apply(created->package).ok());
+
+  ASSERT_TRUE(machine->SpawnNamed("gamma_load", 8).ok());
+  HealthMonitor monitor(&core, FastSoak());
+  WatchdogReport report = monitor.Soak();
+
+  // Every load recovered through the replacement code's fixup.
+  EXPECT_EQ(machine->RecordsWithKey(33),
+            (std::vector<uint32_t>{100, 101, 102, 103, 104, 105, 106, 107}));
+  EXPECT_EQ(report.extable_fixups, 8u);
+  EXPECT_EQ(report.faults_seen, 0u);
+  EXPECT_EQ(report.faults_attributed, 0u);
+  EXPECT_TRUE(report.attributed.empty());
+  EXPECT_TRUE(report.reverts.empty());
+  EXPECT_EQ(monitor.state(), WatchdogState::kMonitoring);
+  ASSERT_EQ(core.applied().size(), 1u);
+  EXPECT_TRUE(core.quarantine().Entries().empty());
+}
+
 // A fault that lands after the soak window closes is attributed and
 // reported as evidence, but never auto-reverted.
 TEST_F(WatchdogTest, PostWindowFaultReportedNotReverted) {
@@ -531,8 +577,7 @@ Fleet MakeWatchFleet(const SourceTree& tree, size_t nodes) {
 
 RolloutPlan SoakPlan(Quarantine* blacklist, int max_in_flight) {
   RolloutPlan plan;
-  plan.canary_fraction = 0.0;
-  plan.canary_min = 2;
+  plan.canary_fraction = 0.5;  // 2 of the 4 nodes
   plan.wave_size = 0;
   plan.max_in_flight = max_in_flight;
   plan.abort_failure_fraction = 0.0;

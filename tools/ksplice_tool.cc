@@ -1064,6 +1064,18 @@ int CmdRollout(const std::vector<std::string>& args) {
   if (g_cmd.doom < 0 || g_cmd.doom > g_cmd.nodes) {
     return UsageError("--doom must be between 0 and --nodes");
   }
+  if (g_cmd.wave < 0) {
+    return UsageError("--wave must not be negative");
+  }
+  if (g_cmd.max_in_flight < 1) {
+    return UsageError("--max-in-flight must be at least 1");
+  }
+  if (g_cmd.canary < 0.0 || g_cmd.canary > 1.0) {
+    return UsageError("--canary must be between 0 and 1");
+  }
+  if (g_cmd.abort_frac < 0.0) {
+    return UsageError("--abort-frac must not be negative");
+  }
   std::string lint_mode = g_cmd.lint_mode.empty() ? "error" : g_cmd.lint_mode;
   if (lint_mode != "off" && lint_mode != "warn" && lint_mode != "error") {
     return UsageError("--lint=" + lint_mode + " is not off, warn or error");
