@@ -9,7 +9,10 @@
 # The fleet test drives wave rollouts at max_in_flight 8, where worker
 # threads share the fault injector and the metrics registry. The corpus
 # test boots machines from the per-release linked image that is built
-# once and shared by every boot; the kvm test covers boot itself.
+# once and shared by every boot; the kvm test covers boot itself, and the
+# interpreter's per-host-thread decode tables: it runs the stress pair on
+# four virtual CPUs while the host thread splices and restores a function
+# the pair calls under stop_machine.
 set -e
 cd "$(dirname "$0")/.."
 cmake -B build-tsan -G Ninja -DKSPLICE_SANITIZE=thread

@@ -192,11 +192,12 @@ ks::Result<std::unique_ptr<kvm::Machine>> BootKernelVersion(
   config.memory_bytes = memory_bytes == 0 ? 24u << 20 : memory_bytes;
   KS_ASSIGN_OR_RETURN(std::unique_ptr<kvm::Machine> machine,
                       kvm::Machine::Boot(*image, config));
-  KS_RETURN_IF_ERROR(machine->SpawnNamed("kernel_init", 0).status());
-  KS_RETURN_IF_ERROR(machine->RunToCompletion());
-  if (!machine->Faults().empty()) {
-    return ks::Internal("corpus: kernel_init faulted: " +
-                        machine->Faults()[0]);
+  // kernel_init is a boot-time call, not a thread: the machine comes up
+  // with no thread spawned, so the first thread a caller spawns is tid 1.
+  KS_ASSIGN_OR_RETURN(uint32_t init, machine->GlobalSymbol("kernel_init"));
+  ks::Result<uint32_t> ran = machine->CallFunction(init, 0);
+  if (!ran.ok()) {
+    return ks::Internal("corpus: kernel_init: " + ran.status().message());
   }
   return machine;
 }

@@ -124,9 +124,10 @@ const std::vector<KernelVersion>& KernelVersions();
 // a v1-built update against release N is decided by N's unit alone).
 ks::Result<kdiff::SourceTree> KernelSourceAt(size_t index);
 
-// Boots a kernel of release `index % KernelVersions().size()` and runs
-// kernel_init. memory_bytes == 0 keeps BootKernel()'s default (24MB);
-// fleets pass smaller machines (the image needs ~2.5MB). The linked image
+// Boots a kernel of release `index % KernelVersions().size()` and calls
+// kernel_init as a function, so the machine has spawned no thread.
+// memory_bytes == 0 keeps BootKernel()'s default (24MB); fleets pass
+// smaller machines (the image needs ~2.5MB). The linked image
 // is cached per release, so booting N same-release nodes compiles and
 // links once.
 ks::Result<std::unique_ptr<kvm::Machine>> BootKernelVersion(

@@ -97,8 +97,7 @@ std::vector<QuiescenceBlocker> ThreadsIn(
   };
   std::vector<QuiescenceBlocker> blockers;
   for (const kvm::ThreadInfo& thread : machine.Threads()) {
-    if (thread.state == kvm::ThreadState::kDone ||
-        thread.state == kvm::ThreadState::kFaulted) {
+    if (thread.state == kvm::ThreadState::kFaulted) {
       continue;
     }
     QuiescenceBlocker blocker;

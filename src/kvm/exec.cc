@@ -6,6 +6,9 @@
 // flags — kcc relies on this to materialize comparison results.
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
 
 #include "base/endian.h"
 #include "base/logging.h"
@@ -16,11 +19,52 @@
 
 namespace kvm {
 
+// Decoded-instruction cache. A slot holds one decode together with the 8
+// guest bytes it was decoded from, and a fetch uses the slot only when
+// those bytes still match memory. Every KVX instruction except nopn is at
+// most 6 bytes and nopn decodes from its first 2, so equal bytes mean an
+// equal decode: the cache is exact with no invalidation, whoever writes
+// the code (a guest store, a trampoline, undo, module load or unload).
+// Tags are contents, not addresses, so one table serves every machine a
+// host thread runs.
+struct Machine::CachedInsn {
+  uint64_t bytes;    // the 8 guest bytes at the fetched pc
+  kvx::Op op;
+  uint8_t len;       // 0 marks an empty slot
+  uint8_t reg1;
+  uint8_t reg2;
+  uint32_t operand;  // imm or rel: no opcode has both
+};
+
 namespace {
 
 constexpr uint32_t kMaxPrintkLength = 4096;
 
+// kvx::Decode sees this many bytes of a fetch (fewer at the very end of
+// memory); a cached decode must come from a full window.
+constexpr uint32_t kFetchWindow = 16;
+// Direct-mapped by pc / 2: 32 K slots of 16 bytes cover 64 KiB of code.
+constexpr uint32_t kDecodeSlots = 1u << 15;
+
+struct FreeDeleter {
+  void operator()(void* p) const { std::free(p); }
+};
+
 }  // namespace
+
+// One table per host thread, allocated on its first guest instruction: a
+// fleet of machines, or a fresh machine per pass, pays for one table, and
+// a virtual CPU never shares its table with another. calloc makes every
+// slot empty (len 0) and leaves pages of unused slots mostly unbacked.
+// Null if the allocation failed; fetches then decode every time.
+Machine::CachedInsn* Machine::ThisThreadDecodeCache() {
+  thread_local std::unique_ptr<CachedInsn[], FreeDeleter> table;
+  if (table == nullptr) {
+    table.reset(static_cast<CachedInsn*>(
+        std::calloc(kDecodeSlots, sizeof(CachedInsn))));
+  }
+  return table.get();
+}
 
 template <typename T>
 void Machine::CapLog(std::vector<T>& log) {
@@ -62,12 +106,13 @@ uint64_t Machine::ExecThread(Thread& thread, int budget) {
   // of a context switch.
   static ks::Counter& switches =
       ks::Metrics().GetCounter("kvm.context_switches");
+  CachedInsn* cache = ThisThreadDecodeCache();
   uint64_t retired = 0;
   for (int i = 0; i < budget; ++i) {
     if (thread.state != ThreadState::kRunnable || halted_) {
       break;
     }
-    bool keep_going = StepLocked(thread);
+    bool keep_going = StepLocked(thread, cache);
     ++retired;
     ++ticks_;
     if (!keep_going) {
@@ -81,20 +126,40 @@ uint64_t Machine::ExecThread(Thread& thread, int budget) {
   return retired;
 }
 
-bool Machine::StepLocked(Thread& thread) {
+bool Machine::StepLocked(Thread& thread, CachedInsn* cache) {
   if (!InBounds(thread.pc, 1)) {
     FaultThread(thread, "instruction fetch out of bounds");
     return false;
   }
+  const uint8_t* code = memory_.data() + thread.pc;
   uint32_t window = std::min<uint32_t>(
-      16, static_cast<uint32_t>(memory_.size()) - thread.pc);
-  ks::Result<kvx::Insn> decoded = kvx::Decode(
-      std::span<const uint8_t>(memory_.data() + thread.pc, window));
-  if (!decoded.ok()) {
-    FaultThread(thread, "illegal instruction: " + decoded.status().message());
-    return false;
+      kFetchWindow, static_cast<uint32_t>(memory_.size()) - thread.pc);
+  CachedInsn* slot = nullptr;
+  uint64_t bytes = 0;
+  if (cache != nullptr && window == kFetchWindow) {
+    std::memcpy(&bytes, code, sizeof(bytes));
+    slot = &cache[(thread.pc >> 1) & (kDecodeSlots - 1)];
   }
-  const kvx::Insn& insn = *decoded;
+  CachedInsn insn{};
+  if (slot != nullptr && slot->len != 0 && slot->bytes == bytes) {
+    insn = *slot;
+  } else {
+    ks::Result<kvx::Insn> decoded =
+        kvx::Decode(std::span<const uint8_t>(code, window));
+    if (!decoded.ok()) {
+      FaultThread(thread,
+                  "illegal instruction: " + decoded.status().message());
+      return false;
+    }
+    insn = CachedInsn{bytes,         decoded->op,   decoded->len,
+                      decoded->reg1, decoded->reg2,
+                      decoded->imm | static_cast<uint32_t>(decoded->rel)};
+    // Cache only a decode that the tagged bytes alone determine.
+    if (slot != nullptr &&
+        (insn.op == kvx::Op::kNopN || insn.len <= sizeof(bytes))) {
+      *slot = insn;
+    }
+  }
   uint32_t* regs = thread.regs;
   uint32_t next_pc = thread.pc + insn.len;
 
@@ -124,7 +189,7 @@ bool Machine::StepLocked(Thread& thread) {
   };
   auto branch_if = [&](bool condition) {
     if (condition) {
-      next_pc = next_pc + static_cast<uint32_t>(insn.rel);
+      next_pc += insn.operand;
     }
   };
 
@@ -140,7 +205,7 @@ bool Machine::StepLocked(Thread& thread) {
       break;
 
     case Op::kMovRI:
-      regs[insn.reg1] = insn.imm;
+      regs[insn.reg1] = insn.operand;
       break;
     case Op::kMovRR:
       regs[insn.reg1] = regs[insn.reg2];
@@ -275,22 +340,22 @@ bool Machine::StepLocked(Thread& thread) {
       break;
     }
     case Op::kAddRI:
-      regs[insn.reg1] += insn.imm;
+      regs[insn.reg1] += insn.operand;
       set_flags(regs[insn.reg1]);
       break;
     case Op::kSubRI:
-      regs[insn.reg1] -= insn.imm;
+      regs[insn.reg1] -= insn.operand;
       set_flags(regs[insn.reg1]);
       break;
     case Op::kCmpRI: {
       uint32_t a = regs[insn.reg1];
-      thread.flag_zero = a == insn.imm;
+      thread.flag_zero = a == insn.operand;
       thread.flag_lt =
-          static_cast<int32_t>(a) < static_cast<int32_t>(insn.imm);
+          static_cast<int32_t>(a) < static_cast<int32_t>(insn.operand);
       break;
     }
     case Op::kAndRI:
-      regs[insn.reg1] &= insn.imm;
+      regs[insn.reg1] &= insn.operand;
       set_flags(regs[insn.reg1]);
       break;
     case Op::kShlRR:
@@ -317,7 +382,7 @@ bool Machine::StepLocked(Thread& thread) {
       if (!push(next_pc)) {
         return false;
       }
-      next_pc += static_cast<uint32_t>(insn.rel);
+      next_pc += insn.operand;
       break;
     case Op::kCallR:
       if (!push(next_pc)) {
@@ -373,7 +438,7 @@ bool Machine::StepLocked(Thread& thread) {
       // re-executed on wake (the big kernel lock) or execution resumes
       // after it (sleep/yield); DoSys signals which by thread state.
       thread.pc = next_pc;
-      bool keep_going = DoSys(thread, static_cast<uint8_t>(insn.imm));
+      bool keep_going = DoSys(thread, static_cast<uint8_t>(insn.operand));
       return keep_going;
     }
   }

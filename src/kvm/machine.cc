@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "base/endian.h"
@@ -710,15 +711,23 @@ ks::Result<int> Machine::Spawn(uint32_t entry, uint32_t arg,
     stack_bytes = config_.default_stack_bytes;
   }
   stack_bytes = AlignUp(stack_bytes, 16);
-  if (stack_cursor_ < stack_limit_ + stack_bytes) {
-    return ks::ResourceExhausted("out of stack space");
-  }
+  // Reuse the most recently reaped stack of this size; reaping zeroed it.
+  auto reaped = std::find_if(
+      free_stacks_.rbegin(), free_stacks_.rend(),
+      [stack_bytes](const FreeStack& s) { return s.bytes == stack_bytes; });
   uint32_t top = stack_cursor_;
-  stack_cursor_ -= stack_bytes;
+  if (reaped != free_stacks_.rend()) {
+    top = reaped->top;
+    free_stacks_.erase(std::next(reaped).base());
+  } else if (stack_cursor_ < stack_limit_ + stack_bytes) {
+    return ks::ResourceExhausted("out of stack space");
+  } else {
+    stack_cursor_ -= stack_bytes;
+  }
 
   Thread thread;
   thread.tid = next_tid_++;
-  thread.stack_base = stack_cursor_;
+  thread.stack_base = top - stack_bytes;
   thread.stack_top = top;
   thread.pc = entry;
   // The thread starts as if called with one argument: [arg][return->exit].
@@ -783,6 +792,23 @@ void Machine::WakeSleepers() {
   }
 }
 
+void Machine::ReapIfDone(size_t idx) {
+  const Thread& thread = threads_[idx];
+  if (thread.state != ThreadState::kDone) {
+    return;
+  }
+  std::fill(memory_.data() + thread.stack_base,
+            memory_.data() + thread.stack_top, 0);
+  free_stacks_.push_back(
+      FreeStack{thread.stack_top, thread.stack_top - thread.stack_base});
+  threads_.erase(threads_.begin() + static_cast<long>(idx));
+  // The cursor names the thread after `idx`, which moved down one slot, so
+  // the next scan visits the survivors in the same order as before.
+  if (sched_cursor_ > idx) {
+    --sched_cursor_;
+  }
+}
+
 int Machine::NextRunnable(size_t start_hint, uint64_t deadline) {
   WakeSleepers();
   size_t n = threads_.size();
@@ -834,6 +860,7 @@ ks::Status Machine::RunLocked(uint64_t max_ticks) {
                            deadline - ticks_);
     ExecThread(threads_[static_cast<size_t>(idx)],
                static_cast<int>(budget));
+    ReapIfDone(static_cast<size_t>(idx));
   }
   return ks::OkStatus();
 }
@@ -850,7 +877,7 @@ ks::Status Machine::RunToCompletion(uint64_t safety_cap) {
     KS_RETURN_IF_ERROR(Run(100'000));
     uint64_t after = Ticks();
     executed += after - before;
-    if (halted_) {
+    if (Halted()) {
       return ks::Aborted("machine halted (kernel panic)");
     }
     if (!HasLiveThreads()) {
@@ -884,6 +911,7 @@ void Machine::StartCpus(int count) {
               sched_cursor_ = static_cast<size_t>(idx) + 1;
               ExecThread(threads_[static_cast<size_t>(idx)],
                          config_.slice_instructions);
+              ReapIfDone(static_cast<size_t>(idx));
             }
           }
         }

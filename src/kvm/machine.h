@@ -8,7 +8,9 @@
 //    (Ksplice's helper and primary modules load through it, §5.1);
 //  - kernel threads with in-image stacks, round-robin scheduled with
 //    preemption, sleep/wake, a big kernel lock, and kthread spawning —
-//    everything the stack safety check must reason about (§5.2);
+//    everything the stack safety check must reason about (§5.2). An
+//    exited thread is reaped when its slice ends and its stack reused;
+//    faulted threads stay for inspection;
 //  - stop_machine(): runs a host function with every virtual CPU captured;
 //  - a kmalloc heap and the shadow data-structure registry used by
 //    DynAMOS-style struct extensions (§5.3, §7.1);
@@ -20,7 +22,9 @@
 // the lock; stop_machine simply acquires it, so the pause it induces is the
 // in-flight slice remainder — the quantity bench_stopmachine_latency
 // measures. Single-threaded tests drive the scheduler with Run()/Advance()
-// and never start CPUs.
+// and never start CPUs. Decoded instructions are cached per host thread,
+// tagged with the guest bytes they came from, so no write path has to
+// invalidate anything (exec.cc).
 
 #ifndef KSPLICE_KVM_MACHINE_H_
 #define KSPLICE_KVM_MACHINE_H_
@@ -220,6 +224,9 @@ class Machine {
                         uint32_t stack_bytes = 0);
   ks::Result<int> SpawnNamed(const std::string& function_name, uint32_t arg,
                              uint32_t stack_bytes = 0);
+  // Live (runnable, sleeping, lock-waiting) and faulted threads, in spawn
+  // order. An exited thread is reaped when its slice ends and is absent;
+  // tids are never reused.
   std::vector<ThreadInfo> Threads() const;
   // True if some thread is runnable or sleeping (i.e. work remains).
   bool HasLiveThreads() const;
@@ -335,13 +342,22 @@ class Machine {
   ks::Result<uint32_t> HeapAlloc(uint32_t size);
   ks::Status HeapFree(uint32_t addr);
 
+  // A decode in the calling host thread's instruction cache (exec.cc).
+  struct CachedInsn;
+  static CachedInsn* ThisThreadDecodeCache();
+
   // Executes up to `budget` instructions of `thread`; returns instructions
   // retired. Updates thread state on sleep/exit/fault.
   uint64_t ExecThread(Thread& thread, int budget);
-  // One instruction; false ends the slice (sleep/exit/fault/yield).
-  bool StepLocked(Thread& thread);
+  // One instruction, fetched through `cache` (null: decode uncached);
+  // false ends the slice (sleep/exit/fault/yield).
+  bool StepLocked(Thread& thread, CachedInsn* cache);
   void FaultThread(Thread& thread, std::string reason);
   ks::Status RunLocked(uint64_t max_ticks);
+  // Drops threads_[idx] if it has exited, zeroing its stack for reuse.
+  // Called at slice boundaries only: inside ExecThread the kthread syscall
+  // holds a reference into threads_.
+  void ReapIfDone(size_t idx);
   // Picks the next runnable thread index after `start`, handling wakes.
   int NextRunnable(size_t start_hint, uint64_t deadline);
   void WakeSleepers();
@@ -395,9 +411,17 @@ class Machine {
   uint64_t extable_fixups_ = 0;  // faulting loads recovered via extable
   uint32_t hook_stack_top_ = 0;  // lazily allocated CallFunction stack
 
-  // A deque, so the kthread syscall can spawn while the running thread's
-  // reference into this table is live: push_back never moves elements.
+  // Live and faulted threads in spawn order; an exited thread is reaped at
+  // the end of its slice. A deque, so the kthread syscall can spawn while
+  // the running thread's reference into this table is live: push_back
+  // never moves elements.
   std::deque<Thread> threads_;
+  // Stacks of reaped threads, zeroed, most recently reaped last.
+  struct FreeStack {
+    uint32_t top = 0;
+    uint32_t bytes = 0;
+  };
+  std::vector<FreeStack> free_stacks_;
   size_t sched_cursor_ = 0;
   uint64_t ticks_ = 0;
   int next_tid_ = 1;

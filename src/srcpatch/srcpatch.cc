@@ -397,8 +397,7 @@ ks::Result<Report> SourceLevelApply(kvm::Machine& machine,
 
   ks::Status spliced = machine.StopMachine([&](kvm::Machine& m) {
     for (const kvm::ThreadInfo& thread : m.Threads()) {
-      if (thread.state == kvm::ThreadState::kDone ||
-          thread.state == kvm::ThreadState::kFaulted) {
+      if (thread.state == kvm::ThreadState::kFaulted) {
         continue;
       }
       for (const Splice& splice : splices) {

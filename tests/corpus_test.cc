@@ -84,8 +84,9 @@ TEST(CorpusTest, BootKernelEqualsReleaseZeroBoot) {
   ks::Result<std::unique_ptr<kvm::Machine>> relinked = kvm::Machine::Boot(
       std::move(objects).value(), (*pristine)->config());
   ASSERT_TRUE(relinked.ok()) << relinked.status().ToString();
-  ASSERT_TRUE((*relinked)->SpawnNamed("kernel_init", 0).ok());
-  ASSERT_TRUE((*relinked)->RunToCompletion().ok());
+  ks::Result<uint32_t> init = (*relinked)->GlobalSymbol("kernel_init");
+  ASSERT_TRUE(init.ok()) << init.status().ToString();
+  ASSERT_TRUE((*relinked)->CallFunction(*init, 0).ok());
 
   auto memory = [](const kvm::Machine& machine) {
     ks::Result<std::vector<uint8_t>> bytes = machine.ReadBytes(

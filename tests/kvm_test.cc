@@ -4,14 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
+#include <thread>
 #include <tuple>
 
+#include "corpus/corpus.h"
 #include "kcc/compile.h"
 #include "kdiff/diff.h"
+#include "ksplice/rendezvous.h"
 #include "kvm/machine.h"
+#include "kvx/isa.h"
 
 namespace kvm {
 namespace {
@@ -19,12 +24,9 @@ namespace {
 using kdiff::SourceTree;
 
 std::unique_ptr<Machine> BootSource(const std::string& source,
-                                    bool function_sections = false) {
+                                    const kcc::CompileOptions& options = {}) {
   SourceTree tree;
   tree.Write("kernel.kc", source);
-  kcc::CompileOptions options;
-  options.function_sections = function_sections;
-  options.data_sections = function_sections;
   ks::Result<std::vector<kelf::ObjectFile>> objects =
       kcc::BuildTree(tree, options);
   EXPECT_TRUE(objects.ok()) << objects.status().ToString();
@@ -466,7 +468,10 @@ void main(int n) {
 }
 )";
   for (bool sections : {false, true}) {
-    std::unique_ptr<Machine> machine = BootSource(src, sections);
+    kcc::CompileOptions options;
+    options.function_sections = sections;
+    options.data_sections = sections;
+    std::unique_ptr<Machine> machine = BootSource(src, options);
     ASSERT_NE(machine, nullptr);
     ASSERT_TRUE(machine->SpawnNamed("main", 8).ok());
     ASSERT_TRUE(machine->RunToCompletion().ok());
@@ -1036,6 +1041,367 @@ int kernel_add(int x) { return helper(x) + 1; }
   EXPECT_EQ(*result, (2u + 5u) * 3u + 1u);
   EXPECT_TRUE(machine->SymbolsNamed("alpha_entry").empty());
   EXPECT_EQ(machine->SymbolsNamed("twin").size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Instruction fetch: whoever rewrites code, the next fetch runs the new
+// bytes. The interpreter caches decodes per host thread, tagged with the
+// bytes they came from; these are the oracles that no write path needs to
+// tell the cache anything.
+
+// Boots `source` built with inlining off, so every function the tests
+// splice or patch is a real call target.
+std::unique_ptr<Machine> BootNoInline(const std::string& source) {
+  kcc::CompileOptions options;
+  options.inline_threshold = 0;
+  return BootSource(source, options);
+}
+
+// Ksplice's trampoline: one JMP32 at `from` to `to`.
+std::vector<uint8_t> Trampoline(uint32_t from, uint32_t to) {
+  kvx::Insn jmp;
+  jmp.op = kvx::Op::kJmp32;
+  jmp.rel = static_cast<int32_t>(to - (from + kvx::kTrampolineSize));
+  return kvx::Encode(jmp);
+}
+
+uint32_t Address(const Machine& machine, const std::string& name) {
+  ks::Result<uint32_t> address = machine.GlobalSymbol(name);
+  EXPECT_TRUE(address.ok()) << name;
+  return address.ok() ? *address : 0;
+}
+
+// The paper's text poke plus I-cache flush (§5.2): a thread parked inside
+// a function that calls a hot, cached function runs the trampoline the
+// first time it fetches that function's entry after the splice.
+TEST(DecodeCacheTest, ParkedThreadRunsTheSpliceOnItsNextFetch) {
+  std::unique_ptr<Machine> machine = BootNoInline(R"(
+int hot(int x) { return x + 1; }
+int hot_v2(int x) { return x + 100; }
+void spinner(int n) {
+  int i = 0;
+  while (i < n) {
+    record(100, hot(i));
+    sleep(1000);
+    i++;
+  }
+}
+)");
+  ASSERT_NE(machine, nullptr);
+  ASSERT_TRUE(machine->SpawnNamed("spinner", 100).ok());
+  // Each Run retires one loop iteration and parks the thread in sleep().
+  while (machine->RecordsWithKey(100).size() < 50) {
+    ASSERT_TRUE(machine->Run(200).ok());
+  }
+  std::vector<kelf::LinkedSymbol> spinner = machine->SymbolsNamed("spinner");
+  ASSERT_EQ(spinner.size(), 1u);
+  const uint32_t hot = Address(*machine, "hot");
+  ks::Status spliced = machine->StopMachine([&](Machine& m) {
+    std::vector<ThreadInfo> threads = m.Threads();
+    EXPECT_EQ(threads.size(), 1u);
+    EXPECT_EQ(threads[0].state, ThreadState::kSleeping);
+    EXPECT_GE(threads[0].pc, spinner[0].address);
+    EXPECT_LT(threads[0].pc, spinner[0].address + spinner[0].size);
+    return m.WriteBytes(hot, Trampoline(hot, Address(m, "hot_v2")));
+  });
+  ASSERT_TRUE(spliced.ok()) << spliced.ToString();
+  ASSERT_TRUE(machine->RunToCompletion().ok());
+
+  std::vector<uint32_t> values = machine->RecordsWithKey(100);
+  ASSERT_EQ(values.size(), 100u);
+  for (uint32_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(values[i], i < 50 ? i + 1 : i + 100) << "iteration " << i;
+  }
+  EXPECT_TRUE(machine->Faults().empty());
+}
+
+// A host write over an instruction that has run hot, outside any stop
+// window, changes what the very next call executes.
+TEST(DecodeCacheTest, HostWriteOverHotInstructionTakesEffectOnNextFetch) {
+  std::unique_ptr<Machine> machine = BootNoInline(R"(
+int answer(int unused) { return 7000; }
+)");
+  ASSERT_NE(machine, nullptr);
+  const uint32_t entry = Address(*machine, "answer");
+  for (int i = 0; i < 100; ++i) {
+    ks::Result<uint32_t> result = machine->CallFunction(entry, 0);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(*result, 7000u);
+  }
+  // Rewrite the imm32 of the `mov r0, 7000` in place.
+  ks::Result<std::vector<uint8_t>> code = machine->ReadBytes(entry, 32);
+  ASSERT_TRUE(code.ok());
+  const std::vector<uint8_t> old_imm = {0x58, 0x1b, 0x00, 0x00};  // 7000
+  auto at = std::search(code->begin(), code->end(), old_imm.begin(),
+                        old_imm.end());
+  ASSERT_NE(at, code->end());
+  const uint32_t imm_addr = entry + static_cast<uint32_t>(at - code->begin());
+  ASSERT_TRUE(machine->WriteBytes(imm_addr, {0x28, 0x23, 0x00, 0x00}).ok());
+
+  ks::Result<uint32_t> result = machine->CallFunction(entry, 0);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, 9000u);
+}
+
+// Unloading poisons the module arena; code that ran hot before the unload
+// must fault as an illegal instruction, not run from a stale decode.
+TEST(DecodeCacheTest, UnloadedModuleCodeFaultsEvenAfterRunningHot) {
+  std::unique_ptr<Machine> machine = BootNoInline(R"(
+int kernel_value = 5;
+)");
+  ASSERT_NE(machine, nullptr);
+  SourceTree mod_tree;
+  mod_tree.Write("mod.kc", R"(
+extern int kernel_value;
+int mod_double(int x) { return (x + kernel_value) * 2; }
+)");
+  ks::Result<std::vector<kelf::ObjectFile>> objects =
+      kcc::BuildTree(mod_tree, kcc::CompileOptions());
+  ASSERT_TRUE(objects.ok()) << objects.status().ToString();
+  ks::Result<ModuleHandle> handle = machine->LoadModule(*objects, "mod");
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  const uint32_t entry = Address(*machine, "mod_double");
+  for (uint32_t i = 0; i < 100; ++i) {
+    ks::Result<uint32_t> result = machine->CallFunction(entry, i);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(*result, (i + 5) * 2);
+  }
+  ASSERT_TRUE(machine->UnloadModule(*handle).ok());
+
+  ks::Result<uint32_t> call = machine->CallFunction(entry, 1);
+  ASSERT_FALSE(call.ok());
+  EXPECT_NE(call.status().message().find("illegal instruction"),
+            std::string::npos)
+      << call.status().ToString();
+  ASSERT_TRUE(machine->Spawn(entry, 1).ok());
+  ASSERT_TRUE(machine->RunToCompletion().ok());
+  std::vector<FaultRecord> faults = machine->FaultRecords();
+  ASSERT_EQ(faults.size(), 2u);
+  EXPECT_EQ(faults[1].pc, entry);
+  EXPECT_NE(faults[1].reason.find("illegal instruction"), std::string::npos);
+}
+
+// Two releases with different code at the same address, run alternately
+// on one host thread (and so through one decode table): each machine
+// executes its own bytes.
+TEST(DecodeCacheTest, MachinesOfTwoReleasesShareOneHostThread) {
+  auto release = [](int delta) {
+    return "int step(int x) { return x + " + std::to_string(delta) +
+           "; }\n"
+           "void main(int n) { record(100, step(n)); }\n";
+  };
+  std::unique_ptr<Machine> v1 = BootNoInline(release(1));
+  std::unique_ptr<Machine> v2 = BootNoInline(release(2));
+  ASSERT_NE(v1, nullptr);
+  ASSERT_NE(v2, nullptr);
+  std::vector<kelf::LinkedSymbol> step = v1->SymbolsNamed("step");
+  ASSERT_EQ(step.size(), 1u);
+  ASSERT_EQ(Address(*v2, "step"), step[0].address);
+  ASSERT_NE(*v1->ReadBytes(step[0].address, step[0].size),
+            *v2->ReadBytes(step[0].address, step[0].size));
+
+  std::vector<uint32_t> want1, want2;
+  for (uint32_t n = 0; n < 50; ++n) {
+    for (Machine* machine : {v1.get(), v2.get()}) {
+      ASSERT_TRUE(machine->SpawnNamed("main", n).ok());
+      ASSERT_TRUE(machine->RunToCompletion().ok());
+    }
+    want1.push_back(n + 1);
+    want2.push_back(n + 2);
+  }
+  EXPECT_EQ(v1->RecordsWithKey(100), want1);
+  EXPECT_EQ(v2->RecordsWithKey(100), want2);
+}
+
+// ---------------------------------------------------------------------------
+// Thread lifetime: exited threads are reaped at the end of their slice.
+
+// Sequential spawn-and-exit on a default machine never runs out of stack
+// (each exited thread's stack is recycled), Threads() holds only the live
+// and faulted threads, tids keep increasing, and fault records survive.
+TEST(MachineTest, ReapsExitedThreadsAndRecyclesTheirStacks) {
+  std::unique_ptr<Machine> machine = BootSource(R"(
+int scratch[16];
+void work(int n) {
+  int local[8];
+  local[n % 8] = n;
+  scratch[n % 16] = local[n % 8];
+}
+void crash(int unused) {
+  int *p = 0;
+  *p = 1;
+}
+)");
+  ASSERT_NE(machine, nullptr);
+  ks::Result<int> crashed = machine->SpawnNamed("crash", 0);
+  ASSERT_TRUE(crashed.ok());
+  ASSERT_TRUE(machine->RunToCompletion().ok());
+  ASSERT_EQ(machine->FaultCount(), 1u);
+
+  int last_tid = *crashed;
+  for (uint32_t n = 0; n < 10'000; ++n) {
+    ks::Result<int> tid = machine->SpawnNamed("work", n);
+    ASSERT_TRUE(tid.ok()) << "spawn " << n << ": " << tid.status().ToString();
+    ASSERT_GT(*tid, last_tid);
+    last_tid = *tid;
+    ASSERT_TRUE(machine->RunToCompletion().ok());
+    std::vector<ThreadInfo> threads = machine->Threads();
+    ASSERT_EQ(threads.size(), 1u);  // only the faulted thread remains
+    ASSERT_EQ(threads[0].tid, *crashed);
+    ASSERT_EQ(threads[0].state, ThreadState::kFaulted);
+  }
+  EXPECT_EQ(machine->FaultCount(), 1u);
+  ASSERT_EQ(machine->FaultRecords().size(), 1u);
+  EXPECT_EQ(machine->FaultRecords()[0].tid, *crashed);
+
+  // A recycled stack is zero apart from the words Spawn pushed.
+  ks::Result<int> fresh = machine->SpawnNamed("work", 3);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(*fresh, last_tid + 1);
+  std::vector<ThreadInfo> threads = machine->Threads();
+  ASSERT_EQ(threads.size(), 2u);
+  const ThreadInfo& info = threads[1];
+  ASSERT_EQ(info.tid, *fresh);
+  ks::Result<std::vector<uint8_t>> below_sp =
+      machine->ReadBytes(info.stack_base, info.sp - info.stack_base);
+  ASSERT_TRUE(below_sp.ok());
+  EXPECT_EQ(std::count(below_sp->begin(), below_sp->end(), 0),
+            static_cast<long>(below_sp->size()));
+}
+
+// Reaping a thread mid-table leaves the round-robin order of the others
+// as it was with the exited thread still in place.
+TEST(MachineTest, ReapingKeepsRoundRobinOrder) {
+  std::unique_ptr<Machine> machine = BootSource(R"(
+void once(int id) { record(100, id); }
+void loop(int id) {
+  int i = 0;
+  while (i < 3) {
+    record(100, id);
+    yield();
+    i++;
+  }
+}
+)");
+  ASSERT_NE(machine, nullptr);
+  ASSERT_TRUE(machine->SpawnNamed("loop", 1).ok());
+  ASSERT_TRUE(machine->SpawnNamed("once", 2).ok());
+  ASSERT_TRUE(machine->SpawnNamed("loop", 3).ok());
+  ASSERT_TRUE(machine->RunToCompletion().ok());
+  EXPECT_EQ(machine->RecordsWithKey(100),
+            (std::vector<uint32_t>{1, 2, 3, 1, 3, 1, 3}));
+}
+
+// The stop_machine quiescence scan walks Threads(): after thousands of
+// threads have come and gone it visits the one live thread only.
+TEST(MachineTest, QuiescenceScanVisitsOnlyLiveThreads) {
+  std::unique_ptr<Machine> machine = BootNoInline(R"(
+void nap() { sleep(100000000); }
+void parked(int unused) { nap(); }
+void quick(int n) { record(100, n); }
+)");
+  ASSERT_NE(machine, nullptr);
+  ks::Result<int> parked = machine->SpawnNamed("parked", 0);
+  ASSERT_TRUE(parked.ok());
+  // 2,000 threads in batches of 100: more than the stacks of a default
+  // machine could hold at once, had the exited ones not been reaped.
+  constexpr uint32_t kExited = 2000;
+  for (uint32_t i = 0; i < kExited; ++i) {
+    ASSERT_TRUE(machine->SpawnNamed("quick", i).ok()) << i;
+    if (i % 100 == 99) {
+      ASSERT_TRUE(machine->Run(100'000).ok());
+    }
+  }
+  ASSERT_EQ(machine->RecordsWithKey(100).size(), kExited);
+
+  // Every address is "patched", so every thread the scan visits blocks.
+  std::vector<ksplice::QuiescenceBlocker> blockers;
+  ASSERT_TRUE(machine
+                  ->StopMachine([&](Machine& m) {
+                    EXPECT_EQ(m.Threads().size(), 1u);
+                    blockers = ksplice::ThreadsIn(
+                        m, {{0u, m.config().memory_bytes}});
+                    return ks::OkStatus();
+                  })
+                  .ok());
+  ASSERT_EQ(blockers.size(), 1u);
+  EXPECT_EQ(blockers[0].tid, *parked);
+}
+
+// Race check (run under TSan by scripts/check_tsan.sh): the stress pair
+// runs on four virtual CPUs, each with its own decode table, while the
+// host thread splices a function the pair calls and restores it, 100
+// times, under stop_machine.
+TEST(MachineTest, StressPairOnFourCpusSurvivesHotSplices) {
+  ks::Result<std::unique_ptr<Machine>> booted = corpus::BootKernelVersion(0);
+  ASSERT_TRUE(booted.ok()) << booted.status().ToString();
+  Machine& machine = **booted;
+  SourceTree mod_tree;
+  mod_tree.Write("fpu_v2.kc", R"(
+extern int fpu_state[4];
+extern int fpu_scratch;
+int fpu_read_v2(int reg) {
+  if (reg < 0 || reg > 4) {
+    return -1;
+  }
+  if (reg == 4) {
+    return fpu_scratch;
+  }
+  return fpu_state[reg];
+}
+)");
+  ks::Result<std::vector<kelf::ObjectFile>> objects =
+      kcc::BuildTree(mod_tree, kcc::CompileOptions());
+  ASSERT_TRUE(objects.ok()) << objects.status().ToString();
+  ASSERT_TRUE(machine.LoadModule(*objects, "fpu_v2").ok());
+  const uint32_t from = Address(machine, "fpu_read");
+  const std::vector<uint8_t> trampoline =
+      Trampoline(from, Address(machine, "fpu_read_v2"));
+  ks::Result<std::vector<uint8_t>> original =
+      machine.ReadBytes(from, kvx::kTrampolineSize);
+  ASSERT_TRUE(original.ok());
+
+  size_t pairs = 0;
+  auto spawn_pair = [&] {
+    ASSERT_TRUE(machine.SpawnNamed("stress_main", 4).ok());
+    ASSERT_TRUE(machine.SpawnNamed("stress_worker", 4).ok());
+    ++pairs;
+  };
+  ASSERT_NO_FATAL_FAILURE(spawn_pair());
+  machine.StartCpus(4);
+  int splices = 0;
+  for (int attempt = 0; splices < 100 && attempt < 100'000; ++attempt) {
+    if (!machine.HasLiveThreads()) {
+      ASSERT_NO_FATAL_FAILURE(spawn_pair());
+    }
+    // A thread inside the first kTrampolineSize bytes would resume in the
+    // middle of the jump: not quiescent, try again.
+    ks::Status spliced = machine.StopMachine([&](Machine& m) {
+      for (const ThreadInfo& thread : m.Threads()) {
+        if (thread.pc > from && thread.pc < from + kvx::kTrampolineSize) {
+          return ks::FailedPrecondition("fpu_read in use");
+        }
+      }
+      return m.WriteBytes(from, trampoline);
+    });
+    if (!spliced.ok()) {
+      continue;
+    }
+    std::this_thread::yield();
+    ASSERT_TRUE(machine
+                    .StopMachine([&](Machine& m) {
+                      return m.WriteBytes(from, *original);
+                    })
+                    .ok());
+    ++splices;
+  }
+  machine.StopCpus();
+  ASSERT_TRUE(machine.RunToCompletion().ok());
+  EXPECT_EQ(splices, 100);
+  EXPECT_EQ(machine.FaultCount(), 0u) << machine.Faults().front();
+  EXPECT_FALSE(machine.Halted());
+  EXPECT_EQ(machine.RecordsWithKey(corpus::kKeyStress).size(), 2 * pairs);
+  EXPECT_TRUE(machine.Threads().empty());
 }
 
 }  // namespace
