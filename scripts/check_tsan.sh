@@ -6,8 +6,10 @@
 # (parallelized) create pipeline, so its metrics updates must stay clean.
 # The runpre tests cover the matcher, which reads the machine that the
 # transaction test's -j 4 batch apply matches units against concurrently.
-# The fleet test drives wave rollouts at max_in_flight 8, where worker
-# threads share the fault injector and the metrics registry. The corpus
+# The fleet test drives wave rollouts at max_in_flight 4 and 8, where
+# worker threads share the fault injector, the metrics registry and each
+# package's read-only PackagePlan (the pre side every node matches
+# against). The corpus
 # test boots machines from the per-release linked image that is built
 # once and shared by every boot; the kvm test covers boot itself, and the
 # interpreter's per-host-thread decode tables: it runs the stress pair on

@@ -11,6 +11,7 @@
 #include "base/strings.h"
 #include "base/threadpool.h"
 #include "ksplice/quarantine.h"
+#include "ksplice/runpre.h"
 #include "ksplice/watchdog.h"
 
 namespace fleet {
@@ -55,9 +56,10 @@ bool Contains(const std::vector<std::string>& haystack,
 }
 
 // Applies the not-yet-applied subset of `packages` on one node and fills
-// its report. Runs on a wave worker thread.
+// its report. Runs on a wave worker thread; the plans are shared read-only
+// by every node.
 void ApplyOnNode(Fleet& fleet, size_t node,
-                 std::span<const ksplice::UpdatePackage> packages,
+                 const std::vector<ksplice::PackagePlan>& packages,
                  const RolloutPlan& plan, NodeState* state) {
   // Canary drill: only doomed nodes feel the armed fault plan.
   std::optional<ks::ScopedFaultSuppression> suppress;
@@ -67,10 +69,10 @@ void ApplyOnNode(Fleet& fleet, size_t node,
 
   ksplice::KspliceCore& core = fleet.core(node);
   std::vector<std::string> already = core.AppliedIds();
-  std::vector<ksplice::UpdatePackage> missing;
-  for (const ksplice::UpdatePackage& package : packages) {
-    if (!Contains(already, package.id)) {
-      missing.push_back(package);
+  std::vector<const ksplice::PackagePlan*> missing;
+  for (const ksplice::PackagePlan& prepared : packages) {
+    if (!Contains(already, prepared.package->id)) {
+      missing.push_back(&prepared);
     }
   }
   if (missing.empty()) {
@@ -95,8 +97,8 @@ void ApplyOnNode(Fleet& fleet, size_t node,
   state->report.quiescence_retries = batch->quiescence_retries;
   state->report.pause_ns = batch->pause_ns;
   state->report.functions_spliced = batch->functions_spliced;
-  for (const ksplice::UpdatePackage& package : missing) {
-    state->applied_ids.push_back(package.id);
+  for (const ksplice::PackagePlan* prepared : missing) {
+    state->applied_ids.push_back(prepared->package->id);
   }
 
   // Post-apply soak: spawn the wave workload and run the watchdog over
@@ -180,19 +182,28 @@ ks::Result<ksplice::RolloutReport> RunRollout(
   if (plan.max_in_flight < 1) {
     return ks::InvalidArgument("rollout: max_in_flight below 1");
   }
+  // Everything about a package that no node changes — its content hash,
+  // helper size and decoded pre side — is built once here and shared by
+  // every node.
+  std::vector<ksplice::PackagePlan> package_plans;
+  for (const ksplice::UpdatePackage& package : packages) {
+    KS_ASSIGN_OR_RETURN(ksplice::PackagePlan built,
+                        ksplice::PackagePlan::Build(package));
+    package_plans.push_back(std::move(built));
+  }
   // Fleet-level blacklist gate: a package a previous rollout's watchdogs
   // blamed is refused outright, by content hash — renaming the id does
   // not sneak it past.
   if (plan.blacklist != nullptr) {
-    for (const ksplice::UpdatePackage& package : packages) {
-      uint64_t hash = ksplice::PackageContentHash(package);
+    for (const ksplice::PackagePlan& prepared : package_plans) {
       std::optional<ksplice::QuarantineEntry> entry =
-          plan.blacklist->Find(hash);
+          plan.blacklist->Find(prepared.content_hash);
       if (entry.has_value()) {
         return ks::FailedPrecondition(ks::StrPrintf(
             "rollout: package %s is blacklisted (hash %016llx, "
             "evidence: %s)",
-            package.id.c_str(), static_cast<unsigned long long>(hash),
+            prepared.package->id.c_str(),
+            static_cast<unsigned long long>(prepared.content_hash),
             entry->evidence.c_str()));
       }
     }
@@ -258,7 +269,7 @@ ks::Result<ksplice::RolloutReport> RunRollout(
     const uint64_t wave_begin_ns = NowNs();
     ks::ParallelFor(plan.max_in_flight, end - begin, [&](size_t i) {
       size_t node = order[begin + i];
-      ApplyOnNode(fleet, node, packages, plan, &nodes[node]);
+      ApplyOnNode(fleet, node, package_plans, plan, &nodes[node]);
     });
 
     ksplice::RolloutWaveReport wave;

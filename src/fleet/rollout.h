@@ -43,6 +43,10 @@
 // deterministic across thread counts. All rollback/undo work also runs
 // suppressed — recovery is exempt from injection, as always.
 //
+// Each package is planned once per rollout (ksplice::PackagePlan: content
+// hash, helper size, decoded pre side) and every node matches against the
+// shared, read-only plan; only the run side is read per node.
+//
 // Determinism: node order comes from RolloutOrder(n, seed) (seeded
 // Fisher-Yates; seed 0 = insertion order), per-node rendezvous jitter is
 // seeded from (plan seed, node index), and wave aggregation is

@@ -159,7 +159,7 @@ std::optional<StackState> ApplyInsn(const kvx::Insn& insn,
 Cfg BuildCfg(const kelf::Section& section,
              const std::set<uint32_t>& extra_entry_points) {
   Cfg cfg;
-  const uint32_t size = static_cast<uint32_t>(section.bytes.size());
+  cfg.size = static_cast<uint32_t>(section.bytes.size());
 
   std::set<uint32_t> reloc_fields;
   for (const kelf::Relocation& rel : section.relocs) {
@@ -318,7 +318,7 @@ size_t VerifyFunction(const std::string& unit, const std::string& symbol,
         "KSA202", LintSeverity::kError, unit, symbol,
         ks::StrPrintf("jump to 0x%x is outside the function or lands "
                       "inside an instruction (%u code bytes)",
-                      target, static_cast<uint32_t>(section.bytes.size())),
+                      target, cfg.size),
         "intra-function branches must target instruction boundaries; "
         "out-of-function control flow needs a relocation");
     finding.offset = branch_off;

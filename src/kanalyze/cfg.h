@@ -52,6 +52,7 @@ struct BasicBlock {
 };
 
 struct Cfg {
+  uint32_t size = 0;  // section bytes
   std::vector<CfgInsn> insns;
   std::vector<BasicBlock> blocks;
   // Linear decode stopped early (undecodable byte / truncated insn).

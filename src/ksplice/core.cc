@@ -54,15 +54,45 @@ std::string KspliceCore::NextTransactionGroup() {
                        static_cast<unsigned long long>(next_txn_++));
 }
 
+namespace {
+
+// Plans for `packages`, with each plan's pre-side decode charged to the
+// matching entry of `costs`: the caller that builds a plan owns its cost.
+ks::Result<std::vector<PackagePlan>> BuildPlans(
+    std::span<const UpdatePackage> packages, std::vector<MatchStats>* costs) {
+  std::vector<PackagePlan> plans;
+  costs->assign(packages.size(), MatchStats{});
+  for (size_t i = 0; i < packages.size(); ++i) {
+    KS_ASSIGN_OR_RETURN(PackagePlan plan,
+                        PackagePlan::Build(packages[i], &(*costs)[i]));
+    plans.push_back(std::move(plan));
+  }
+  return plans;
+}
+
+std::vector<const PackagePlan*> PlanRefs(
+    const std::vector<PackagePlan>& plans) {
+  std::vector<const PackagePlan*> refs;
+  for (const PackagePlan& plan : plans) {
+    refs.push_back(&plan);
+  }
+  return refs;
+}
+
+}  // namespace
+
 ks::Result<ApplyReport> KspliceCore::Apply(const UpdatePackage& package,
                                            const ApplyOptions& options) {
   ks::TraceSpan span("ksplice.apply");
   span.Annotate("id", package.id);
 
+  std::vector<MatchStats> costs;
+  KS_ASSIGN_OR_RETURN(std::vector<PackagePlan> plans,
+                      BuildPlans(std::span(&package, 1), &costs));
   UpdateTransaction txn(this, options);
-  KS_ASSIGN_OR_RETURN(BatchApplyReport batch,
-                      txn.Run(std::span<const UpdatePackage>(&package, 1)));
+  KS_ASSIGN_OR_RETURN(BatchApplyReport batch, txn.Run(PlanRefs(plans)));
   ApplyReport report = std::move(batch.updates[0]);
+  report.match.MergeFrom(costs[0]);
   span.Annotate("functions",
                 static_cast<uint64_t>(report.functions.size()));
   span.Annotate("attempts", static_cast<uint64_t>(report.attempts));
@@ -72,11 +102,24 @@ ks::Result<ApplyReport> KspliceCore::Apply(const UpdatePackage& package,
 
 ks::Result<BatchApplyReport> KspliceCore::ApplyAll(
     std::span<const UpdatePackage> packages, const ApplyOptions& options) {
+  std::vector<MatchStats> costs;
+  KS_ASSIGN_OR_RETURN(std::vector<PackagePlan> plans,
+                      BuildPlans(packages, &costs));
+  KS_ASSIGN_OR_RETURN(BatchApplyReport batch,
+                      ApplyAll(PlanRefs(plans), options));
+  for (size_t i = 0; i < costs.size(); ++i) {
+    batch.updates[i].match.MergeFrom(costs[i]);
+  }
+  return batch;
+}
+
+ks::Result<BatchApplyReport> KspliceCore::ApplyAll(
+    std::span<const PackagePlan* const> plans, const ApplyOptions& options) {
   ks::TraceSpan span("ksplice.batch_apply");
-  span.Annotate("packages", static_cast<uint64_t>(packages.size()));
+  span.Annotate("packages", static_cast<uint64_t>(plans.size()));
 
   UpdateTransaction txn(this, options);
-  KS_ASSIGN_OR_RETURN(BatchApplyReport batch, txn.Run(packages));
+  KS_ASSIGN_OR_RETURN(BatchApplyReport batch, txn.Run(plans));
 
   static ks::Counter& batches =
       ks::Metrics().GetCounter("ksplice.batch_applies");

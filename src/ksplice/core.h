@@ -38,6 +38,7 @@
 #include "ksplice/quarantine.h"
 #include "ksplice/rendezvous.h"
 #include "ksplice/report.h"
+#include "ksplice/runpre.h"
 #include "kvm/machine.h"
 
 namespace ksplice {
@@ -114,6 +115,14 @@ class KspliceCore {
   // stacked updates apply in separate calls.
   ks::Result<BatchApplyReport> ApplyAll(std::span<const UpdatePackage> packages,
                                         const ApplyOptions& options = {});
+
+  // The one apply path, behind both calls above: ApplyAll over prebuilt
+  // package plans (runpre.h), so a caller applying the same packages to
+  // many machines (the fleet rollout) builds each plan once. The plans'
+  // pre-side decode is not charged to the returned reports.
+  ks::Result<BatchApplyReport> ApplyAll(
+      std::span<const PackagePlan* const> plans,
+      const ApplyOptions& options = {});
 
   // Reverses the applied update named `id` — any update, not just the top
   // of the stack. Mid-stack removal rewrites the affected chains of newer

@@ -38,9 +38,15 @@ struct MatchStats {
   uint64_t ambiguity_deferrals = 0; // sections deferred to a later pass
   uint64_t fixpoint_passes = 0;     // disambiguation rounds
 
-  // Decode-once work (zero in the linear oracle).
-  uint64_t pre_bytes_canonicalized = 0;  // pre bytes decoded once per section
-  uint64_t run_bytes_canonicalized = 0;  // run bytes decoded once per address
+  // Decode-once work. Pre bytes are decoded once per section, when the
+  // unit's MatchPlan is built (runpre.h), and charged only to whoever
+  // built it: MatchUnit(ObjectFile) and Apply/ApplyAll(UpdatePackage)
+  // report them, while a match against a shared, prebuilt plan (every
+  // node of a fleet rollout) reports 0 here. Run bytes are decoded once
+  // per candidate address per match (zero in the linear oracle, which
+  // re-decodes per attempt and counts pre_bytes_walked instead).
+  uint64_t pre_bytes_canonicalized = 0;
+  uint64_t run_bytes_canonicalized = 0;
   uint64_t revalidations = 0;  // cached successes re-checked across passes
 
   // Per-howto structural matching (special sections, §4.3): sections

@@ -8,6 +8,7 @@
 #include "base/metrics.h"
 #include "base/strings.h"
 #include "base/trace.h"
+#include "ksplice/quarantine.h"
 #include "kvx/isa.h"
 
 namespace ksplice {
@@ -33,42 +34,26 @@ namespace {
 // ------------------------------------------------------------------
 // Decoded code.
 
-// One non-nop instruction of a decoded code blob.
-struct CodeRec {
-  uint32_t pos = 0;  // offset from the section start / run anchor
-  kvx::Insn insn;
-};
+// One non-nop instruction of a decoded code blob (pos is the offset from
+// the section start or the run anchor).
+using CodeRec = PlannedSection::Rec;
 
-// A pre text section decoded once per MatchUnit (or per attempt in the
-// linear oracle): non-nop records and the boundary map branch
-// correspondence needs.
-struct PreDecoded {
-  std::vector<CodeRec> recs;
-  // Every instruction boundary the byte walk visits (nop starts included,
-  // plus the end-of-walk boundary) -> index of the first record at or
-  // after it (recs.size() for boundaries past the last record). This is
-  // the record-level image of the byte matcher's `corr` keys and its
-  // SkipNops target normalization.
-  std::map<uint32_t, size_t> boundary;
-  uint32_t end = 0;           // bytes consumed by the decode walk
-  bool decode_error = false;  // decoding failed at offset `end`
-};
-
-PreDecoded DecodePre(const std::vector<uint8_t>& code) {
-  PreDecoded d;
+// Decodes `section`'s text into its records and boundary map.
+void DecodePre(PlannedSection& section) {
+  section.recs.clear();
+  section.boundary.clear();
   kvx::WalkEnd walk = kvx::WalkInsns(
-      std::span<const uint8_t>(code),
+      std::span<const uint8_t>(section.section->bytes),
       [&](uint32_t pos, const kvx::Insn& insn) {
-        d.boundary[pos] = d.recs.size();
+        section.boundary[pos] = section.recs.size();
         if (!kvx::GetOpInfo(insn.op).is_nop) {
-          d.recs.push_back(CodeRec{pos, insn});
+          section.recs.push_back(CodeRec{pos, insn});
         }
         return true;
       });
-  d.decode_error = !walk.decode_ok;
-  d.end = walk.end;
-  d.boundary[d.end] = d.recs.size();
-  return d;
+  section.decode_error = !walk.decode_ok;
+  section.end = walk.end;
+  section.boundary[section.end] = section.recs.size();
 }
 
 // Lazily-decoded run code at one candidate address. Bytes are fetched from
@@ -258,30 +243,26 @@ ks::Status RecoverSymbol(const kvm::Machine& machine,
 }
 
 // Verifies one (section, candidate) pair by walking pre and run
-// instruction records in step. `predec` carries the pre decode; `run` the
-// (lazily extended) run decode. `committed` is the valuation accumulated
-// so far (a conflicting recovery fails the match). When `walk_acct` is
+// instruction records in step. `predec` carries the pre decode and
+// relocation index; `run` the (lazily extended) run decode. `committed` is
+// the valuation accumulated so far (a conflicting recovery fails the
+// match). When `walk_acct` is
 // set (the linear oracle) the walk charges pre_bytes_walked /
 // nop_bytes_skipped exactly as the byte-by-byte matcher did: bytes up to
 // the mismatch point, per attempt. Relocation inversions always charge
 // into `stats`.
 ks::Result<LocalMatch> VerifyCandidate(
     const kvm::Machine& machine, const kelf::ObjectFile& pre,
-    const kelf::Section& section, const PreDecoded& predec,
-    uint32_t run_start, RunStream& run,
+    const PlannedSection& predec, uint32_t run_start, RunStream& run,
     const std::map<std::string, uint32_t>& committed, MatchStats& stats,
     bool walk_acct) {
   stats.candidates_tried += 1;
   auto mismatch = [&](uint32_t pre_pos, const std::string& why) {
     return ks::Aborted(
-        MismatchMessage(pre, section, pre_pos, run_start, why));
+        MismatchMessage(pre, *predec.section, pre_pos, run_start, why));
   };
-
-  // Relocation lookup by field offset.
-  std::map<uint32_t, const kelf::Relocation*> reloc_at;
-  for (const kelf::Relocation& rel : section.relocs) {
-    reloc_at[rel.offset] = &rel;
-  }
+  const std::map<uint32_t, const kelf::Relocation*>& reloc_at =
+      predec.reloc_at;
 
   LocalMatch local;
   struct BranchCheck {
@@ -495,9 +476,10 @@ ks::Result<LocalMatch> VerifyCandidate(
 // decode-once path and the linear oracle take the identical path here.
 ks::Result<LocalMatch> VerifyTableCandidate(
     const kvm::Machine& machine, const kelf::ObjectFile& pre,
-    const kelf::Section& section, uint32_t run_start,
+    const PlannedSection& planned, uint32_t run_start,
     const std::map<std::string, uint32_t>& committed, MatchStats& stats) {
   stats.candidates_tried += 1;
+  const kelf::Section& section = *planned.section;
   auto mismatch = [&](uint32_t pre_pos, const std::string& why) {
     return ks::Aborted(
         MismatchMessage(pre, section, pre_pos, run_start, why));
@@ -522,15 +504,11 @@ ks::Result<LocalMatch> VerifyTableCandidate(
     return local;
   }
 
-  std::map<uint32_t, const kelf::Relocation*> reloc_at;
-  for (const kelf::Relocation& rel : section.relocs) {
-    reloc_at[rel.offset] = &rel;
-  }
   for (uint32_t off = 0; off + 4 <= size; off += 4) {
     uint32_t entry_index = off / kelf::kHowtoEntrySize;
     uint32_t run_word = ks::ReadLe32(run_bytes->data() + off);
-    auto rel_it = reloc_at.find(off);
-    if (rel_it == reloc_at.end()) {
+    auto rel_it = planned.reloc_at.find(off);
+    if (rel_it == planned.reloc_at.end()) {
       // Literal word (e.g. a bug entry's source line): byte-identical.
       uint32_t pre_word = ks::ReadLe32(section.bytes.data() + off);
       if (pre_word != run_word) {
@@ -555,6 +533,7 @@ ks::Result<LocalMatch> VerifyTableCandidate(
 // Publication.
 
 // Aggregates one MatchUnit call's stats into the process-wide registry.
+// The pre-side decode is not among them: MatchPlan::Build publishes it.
 void PublishMatchStats(const MatchStats& stats, bool ok) {
   static ks::Counter& units = ks::Metrics().GetCounter("runpre.units_matched");
   static ks::Counter& failures =
@@ -576,8 +555,6 @@ void PublishMatchStats(const MatchStats& stats, bool ok) {
       ks::Metrics().GetCounter("runpre.fixpoint_passes");
   static ks::Counter& revalidations =
       ks::Metrics().GetCounter("runpre.revalidations");
-  static ks::Counter& index_pre_bytes =
-      ks::Metrics().GetCounter("runpre.index.pre_bytes_canonicalized");
   static ks::Counter& index_run_bytes =
       ks::Metrics().GetCounter("runpre.index.run_bytes_canonicalized");
   static ks::Counter& howto_extable =
@@ -596,7 +573,6 @@ void PublishMatchStats(const MatchStats& stats, bool ok) {
   deferrals.Add(stats.ambiguity_deferrals);
   passes.Add(stats.fixpoint_passes);
   revalidations.Add(stats.revalidations);
-  index_pre_bytes.Add(stats.pre_bytes_canonicalized);
   index_run_bytes.Add(stats.run_bytes_canonicalized);
   howto_extable.Add(stats.extable_sections_matched);
   howto_bug.Add(stats.bug_table_sections_matched);
@@ -614,12 +590,7 @@ void PublishMatchStats(const MatchStats& stats, bool ok) {
 using Attempt = ks::Result<LocalMatch>;
 
 struct PendingSection {
-  std::string symbol;
-  const kelf::Section* section = nullptr;
-  // Matching strategy selector: kNone = text (instruction-wise), anything
-  // else routes to VerifyTableCandidate.
-  kelf::Howto howto = kelf::Howto::kNone;
-  PreDecoded pre;  // text sections, decode-once mode
+  const PlannedSection* plan = nullptr;
   std::map<uint32_t, Attempt> attempts;  // candidate addr -> outcome
 };
 
@@ -629,25 +600,11 @@ constexpr size_t kMaxFailureReasons = 6;
 
 }  // namespace
 
-ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
-                                               MatchStats* stats) const {
-  ks::TraceSpan span("runpre.match_unit");
-  span.Annotate("unit", pre.source_name());
-  MatchStats scratch;
-  MatchStats& tally = stats != nullptr ? *stats : scratch;
-  tally = MatchStats{};
-  // Publish to the registry however this call ends (including every early
-  // error return below).
-  struct Publisher {
-    const MatchStats& tally;
-    bool ok = false;
-    ~Publisher() { PublishMatchStats(tally, ok); }
-  } publisher{tally};
-
-  UnitMatch match;
-  match.unit = pre.source_name();
-
-  std::vector<PendingSection> pending;
+ks::Result<MatchPlan> MatchPlan::Build(const kelf::ObjectFile& pre,
+                                       MatchStats* stats) {
+  MatchPlan plan;
+  plan.object = &pre;
+  uint64_t decoded = 0;
   for (size_t si = 0; si < pre.sections().size(); ++si) {
     const kelf::Section& section = pre.sections()[si];
     // Text sections match instruction-wise; howto-tagged data sections
@@ -666,15 +623,76 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
           "build made with -ffunction-sections?)",
           section.name.c_str(), pre.source_name().c_str()));
     }
-    PendingSection entry;
-    entry.symbol = pre.symbols()[static_cast<size_t>(*def)].name;
-    entry.section = &section;
-    entry.howto = section.howto;
-    if (options_.decode_once && !howto_table) {
-      entry.pre = DecodePre(section.bytes);
-      tally.pre_bytes_canonicalized += entry.pre.end;
+    PlannedSection& planned = plan.sections.emplace_back();
+    planned.section = &section;
+    planned.symbol = pre.symbols()[static_cast<size_t>(*def)].name;
+    planned.howto = section.howto;
+    for (const kelf::Relocation& rel : section.relocs) {
+      planned.reloc_at[rel.offset] = &rel;
     }
-    pending.push_back(std::move(entry));
+    if (!howto_table) {
+      DecodePre(planned);
+      decoded += planned.end;
+    }
+  }
+  static ks::Counter& pre_bytes =
+      ks::Metrics().GetCounter("runpre.index.pre_bytes_canonicalized");
+  pre_bytes.Add(decoded);
+  if (stats != nullptr) {
+    stats->pre_bytes_canonicalized += decoded;
+  }
+  return plan;
+}
+
+ks::Result<PackagePlan> PackagePlan::Build(const UpdatePackage& package,
+                                           MatchStats* stats) {
+  ks::TraceSpan span("runpre.plan_package");
+  span.Annotate("id", package.id);
+  PackagePlan plan;
+  plan.package = &package;
+  plan.content_hash = PackageContentHash(package);
+  for (const kelf::ObjectFile& helper : package.helper_objects) {
+    plan.helper_bytes += static_cast<uint32_t>(helper.Serialize().size());
+    KS_ASSIGN_OR_RETURN(MatchPlan unit, MatchPlan::Build(helper, stats));
+    plan.units.push_back(std::move(unit));
+  }
+  return plan;
+}
+
+ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
+                                               MatchStats* stats) const {
+  MatchStats built;
+  KS_ASSIGN_OR_RETURN(MatchPlan plan, MatchPlan::Build(pre, &built));
+  ks::Result<UnitMatch> match = MatchUnit(plan, stats);
+  if (stats != nullptr) {
+    stats->MergeFrom(built);
+  }
+  return match;
+}
+
+ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
+                                               MatchStats* stats) const {
+  const kelf::ObjectFile& pre = *plan.object;
+  ks::TraceSpan span("runpre.match_unit");
+  span.Annotate("unit", pre.source_name());
+  MatchStats scratch;
+  MatchStats& tally = stats != nullptr ? *stats : scratch;
+  tally = MatchStats{};
+  // Publish to the registry however this call ends (including every early
+  // error return below).
+  struct Publisher {
+    const MatchStats& tally;
+    bool ok = false;
+    ~Publisher() { PublishMatchStats(tally, ok); }
+  } publisher{tally};
+
+  UnitMatch match;
+  match.unit = pre.source_name();
+
+  std::vector<PendingSection> pending;
+  pending.reserve(plan.sections.size());
+  for (const PlannedSection& section : plan.sections) {
+    pending.push_back(PendingSection{&section, {}});
   }
 
   // One RunStream per candidate address, shared across sections and
@@ -687,12 +705,12 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
   auto compute_candidates =
       [&](const PendingSection& entry) -> std::vector<uint32_t> {
     std::vector<uint32_t> candidates;
-    auto valued = match.symbol_values.find(entry.symbol);
+    auto valued = match.symbol_values.find(entry.plan->symbol);
     if (valued != match.symbol_values.end()) {
       candidates.push_back(valued->second);
     } else if (redirect_ != nullptr) {
       std::optional<std::pair<uint32_t, uint32_t>> redirected =
-          redirect_(match.unit, entry.symbol);
+          redirect_(match.unit, entry.plan->symbol);
       if (redirected.has_value()) {
         candidates.push_back(redirected->first);
       }
@@ -700,11 +718,11 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
     if (candidates.empty()) {
       // Text sections anchor at function symbols; howto tables at the
       // object symbol their section defines (__extable_<fn>, kbuild.date.*).
-      kelf::SymbolKind want = entry.howto == kelf::Howto::kNone
+      kelf::SymbolKind want = entry.plan->howto == kelf::Howto::kNone
                                   ? kelf::SymbolKind::kFunction
                                   : kelf::SymbolKind::kObject;
       for (const kelf::LinkedSymbol& sym :
-           machine_.SymbolsNamed(entry.symbol)) {
+           machine_.SymbolsNamed(entry.plan->symbol)) {
         if (sym.kind == want) {
           candidates.push_back(sym.address);
         }
@@ -720,20 +738,22 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
   // The linear oracle decodes the pre section and the run code afresh for
   // every attempt.
   auto verify = [&](const PendingSection& entry, uint32_t candidate) {
-    if (entry.howto != kelf::Howto::kNone) {
-      return VerifyTableCandidate(machine_, pre, *entry.section, candidate,
+    const PlannedSection& section = *entry.plan;
+    if (section.howto != kelf::Howto::kNone) {
+      return VerifyTableCandidate(machine_, pre, section, candidate,
                                   match.symbol_values, tally);
     }
     if (options_.decode_once) {
       RunStream& stream =
           streams.try_emplace(candidate, machine_, candidate).first->second;
-      return VerifyCandidate(machine_, pre, *entry.section, entry.pre,
-                             candidate, stream, match.symbol_values, tally,
+      return VerifyCandidate(machine_, pre, section, candidate, stream,
+                             match.symbol_values, tally,
                              /*walk_acct=*/false);
     }
+    PlannedSection fresh = section;
+    DecodePre(fresh);
     RunStream stream(machine_, candidate);
-    return VerifyCandidate(machine_, pre, *entry.section,
-                           DecodePre(entry.section->bytes), candidate, stream,
+    return VerifyCandidate(machine_, pre, fresh, candidate, stream,
                            match.symbol_values, tally, /*walk_acct=*/true);
   };
 
@@ -747,7 +767,7 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
       auto it = match.symbol_values.find(site.name);
       if (it != match.symbol_values.end() && it->second != site.value) {
         return ks::Aborted(MismatchMessage(
-            pre, *entry.section, site.pre_pos, candidate,
+            pre, *entry.plan->section, site.pre_pos, candidate,
             ks::StrPrintf("symbol '%s' recovered as %s but already valued %s",
                           site.name.c_str(), ks::Hex32(site.value).c_str(),
                           ks::Hex32(it->second).c_str())));
@@ -781,7 +801,7 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
     bool progress = false;
     std::vector<PendingSection> still_pending;
     for (PendingSection& entry : pending) {
-      const kelf::Section& section = *entry.section;
+      const kelf::Section& section = *entry.plan->section;
       // Re-derive the candidate list: a commit earlier in this same pass
       // may have pinned this symbol to a single address.
       std::vector<uint32_t> candidates = compute_candidates(entry);
@@ -789,7 +809,7 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
         return ks::Aborted(ks::StrPrintf(
             "run-pre: no run candidate for %s (%s in %s) — does the given "
             "source correspond to the running kernel?",
-            entry.symbol.c_str(), section.name.c_str(),
+            entry.plan->symbol.c_str(), section.name.c_str(),
             match.unit.c_str()));
       }
 
@@ -831,7 +851,7 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
         }
         return ks::Aborted(ks::StrPrintf(
             "run-pre: %s in %s matches no candidate (%zu tried):%s",
-            entry.symbol.c_str(), match.unit.c_str(), candidates.size(),
+            entry.plan->symbol.c_str(), match.unit.c_str(), candidates.size(),
             detail.c_str()));
       }
       if (successes.size() > 1) {
@@ -853,23 +873,23 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
         }
         match.symbol_values[name] = value;
       }
-      auto own = match.symbol_values.find(entry.symbol);
+      auto own = match.symbol_values.find(entry.plan->symbol);
       if (own != match.symbol_values.end() && own->second != address) {
         return ks::Aborted(ks::StrPrintf(
             "run-pre: section %s matched at %s but '%s' is valued %s",
             section.name.c_str(), ks::Hex32(address).c_str(),
-            entry.symbol.c_str(), ks::Hex32(own->second).c_str()));
+            entry.plan->symbol.c_str(), ks::Hex32(own->second).c_str()));
       }
-      match.symbol_values[entry.symbol] = address;
+      match.symbol_values[entry.plan->symbol] = address;
       MatchedSection matched;
       matched.name = section.name;
-      matched.symbol = entry.symbol;
+      matched.symbol = entry.plan->symbol;
       matched.run_address = address;
       matched.run_size = local.run_size;
       match.sections[section.name] = std::move(matched);
       tally.sections_matched += 1;
       tally.run_bytes_matched += local.run_size;
-      switch (entry.howto) {
+      switch (entry.plan->howto) {
         case kelf::Howto::kNone:
           break;
         case kelf::Howto::kExtable:
@@ -891,7 +911,7 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const kelf::ObjectFile& pre,
         if (!names.empty()) {
           names += ", ";
         }
-        names += entry.symbol;
+        names += entry.plan->symbol;
       }
       return ks::Aborted(ks::StrPrintf(
           "run-pre: ambiguous symbols could not be resolved in %s: %s",

@@ -10,14 +10,20 @@
 // S = val − A (absolute), accumulating a symbol valuation that must be
 // globally consistent.
 //
-// Each pre section is decoded once per MatchUnit, and the run code at each
-// candidate address is decoded lazily into one stream shared by every
-// section and fixpoint pass, so no byte is decoded twice. Candidates of a
-// section are the same-named kallsyms symbols (or a committed or
-// redirected address); a section whose symbol name is ambiguous is
-// verified against each, and ambiguity is resolved by code content plus
-// valuation constraints propagated from other sections across fixpoint
-// passes. A section's successful verifications are carried forward across
+// The pre side is decoded once, into a MatchPlan (one per helper unit),
+// before any machine is touched; a PackagePlan bundles the plans of one
+// package with its content hash and helper size. Plans are immutable and
+// shared read-only by every node of a rollout and every thread of a batch.
+// The run side is never planned: the run code at each candidate address is
+// decoded lazily, per MatchUnit call, into one stream shared by every
+// section and fixpoint pass, because run-pre's safety rests on reading the
+// live bytes (§4.3).
+//
+// Candidates of a section are the same-named kallsyms symbols (or a
+// committed or redirected address); a section whose symbol name is
+// ambiguous is verified against each, and ambiguity is resolved by code
+// content plus valuation constraints propagated from other sections across
+// fixpoint passes. A section's successful verifications are carried forward across
 // passes (only the valuation consistency of the cached recovery is
 // re-checked), so no (section, candidate) pair is ever walked twice.
 // Residual ambiguity or any run/pre difference aborts the update (§4.3,
@@ -42,7 +48,9 @@
 #include "base/status.h"
 #include "kelf/objfile.h"
 #include "ksplice/report.h"
+#include "ksplice/package.h"
 #include "kvm/machine.h"
+#include "kvx/isa.h"
 
 namespace ksplice {
 
@@ -69,6 +77,61 @@ struct UnitMatch {
 using PatchRedirect =
     std::function<std::optional<std::pair<uint32_t, uint32_t>>(
         const std::string& unit, const std::string& symbol)>;
+
+// One pre section as the verifier reads it.
+struct PlannedSection {
+  const kelf::Section* section = nullptr;  // in the plan's object
+  std::string symbol;                      // defining symbol
+  // Matching strategy selector: kNone = text (instruction-wise), anything
+  // else is a howto table (entry-structural or content-ignoring).
+  kelf::Howto howto = kelf::Howto::kNone;
+  // Relocation at each field offset.
+  std::map<uint32_t, const kelf::Relocation*> reloc_at;
+
+  // Text sections only: the decode. One non-nop instruction record.
+  struct Rec {
+    uint32_t pos = 0;  // offset from the section start
+    kvx::Insn insn;
+  };
+  std::vector<Rec> recs;
+  // Every instruction boundary the decode walk visits (nop starts
+  // included, plus the end-of-walk boundary) -> index of the first record
+  // at or after it (recs.size() for boundaries past the last record).
+  // This is the record-level image of branch correspondence and nop
+  // normalization of branch targets.
+  std::map<uint32_t, size_t> boundary;
+  uint32_t end = 0;           // bytes consumed by the decode walk
+  bool decode_error = false;  // decoding failed at offset `end`
+};
+
+// The pre side of one helper unit, decoded once. Borrows `object`, which
+// must outlive the plan. Immutable after Build, so any number of machines
+// and threads may match against one plan concurrently.
+struct MatchPlan {
+  const kelf::ObjectFile* object = nullptr;
+  std::vector<PlannedSection> sections;  // run-pre sections, object order
+
+  // Decodes every text section of `pre` and indexes its relocations. The
+  // decode is charged once, here: to `stats` (pre_bytes_canonicalized)
+  // when non-null and to the registry. Fails when a section has no
+  // defining symbol.
+  static ks::Result<MatchPlan> Build(const kelf::ObjectFile& pre,
+                                     MatchStats* stats = nullptr);
+};
+
+// Everything about one package that does not depend on the machine it is
+// applied to, built once per package and shared read-only. Borrows
+// `package`, which must outlive the plan.
+struct PackagePlan {
+  const UpdatePackage* package = nullptr;
+  uint64_t content_hash = 0;     // PackageContentHash (quarantine key)
+  uint32_t helper_bytes = 0;     // serialized helper objects, arena size
+  std::vector<MatchPlan> units;  // one per helper object, package order
+
+  // Builds every unit's MatchPlan, charging their decode to `stats`.
+  static ks::Result<PackagePlan> Build(const UpdatePackage& package,
+                                       MatchStats* stats = nullptr);
+};
 
 // Matching knobs.
 struct MatcherOptions {
@@ -98,11 +161,16 @@ class RunPreMatcher {
         redirect_(std::move(redirect)),
         options_(options) {}
 
-  // Matches every text section of `pre` against the run image. When
-  // `stats` is non-null it is filled with this call's matching statistics
-  // (populated on failure too, up to the point of the abort); the same
-  // numbers are aggregated into the global metrics registry under the
+  // Matches every section of `plan` against the run image. When `stats`
+  // is non-null it is filled with this call's matching statistics
+  // (populated on failure too, up to the point of the abort): run-side
+  // work only, since the plan's decode was charged when it was built. The
+  // same numbers are aggregated into the global metrics registry under the
   // "runpre." prefix either way.
+  ks::Result<UnitMatch> MatchUnit(const MatchPlan& plan,
+                                  MatchStats* stats = nullptr) const;
+  // Builds a plan for `pre` and matches it; `stats` then also carries the
+  // plan's decode.
   ks::Result<UnitMatch> MatchUnit(const kelf::ObjectFile& pre,
                                   MatchStats* stats = nullptr) const;
 

@@ -111,14 +111,15 @@ ks::Status UpdateTransaction::RunStage(TxnStage stage,
 }
 
 ks::Status UpdateTransaction::Prepare(
-    std::span<const UpdatePackage> packages) {
+    std::span<const PackagePlan* const> plans) {
   KS_FAULT_POINT("ksplice.txn.prepare");
-  if (packages.empty()) {
+  if (plans.empty()) {
     return ks::InvalidArgument("no packages to apply");
   }
   std::set<std::string> ids;
   std::map<std::pair<std::string, std::string>, std::string> targets;
-  for (const UpdatePackage& package : packages) {
+  for (const PackagePlan* plan : plans) {
+    const UpdatePackage& package = *plan->package;
     for (const AppliedUpdate& existing : core_->applied()) {
       if (existing.id == package.id) {
         return ks::AlreadyExists(ks::StrPrintf(
@@ -133,7 +134,7 @@ ks::Status UpdateTransaction::Prepare(
     // after an attributed regression is refused by content hash until the
     // operator forces it; the override clears the entry so a forced
     // re-apply gets a clean slate for the next soak.
-    uint64_t package_hash = PackageContentHash(package);
+    const uint64_t package_hash = plan->content_hash;
     std::optional<QuarantineEntry> quarantined =
         core_->quarantine().Find(package_hash);
     if (quarantined.has_value()) {
@@ -163,7 +164,7 @@ ks::Status UpdateTransaction::Prepare(
       }
     }
     Staged staged;
-    staged.package = &package;
+    staged.plan = plan;
     staged.update.id = package.id;
     staged.update.package_hash = package_hash;
     staged.report.id = package.id;
@@ -182,12 +183,12 @@ ks::Status UpdateTransaction::Match() {
   // the outcome is identical at any worker count.
   struct Task {
     Staged* staged;
-    const kelf::ObjectFile* helper;
+    const MatchPlan* unit;
   };
   std::vector<Task> tasks;
   for (Staged& staged : staged_) {
-    for (const kelf::ObjectFile& helper : staged.package->helper_objects) {
-      tasks.push_back(Task{&staged, &helper});
+    for (const MatchPlan& unit : staged.plan->units) {
+      tasks.push_back(Task{&staged, &unit});
     }
   }
   RunPreMatcher matcher(
@@ -199,18 +200,18 @@ ks::Status UpdateTransaction::Match() {
   std::vector<ks::Result<UnitMatch>> results(
       tasks.size(), ks::Result<UnitMatch>(ks::Internal("not matched")));
   ks::ParallelFor(options_.jobs, tasks.size(), [&](size_t i) {
-    results[i] = matcher.MatchUnit(*tasks[i].helper, &stats[i]);
+    results[i] = matcher.MatchUnit(*tasks[i].unit, &stats[i]);
   });
   for (size_t i = 0; i < tasks.size(); ++i) {
     tasks[i].staged->report.match.MergeFrom(stats[i]);
     if (!results[i].ok()) {
       return ks::Status(results[i].status())
           .WithContext(ks::StrPrintf(
-              "applying %s", tasks[i].staged->package->id.c_str()));
+              "applying %s", tasks[i].staged->plan->package->id.c_str()));
     }
   }
   for (size_t i = 0; i < tasks.size(); ++i) {
-    tasks[i].staged->matches.emplace(tasks[i].helper->source_name(),
+    tasks[i].staged->matches.emplace(tasks[i].unit->object->source_name(),
                                      std::move(results[i]).value());
   }
   return ks::OkStatus();
@@ -221,17 +222,14 @@ ks::Status UpdateTransaction::Load() {
   // Sequential, in package order: the module arena layout (and therefore
   // every splice address) must not depend on load interleaving.
   for (Staged& staged : staged_) {
-    const UpdatePackage& package = *staged.package;
+    const UpdatePackage& package = *staged.plan->package;
     auto fail = [&package](ks::Status status) {
       return status.WithContext(
           ks::StrPrintf("applying %s", package.id.c_str()));
     };
 
     // Helper image (memory accounting; unloadable afterwards, §5.1).
-    uint32_t helper_bytes = 0;
-    for (const kelf::ObjectFile& helper : package.helper_objects) {
-      helper_bytes += static_cast<uint32_t>(helper.Serialize().size());
-    }
+    const uint32_t helper_bytes = staged.plan->helper_bytes;
     ks::Result<kvm::ModuleHandle> helper_handle =
         machine_->LoadBlob(package.id + "-helper", helper_bytes, group_);
     if (!helper_handle.ok()) {
@@ -374,7 +372,7 @@ ks::Status UpdateTransaction::PreApply() {
     ks::Status hooks = core_->RunHooks(staged.update.hooks.pre_apply);
     if (!hooks.ok()) {
       return hooks.WithContext(
-          ks::StrPrintf("applying %s", staged.package->id.c_str()));
+          ks::StrPrintf("applying %s", staged.plan->package->id.c_str()));
     }
   }
   return ks::OkStatus();
@@ -448,7 +446,7 @@ ks::Status UpdateTransaction::Rendezvous() {
   if (!stopped.ok()) {
     if (staged_.size() == 1) {
       return stopped.WithContext(
-          ks::StrPrintf("applying %s", staged_[0].package->id.c_str()));
+          ks::StrPrintf("applying %s", staged_[0].plan->package->id.c_str()));
     }
     return stopped.WithContext(
         ks::StrPrintf("applying %zu packages", staged_.size()));
@@ -513,7 +511,7 @@ ks::Status UpdateTransaction::Commit() {
 
     size_t function_count = staged.update.functions.size();
     core_->Register(std::move(staged.update));
-    KS_LOG(kInfo) << "applied " << staged.package->id << " ("
+    KS_LOG(kInfo) << "applied " << staged.plan->package->id << " ("
                   << function_count << " functions)";
   }
   static ks::Counter& retries =
@@ -551,11 +549,11 @@ void UpdateTransaction::Rollback(TxnStage failed) {
 }
 
 ks::Result<BatchApplyReport> UpdateTransaction::Run(
-    std::span<const UpdatePackage> packages) {
+    std::span<const PackagePlan* const> plans) {
   group_ = core_->NextTransactionGroup();
 
-  ks::Status prepared = RunStage(TxnStage::kPrepare, [this, packages] {
-    return Prepare(packages);
+  ks::Status prepared = RunStage(TxnStage::kPrepare, [this, plans] {
+    return Prepare(plans);
   });
   if (!prepared.ok()) {
     return prepared;

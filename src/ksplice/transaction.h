@@ -3,7 +3,7 @@
 //
 // Applying updates is a transaction over six stages:
 //
-//   Prepare    validate the batch (unique ids, disjoint targets)
+//   Prepare    validate the batch (unique ids, disjoint targets, quarantine)
 //   Match      run-pre verify every helper unit of every package (§4)
 //   Load       helper blobs + primary modules into the module arena, hook
 //              tables, target placement resolution (§5.1)
@@ -19,8 +19,11 @@
 // modules the transaction loaded are dropped with one group unload — the
 // machine ends byte-identical to its pre-apply state.
 //
-// A single-package Apply is just a batch of one: same stages, same
-// rollback, one function list in the rendezvous. The transaction is a
+// The transaction runs on PackagePlans (runpre.h): the per-package work
+// that does not depend on this machine (content hash, helper size, the
+// decoded pre side) was done once, before the transaction, and is shared
+// read-only. A single-package Apply is just a batch of one: same stages,
+// same rollback, one function list in the rendezvous. The transaction is a
 // friend of KspliceCore: it reads the core's applied registry and
 // quarantine, runs hooks through it, and registers each committed update
 // there.
@@ -55,19 +58,19 @@ class UpdateTransaction {
  public:
   UpdateTransaction(KspliceCore* core, const ApplyOptions& options);
 
-  // Runs the transaction over `packages`. On success every package is
+  // Runs the transaction over `plans`. On success every package is
   // registered with the core and the batch report describes the shared
   // rendezvous plus one ApplyReport per package. On failure the machine is
   // rolled back to its pre-apply state (exception: a post_apply hook
   // failure after the splice leaves the updates registered, matching
   // single-apply semantics — the splice itself is not unwound for a
   // cleanup-stage error).
-  ks::Result<BatchApplyReport> Run(std::span<const UpdatePackage> packages);
+  ks::Result<BatchApplyReport> Run(std::span<const PackagePlan* const> plans);
 
  private:
   // One package's in-flight state, built up across stages.
   struct Staged {
-    const UpdatePackage* package = nullptr;
+    const PackagePlan* plan = nullptr;
     std::map<std::string, UnitMatch> matches;  // unit -> run-pre valuation
     AppliedUpdate update;
     ApplyReport report;
@@ -75,7 +78,7 @@ class UpdateTransaction {
                                // partially run; rollback compensates)
   };
 
-  ks::Status Prepare(std::span<const UpdatePackage> packages);
+  ks::Status Prepare(std::span<const PackagePlan* const> plans);
   ks::Status Match();
   ks::Status Load();
   ks::Status PreApply();

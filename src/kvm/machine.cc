@@ -357,7 +357,6 @@ ks::Result<ModuleHandle> Machine::LoadModule(
   module.group = group;
   module.base = base;
   module.size = static_cast<uint32_t>(image->bytes.size());
-  module.loaded = true;
   module.placements = std::move(image->placements);
   module.imports.assign(imports.begin(), imports.end());
   module.first_symbol = kallsyms_.size();
@@ -366,27 +365,37 @@ ks::Result<ModuleHandle> Machine::LoadModule(
     symbol_index_.emplace(sym.name, kallsyms_.size());
     kallsyms_.push_back(std::move(sym));
   }
-  modules_.push_back(std::move(module));
+  ModuleHandle handle = AddModule(std::move(module));
+  RegisterHowtoRegions(modules_.at(handle.id).placements, handle.id);
+  return handle;
+}
+
+ModuleHandle Machine::AddModule(Module module) {
+  ModuleHandle handle;
+  handle.id = next_module_id_++;
+  modules_.emplace(handle.id, std::move(module));
   ks::Metrics().GetGauge("kvm.module_arena_bytes").Set(
       ModuleArenaBytesInUse());
-  ModuleHandle handle;
-  handle.id = static_cast<int>(modules_.size()) - 1;
-  RegisterHowtoRegions(modules_.back().placements, handle.id);
   return handle;
+}
+
+ks::Result<const Machine::Module*> Machine::FindModule(
+    ModuleHandle handle) const {
+  auto it = modules_.find(handle.id);
+  if (it != modules_.end()) {
+    return &it->second;
+  }
+  if (handle.id < 0 || handle.id >= next_module_id_) {
+    return ks::InvalidArgument("bad module handle");
+  }
+  return ks::FailedPrecondition("module is unloaded");
 }
 
 ks::Status Machine::UnloadModule(ModuleHandle handle) {
   KS_FAULT_POINT("kvm.unload_module");
   std::unique_lock<std::recursive_mutex> lock(mu_);
-  if (handle.id < 0 || handle.id >= static_cast<int>(modules_.size())) {
-    return ks::InvalidArgument("bad module handle");
-  }
-  Module& module = modules_[static_cast<size_t>(handle.id)];
-  if (!module.loaded) {
-    return ks::FailedPrecondition(
-        ks::StrPrintf("module %s already unloaded", module.name.c_str()));
-  }
-  module.loaded = false;
+  KS_ASSIGN_OR_RETURN(const Module* found, FindModule(handle));
+  const Module& module = *found;
   ArenaFree(module.base);
   UnregisterHowtoRegions(handle.id);
 
@@ -409,16 +418,12 @@ ks::Status Machine::UnloadModule(ModuleHandle handle) {
   }
   kallsyms_.erase(kallsyms_.begin() + static_cast<long>(first),
                   kallsyms_.begin() + static_cast<long>(last));
-  for (Module& other : modules_) {
-    if (other.loaded && other.first_symbol > first) {
+  for (auto& [id, other] : modules_) {
+    if (other.first_symbol > first) {
       other.first_symbol -= module.symbol_count;
     }
   }
-  module.symbol_count = 0;
-  // The entry itself stays (handles index modules_), but nothing reads
-  // these once the module is gone.
-  module.placements = std::vector<kelf::PlacedSection>();
-  module.imports = std::vector<std::pair<std::string, uint32_t>>();
+  modules_.erase(handle.id);
   ks::Metrics().GetGauge("kvm.module_arena_bytes").Set(
       ModuleArenaBytesInUse());
   return ks::OkStatus();
@@ -426,15 +431,11 @@ ks::Status Machine::UnloadModule(ModuleHandle handle) {
 
 ks::Result<ModuleInfo> Machine::GetModuleInfo(ModuleHandle handle) const {
   std::unique_lock<std::recursive_mutex> lock(mu_);
-  if (handle.id < 0 || handle.id >= static_cast<int>(modules_.size())) {
-    return ks::InvalidArgument("bad module handle");
-  }
-  const Module& module = modules_[static_cast<size_t>(handle.id)];
+  KS_ASSIGN_OR_RETURN(const Module* module, FindModule(handle));
   ModuleInfo info;
-  info.name = module.name;
-  info.base = module.base;
-  info.size = module.size;
-  info.loaded = module.loaded;
+  info.name = module->name;
+  info.base = module->base;
+  info.size = module->size;
   return info;
 }
 
@@ -444,32 +445,32 @@ ks::Result<int> Machine::UnloadGroup(const std::string& group) {
   if (group.empty()) {
     return ks::InvalidArgument("cannot unload the ungrouped modules");
   }
-  int unloaded = 0;
-  // Newest first: later modules of a group may resolve against earlier
-  // ones, and unloading in reverse keeps kallsyms consistent throughout.
-  for (int id = static_cast<int>(modules_.size()) - 1; id >= 0; --id) {
-    if (modules_[static_cast<size_t>(id)].loaded &&
-        modules_[static_cast<size_t>(id)].group == group) {
-      ModuleHandle handle;
-      handle.id = id;
-      KS_RETURN_IF_ERROR(UnloadModule(handle));
-      ++unloaded;
+  std::vector<int> members;
+  for (const auto& [id, module] : modules_) {
+    if (module.group == group) {
+      members.push_back(id);
     }
   }
+  // Newest first: later modules of a group may resolve against earlier
+  // ones, and unloading in reverse keeps kallsyms consistent throughout.
+  int unloaded = 0;
+  for (auto it = members.rbegin(); it != members.rend(); ++it) {
+    KS_RETURN_IF_ERROR(UnloadModule(ModuleHandle{*it}));
+    ++unloaded;
+  }
   return unloaded;
+}
+
+size_t Machine::LoadedModuleCount() const {
+  std::unique_lock<std::recursive_mutex> lock(mu_);
+  return modules_.size();
 }
 
 ks::Result<std::vector<std::pair<std::string, uint32_t>>>
 Machine::ModuleImports(ModuleHandle handle) const {
   std::unique_lock<std::recursive_mutex> lock(mu_);
-  if (handle.id < 0 || handle.id >= static_cast<int>(modules_.size())) {
-    return ks::InvalidArgument("bad module handle");
-  }
-  const Module& module = modules_[static_cast<size_t>(handle.id)];
-  if (!module.loaded) {
-    return ks::FailedPrecondition("module is unloaded");
-  }
-  return module.imports;
+  KS_ASSIGN_OR_RETURN(const Module* module, FindModule(handle));
+  return module->imports;
 }
 
 ks::Result<ModuleHandle> Machine::LoadBlob(const std::string& name,
@@ -483,28 +484,16 @@ ks::Result<ModuleHandle> Machine::LoadBlob(const std::string& name,
   module.group = group;
   module.base = base;
   module.size = size;
-  module.loaded = true;
   module.first_symbol = kallsyms_.size();
   module.symbol_count = 0;
-  modules_.push_back(std::move(module));
-  ks::Metrics().GetGauge("kvm.module_arena_bytes").Set(
-      ModuleArenaBytesInUse());
-  ModuleHandle handle;
-  handle.id = static_cast<int>(modules_.size()) - 1;
-  return handle;
+  return AddModule(std::move(module));
 }
 
 ks::Result<std::vector<kelf::PlacedSection>> Machine::ModulePlacements(
     ModuleHandle handle) const {
   std::unique_lock<std::recursive_mutex> lock(mu_);
-  if (handle.id < 0 || handle.id >= static_cast<int>(modules_.size())) {
-    return ks::InvalidArgument("bad module handle");
-  }
-  const Module& module = modules_[static_cast<size_t>(handle.id)];
-  if (!module.loaded) {
-    return ks::FailedPrecondition("module is unloaded");
-  }
-  return module.placements;
+  KS_ASSIGN_OR_RETURN(const Module* module, FindModule(handle));
+  return module->placements;
 }
 
 // ---------------------------------------------------------------------------

@@ -99,7 +99,6 @@ struct ModuleInfo {
   std::string name;
   uint32_t base = 0;
   uint32_t size = 0;
-  bool loaded = false;
 };
 
 // A howto-tagged region of the live image: an exception table, bug table,
@@ -201,6 +200,9 @@ class Machine {
   ks::Result<ModuleHandle> LoadModule(
       const std::vector<kelf::ObjectFile>& objects, const std::string& name,
       SymbolResolver extra_resolver = nullptr, const std::string& group = "");
+  // A handle whose module was unloaded is refused with FailedPrecondition
+  // by every call that takes one; a handle never issued, with
+  // InvalidArgument. Ids are never reused.
   ks::Status UnloadModule(ModuleHandle handle);
   ks::Result<ModuleInfo> GetModuleInfo(ModuleHandle handle) const;
   // Bytes currently allocated to loaded modules (memory-cost accounting;
@@ -210,6 +212,8 @@ class Machine {
   // (transaction rollback drops every module an aborted batch loaded in
   // one call). Returns the number unloaded.
   ks::Result<int> UnloadGroup(const std::string& group);
+  // Number of loaded modules (blobs included).
+  size_t LoadedModuleCount() const;
   // External symbols the module link resolved, with the address each bound
   // to (name -> value, deduplicated). Ksplice's out-of-order undo uses this
   // to refuse removing a module that a later module's imports point into.
@@ -399,14 +403,23 @@ class Machine {
     std::string group;  // load-group tag ("" = ungrouped)
     uint32_t base = 0;
     uint32_t size = 0;
-    bool loaded = false;
     size_t first_symbol = 0;
     size_t symbol_count = 0;
     std::vector<kelf::PlacedSection> placements;
     // name -> value of every external import the link resolved.
     std::vector<std::pair<std::string, uint32_t>> imports;
   };
-  std::vector<Module> modules_;
+  // Registers `module` under a fresh id (lock already held).
+  ModuleHandle AddModule(Module module);
+  // The live module `handle` names, or the refusal for a stale handle
+  // (FailedPrecondition) or one never issued (InvalidArgument).
+  ks::Result<const Module*> FindModule(ModuleHandle handle) const;
+
+  // Live modules only, by id. Ids are issued monotonically and never
+  // reused, so a stale handle cannot alias a newer module; an unloaded
+  // module's entry is erased, so the table does not grow with churn.
+  std::map<int, Module> modules_;
+  int next_module_id_ = 0;
   std::vector<HowtoRegion> howto_regions_;
   uint64_t extable_fixups_ = 0;  // faulting loads recovered via extable
   uint32_t hook_stack_top_ = 0;  // lazily allocated CallFunction stack

@@ -12,7 +12,9 @@
 //   - rollouts are deterministic in their concurrency: the same plan over
 //     identical fleets yields identical node outcomes at max_in_flight 1
 //     and 8 (the canary fault plan uses `always` mode, the rollout order
-//     and per-node rendezvous jitter are seeded).
+//     and per-node rendezvous jitter are seeded);
+//   - each package's pre side is planned once per rollout and shared by
+//     every node, which still reads its own run side.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "base/faultinject.h"
+#include "base/metrics.h"
 #include "corpus/corpus.h"
 #include "fleet/corpus_fleet.h"
 #include "fleet/fleet.h"
@@ -320,6 +323,110 @@ TEST_F(FleetTest, DeterministicAcrossMaxInFlight) {
     EXPECT_EQ(serial.wave_reports[w].failed, wide.wave_reports[w].failed);
     EXPECT_EQ(serial.wave_reports[w].tripped,
               wide.wave_reports[w].tripped);
+  }
+}
+
+// One rollout plans each package once and every node matches against the
+// shared, read-only plan: on a mixed-release fleet the node outcomes,
+// splice addresses and the valuation-bound imports are the same at
+// max_in_flight 1 and 4, and the pre side is decoded exactly once per
+// package however many nodes match it.
+TEST_F(FleetTest, SharedPlanDecodesPreSideOncePerRollout) {
+  // The prctl fix is stale on v2.6.4, so those nodes refuse the batch.
+  std::vector<ksplice::UpdatePackage> packages = {
+      CorpusPackage("CVE-2006-2451", "prctl-fix"),
+      CorpusPackage("CVE-2008-0600", "vmsplice-fix")};
+  uint64_t helper_text = 0;
+  for (const ksplice::UpdatePackage& package : packages) {
+    for (const kelf::ObjectFile& helper : package.helper_objects) {
+      for (const kelf::Section& section : helper.sections()) {
+        if (section.kind == kelf::SectionKind::kText &&
+            section.howto == kelf::Howto::kNone) {
+          helper_text += section.bytes.size();
+        }
+      }
+    }
+  }
+  ASSERT_GT(helper_text, 0u);
+  ks::Counter& pre_bytes =
+      ks::Metrics().GetCounter("runpre.index.pre_bytes_canonicalized");
+
+  struct Run {
+    ksplice::RolloutReport report;
+    std::vector<std::vector<ksplice::AppliedUpdate>> applied;  // per node
+    uint64_t pre_bytes = 0;
+  };
+  auto run = [&](int max_in_flight) {
+    CorpusFleetOptions options;
+    options.nodes = 10;
+    ks::Result<Fleet> fleet = MakeCorpusFleet(options);
+    EXPECT_TRUE(fleet.ok()) << fleet.status().ToString();
+    RolloutPlan plan;
+    plan.wave_size = 4;
+    plan.max_in_flight = max_in_flight;
+    plan.seed = 5;
+    Run out;
+    const uint64_t before = pre_bytes.value();
+    ks::Result<ksplice::RolloutReport> report =
+        RunRollout(*fleet, packages, plan);
+    out.pre_bytes = pre_bytes.value() - before;
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    out.report = std::move(*report);
+    for (size_t i = 0; i < fleet->size(); ++i) {
+      out.applied.push_back(fleet->core(i).applied());
+    }
+    return out;
+  };
+
+  Run serial = run(1);
+  Run wide = run(4);
+
+  EXPECT_EQ(serial.pre_bytes, helper_text);
+  EXPECT_EQ(wide.pre_bytes, helper_text);
+  EXPECT_FALSE(serial.report.aborted);
+  EXPECT_EQ(serial.report.failed, 0u);
+  EXPECT_EQ(serial.report.skipped_stale, 2u);
+  EXPECT_EQ(serial.report.patched, 8u);
+
+  ASSERT_EQ(serial.report.nodes.size(), wide.report.nodes.size());
+  for (size_t i = 0; i < serial.report.nodes.size(); ++i) {
+    const std::string& node = serial.report.nodes[i].node;
+    EXPECT_EQ(node, wide.report.nodes[i].node);
+    EXPECT_EQ(serial.report.nodes[i].outcome, wide.report.nodes[i].outcome)
+        << node;
+    EXPECT_EQ(serial.report.nodes[i].error, wide.report.nodes[i].error)
+        << node;
+    EXPECT_EQ(serial.report.nodes[i].functions_spliced,
+              wide.report.nodes[i].functions_spliced)
+        << node;
+  }
+  for (size_t n = 0; n < serial.applied.size(); ++n) {
+    const std::vector<ksplice::AppliedUpdate>& a = serial.applied[n];
+    const std::vector<ksplice::AppliedUpdate>& b = wide.applied[n];
+    ASSERT_EQ(a.size(), b.size()) << "node " << n;
+    EXPECT_EQ(a.size(), serial.report.nodes[n].outcome ==
+                                ksplice::RolloutNodeOutcome::kPatched
+                            ? 2u
+                            : 0u)
+        << "node " << n;
+    for (size_t u = 0; u < a.size(); ++u) {
+      EXPECT_EQ(a[u].id, b[u].id);
+      EXPECT_EQ(a[u].package_hash, b[u].package_hash);
+      EXPECT_EQ(a[u].primary_base, b[u].primary_base);
+      // The primary link binds its imports through the run-pre valuation.
+      EXPECT_EQ(a[u].imports, b[u].imports) << a[u].id << " node " << n;
+      ASSERT_EQ(a[u].functions.size(), b[u].functions.size());
+      for (size_t f = 0; f < a[u].functions.size(); ++f) {
+        const ksplice::AppliedFunction& fa = a[u].functions[f];
+        const ksplice::AppliedFunction& fb = b[u].functions[f];
+        EXPECT_EQ(fa.symbol, fb.symbol);
+        EXPECT_EQ(fa.orig_address, fb.orig_address) << fa.symbol;
+        EXPECT_EQ(fa.code_address, fb.code_address) << fa.symbol;
+        EXPECT_EQ(fa.code_size, fb.code_size) << fa.symbol;
+        EXPECT_EQ(fa.repl_address, fb.repl_address) << fa.symbol;
+        EXPECT_EQ(fa.saved_bytes, fb.saved_bytes) << fa.symbol;
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <thread>
 #include <tuple>
 
+#include "base/faultinject.h"
 #include "corpus/corpus.h"
 #include "kcc/compile.h"
 #include "kdiff/diff.h"
@@ -1041,6 +1042,177 @@ int kernel_add(int x) { return helper(x) + 1; }
   EXPECT_EQ(*result, (2u + 5u) * 3u + 1u);
   EXPECT_TRUE(machine->SymbolsNamed("alpha_entry").empty());
   EXPECT_EQ(machine->SymbolsNamed("twin").size(), 1u);
+}
+
+// Builds a one-unit module `tag`.kc from `source` (kcc defaults).
+std::vector<kelf::ObjectFile> BuildModule(const std::string& tag,
+                                          const std::string& source) {
+  SourceTree tree;
+  tree.Write(tag + ".kc", source);
+  ks::Result<std::vector<kelf::ObjectFile>> objects =
+      kcc::BuildTree(tree, kcc::CompileOptions());
+  EXPECT_TRUE(objects.ok()) << objects.status().ToString();
+  return objects.ok() ? std::move(objects).value()
+                      : std::vector<kelf::ObjectFile>();
+}
+
+std::vector<std::tuple<std::string, uint32_t, uint32_t, std::string>>
+KallsymsKey(const Machine& machine) {
+  std::vector<std::tuple<std::string, uint32_t, uint32_t, std::string>> key;
+  for (const kelf::LinkedSymbol& sym : machine.Kallsyms()) {
+    key.emplace_back(sym.name, sym.address, sym.size, sym.unit);
+  }
+  return key;
+}
+
+// The module table holds live modules only: load/unload churn (every
+// apply and undo loads a helper blob and a primary module) leaves it, and
+// the kallsyms index, exactly where it started.
+TEST(MachineTest, ModuleChurnKeepsTableAtLiveSize) {
+  std::unique_ptr<Machine> machine = BootSource(R"(
+int kernel_add(int x) { return x + 1; }
+)");
+  ASSERT_NE(machine, nullptr);
+  std::vector<kelf::ObjectFile> objects = BuildModule("churn", R"(
+int kernel_add(int x);
+static int helper(int x) { return x * 2; }
+int churn_entry(int x) { return kernel_add(helper(x)); }
+)");
+  ASSERT_FALSE(objects.empty());
+  ks::Result<ModuleHandle> resident = machine->LoadBlob("resident", 4096);
+  ASSERT_TRUE(resident.ok());
+  const auto kallsyms = KallsymsKey(*machine);
+  const uint32_t arena = machine->ModuleArenaBytesInUse();
+  ASSERT_EQ(machine->LoadedModuleCount(), 1u);
+
+  for (int i = 0; i < 1000; ++i) {
+    ks::Result<ModuleHandle> helper =
+        machine->LoadBlob("churn-helper", 8192, "churn");
+    ASSERT_TRUE(helper.ok()) << i;
+    ks::Result<ModuleHandle> primary =
+        machine->LoadModule(objects, "churn-primary", nullptr, "churn");
+    ASSERT_TRUE(primary.ok()) << i << ": " << primary.status().ToString();
+    ASSERT_EQ(machine->LoadedModuleCount(), 3u) << i;
+    ASSERT_EQ(machine->SymbolsNamed("churn_entry").size(), 1u) << i;
+    // Alternate the unload order: primary first, then helper first.
+    if (i % 2 == 0) {
+      ASSERT_TRUE(machine->UnloadModule(*primary).ok()) << i;
+      ASSERT_TRUE(machine->UnloadModule(*helper).ok()) << i;
+    } else {
+      ASSERT_TRUE(machine->UnloadModule(*helper).ok()) << i;
+      ASSERT_TRUE(machine->UnloadModule(*primary).ok()) << i;
+    }
+    ASSERT_EQ(machine->LoadedModuleCount(), 1u) << i;
+  }
+  EXPECT_EQ(KallsymsKey(*machine), kallsyms);
+  EXPECT_TRUE(machine->SymbolsNamed("churn_entry").empty());
+  EXPECT_EQ(machine->ModuleArenaBytesInUse(), arena);
+  ks::Result<ModuleInfo> info = machine->GetModuleInfo(*resident);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->name, "resident");
+}
+
+// A handle outlives its module: once unloaded it is refused with
+// FailedPrecondition by every call that takes a handle, and it never
+// names the module loaded after it. A handle that was never issued is
+// InvalidArgument.
+TEST(MachineTest, StaleModuleHandleNeverReachesANewerModule) {
+  std::unique_ptr<Machine> machine = BootSource(R"(
+int kernel_add(int x) { return x + 1; }
+)");
+  ASSERT_NE(machine, nullptr);
+  std::vector<kelf::ObjectFile> first = BuildModule("first", R"(
+int kernel_add(int x);
+int first_entry(int x) { return kernel_add(x); }
+)");
+  std::vector<kelf::ObjectFile> second = BuildModule("second", R"(
+int kernel_add(int x);
+int second_entry(int x) { return kernel_add(x) + 1; }
+)");
+  ks::Result<ModuleHandle> stale = machine->LoadModule(first, "first");
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  ASSERT_TRUE(machine->UnloadModule(*stale).ok());
+  ks::Result<ModuleHandle> newer = machine->LoadModule(second, "second");
+  ASSERT_TRUE(newer.ok()) << newer.status().ToString();
+  ASSERT_NE(newer->id, stale->id);
+
+  const ks::ErrorCode unloaded = ks::ErrorCode::kFailedPrecondition;
+  EXPECT_EQ(machine->UnloadModule(*stale).code(), unloaded);
+  EXPECT_EQ(machine->GetModuleInfo(*stale).status().code(), unloaded);
+  EXPECT_EQ(machine->ModuleImports(*stale).status().code(), unloaded);
+  EXPECT_EQ(machine->ModulePlacements(*stale).status().code(), unloaded);
+
+  const ks::ErrorCode bogus = ks::ErrorCode::kInvalidArgument;
+  for (ModuleHandle never : {ModuleHandle{}, ModuleHandle{newer->id + 1},
+                             ModuleHandle{newer->id + 1000}}) {
+    EXPECT_EQ(machine->UnloadModule(never).code(), bogus) << never.id;
+    EXPECT_EQ(machine->GetModuleInfo(never).status().code(), bogus)
+        << never.id;
+    EXPECT_EQ(machine->ModuleImports(never).status().code(), bogus)
+        << never.id;
+    EXPECT_EQ(machine->ModulePlacements(never).status().code(), bogus)
+        << never.id;
+  }
+
+  // None of the refusals touched the live module.
+  EXPECT_EQ(machine->LoadedModuleCount(), 1u);
+  ks::Result<ModuleInfo> info = machine->GetModuleInfo(*newer);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->name, "second");
+  EXPECT_EQ(machine->SymbolsNamed("second_entry").size(), 1u);
+  EXPECT_TRUE(machine->SymbolsNamed("first_entry").empty());
+  ks::Result<uint32_t> entry = machine->GlobalSymbol("second_entry");
+  ASSERT_TRUE(entry.ok());
+  ks::Result<uint32_t> result = machine->CallFunction(*entry, 4);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, 6u);
+}
+
+// UnloadGroup drops exactly the live members of its group, newest first:
+// a fault injected on the second unload leaves the newest member gone and
+// the older ones loaded.
+TEST(MachineTest, UnloadGroupUnloadsOnlyItsLiveModulesNewestFirst) {
+  std::unique_ptr<Machine> machine = BootSource(R"(
+int kernel_add(int x) { return x + 1; }
+)");
+  ASSERT_NE(machine, nullptr);
+  auto blob = [&](const std::string& name, const std::string& group) {
+    ks::Result<ModuleHandle> handle = machine->LoadBlob(name, 4096, group);
+    EXPECT_TRUE(handle.ok());
+    return handle.ok() ? *handle : ModuleHandle{};
+  };
+  ModuleHandle g_oldest = blob("g-oldest", "g");
+  ModuleHandle other = blob("other", "h");
+  ModuleHandle g_gone = blob("g-gone", "g");
+  ModuleHandle ungrouped = blob("ungrouped", "");
+  ModuleHandle g_middle = blob("g-middle", "g");
+  ModuleHandle g_newest = blob("g-newest", "g");
+  ASSERT_TRUE(machine->UnloadModule(g_gone).ok());
+  ASSERT_EQ(machine->LoadedModuleCount(), 5u);
+
+  auto live = [&](ModuleHandle handle) {
+    return machine->GetModuleInfo(handle).ok();
+  };
+  {
+    ks::ScopedFaultPlan plan;
+    ASSERT_TRUE(plan.Arm("kvm.unload_module=nth:2").ok());
+    EXPECT_FALSE(machine->UnloadGroup("g").ok());
+  }
+  EXPECT_FALSE(live(g_newest));
+  EXPECT_TRUE(live(g_middle));
+  EXPECT_TRUE(live(g_oldest));
+
+  ks::Result<int> unloaded = machine->UnloadGroup("g");
+  ASSERT_TRUE(unloaded.ok()) << unloaded.status().ToString();
+  EXPECT_EQ(*unloaded, 2);
+  EXPECT_FALSE(live(g_middle));
+  EXPECT_FALSE(live(g_oldest));
+  EXPECT_TRUE(live(other));
+  EXPECT_TRUE(live(ungrouped));
+  EXPECT_EQ(machine->LoadedModuleCount(), 2u);
+  ks::Result<int> again = machine->UnloadGroup("g");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, 0);
 }
 
 // ---------------------------------------------------------------------------

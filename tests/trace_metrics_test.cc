@@ -293,6 +293,30 @@ TEST(ReportTest, FullCyclePopulatesCreateApplyUndoReports) {
   EXPECT_GE(stats.fixpoint_passes, 1u);
   EXPECT_TRUE(ValidJson(stats.ToJson())) << stats.ToJson();
 
+  // A plan charges its pre-side decode once, to its builder and to the
+  // registry; a match against the shared plan reports run-side work only.
+  ks::Counter& pre_bytes =
+      ks::Metrics().GetCounter("runpre.index.pre_bytes_canonicalized");
+  const uint64_t pre_bytes_before = pre_bytes.value();
+  MatchStats plan_stats;
+  ks::Result<MatchPlan> plan = MatchPlan::Build(*pre, &plan_stats);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan_stats.pre_bytes_canonicalized,
+            stats.pre_bytes_canonicalized);
+  EXPECT_EQ(pre_bytes.value(),
+            pre_bytes_before + plan_stats.pre_bytes_canonicalized);
+  for (int node = 0; node < 2; ++node) {
+    MatchStats node_stats;
+    ks::Result<UnitMatch> shared = matcher.MatchUnit(*plan, &node_stats);
+    ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+    EXPECT_EQ(node_stats.pre_bytes_canonicalized, 0u);
+    EXPECT_EQ(node_stats.run_bytes_canonicalized,
+              stats.run_bytes_canonicalized);
+    EXPECT_EQ(node_stats.candidates_tried, stats.candidates_tried);
+  }
+  EXPECT_EQ(pre_bytes.value(),
+            pre_bytes_before + plan_stats.pre_bytes_canonicalized);
+
   // The linear oracle reports the per-attempt byte walk, with decisions
   // identical to the decode-once run.
   RunPreMatcher linear(**machine, nullptr,
@@ -323,6 +347,8 @@ TEST(ReportTest, FullCyclePopulatesCreateApplyUndoReports) {
   EXPECT_FALSE(applied->helper_retained);
   EXPECT_GT(applied->match.sections_matched, 0u);
   EXPECT_GT(applied->match.run_bytes_matched, 0u);
+  // Apply built the package's plan itself, so its report owns the decode.
+  EXPECT_GT(applied->match.pre_bytes_canonicalized, 0u);
   EXPECT_TRUE(ValidJson(applied->ToJson())) << applied->ToJson();
 
   // The per-process aggregates moved in step with the report.
