@@ -12,7 +12,7 @@
 # against). The corpus
 # test boots machines from the per-release linked image that is built
 # once and shared by every boot; the kvm test covers boot itself, and the
-# interpreter's per-host-thread decode tables: it runs the stress pair on
+# interpreter's per-host-thread run tables: it runs the stress pair on
 # four virtual CPUs while the host thread splices and restores a function
 # the pair calls under stop_machine.
 set -e

@@ -6,9 +6,10 @@
 // flags — kcc relies on this to materialize comparison results.
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "base/endian.h"
 #include "base/logging.h"
@@ -19,51 +20,166 @@
 
 namespace kvm {
 
-// Decoded-instruction cache. A slot holds one decode together with the 8
-// guest bytes it was decoded from, and a fetch uses the slot only when
-// those bytes still match memory. Every KVX instruction except nopn is at
-// most 6 bytes and nopn decodes from its first 2, so equal bytes mean an
-// equal decode: the cache is exact with no invalidation, whoever writes
-// the code (a guest store, a trampoline, undo, module load or unload).
-// Tags are contents, not addresses, so one table serves every machine a
-// host thread runs.
-struct Machine::CachedInsn {
-  uint64_t bytes;    // the 8 guest bytes at the fetched pc
-  kvx::Op op;
-  uint8_t len;       // 0 marks an empty slot
-  uint8_t reg1;
-  uint8_t reg2;
-  uint32_t operand;  // imm or rel: no opcode has both
-};
-
 namespace {
 
 constexpr uint32_t kMaxPrintkLength = 4096;
 
 // kvx::Decode sees this many bytes of a fetch (fewer at the very end of
-// memory); a cached decode must come from a full window.
+// memory).
 constexpr uint32_t kFetchWindow = 16;
-// Direct-mapped by pc / 2: 32 K slots of 16 bytes cover 64 KiB of code.
-constexpr uint32_t kDecodeSlots = 1u << 15;
+// Decodes per run, and the bytes they can span: every KVX instruction but
+// nopn is at most 6 bytes, and a nopn (at most 15) ends its run. A build
+// stops short of kRunBytes whatever the lengths, and the longest
+// instruction (15 bytes) always fits as the first.
+constexpr uint32_t kRunCapacity = 16;
+constexpr uint32_t kRunBytes = (kRunCapacity - 1) * 6 + 15;
+// The index is open-addressed by entry pc and kept at most half full; a
+// pool that reaches kMaxRuns is emptied and refilled.
+constexpr uint32_t kIndexBits = 13;
+constexpr uint32_t kMaxRuns = 1u << (kIndexBits - 1);
 
-struct FreeDeleter {
-  void operator()(void* p) const { std::free(p); }
-};
+// True for the instructions that end a run: every control transfer (the
+// pc-relative ones are the jumps and `call`), the traps, the faulting load
+// (its extable fixup is a transfer) and nopn.
+bool EndsRun(kvx::Op op) {
+  using kvx::Op;
+  return kvx::IsPcRelative(op) || op == Op::kCallR || op == Op::kRet ||
+         op == Op::kSys || op == Op::kHalt || op == Op::kBug ||
+         op == Op::kLoadF || op == Op::kNopN;
+}
 
 }  // namespace
 
-// One table per host thread, allocated on its first guest instruction: a
-// fleet of machines, or a fresh machine per pass, pays for one table, and
-// a virtual CPU never shares its table with another. calloc makes every
-// slot empty (len 0) and leaves pages of unused slots mostly unbacked.
-// Null if the allocation failed; fetches then decode every time.
-Machine::CachedInsn* Machine::ThisThreadDecodeCache() {
-  thread_local std::unique_ptr<CachedInsn[], FreeDeleter> table;
-  if (table == nullptr) {
-    table.reset(static_cast<CachedInsn*>(
-        std::calloc(kDecodeSlots, sizeof(CachedInsn))));
+// One decoded instruction: no opcode has both an imm and a rel.
+struct Machine::Decoded {
+  kvx::Op op;
+  uint8_t len;
+  uint8_t reg1;
+  uint8_t reg2;
+  uint32_t operand;
+};
+
+// A straight-line run: the decodes of the instructions from `pc` up to
+// and including the first that ends a run (EndsRun), or up to
+// kRunCapacity, or up to a decode error (excluded), together with the
+// guest bytes [pc, pc + size) they came from. Decode reads nothing of an
+// instruction beyond its own bytes, so while those bytes equal memory the
+// decodes are exactly what fetching one instruction at a time would see.
+struct Machine::DecodedRun {
+  uint32_t pc = 0;
+  uint8_t count = 0;  // 0: not built
+  uint8_t size = 0;
+  Decoded insns[kRunCapacity];
+  uint8_t bytes[kRunBytes];
+
+  // True if the `width` bytes at `addr` overlap this run's code.
+  bool Covers(uint32_t addr, uint32_t width) const {
+    return addr < pc + size && addr + width > pc;
   }
-  return table.get();
+};
+
+// The calling host thread's runs: an index from entry pc to a slot in a
+// dense pool that grows only as new entry pcs are first seen. A run is
+// checked against memory on every entry, so one table serves every
+// machine a host thread runs.
+class Machine::RunTable {
+ public:
+  RunTable() : index_(size_t{1} << kIndexBits) {}
+
+  // The run whose entry is `pc`, or a fresh unbuilt slot claimed for it.
+  DecodedRun& Slot(uint32_t pc) {
+    constexpr uint32_t mask = (1u << kIndexBits) - 1;
+    // Keyed by pc itself, not a hash of it: the runs of one stretch of
+    // code share index lines, which helps code that runs cold (a hook
+    // inside a stop window).
+    uint32_t i = (pc >> 1) & mask;
+    for (; index_[i].pc != 0; i = (i + 1) & mask) {
+      if (index_[i].pc == pc) {
+        return At(index_[i].slot);
+      }
+    }
+    if (size_ == kMaxRuns) {
+      std::fill(index_.begin(), index_.end(), IndexEntry{});
+      size_ = 0;
+      return Slot(pc);
+    }
+    if (size_ == chunks_.size() * kChunkRuns) {
+      chunks_.push_back(std::make_unique<DecodedRun[]>(kChunkRuns));
+    }
+    index_[i] = IndexEntry{pc, size_};
+    DecodedRun& run = At(size_++);
+    run.pc = pc;
+    run.count = 0;
+    return run;
+  }
+
+ private:
+  // The pool grows a chunk at a time and never moves a run, so a growing
+  // pool costs no copy and holds no second copy at its peak.
+  static constexpr uint32_t kChunkRuns = 64;
+
+  DecodedRun& At(uint32_t slot) {
+    return chunks_[slot / kChunkRuns][slot % kChunkRuns];
+  }
+
+  struct IndexEntry {
+    uint32_t pc = 0;  // 0 marks an empty entry: pc 0 is never fetched
+    uint32_t slot = 0;
+  };
+  std::vector<IndexEntry> index_;
+  std::vector<std::unique_ptr<DecodedRun[]>> chunks_;
+  uint32_t size_ = 0;  // runs in use, in slots [0, size_)
+};
+
+// One table per host thread, created on its first guest instruction: a
+// fleet of machines, or a fresh machine per pass, pays for one table, and
+// a virtual CPU never shares its table with another.
+Machine::RunTable& Machine::ThisThreadRunTable() {
+  thread_local RunTable table;
+  return table;
+}
+
+const Machine::DecodedRun* Machine::FetchRun(Thread& thread,
+                                             RunTable& table) {
+  const uint32_t pc = thread.pc;
+  if (!InBounds(pc, 1)) {
+    FaultThread(thread, "instruction fetch out of bounds");
+    return nullptr;
+  }
+  const uint8_t* code = memory_.data() + pc;
+  const uint32_t limit = static_cast<uint32_t>(memory_.size()) - pc;
+  DecodedRun& run = table.Slot(pc);
+  if (run.count != 0 && run.size <= limit &&
+      std::memcmp(run.bytes, code, run.size) == 0) {
+    return &run;
+  }
+  run.count = 0;
+  uint32_t size = 0;
+  while (run.count < kRunCapacity) {
+    ks::Result<kvx::Insn> decoded = kvx::Decode(std::span<const uint8_t>(
+        code + size, std::min(kFetchWindow, limit - size)));
+    if (!decoded.ok()) {
+      if (run.count == 0) {
+        FaultThread(thread,
+                    "illegal instruction: " + decoded.status().message());
+        return nullptr;
+      }
+      break;
+    }
+    if (size + decoded->len > kRunBytes) {
+      break;
+    }
+    run.insns[run.count++] =
+        Decoded{decoded->op, decoded->len, decoded->reg1, decoded->reg2,
+                decoded->imm | static_cast<uint32_t>(decoded->rel)};
+    size += decoded->len;
+    if (EndsRun(decoded->op)) {
+      break;
+    }
+  }
+  run.size = static_cast<uint8_t>(size);
+  std::memcpy(run.bytes, code, size);
+  return &run;
 }
 
 template <typename T>
@@ -97,72 +213,22 @@ void Machine::FaultThread(Thread& thread, std::string reason) {
   faults.Add(1);
 }
 
-uint64_t Machine::ExecThread(Thread& thread, int budget) {
-  // Per-slice (not per-instruction) accounting keeps the interpreter's
-  // inner loop free of atomics.
-  static ks::Counter& instructions =
-      ks::Metrics().GetCounter("kvm.instructions");
-  // Slices that retired at least one instruction: the virtual analogue
-  // of a context switch.
-  static ks::Counter& switches =
-      ks::Metrics().GetCounter("kvm.context_switches");
-  CachedInsn* cache = ThisThreadDecodeCache();
-  uint64_t retired = 0;
-  for (int i = 0; i < budget; ++i) {
-    if (thread.state != ThreadState::kRunnable || halted_) {
-      break;
-    }
-    bool keep_going = StepLocked(thread, cache);
-    ++retired;
-    ++ticks_;
-    if (!keep_going) {
-      break;
-    }
-  }
-  if (retired > 0) {
-    instructions.Add(retired);
-    switches.Add(1);
-  }
-  return retired;
-}
-
-bool Machine::StepLocked(Thread& thread, CachedInsn* cache) {
-  if (!InBounds(thread.pc, 1)) {
-    FaultThread(thread, "instruction fetch out of bounds");
-    return false;
-  }
-  const uint8_t* code = memory_.data() + thread.pc;
-  uint32_t window = std::min<uint32_t>(
-      kFetchWindow, static_cast<uint32_t>(memory_.size()) - thread.pc);
-  CachedInsn* slot = nullptr;
-  uint64_t bytes = 0;
-  if (cache != nullptr && window == kFetchWindow) {
-    std::memcpy(&bytes, code, sizeof(bytes));
-    slot = &cache[(thread.pc >> 1) & (kDecodeSlots - 1)];
-  }
-  CachedInsn insn{};
-  if (slot != nullptr && slot->len != 0 && slot->bytes == bytes) {
-    insn = *slot;
-  } else {
-    ks::Result<kvx::Insn> decoded =
-        kvx::Decode(std::span<const uint8_t>(code, window));
-    if (!decoded.ok()) {
-      FaultThread(thread,
-                  "illegal instruction: " + decoded.status().message());
-      return false;
-    }
-    insn = CachedInsn{bytes,         decoded->op,   decoded->len,
-                      decoded->reg1, decoded->reg2,
-                      decoded->imm | static_cast<uint32_t>(decoded->rel)};
-    // Cache only a decode that the tagged bytes alone determine.
-    if (slot != nullptr &&
-        (insn.op == kvx::Op::kNopN || insn.len <= sizeof(bytes))) {
-      *slot = insn;
-    }
-  }
+// Executes `insn`, the decode of the instruction at thread.pc in `run`, as
+// the instruction of tick `tick`. Inlined into its one caller, the run
+// loop.
+[[gnu::always_inline]] inline Machine::Step Machine::StepLocked(
+    Thread& thread, const Decoded& insn, const DecodedRun& run,
+    uint64_t tick) {
+  Step step = Step::kNext;
   uint32_t* regs = thread.regs;
   uint32_t next_pc = thread.pc + insn.len;
 
+  // The run loop advances ticks_ once per run; whatever reads it during
+  // the run sees it synced to this instruction first.
+  auto fault = [&](std::string reason) {
+    ticks_ = tick;
+    FaultThread(thread, std::move(reason));
+  };
   auto set_flags = [&](uint32_t result) {
     thread.flag_zero = result == 0;
     thread.flag_lt = static_cast<int32_t>(result) < 0;
@@ -170,7 +236,7 @@ bool Machine::StepLocked(Thread& thread, CachedInsn* cache) {
   auto push = [&](uint32_t value) -> bool {
     uint32_t sp = regs[7] - 4;
     if (sp < thread.stack_base) {
-      FaultThread(thread, "stack overflow");
+      fault("stack overflow");
       return false;
     }
     ks::WriteLe32(memory_.data() + sp, value);
@@ -180,7 +246,7 @@ bool Machine::StepLocked(Thread& thread, CachedInsn* cache) {
   auto pop = [&](uint32_t* value) -> bool {
     uint32_t sp = regs[7];
     if (sp + 4 > thread.stack_top) {
-      FaultThread(thread, "stack underflow");
+      fault("stack underflow");
       return false;
     }
     *value = ks::ReadLe32(memory_.data() + sp);
@@ -197,8 +263,8 @@ bool Machine::StepLocked(Thread& thread, CachedInsn* cache) {
   switch (insn.op) {
     case Op::kHalt:
       halted_ = true;
-      FaultThread(thread, "halt (kernel panic)");
-      return false;
+      fault("halt (kernel panic)");
+      return Step::kStop;
     case Op::kNop:
     case Op::kNopW:
     case Op::kNopN:
@@ -214,9 +280,8 @@ bool Machine::StepLocked(Thread& thread, CachedInsn* cache) {
     case Op::kLoadI: {
       uint32_t addr = regs[insn.reg2];
       if (!InBounds(addr, 4)) {
-        FaultThread(thread, ks::StrPrintf("bad load at %s",
-                                          ks::Hex32(addr).c_str()));
-        return false;
+        fault(ks::StrPrintf("bad load at %s", ks::Hex32(addr).c_str()));
+        return Step::kStop;
       }
       regs[insn.reg1] = ks::ReadLe32(memory_.data() + addr);
       break;
@@ -224,11 +289,13 @@ bool Machine::StepLocked(Thread& thread, CachedInsn* cache) {
     case Op::kStoreI: {
       uint32_t addr = regs[insn.reg1];
       if (!InBounds(addr, 4)) {
-        FaultThread(thread, ks::StrPrintf("bad store at %s",
-                                          ks::Hex32(addr).c_str()));
-        return false;
+        fault(ks::StrPrintf("bad store at %s", ks::Hex32(addr).c_str()));
+        return Step::kStop;
       }
       ks::WriteLe32(memory_.data() + addr, regs[insn.reg2]);
+      if (run.Covers(addr, 4)) {
+        step = Step::kRefetch;
+      }
       break;
     }
     case Op::kLoadF: {
@@ -252,10 +319,9 @@ bool Machine::StepLocked(Thread& thread, CachedInsn* cache) {
         next_pc = *fixup;
         break;
       }
-      FaultThread(thread,
-                  ks::StrPrintf("bad faulting load at %s with no extable entry",
-                                ks::Hex32(addr).c_str()));
-      return false;
+      fault(ks::StrPrintf("bad faulting load at %s with no extable entry",
+                          ks::Hex32(addr).c_str()));
+      return Step::kStop;
     }
     case Op::kBug: {
       // BUG(): unconditional trap. The bug table turns the trap address
@@ -263,20 +329,18 @@ bool Machine::StepLocked(Thread& thread, CachedInsn* cache) {
       std::optional<std::pair<std::string, uint32_t>> entry =
           BugEntryFor(thread.pc);
       if (entry.has_value()) {
-        FaultThread(thread,
-                    ks::StrPrintf("kernel BUG at %s:%u", entry->first.c_str(),
-                                  entry->second));
+        fault(ks::StrPrintf("kernel BUG at %s:%u", entry->first.c_str(),
+                            entry->second));
       } else {
-        FaultThread(thread, "bug trap without table entry");
+        fault("bug trap without table entry");
       }
-      return false;
+      return Step::kStop;
     }
     case Op::kLoadBI: {
       uint32_t addr = regs[insn.reg2];
       if (!InBounds(addr, 1)) {
-        FaultThread(thread, ks::StrPrintf("bad byte load at %s",
-                                          ks::Hex32(addr).c_str()));
-        return false;
+        fault(ks::StrPrintf("bad byte load at %s", ks::Hex32(addr).c_str()));
+        return Step::kStop;
       }
       regs[insn.reg1] = memory_[addr];
       break;
@@ -284,11 +348,13 @@ bool Machine::StepLocked(Thread& thread, CachedInsn* cache) {
     case Op::kStoreBI: {
       uint32_t addr = regs[insn.reg1];
       if (!InBounds(addr, 1)) {
-        FaultThread(thread, ks::StrPrintf("bad byte store at %s",
-                                          ks::Hex32(addr).c_str()));
-        return false;
+        fault(ks::StrPrintf("bad byte store at %s", ks::Hex32(addr).c_str()));
+        return Step::kStop;
       }
       memory_[addr] = static_cast<uint8_t>(regs[insn.reg2]);
+      if (run.Covers(addr, 1)) {
+        step = Step::kRefetch;
+      }
       break;
     }
 
@@ -329,8 +395,8 @@ bool Machine::StepLocked(Thread& thread, CachedInsn* cache) {
     case Op::kModRR: {
       int32_t divisor = static_cast<int32_t>(regs[insn.reg2]);
       if (divisor == 0) {
-        FaultThread(thread, "division by zero");
-        return false;
+        fault("division by zero");
+        return Step::kStop;
       }
       int64_t a = static_cast<int32_t>(regs[insn.reg1]);
       int64_t result =
@@ -369,36 +435,39 @@ bool Machine::StepLocked(Thread& thread, CachedInsn* cache) {
 
     case Op::kPush:
       if (!push(regs[insn.reg1])) {
-        return false;
+        return Step::kStop;
+      }
+      if (run.Covers(regs[7], 4)) {
+        step = Step::kRefetch;
       }
       break;
     case Op::kPop:
       if (!pop(&regs[insn.reg1])) {
-        return false;
+        return Step::kStop;
       }
       break;
 
     case Op::kCall:
       if (!push(next_pc)) {
-        return false;
+        return Step::kStop;
       }
       next_pc += insn.operand;
       break;
     case Op::kCallR:
       if (!push(next_pc)) {
-        return false;
+        return Step::kStop;
       }
       next_pc = regs[insn.reg1];
       break;
     case Op::kRet: {
       uint32_t target;
       if (!pop(&target)) {
-        return false;
+        return Step::kStop;
       }
       if (target == kThreadExitMagic) {
         thread.state = ThreadState::kDone;
         thread.pc = next_pc;
-        return false;
+        return Step::kStop;
       }
       next_pc = target;
       break;
@@ -438,13 +507,56 @@ bool Machine::StepLocked(Thread& thread, CachedInsn* cache) {
       // re-executed on wake (the big kernel lock) or execution resumes
       // after it (sleep/yield); DoSys signals which by thread state.
       thread.pc = next_pc;
-      bool keep_going = DoSys(thread, static_cast<uint8_t>(insn.operand));
-      return keep_going;
+      ticks_ = tick;  // sys ticks and sleep read it
+      return DoSys(thread, static_cast<uint8_t>(insn.operand)) ? Step::kNext
+                                                                : Step::kStop;
     }
   }
 
   thread.pc = next_pc;
-  return true;
+  return step;
+}
+
+uint64_t Machine::ExecThread(Thread& thread, int budget) {
+  // Per-slice (not per-instruction) accounting keeps the interpreter's
+  // inner loop free of atomics.
+  static ks::Counter& instructions =
+      ks::Metrics().GetCounter("kvm.instructions");
+  // Slices that retired at least one instruction: the virtual analogue
+  // of a context switch.
+  static ks::Counter& switches =
+      ks::Metrics().GetCounter("kvm.context_switches");
+  RunTable& table = ThisThreadRunTable();
+  const uint64_t start = ticks_;
+  const uint64_t end = ticks_ + static_cast<uint64_t>(std::max(budget, 0));
+  while (ticks_ < end && thread.state == ThreadState::kRunnable &&
+         !halted_) {
+    const DecodedRun* run = FetchRun(thread, table);
+    if (run == nullptr) {
+      ++ticks_;  // the faulting fetch retires, as any faulting instruction
+      break;
+    }
+    // A run never crosses the slice budget.
+    const uint32_t n = static_cast<uint32_t>(
+        std::min<uint64_t>(run->count, end - ticks_));
+    const uint64_t run_start = ticks_;
+    Step step = Step::kNext;
+    uint32_t i = 0;
+    while (i < n && step == Step::kNext) {
+      step = StepLocked(thread, run->insns[i], *run, run_start + i);
+      ++i;
+    }
+    ticks_ = run_start + i;
+    if (step == Step::kStop) {
+      break;
+    }
+  }
+  const uint64_t retired = ticks_ - start;
+  if (retired > 0) {
+    instructions.Add(retired);
+    switches.Add(1);
+  }
+  return retired;
 }
 
 bool Machine::DoSys(Thread& thread, uint8_t number) {

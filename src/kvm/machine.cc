@@ -22,7 +22,6 @@ namespace kvm {
 
 namespace {
 
-constexpr uint32_t kGuardPage = 0x1000;  // [0, kGuardPage) never mapped
 constexpr uint32_t kPageAlign = 0x1000;
 
 uint32_t AlignUp(uint32_t value, uint32_t align) {
@@ -147,11 +146,6 @@ ks::Result<std::unique_ptr<Machine>> Machine::Boot(
 
 // ---------------------------------------------------------------------------
 // Memory
-
-bool Machine::InBounds(uint32_t addr, uint32_t size) const {
-  return addr >= kGuardPage && addr + size >= addr &&
-         addr + size <= memory_.size();
-}
 
 ks::Result<uint32_t> Machine::ReadWordLocked(uint32_t addr) const {
   if (!InBounds(addr, 4)) {

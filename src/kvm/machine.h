@@ -22,8 +22,9 @@
 // the lock; stop_machine simply acquires it, so the pause it induces is the
 // in-flight slice remainder — the quantity bench_stopmachine_latency
 // measures. Single-threaded tests drive the scheduler with Run()/Advance()
-// and never start CPUs. Decoded instructions are cached per host thread,
-// tagged with the guest bytes they came from, so no write path has to
+// and never start CPUs. The interpreter executes straight-line runs of
+// decoded instructions, cached per host thread and checked against the
+// guest bytes they came from on every entry, so no write path has to
 // invalidate anything (exec.cc).
 
 #ifndef KSPLICE_KVM_MACHINE_H_
@@ -336,7 +337,11 @@ class Machine {
   };
 
   // Internal (lock already held) ------------------------------------------
-  bool InBounds(uint32_t addr, uint32_t size) const;
+  static constexpr uint32_t kGuardPage = 0x1000;  // [0, kGuardPage) unmapped
+  bool InBounds(uint32_t addr, uint32_t size) const {
+    return addr >= kGuardPage && addr + size >= addr &&
+           addr + size <= memory_.size();
+  }
   ks::Result<uint32_t> ReadWordLocked(uint32_t addr) const;
   ks::Status WriteWordLocked(uint32_t addr, uint32_t value);
 
@@ -346,16 +351,25 @@ class Machine {
   ks::Result<uint32_t> HeapAlloc(uint32_t size);
   ks::Status HeapFree(uint32_t addr);
 
-  // A decode in the calling host thread's instruction cache (exec.cc).
-  struct CachedInsn;
-  static CachedInsn* ThisThreadDecodeCache();
+  // Straight-line runs of decodes, and the calling host thread's table of
+  // them (exec.cc).
+  struct Decoded;
+  struct DecodedRun;
+  class RunTable;
+  static RunTable& ThisThreadRunTable();
+  // The run at thread.pc, checked against memory or rebuilt; null after
+  // faulting the thread on a bad fetch.
+  const DecodedRun* FetchRun(Thread& thread, RunTable& table);
 
   // Executes up to `budget` instructions of `thread`; returns instructions
   // retired. Updates thread state on sleep/exit/fault.
   uint64_t ExecThread(Thread& thread, int budget);
-  // One instruction, fetched through `cache` (null: decode uncached);
-  // false ends the slice (sleep/exit/fault/yield).
-  bool StepLocked(Thread& thread, CachedInsn* cache);
+  // What the run loop does after one instruction: go on with the run,
+  // leave it and fetch again (a write into the run's own bytes), or end
+  // the slice (sleep/exit/fault/yield).
+  enum class Step : uint8_t { kNext, kRefetch, kStop };
+  Step StepLocked(Thread& thread, const Decoded& insn, const DecodedRun& run,
+                  uint64_t tick);
   void FaultThread(Thread& thread, std::string reason);
   ks::Status RunLocked(uint64_t max_ticks);
   // Drops threads_[idx] if it has exited, zeroing its stack for reuse.

@@ -12,6 +12,7 @@
 #include <tuple>
 
 #include "base/faultinject.h"
+#include "base/metrics.h"
 #include "corpus/corpus.h"
 #include "kcc/compile.h"
 #include "kdiff/diff.h"
@@ -24,21 +25,26 @@ namespace {
 
 using kdiff::SourceTree;
 
-std::unique_ptr<Machine> BootSource(const std::string& source,
-                                    const kcc::CompileOptions& options = {}) {
-  SourceTree tree;
-  tree.Write("kernel.kc", source);
+std::unique_ptr<Machine> BootTree(const SourceTree& tree,
+                                  const kcc::CompileOptions& options = {},
+                                  const MachineConfig& config = {}) {
   ks::Result<std::vector<kelf::ObjectFile>> objects =
       kcc::BuildTree(tree, options);
   EXPECT_TRUE(objects.ok()) << objects.status().ToString();
   if (!objects.ok()) {
     return nullptr;
   }
-  MachineConfig config;
   ks::Result<std::unique_ptr<Machine>> machine =
       Machine::Boot(std::move(objects).value(), config);
   EXPECT_TRUE(machine.ok()) << machine.status().ToString();
   return machine.ok() ? std::move(machine).value() : nullptr;
+}
+
+std::unique_ptr<Machine> BootSource(const std::string& source,
+                                    const kcc::CompileOptions& options = {}) {
+  SourceTree tree;
+  tree.Write("kernel.kc", source);
+  return BootTree(tree, options);
 }
 
 // Runs `source`'s global function `entry(arg)` in a fresh machine and
@@ -1383,6 +1389,225 @@ TEST(DecodeCacheTest, MachinesOfTwoReleasesShareOneHostThread) {
   }
   EXPECT_EQ(v1->RecordsWithKey(100), want1);
   EXPECT_EQ(v2->RecordsWithKey(100), want2);
+}
+
+// ---------------------------------------------------------------------------
+// Straight-line runs: the interpreter executes a checked run of decodes
+// with no per-instruction fetch and advances the tick count once per run.
+// These oracles pin what must look per-instruction from the guest and the
+// host: self-modifying code, slice boundaries, fault records and `sys
+// ticks`.
+
+std::unique_ptr<Machine> BootAsm(const std::string& source) {
+  SourceTree tree;
+  tree.Write("entry.kvs", source);
+  return BootTree(tree);
+}
+
+// The word store and the byte store each rewrite the imm32 of a `mov`
+// further down the same straight line, so the first run entered at
+// `self_mod` holds a stale decode of both. The rewritten instructions must
+// run with the new immediates, on the first call and on a call entering a
+// run built from the bytes the first call left behind. The targets are
+// addressed from the entry, not by labels: the assembler pads before a
+// label, and the pad (a nopn) would end the run.
+TEST(DecodedRunTest, StoreIntoTheExecutingRunTakesEffect) {
+  std::unique_ptr<Machine> machine = BootAsm(R"(
+.text
+.global self_mod
+self_mod:
+    mov r1, sp         ; +0
+    add r1, 4          ; +3
+    load r1, [r1]      ; +9   r1 = arg
+    mov r0, =self_mod  ; +12
+    add r0, 44         ; +18
+    store [r0], r1     ; +24  the imm32 of `mov r2, 5`
+    mov r0, =self_mod  ; +27
+    add r0, 50         ; +33
+    storeb [r0], r1    ; +39  the low imm byte of `mov r3, 1`
+    mov r2, 5          ; +42
+    mov r3, 1          ; +48
+    mov r0, 100        ; +54
+    mov r1, r2
+    sys 7              ; record(100, r2)
+    mov r0, 101
+    mov r1, r3
+    sys 7              ; record(101, r3)
+    ret
+)");
+  ASSERT_NE(machine, nullptr);
+  const uint32_t entry = Address(*machine, "self_mod");
+  ASSERT_EQ(*machine->ReadBytes(entry + 42, 12),
+            (std::vector<uint8_t>{0x10, 2, 5, 0, 0, 0, 0x10, 3, 1, 0, 0, 0}));
+  for (uint32_t arg : {77u, 78u, 0x1234u}) {
+    ASSERT_TRUE(machine->SpawnNamed("self_mod", arg).ok());
+    ASSERT_TRUE(machine->RunToCompletion().ok());
+  }
+  EXPECT_EQ(machine->RecordsWithKey(100),
+            (std::vector<uint32_t>{77, 78, 0x1234}));
+  EXPECT_EQ(machine->RecordsWithKey(101),
+            (std::vector<uint32_t>{77, 78, 0x34}));
+  EXPECT_TRUE(machine->Faults().empty());
+}
+
+// Everything a single-threaded program can observe, and the instruction
+// count, is independent of where slices end: a slice of one instruction
+// cuts every run, a slice of seven cuts runs mid-way, and a slice of 1000
+// lets runs go to their natural end.
+TEST(DecodedRunTest, SliceLengthDoesNotChangeAnything) {
+  SourceTree tree;
+  tree.Write("finish.kvs", R"(
+.text
+.global finish
+finish:                ; records (200 + i, ri) for every register
+    push r1
+    push r0
+    mov r0, 202
+    mov r1, r2
+    sys 7
+    mov r0, 203
+    mov r1, r3
+    sys 7
+    mov r0, 204
+    mov r1, r4
+    sys 7
+    mov r0, 205
+    mov r1, r5
+    sys 7
+    mov r0, 206
+    mov r1, r6
+    sys 7
+    mov r0, 207
+    mov r1, r7
+    sys 7
+    pop r1
+    mov r0, 200
+    sys 7
+    pop r1
+    mov r0, 201
+    sys 7
+    ret
+)");
+  tree.Write("kernel.kc", R"(
+void finish(int x);
+int table[8];
+int mix(int x) {
+  int i;
+  int acc = x;
+  for (i = 0; i < 8; i++) {
+    table[i] = table[i] * 3 + acc;
+    acc = acc ^ (table[i] / 7);
+  }
+  return acc;
+}
+void main(int rounds) {
+  int i;
+  int acc = 1;
+  for (i = 0; i < rounds; i++) {
+    acc = acc + mix(acc + i);
+    if (i % 5 == 0) {
+      record(100, ticks());
+    }
+    if (i % 9 == 0) {
+      sleep(3);
+    }
+  }
+  record(101, acc);
+  finish(acc);
+}
+)");
+  struct Outcome {
+    std::vector<std::pair<uint32_t, uint32_t>> records;
+    uint64_t ticks = 0;
+    uint64_t instructions = 0;
+    bool operator==(const Outcome&) const = default;
+  };
+  ks::Counter& instructions = ks::Metrics().GetCounter("kvm.instructions");
+  std::vector<Outcome> outcomes;
+  for (int slice : {1, 7, 1000}) {
+    MachineConfig config;
+    config.slice_instructions = slice;
+    std::unique_ptr<Machine> machine =
+        BootTree(tree, kcc::CompileOptions(), config);
+    ASSERT_NE(machine, nullptr);
+    const uint64_t before = instructions.value();
+    ASSERT_TRUE(machine->SpawnNamed("main", 40).ok());
+    ASSERT_TRUE(machine->RunToCompletion().ok());
+    EXPECT_TRUE(machine->Faults().empty()) << "slice " << slice;
+    Outcome outcome{machine->Records(), machine->Ticks(),
+                    instructions.value() - before};
+    ASSERT_EQ(machine->RecordsWithKey(100).size(), 8u) << "slice " << slice;
+    for (uint32_t key = 200; key < 208; ++key) {
+      ASSERT_EQ(machine->RecordsWithKey(key).size(), 1u) << key;
+    }
+    outcomes.push_back(std::move(outcome));
+  }
+  EXPECT_GT(outcomes[0].instructions, 1000u);
+  EXPECT_TRUE(outcomes[0] == outcomes[1]);
+  EXPECT_TRUE(outcomes[0] == outcomes[2]);
+}
+
+// A bad load after a straight line of ALU instructions faults at the
+// load's own pc, and at the tick of the load: the instructions before it
+// in the run have retired, the load has not yet.
+TEST(DecodedRunTest, FaultInsideARunRecordsItsPcAndTick) {
+  std::unique_ptr<Machine> machine = BootAsm(R"(
+.text
+.global bad_load
+bad_load:
+    mov r1, 1
+    add r1, 2
+    mov r3, r1
+    add r3, r1
+    mov r2, 0
+.global bad_load_site
+bad_load_site:
+    load r0, [r2]
+    ret
+)");
+  ASSERT_NE(machine, nullptr);
+  // Run once so the second attempt enters a built run.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const uint64_t start = machine->Ticks();
+    ASSERT_TRUE(machine->SpawnNamed("bad_load", 0).ok());
+    ASSERT_TRUE(machine->RunToCompletion().ok());
+    std::vector<FaultRecord> faults = machine->FaultRecords();
+    ASSERT_EQ(faults.size(), static_cast<size_t>(attempt + 1));
+    EXPECT_EQ(faults.back().pc, Address(*machine, "bad_load_site"));
+    EXPECT_EQ(faults.back().tick, start + 5);
+    EXPECT_EQ(faults.back().reason, "bad load at 0x00000000");
+    EXPECT_EQ(machine->Ticks(), start + 6);  // the faulting load retires
+  }
+}
+
+// `sys ticks` after a straight line of instructions returns the tick of
+// the sys instruction itself, however far into its run it sits.
+TEST(DecodedRunTest, SysTicksInsideARunIsExact) {
+  std::unique_ptr<Machine> machine = BootAsm(R"(
+.text
+.global ticks_mid
+ticks_mid:
+    mov r1, 5
+    add r1, 1
+    add r1, 1
+    mov r2, r1
+    sys 1              ; r0 = ticks
+    mov r1, r0
+    mov r0, 100
+    sys 7              ; record(100, ticks)
+    ret
+)");
+  ASSERT_NE(machine, nullptr);
+  std::vector<uint32_t> want;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    const uint64_t start = machine->Ticks();
+    ASSERT_TRUE(machine->SpawnNamed("ticks_mid", 0).ok());
+    ASSERT_TRUE(machine->RunToCompletion().ok());
+    want.push_back(static_cast<uint32_t>(start + 4));
+    EXPECT_EQ(machine->Ticks(), start + 9);
+  }
+  EXPECT_EQ(machine->RecordsWithKey(100), want);
+  EXPECT_TRUE(machine->Faults().empty());
 }
 
 // ---------------------------------------------------------------------------
