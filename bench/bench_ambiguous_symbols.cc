@@ -5,6 +5,8 @@
 // symbol; 21.1% of compilation units contain such a symbol; 5 of 64
 // patches modify a function containing one; a symbol table alone cannot
 // resolve them (the dst.c/dst_ca.c "debug" example, CVE-2005-4639).
+// Exits 1 on an evaluation error, unless some patch touches an ambiguous
+// symbol and every such patch fails in the baseline and applies in Ksplice.
 
 #include <cstdio>
 
@@ -32,19 +34,26 @@ int main() {
 
   // Which patches touch a function referencing an ambiguous symbol, and
   // what does the source-level baseline do with them?
-  std::printf("%-15s %-10s %-32s\n", "CVE", "ambiguous",
+  std::printf("%-15s %-10s %-32s\n", "CVE", "ksplice",
               "source-level baseline outcome");
   int ambiguous_patches = 0;
   int baseline_failures = 0;
+  int ksplice_applied = 0;
   for (const corpus::Vulnerability& vuln : corpus::Vulnerabilities()) {
     corpus::EvalOptions options;
     options.run_stress = false;
     ks::Result<corpus::EvalOutcome> outcome =
         corpus::Evaluate(vuln, options);
-    if (!outcome.ok() || !outcome->references_ambiguous_symbol) {
+    if (!outcome.ok()) {
+      std::printf("%-15s error: %s\n", vuln.cve.c_str(),
+                  outcome.status().ToString().c_str());
+      return 1;
+    }
+    if (!outcome->references_ambiguous_symbol) {
       continue;
     }
     ++ambiguous_patches;
+    ksplice_applied += outcome->apply_ok ? 1 : 0;
 
     // Run the baseline against a live kernel for the definitive verdict.
     const char* verdict = "n/a";
@@ -63,13 +72,21 @@ int main() {
         }
       }
     }
-    std::printf("%-15s %-10s %-32s\n", vuln.cve.c_str(), "yes", verdict);
+    std::printf("%-15s %-10s %-32s\n", vuln.cve.c_str(),
+                outcome->apply_ok ? "applied" : "FAILED", verdict);
   }
   std::printf("\n--- Shape check (measured vs paper) ---\n");
   std::printf("patches touching ambiguous symbols : %d / 64   (paper: 5)\n",
               ambiguous_patches);
-  std::printf("of those, baseline failures        : %d (Ksplice resolves "
-              "all via run-pre matching)\n",
+  std::printf("of those, baseline failures        : %d\n",
               baseline_failures);
+  std::printf("of those, Ksplice applied          : %d (run-pre matching "
+              "resolves them)\n",
+              ksplice_applied);
+  if (ambiguous_patches == 0 || baseline_failures != ambiguous_patches ||
+      ksplice_applied != ambiguous_patches) {
+    std::fprintf(stderr, "FAIL: the ambiguity shape does not hold\n");
+    return 1;
+  }
   return 0;
 }

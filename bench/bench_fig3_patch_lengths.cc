@@ -3,7 +3,8 @@
 // security patches, in buckets of five with an overflow bucket.
 //
 // Paper shape: 35 of 64 patches within 5 lines, 53 within 15 lines, a
-// long thin tail beyond.
+// long thin tail beyond. Exits 1 when a patch fails to generate or parse,
+// or when fewer patches than the paper's fall within 5 or 15 lines.
 
 #include <cstdio>
 #include <vector>
@@ -68,5 +69,9 @@ int main() {
   std::printf("\n--- Shape check (measured vs paper) ---\n");
   std::printf("patches within  5 lines : %2d / 64   (paper: 35)\n", within5);
   std::printf("patches within 15 lines : %2d / 64   (paper: 53)\n", within15);
+  if (within5 < 35 || within15 < 53) {
+    std::fprintf(stderr, "FAIL: fewer short patches than the paper's\n");
+    return 1;
+  }
   return 0;
 }

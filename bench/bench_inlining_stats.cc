@@ -6,6 +6,8 @@
 // Source-level systems cannot even see this (§4.2); Ksplice replaces the
 // inline expansions automatically because the callers' object code
 // changed too.
+// Exits 1 on an evaluation error, unless exactly 4 patches modify a
+// declared-inline function and more modify an inlined one.
 
 #include <cstdio>
 
@@ -25,7 +27,7 @@ int main() {
     if (!outcome.ok()) {
       std::printf("%-15s error: %s\n", vuln.cve.c_str(),
                   outcome.status().ToString().c_str());
-      continue;
+      return 1;
     }
     if (outcome->modified_inlined_function || outcome->declared_inline) {
       std::printf("%-15s %-18s %-15s\n", vuln.cve.c_str(),
@@ -51,5 +53,9 @@ int main() {
               declared_inline);
   std::printf("inlining without the keyword                    : %2d\n",
               modified_inlined - both);
+  if (declared_inline != 4 || modified_inlined <= declared_inline) {
+    std::fprintf(stderr, "FAIL: the inlining shape does not hold\n");
+    return 1;
+  }
   return 0;
 }

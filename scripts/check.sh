@@ -6,6 +6,9 @@
 set -e
 cd "$(dirname "$0")/.."
 cmake -B build -G Ninja ${SANITIZE:+"-DKSPLICE_SANITIZE=$SANITIZE"}
+# The bench loop below runs every build/bench/bench_* binary; drop them
+# first so a bench deleted from the tree cannot run from an older build.
+rm -f build/bench/bench_*
 cmake --build build
 ctest --test-dir build --output-on-failure
 # perfbench/ is its own CMake project that compiles the program's libraries

@@ -1,14 +1,11 @@
 #include "base/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 
 namespace ks {
 
 namespace {
-
-std::atomic<LogLevel> g_log_level{LogLevel::kWarning};
 
 const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -31,8 +28,7 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_log_level.store(level); }
-LogLevel GetLogLevel() { return g_log_level.load(); }
+LogLevel GetLogLevel() { return LogLevel::kWarning; }
 
 namespace internal {
 

@@ -1,5 +1,5 @@
-// Minimal leveled logging to stderr. Off by default below kWarning so tests
-// and benches stay quiet; examples turn on kInfo to narrate.
+// Minimal leveled logging to stderr. Messages below kWarning are dropped,
+// so tests and benches stay quiet.
 
 #ifndef KSPLICE_BASE_LOGGING_H_
 #define KSPLICE_BASE_LOGGING_H_
@@ -11,11 +11,8 @@ namespace ks {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-// Global threshold; messages below it are dropped. The threshold is an
-// atomic: Set/Get are safe from any thread (pipeline workers consult it
-// concurrently), and each message is emitted with a single write so
-// concurrent lines never interleave.
-void SetLogLevel(LogLevel level);
+// The threshold; messages below it are dropped. Each message is emitted
+// with a single write, so concurrent lines never interleave.
 LogLevel GetLogLevel();
 
 namespace internal {

@@ -166,17 +166,4 @@ Status MetricsRegistry::WriteJson(const std::string& path) const {
   return OkStatus();
 }
 
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) {
-    counter->Reset();
-  }
-  for (auto& [name, gauge] : gauges_) {
-    gauge->Reset();
-  }
-  for (auto& [name, histogram] : histograms_) {
-    histogram->Reset();
-  }
-}
-
 }  // namespace ks

@@ -47,7 +47,6 @@ class Gauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -101,9 +100,6 @@ class MetricsRegistry {
   // for the schema.
   std::string ToJson() const;
   Status WriteJson(const std::string& path) const;
-
-  // Zeroes every instrument (names stay registered; references stay valid).
-  void ResetAll();
 
  private:
   mutable std::mutex mu_;

@@ -50,8 +50,6 @@ class [[nodiscard]] Status {
     assert(code != ErrorCode::kOk && "error Status requires a non-ok code");
   }
 
-  static Status Ok() { return Status(); }
-
   bool ok() const { return code_ == ErrorCode::kOk; }
   ErrorCode code() const { return code_; }
   const std::string& message() const { return message_; }
@@ -72,7 +70,7 @@ class [[nodiscard]] Status {
   std::string message_;
 };
 
-inline Status OkStatus() { return Status::Ok(); }
+inline Status OkStatus() { return Status(); }
 
 Status InvalidArgument(std::string message);
 Status NotFound(std::string message);

@@ -461,26 +461,7 @@ ks::Result<std::string> Codegen::Run() {
   for (const auto& [symbol, content] : by_symbol) {
     data_ += ".data\n";
     data_ += symbol + ":\n";
-    std::string escaped;
-    for (char c : content) {
-      switch (c) {
-        case '\n':
-          escaped += "\\n";
-          break;
-        case '\t':
-          escaped += "\\t";
-          break;
-        case '"':
-          escaped += "\\\"";
-          break;
-        case '\\':
-          escaped += "\\\\";
-          break;
-        default:
-          escaped += c;
-      }
-    }
-    data_ += "    .asciz \"" + escaped + "\"\n";
+    data_ += "    .asciz \"" + EscapeAsciz(content) + "\"\n";
   }
 
   // Build-timestamp strings, each in its own howto-tagged section.
@@ -1351,26 +1332,7 @@ ks::Status Codegen::EmitGlobal(const GlobalDecl& decl) {
         if (!char_elems) {
           return Error(decl.line, "string initializer on non-char data");
         }
-        std::string escaped;
-        for (char c : elem.str_value) {
-          switch (c) {
-            case '\n':
-              escaped += "\\n";
-              break;
-            case '\t':
-              escaped += "\\t";
-              break;
-            case '"':
-              escaped += "\\\"";
-              break;
-            case '\\':
-              escaped += "\\\\";
-              break;
-            default:
-              escaped += c;
-          }
-        }
-        chunk += "    .asciz \"" + escaped + "\"\n";
+        chunk += "    .asciz \"" + EscapeAsciz(elem.str_value) + "\"\n";
         emitted += static_cast<int>(elem.str_value.size()) + 1;
         break;
       }

@@ -43,8 +43,8 @@ struct MatchStats {
   // built it: MatchUnit(ObjectFile) and Apply/ApplyAll(UpdatePackage)
   // report them, while a match against a shared, prebuilt plan (every
   // node of a fleet rollout) reports 0 here. Run bytes are decoded once
-  // per candidate address per match (zero in the linear oracle, which
-  // re-decodes per attempt and counts pre_bytes_walked instead).
+  // per candidate address per match (zero in the tests' linear oracle,
+  // which re-decodes per attempt and counts pre_bytes_walked instead).
   uint64_t pre_bytes_canonicalized = 0;
   uint64_t run_bytes_canonicalized = 0;
   uint64_t revalidations = 0;  // cached successes re-checked across passes

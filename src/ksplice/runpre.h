@@ -138,7 +138,7 @@ struct MatcherOptions {
   // Decode each pre section once and share one run stream per candidate
   // address across sections and passes. Off = the linear oracle: every
   // attempt decodes and walks its own copies (same decisions, charging
-  // pre_bytes_walked per attempt). Only tests and benches turn it off.
+  // pre_bytes_walked per attempt). Only tests turn it off.
   bool decode_once = true;
 };
 

@@ -605,6 +605,66 @@ TEST_F(KspliceIntegration, HelperUnloadReclaimsMemory) {
   EXPECT_FALSE(core_->UnloadHelper("test-update").ok());
 }
 
+// The §2 overhead claim: a replaced function costs one jump per call. The
+// loop kernel is bench_trampoline_overhead's; `sink` is zeroed before each
+// run so the patched and unpatched loops take the same branches.
+TEST(TrampolineOverheadTest, PatchedCallRetiresExactlyOneMoreInstruction) {
+  SourceTree tree;
+  tree.Write("loop.kc", R"(
+int sink = 0;
+int work_item(int x) {
+  sink = sink + x;
+  if (sink > 1000000) {
+    sink = 0;
+  }
+  sink = sink ^ x;
+  sink = sink + 3;
+  sink = sink * 2;
+  sink = sink - x;
+  if (sink < 0) {
+    sink = 1;
+  }
+  return sink;
+}
+void hot_loop(int n) {
+  int i = 0;
+  while (i < n) {
+    work_item(i);
+    i++;
+  }
+  record(700, sink);
+}
+)");
+  std::unique_ptr<kvm::Machine> machine = BootTree(tree);
+  ASSERT_NE(machine, nullptr);
+  ks::Result<uint32_t> sink = machine->GlobalSymbol("sink");
+  ASSERT_TRUE(sink.ok());
+  auto ticks = [&](uint32_t n) {
+    EXPECT_TRUE(machine->WriteWord(*sink, 0).ok());
+    uint64_t before = machine->Ticks();
+    EXPECT_TRUE(machine->SpawnNamed("hot_loop", n).ok());
+    EXPECT_TRUE(machine->RunToCompletion().ok());
+    return machine->Ticks() - before;
+  };
+  const uint32_t calls[] = {0, 1, 10, 10'000};
+  std::vector<uint64_t> unpatched;
+  for (uint32_t n : calls) {
+    unpatched.push_back(ticks(n));
+  }
+
+  ks::Result<CreateResult> created =
+      Create(tree, EditPatch(tree, "loop.kc",
+                             "  sink = sink + 3;\n  sink = sink * 2;",
+                             "  sink = sink * 2;\n  sink = sink + 6;"));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  KspliceCore core(machine.get());
+  ASSERT_TRUE(core.Apply(created->package).ok());
+  for (size_t i = 0; i < std::size(calls); ++i) {
+    EXPECT_EQ(ticks(calls[i]), unpatched[i] + calls[i])
+        << "hot_loop(" << calls[i] << ")";
+  }
+}
+
 TEST_F(KspliceIntegration, NoOpPatchIsRejected) {
   // A comment-only change produces no object code difference.
   std::string patch = EditPatch(tree_, "sys/vuln.kc", "int check_access",
