@@ -164,13 +164,12 @@ print("batch JSON OK:", len(status["updates"]), "updates,",
       counters["kvm.stop_machine_calls"], "stop_machine call")
 EOF
 
-# Chaos smoke: one fixed-seed randomized fault-injection round (the full
-# multi-seed soak is scripts/check_chaos.sh), then a fault-injected apply
-# through the tool — the injected failure must exit 1 and the fault and
-# rendezvous metrics must show up in the --metrics JSON.
-echo "== chaos + fault-injection smoke =="
-KSPLICE_CHAOS_SEED=12648430 build/tests/chaos_test \
-  --gtest_filter='ChaosTest.RandomizedFaultCombinationsPreserveInvariants'
+# Fault-injection smoke: a fault-injected apply through the tool — the
+# injected failure must exit 1 and the fault and rendezvous metrics must
+# show up in the --metrics JSON. The fixed-seed randomized chaos round is
+# the ctest ChaosTest.RandomizedFaultCombinationsPreserveInvariants (its
+# default seed is 0xC0FFEE); the multi-seed soak is scripts/check_chaos.sh.
+echo "== fault-injection smoke =="
 rc=0; build/tools/ksplice_tool --faults=kvm.write_bytes=always \
   --metrics="$obs_dir/fault-metrics.json" \
   apply "$obs_dir/corpus/src" "$obs_dir/prctl.kspl" \

@@ -4,8 +4,9 @@
 # directly (TSAN aborts the process on the first data race). The kanalyze
 # analyzer and parser fuzz tests run too: lint executes inside the
 # (parallelized) create pipeline, so its metrics updates must stay clean.
-# The runpre tests cover the matcher, which reads the machine that the
-# transaction test's -j 4 batch apply matches units against concurrently.
+# The runpre and transaction tests cover the matcher and the apply
+# transaction, which run on the caller's thread but share the metrics
+# registry and the fault injector with every other thread.
 # The fleet test drives wave rollouts at max_in_flight 4 and 8, where
 # worker threads share the fault injector, the metrics registry and each
 # package's read-only PackagePlan (the pre side every node matches

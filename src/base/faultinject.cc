@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "base/hash.h"
 #include "base/logging.h"
 #include "base/metrics.h"
 #include "base/strings.h"
@@ -15,14 +16,6 @@ namespace {
 thread_local int g_suppress_depth = 0;
 
 constexpr uint64_t kDefaultSeed = 0x9e3779b97f4a7c15u;
-
-// splitmix64: tiny, seedable, and good enough for jittered coin flips.
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15u);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9u;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebu;
-  return z ^ (z >> 31);
-}
 
 double NextUnit(uint64_t* state) {
   return static_cast<double>(SplitMix64(state) >> 11) * 0x1.0p-53;

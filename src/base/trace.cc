@@ -31,13 +31,6 @@ TraceBuffer& Buffer() {
   return *buffer;
 }
 
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 // The trace epoch: timestamps are relative to the first use so exported
 // numbers stay small.
 uint64_t EpochNs() {
@@ -54,6 +47,13 @@ uint32_t ThisThreadId() {
 thread_local int tl_depth = 0;
 
 }  // namespace
+
+uint64_t NowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 void SetTraceEnabled(bool enabled) {
   if (enabled) {

@@ -30,6 +30,10 @@
 
 namespace ks {
 
+// Monotonic wall clock (std::chrono::steady_clock) in nanoseconds: the
+// clock spans use, and the one every stage timer reads.
+uint64_t NowNs();
+
 // One completed span.
 struct TraceEvent {
   std::string name;

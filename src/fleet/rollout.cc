@@ -1,15 +1,16 @@
 #include "fleet/rollout.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <optional>
 
 #include "base/faultinject.h"
+#include "base/hash.h"
 #include "base/metrics.h"
 #include "base/strings.h"
 #include "base/threadpool.h"
+#include "base/trace.h"
 #include "ksplice/quarantine.h"
 #include "ksplice/runpre.h"
 #include "ksplice/watchdog.h"
@@ -18,24 +19,10 @@ namespace fleet {
 
 namespace {
 
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-uint64_t SplitMix(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 // Deterministic per-node stream from (rollout seed, node index).
 uint64_t MixSeed(uint64_t seed, size_t index) {
   uint64_t state = seed ^ (0x632be59bd9b4e019ull + index);
-  return SplitMix(&state);
+  return ks::SplitMix64(&state);
 }
 
 // Per-node working state accumulated across the rollout.
@@ -161,7 +148,7 @@ std::vector<size_t> RolloutOrder(size_t n, uint64_t seed) {
   }
   uint64_t state = seed;
   for (size_t i = n - 1; i > 0; --i) {
-    size_t j = static_cast<size_t>(SplitMix(&state) % (i + 1));
+    size_t j = static_cast<size_t>(ks::SplitMix64(&state) % (i + 1));
     std::swap(order[i], order[j]);
   }
   return order;
@@ -223,7 +210,7 @@ ks::Result<ksplice::RolloutReport> RunRollout(
   }
   report.fleet_size = static_cast<uint32_t>(fleet.size());
 
-  const uint64_t begin_ns = NowNs();
+  const uint64_t begin_ns = ks::NowNs();
   // The drill plan stays armed for the rollout and is disarmed on every
   // exit path.
   ks::ScopedFaultPlan armed;
@@ -266,7 +253,7 @@ ks::Result<ksplice::RolloutReport> RunRollout(
       nodes[order[at]].report.canary = is_canary;
     }
 
-    const uint64_t wave_begin_ns = NowNs();
+    const uint64_t wave_begin_ns = ks::NowNs();
     ks::ParallelFor(plan.max_in_flight, end - begin, [&](size_t i) {
       size_t node = order[begin + i];
       ApplyOnNode(fleet, node, package_plans, plan, &nodes[node]);
@@ -300,7 +287,7 @@ ks::Result<ksplice::RolloutReport> RunRollout(
         pause_hist.Observe(node.pause_ns);
       }
     }
-    wave.wall_ns = NowNs() - wave_begin_ns;
+    wave.wall_ns = ks::NowNs() - wave_begin_ns;
     // Auto-reverted nodes are regressions the safety net caught — they
     // feed the abort threshold exactly like hard failures.
     wave.tripped =
@@ -419,7 +406,7 @@ ks::Result<ksplice::RolloutReport> RunRollout(
     report.pause_p99_ns = at(0.99);
     report.pause_max_ns = pauses.back();
   }
-  report.wall_ns = NowNs() - begin_ns;
+  report.wall_ns = ks::NowNs() - begin_ns;
   uint32_t attempted = report.fleet_size - report.not_attempted;
   if (report.wall_ns > 0) {
     report.nodes_per_sec = static_cast<double>(attempted) * 1e9 /

@@ -1,7 +1,6 @@
 #include "kanalyze/kanalyze.h"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 #include <tuple>
 
@@ -17,13 +16,6 @@ namespace {
 using ksplice::LintFinding;
 using ksplice::LintReport;
 using ksplice::LintSeverity;
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 LintFinding CallGraphFinding(const char* rule, LintSeverity severity,
                              std::string unit, std::string symbol,
@@ -190,21 +182,18 @@ ks::Result<LintReport> AnalyzePackage(const ksplice::UpdatePackage& package,
   CallGraph graph;
   {
     ks::TraceSpan pass_span("kanalyze.callgraph");
-    uint64_t begin = NowNs();
+    uint64_t begin = ks::NowNs();
     graph = BuildCallGraph(package);
     RunCallGraphPass(package, graph, &report);
-    callgraph_ns.Observe(NowNs() - begin);
+    callgraph_ns.Observe(ks::NowNs() - begin);
     pass_span.Annotate("edges", graph.edges);
   }
   PackageSummaries summaries;
   {
     ks::TraceSpan pass_span("kanalyze.summary");
-    uint64_t begin = NowNs();
-    SummaryOptions summary_options;
-    summary_options.jobs = options.jobs;
-    summary_options.cache = options.cache;
-    summaries = ComputeSummaries(package, graph, summary_options);
-    summary_ns.Observe(NowNs() - begin);
+    uint64_t begin = ks::NowNs();
+    summaries = ComputeSummaries(package, graph, options.cache);
+    summary_ns.Observe(ks::NowNs() - begin);
     report.functions_summarized += summaries.functions.size();
     report.insns_decoded += summaries.insns_interpreted;
     pass_span.Annotate("functions",
@@ -214,35 +203,35 @@ ks::Result<LintReport> AnalyzePackage(const ksplice::UpdatePackage& package,
   }
   {
     ks::TraceSpan pass_span("kanalyze.cfg");
-    uint64_t begin = NowNs();
+    uint64_t begin = ks::NowNs();
     RunCfgPass(package, &report);
-    cfg_ns.Observe(NowNs() - begin);
+    cfg_ns.Observe(ks::NowNs() - begin);
     pass_span.Annotate("blocks", report.blocks_analyzed);
   }
   {
     ks::TraceSpan pass_span("kanalyze.abi");
-    uint64_t begin = NowNs();
+    uint64_t begin = ks::NowNs();
     RunAbiPass(package, &report);
-    abi_ns.Observe(NowNs() - begin);
+    abi_ns.Observe(ks::NowNs() - begin);
     pass_span.Annotate("sections", report.data_sections_compared);
   }
   {
     ks::TraceSpan pass_span("kanalyze.quiescence");
-    uint64_t begin = NowNs();
+    uint64_t begin = ks::NowNs();
     RunQuiescencePass(package, graph, summaries, &report);
-    quiescence_ns.Observe(NowNs() - begin);
+    quiescence_ns.Observe(ks::NowNs() - begin);
   }
   {
     ks::TraceSpan pass_span("kanalyze.semdiff");
-    uint64_t begin = NowNs();
+    uint64_t begin = ks::NowNs();
     RunSemanticDiffPass(package, graph, summaries, &report);
-    semdiff_ns.Observe(NowNs() - begin);
+    semdiff_ns.Observe(ks::NowNs() - begin);
   }
   {
     ks::TraceSpan pass_span("kanalyze.howto");
-    uint64_t begin = NowNs();
+    uint64_t begin = ks::NowNs();
     RunHowtoPass(package, &report);
-    howto_ns.Observe(NowNs() - begin);
+    howto_ns.Observe(ks::NowNs() - begin);
   }
 
   std::stable_sort(

@@ -66,9 +66,6 @@ class ObjectCache;
 namespace kanalyze {
 
 struct AnalyzeOptions {
-  // Fan-out width for the summary phase (ks::ParallelFor). Findings are
-  // byte-identical at any width.
-  int jobs = 1;
   // Optional content-addressed cache for direct summaries; a lint, a
   // create --lint and a rollout gate sharing one cache summarize each
   // distinct function body once.

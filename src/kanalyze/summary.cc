@@ -4,9 +4,9 @@
 #include <deque>
 #include <optional>
 
+#include "base/hash.h"
 #include "base/metrics.h"
 #include "base/strings.h"
-#include "base/threadpool.h"
 #include "kanalyze/cfg.h"
 #include "kcc/objcache.h"
 #include "kvx/isa.h"
@@ -14,15 +14,6 @@
 namespace kanalyze {
 
 namespace {
-
-uint64_t Fnv64(const uint8_t* data, size_t len,
-               uint64_t hash = 14695981039346656037u) {
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211u;
-  }
-  return hash;
-}
 
 // ---- Abstract register lattice ---------------------------------------
 //
@@ -598,8 +589,7 @@ std::string SummaryCacheKey(const kelf::ObjectFile& object,
                             const kelf::Section& section) {
   std::string key = ks::StrPrintf(
       "ksum1|%016llx|%zu",
-      static_cast<unsigned long long>(
-          Fnv64(section.bytes.data(), section.bytes.size())),
+      static_cast<unsigned long long>(ks::Fnv1a64(section.bytes)),
       section.bytes.size());
   for (const kelf::Relocation& reloc : section.relocs) {
     const std::string& name =
@@ -625,11 +615,46 @@ const kelf::ObjectFile* NodeObject(const ksplice::UpdatePackage& package,
   return &objects[node.object_index];
 }
 
+// Fills *out with the direct summary of `section`, served from `cache`
+// when it has one (*was_hit says so). Returns whether this call
+// interpreted the section itself.
+bool DirectSummary(const kelf::ObjectFile& object, const kelf::Section& section,
+                   kcc::ObjectCache* cache, FunctionSummary* out,
+                   bool* was_hit) {
+  if (cache == nullptr) {
+    *out = SummarizeSection(object, section);
+    return true;
+  }
+  std::optional<FunctionSummary> fresh;
+  ks::Result<std::vector<uint8_t>> blob = cache->GetOrComputeBlob(
+      SummaryCacheKey(object, section),
+      [&]() -> ks::Result<std::vector<uint8_t>> {
+        fresh = SummarizeSection(object, section);
+        return fresh->Serialize();
+      },
+      was_hit);
+  if (fresh.has_value()) {
+    *out = std::move(*fresh);
+    return true;
+  }
+  if (blob.ok()) {
+    ks::Result<FunctionSummary> parsed = FunctionSummary::Deserialize(*blob);
+    if (parsed.ok()) {
+      *out = std::move(*parsed);
+      return false;
+    }
+  }
+  // Cache refused or returned an unparsable blob (fault injection,
+  // version skew): summaries must never fail, so compute locally.
+  *out = SummarizeSection(object, section);
+  return true;
+}
+
 }  // namespace
 
 PackageSummaries ComputeSummaries(const ksplice::UpdatePackage& package,
                                   const CallGraph& graph,
-                                  const SummaryOptions& options) {
+                                  kcc::ObjectCache* cache) {
   static ks::Counter& hit_counter =
       ks::Metrics().GetCounter("kanalyze.summary.cache_hits");
   static ks::Counter& miss_counter =
@@ -640,69 +665,25 @@ PackageSummaries ComputeSummaries(const ksplice::UpdatePackage& package,
   PackageSummaries result;
   size_t n = graph.nodes.size();
   result.functions.resize(n);
-  std::vector<uint8_t> hit_flags(n, 0);
-  std::vector<uint8_t> computed_flags(n, 0);
-
-  // Direct summaries: one slot per node, so the result is identical for
-  // any fan-out width.
-  ks::ParallelFor(options.jobs, n, [&](size_t i) {
+  uint64_t computed = 0;
+  for (size_t i = 0; i < n; ++i) {
     const CallNode& node = graph.nodes[i];
     const kelf::ObjectFile* object = NodeObject(package, node);
-    if (object == nullptr || node.section_index < 0 ||
-        node.section_index >= static_cast<int>(object->sections().size())) {
-      return;  // defensive: BuildCallGraph always fills valid indices
-    }
-    const kelf::Section& section = object->sections()[node.section_index];
-    if (options.cache == nullptr) {
-      result.functions[i] = SummarizeSection(*object, section);
-      computed_flags[i] = 1;
-      return;
-    }
-    std::optional<FunctionSummary> fresh;
     bool was_hit = false;
-    ks::Result<std::vector<uint8_t>> blob = options.cache->GetOrComputeBlob(
-        SummaryCacheKey(*object, section),
-        [&]() -> ks::Result<std::vector<uint8_t>> {
-          fresh = SummarizeSection(*object, section);
-          return fresh->Serialize();
-        },
-        &was_hit);
-    hit_flags[i] = was_hit ? 1 : 0;
-    if (fresh.has_value()) {
-      result.functions[i] = std::move(*fresh);
-      computed_flags[i] = 1;
-      return;
+    // Defensive: BuildCallGraph always fills valid indices.
+    if (object != nullptr && node.section_index >= 0 &&
+        node.section_index < static_cast<int>(object->sections().size())) {
+      computed += DirectSummary(*object, object->sections()[node.section_index],
+                                cache, &result.functions[i], &was_hit);
     }
-    if (blob.ok()) {
-      ks::Result<FunctionSummary> parsed = FunctionSummary::Deserialize(*blob);
-      if (parsed.ok()) {
-        result.functions[i] = std::move(*parsed);
-        return;
-      }
-    }
-    // Cache refused or returned an unparsable blob (fault injection,
-    // version skew): summaries must never fail, so compute locally.
-    result.functions[i] = SummarizeSection(*object, section);
-    computed_flags[i] = 1;
-  });
-
-  for (size_t i = 0; i < n; ++i) {
     result.insns_interpreted += result.functions[i].insns;
-    if (options.cache != nullptr) {
-      if (hit_flags[i] != 0) {
-        ++result.cache_hits;
-      } else {
-        ++result.cache_misses;
-      }
+    if (cache != nullptr) {
+      ++(was_hit ? result.cache_hits : result.cache_misses);
     }
   }
-  if (options.cache != nullptr) {
+  if (cache != nullptr) {
     hit_counter.Add(result.cache_hits);
     miss_counter.Add(result.cache_misses);
-  }
-  uint64_t computed = 0;
-  for (uint8_t flag : computed_flags) {
-    computed += flag;
   }
   computed_counter.Add(computed);
 

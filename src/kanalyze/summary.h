@@ -19,9 +19,9 @@
 // Direct summaries are a pure function of (section bytes, relocation
 // shape), so they are content-hash-keyed and cached in the generic blob
 // store of kcc::ObjectCache: a lint, a create --lint and a rollout gate in
-// one process summarize each distinct function body once. Fan-out across
-// functions uses ks::ParallelFor with slot-assigned results, so findings
-// are byte-identical at any -j.
+// one process summarize each distinct function body once. No corpus
+// package has more than a handful of functions, so they are summarized
+// one after another on the caller's thread.
 
 #ifndef KSPLICE_KANALYZE_SUMMARY_H_
 #define KSPLICE_KANALYZE_SUMMARY_H_
@@ -113,12 +113,6 @@ std::string NormalizeEffectSymbol(const std::string& name);
 FunctionSummary SummarizeSection(const kelf::ObjectFile& object,
                                  const kelf::Section& section);
 
-struct SummaryOptions {
-  int jobs = 1;                       // ks::ParallelFor fan-out width
-  kcc::ObjectCache* cache = nullptr;  // optional blob cache for direct
-                                      // summaries (content-hash keyed)
-};
-
 struct PackageSummaries {
   // Parallel to CallGraph::nodes: functions[i] summarizes graph.nodes[i].
   std::vector<FunctionSummary> functions;
@@ -127,12 +121,13 @@ struct PackageSummaries {
   uint64_t insns_interpreted = 0;
 };
 
-// Summarizes every function in the graph (direct summaries, cached and
-// fanned out per `options`), then closes the transitive fields over the
-// call edges. Deterministic for any jobs/cache combination.
+// Summarizes every function in the graph (direct summaries, served from
+// the optional content-hash-keyed blob `cache` when it has them), then
+// closes the transitive fields over the call edges. The summaries do not
+// depend on the cache's state.
 PackageSummaries ComputeSummaries(const ksplice::UpdatePackage& package,
                                   const CallGraph& graph,
-                                  const SummaryOptions& options);
+                                  kcc::ObjectCache* cache);
 
 }  // namespace kanalyze
 

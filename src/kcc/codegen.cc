@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "base/hash.h"
 #include "base/strings.h"
 
 namespace kcc {
@@ -35,15 +36,6 @@ const std::map<std::string, Builtin>& Builtins() {
       {"invoke", {-1, -1, true}},
   };
   return table;
-}
-
-uint32_t Fnv32(std::string_view data) {
-  uint32_t hash = 2166136261u;
-  for (char c : data) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 16777619u;
-  }
-  return hash;
 }
 
 std::string EscapeAsciz(std::string_view content) {
@@ -1267,7 +1259,7 @@ std::string Codegen::InternString(const std::string& value) {
   }
   // Leading-dot names would be section-local labels to the assembler; use
   // a plain identifier so the literal becomes a proper (local) symbol.
-  std::string symbol = ks::StrPrintf("str.h%08x", Fnv32(value));
+  std::string symbol = ks::StrPrintf("str.h%08x", ks::Fnv1a32(value));
   strings_[value] = symbol;
   return symbol;
 }
@@ -1276,7 +1268,7 @@ std::string Codegen::InternBuildString(bool date) {
   std::string& symbol = date ? date_symbol_ : time_symbol_;
   if (symbol.empty()) {
     symbol = ks::StrPrintf("kbuild.%s.h%08x", date ? "date" : "time",
-                           Fnv32(unit_.name));
+                           ks::Fnv1a32(unit_.name));
   }
   return symbol;
 }

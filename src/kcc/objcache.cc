@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "base/faultinject.h"
+#include "base/hash.h"
 #include "base/metrics.h"
 #include "base/strings.h"
 #include "kcc/preprocess.h"
@@ -10,19 +11,6 @@
 namespace kcc {
 
 namespace {
-
-uint64_t Fnv64(std::string_view data, uint64_t hash = 14695981039346656037u) {
-  for (char c : data) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 1099511628211u;
-  }
-  return hash;
-}
-
-uint64_t Fnv64Bytes(const std::vector<uint8_t>& bytes) {
-  return Fnv64(std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                                bytes.size()));
-}
 
 // The content address: every file whose bytes reach the object (the unit
 // plus its transitive includes, in preprocess order) and every option that
@@ -43,8 +31,9 @@ std::optional<std::string> CacheKey(const kdiff::SourceTree& tree,
     if (contents == nullptr) {
       return std::nullopt;
     }
-    key += ks::StrPrintf("|%s:%016llx", dep.c_str(),
-                         static_cast<unsigned long long>(Fnv64(*contents)));
+    key += ks::StrPrintf(
+        "|%s:%016llx", dep.c_str(),
+        static_cast<unsigned long long>(ks::Fnv1a64(*contents)));
   }
   return key;
 }
@@ -108,7 +97,7 @@ ks::Result<kelf::ObjectFile> ObjectCache::GetOrCompile(
       ks::Status write_fault = ks::Faults().Check("kcc.objcache.write");
       if (write_fault.ok()) {
         entry->bytes = compiled->Serialize();
-        entry->checksum = Fnv64Bytes(entry->bytes);
+        entry->checksum = ks::Fnv1a64(entry->bytes);
       } else {
         static ks::Counter& write_failures =
             ks::Metrics().GetCounter("kcc.objcache.write_failures");
@@ -153,7 +142,7 @@ ks::Result<kelf::ObjectFile> ObjectCache::ServeEntry(
     }
     ks::Status read_fault = ks::Faults().Check("kcc.objcache.read");
     if (read_fault.ok() && !entry.bytes.empty() &&
-        entry.checksum == Fnv64Bytes(entry.bytes)) {
+        entry.checksum == ks::Fnv1a64(entry.bytes)) {
       ks::Result<kelf::ObjectFile> parsed = kelf::ObjectFile::Parse(entry.bytes);
       if (parsed.ok()) {
         hits_.fetch_add(1);
@@ -175,7 +164,7 @@ ks::Result<kelf::ObjectFile> ObjectCache::ServeEntry(
   if (compiled.ok()) {
     std::lock_guard<std::mutex> lock(entry.mu);
     entry.bytes = compiled->Serialize();
-    entry.checksum = Fnv64Bytes(entry.bytes);
+    entry.checksum = ks::Fnv1a64(entry.bytes);
   }
   return compiled;
 }
@@ -217,7 +206,7 @@ ks::Result<std::vector<uint8_t>> ObjectCache::GetOrComputeBlob(
     std::lock_guard<std::mutex> lock(entry->mu);
     if (computed.ok()) {
       entry->bytes = *computed;
-      entry->checksum = Fnv64Bytes(entry->bytes);
+      entry->checksum = ks::Fnv1a64(entry->bytes);
     } else {
       entry->error = computed.status();
     }
@@ -240,7 +229,7 @@ ks::Result<std::vector<uint8_t>> ObjectCache::GetOrComputeBlob(
       }
       return entry->error;
     }
-    if (entry->checksum == Fnv64Bytes(entry->bytes)) {
+    if (entry->checksum == ks::Fnv1a64(entry->bytes)) {
       blob_hits_.fetch_add(1);
       hit_counter.Add(1);
       if (was_hit != nullptr) {
@@ -258,7 +247,7 @@ ks::Result<std::vector<uint8_t>> ObjectCache::GetOrComputeBlob(
   if (computed.ok()) {
     std::lock_guard<std::mutex> lock(entry->mu);
     entry->bytes = *computed;
-    entry->checksum = Fnv64Bytes(entry->bytes);
+    entry->checksum = ks::Fnv1a64(entry->bytes);
   }
   return computed;
 }

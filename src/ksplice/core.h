@@ -54,10 +54,6 @@ struct ApplyOptions {
   // Keep the helper image loaded after a successful apply (off by default;
   // unloading it saves memory, §5.1).
   bool keep_helper = false;
-  // Worker threads for the run-pre match stage (1 = serial, 0 = one per
-  // hardware thread; matching is read-only on the machine, so units can
-  // be verified concurrently).
-  int jobs = 1;
   // Apply a package even if its content hash is quarantined (the watchdog
   // reverted it after an attributed regression, quarantine.h). The
   // override also clears the quarantine entry — exposed as `--force` in

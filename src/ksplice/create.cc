@@ -1,9 +1,9 @@
 #include "ksplice/create.h"
 
-#include <chrono>
 #include <map>
 #include <set>
 
+#include "base/hash.h"
 #include "base/strings.h"
 #include "base/trace.h"
 #include "kanalyze/kanalyze.h"
@@ -11,13 +11,6 @@
 namespace ksplice {
 
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // The size of a named section's payload, or 0 when absent.
 uint32_t SectionSize(const kelf::ObjectFile& obj, const std::string& name) {
@@ -27,15 +20,6 @@ uint32_t SectionSize(const kelf::ObjectFile& obj, const std::string& name) {
   }
   return static_cast<uint32_t>(
       obj.sections()[static_cast<size_t>(*idx)].bytes.size());
-}
-
-uint32_t Fnv32(std::string_view data) {
-  uint32_t hash = 2166136261u;
-  for (char c : data) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 16777619u;
-  }
-  return hash;
 }
 
 // Extracts the primary object for one rebuilt unit: the changed/new
@@ -180,15 +164,15 @@ ks::Result<CreateResult> CreateUpdate(const kdiff::SourceTree& pre_tree,
                                       std::string_view patch_text,
                                       const CreateOptions& options) {
   ks::TraceSpan span("create.update");
-  uint64_t create_begin = NowNs();
+  uint64_t create_begin = ks::NowNs();
   ks::Result<kdiff::Patch> patch = kdiff::ParseUnifiedDiff(patch_text);
   if (!patch.ok()) {
     return ks::Status(patch.status()).WithContext("ksplice-create");
   }
-  uint64_t prepost_begin = NowNs();
+  uint64_t prepost_begin = ks::NowNs();
   KS_ASSIGN_OR_RETURN(PrePostResult prepost,
                       RunPrePost(pre_tree, *patch, options.compile));
-  uint64_t prepost_wall_ns = NowNs() - prepost_begin;
+  uint64_t prepost_wall_ns = ks::NowNs() - prepost_begin;
 
   // Data-semantics gate (paper §2, Table 1).
   std::vector<ChangedSection> data_changes = prepost.DataSemanticChanges();
@@ -212,7 +196,7 @@ ks::Result<CreateResult> CreateUpdate(const kdiff::SourceTree& pre_tree,
       !options.id.empty()
           ? options.id
           : ks::StrPrintf("ksplice-%08x",
-                          Fnv32(std::string(patch_text)));
+                          ks::Fnv1a32(patch_text));
 
   bool any_code_change = false;
   for (size_t ui = 0; ui < prepost.rebuilt_units.size(); ++ui) {
@@ -307,7 +291,6 @@ ks::Result<CreateResult> CreateUpdate(const kdiff::SourceTree& pre_tree,
   // the .report.json sidecar and `ksplice_tool lint` can reproduce it.
   if (options.lint != LintMode::kOff) {
     kanalyze::AnalyzeOptions lint_options;
-    lint_options.jobs = options.compile.jobs;
     lint_options.cache = options.compile.cache;
     KS_ASSIGN_OR_RETURN(
         report.lint, kanalyze::AnalyzePackage(result.package, lint_options));
@@ -326,7 +309,7 @@ ks::Result<CreateResult> CreateUpdate(const kdiff::SourceTree& pre_tree,
   }
 
   report.prepost_wall_ns = prepost_wall_ns;
-  report.create_wall_ns = NowNs() - create_begin;
+  report.create_wall_ns = ks::NowNs() - create_begin;
   span.Annotate("id", report.id);
   span.Annotate("units", static_cast<uint64_t>(report.units_rebuilt));
   span.Annotate("targets", static_cast<uint64_t>(report.targets));

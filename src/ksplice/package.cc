@@ -3,6 +3,7 @@
 #include "base/faultinject.h"
 
 #include "base/endian.h"
+#include "base/hash.h"
 #include "base/strings.h"
 
 namespace ksplice {
@@ -23,15 +24,6 @@ namespace {
 
 constexpr uint32_t kMagic = 0x4b535055;  // "KSPU"
 constexpr uint32_t kVersion = 2;         // v2: payload checksum after magic
-
-uint32_t Fnv32(const uint8_t* data, size_t size) {
-  uint32_t hash = 2166136261u;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 16777619u;
-  }
-  return hash;
-}
 
 void PutU32(std::vector<uint8_t>& out, uint32_t v) {
   size_t at = out.size();
@@ -121,7 +113,7 @@ std::vector<uint8_t> UpdatePackage::Serialize() const {
   }
   // Integrity checksum over everything after the checksum field, so a
   // corrupted download is rejected before any of it is interpreted.
-  ks::WriteLe32(out.data() + 8, Fnv32(out.data() + 12, out.size() - 12));
+  ks::WriteLe32(out.data() + 8, ks::Fnv1a32(std::span(out).subspan(12)));
   return out;
 }
 
@@ -140,7 +132,7 @@ ks::Result<UpdatePackage> UpdatePackage::Parse(
   }
   KS_ASSIGN_OR_RETURN(uint32_t checksum, cursor.U32());
   if (bytes.size() < 12 ||
-      checksum != Fnv32(bytes.data() + 12, bytes.size() - 12)) {
+      checksum != ks::Fnv1a32(std::span(bytes).subspan(12))) {
     return ks::InvalidArgument("package: checksum mismatch (corrupt file)");
   }
   UpdatePackage pkg;

@@ -2,18 +2,13 @@
 
 #include <utility>
 
+#include "base/hash.h"
 #include "base/metrics.h"
 
 namespace ksplice {
 
 uint64_t PackageContentHash(const UpdatePackage& package) {
-  std::vector<uint8_t> bytes = package.Serialize();
-  uint64_t hash = 14695981039346656037ull;
-  for (uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  return hash;
+  return ks::Fnv1a64(package.Serialize());
 }
 
 void Quarantine::Add(QuarantineEntry entry) {

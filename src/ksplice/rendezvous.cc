@@ -1,8 +1,8 @@
 #include "ksplice/rendezvous.h"
 
 #include <algorithm>
-#include <chrono>
 
+#include "base/hash.h"
 #include "base/logging.h"
 #include "base/metrics.h"
 #include "base/strings.h"
@@ -11,20 +11,6 @@
 namespace ksplice {
 
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15u);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9u;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebu;
-  return z ^ (z >> 31);
-}
 
 // Backoff step for retry number `retry` (1-based): base doubled per retry,
 // capped, then jittered by ±jitter (deterministic under the seeded PRNG).
@@ -40,7 +26,7 @@ uint64_t BackoffStep(const RendezvousOptions& options, int retry,
   step = std::min(step, options.backoff_max_ticks);
   double jitter = std::clamp(options.backoff_jitter, 0.0, 1.0);
   if (jitter > 0.0) {
-    double unit = static_cast<double>(SplitMix64(rng) >> 11) * 0x1.0p-53;
+    double unit = static_cast<double>(ks::SplitMix64(rng) >> 11) * 0x1.0p-53;
     double factor = 1.0 + jitter * (2.0 * unit - 1.0);
     step = static_cast<uint64_t>(static_cast<double>(step) * factor);
   }
@@ -150,7 +136,7 @@ ks::Status RunRendezvous(
     outcome->attempts = attempt;
     attempts_ctr.Add(1);
     std::vector<QuiescenceBlocker> found;
-    uint64_t stop_begin = NowNs();
+    uint64_t stop_begin = ks::NowNs();
     ks::Status stopped = machine.StopMachine([&](kvm::Machine& m) {
       found = ThreadsIn(m, ranges);
       if (!found.empty()) {
@@ -159,7 +145,7 @@ ks::Status RunRendezvous(
       return body(m);
     });
     if (stopped.ok()) {
-      outcome->pause_ns = NowNs() - stop_begin;
+      outcome->pause_ns = ks::NowNs() - stop_begin;
       span.Annotate("attempts", static_cast<uint64_t>(attempt));
       span.AddTicks(outcome->retry_ticks);
       return ks::OkStatus();

@@ -1,7 +1,6 @@
 #include "ksplice/transaction.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <iterator>
 #include <set>
@@ -11,7 +10,6 @@
 #include "base/logging.h"
 #include "base/metrics.h"
 #include "base/strings.h"
-#include "base/threadpool.h"
 #include "base/trace.h"
 #include "ksplice/rendezvous.h"
 #include "kvx/isa.h"
@@ -19,22 +17,6 @@
 namespace ksplice {
 
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-// Builds the 5-byte trampoline: jmp32 from `from` to `to` (§2: "placing a
-// jump instruction ... at the start of the obsolete function").
-std::vector<uint8_t> MakeTrampoline(uint32_t from, uint32_t to) {
-  kvx::Insn jmp;
-  jmp.op = kvx::Op::kJmp32;
-  jmp.rel = static_cast<int32_t>(to - (from + kvx::kTrampolineSize));
-  return kvx::Encode(jmp);
-}
 
 // Reads a table of function pointers out of a module's note sections named
 // `section_name` (the ksplice_apply/... hook tables, §5.3).
@@ -98,11 +80,11 @@ ks::Status UpdateTransaction::RunStage(TxnStage stage,
                                        const std::function<ks::Status()>& fn) {
   const StageNames& names = NamesOf(stage);
   ks::TraceSpan span(names.span);
-  uint64_t begin = NowNs();
+  uint64_t begin = ks::NowNs();
   ks::Status status = fn();
   StageTiming timing;
   timing.stage = names.name;
-  timing.wall_ns = NowNs() - begin;
+  timing.wall_ns = ks::NowNs() - begin;
   ks::Metrics()
       .GetHistogram(std::string(names.span) + "_ns")
       .Observe(timing.wall_ns);
@@ -176,45 +158,33 @@ ks::Status UpdateTransaction::Prepare(
 
 ks::Status UpdateTransaction::Match() {
   KS_FAULT_POINT("ksplice.txn.match");
-  // Every (package, helper unit) pair is independent: all packages match
-  // against the committed registry (batches are disjoint by Prepare), and
-  // MatchUnit only reads the machine. Fan the pairs out across the match
-  // pool, then merge stats and pick the first failure in input order so
-  // the outcome is identical at any worker count.
-  struct Task {
-    Staged* staged;
-    const MatchPlan* unit;
-  };
-  std::vector<Task> tasks;
-  for (Staged& staged : staged_) {
-    for (const MatchPlan& unit : staged.plan->units) {
-      tasks.push_back(Task{&staged, &unit});
-    }
-  }
+  // Every package matches against the committed registry (batches are
+  // disjoint by Prepare), one helper unit at a time in input order. A
+  // failure does not stop the stage: every unit is matched, so the runpre
+  // counters a failed batch publishes do not depend on which unit failed,
+  // and the first failure in input order is the one reported.
   RunPreMatcher matcher(
       *machine_,
       [this](const std::string& unit, const std::string& symbol) {
         return core_->CurrentCode(unit, symbol);
       });
-  std::vector<MatchStats> stats(tasks.size());
-  std::vector<ks::Result<UnitMatch>> results(
-      tasks.size(), ks::Result<UnitMatch>(ks::Internal("not matched")));
-  ks::ParallelFor(options_.jobs, tasks.size(), [&](size_t i) {
-    results[i] = matcher.MatchUnit(*tasks[i].unit, &stats[i]);
-  });
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    tasks[i].staged->report.match.MergeFrom(stats[i]);
-    if (!results[i].ok()) {
-      return ks::Status(results[i].status())
-          .WithContext(ks::StrPrintf(
-              "applying %s", tasks[i].staged->plan->package->id.c_str()));
+  ks::Status failure = ks::OkStatus();
+  for (Staged& staged : staged_) {
+    for (const MatchPlan& unit : staged.plan->units) {
+      MatchStats stats;
+      ks::Result<UnitMatch> match = matcher.MatchUnit(unit, &stats);
+      staged.report.match.MergeFrom(stats);
+      if (match.ok()) {
+        staged.matches.emplace(unit.object->source_name(),
+                               std::move(match).value());
+      } else if (failure.ok()) {
+        failure = ks::Status(match.status())
+                      .WithContext(ks::StrPrintf(
+                          "applying %s", staged.plan->package->id.c_str()));
+      }
     }
   }
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    tasks[i].staged->matches.emplace(tasks[i].unit->object->source_name(),
-                                     std::move(results[i]).value());
-  }
-  return ks::OkStatus();
+  return failure;
 }
 
 ks::Status UpdateTransaction::Load() {
@@ -422,8 +392,9 @@ ks::Status UpdateTransaction::Rendezvous() {
                                    : ks::Status(saved.status());
         if (st.ok()) {
           fn.saved_bytes = *saved;
-          st = m.WriteBytes(fn.orig_address,
-                            MakeTrampoline(fn.orig_address, fn.repl_address));
+          st = m.WriteBytes(fn.orig_address, kvx::EncodeTrampoline(
+                                                 fn.orig_address,
+                                                 fn.repl_address));
         }
         if (!st.ok()) {
           unwind();

@@ -301,6 +301,13 @@ std::vector<uint8_t> Encode(const Insn& insn) {
   return out;
 }
 
+std::vector<uint8_t> EncodeTrampoline(uint32_t from, uint32_t to) {
+  Insn jmp;
+  jmp.op = Op::kJmp32;
+  jmp.rel = static_cast<int32_t>(to - (from + kTrampolineSize));
+  return Encode(jmp);
+}
+
 void AppendNopFill(std::vector<uint8_t>& out, uint32_t n) {
   while (n > 0) {
     if (n == 1) {

@@ -38,6 +38,10 @@ inline constexpr int kRegSp = 7;
 // replaced function: one JMP32 instruction.
 inline constexpr uint32_t kTrampolineSize = 5;
 
+// Encodes that trampoline for a function at `from`: a jmp32 to `to` (§2:
+// "placing a jump instruction ... at the start of the obsolete function").
+std::vector<uint8_t> EncodeTrampoline(uint32_t from, uint32_t to);
+
 enum class Op : uint8_t {
   kHalt = 0x00,   // stop the machine (panic)
   kNop = 0x01,    // 1-byte no-op

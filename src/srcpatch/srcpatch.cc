@@ -80,13 +80,6 @@ bool HasStaticLocal(const kcc::Stmt& stmt) {
   return false;
 }
 
-std::vector<uint8_t> MakeTrampoline(uint32_t from, uint32_t to) {
-  kvx::Insn jmp;
-  jmp.op = kvx::Op::kJmp32;
-  jmp.rel = static_cast<int32_t>(to - (from + kvx::kTrampolineSize));
-  return kvx::Encode(jmp);
-}
-
 struct Candidate {
   std::string unit;
   std::string symbol;
@@ -408,7 +401,7 @@ ks::Result<Report> SourceLevelApply(kvm::Machine& machine,
     }
     for (const Splice& splice : splices) {
       KS_RETURN_IF_ERROR(m.WriteBytes(
-          splice.from, MakeTrampoline(splice.from, splice.to)));
+          splice.from, kvx::EncodeTrampoline(splice.from, splice.to)));
     }
     return ks::OkStatus();
   });

@@ -1,12 +1,15 @@
-// Concurrency tests for the parallel update-creation pipeline: the work
-// queue (base/threadpool.h), the content-addressed object cache
-// (kcc/objcache.h), and the pipeline's determinism guarantee — parallel
-// create runs produce bytes identical to the serial path, and the shared
-// pre build is compiled exactly once. scripts/check_tsan.sh runs this
-// binary under -fsanitize=thread.
+// Concurrency tests for the parallel update-creation pipeline: the
+// fan-out (ks::ParallelFor, base/threadpool.h), the content-addressed
+// object cache (kcc/objcache.h), and the pipeline's determinism guarantee
+// — parallel create runs produce bytes identical to the serial path, and
+// the shared pre build is compiled exactly once. scripts/check_tsan.sh
+// runs this binary under -fsanitize=thread.
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -23,33 +26,39 @@
 
 namespace {
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ks::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+TEST(ParallelForTest, TwoHundredIndicesOnFourJobsRunOnce) {
+  std::vector<std::atomic<int>> counts(200);
+  ks::ParallelFor(4, counts.size(), [&](size_t i) {
+    counts[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (const std::atomic<int>& count : counts) {
+    EXPECT_EQ(count.load(), 1);
   }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 200);
 }
 
-TEST(ThreadPoolTest, WorkerCountIsInjectable) {
-  ks::ThreadPool pool(3);
-  EXPECT_EQ(pool.workers(), 3);
-  ks::ThreadPool defaulted;
-  EXPECT_EQ(defaulted.workers(), ks::ThreadPool::DefaultWorkers());
-  EXPECT_GE(ks::ThreadPool::DefaultWorkers(), 1);
+TEST(ParallelForTest, StartsAtMostMinOfJobsAndIndicesThreads) {
+  std::mutex mu;
+  for (size_t n : {2u, 3u, 40u}) {
+    std::set<std::thread::id> threads;
+    ks::ParallelFor(3, n, [&](size_t) {
+      std::lock_guard<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
+    });
+    EXPECT_GE(threads.size(), 1u) << "n=" << n;
+    EXPECT_LE(threads.size(), std::min<size_t>(3, n)) << "n=" << n;
+  }
 }
 
-TEST(ThreadPoolTest, WaitIsABarrierNotShutdown) {
-  ks::ThreadPool pool(2);
-  std::atomic<int> count{0};
+TEST(ParallelForTest, EachCallReturnsAfterEveryIndexFinished) {
+  std::atomic<int> finished{0};
   for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 10; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), (round + 1) * 10);
+    ks::ParallelFor(2, 10, [&](size_t i) {
+      if (i % 3 == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      finished.fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(finished.load(), (round + 1) * 10);
   }
 }
 
@@ -78,7 +87,9 @@ TEST(ParallelForTest, ZeroJobsMeansOneWorkerPerHardwareThread) {
   std::vector<std::thread::id> ids(16);
   ks::ParallelFor(0, ids.size(),
                   [&](size_t i) { ids[i] = std::this_thread::get_id(); });
-  const bool pooled = ks::ThreadPool::DefaultWorkers() > 1;
+  const size_t hardware =
+      std::max(1u, std::thread::hardware_concurrency());
+  const bool pooled = hardware > 1;
   std::set<std::thread::id> workers;
   for (const std::thread::id& id : ids) {
     if (pooled) {
@@ -88,8 +99,7 @@ TEST(ParallelForTest, ZeroJobsMeansOneWorkerPerHardwareThread) {
     }
     workers.insert(id);
   }
-  EXPECT_LE(workers.size(),
-            static_cast<size_t>(ks::ThreadPool::DefaultWorkers()));
+  EXPECT_LE(workers.size(), hardware);
 }
 
 // First compilation unit of the corpus kernel, for cache probes.

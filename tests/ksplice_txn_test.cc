@@ -291,62 +291,56 @@ std::vector<uint8_t> KernelImage(const kvm::Machine& machine) {
   return bytes.ok() ? std::move(bytes).value() : std::vector<uint8_t>{};
 }
 
-// ApplyOptions::jobs fans the match stage out over every (package, helper
-// unit) pair of a batch. The worker count must be invisible: same match
-// stats, byte-identical kernel image after apply, and after UndoAll the
-// boot image again.
+// A batch matches every helper unit of every package in turn. Batching
+// must be invisible to the match: each update's stats equal those of
+// applying that package alone on a fresh machine, and after UndoAll the
+// boot image is back.
 TEST(BatchApplyTest, MatchJobsLeaveDecisionsAndTextUnchanged) {
   SourceTree tree = TriKernel();
   std::vector<UpdatePackage> packages;
   ks::Result<CreateResult> u1 = Create(
       tree, EditTree(tree, "alpha.kc", "int a = x + 1;", "int a = x + 10;"),
-      "jobs-alpha");
+      "match-alpha");
   ASSERT_TRUE(u1.ok()) << u1.status().ToString();
   packages.push_back(u1->package);
   ks::Result<CreateResult> u2 = Create(
       tree, EditTree(tree, "beta.kc", "int b = a + 5;", "int b = a + 50;"),
-      "jobs-beta");
+      "match-beta");
   ASSERT_TRUE(u2.ok()) << u2.status().ToString();
   packages.push_back(u2->package);
   size_t units = 0;
   for (const UpdatePackage& package : packages) {
     units += package.helper_objects.size();
   }
-  ASSERT_GE(units, 2u);
+  ASSERT_EQ(units, 2u);
 
-  struct Outcome {
-    std::vector<std::string> match_stats;  // MatchStats JSON per update
-    std::vector<uint8_t> applied;
-    std::vector<uint8_t> undone;
-  };
-  std::vector<Outcome> outcomes;
-  for (int jobs : {1, 4}) {
+  std::vector<std::string> alone;  // MatchStats JSON per package
+  for (const UpdatePackage& package : packages) {
     std::unique_ptr<kvm::Machine> machine = Boot(tree);
     ASSERT_NE(machine, nullptr);
-    std::vector<uint8_t> boot = KernelImage(*machine);
     KspliceCore core(machine.get());
-    ApplyOptions options;
-    options.jobs = jobs;
-    ks::Result<BatchApplyReport> batch = core.ApplyAll(packages, options);
-    ASSERT_TRUE(batch.ok()) << "jobs=" << jobs << ": "
-                            << batch.status().ToString();
-    Outcome outcome;
-    for (const ApplyReport& report : batch->updates) {
-      EXPECT_GT(report.match.sections_matched, 0u) << "jobs=" << jobs;
-      outcome.match_stats.push_back(report.match.ToJson());
-    }
-    outcome.applied = KernelImage(*machine);
-    EXPECT_NE(outcome.applied, boot) << "jobs=" << jobs;
-    ks::Result<std::vector<UndoReport>> undone = core.UndoAll();
-    ASSERT_TRUE(undone.ok()) << "jobs=" << jobs << ": "
-                             << undone.status().ToString();
-    outcome.undone = KernelImage(*machine);
-    EXPECT_EQ(outcome.undone, boot) << "jobs=" << jobs;
-    outcomes.push_back(std::move(outcome));
+    ks::Result<ApplyReport> applied = core.Apply(package);
+    ASSERT_TRUE(applied.ok()) << package.id << ": "
+                              << applied.status().ToString();
+    alone.push_back(applied->match.ToJson());
   }
-  EXPECT_EQ(outcomes[0].match_stats, outcomes[1].match_stats);
-  EXPECT_EQ(outcomes[0].applied, outcomes[1].applied);
-  EXPECT_EQ(outcomes[0].undone, outcomes[1].undone);
+
+  std::unique_ptr<kvm::Machine> machine = Boot(tree);
+  ASSERT_NE(machine, nullptr);
+  std::vector<uint8_t> boot = KernelImage(*machine);
+  KspliceCore core(machine.get());
+  ks::Result<BatchApplyReport> batch = core.ApplyAll(packages);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  std::vector<std::string> batched;
+  for (const ApplyReport& report : batch->updates) {
+    EXPECT_GT(report.match.sections_matched, 0u) << report.id;
+    batched.push_back(report.match.ToJson());
+  }
+  EXPECT_EQ(batched, alone);
+  EXPECT_NE(KernelImage(*machine), boot);
+  ks::Result<std::vector<UndoReport>> undone = core.UndoAll();
+  ASSERT_TRUE(undone.ok()) << undone.status().ToString();
+  EXPECT_EQ(KernelImage(*machine), boot);
 }
 
 // --------------------------------------------------------- stage rollback

@@ -1235,14 +1235,6 @@ std::unique_ptr<Machine> BootNoInline(const std::string& source) {
   return BootSource(source, options);
 }
 
-// Ksplice's trampoline: one JMP32 at `from` to `to`.
-std::vector<uint8_t> Trampoline(uint32_t from, uint32_t to) {
-  kvx::Insn jmp;
-  jmp.op = kvx::Op::kJmp32;
-  jmp.rel = static_cast<int32_t>(to - (from + kvx::kTrampolineSize));
-  return kvx::Encode(jmp);
-}
-
 uint32_t Address(const Machine& machine, const std::string& name) {
   ks::Result<uint32_t> address = machine.GlobalSymbol(name);
   EXPECT_TRUE(address.ok()) << name;
@@ -1280,7 +1272,7 @@ void spinner(int n) {
     EXPECT_EQ(threads[0].state, ThreadState::kSleeping);
     EXPECT_GE(threads[0].pc, spinner[0].address);
     EXPECT_LT(threads[0].pc, spinner[0].address + spinner[0].size);
-    return m.WriteBytes(hot, Trampoline(hot, Address(m, "hot_v2")));
+    return m.WriteBytes(hot, kvx::EncodeTrampoline(hot, Address(m, "hot_v2")));
   });
   ASSERT_TRUE(spliced.ok()) << spliced.ToString();
   ASSERT_TRUE(machine->RunToCompletion().ok());
@@ -1753,7 +1745,7 @@ int fpu_read_v2(int reg) {
   ASSERT_TRUE(machine.LoadModule(*objects, "fpu_v2").ok());
   const uint32_t from = Address(machine, "fpu_read");
   const std::vector<uint8_t> trampoline =
-      Trampoline(from, Address(machine, "fpu_read_v2"));
+      kvx::EncodeTrampoline(from, Address(machine, "fpu_read_v2"));
   ks::Result<std::vector<uint8_t>> original =
       machine.ReadBytes(from, kvx::kTrampolineSize);
   ASSERT_TRUE(original.ok());

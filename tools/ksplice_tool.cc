@@ -19,13 +19,13 @@
 //                                                       corpus kernel +
 //                                                       patches to disk
 //
-// Global flags (any subcommand): -j N, --trace[=FILE], --metrics=FILE,
-// --faults=PLAN, --help. Some commands take their own flags (create
-// --lint=MODE, lint --json[=FILE] --fail-on=SEV). `<command> --help`
-// prints that command's own help, including its flags; an unknown flag, a
-// bad flag value or a wrong argument count prints the same help on stderr
-// and exits 2. Flags and commands are table-driven — adding one means
-// adding a table row.
+// Global flags (any subcommand): -j N (compile workers; apply and lint
+// run on one thread), --trace[=FILE], --metrics=FILE, --faults=PLAN,
+// --help. Some commands take their own flags (create --lint=MODE, lint
+// --json[=FILE] --fail-on=SEV). `<command> --help` prints that command's
+// own help, including its flags; an unknown flag, a bad flag value or a
+// wrong argument count prints the same help on stderr and exits 2. Flags
+// and commands are table-driven — adding one means adding a table row.
 //
 // Exit codes: 0 success, 1 the operation itself failed (bad package,
 // apply error, lint findings at --fail-on), 2 usage error.
@@ -124,7 +124,7 @@ int UsageError(const std::string& message);
 // ------------------------------------------------------- global options
 
 struct GlobalOptions {
-  int jobs = 1;          // -j N (0 = one worker per hardware thread)
+  int jobs = 1;          // -j N compile workers (0 = one per hw thread)
   std::string faults;    // --faults=PLAN (deterministic fault injection)
   bool trace = false;    // --trace[=FILE]
   std::string trace_file;    // empty => summary table on stderr at exit
@@ -204,8 +204,8 @@ struct FlagSpec {
 
 const FlagSpec kFlags[] = {
     {"-j", FlagSpec::kRequired, "N",
-     "compile with N worker threads (0 = all hardware threads); output is "
-     "byte-identical for every N",
+     "compile with N worker threads (0 = all hardware threads); apply and "
+     "lint run on one thread; output is byte-identical for every N",
      [](const std::string& v) {
        int jobs = 0;
        if (!ParseNumber(v, &jobs) || jobs < 0) {
@@ -762,7 +762,6 @@ int CmdLint(const std::vector<std::string>& args) {
     return Fail(pkg.status());
   }
   kanalyze::AnalyzeOptions lint_options;
-  lint_options.jobs = g_options.jobs;
   lint_options.cache = &ToolCache();
   ks::Result<ksplice::LintReport> report =
       kanalyze::AnalyzePackage(*pkg, lint_options);
@@ -936,7 +935,6 @@ int CmdApply(const std::vector<std::string>& args) {
   }
   ksplice::KspliceCore core(machine->get());
   ksplice::ApplyOptions options;
-  options.jobs = g_options.jobs;
   options.force = g_cmd.force;
   ks::Result<ksplice::BatchApplyReport> applied =
       core.ApplyAll(*packages, options);
@@ -965,10 +963,7 @@ int CmdStatus(const std::vector<std::string>& args) {
   }
   ksplice::KspliceCore core(machine->get());
   if (!packages->empty()) {
-    ksplice::ApplyOptions options;
-    options.jobs = g_options.jobs;
-      ks::Result<ksplice::BatchApplyReport> applied =
-        core.ApplyAll(*packages, options);
+    ks::Result<ksplice::BatchApplyReport> applied = core.ApplyAll(*packages);
     if (!applied.ok()) {
       return Fail(applied.status());
     }
@@ -1108,7 +1103,6 @@ int CmdRollout(const std::vector<std::string>& args) {
   // before any node is touched.
   if (lint_mode != "off") {
     kanalyze::AnalyzeOptions lint_options;
-    lint_options.jobs = g_options.jobs;
     lint_options.cache = &ToolCache();
     for (const ksplice::UpdatePackage& pkg : *packages) {
       ks::Result<ksplice::LintReport> lint =
