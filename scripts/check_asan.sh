@@ -5,7 +5,9 @@
 # tests matter most here: every rollback path unloads a group of
 # partially-initialized modules, and out-of-order undo rewrites records
 # that point into other updates' arenas. The kvm and corpus tests cover
-# boot from a shared linked image and the module symbol index.
+# boot from a shared linked image and the module symbol index. The kelf,
+# summary and fuzz tests drive the shared byte codec (base/bytes.h), which
+# parses untrusted .kspl bytes.
 #
 # Guest memory is an anonymous mmap, not a heap allocation, so ASAN does
 # not instrument accesses to it: every guest access is bounds-checked by
@@ -17,11 +19,12 @@ cmake -B build-asan -G Ninja -DKSPLICE_SANITIZE="address;undefined"
 cmake --build build-asan --target ksplice_txn_test concurrency_test \
   ksplice_hooks_smp_test kanalyze_test fuzz_negative_test chaos_test \
   runpre_test runpre_index_test fleet_test howto_test watchdog_test \
-  kvm_test corpus_test
+  kvm_test corpus_test kelf_test kanalyze_summary_test
 for t in ksplice_txn_test concurrency_test ksplice_hooks_smp_test \
          kanalyze_test fuzz_negative_test chaos_test \
          runpre_test runpre_index_test fleet_test howto_test \
-         watchdog_test kvm_test corpus_test; do
+         watchdog_test kvm_test corpus_test kelf_test \
+         kanalyze_summary_test; do
   echo "== build-asan/tests/$t =="
   "./build-asan/tests/$t"
 done

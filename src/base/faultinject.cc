@@ -311,8 +311,8 @@ const std::vector<std::string>& KnownFaultSites() {
       "kvm.call_function",  // hook invocation
       // kcc: the update-creation compiler.
       "kcc.compile",        // one unit compile
-      "kcc.objcache.read",  // serving a cached object
-      "kcc.objcache.write", // persisting a compiled object
+      "kcc.objcache.read",  // serving a cached entry
+      "kcc.objcache.write", // persisting a computed entry
       // kelf: object parsing and linking.
       "kelf.objfile.parse",
       "kelf.link",

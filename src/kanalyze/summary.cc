@@ -4,6 +4,7 @@
 #include <deque>
 #include <optional>
 
+#include "base/bytes.h"
 #include "base/hash.h"
 #include "base/metrics.h"
 #include "base/strings.h"
@@ -259,43 +260,57 @@ void SortUnique(std::vector<T>& v) {
 
 // ---- Serialization ----------------------------------------------------
 
-void AppendName(std::string& out, const std::string& name) {
-  out += ks::StrPrintf("%zu:", name.size());
-  out += name;
+constexpr uint32_t kSummaryMagic = 0x4b53554d;  // "KSUM"
+
+// Bits of the flags byte, in declaration order of the summary's bools.
+enum : uint8_t {
+  kWritesUnresolved = 1 << 0,
+  kReadsUnresolved = 1 << 1,
+  kLockExitsKnown = 1 << 2,
+  kLockImbalance = 1 << 3,
+  kBlocks = 1 << 4,
+};
+
+void WriteEffects(ks::ByteWriter& w, const std::vector<MemEffect>& effects) {
+  w.U32(static_cast<uint32_t>(effects.size()));
+  for (const MemEffect& e : effects) {
+    w.Str(e.symbol);
+    w.I32(e.offset);
+    w.U8(e.width);
+    w.U8(e.offset_known ? 1 : 0);
+  }
 }
 
-bool ParseUnsigned(std::string_view& s, uint64_t* out) {
-  while (!s.empty() && s.front() == ' ') {
-    s.remove_prefix(1);
+ks::Status ReadEffects(ks::ByteReader& r, std::vector<MemEffect>* effects) {
+  KS_ASSIGN_OR_RETURN(uint32_t count, r.U32());
+  KS_RETURN_IF_ERROR(r.CheckCount(count, 10, "effect"));
+  effects->resize(count);
+  for (MemEffect& e : *effects) {
+    KS_ASSIGN_OR_RETURN(e.symbol, r.Str());
+    KS_ASSIGN_OR_RETURN(e.offset, r.I32());
+    KS_ASSIGN_OR_RETURN(e.width, r.U8());
+    KS_ASSIGN_OR_RETURN(uint8_t known, r.U8());
+    e.offset_known = known != 0;
   }
-  bool negative = false;
-  if (!s.empty() && s.front() == '-') {
-    negative = true;
-    s.remove_prefix(1);
-  }
-  if (s.empty() || s.front() < '0' || s.front() > '9') {
-    return false;
-  }
-  uint64_t value = 0;
-  while (!s.empty() && s.front() >= '0' && s.front() <= '9') {
-    value = value * 10 + static_cast<uint64_t>(s.front() - '0');
-    s.remove_prefix(1);
-  }
-  *out = negative ? static_cast<uint64_t>(-static_cast<int64_t>(value))
-                  : value;
-  return true;
+  return ks::OkStatus();
 }
 
-bool ParseName(std::string_view& s, std::string* out) {
-  uint64_t len = 0;
-  if (!ParseUnsigned(s, &len) || s.empty() || s.front() != ':' ||
-      s.size() < 1 + len) {
-    return false;
+template <typename Names>
+void WriteNames(ks::ByteWriter& w, const Names& names) {
+  w.U32(static_cast<uint32_t>(names.size()));
+  for (const std::string& name : names) {
+    w.Str(name);
   }
-  s.remove_prefix(1);
-  *out = std::string(s.substr(0, len));
-  s.remove_prefix(len);
-  return true;
+}
+
+ks::Result<std::vector<std::string>> ReadNames(ks::ByteReader& r) {
+  KS_ASSIGN_OR_RETURN(uint32_t count, r.U32());
+  KS_RETURN_IF_ERROR(r.CheckCount(count, 4, "name"));
+  std::vector<std::string> names(count);
+  for (std::string& name : names) {
+    KS_ASSIGN_OR_RETURN(name, r.Str());
+  }
+  return names;
 }
 
 }  // namespace
@@ -456,123 +471,49 @@ FunctionSummary SummarizeSection(const kelf::ObjectFile& object,
 // ---- Serialization ----------------------------------------------------
 
 std::vector<uint8_t> FunctionSummary::Serialize() const {
-  std::string out = "ksum 1\n";
-  out += ks::StrPrintf(
-      "f %d %d %u %u %d %d %d %d %llu\n", writes_unresolved ? 1 : 0,
-      reads_unresolved ? 1 : 0, lock_acquires, lock_releases,
-      lock_exits_known ? 1 : 0, lock_imbalance ? 1 : 0, lock_imbalance_depth,
-      blocks ? 1 : 0, static_cast<unsigned long long>(insns));
-  auto append_effects = [&out](char tag, const std::vector<MemEffect>& v) {
-    for (const MemEffect& e : v) {
-      out += ks::StrPrintf("%c %d %d %u ", tag, e.offset_known ? 1 : 0,
-                           e.offset, static_cast<unsigned>(e.width));
-      AppendName(out, e.symbol);
-      out += '\n';
-    }
-  };
-  append_effects('w', writes);
-  append_effects('r', reads);
-  for (const std::string& callee : callees) {
-    out += "c ";
-    AppendName(out, callee);
-    out += '\n';
-  }
-  for (const std::string& prim : blocking_primitives) {
-    out += "b ";
-    AppendName(out, prim);
-    out += '\n';
-  }
-  return std::vector<uint8_t>(out.begin(), out.end());
+  std::vector<uint8_t> out;
+  ks::ByteWriter w(out);
+  w.U32(kSummaryMagic);
+  w.U8((writes_unresolved ? kWritesUnresolved : 0) |
+       (reads_unresolved ? kReadsUnresolved : 0) |
+       (lock_exits_known ? kLockExitsKnown : 0) |
+       (lock_imbalance ? kLockImbalance : 0) | (blocks ? kBlocks : 0));
+  w.U32(lock_acquires);
+  w.U32(lock_releases);
+  w.I32(lock_imbalance_depth);
+  w.U64(insns);
+  WriteEffects(w, writes);
+  WriteEffects(w, reads);
+  WriteNames(w, callees);
+  WriteNames(w, blocking_primitives);
+  return out;
 }
 
 ks::Result<FunctionSummary> FunctionSummary::Deserialize(
     const std::vector<uint8_t>& bytes) {
-  std::string_view text(reinterpret_cast<const char*>(bytes.data()),
-                        bytes.size());
-  FunctionSummary s;
-  bool saw_header = false;
-  bool saw_flags = false;
-  while (!text.empty()) {
-    size_t eol = text.find('\n');
-    std::string_view line =
-        eol == std::string_view::npos ? text : text.substr(0, eol);
-    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
-    if (line.empty()) {
-      continue;
-    }
-    if (!saw_header) {
-      if (line != "ksum 1") {
-        return ks::InvalidArgument("summary blob: bad header");
-      }
-      saw_header = true;
-      continue;
-    }
-    char tag = line.front();
-    line.remove_prefix(1);
-    switch (tag) {
-      case 'f': {
-        uint64_t v[9];
-        for (uint64_t& field : v) {
-          if (!ParseUnsigned(line, &field)) {
-            return ks::InvalidArgument("summary blob: bad flags line");
-          }
-        }
-        s.writes_unresolved = v[0] != 0;
-        s.reads_unresolved = v[1] != 0;
-        s.lock_acquires = static_cast<uint32_t>(v[2]);
-        s.lock_releases = static_cast<uint32_t>(v[3]);
-        s.lock_exits_known = v[4] != 0;
-        s.lock_imbalance = v[5] != 0;
-        s.lock_imbalance_depth = static_cast<int32_t>(v[6]);
-        s.blocks = v[7] != 0;
-        s.insns = v[8];
-        saw_flags = true;
-        break;
-      }
-      case 'w':
-      case 'r': {
-        uint64_t ok = 0;
-        uint64_t off = 0;
-        uint64_t width = 0;
-        MemEffect e;
-        if (!ParseUnsigned(line, &ok) || !ParseUnsigned(line, &off) ||
-            !ParseUnsigned(line, &width) || line.empty() ||
-            line.front() != ' ') {
-          return ks::InvalidArgument("summary blob: bad effect line");
-        }
-        line.remove_prefix(1);
-        if (!ParseName(line, &e.symbol)) {
-          return ks::InvalidArgument("summary blob: bad effect symbol");
-        }
-        e.offset_known = ok != 0;
-        e.offset = static_cast<int32_t>(off);
-        e.width = static_cast<uint8_t>(width);
-        (tag == 'w' ? s.writes : s.reads).push_back(std::move(e));
-        break;
-      }
-      case 'c':
-      case 'b': {
-        if (line.empty() || line.front() != ' ') {
-          return ks::InvalidArgument("summary blob: bad name line");
-        }
-        line.remove_prefix(1);
-        std::string name;
-        if (!ParseName(line, &name)) {
-          return ks::InvalidArgument("summary blob: bad name");
-        }
-        if (tag == 'c') {
-          s.callees.push_back(std::move(name));
-        } else {
-          s.blocking_primitives.insert(std::move(name));
-        }
-        break;
-      }
-      default:
-        return ks::InvalidArgument("summary blob: unknown tag");
-    }
+  ks::ByteReader r(bytes, "summary");
+  KS_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
+  if (magic != kSummaryMagic) {
+    return ks::InvalidArgument("summary: bad magic");
   }
-  if (!saw_header || !saw_flags) {
-    return ks::InvalidArgument("summary blob: truncated");
+  FunctionSummary s;
+  KS_ASSIGN_OR_RETURN(uint8_t flags, r.U8());
+  s.writes_unresolved = (flags & kWritesUnresolved) != 0;
+  s.reads_unresolved = (flags & kReadsUnresolved) != 0;
+  s.lock_exits_known = (flags & kLockExitsKnown) != 0;
+  s.lock_imbalance = (flags & kLockImbalance) != 0;
+  s.blocks = (flags & kBlocks) != 0;
+  KS_ASSIGN_OR_RETURN(s.lock_acquires, r.U32());
+  KS_ASSIGN_OR_RETURN(s.lock_releases, r.U32());
+  KS_ASSIGN_OR_RETURN(s.lock_imbalance_depth, r.I32());
+  KS_ASSIGN_OR_RETURN(s.insns, r.U64());
+  KS_RETURN_IF_ERROR(ReadEffects(r, &s.writes));
+  KS_RETURN_IF_ERROR(ReadEffects(r, &s.reads));
+  KS_ASSIGN_OR_RETURN(s.callees, ReadNames(r));
+  KS_ASSIGN_OR_RETURN(std::vector<std::string> primitives, ReadNames(r));
+  s.blocking_primitives.insert(primitives.begin(), primitives.end());
+  if (!r.AtEnd()) {
+    return ks::InvalidArgument("summary: trailing bytes");
   }
   return s;
 }

@@ -97,7 +97,9 @@ struct FunctionSummary {
     return lock_exits_known && !lock_imbalance;
   }
 
-  // Deterministic serialization of the direct fields (the cached blob).
+  // Deterministic binary encoding of the direct fields (base/bytes.h):
+  // the blob kcc::ObjectCache stores. Deserialize rejects truncated or
+  // trailing bytes.
   std::vector<uint8_t> Serialize() const;
   static ks::Result<FunctionSummary> Deserialize(
       const std::vector<uint8_t>& bytes);

@@ -10,11 +10,14 @@
 // Thread-safe. Concurrent misses on the same key latch on a per-entry
 // monitor so each distinct key is compiled exactly once.
 //
-// Entries hold the object's *serialized* bytes guarded by a checksum, the
-// way an on-disk cache would, and a corrupt or truncated entry is treated
-// as a miss: the unit is recompiled from source and the entry healed in
+// Entries hold *serialized* bytes guarded by a checksum, the way an on-disk
+// cache would, and a corrupt, truncated or unreadable entry is treated as
+// a miss: the unit is recompiled from source and the entry healed in
 // place. A damaged cache can cost a rebuild but can never fail a create or
-// feed it wrong bytes.
+// feed it wrong bytes. Objects and the generic blobs below go through one
+// lookup, so the claim, latch, failure caching, checksum and heal steps —
+// and the "kcc.objcache.read"/"kcc.objcache.write" fault sites — are the
+// same for every entry.
 
 #ifndef KSPLICE_KCC_OBJCACHE_H_
 #define KSPLICE_KCC_OBJCACHE_H_
@@ -80,8 +83,8 @@ class ObjectCache {
       const std::function<ks::Result<std::vector<uint8_t>>()>& compute,
       bool* was_hit = nullptr);
 
-  uint64_t blob_hits() const { return blob_hits_.load(); }
-  uint64_t blob_misses() const { return blob_misses_.load(); }
+  uint64_t blob_hits() const { return blobs_.hits.load(); }
+  uint64_t blob_misses() const { return blobs_.misses.load(); }
 
   // Statistics. A "miss" is a compile; a "hit" is a result served from a
   // previously computed entry (including one another thread is still
@@ -90,8 +93,8 @@ class ObjectCache {
   // and mirrored into the global metrics registry under
   // "kcc.objcache.hits" / "kcc.objcache.misses" — callers read either
   // view instead of recomputing their own tallies.
-  uint64_t hits() const { return hits_.load(); }
-  uint64_t misses() const { return misses_.load(); }
+  uint64_t hits() const { return objects_.hits.load(); }
+  uint64_t misses() const { return objects_.misses.load(); }
   size_t size() const;
 
   void Clear();
@@ -105,31 +108,43 @@ class ObjectCache {
   struct Entry {
     std::mutex mu;
     std::condition_variable ready_cv;
-    bool claimed = false;  // a thread owns the compile (set under cache mu)
+    bool claimed = false;  // a thread owns the compute (set under cache mu)
     bool ready = false;
-    ks::Status error;             // cached failed compile (ok == success)
-    std::vector<uint8_t> bytes;   // serialized object (success only)
+    ks::Status error;             // cached failed compute (ok == success)
+    std::vector<uint8_t> bytes;   // stored result (success only)
     uint64_t checksum = 0;        // FNV-64 over `bytes`
   };
 
-  // Serves `entry` (which must be ready): parses the stored bytes after
-  // a checksum pass, or recompiles and heals the entry when the read
-  // fails. Does the hit/miss accounting for this lookup.
-  ks::Result<kelf::ObjectFile> ServeEntry(Entry& entry,
-                                          const kdiff::SourceTree& tree,
-                                          const std::string& path,
-                                          const CompileOptions& uncached,
-                                          bool* was_hit);
+  // One keyspace of entries and its traffic: the accessor tallies and
+  // the names of the registry counters that mirror them.
+  struct Keyspace {
+    Keyspace(const char* hit, const char* miss)
+        : hit_metric(hit), miss_metric(miss) {}
+    const char* hit_metric;
+    const char* miss_metric;
+    std::map<std::string, std::shared_ptr<Entry>> entries;
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
+  };
+
+  // The one lookup behind both public calls. The thread that claims
+  // `key` runs `produce` (a miss) and stores the bytes it returns; every
+  // later caller is handed the stored bytes through `consume` (a hit).
+  // A failed `produce` is cached and served as a hit. An entry whose read
+  // faults, fails its checksum or is refused by `consume` is produced
+  // again and healed in place (a miss, counted corrupt). Returns the
+  // produced or cached status.
+  ks::Status Lookup(
+      Keyspace& space, const std::string& key,
+      const std::function<ks::Result<std::vector<uint8_t>>()>& produce,
+      const std::function<bool(const std::vector<uint8_t>&)>& consume,
+      bool* was_hit);
 
   mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<Entry>> entries_;
-  // Blob entries live in their own namespace so a summary key can never
+  Keyspace objects_{"kcc.objcache.hits", "kcc.objcache.misses"};
+  // Blob entries live in their own keyspace so a summary key can never
   // collide with a compile key.
-  std::map<std::string, std::shared_ptr<Entry>> blob_entries_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> blob_hits_{0};
-  std::atomic<uint64_t> blob_misses_{0};
+  Keyspace blobs_{"kcc.objcache.blob_hits", "kcc.objcache.blob_misses"};
 };
 
 }  // namespace kcc

@@ -1,10 +1,7 @@
 #include "kelf/objfile.h"
 
+#include "base/bytes.h"
 #include "base/faultinject.h"
-
-#include <cstring>
-
-#include "base/endian.h"
 #include "base/strings.h"
 
 namespace kelf {
@@ -17,97 +14,6 @@ constexpr uint32_t kMagic = 0x4b454c46;  // "KELF"
 // section-name convention so pre-howto objects mean the same thing.
 constexpr uint32_t kVersion = 2;
 constexpr uint32_t kMinVersion = 1;
-
-// Serialization writer: appends primitives to a byte vector.
-class Writer {
- public:
-  explicit Writer(std::vector<uint8_t>& out) : out_(out) {}
-
-  void U8(uint8_t v) { out_.push_back(v); }
-  void U32(uint32_t v) {
-    size_t at = out_.size();
-    out_.resize(at + 4);
-    ks::WriteLe32(out_.data() + at, v);
-  }
-  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
-  void Str(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
-  }
-  void Bytes(const std::vector<uint8_t>& b) {
-    U32(static_cast<uint32_t>(b.size()));
-    out_.insert(out_.end(), b.begin(), b.end());
-  }
-
- private:
-  std::vector<uint8_t>& out_;
-};
-
-// Serialization reader with bounds checking. Every length/offset read
-// from the buffer is validated against the bytes actually *remaining*
-// before it is dereferenced — the comparisons are written so an attacker-
-// controlled (or bit-rotted) length cannot overflow the check itself.
-class Reader {
- public:
-  explicit Reader(const std::vector<uint8_t>& in) : in_(in) {}
-
-  size_t Remaining() const { return in_.size() - pos_; }
-
-  ks::Result<uint8_t> U8() {
-    if (Remaining() < 1) {
-      return ks::InvalidArgument("kelf: truncated object (u8)");
-    }
-    return in_[pos_++];
-  }
-  ks::Result<uint32_t> U32() {
-    if (Remaining() < 4) {
-      return ks::InvalidArgument("kelf: truncated object (u32)");
-    }
-    uint32_t v = ks::ReadLe32(in_.data() + pos_);
-    pos_ += 4;
-    return v;
-  }
-  ks::Result<int32_t> I32() {
-    KS_ASSIGN_OR_RETURN(uint32_t v, U32());
-    return static_cast<int32_t>(v);
-  }
-  ks::Result<std::string> Str() {
-    KS_ASSIGN_OR_RETURN(uint32_t n, U32());
-    if (n > Remaining()) {
-      return ks::InvalidArgument("kelf: truncated object (string)");
-    }
-    std::string s(reinterpret_cast<const char*>(in_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-  ks::Result<std::vector<uint8_t>> Bytes() {
-    KS_ASSIGN_OR_RETURN(uint32_t n, U32());
-    if (n > Remaining()) {
-      return ks::InvalidArgument("kelf: truncated object (bytes)");
-    }
-    std::vector<uint8_t> b(in_.begin() + static_cast<long>(pos_),
-                           in_.begin() + static_cast<long>(pos_ + n));
-    pos_ += n;
-    return b;
-  }
-  // Validates an element count against the bytes left, given the minimum
-  // encoded size of one element. Rejecting count > remaining/min_size
-  // keeps a corrupt count from driving a multi-gigabyte reserve() before
-  // the per-element reads would catch the truncation.
-  ks::Status CheckCount(uint32_t count, size_t min_element_size,
-                        const char* what) {
-    if (count > Remaining() / min_element_size) {
-      return ks::InvalidArgument(
-          ks::StrPrintf("kelf: %s count %u exceeds buffer", what, count));
-    }
-    return ks::OkStatus();
-  }
-  bool AtEnd() const { return pos_ == in_.size(); }
-
- private:
-  const std::vector<uint8_t>& in_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -223,7 +129,7 @@ std::optional<int> ObjectFile::DefiningSymbolForSection(int section) const {
 
 std::vector<uint8_t> ObjectFile::Serialize() const {
   std::vector<uint8_t> out;
-  Writer w(out);
+  ks::ByteWriter w(out);
   w.U32(kMagic);
   w.U32(kVersion);
   w.Str(source_name_);
@@ -234,7 +140,7 @@ std::vector<uint8_t> ObjectFile::Serialize() const {
     w.U8(static_cast<uint8_t>(sec.kind));
     w.U8(static_cast<uint8_t>(sec.howto));
     w.U32(sec.align);
-    w.Bytes(sec.bytes);
+    w.Blob(sec.bytes);
     w.U32(sec.bss_size);
     w.U32(static_cast<uint32_t>(sec.relocs.size()));
     for (const Relocation& rel : sec.relocs) {
@@ -259,7 +165,7 @@ std::vector<uint8_t> ObjectFile::Serialize() const {
 
 ks::Result<ObjectFile> ObjectFile::Parse(const std::vector<uint8_t>& bytes) {
   KS_FAULT_POINT("kelf.objfile.parse");
-  Reader r(bytes);
+  ks::ByteReader r(bytes, "kelf");
   KS_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
   if (magic != kMagic) {
     return ks::InvalidArgument("kelf: bad magic");
@@ -294,7 +200,7 @@ ks::Result<ObjectFile> ObjectFile::Parse(const std::vector<uint8_t>& bytes) {
       sec.howto = HowtoForSectionName(sec.name);
     }
     KS_ASSIGN_OR_RETURN(sec.align, r.U32());
-    KS_ASSIGN_OR_RETURN(sec.bytes, r.Bytes());
+    KS_ASSIGN_OR_RETURN(sec.bytes, r.Blob());
     KS_ASSIGN_OR_RETURN(sec.bss_size, r.U32());
     KS_ASSIGN_OR_RETURN(uint32_t num_relocs, r.U32());
     KS_RETURN_IF_ERROR(r.CheckCount(num_relocs, 13, "relocation"));

@@ -196,17 +196,13 @@ void Machine::CapLog(std::vector<T>& log) {
 void Machine::FaultThread(Thread& thread, std::string reason) {
   thread.state = ThreadState::kFaulted;
   thread.fault = reason;
-  fault_log_.push_back(ks::StrPrintf("tid %d at %s: %s", thread.tid,
-                                     ks::Hex32(thread.pc).c_str(),
-                                     reason.c_str()));
-  KS_LOG(kDebug) << "thread fault: " << fault_log_.back();
-  CapLog(fault_log_);
   FaultRecord record;
   record.tid = thread.tid;
   record.pc = thread.pc;
   record.tick = ticks_;
   record.reason = std::move(reason);
   fault_records_.push_back(std::move(record));
+  KS_LOG(kDebug) << "thread fault: " << fault_records_.back().ToString();
   CapLog(fault_records_);
   ++total_faults_;
   static ks::Counter& faults = ks::Metrics().GetCounter("kvm.faults");
@@ -576,9 +572,6 @@ bool Machine::DoSys(Thread& thread, uint8_t number) {
           break;
         }
         text.push_back(c);
-      }
-      if (config_.log_printk) {
-        KS_LOG(kInfo) << "printk: " << text;
       }
       printk_log_.push_back(std::move(text));
       CapLog(printk_log_);

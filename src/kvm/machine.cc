@@ -23,6 +23,8 @@ namespace kvm {
 namespace {
 
 constexpr uint32_t kPageAlign = 0x1000;
+// Stack size of a thread spawned without one, and of the hook-call stack.
+constexpr uint32_t kDefaultStackBytes = 8192;
 
 uint32_t AlignUp(uint32_t value, uint32_t align) {
   return (value + align - 1) & ~(align - 1);
@@ -80,9 +82,7 @@ void GuestMemory::Release() {
   }
 }
 
-Machine::Machine(const MachineConfig& config) : config_(config) {
-  rand_state_ = config.rand_seed;
-}
+Machine::Machine(const MachineConfig& config) : config_(config) {}
 
 Machine::~Machine() { StopCpus(); }
 
@@ -576,7 +576,7 @@ ks::Result<uint32_t> Machine::CallFunction(uint32_t entry, uint32_t arg,
   KS_FAULT_POINT("kvm.call_function");
   std::unique_lock<std::recursive_mutex> lock(mu_);
   if (hook_stack_top_ == 0) {
-    uint32_t bytes = AlignUp(config_.default_stack_bytes, 16);
+    uint32_t bytes = AlignUp(kDefaultStackBytes, 16);
     if (stack_cursor_ < stack_limit_ + bytes) {
       return ks::ResourceExhausted("out of stack space for hook calls");
     }
@@ -586,7 +586,7 @@ ks::Result<uint32_t> Machine::CallFunction(uint32_t entry, uint32_t arg,
   Thread thread;
   thread.tid = 0;  // synthetic; not in threads_, invisible to the scheduler
   thread.stack_top = hook_stack_top_;
-  thread.stack_base = hook_stack_top_ - config_.default_stack_bytes;
+  thread.stack_base = hook_stack_top_ - kDefaultStackBytes;
   thread.pc = entry;
   uint32_t sp = hook_stack_top_;
   sp -= 4;
@@ -691,7 +691,7 @@ ks::Result<int> Machine::Spawn(uint32_t entry, uint32_t arg,
                                uint32_t stack_bytes) {
   std::unique_lock<std::recursive_mutex> lock(mu_);
   if (stack_bytes == 0) {
-    stack_bytes = config_.default_stack_bytes;
+    stack_bytes = kDefaultStackBytes;
   }
   stack_bytes = AlignUp(stack_bytes, 16);
   // Reuse the most recently reaped stack of this size; reaping zeroed it.
@@ -960,9 +960,19 @@ std::vector<uint32_t> Machine::RecordsWithKey(uint32_t key) const {
   return out;
 }
 
+std::string FaultRecord::ToString() const {
+  return ks::StrPrintf("tid %d at %s: %s", tid, ks::Hex32(pc).c_str(),
+                       reason.c_str());
+}
+
 std::vector<std::string> Machine::Faults() const {
   std::unique_lock<std::recursive_mutex> lock(mu_);
-  return fault_log_;
+  std::vector<std::string> lines;
+  lines.reserve(fault_records_.size());
+  for (const FaultRecord& record : fault_records_) {
+    lines.push_back(record.ToString());
+  }
+  return lines;
 }
 
 std::vector<FaultRecord> Machine::FaultRecords() const {

@@ -51,11 +51,8 @@ namespace kvm {
 struct MachineConfig {
   uint32_t memory_bytes = 16u << 20;   // image size
   uint32_t kernel_base = 0x00100000;   // kernel link address
-  uint32_t default_stack_bytes = 8192;
   int slice_instructions = 1000;       // preemption quantum
-  uint32_t rand_seed = 0x12345678;
-  bool log_printk = false;             // echo printk to the host log
-  // Cap on each observation log (printk, fault log, fault/fixup records):
+  // Cap on each observation log (printk, fault records):
   // oldest entries are dropped past this and counted in DroppedLogLines().
   // 0 = unbounded (tests that assert exact log contents).
   uint32_t max_log_lines = 4096;
@@ -88,6 +85,9 @@ struct FaultRecord {
   uint32_t pc = 0;
   uint64_t tick = 0;    // Ticks() when the fault was taken
   std::string reason;   // same text as the fault-log line's suffix
+
+  // The fault-log line: "tid <tid> at <pc>: <reason>".
+  std::string ToString() const;
 };
 
 // Handle to a loaded module.
@@ -288,9 +288,10 @@ class Machine {
   }
   // record() entries with key == `key`, values only.
   std::vector<uint32_t> RecordsWithKey(uint32_t key) const;
+  // The fault log: FaultRecords() rendered one line each.
   std::vector<std::string> Faults() const;
-  // Structured fault records (FaultRecord above). Bounded like the text
-  // logs; FaultCount() is the monotonic total and never decreases when the
+  // Structured fault records (FaultRecord above). Bounded like the printk
+  // log; FaultCount() is the monotonic total and never decreases when the
   // ring drops old entries, so health monitors can sample by delta.
   std::vector<FaultRecord> FaultRecords() const;
   uint64_t FaultCount() const;
@@ -453,7 +454,7 @@ class Machine {
   uint64_t ticks_ = 0;
   int next_tid_ = 1;
   bool halted_ = false;
-  uint32_t rand_state_ = 0;
+  uint32_t rand_state_ = 0x12345678;  // SYS rand's LCG state
 
   // Big kernel lock.
   int bkl_owner_ = -1;  // tid, -1 free
@@ -461,16 +462,15 @@ class Machine {
   // Shadow registry: (object addr, key) -> shadow allocation.
   std::map<std::pair<uint32_t, uint32_t>, uint32_t> shadows_;
 
-  // Observation logs. printk/fault/record logs and the structured fault
-  // records are rings bounded by config_.max_log_lines (except
-  // records_, whose exact counts tests depend on); evictions are counted
-  // in dropped_log_lines_. total_faults_ is monotonic and survives ring
-  // eviction.
+  // Observation logs. The printk log and the structured fault records
+  // (which Faults() renders as text) are rings bounded by
+  // config_.max_log_lines (records_ is not: tests depend on its exact
+  // counts); evictions are counted in dropped_log_lines_. total_faults_
+  // is monotonic and survives ring eviction.
   template <typename T>
   void CapLog(std::vector<T>& log);
   std::vector<std::string> printk_log_;
   std::vector<std::pair<uint32_t, uint32_t>> records_;
-  std::vector<std::string> fault_log_;
   std::vector<FaultRecord> fault_records_;
   uint64_t total_faults_ = 0;
   uint64_t dropped_log_lines_ = 0;

@@ -1,15 +1,20 @@
-// Fuzz-style negative tests for the two on-disk parsers: kelf::ObjectFile
-// and ksplice::UpdatePackage. Malformed input — truncated section tables,
-// bit flips, out-of-range relocation/symbol indices, inconsistent bss —
-// must come back as a clean ks::Status, never a crash or an out-of-bounds
-// read. The sweeps are deterministic (every prefix length, a fixed bit
-// pattern) so failures reproduce.
+// Fuzz-style negative tests for the binary decoders, which all read
+// through the one codec in base/bytes.h: kelf::ObjectFile,
+// ksplice::UpdatePackage and the cached kanalyze::FunctionSummary.
+// Malformed input — truncated tables, bit flips, out-of-range
+// relocation/symbol indices, inconsistent bss — must come back as a clean
+// ks::Status, never a crash or an out-of-bounds read. The sweeps are
+// deterministic (every prefix length, a fixed bit pattern) so failures
+// reproduce. A format pin holds the object and package encodings
+// byte-for-byte.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "base/hash.h"
+#include "kanalyze/summary.h"
 #include "kelf/objfile.h"
 #include "ksplice/package.h"
 
@@ -141,8 +146,35 @@ ksplice::UpdatePackage SamplePackage() {
   return package;
 }
 
+// A summary with every variable-length part populated.
+kanalyze::FunctionSummary SampleSummary() {
+  kanalyze::FunctionSummary s;
+  s.writes = {{"counter", 0, 4, true}, {"table", 0, 1, false}};
+  s.reads = {{"config", 8, 4, true}};
+  s.reads_unresolved = true;
+  s.lock_acquires = 2;
+  s.lock_releases = 1;
+  s.lock_imbalance = true;
+  s.lock_imbalance_depth = -1;
+  s.blocks = true;
+  s.blocking_primitives = {"lock_kernel", "sleep"};
+  s.callees = {"helper", "printk"};
+  s.insns = 1234567890123ull;
+  return s;
+}
+
 // ------------------------------------------------------------------------
-// Truncation sweeps: both formats are strict, so every proper prefix of a
+// Format pin: the object and package encodings are part of the contract
+// (quarantine keys hash UpdatePackage::Serialize()), so their bytes must
+// not move. The constants are FNV-64 over the sample encodings.
+
+TEST(FormatPin, ObjectAndPackageBytesAreStable) {
+  EXPECT_EQ(ks::Fnv1a64(SampleObject().Serialize()), 0x1e471a6d0b6b32c1ull);
+  EXPECT_EQ(ks::Fnv1a64(SamplePackage().Serialize()), 0x9d9b1da7ef43a06aull);
+}
+
+// ------------------------------------------------------------------------
+// Truncation sweeps: every format is strict, so every proper prefix of a
 // valid serialization must fail with a clean error.
 
 TEST(FuzzObjectFile, EveryTruncationFailsCleanly) {
@@ -169,6 +201,21 @@ TEST(FuzzPackage, EveryTruncationFailsCleanly) {
     ks::Result<ksplice::UpdatePackage> parsed =
         ksplice::UpdatePackage::Parse(prefix);
     EXPECT_FALSE(parsed.ok()) << "prefix of " << len << " bytes parsed";
+  }
+}
+
+TEST(FuzzSummary, EveryTruncationFailsCleanly) {
+  std::vector<uint8_t> bytes = SampleSummary().Serialize();
+  ks::Result<kanalyze::FunctionSummary> whole =
+      kanalyze::FunctionSummary::Deserialize(bytes);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(whole->Serialize(), bytes);
+
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    std::vector<uint8_t> prefix(bytes.begin(),
+                                bytes.begin() + static_cast<long>(len));
+    EXPECT_FALSE(kanalyze::FunctionSummary::Deserialize(prefix).ok())
+        << "prefix of " << len << " bytes parsed";
   }
 }
 
@@ -203,6 +250,26 @@ TEST(FuzzPackage, EveryBitFlipIsRejected) {
     ks::Result<ksplice::UpdatePackage> parsed =
         ksplice::UpdatePackage::Parse(mutated);
     EXPECT_FALSE(parsed.ok()) << "flip at byte " << pos << " accepted";
+  }
+}
+
+// Summaries carry no checksum of their own (the cache checksums the
+// entry), so a flip may decode; it must never crash, and whatever decodes
+// must encode to bytes that decode again.
+TEST(FuzzSummary, BitFlipsNeverCrash) {
+  std::vector<uint8_t> bytes = SampleSummary().Serialize();
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    for (int bit = 0; bit < 8; bit += 3) {
+      std::vector<uint8_t> mutated = bytes;
+      mutated[pos] = static_cast<uint8_t>(mutated[pos] ^ (1u << bit));
+      ks::Result<kanalyze::FunctionSummary> parsed =
+          kanalyze::FunctionSummary::Deserialize(mutated);
+      if (parsed.ok()) {
+        EXPECT_TRUE(
+            kanalyze::FunctionSummary::Deserialize(parsed->Serialize()).ok())
+            << "flip at byte " << pos << " bit " << bit;
+      }
+    }
   }
 }
 

@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <regex>
 #include <set>
 #include <thread>
 #include <tuple>
 
 #include "base/faultinject.h"
 #include "base/metrics.h"
+#include "base/strings.h"
 #include "corpus/corpus.h"
 #include "kcc/compile.h"
 #include "kdiff/diff.h"
@@ -347,6 +349,48 @@ void main(int unused) {
   ASSERT_TRUE(machine->RunToCompletion().ok());
   ASSERT_EQ(machine->Faults().size(), 1u);
   EXPECT_NE(machine->Faults()[0].find("stack overflow"), std::string::npos);
+}
+
+TEST(MachineTest, BoundedFaultLogCountsEachEvictionOnce) {
+  // Faults() renders the fault records, so evicting one fault drops one
+  // line: 6 faults under a 4-line cap report 2 dropped lines, and the
+  // surviving lines are the newest 4 of an unbounded run's log.
+  SourceTree tree;
+  tree.Write("kernel.kc", R"(
+void poke(int addr) {
+  int *p = (int*)addr;
+  *p = 1;
+}
+)");
+  auto six_faults = [&tree](uint32_t max_log_lines) {
+    MachineConfig config;
+    config.max_log_lines = max_log_lines;
+    std::unique_ptr<Machine> machine = BootTree(tree, {}, config);
+    for (uint32_t addr = 0; machine != nullptr && addr < 24; addr += 4) {
+      EXPECT_TRUE(machine->SpawnNamed("poke", addr).ok());
+      EXPECT_TRUE(machine->RunToCompletion().ok());
+    }
+    return machine;
+  };
+  std::unique_ptr<Machine> capped = six_faults(4);
+  std::unique_ptr<Machine> unbounded = six_faults(0);
+  ASSERT_NE(capped, nullptr);
+  ASSERT_NE(unbounded, nullptr);
+
+  EXPECT_EQ(capped->FaultCount(), 6u);
+  EXPECT_EQ(capped->DroppedLogLines(), 2u);
+  EXPECT_EQ(unbounded->DroppedLogLines(), 0u);
+  std::vector<std::string> all = unbounded->Faults();
+  ASSERT_EQ(all.size(), 6u);
+  EXPECT_EQ(capped->Faults(),
+            std::vector<std::string>(all.begin() + 2, all.end()));
+  for (size_t i = 0; i < all.size(); ++i) {
+    EXPECT_TRUE(std::regex_match(
+        all[i], std::regex(ks::StrPrintf(
+                    "tid [0-9]+ at 0x[0-9a-f]{8}: bad store at 0x%08zx",
+                    4 * i))))
+        << all[i];
+  }
 }
 
 TEST(MachineTest, SleepingThreadKeepsStackFrames) {
