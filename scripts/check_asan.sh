@@ -5,7 +5,9 @@
 # tests matter most here: every rollback path unloads a group of
 # partially-initialized modules, and out-of-order undo rewrites records
 # that point into other updates' arenas. The kvm and corpus tests cover
-# boot from a shared linked image and the module symbol index. The kelf,
+# boot from a shared linked image and symbol table, and the per-machine
+# module symbol overlay; the srcpatch test looks symbols up through that
+# overlay while it loads and unloads its modules. The kelf,
 # summary and fuzz tests drive the shared byte codec (base/bytes.h), which
 # parses untrusted .kspl bytes.
 #
@@ -19,12 +21,12 @@ cmake -B build-asan -G Ninja -DKSPLICE_SANITIZE="address;undefined"
 cmake --build build-asan --target ksplice_txn_test concurrency_test \
   ksplice_hooks_smp_test kanalyze_test fuzz_negative_test chaos_test \
   runpre_test runpre_index_test fleet_test howto_test watchdog_test \
-  kvm_test corpus_test kelf_test kanalyze_summary_test
+  kvm_test corpus_test kelf_test kanalyze_summary_test srcpatch_test
 for t in ksplice_txn_test concurrency_test ksplice_hooks_smp_test \
          kanalyze_test fuzz_negative_test chaos_test \
          runpre_test runpre_index_test fleet_test howto_test \
          watchdog_test kvm_test corpus_test kelf_test \
-         kanalyze_summary_test; do
+         kanalyze_summary_test srcpatch_test; do
   echo "== build-asan/tests/$t =="
   "./build-asan/tests/$t"
 done

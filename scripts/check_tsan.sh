@@ -10,9 +10,13 @@
 # The fleet test drives wave rollouts at max_in_flight 4 and 8, where
 # worker threads share the fault injector, the metrics registry and each
 # package's read-only PackagePlan (the pre side every node matches
-# against). The corpus
-# test boots machines from the per-release linked image that is built
-# once and shared by every boot; the kvm test covers boot itself, and the
+# against). Fleet nodes also share each release's symbol table read-only:
+# every node booted from a release looks kernel symbols up in one
+# immutable table, and only its own module overlay is written. The corpus
+# test boots machines from the per-release linked image and symbol table
+# that are built once and shared by every boot; the srcpatch test looks
+# symbols up through the module overlay it edits; the kvm test covers boot
+# itself, and the
 # interpreter's per-host-thread run tables: it runs the stress pair on
 # four virtual CPUs while the host thread splices and restores a function
 # the pair calls under stop_machine.
@@ -22,11 +26,11 @@ cmake -B build-tsan -G Ninja -DKSPLICE_SANITIZE=thread
 cmake --build build-tsan --target concurrency_test ksplice_hooks_smp_test \
   ksplice_txn_test kanalyze_test fuzz_negative_test chaos_test \
   runpre_test runpre_index_test fleet_test howto_test watchdog_test \
-  kvm_test corpus_test
+  kvm_test corpus_test srcpatch_test
 for t in concurrency_test ksplice_hooks_smp_test ksplice_txn_test \
          kanalyze_test fuzz_negative_test chaos_test \
          runpre_test runpre_index_test fleet_test howto_test \
-         watchdog_test kvm_test corpus_test; do
+         watchdog_test kvm_test corpus_test srcpatch_test; do
   echo "== build-tsan/tests/$t =="
   "./build-tsan/tests/$t"
 done

@@ -97,13 +97,13 @@ class ByteReader {
     pos_ += n;
     return s;
   }
-  Result<std::vector<uint8_t>> Blob() {
+  // A view into the input, valid as long as the input is.
+  Result<std::span<const uint8_t>> Blob() {
     KS_ASSIGN_OR_RETURN(uint32_t n, U32());
     if (n > Remaining()) {
       return Truncated("blob");
     }
-    std::vector<uint8_t> b(in_.begin() + static_cast<long>(pos_),
-                           in_.begin() + static_cast<long>(pos_ + n));
+    std::span<const uint8_t> b = in_.subspan(pos_, n);
     pos_ += n;
     return b;
   }

@@ -64,19 +64,6 @@ ks::Result<kdiff::SourceTree> ApplyEdits(const std::vector<Edit>& edits) {
   return post;
 }
 
-const std::vector<kelf::ObjectFile>& KernelObjects() {
-  static const std::vector<kelf::ObjectFile> kObjects = [] {
-    ks::Result<std::vector<kelf::ObjectFile>> objects =
-        kcc::BuildTree(KernelSource(), RunBuildOptions());
-    if (!objects.ok()) {
-      // Surfaced by BootKernel(); keep an empty vector here.
-      return std::vector<kelf::ObjectFile>();
-    }
-    return std::move(objects).value();
-  }();
-  return kObjects;
-}
-
 }  // namespace
 
 ks::Result<std::string> PatchFor(const Vulnerability& vuln) {
@@ -146,14 +133,19 @@ ks::Result<kdiff::SourceTree> KernelSourceAt(size_t index) {
 
 namespace {
 
-// The linked kernel image per release, compiled and linked once per
-// process: every boot of the release, on any number of nodes, copies this
-// one immutable image into its own machine.
-ks::Result<std::shared_ptr<const kelf::LinkedImage>> VersionImage(
-    size_t index) {
+// One release's kernel, compiled and linked once per process: every boot
+// of the release, on any number of nodes, copies this one immutable image
+// into its own machine and shares its symbol table, which owns the link's
+// symbols (image.symbols is left empty).
+struct Release {
+  kelf::LinkedImage image;
+  std::shared_ptr<const kvm::SymbolTable> symbols;
+};
+
+ks::Result<std::shared_ptr<const Release>> VersionImage(size_t index) {
   static std::mutex mu;
   static auto* linked =
-      new std::map<size_t, std::shared_ptr<const kelf::LinkedImage>>();
+      new std::map<size_t, std::shared_ptr<const Release>>();
   std::lock_guard<std::mutex> lock(mu);
   auto it = linked->find(index);
   if (it == linked->end()) {
@@ -171,10 +163,12 @@ ks::Result<std::shared_ptr<const kelf::LinkedImage>> VersionImage(
     if (!image.ok()) {
       return ks::Status(image.status()).WithContext("linking kernel");
     }
-    it = linked
-             ->emplace(index, std::make_shared<const kelf::LinkedImage>(
-                                  std::move(image).value()))
-             .first;
+    auto release = std::make_shared<Release>();
+    release->image = std::move(image).value();
+    release->symbols = std::make_shared<const kvm::SymbolTable>(
+        std::move(release->image.symbols));
+    release->image.symbols.clear();
+    it = linked->emplace(index, std::move(release)).first;
   }
   return it->second;
 }
@@ -186,12 +180,13 @@ ks::Result<std::unique_ptr<kvm::Machine>> BootKernelVersion(
   if (!KernelVersions().empty()) {
     index %= KernelVersions().size();
   }
-  KS_ASSIGN_OR_RETURN(std::shared_ptr<const kelf::LinkedImage> image,
+  KS_ASSIGN_OR_RETURN(std::shared_ptr<const Release> release,
                       VersionImage(index));
   kvm::MachineConfig config;
   config.memory_bytes = memory_bytes == 0 ? 24u << 20 : memory_bytes;
-  KS_ASSIGN_OR_RETURN(std::unique_ptr<kvm::Machine> machine,
-                      kvm::Machine::Boot(*image, config));
+  KS_ASSIGN_OR_RETURN(
+      std::unique_ptr<kvm::Machine> machine,
+      kvm::Machine::Boot(release->image, release->symbols, config));
   // kernel_init is a boot-time call, not a thread: the machine comes up
   // with no thread spawned, so the first thread a caller spawns is tid 1.
   KS_ASSIGN_OR_RETURN(uint32_t init, machine->GlobalSymbol("kernel_init"));
@@ -325,22 +320,12 @@ ks::Result<EvalOutcome> Evaluate(const Vulnerability& vuln,
   {
     ks::Result<kdiff::Patch> parsed = kdiff::ParseUnifiedDiff(patch);
     if (parsed.ok()) {
-      std::set<std::string> ambiguous;
-      {
-        std::map<std::string, int> counts;
-        for (const kelf::ObjectFile& obj : KernelObjects()) {
-          for (const kelf::Symbol& sym : obj.symbols()) {
-            if (sym.defined()) {
-              counts[sym.name]++;
-            }
-          }
-        }
-        for (const auto& [name, count] : counts) {
-          if (count > 1) {
-            ambiguous.insert(name);
-          }
-        }
-      }
+      // A name is ambiguous when the pristine kernel binds it more than
+      // once: the machine booted release 0, whose table this is.
+      const kvm::SymbolTable& kernel = *machine->kernel_symbols();
+      auto ambiguous = [&kernel](const std::string& name) {
+        return kernel.Named(name, kvm::SymbolTable::Hash(name)).size() > 1;
+      };
       for (const kdiff::FilePatch& file : parsed->files) {
         if (!ks::EndsWith(file.path, ".kc")) {
           continue;
@@ -431,7 +416,7 @@ ks::Result<EvalOutcome> Evaluate(const Vulnerability& vuln,
               for (const kelf::Relocation& rel : section->relocs) {
                 const std::string& ref =
                     obj->symbols()[static_cast<size_t>(rel.symbol)].name;
-                if (ambiguous.count(ref) != 0) {
+                if (ambiguous(ref)) {
                   outcome.references_ambiguous_symbol = true;
                 }
               }
@@ -488,7 +473,6 @@ std::vector<ks::Result<EvalOutcome>> EvaluateAll(
     const std::vector<Vulnerability>& vulns, const SweepOptions& options) {
   // Force the shared kernel build and link before fanning out so workers
   // don't all serialize on them for their first boot.
-  (void)KernelObjects();
   (void)VersionImage(0);
   std::vector<std::optional<ks::Result<EvalOutcome>>> slots(vulns.size());
   ks::ParallelFor(options.jobs, vulns.size(), [&](size_t i) {
@@ -506,19 +490,15 @@ ks::Result<SymbolCensus> CensusKernelSymbols() {
   SymbolCensus census;
   std::map<std::string, int> counts;
   std::map<std::string, std::set<std::string>> units_of;
-  const std::vector<kelf::ObjectFile>& objects = KernelObjects();
-  if (objects.empty()) {
-    return ks::Internal("corpus kernel failed to build");
-  }
-  for (const kelf::ObjectFile& obj : objects) {
-    for (const kelf::Symbol& sym : obj.symbols()) {
-      if (!sym.defined()) {
-        continue;
-      }
-      ++census.total_symbols;
-      counts[sym.name]++;
-      units_of[sym.name].insert(obj.source_name());
-    }
+  std::set<std::string> units;
+  // The pristine kernel's link table holds every symbol its units define.
+  KS_ASSIGN_OR_RETURN(std::shared_ptr<const Release> release,
+                      VersionImage(0));
+  for (const kelf::LinkedSymbol& sym : release->symbols->symbols()) {
+    ++census.total_symbols;
+    counts[sym.name]++;
+    units_of[sym.name].insert(sym.unit);
+    units.insert(sym.unit);
   }
   std::set<std::string> ambiguous_units;
   for (const auto& [name, count] : counts) {
@@ -529,7 +509,7 @@ ks::Result<SymbolCensus> CensusKernelSymbols() {
       }
     }
   }
-  census.total_units = static_cast<int>(objects.size());
+  census.total_units = static_cast<int>(units.size());
   census.units_with_ambiguous = static_cast<int>(ambiguous_units.size());
   return census;
 }

@@ -127,9 +127,9 @@ ks::Result<kdiff::SourceTree> KernelSourceAt(size_t index);
 // Boots a kernel of release `index % KernelVersions().size()` and calls
 // kernel_init as a function, so the machine has spawned no thread.
 // memory_bytes == 0 keeps BootKernel()'s default (24MB); fleets pass
-// smaller machines (the image needs ~2.5MB). The linked image
-// is cached per release, so booting N same-release nodes compiles and
-// links once.
+// smaller machines (the image needs ~2.5MB). The linked image and its
+// symbol table are cached per release, so booting N same-release nodes
+// compiles and links once, and the nodes share one symbol table.
 ks::Result<std::unique_ptr<kvm::Machine>> BootKernelVersion(
     size_t index, uint32_t memory_bytes = 0);
 

@@ -4,9 +4,9 @@
 // fleet_update example, fleet_test) needs the same thing: N booted
 // machines spread round-robin across the corpus kernel release line
 // (corpus::KernelVersions), small enough to stamp out by the thousand.
-// This helper is that one loop. Release objects are compiled once per
-// release (corpus::BootKernelVersion caches them), so node boots are
-// re-links, not rebuilds.
+// This helper is that one loop. Each release is compiled and linked once
+// (corpus::BootKernelVersion caches it), so a node boot copies the image
+// and shares the release's symbol table.
 
 #ifndef KSPLICE_FLEET_CORPUS_FLEET_H_
 #define KSPLICE_FLEET_CORPUS_FLEET_H_

@@ -55,10 +55,9 @@ void ApplyOnNode(Fleet& fleet, size_t node,
   }
 
   ksplice::KspliceCore& core = fleet.core(node);
-  std::vector<std::string> already = core.AppliedIds();
   std::vector<const ksplice::PackagePlan*> missing;
   for (const ksplice::PackagePlan& prepared : packages) {
-    if (!Contains(already, prepared.package->id)) {
+    if (!core.IsApplied(prepared.package->id)) {
       missing.push_back(&prepared);
     }
   }

@@ -77,26 +77,13 @@ ks::Result<LinkedImage> Linker::Link(uint32_t base) const {
   image.bytes.assign(cursor - base, 0);
 
   // Copy section payloads (bss stays zero).
-  {
-    size_t placement_idx = 0;
-    for (int pass = 0; pass <= 2; ++pass) {
-      for (size_t oi = 0; oi < objects_.size(); ++oi) {
-        const ObjectFile& obj = objects_[oi];
-        for (size_t si = 0; si < obj.sections().size(); ++si) {
-          const Section& sec = obj.sections()[si];
-          if (LayoutPass(sec.kind) != pass) {
-            continue;
-          }
-          uint32_t addr = section_addr[oi][si];
-          if (!sec.bytes.empty()) {
-            std::copy(sec.bytes.begin(), sec.bytes.end(),
-                      image.bytes.begin() + (addr - base));
-          }
-          ++placement_idx;
-        }
-      }
+  for (size_t oi = 0; oi < objects_.size(); ++oi) {
+    const ObjectFile& obj = objects_[oi];
+    for (size_t si = 0; si < obj.sections().size(); ++si) {
+      const Section& sec = obj.sections()[si];
+      std::copy(sec.bytes.begin(), sec.bytes.end(),
+                image.bytes.begin() + (section_addr[oi][si] - base));
     }
-    (void)placement_idx;
   }
 
   // Global symbol table: name -> address. Duplicate globals are an error.

@@ -163,7 +163,7 @@ std::vector<uint8_t> ObjectFile::Serialize() const {
   return out;
 }
 
-ks::Result<ObjectFile> ObjectFile::Parse(const std::vector<uint8_t>& bytes) {
+ks::Result<ObjectFile> ObjectFile::Parse(std::span<const uint8_t> bytes) {
   KS_FAULT_POINT("kelf.objfile.parse");
   ks::ByteReader r(bytes, "kelf");
   KS_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
@@ -200,7 +200,8 @@ ks::Result<ObjectFile> ObjectFile::Parse(const std::vector<uint8_t>& bytes) {
       sec.howto = HowtoForSectionName(sec.name);
     }
     KS_ASSIGN_OR_RETURN(sec.align, r.U32());
-    KS_ASSIGN_OR_RETURN(sec.bytes, r.Blob());
+    KS_ASSIGN_OR_RETURN(std::span<const uint8_t> payload, r.Blob());
+    sec.bytes.assign(payload.begin(), payload.end());
     KS_ASSIGN_OR_RETURN(sec.bss_size, r.U32());
     KS_ASSIGN_OR_RETURN(uint32_t num_relocs, r.U32());
     KS_RETURN_IF_ERROR(r.CheckCount(num_relocs, 13, "relocation"));

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -167,7 +168,8 @@ class ObjectFile {
 
   // Serialization ------------------------------------------------------
   std::vector<uint8_t> Serialize() const;
-  static ks::Result<ObjectFile> Parse(const std::vector<uint8_t>& bytes);
+  // Copies what it keeps, so `bytes` may be a view into a larger buffer.
+  static ks::Result<ObjectFile> Parse(std::span<const uint8_t> bytes);
 
   // Structural validation: relocation symbol/offset ranges, symbol section
   // ranges, bss invariants. Called by Parse; available to generators.

@@ -362,6 +362,12 @@ std::vector<std::string> KspliceCore::AppliedIds() const {
   return ids;
 }
 
+bool KspliceCore::IsApplied(const std::string& id) const {
+  return std::any_of(
+      applied_.begin(), applied_.end(),
+      [&id](const AppliedUpdate& update) { return update.id == id; });
+}
+
 void KspliceCore::NoteAttributedFault(AttributedFault fault) {
   attributed_faults_.push_back(std::move(fault));
   static ks::Counter& attributed =

@@ -142,6 +142,8 @@ class KspliceCore {
 
   // Ids of the applied updates, oldest first (each is an Undo handle).
   std::vector<std::string> AppliedIds() const;
+  // Whether the update `id` is applied.
+  bool IsApplied(const std::string& id) const;
 
   // Stacking redirect (§5.4): current code location for (unit, symbol).
   std::optional<std::pair<uint32_t, uint32_t>> CurrentCode(

@@ -86,7 +86,7 @@ ks::Result<UpdatePackage> UpdatePackage::Parse(
   for (auto* objects : {&pkg.helper_objects, &pkg.primary_objects}) {
     KS_ASSIGN_OR_RETURN(uint32_t num_objects, r.U32());
     for (uint32_t i = 0; i < num_objects; ++i) {
-      KS_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, r.Blob());
+      KS_ASSIGN_OR_RETURN(std::span<const uint8_t> blob, r.Blob());
       KS_ASSIGN_OR_RETURN(kelf::ObjectFile obj, kelf::ObjectFile::Parse(blob));
       objects->push_back(std::move(obj));
     }

@@ -158,6 +158,43 @@ class RunStream {
 };
 
 // ------------------------------------------------------------------
+// Symbol slots.
+
+// One kallsyms entry of a slot's name, as far as matching reads it.
+struct KnownSymbol {
+  uint32_t address = 0;
+  kelf::SymbolKind kind = kelf::SymbolKind::kNone;
+};
+
+// Each slot's kallsyms entries, looked up once per MatchUnit call. Read
+// live from the machine like the run bytes: module loads and unloads
+// change them between calls.
+class SlotSymbols {
+ public:
+  SlotSymbols(const kvm::Machine& machine, const MatchPlan& plan) {
+    for (const std::string& name : plan.slot_names) {
+      begin_.push_back(known_.size());
+      machine.VisitSymbolsNamed(name, [this](const kelf::LinkedSymbol& sym) {
+        known_.push_back(KnownSymbol{sym.address, sym.kind});
+      });
+    }
+    begin_.push_back(known_.size());
+  }
+
+  std::span<const KnownSymbol> operator[](uint32_t slot) const {
+    return std::span<const KnownSymbol>(known_).subspan(
+        begin_[slot], begin_[slot + 1] - begin_[slot]);
+  }
+
+ private:
+  std::vector<KnownSymbol> known_;  // every slot's entries, slot by slot
+  std::vector<size_t> begin_;       // slot -> its first entry, plus the end
+};
+
+// A symbol valuation: the value of each slot, if known.
+using Valuation = std::vector<std::optional<uint32_t>>;
+
+// ------------------------------------------------------------------
 // The verifier.
 
 // One relocation site whose symbol value a successful verification
@@ -167,13 +204,12 @@ class RunStream {
 // would produce — without touching a single code byte again.
 struct RecoveredSite {
   uint32_t pre_pos = 0;
-  std::string name;
+  uint32_t slot = 0;
   uint32_t value = 0;
 };
 
 struct LocalMatch {
-  std::map<std::string, uint32_t> recovered;  // symbol name -> address
-  std::vector<RecoveredSite> sites;           // first occurrences, in order
+  std::vector<RecoveredSite> sites;  // one per recovered slot, in order
   uint32_t run_size = 0;
 };
 
@@ -192,17 +228,16 @@ std::string MismatchMessage(const kelf::ObjectFile& pre,
 // the kernel knows under the symbol's name, and must agree with the
 // committed valuation and with the candidate's earlier sites. `entry`
 // prefixes refusals from a howto table ("entry 3"); text sites pass "".
-ks::Status RecoverSymbol(const kvm::Machine& machine,
-                         const kelf::ObjectFile& pre,
-                         const kelf::Relocation& rel, uint32_t word,
+ks::Status RecoverSymbol(const MatchPlan& plan, const SlotSymbols& symbols,
+                         const PlannedReloc& site, uint32_t word,
                          uint32_t p_run, uint32_t at_pre,
-                         const std::string& entry,
-                         const std::map<std::string, uint32_t>& committed,
+                         const std::string& entry, const Valuation& committed,
                          LocalMatch& local, MatchStats& stats) {
   stats.reloc_sites_inverted += 1;
+  const kelf::Relocation& rel = *site.rel;
   uint32_t s = kelf::RelocSymbol(rel.type, word, rel.addend, p_run);
-  const kelf::Symbol& sym = pre.symbols()[static_cast<size_t>(rel.symbol)];
-  const std::string prefix = entry.empty() ? "" : entry + ": ";
+  const std::string& name = plan.slot_names[site.slot];
+  auto prefix = [&entry] { return entry.empty() ? "" : entry + ": "; };
   // Cross-check against the symbol table: run-pre recovery can resolve
   // *which* same-named symbol a site refers to, but the recovered value
   // must still be one of the addresses the kernel knows by that name —
@@ -210,34 +245,34 @@ ks::Status RecoverSymbol(const kvm::Machine& machine,
   // genuinely changed table entry), not a relocation result. (Addresses
   // inside previously-loaded update modules are in kallsyms too, so
   // stacking still passes.)
-  std::vector<kelf::LinkedSymbol> known = machine.SymbolsNamed(sym.name);
+  std::span<const KnownSymbol> known = symbols[site.slot];
   if (!known.empty() &&
       std::none_of(known.begin(), known.end(),
-                   [&](const kelf::LinkedSymbol& candidate) {
+                   [s](const KnownSymbol& candidate) {
                      return candidate.address == s;
                    })) {
     return ks::Aborted(ks::StrPrintf(
         "%s recovers '%s' = %s, which matches no symbol of that name in the "
         "kernel",
-        entry.empty() ? "relocation site" : entry.c_str(), sym.name.c_str(),
+        entry.empty() ? "relocation site" : entry.c_str(), name.c_str(),
         ks::Hex32(s).c_str()));
   }
-  auto committed_it = committed.find(sym.name);
-  if (committed_it != committed.end() && committed_it->second != s) {
+  const std::optional<uint32_t>& valued = committed[site.slot];
+  if (valued.has_value() && *valued != s) {
     return ks::Aborted(ks::StrPrintf(
-        "%ssymbol '%s' recovered as %s but already valued %s", prefix.c_str(),
-        sym.name.c_str(), ks::Hex32(s).c_str(),
-        ks::Hex32(committed_it->second).c_str()));
+        "%ssymbol '%s' recovered as %s but already valued %s",
+        prefix().c_str(), name.c_str(), ks::Hex32(s).c_str(),
+        ks::Hex32(*valued).c_str()));
   }
-  auto local_it = local.recovered.find(sym.name);
-  if (local_it != local.recovered.end() && local_it->second != s) {
+  auto earlier = std::find_if(
+      local.sites.begin(), local.sites.end(),
+      [&site](const RecoveredSite& other) { return other.slot == site.slot; });
+  if (earlier == local.sites.end()) {
+    local.sites.push_back(RecoveredSite{at_pre, site.slot, s});
+  } else if (earlier->value != s) {
     return ks::Aborted(ks::StrPrintf(
-        "%ssymbol '%s' recovered inconsistently (%s vs %s)", prefix.c_str(),
-        sym.name.c_str(), ks::Hex32(s).c_str(),
-        ks::Hex32(local_it->second).c_str()));
-  }
-  if (local.recovered.emplace(sym.name, s).second) {
-    local.sites.push_back(RecoveredSite{at_pre, sym.name, s});
+        "%ssymbol '%s' recovered inconsistently (%s vs %s)", prefix().c_str(),
+        name.c_str(), ks::Hex32(s).c_str(), ks::Hex32(earlier->value).c_str()));
   }
   return ks::OkStatus();
 }
@@ -252,17 +287,15 @@ ks::Status RecoverSymbol(const kvm::Machine& machine,
 // the mismatch point, per attempt. Relocation inversions always charge
 // into `stats`.
 ks::Result<LocalMatch> VerifyCandidate(
-    const kvm::Machine& machine, const kelf::ObjectFile& pre,
-    const PlannedSection& predec, uint32_t run_start, RunStream& run,
-    const std::map<std::string, uint32_t>& committed, MatchStats& stats,
-    bool walk_acct) {
+    const MatchPlan& plan, const PlannedSection& predec, uint32_t run_start,
+    RunStream& run, const SlotSymbols& symbols, const Valuation& committed,
+    MatchStats& stats, bool walk_acct) {
   stats.candidates_tried += 1;
   auto mismatch = [&](uint32_t pre_pos, const std::string& why) {
-    return ks::Aborted(
-        MismatchMessage(pre, *predec.section, pre_pos, run_start, why));
+    return ks::Aborted(MismatchMessage(*plan.object, *predec.section,
+                                       pre_pos, run_start, why));
   };
-  const std::map<uint32_t, const kelf::Relocation*>& reloc_at =
-      predec.reloc_at;
+  const std::map<uint32_t, PlannedReloc>& reloc_at = predec.reloc_at;
 
   LocalMatch local;
   struct BranchCheck {
@@ -271,9 +304,9 @@ ks::Result<LocalMatch> VerifyCandidate(
     uint32_t at;          // diagnostic: pre offset of the branch
   };
   std::vector<BranchCheck> checks;
-  auto recover = [&](const kelf::Relocation& rel, uint32_t word,
+  auto recover = [&](const PlannedReloc& site, uint32_t word,
                      uint32_t p_run, uint32_t at_pre) {
-    return RecoverSymbol(machine, pre, rel, word, p_run, at_pre, "",
+    return RecoverSymbol(plan, symbols, site, word, p_run, at_pre, "",
                          committed, local, stats);
   };
 
@@ -330,7 +363,7 @@ ks::Result<LocalMatch> VerifyCandidate(
                                ? R.insn.imm
                                : static_cast<uint32_t>(R.insn.rel);
           uint32_t p_run = run_start + R.pos + static_cast<uint32_t>(field);
-          ks::Status recovered = recover(*rel_it->second, value, p_run,
+          ks::Status recovered = recover(rel_it->second, value, p_run,
                                          P.pos);
           if (!recovered.ok()) {
             return mismatch(P.pos, recovered.message());
@@ -368,15 +401,15 @@ ks::Result<LocalMatch> VerifyCandidate(
         // *is* the symbol value (pcrel32 addend is always -4).
         uint32_t run_target =
             run_insn_end + static_cast<uint32_t>(R.insn.rel);
-        const kelf::Relocation& rel = *rel_it->second;
+        const kelf::Relocation& rel = *rel_it->second.rel;
         if (rel.type != kelf::RelocType::kPcrel32 || rel.addend != -4) {
           return mismatch(P.pos, "unexpected relocation on branch");
         }
         // Emulate a 4-byte field ending at the run instruction: the stored
         // value would be run_target - run_insn_end at P = run_insn_end - 4,
         // so recover() yields S = run_target.
-        ks::Status recovered =
-            recover(rel, run_target - run_insn_end, run_insn_end - 4, P.pos);
+        ks::Status recovered = recover(
+            rel_it->second, run_target - run_insn_end, run_insn_end - 4, P.pos);
         if (!recovered.ok()) {
           return mismatch(P.pos, recovered.message());
         }
@@ -475,14 +508,15 @@ ks::Result<LocalMatch> VerifyCandidate(
 // Reads run bytes through the machine directly (no RunStream), so the
 // decode-once path and the linear oracle take the identical path here.
 ks::Result<LocalMatch> VerifyTableCandidate(
-    const kvm::Machine& machine, const kelf::ObjectFile& pre,
+    const kvm::Machine& machine, const MatchPlan& plan,
     const PlannedSection& planned, uint32_t run_start,
-    const std::map<std::string, uint32_t>& committed, MatchStats& stats) {
+    const SlotSymbols& symbols, const Valuation& committed,
+    MatchStats& stats) {
   stats.candidates_tried += 1;
   const kelf::Section& section = *planned.section;
   auto mismatch = [&](uint32_t pre_pos, const std::string& why) {
     return ks::Aborted(
-        MismatchMessage(pre, section, pre_pos, run_start, why));
+        MismatchMessage(*plan.object, section, pre_pos, run_start, why));
   };
 
   const uint32_t size = static_cast<uint32_t>(section.bytes.size());
@@ -520,7 +554,7 @@ ks::Result<LocalMatch> VerifyTableCandidate(
       continue;
     }
     ks::Status recovered = RecoverSymbol(
-        machine, pre, *rel_it->second, run_word, run_start + off, off,
+        plan, symbols, rel_it->second, run_word, run_start + off, off,
         ks::StrPrintf("entry %u", entry_index), committed, local, stats);
     if (!recovered.ok()) {
       return mismatch(off, recovered.message());
@@ -604,6 +638,14 @@ ks::Result<MatchPlan> MatchPlan::Build(const kelf::ObjectFile& pre,
                                        MatchStats* stats) {
   MatchPlan plan;
   plan.object = &pre;
+  std::map<std::string, uint32_t> slots;
+  auto intern = [&plan, &slots](const std::string& name) {
+    auto [it, inserted] = slots.try_emplace(name, plan.slot_names.size());
+    if (inserted) {
+      plan.slot_names.push_back(name);
+    }
+    return it->second;
+  };
   uint64_t decoded = 0;
   for (size_t si = 0; si < pre.sections().size(); ++si) {
     const kelf::Section& section = pre.sections()[si];
@@ -625,10 +667,11 @@ ks::Result<MatchPlan> MatchPlan::Build(const kelf::ObjectFile& pre,
     }
     PlannedSection& planned = plan.sections.emplace_back();
     planned.section = &section;
-    planned.symbol = pre.symbols()[static_cast<size_t>(*def)].name;
+    planned.slot = intern(pre.symbols()[static_cast<size_t>(*def)].name);
     planned.howto = section.howto;
     for (const kelf::Relocation& rel : section.relocs) {
-      planned.reloc_at[rel.offset] = &rel;
+      planned.reloc_at[rel.offset] = PlannedReloc{
+          &rel, intern(pre.symbols()[static_cast<size_t>(rel.symbol)].name)};
     }
     if (!howto_table) {
       DecodePre(planned);
@@ -688,6 +731,8 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
 
   UnitMatch match;
   match.unit = pre.source_name();
+  SlotSymbols symbols(machine_, plan);
+  Valuation values(plan.slot_names.size());
 
   std::vector<PendingSection> pending;
   pending.reserve(plan.sections.size());
@@ -705,12 +750,12 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
   auto compute_candidates =
       [&](const PendingSection& entry) -> std::vector<uint32_t> {
     std::vector<uint32_t> candidates;
-    auto valued = match.symbol_values.find(entry.plan->symbol);
-    if (valued != match.symbol_values.end()) {
-      candidates.push_back(valued->second);
+    const uint32_t slot = entry.plan->slot;
+    if (values[slot].has_value()) {
+      candidates.push_back(*values[slot]);
     } else if (redirect_ != nullptr) {
       std::optional<std::pair<uint32_t, uint32_t>> redirected =
-          redirect_(match.unit, entry.plan->symbol);
+          redirect_(match.unit, plan.slot_names[slot]);
       if (redirected.has_value()) {
         candidates.push_back(redirected->first);
       }
@@ -721,8 +766,7 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
       kelf::SymbolKind want = entry.plan->howto == kelf::Howto::kNone
                                   ? kelf::SymbolKind::kFunction
                                   : kelf::SymbolKind::kObject;
-      for (const kelf::LinkedSymbol& sym :
-           machine_.SymbolsNamed(entry.plan->symbol)) {
+      for (const KnownSymbol& sym : symbols[slot]) {
         if (sym.kind == want) {
           candidates.push_back(sym.address);
         }
@@ -740,21 +784,20 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
   auto verify = [&](const PendingSection& entry, uint32_t candidate) {
     const PlannedSection& section = *entry.plan;
     if (section.howto != kelf::Howto::kNone) {
-      return VerifyTableCandidate(machine_, pre, section, candidate,
-                                  match.symbol_values, tally);
+      return VerifyTableCandidate(machine_, plan, section, candidate, symbols,
+                                  values, tally);
     }
     if (options_.decode_once) {
       RunStream& stream =
           streams.try_emplace(candidate, machine_, candidate).first->second;
-      return VerifyCandidate(machine_, pre, section, candidate, stream,
-                             match.symbol_values, tally,
-                             /*walk_acct=*/false);
+      return VerifyCandidate(plan, section, candidate, stream, symbols,
+                             values, tally, /*walk_acct=*/false);
     }
     PlannedSection fresh = section;
     DecodePre(fresh);
     RunStream stream(machine_, candidate);
-    return VerifyCandidate(machine_, pre, fresh, candidate, stream,
-                           match.symbol_values, tally, /*walk_acct=*/true);
+    return VerifyCandidate(plan, fresh, candidate, stream, symbols, values,
+                           tally, /*walk_acct=*/true);
   };
 
   // Re-checks a cached successful verification against the current
@@ -764,13 +807,14 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
                         const LocalMatch& local) -> ks::Status {
     tally.revalidations += 1;
     for (const RecoveredSite& site : local.sites) {
-      auto it = match.symbol_values.find(site.name);
-      if (it != match.symbol_values.end() && it->second != site.value) {
+      const std::optional<uint32_t>& valued = values[site.slot];
+      if (valued.has_value() && *valued != site.value) {
         return ks::Aborted(MismatchMessage(
             pre, *entry.plan->section, site.pre_pos, candidate,
             ks::StrPrintf("symbol '%s' recovered as %s but already valued %s",
-                          site.name.c_str(), ks::Hex32(site.value).c_str(),
-                          ks::Hex32(it->second).c_str())));
+                          plan.slot_names[site.slot].c_str(),
+                          ks::Hex32(site.value).c_str(),
+                          ks::Hex32(*valued).c_str())));
       }
     }
     return ks::OkStatus();
@@ -802,6 +846,7 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
     std::vector<PendingSection> still_pending;
     for (PendingSection& entry : pending) {
       const kelf::Section& section = *entry.plan->section;
+      const std::string& symbol = plan.slot_names[entry.plan->slot];
       // Re-derive the candidate list: a commit earlier in this same pass
       // may have pinned this symbol to a single address.
       std::vector<uint32_t> candidates = compute_candidates(entry);
@@ -809,7 +854,7 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
         return ks::Aborted(ks::StrPrintf(
             "run-pre: no run candidate for %s (%s in %s) — does the given "
             "source correspond to the running kernel?",
-            entry.plan->symbol.c_str(), section.name.c_str(),
+            symbol.c_str(), section.name.c_str(),
             match.unit.c_str()));
       }
 
@@ -851,7 +896,7 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
         }
         return ks::Aborted(ks::StrPrintf(
             "run-pre: %s in %s matches no candidate (%zu tried):%s",
-            entry.plan->symbol.c_str(), match.unit.c_str(), candidates.size(),
+            symbol.c_str(), match.unit.c_str(), candidates.size(),
             detail.c_str()));
       }
       if (successes.size() > 1) {
@@ -863,27 +908,26 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
       // Commit.
       uint32_t address = successes[0].first;
       const LocalMatch& local = *successes[0].second;
-      for (const auto& [name, value] : local.recovered) {
-        auto existing = match.symbol_values.find(name);
-        if (existing != match.symbol_values.end() &&
-            existing->second != value) {
+      for (const RecoveredSite& site : local.sites) {
+        std::optional<uint32_t>& valued = values[site.slot];
+        if (valued.has_value() && *valued != site.value) {
           return ks::Aborted(ks::StrPrintf(
               "run-pre: symbol '%s' valued inconsistently across sections",
-              name.c_str()));
+              plan.slot_names[site.slot].c_str()));
         }
-        match.symbol_values[name] = value;
+        valued = site.value;
       }
-      auto own = match.symbol_values.find(entry.plan->symbol);
-      if (own != match.symbol_values.end() && own->second != address) {
+      std::optional<uint32_t>& own = values[entry.plan->slot];
+      if (own.has_value() && *own != address) {
         return ks::Aborted(ks::StrPrintf(
             "run-pre: section %s matched at %s but '%s' is valued %s",
-            section.name.c_str(), ks::Hex32(address).c_str(),
-            entry.plan->symbol.c_str(), ks::Hex32(own->second).c_str()));
+            section.name.c_str(), ks::Hex32(address).c_str(), symbol.c_str(),
+            ks::Hex32(*own).c_str()));
       }
-      match.symbol_values[entry.plan->symbol] = address;
+      own = address;
       MatchedSection matched;
       matched.name = section.name;
-      matched.symbol = entry.plan->symbol;
+      matched.symbol = symbol;
       matched.run_address = address;
       matched.run_size = local.run_size;
       match.sections[section.name] = std::move(matched);
@@ -911,7 +955,7 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
         if (!names.empty()) {
           names += ", ";
         }
-        names += entry.plan->symbol;
+        names += plan.slot_names[entry.plan->slot];
       }
       return ks::Aborted(ks::StrPrintf(
           "run-pre: ambiguous symbols could not be resolved in %s: %s",
@@ -927,6 +971,11 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
     tally.nop_bytes_skipped += stream.nops_skipped();
   }
 
+  for (uint32_t slot = 0; slot < values.size(); ++slot) {
+    if (values[slot].has_value()) {
+      match.symbol_values.emplace(plan.slot_names[slot], *values[slot]);
+    }
+  }
   tally.symbols_recovered = match.symbol_values.size();
   span.Annotate("sections", tally.sections_matched);
   span.Annotate("bytes_matched", tally.run_bytes_matched);

@@ -14,6 +14,10 @@
 // before any machine is touched; a PackagePlan bundles the plans of one
 // package with its content hash and helper size. Plans are immutable and
 // shared read-only by every node of a rollout and every thread of a batch.
+// A plan interns every symbol it references into a dense slot (the
+// ksplice_symbol of the original), and its relocation sites carry slots:
+// a match values symbols by slot and looks up each slot's kallsyms
+// entries once, so names come back only in UnitMatch and error text.
 // The run side is never planned: the run code at each candidate address is
 // decoded lazily, per MatchUnit call, into one stream shared by every
 // section and fixpoint pass, because run-pre's safety rests on reading the
@@ -78,15 +82,21 @@ using PatchRedirect =
     std::function<std::optional<std::pair<uint32_t, uint32_t>>(
         const std::string& unit, const std::string& symbol)>;
 
+// One pre relocation site: the relocation and its symbol's plan slot.
+struct PlannedReloc {
+  const kelf::Relocation* rel = nullptr;
+  uint32_t slot = 0;
+};
+
 // One pre section as the verifier reads it.
 struct PlannedSection {
   const kelf::Section* section = nullptr;  // in the plan's object
-  std::string symbol;                      // defining symbol
+  uint32_t slot = 0;                       // defining symbol's slot
   // Matching strategy selector: kNone = text (instruction-wise), anything
   // else is a howto table (entry-structural or content-ignoring).
   kelf::Howto howto = kelf::Howto::kNone;
   // Relocation at each field offset.
-  std::map<uint32_t, const kelf::Relocation*> reloc_at;
+  std::map<uint32_t, PlannedReloc> reloc_at;
 
   // Text sections only: the decode. One non-nop instruction record.
   struct Rec {
@@ -110,6 +120,9 @@ struct PlannedSection {
 struct MatchPlan {
   const kelf::ObjectFile* object = nullptr;
   std::vector<PlannedSection> sections;  // run-pre sections, object order
+  // The name of each slot: every section symbol and relocation target the
+  // plan references, once each.
+  std::vector<std::string> slot_names;
 
   // Decodes every text section of `pre` and indexes its relocations. The
   // decode is charged once, here: to `stats` (pre_bytes_canonicalized)

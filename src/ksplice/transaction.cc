@@ -1,6 +1,7 @@
 #include "ksplice/transaction.h"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <iterator>
 #include <set>
@@ -41,7 +42,7 @@ ks::Result<std::vector<uint32_t>> ReadHookTable(
 // Each stage's report name (StageTiming::stage, the failed_stage
 // annotation) and its trace span, indexed by TxnStage. Spans are static
 // strings because TraceSpan keeps a const char*; the stage's wall-time
-// histogram is the span name plus "_ns".
+// histogram is the span name plus "_ns" (StageHistogram).
 struct StageNames {
   TxnStage stage;
   const char* name;
@@ -70,6 +71,20 @@ const StageNames& NamesOf(TxnStage stage) {
   return kStageNames[static_cast<size_t>(stage)];
 }
 
+// The stage's wall-time histogram, looked up by name once and registered
+// on the stage's first run.
+ks::Histogram& StageHistogram(TxnStage stage) {
+  static std::atomic<ks::Histogram*> cached[std::size(kStageNames)];
+  std::atomic<ks::Histogram*>& slot = cached[static_cast<size_t>(stage)];
+  ks::Histogram* histogram = slot.load(std::memory_order_acquire);
+  if (histogram == nullptr) {
+    histogram = &ks::Metrics().GetHistogram(
+        std::string(NamesOf(stage).span) + "_ns");
+    slot.store(histogram, std::memory_order_release);
+  }
+  return *histogram;
+}
+
 }  // namespace
 
 UpdateTransaction::UpdateTransaction(KspliceCore* core,
@@ -85,9 +100,7 @@ ks::Status UpdateTransaction::RunStage(TxnStage stage,
   StageTiming timing;
   timing.stage = names.name;
   timing.wall_ns = ks::NowNs() - begin;
-  ks::Metrics()
-      .GetHistogram(std::string(names.span) + "_ns")
-      .Observe(timing.wall_ns);
+  StageHistogram(stage).Observe(timing.wall_ns);
   batch_.stages.push_back(std::move(timing));
   return status;
 }
@@ -102,11 +115,9 @@ ks::Status UpdateTransaction::Prepare(
   std::map<std::pair<std::string, std::string>, std::string> targets;
   for (const PackagePlan* plan : plans) {
     const UpdatePackage& package = *plan->package;
-    for (const AppliedUpdate& existing : core_->applied()) {
-      if (existing.id == package.id) {
-        return ks::AlreadyExists(ks::StrPrintf(
-            "update %s is already applied", package.id.c_str()));
-      }
+    if (core_->IsApplied(package.id)) {
+      return ks::AlreadyExists(ks::StrPrintf("update %s is already applied",
+                                             package.id.c_str()));
     }
     if (!ids.insert(package.id).second) {
       return ks::InvalidArgument(ks::StrPrintf(
@@ -290,16 +301,16 @@ ks::Status UpdateTransaction::Load() {
       // The replacement: the primary module's copy of the symbol,
       // identified by name + unit + module address range.
       bool found = false;
-      for (const kelf::LinkedSymbol& sym :
-           machine_->SymbolsNamed(target.symbol)) {
-        if (sym.unit == target.unit && sym.address >= primary_info->base &&
-            sym.address < primary_info->base + primary_info->size) {
-          fn.repl_address = sym.address;
-          fn.repl_size = sym.size;
-          found = true;
-          break;
-        }
-      }
+      machine_->VisitSymbolsNamed(
+          target.symbol, [&](const kelf::LinkedSymbol& sym) {
+            if (!found && sym.unit == target.unit &&
+                sym.address >= primary_info->base &&
+                sym.address < primary_info->base + primary_info->size) {
+              fn.repl_address = sym.address;
+              fn.repl_size = sym.size;
+              found = true;
+            }
+          });
       if (!found) {
         return fail(ks::Internal(ks::StrPrintf(
             "replacement symbol %s missing from primary module",

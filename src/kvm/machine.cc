@@ -4,15 +4,18 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <iterator>
+#include <numeric>
 #include <utility>
 
 #include "base/endian.h"
 #include "base/faultinject.h"
+#include "base/hash.h"
 #include "base/logging.h"
 #include "base/metrics.h"
 #include "base/strings.h"
@@ -28,6 +31,11 @@ constexpr uint32_t kDefaultStackBytes = 8192;
 
 uint32_t AlignUp(uint32_t value, uint32_t align) {
   return (value + align - 1) & ~(align - 1);
+}
+
+ks::Gauge& ArenaBytesGauge() {
+  static ks::Gauge& gauge = ks::Metrics().GetGauge("kvm.module_arena_bytes");
+  return gauge;
 }
 
 }  // namespace
@@ -86,8 +94,58 @@ Machine::Machine(const MachineConfig& config) : config_(config) {}
 
 Machine::~Machine() { StopCpus(); }
 
+SymbolTable::SymbolTable(std::vector<kelf::LinkedSymbol> symbols)
+    : symbols_(std::move(symbols)), by_name_(symbols_.size()) {
+  std::iota(by_name_.begin(), by_name_.end(), 0u);
+  std::stable_sort(by_name_.begin(), by_name_.end(),
+                   [this](uint32_t a, uint32_t b) {
+                     return symbols_[a].name < symbols_[b].name;
+                   });
+  // A power of two at least twice the entries (so twice the names): short
+  // linear probes.
+  buckets_.resize(std::bit_ceil(2 * by_name_.size() + 1));
+  const size_t mask = buckets_.size() - 1;
+  for (uint32_t begin = 0, end = 0; begin < by_name_.size(); begin = end) {
+    const std::string& name = symbols_[by_name_[begin]].name;
+    for (end = begin + 1;
+         end < by_name_.size() && symbols_[by_name_[end]].name == name;
+         ++end) {
+    }
+    size_t at = Hash(name) & mask;
+    while (buckets_[at].begin != buckets_[at].end) {
+      at = (at + 1) & mask;
+    }
+    buckets_[at] = Bucket{begin, end};
+  }
+}
+
+uint32_t SymbolTable::Hash(std::string_view name) {
+  return ks::Fnv1a32(name);
+}
+
+std::span<const uint32_t> SymbolTable::Named(std::string_view name,
+                                             uint32_t hash) const {
+  const size_t mask = buckets_.size() - 1;
+  for (size_t at = hash & mask; buckets_[at].begin != buckets_[at].end;
+       at = (at + 1) & mask) {
+    const Bucket& bucket = buckets_[at];
+    if (symbols_[by_name_[bucket.begin]].name == name) {
+      return std::span<const uint32_t>(by_name_).subspan(
+          bucket.begin, bucket.end - bucket.begin);
+    }
+  }
+  return {};
+}
+
 ks::Result<std::unique_ptr<Machine>> Machine::Boot(
     const kelf::LinkedImage& image, const MachineConfig& config) {
+  return Boot(image, std::make_shared<const SymbolTable>(image.symbols),
+              config);
+}
+
+ks::Result<std::unique_ptr<Machine>> Machine::Boot(
+    const kelf::LinkedImage& image, std::shared_ptr<const SymbolTable> symbols,
+    const MachineConfig& config) {
   ks::TraceSpan span("kvm.boot");
   if (config.kernel_base < kGuardPage) {
     return ks::InvalidArgument("kernel base inside the guard page");
@@ -108,10 +166,7 @@ ks::Result<std::unique_ptr<Machine>> Machine::Boot(
             machine->memory_.data() + config.kernel_base);
   machine->kernel_end_ = image.end();
 
-  machine->kallsyms_ = image.symbols;
-  for (size_t i = 0; i < machine->kallsyms_.size(); ++i) {
-    machine->symbol_index_.emplace(machine->kallsyms_[i].name, i);
-  }
+  machine->kernel_symbols_ = std::move(symbols);
   machine->RegisterHowtoRegions(image.placements, /*module_id=*/-1);
 
   // Memory map after the kernel: module arena, heap, then stacks from the
@@ -141,7 +196,9 @@ ks::Result<std::unique_ptr<Machine>> Machine::Boot(
   if (!image.ok()) {
     return ks::Status(image.status()).WithContext("booting kernel");
   }
-  return Boot(*image, config);
+  auto symbols =
+      std::make_shared<const SymbolTable>(std::move(image->symbols));
+  return Boot(*image, std::move(symbols), config);
 }
 
 // ---------------------------------------------------------------------------
@@ -224,30 +281,49 @@ ks::Status Machine::WriteBytes(uint32_t addr,
 
 std::vector<kelf::LinkedSymbol> Machine::Kallsyms() const {
   std::unique_lock<std::recursive_mutex> lock(mu_);
-  return kallsyms_;
+  std::vector<kelf::LinkedSymbol> table = kernel_symbols_->symbols();
+  for (const ModuleSymbol& entry : module_symbols_) {
+    table.push_back(entry.symbol);
+  }
+  return table;
 }
 
 std::vector<kelf::LinkedSymbol> Machine::SymbolsNamed(
-    const std::string& name) const {
-  std::unique_lock<std::recursive_mutex> lock(mu_);
+    std::string_view name) const {
   std::vector<kelf::LinkedSymbol> out;
-  auto [begin, end] = symbol_index_.equal_range(name);
-  for (auto it = begin; it != end; ++it) {
-    out.push_back(kallsyms_[it->second]);
-  }
+  VisitSymbolsNamed(name, [&out](const kelf::LinkedSymbol& sym) {
+    out.push_back(sym);
+  });
   return out;
 }
 
-ks::Result<uint32_t> Machine::GlobalSymbol(const std::string& name) const {
+void Machine::VisitSymbolsNamed(
+    std::string_view name,
+    const std::function<void(const kelf::LinkedSymbol&)>& fn) const {
   std::unique_lock<std::recursive_mutex> lock(mu_);
-  auto [begin, end] = symbol_index_.equal_range(name);
-  for (auto it = begin; it != end; ++it) {
-    if (kallsyms_[it->second].binding == kelf::SymbolBinding::kGlobal) {
-      return kallsyms_[it->second].address;
+  const uint32_t hash = SymbolTable::Hash(name);
+  for (uint32_t index : kernel_symbols_->Named(name, hash)) {
+    fn(kernel_symbols_->symbols()[index]);
+  }
+  for (const ModuleSymbol& entry : module_symbols_) {
+    if (entry.hash == hash && entry.symbol.name == name) {
+      fn(entry.symbol);
     }
   }
-  return ks::NotFound(
-      ks::StrPrintf("no exported symbol '%s'", name.c_str()));
+}
+
+ks::Result<uint32_t> Machine::GlobalSymbol(std::string_view name) const {
+  std::optional<uint32_t> global;
+  VisitSymbolsNamed(name, [&global](const kelf::LinkedSymbol& sym) {
+    if (!global.has_value() && sym.binding == kelf::SymbolBinding::kGlobal) {
+      global = sym.address;
+    }
+  });
+  if (global.has_value()) {
+    return *global;
+  }
+  return ks::NotFound(ks::StrPrintf("no exported symbol '%s'",
+                                    std::string(name).c_str()));
 }
 
 // ---------------------------------------------------------------------------
@@ -291,15 +367,11 @@ ks::Result<ModuleHandle> Machine::LoadModule(
   // Reject modules that redefine exported globals.
   for (const kelf::ObjectFile& obj : objects) {
     for (const kelf::Symbol& sym : obj.symbols()) {
-      if (sym.defined() && sym.binding == kelf::SymbolBinding::kGlobal) {
-        auto [begin, end] = symbol_index_.equal_range(sym.name);
-        for (auto it = begin; it != end; ++it) {
-          if (kallsyms_[it->second].binding == kelf::SymbolBinding::kGlobal) {
-            return ks::AlreadyExists(ks::StrPrintf(
-                "module %s redefines exported symbol '%s'", name.c_str(),
-                sym.name.c_str()));
-          }
-        }
+      if (sym.defined() && sym.binding == kelf::SymbolBinding::kGlobal &&
+          GlobalSymbol(sym.name).ok()) {
+        return ks::AlreadyExists(ks::StrPrintf(
+            "module %s redefines exported symbol '%s'", name.c_str(),
+            sym.name.c_str()));
       }
     }
   }
@@ -353,13 +425,11 @@ ks::Result<ModuleHandle> Machine::LoadModule(
   module.size = static_cast<uint32_t>(image->bytes.size());
   module.placements = std::move(image->placements);
   module.imports.assign(imports.begin(), imports.end());
-  module.first_symbol = kallsyms_.size();
-  module.symbol_count = image->symbols.size();
-  for (kelf::LinkedSymbol& sym : image->symbols) {
-    symbol_index_.emplace(sym.name, kallsyms_.size());
-    kallsyms_.push_back(std::move(sym));
-  }
   ModuleHandle handle = AddModule(std::move(module));
+  for (kelf::LinkedSymbol& sym : image->symbols) {
+    const uint32_t hash = SymbolTable::Hash(sym.name);
+    module_symbols_.push_back(ModuleSymbol{hash, handle.id, std::move(sym)});
+  }
   RegisterHowtoRegions(modules_.at(handle.id).placements, handle.id);
   return handle;
 }
@@ -368,8 +438,7 @@ ModuleHandle Machine::AddModule(Module module) {
   ModuleHandle handle;
   handle.id = next_module_id_++;
   modules_.emplace(handle.id, std::move(module));
-  ks::Metrics().GetGauge("kvm.module_arena_bytes").Set(
-      ModuleArenaBytesInUse());
+  ArenaBytesGauge().Set(ModuleArenaBytesInUse());
   return handle;
 }
 
@@ -393,33 +462,11 @@ ks::Status Machine::UnloadModule(ModuleHandle handle) {
   ArenaFree(module.base);
   UnregisterHowtoRegions(handle.id);
 
-  // Drop the module's kallsyms range. Index entries of its own symbols are
-  // erased; those of symbols loaded after it shift down by its count. Both
-  // keep each name's entries in kallsyms order, as a full rebuild would.
-  const size_t first = module.first_symbol;
-  const size_t last = first + module.symbol_count;
-  auto find_entry = [this](size_t index) {
-    auto [begin, end] = symbol_index_.equal_range(kallsyms_[index].name);
-    return std::find_if(begin, end, [index](const auto& entry) {
-      return entry.second == index;
-    });
-  };
-  for (size_t i = first; i < last; ++i) {
-    symbol_index_.erase(find_entry(i));
-  }
-  for (size_t i = last; i < kallsyms_.size(); ++i) {
-    find_entry(i)->second -= module.symbol_count;
-  }
-  kallsyms_.erase(kallsyms_.begin() + static_cast<long>(first),
-                  kallsyms_.begin() + static_cast<long>(last));
-  for (auto& [id, other] : modules_) {
-    if (other.first_symbol > first) {
-      other.first_symbol -= module.symbol_count;
-    }
-  }
+  std::erase_if(module_symbols_, [&handle](const ModuleSymbol& entry) {
+    return entry.module_id == handle.id;
+  });
   modules_.erase(handle.id);
-  ks::Metrics().GetGauge("kvm.module_arena_bytes").Set(
-      ModuleArenaBytesInUse());
+  ArenaBytesGauge().Set(ModuleArenaBytesInUse());
   return ks::OkStatus();
 }
 
@@ -478,8 +525,6 @@ ks::Result<ModuleHandle> Machine::LoadBlob(const std::string& name,
   module.group = group;
   module.base = base;
   module.size = size;
-  module.first_symbol = kallsyms_.size();
-  module.symbol_count = 0;
   return AddModule(std::move(module));
 }
 

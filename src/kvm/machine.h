@@ -3,7 +3,10 @@
 // A Machine is a flat little-endian memory image executing KVX code, plus
 // the kernel facilities Ksplice interacts with:
 //
-//  - a kallsyms-style symbol table (locals included, names may collide);
+//  - a kallsyms-style symbol table (locals included, names may collide):
+//    the kernel's part is one immutable SymbolTable shared by every machine
+//    booted from the same image, and each machine adds only a small overlay
+//    for the symbols of its loaded modules;
 //  - a module loader that links kelf objects against exported globals
 //    (Ksplice's helper and primary modules load through it, §5.1);
 //  - kernel threads with in-image stacks, round-robin scheduled with
@@ -37,7 +40,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <thread>
 #include <vector>
@@ -148,6 +153,33 @@ class GuestMemory {
   size_t mapped_bytes_ = 0;  // page-rounded size plus the guard page
 };
 
+// A kernel image's kallsyms table with a flat by-name index. Built once
+// per linked image and immutable after, so every machine booted from that
+// image shares one copy read-only, and a view into it needs no lock.
+class SymbolTable {
+ public:
+  explicit SymbolTable(std::vector<kelf::LinkedSymbol> symbols);
+
+  // Every symbol, in link order.
+  const std::vector<kelf::LinkedSymbol>& symbols() const { return symbols_; }
+  // Indices into symbols() of the entries named `name`, in link order.
+  // `hash` is Hash(name).
+  std::span<const uint32_t> Named(std::string_view name, uint32_t hash) const;
+  static uint32_t Hash(std::string_view name);
+
+ private:
+  std::vector<kelf::LinkedSymbol> symbols_;
+  // symbols_ indices grouped by name, in link order within a group.
+  std::vector<uint32_t> by_name_;
+  // Open-addressed name hash: each used bucket holds one name's
+  // [begin, end) in by_name_; an empty bucket has begin == end.
+  struct Bucket {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+  std::vector<Bucket> buckets_;
+};
+
 class Machine {
  public:
   // Boots a machine from a linked kernel image: maps demand-zero guest
@@ -160,6 +192,13 @@ class Machine {
   // ResourceExhausted if it does not fit or the memory cannot be mapped.
   static ks::Result<std::unique_ptr<Machine>> Boot(
       const kelf::LinkedImage& image, const MachineConfig& config);
+  // Boots with `symbols` as the kernel's symbol table instead of a private
+  // copy of image.symbols, which is not read: `symbols` must have been
+  // built from the same link. Every machine booted this way shares it.
+  static ks::Result<std::unique_ptr<Machine>> Boot(
+      const kelf::LinkedImage& image,
+      std::shared_ptr<const SymbolTable> symbols,
+      const MachineConfig& config);
   // Links `kernel_objects` at config.kernel_base, then boots the result.
   static ks::Result<std::unique_ptr<Machine>> Boot(
       std::vector<kelf::ObjectFile> kernel_objects,
@@ -181,12 +220,24 @@ class Machine {
   ks::Status WriteBytes(uint32_t addr, const std::vector<uint8_t>& bytes);
 
   // Symbols ----------------------------------------------------------------
-  // The kallsyms table: kernel symbols plus those of loaded modules.
+  // The kallsyms table: kernel symbols, then those of loaded modules in
+  // load order.
   std::vector<kelf::LinkedSymbol> Kallsyms() const;
-  // All addresses bound to `name` (locals from any unit included).
-  std::vector<kelf::LinkedSymbol> SymbolsNamed(const std::string& name) const;
+  // All addresses bound to `name` (locals from any unit included), in
+  // kallsyms order.
+  std::vector<kelf::LinkedSymbol> SymbolsNamed(std::string_view name) const;
+  // The same entries without a copy. `fn` runs under the machine lock and
+  // must not keep a reference to a module's symbol, which an unload frees.
+  void VisitSymbolsNamed(
+      std::string_view name,
+      const std::function<void(const kelf::LinkedSymbol&)>& fn) const;
   // The unique *global* symbol named `name`, as a module link would see it.
-  ks::Result<uint32_t> GlobalSymbol(const std::string& name) const;
+  ks::Result<uint32_t> GlobalSymbol(std::string_view name) const;
+  // The kernel's part of kallsyms, shared with every machine booted from
+  // the same table.
+  const std::shared_ptr<const SymbolTable>& kernel_symbols() const {
+    return kernel_symbols_;
+  }
 
   // Modules ----------------------------------------------------------------
   // Links `objects` against exported kernel symbols and loads the result
@@ -411,15 +462,20 @@ class Machine {
   uint32_t stack_cursor_ = 0;  // stacks grow downward from memory end
   uint32_t stack_limit_ = 0;
 
-  std::vector<kelf::LinkedSymbol> kallsyms_;
-  std::multimap<std::string, size_t> symbol_index_;
+  // kallsyms: the shared kernel table, then the overlay of loaded modules'
+  // symbols in load order, each tagged with its name's hash and owner.
+  std::shared_ptr<const SymbolTable> kernel_symbols_;
+  struct ModuleSymbol {
+    uint32_t hash = 0;
+    int module_id = -1;
+    kelf::LinkedSymbol symbol;
+  };
+  std::vector<ModuleSymbol> module_symbols_;
   struct Module {
     std::string name;
     std::string group;  // load-group tag ("" = ungrouped)
     uint32_t base = 0;
     uint32_t size = 0;
-    size_t first_symbol = 0;
-    size_t symbol_count = 0;
     std::vector<kelf::PlacedSection> placements;
     // name -> value of every external import the link resolved.
     std::vector<std::pair<std::string, uint32_t>> imports;

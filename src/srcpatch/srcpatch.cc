@@ -328,14 +328,19 @@ ks::Result<Report> SourceLevelApply(kvm::Machine& machine,
   ks::Status ambiguity = ks::OkStatus();
   auto resolver = [&machine, &ambiguity](
                       const std::string& name) -> std::optional<uint32_t> {
-    std::vector<kelf::LinkedSymbol> hits = machine.SymbolsNamed(name);
-    if (hits.size() == 1) {
-      return hits[0].address;
+    size_t hits = 0;
+    uint32_t address = 0;
+    machine.VisitSymbolsNamed(name, [&](const kelf::LinkedSymbol& sym) {
+      address = sym.address;
+      ++hits;
+    });
+    if (hits == 1) {
+      return address;
     }
-    if (hits.size() > 1 && ambiguity.ok()) {
+    if (hits > 1 && ambiguity.ok()) {
       ambiguity = ks::Aborted(ks::StrPrintf(
           "symbol '%s' appears %zu times in the symbol table",
-          name.c_str(), hits.size()));
+          name.c_str(), hits));
     }
     return std::nullopt;
   };
@@ -365,18 +370,18 @@ ks::Result<Report> SourceLevelApply(kvm::Machine& machine,
     uint32_t old_size = 0;
     uint32_t new_addr = 0;
     int old_count = 0;
-    for (const kelf::LinkedSymbol& sym :
-         machine.SymbolsNamed(candidate.symbol)) {
-      bool in_module = sym.address >= info->base &&
-                       sym.address < info->base + info->size;
-      if (in_module && sym.unit == candidate.unit) {
-        new_addr = sym.address;
-      } else if (!in_module && sym.kind == kelf::SymbolKind::kFunction) {
-        old_addr = sym.address;
-        old_size = sym.size;
-        ++old_count;
-      }
-    }
+    machine.VisitSymbolsNamed(
+        candidate.symbol, [&](const kelf::LinkedSymbol& sym) {
+          bool in_module = sym.address >= info->base &&
+                           sym.address < info->base + info->size;
+          if (in_module && sym.unit == candidate.unit) {
+            new_addr = sym.address;
+          } else if (!in_module && sym.kind == kelf::SymbolKind::kFunction) {
+            old_addr = sym.address;
+            old_size = sym.size;
+            ++old_count;
+          }
+        });
     if (old_count != 1 || new_addr == 0 ||
         old_size < kvx::kTrampolineSize) {
       (void)machine.UnloadModule(*handle);

@@ -387,6 +387,67 @@ TEST_P(TamperSweep, CorruptedRunCodeAbortsApply) {
 
 INSTANTIATE_TEST_SUITE_P(All64, TamperSweep, ::testing::Range(0, 64));
 
+// The slot matcher (each symbol interned into a plan slot and looked up
+// once per match) against the linear oracle (MatcherOptions::decode_once
+// = false), on every helper unit of every corpus package and every
+// release: same decision, same symbol_values and sections, and the same
+// refusal text. Releases 1-4 each edit one unit, so units built from the
+// pristine tree are refused as stale on the release that edits them.
+TEST(CorpusRunPre, SlotMatcherAgreesWithLinearOracle) {
+  std::vector<std::unique_ptr<kvm::Machine>> releases;
+  for (size_t i = 0; i < KernelVersions().size(); ++i) {
+    ks::Result<std::unique_ptr<kvm::Machine>> machine =
+        BootKernelVersion(i, 4u << 20);
+    ASSERT_TRUE(machine.ok()) << machine.status().ToString();
+    releases.push_back(std::move(machine).value());
+  }
+  auto sections = [](const ksplice::UnitMatch& match) {
+    std::vector<std::tuple<std::string, std::string, std::string, uint32_t,
+                           uint32_t>>
+        flat;
+    for (const auto& [key, section] : match.sections) {
+      flat.emplace_back(key, section.name, section.symbol,
+                        section.run_address, section.run_size);
+    }
+    return flat;
+  };
+  size_t matched = 0;
+  size_t refused = 0;
+  for (const Vulnerability& vuln : Vulnerabilities()) {
+    SCOPED_TRACE(vuln.cve);
+    ks::Result<std::string> patch =
+        vuln.needs_custom_code ? AmendedPatchFor(vuln) : PatchFor(vuln);
+    ASSERT_TRUE(patch.ok());
+    ksplice::CreateOptions options;
+    options.compile = RunBuildOptions();
+    options.id = vuln.cve;
+    ks::Result<ksplice::CreateResult> created =
+        ksplice::CreateUpdate(KernelSource(), *patch, options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    for (size_t release = 0; release < releases.size(); ++release) {
+      SCOPED_TRACE("release " + std::to_string(release));
+      ksplice::RunPreMatcher slots(*releases[release]);
+      ksplice::RunPreMatcher linear(*releases[release], nullptr,
+                                    {.decode_once = false});
+      for (const kelf::ObjectFile& unit : created->package.helper_objects) {
+        ks::Result<ksplice::UnitMatch> got = slots.MatchUnit(unit);
+        ks::Result<ksplice::UnitMatch> want = linear.MatchUnit(unit);
+        ASSERT_EQ(got.ok(), want.ok()) << unit.source_name();
+        if (!got.ok()) {
+          EXPECT_EQ(got.status().ToString(), want.status().ToString());
+          ++refused;
+          continue;
+        }
+        EXPECT_EQ(got->symbol_values, want->symbol_values);
+        EXPECT_EQ(sections(*got), sections(*want));
+        ++matched;
+      }
+    }
+  }
+  EXPECT_GT(matched, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
 // Howto acceptance (§4.3 special sections): CVE-2005-4605's fix deletes
 // the secret_peek branch ahead of proc_read_mem's faulting load, so the
 // function's exception-table entry moves — the pre and run tables differ

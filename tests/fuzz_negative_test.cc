@@ -380,7 +380,7 @@ TEST(FuzzHowto, HowtoTagOnTextSectionRejected) {
 
 TEST(FuzzPackage, GarbageAndEmptyInputsRejected) {
   EXPECT_FALSE(ksplice::UpdatePackage::Parse({}).ok());
-  EXPECT_FALSE(kelf::ObjectFile::Parse({}).ok());
+  EXPECT_FALSE(kelf::ObjectFile::Parse(std::vector<uint8_t>{}).ok());
 
   std::vector<uint8_t> garbage(256);
   for (size_t i = 0; i < garbage.size(); ++i) {

@@ -122,7 +122,7 @@ TEST(ObjectFileTest, SerializeParseRoundTrip) {
 }
 
 TEST(ObjectFileTest, ParseRejectsGarbage) {
-  EXPECT_FALSE(ObjectFile::Parse({1, 2, 3}).ok());
+  EXPECT_FALSE(ObjectFile::Parse(std::vector<uint8_t>{1, 2, 3}).ok());
   std::vector<uint8_t> truncated = MakeSimpleObject().Serialize();
   truncated.resize(truncated.size() / 2);
   EXPECT_FALSE(ObjectFile::Parse(truncated).ok());

@@ -1162,6 +1162,114 @@ int churn_entry(int x) { return kernel_add(helper(x)); }
   EXPECT_EQ(info->name, "resident");
 }
 
+// Everything a machine answers about symbols: its kallsyms table, and for
+// each of `names` the SymbolsNamed entries and the GlobalSymbol value.
+std::vector<std::string> SymbolAnswers(const Machine& machine,
+                                       const std::set<std::string>& names) {
+  auto format = [](const kelf::LinkedSymbol& sym) {
+    return ks::StrPrintf("%s %08x %u %d %d %s", sym.name.c_str(), sym.address,
+                         sym.size, static_cast<int>(sym.binding),
+                         static_cast<int>(sym.kind), sym.unit.c_str());
+  };
+  std::vector<std::string> answers;
+  for (const kelf::LinkedSymbol& sym : machine.Kallsyms()) {
+    answers.push_back("kallsyms " + format(sym));
+  }
+  for (const std::string& name : names) {
+    for (const kelf::LinkedSymbol& sym : machine.SymbolsNamed(name)) {
+      answers.push_back("named " + format(sym));
+    }
+    ks::Result<uint32_t> global = machine.GlobalSymbol(name);
+    answers.push_back(ks::StrPrintf(
+        "global %s %s", name.c_str(),
+        global.ok() ? ks::Hex32(*global).c_str() : "none"));
+  }
+  return answers;
+}
+
+// Every node of one release boots with the release's one symbol table.
+// Module loads and unloads on one node (out of order, with names that
+// collide with kernel symbols) edit only that node's overlay: its sibling
+// and a machine booted with a private table answer exactly as before, and
+// both agree throughout.
+TEST(MachineBootTest, ReleaseSymbolTableIsSharedModulesStayPerMachine) {
+  ks::Result<std::unique_ptr<Machine>> first =
+      corpus::BootKernelVersion(0, 4u << 20);
+  ks::Result<std::unique_ptr<Machine>> second =
+      corpus::BootKernelVersion(0, 4u << 20);
+  ks::Result<std::unique_ptr<Machine>> other_release =
+      corpus::BootKernelVersion(1, 4u << 20);
+  ASSERT_TRUE(first.ok() && second.ok() && other_release.ok());
+  Machine& node = **first;
+  const Machine& sibling = **second;
+  EXPECT_EQ(node.kernel_symbols(), sibling.kernel_symbols());
+  EXPECT_NE(node.kernel_symbols(), (*other_release)->kernel_symbols());
+
+  ks::Result<std::vector<kelf::ObjectFile>> objects =
+      kcc::BuildTree(corpus::KernelSource(), corpus::RunBuildOptions());
+  ASSERT_TRUE(objects.ok()) << objects.status().ToString();
+  MachineConfig config;
+  config.memory_bytes = 4u << 20;
+  ks::Result<std::unique_ptr<Machine>> booted =
+      Machine::Boot(std::move(objects).value(), config);
+  ASSERT_TRUE(booted.ok()) << booted.status().ToString();
+  const Machine& private_table = **booted;
+  EXPECT_NE(private_table.kernel_symbols(), sibling.kernel_symbols());
+
+  // Each module has a global of its own, a local `fpu_read` colliding with
+  // the kernel's global, and a local `helper` colliding with the others'.
+  auto module_source = [](const std::string& tag) {
+    return "extern int fpu_state[4];\n"
+           "static int helper(int x) { return x + " +
+           std::to_string(tag.size()) +
+           "; }\n"
+           "static int fpu_read(int reg) { return fpu_state[reg]; }\n"
+           "int " + tag + "_entry(int x) { return helper(fpu_read(x)); }\n";
+  };
+  std::set<std::string> names = {"fpu_read", "fpu_state", "helper",
+                                 "kernel_init"};
+  for (const char* tag : {"alpha", "beta", "gamma", "delta"}) {
+    names.insert(std::string(tag) + "_entry");
+  }
+  const std::vector<std::string> expected = SymbolAnswers(sibling, names);
+  ASSERT_EQ(SymbolAnswers(private_table, names), expected);
+
+  std::map<std::string, ModuleHandle> loaded;
+  auto check = [&] {
+    ExpectIndexMatchesKallsyms(node, names);
+    EXPECT_EQ(SymbolAnswers(sibling, names), expected);
+    EXPECT_EQ(SymbolAnswers(private_table, names), expected);
+  };
+  auto load = [&](const std::string& tag) {
+    std::vector<kelf::ObjectFile> module =
+        BuildModule(tag, module_source(tag));
+    ASSERT_FALSE(module.empty());
+    ks::Result<ModuleHandle> handle = node.LoadModule(module, tag);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    loaded[tag] = *handle;
+    check();
+  };
+  auto unload = [&](const std::string& tag) {
+    ASSERT_TRUE(node.UnloadModule(loaded.at(tag)).ok()) << tag;
+    loaded.erase(tag);
+    check();
+  };
+
+  ASSERT_NO_FATAL_FAILURE(load("alpha"));
+  ASSERT_NO_FATAL_FAILURE(load("beta"));
+  ASSERT_NO_FATAL_FAILURE(load("gamma"));
+  EXPECT_EQ(node.SymbolsNamed("fpu_read").size(), 4u);
+  EXPECT_EQ(node.SymbolsNamed("helper").size(),
+            sibling.SymbolsNamed("helper").size() + 3);
+  EXPECT_EQ(*node.GlobalSymbol("fpu_read"), *sibling.GlobalSymbol("fpu_read"));
+  ASSERT_NO_FATAL_FAILURE(unload("beta"));  // middle of the overlay
+  ASSERT_NO_FATAL_FAILURE(load("delta"));
+  ASSERT_NO_FATAL_FAILURE(unload("alpha"));  // first module
+  ASSERT_NO_FATAL_FAILURE(unload("delta"));  // last module
+  ASSERT_NO_FATAL_FAILURE(unload("gamma"));
+  EXPECT_EQ(SymbolAnswers(node, names), expected);
+}
+
 // A handle outlives its module: once unloaded it is refused with
 // FailedPrecondition by every call that takes a handle, and it never
 // names the module loaded after it. A handle that was never issued is
