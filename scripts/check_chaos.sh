@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja
 cmake --build build --target chaos_test watchdog_test
 
-FIXED_SEEDS="12648430 1 424242 987654321 281474976710655"
+FIXED_SEEDS="12648430 1 10 35 424242 987654321 281474976710655"
 FRESH_SEED=$(date +%s)
 for seed in $FIXED_SEEDS $FRESH_SEED; do
   echo "== chaos_test KSPLICE_CHAOS_SEED=$seed =="

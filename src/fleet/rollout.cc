@@ -1,6 +1,7 @@
 #include "fleet/rollout.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <optional>
@@ -19,6 +20,8 @@ namespace fleet {
 
 namespace {
 
+using Outcome = ksplice::RolloutNodeOutcome;
+
 // Deterministic per-node stream from (rollout seed, node index).
 uint64_t MixSeed(uint64_t seed, size_t index) {
   uint64_t state = seed ^ (0x632be59bd9b4e019ull + index);
@@ -34,6 +37,20 @@ struct NodeState {
   // Watchdog reverts from the node's post-apply soak; when the wave
   // trips, these name the packages the fleet blacklists.
   std::vector<ksplice::RevertReport> reverts;
+};
+
+// Node counts by final outcome: one tally behind both a wave's columns and
+// the rollout's totals.
+class OutcomeTally {
+ public:
+  void Add(Outcome outcome) { ++counts_[static_cast<size_t>(outcome)]; }
+  uint32_t operator[](Outcome outcome) const {
+    return counts_[static_cast<size_t>(outcome)];
+  }
+
+ private:
+  std::array<uint32_t, static_cast<size_t>(Outcome::kAutoReverted) + 1>
+      counts_{};
 };
 
 bool Contains(const std::vector<std::string>& haystack,
@@ -62,7 +79,7 @@ void ApplyOnNode(Fleet& fleet, size_t node,
     }
   }
   if (missing.empty()) {
-    state->report.outcome = ksplice::RolloutNodeOutcome::kAlreadyApplied;
+    state->report.outcome = Outcome::kAlreadyApplied;
     return;
   }
 
@@ -71,16 +88,15 @@ void ApplyOnNode(Fleet& fleet, size_t node,
   ks::Result<ksplice::BatchApplyReport> batch =
       core.ApplyAll(missing, options);
   if (!batch.ok()) {
-    state->report.outcome =
-        batch.status().code() == ks::ErrorCode::kAborted
-            ? ksplice::RolloutNodeOutcome::kSkippedStale
-            : ksplice::RolloutNodeOutcome::kFailed;
+    state->report.outcome = batch.status().code() == ks::ErrorCode::kAborted
+                                ? Outcome::kSkippedStale
+                                : Outcome::kFailed;
     state->report.error = batch.status().message();
     return;
   }
 
   state->report.attempts = batch->attempts;
-  state->report.quiescence_retries = batch->quiescence_retries;
+  state->report.quiescence_retries = batch->quiescence_retries();
   state->report.pause_ns = batch->pause_ns;
   state->report.functions_spliced = batch->functions_spliced;
   for (const ksplice::PackagePlan* prepared : missing) {
@@ -97,7 +113,7 @@ void ApplyOnNode(Fleet& fleet, size_t node,
       ks::Status spawned =
           machine->SpawnNamed(plan.soak_entry, plan.soak_arg).status();
       if (!spawned.ok()) {
-        state->report.outcome = ksplice::RolloutNodeOutcome::kFailed;
+        state->report.outcome = Outcome::kFailed;
         state->report.error = "soak workload: " + spawned.message();
         return;
       }
@@ -128,13 +144,12 @@ void ApplyOnNode(Fleet& fleet, size_t node,
         all_reverted = all_reverted && revert.reverted;
       }
       state->report.outcome =
-          all_reverted ? ksplice::RolloutNodeOutcome::kAutoReverted
-                       : ksplice::RolloutNodeOutcome::kFailed;
+          all_reverted ? Outcome::kAutoReverted : Outcome::kFailed;
       state->report.error = state->reverts.front().trigger.reason;
       return;
     }
   }
-  state->report.outcome = ksplice::RolloutNodeOutcome::kPatched;
+  state->report.outcome = Outcome::kPatched;
 }
 
 }  // namespace
@@ -262,30 +277,22 @@ ks::Result<ksplice::RolloutReport> RunRollout(
     wave.wave = static_cast<int>(w);
     wave.canary = is_canary;
     wave.nodes = static_cast<uint32_t>(end - begin);
+    OutcomeTally tally;
     for (size_t at = begin; at < end; ++at) {
       const ksplice::RolloutNodeReport& node = nodes[order[at]].report;
-      switch (node.outcome) {
-        case ksplice::RolloutNodeOutcome::kPatched:
-          ++wave.patched;
-          break;
-        case ksplice::RolloutNodeOutcome::kAlreadyApplied:
-          ++wave.already_applied;
-          break;
-        case ksplice::RolloutNodeOutcome::kSkippedStale:
-          ++wave.skipped_stale;
-          break;
-        case ksplice::RolloutNodeOutcome::kAutoReverted:
-          ++wave.auto_reverted;
-          break;
-        default:
-          ++wave.failed;
-          break;
-      }
+      tally.Add(node.outcome);
       wave.max_pause_ns = std::max(wave.max_pause_ns, node.pause_ns);
       if (node.pause_ns != 0) {
         pause_hist.Observe(node.pause_ns);
       }
     }
+    wave.patched = tally[Outcome::kPatched];
+    wave.already_applied = tally[Outcome::kAlreadyApplied];
+    wave.skipped_stale = tally[Outcome::kSkippedStale];
+    wave.auto_reverted = tally[Outcome::kAutoReverted];
+    // Anything else counts as failed.
+    wave.failed = wave.nodes - wave.patched - wave.already_applied -
+                  wave.skipped_stale - wave.auto_reverted;
     wave.wall_ns = ks::NowNs() - wave_begin_ns;
     // Auto-reverted nodes are regressions the safety net caught — they
     // feed the abort threshold exactly like hard failures.
@@ -355,45 +362,29 @@ ks::Result<ksplice::RolloutReport> RunRollout(
           break;
         }
       }
-      state.report.outcome =
-          undone ? ksplice::RolloutNodeOutcome::kRolledBack
-                 : ksplice::RolloutNodeOutcome::kFailed;
+      state.report.outcome = undone ? Outcome::kRolledBack : Outcome::kFailed;
     });
   }
 
   // Totals over final outcomes; percentiles over the observed stop
   // windows (patched and rolled-back nodes both paused once).
   std::vector<uint64_t> pauses;
+  OutcomeTally totals;
   for (NodeState& state : nodes) {
     const ksplice::RolloutNodeReport& node = state.report;
-    switch (node.outcome) {
-      case ksplice::RolloutNodeOutcome::kNotAttempted:
-        ++report.not_attempted;
-        break;
-      case ksplice::RolloutNodeOutcome::kAlreadyApplied:
-        ++report.already_applied;
-        break;
-      case ksplice::RolloutNodeOutcome::kPatched:
-        ++report.patched;
-        break;
-      case ksplice::RolloutNodeOutcome::kSkippedStale:
-        ++report.skipped_stale;
-        break;
-      case ksplice::RolloutNodeOutcome::kFailed:
-        ++report.failed;
-        break;
-      case ksplice::RolloutNodeOutcome::kRolledBack:
-        ++report.rolled_back;
-        break;
-      case ksplice::RolloutNodeOutcome::kAutoReverted:
-        ++report.auto_reverted;
-        break;
-    }
+    totals.Add(node.outcome);
     if (node.pause_ns != 0) {
       pauses.push_back(node.pause_ns);
     }
     report.nodes.push_back(std::move(state.report));
   }
+  report.not_attempted = totals[Outcome::kNotAttempted];
+  report.already_applied = totals[Outcome::kAlreadyApplied];
+  report.patched = totals[Outcome::kPatched];
+  report.skipped_stale = totals[Outcome::kSkippedStale];
+  report.failed = totals[Outcome::kFailed];
+  report.rolled_back = totals[Outcome::kRolledBack];
+  report.auto_reverted = totals[Outcome::kAutoReverted];
   if (!pauses.empty()) {
     std::sort(pauses.begin(), pauses.end());
     auto at = [&](double q) {

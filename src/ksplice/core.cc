@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "base/faultinject.h"
 #include "base/logging.h"
 #include "base/metrics.h"
 #include "base/strings.h"
@@ -217,54 +216,29 @@ ks::Result<UndoReport> KspliceCore::Undo(const std::string& id,
     ranges.emplace_back(fn.repl_address, fn.repl_address + fn.repl_size);
   }
 
-  RendezvousOutcome outcome;
   ks::Status stopped = RunRendezvous(
       *machine_, options, ranges,
       [&](kvm::Machine& m) -> ks::Status {
-        ks::Status hooks = RunHooks(update.hooks.reverse);
-        if (!hooks.ok()) {
-          // Re-establish what the reverse hooks that did run tore down;
-          // the update stays applied.
-          ks::ScopedFaultSuppression suppress;
-          RunHooksBestEffort(update.hooks.apply);
-          return hooks;
+        // Restore-or-abort: if a reverse hook or any restore fails, put
+        // the already-restored trampolines back and re-establish what the
+        // reverse hooks tore down — all inside this same stop window — so
+        // the machine leaves it either fully reversed or still fully
+        // patched, never a mix.
+        WindowWriteLog log(m, "ksplice.undo.restore");
+        ks::Status restored = RunHooks(update.hooks.reverse);
+        for (size_t i = 0; restored.ok() && i < restores.size(); ++i) {
+          restored =
+              log.Write(restores[i]->orig_address, restores[i]->saved_bytes);
         }
-        // Restore-or-abort: if any restore fails partway through, put the
-        // already-restored trampolines back — all inside this same stop
-        // window — so the machine leaves it either fully reversed or still
-        // fully patched, never a mix.
-        std::vector<std::pair<uint32_t, std::vector<uint8_t>>> undone;
-        for (const AppliedFunction* fn : restores) {
-          ks::Result<std::vector<uint8_t>> tramp = m.ReadBytes(
-              fn->orig_address,
-              static_cast<uint32_t>(fn->saved_bytes.size()));
-          ks::Status st = tramp.ok()
-                              ? ks::Faults().Check("ksplice.undo.restore")
-                              : ks::Status(tramp.status());
-          if (st.ok()) {
-            st = m.WriteBytes(fn->orig_address, fn->saved_bytes);
-          }
-          if (!st.ok()) {
-            ks::ScopedFaultSuppression suppress;
-            for (auto it = undone.rbegin(); it != undone.rend(); ++it) {
-              (void)m.WriteBytes(it->first, it->second);
-            }
-            RunHooksBestEffort(update.hooks.apply);
-            return st;
-          }
-          undone.emplace_back(fn->orig_address, std::move(tramp).value());
+        if (!restored.ok()) {
+          log.Unwind([&] { RunHooksBestEffort(update.hooks.apply); });
         }
-        return ks::OkStatus();
+        return restored;
       },
-      "undo", &outcome);
-  report.attempts = outcome.attempts;
-  report.retry_ticks = outcome.retry_ticks;
-  report.pause_ns = outcome.pause_ns;
-  report.blockers = outcome.blockers;
+      "undo", &report);
   if (!stopped.ok()) {
     return stopped.WithContext(ks::StrPrintf("undoing %s", id.c_str()));
   }
-  report.quiescence_retries = report.attempts - 1;
 
   // Past this point the undo is committed: the trampolines are gone, so
   // the update must leave the registry even if a cleanup hook complains
@@ -302,17 +276,11 @@ ks::Result<UndoReport> KspliceCore::Undo(const std::string& id,
       ks::Metrics().GetCounter("ksplice.out_of_order_undos");
   static ks::Counter& chain_rewrites =
       ks::Metrics().GetCounter("ksplice.chain_rewrites");
-  static ks::Counter& retries =
-      ks::Metrics().GetCounter("ksplice.quiescence_retries");
-  static ks::Histogram& pause =
-      ks::Metrics().GetHistogram("ksplice.stop_pause_ns");
   undos.Add(1);
   if (was_out_of_order) {
     ooo_undos.Add(1);
   }
   chain_rewrites.Add(report.chains_rewritten);
-  retries.Add(static_cast<uint64_t>(report.quiescence_retries));
-  pause.Observe(report.pause_ns);
   span.Annotate("functions",
                 static_cast<uint64_t>(report.functions_restored));
   span.Annotate("chains_rewritten",

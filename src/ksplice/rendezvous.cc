@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "base/faultinject.h"
 #include "base/hash.h"
 #include "base/logging.h"
 #include "base/metrics.h"
@@ -114,7 +115,7 @@ ks::Status RunRendezvous(
     kvm::Machine& machine, const RendezvousOptions& options,
     const std::vector<std::pair<uint32_t, uint32_t>>& ranges,
     const std::function<ks::Status(kvm::Machine&)>& body, const char* what,
-    RendezvousOutcome* outcome) {
+    StopWindow* window) {
   static ks::Counter& attempts_ctr =
       ks::Metrics().GetCounter("ksplice.rendezvous.attempts");
   static ks::Counter& retries_ctr =
@@ -129,11 +130,11 @@ ks::Status RunRendezvous(
   ks::TraceSpan span("ksplice.rendezvous");
   span.Annotate("what", what);
 
-  *outcome = RendezvousOutcome{};
+  *window = StopWindow{};
   uint64_t rng = options.backoff_seed ^ 0x243f6a8885a308d3u;
   int max_attempts = std::max(options.max_attempts, 1);
   for (int attempt = 1;; ++attempt) {
-    outcome->attempts = attempt;
+    window->attempts = attempt;
     attempts_ctr.Add(1);
     std::vector<QuiescenceBlocker> found;
     uint64_t stop_begin = ks::NowNs();
@@ -145,9 +146,17 @@ ks::Status RunRendezvous(
       return body(m);
     });
     if (stopped.ok()) {
-      outcome->pause_ns = ks::NowNs() - stop_begin;
+      window->pause_ns = ks::NowNs() - stop_begin;
+      // Registered by the first window that succeeds: a process whose
+      // every window failed publishes neither.
+      static ks::Counter& retries =
+          ks::Metrics().GetCounter("ksplice.quiescence_retries");
+      static ks::Histogram& pause =
+          ks::Metrics().GetHistogram("ksplice.stop_pause_ns");
+      retries.Add(static_cast<uint64_t>(window->quiescence_retries()));
+      pause.Observe(window->pause_ns);
       span.Annotate("attempts", static_cast<uint64_t>(attempt));
-      span.AddTicks(outcome->retry_ticks);
+      span.AddTicks(window->retry_ticks);
       return ks::OkStatus();
     }
     if (stopped.code() != ks::ErrorCode::kFailedPrecondition) {
@@ -155,20 +164,19 @@ ks::Status RunRendezvous(
       return stopped;
     }
     blocked_ctr.Add(found.size());
-    MergeBlockers(&outcome->blockers, found);
+    MergeBlockers(&window->blockers, found);
     bool over_deadline = options.deadline_ticks > 0 &&
-                         outcome->retry_ticks >= options.deadline_ticks;
+                         window->retry_ticks >= options.deadline_ticks;
     if (attempt >= max_attempts || over_deadline) {
-      outcome->deadline_exhausted = over_deadline;
       exhausted_ctr.Add(1);
       span.Annotate("exhausted", static_cast<uint64_t>(1));
       return ks::ResourceExhausted(ks::StrPrintf(
           "%s: patched code still in use after %d attempt%s (%llu backoff "
           "ticks%s): %s",
           what, attempt, attempt == 1 ? "" : "s",
-          static_cast<unsigned long long>(outcome->retry_ticks),
+          static_cast<unsigned long long>(window->retry_ticks),
           over_deadline ? ", deadline reached" : "",
-          DescribeBlockers(found.empty() ? outcome->blockers : found)
+          DescribeBlockers(found.empty() ? window->blockers : found)
               .c_str()));
     }
     uint64_t step = BackoffStep(options, attempt, &rng);
@@ -177,9 +185,32 @@ ks::Status RunRendezvous(
                    << " ticks";
     retries_ctr.Add(1);
     backoff_ctr.Add(step);
-    outcome->retry_ticks += step;
+    window->retry_ticks += step;
     (void)machine.Advance(step);
   }
+}
+
+ks::Status WindowWriteLog::Write(uint32_t address,
+                                 const std::vector<uint8_t>& bytes,
+                                 std::vector<uint8_t>* old) {
+  ks::Result<std::vector<uint8_t>> replaced = machine_.ReadBytes(
+      address, static_cast<uint32_t>(bytes.size()));
+  KS_RETURN_IF_ERROR(replaced.status());
+  KS_RETURN_IF_ERROR(ks::Faults().Check(fault_site_));
+  KS_RETURN_IF_ERROR(machine_.WriteBytes(address, bytes));
+  if (old != nullptr) {
+    *old = *replaced;
+  }
+  log_.emplace_back(address, std::move(replaced).value());
+  return ks::OkStatus();
+}
+
+void WindowWriteLog::Unwind(const std::function<void()>& compensate) {
+  ks::ScopedFaultSuppression suppress;
+  for (auto it = log_.rbegin(); it != log_.rend(); ++it) {
+    (void)machine_.WriteBytes(it->first, it->second);
+  }
+  compensate();
 }
 
 }  // namespace ksplice

@@ -12,11 +12,14 @@
 //
 // On exhaustion the caller gets ks::ResourceExhausted naming the threads
 // and PCs that blocked quiescence on the final attempt; the same blocker
-// records (union over every failed attempt) land in the outcome so
-// Apply/Undo reports can show an operator why an update would not land.
+// records (union over every failed attempt) land in the StopWindow
+// (report.h) that Apply/Undo reports share, so an operator can see why an
+// update would not land.
 //
 // Observability: "ksplice.rendezvous.*" metrics (attempts, retries,
-// backoff_ticks, blocked_threads, exhausted) and a trace span per call.
+// backoff_ticks, blocked_threads, exhausted) and a trace span per call;
+// each successful window adds to ksplice.quiescence_retries and
+// ksplice.stop_pause_ns, for apply and undo alike.
 
 #ifndef KSPLICE_KSPLICE_RENDEZVOUS_H_
 #define KSPLICE_KSPLICE_RENDEZVOUS_H_
@@ -55,20 +58,11 @@ std::vector<QuiescenceBlocker> ThreadsIn(
     const kvm::Machine& machine,
     const std::vector<std::pair<uint32_t, uint32_t>>& ranges);
 
-// What one rendezvous did, success or not.
-struct RendezvousOutcome {
-  int attempts = 0;           // stop windows opened (1 = first try worked)
-  uint64_t retry_ticks = 0;   // VM ticks advanced across backoff waits
-  uint64_t pause_ns = 0;      // wall time of the successful stop window
-  bool deadline_exhausted = false;  // gave up on the tick deadline
-  // Union of blockers over every failed attempt, deduped by (tid, pc).
-  std::vector<QuiescenceBlocker> blockers;
-};
-
 // Runs `body` under one stop_machine window once no live thread executes
 // (or would return into) `ranges`, retrying with backoff per `options`.
-// `what` names the operation for messages ("apply", "undo"). `outcome` is
-// always filled, including on failure. Returns:
+// `what` names the operation for messages ("apply", "undo"). `window` is
+// always filled, including on failure; a successful window is published
+// as ksplice.quiescence_retries and ksplice.stop_pause_ns. Returns:
 //  - ok: body ran and returned ok;
 //  - kResourceExhausted: quiescence was never reached within the attempt
 //    cap / tick deadline (message names a blocking thread + pc);
@@ -77,7 +71,32 @@ ks::Status RunRendezvous(
     kvm::Machine& machine, const RendezvousOptions& options,
     const std::vector<std::pair<uint32_t, uint32_t>>& ranges,
     const std::function<ks::Status(kvm::Machine&)>& body, const char* what,
-    RendezvousOutcome* outcome);
+    StopWindow* window);
+
+// The write log of one stop-window body, shared by apply (splice) and undo
+// (restore): all of the body's writes land, or none do. Write reads the
+// bytes it replaces, checks the caller's fault site, writes, and logs the
+// (address, old bytes) pair; Unwind writes the log back newest first.
+class WindowWriteLog {
+ public:
+  WindowWriteLog(kvm::Machine& machine, const char* fault_site)
+      : machine_(machine), fault_site_(fault_site) {}
+
+  // Replaces the bytes at `address` with `bytes`; on success `*old`, when
+  // given, holds the bytes that were there.
+  ks::Status Write(uint32_t address, const std::vector<uint8_t>& bytes,
+                   std::vector<uint8_t>* old = nullptr);
+
+  // Puts every logged write back, newest first, then runs the caller's
+  // hook compensation; both with fault injection suppressed, since the
+  // rollback promise is what the injected faults probe.
+  void Unwind(const std::function<void()>& compensate);
+
+ private:
+  kvm::Machine& machine_;
+  const char* fault_site_;
+  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> log_;
+};
 
 }  // namespace ksplice
 

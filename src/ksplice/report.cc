@@ -163,52 +163,51 @@ std::string StageTiming::ToJson() const {
       .EndObject().Take();
 }
 
-std::string ApplyReport::ToJson() const {
-  return ks::JsonWriter().BeginObject()
-      .Field("id", id)
-      .Field("functions", functions)
-      .Field("match", match)
-      .Field("attempts", attempts)
-      .Field("quiescence_retries", quiescence_retries)
+ks::JsonWriter& StopWindow::WriteJson(ks::JsonWriter& json) const {
+  return json.Field("attempts", attempts)
+      .Field("quiescence_retries", quiescence_retries())
       .Field("pause_ns", pause_ns)
       .Field("retry_ticks", retry_ticks)
+      .Field("blockers", blockers);
+}
+
+std::string ApplyReport::ToJson() const {
+  ks::JsonWriter json;
+  json.BeginObject()
+      .Field("id", id)
+      .Field("functions", functions)
+      .Field("match", match);
+  return WriteJson(json)
       .Field("helper_bytes", helper_bytes)
       .Field("primary_bytes", primary_bytes)
       .Field("trampoline_bytes", trampoline_bytes)
       .Field("helper_retained", helper_retained)
       .Field("stages", stages)
-      .Field("blockers", blockers)
       .EndObject().Take();
 }
 
 std::string BatchApplyReport::ToJson() const {
-  return ks::JsonWriter().BeginObject()
+  ks::JsonWriter json;
+  json.BeginObject()
       .Field("packages", packages)
-      .Field("updates", updates)
-      .Field("attempts", attempts)
-      .Field("quiescence_retries", quiescence_retries)
-      .Field("pause_ns", pause_ns)
-      .Field("retry_ticks", retry_ticks)
+      .Field("updates", updates);
+  return WriteJson(json)
       .Field("functions_spliced", functions_spliced)
       .Field("stages", stages)
-      .Field("blockers", blockers)
       .EndObject().Take();
 }
 
 std::string UndoReport::ToJson() const {
-  return ks::JsonWriter().BeginObject()
+  ks::JsonWriter json;
+  json.BeginObject()
       .Field("id", id)
-      .Field("functions_restored", functions_restored)
-      .Field("attempts", attempts)
-      .Field("quiescence_retries", quiescence_retries)
-      .Field("pause_ns", pause_ns)
-      .Field("retry_ticks", retry_ticks)
+      .Field("functions_restored", functions_restored);
+  return WriteJson(json)
       .Field("bytes_restored", bytes_restored)
       .Field("primary_bytes_reclaimed", primary_bytes_reclaimed)
       .Field("helper_bytes_reclaimed", helper_bytes_reclaimed)
       .Field("out_of_order", out_of_order)
       .Field("chains_rewritten", chains_rewritten)
-      .Field("blockers", blockers)
       .EndObject().Take();
 }
 

@@ -23,6 +23,10 @@
 #include <string>
 #include <vector>
 
+namespace ks {
+class JsonWriter;
+}  // namespace ks
+
 namespace ksplice {
 
 // Run-pre matching statistics for one MatchUnit call (§4.3's "passes over
@@ -209,15 +213,30 @@ struct StageTiming {
   std::string ToJson() const;
 };
 
-// What KspliceCore::Apply did. `id` doubles as the undo handle.
-struct ApplyReport {
+// What one stop_machine rendezvous did (§5.2), success or not: the record
+// apply, batch apply and undo share. RunRendezvous (rendezvous.h) fills
+// it; nothing else assigns its fields.
+struct StopWindow {
+  int attempts = 0;          // stop windows opened (1 = first try worked)
+  uint64_t pause_ns = 0;     // wall time of the successful stop window
+  uint64_t retry_ticks = 0;  // VM ticks advanced across backoff waits
+  // Threads that blocked quiescence, the union over every failed attempt
+  // deduplicated by thread and pc (shared across a batch).
+  std::vector<QuiescenceBlocker> blockers;
+
+  int quiescence_retries() const { return attempts > 0 ? attempts - 1 : 0; }
+
+  // Writes the window's fields (attempts, quiescence_retries, pause_ns,
+  // retry_ticks, blockers) into an open JSON object.
+  ks::JsonWriter& WriteJson(ks::JsonWriter& json) const;
+};
+
+// What KspliceCore::Apply did. `id` doubles as the undo handle. In a batch
+// the window is the batch's, copied into every member report.
+struct ApplyReport : StopWindow {
   std::string id;
   std::vector<SpliceRecord> functions;
   MatchStats match;              // aggregated run-pre stats (all units)
-  int attempts = 0;              // stop_machine attempts (1 = first try)
-  int quiescence_retries = 0;    // attempts - 1
-  uint64_t pause_ns = 0;         // wall time of the successful stop window
-  uint64_t retry_ticks = 0;      // VM ticks advanced while waiting to retry
   uint64_t helper_bytes = 0;     // helper image arena bytes
   uint32_t primary_bytes = 0;    // primary module arena bytes
   uint32_t trampoline_bytes = 0; // total bytes spliced over
@@ -226,38 +245,26 @@ struct ApplyReport {
   // batch the stages are shared, so every member report carries the same
   // timings.
   std::vector<StageTiming> stages;
-  // Threads that blocked quiescence on failed rendezvous attempts (shared
-  // across a batch, deduplicated by thread and pc).
-  std::vector<QuiescenceBlocker> blockers;
 
   std::string ToJson() const;
 };
 
 // What KspliceCore::ApplyAll did: one transaction over N packages with a
-// single shared rendezvous. The attempts/pause numbers are properties of
-// the batch, not of any one update.
-struct BatchApplyReport {
+// single shared rendezvous. The window is a property of the batch, not of
+// any one update.
+struct BatchApplyReport : StopWindow {
   uint32_t packages = 0;          // updates applied (== updates.size())
   std::vector<ApplyReport> updates;
-  int attempts = 0;               // shared stop_machine attempts
-  int quiescence_retries = 0;
-  uint64_t pause_ns = 0;          // the one combined stop window
-  uint64_t retry_ticks = 0;
   uint32_t functions_spliced = 0; // across all packages
   std::vector<StageTiming> stages;
-  std::vector<QuiescenceBlocker> blockers;  // see ApplyReport::blockers
 
   std::string ToJson() const;
 };
 
 // What KspliceCore::Undo did.
-struct UndoReport {
+struct UndoReport : StopWindow {
   std::string id;
   uint32_t functions_restored = 0;
-  int attempts = 0;
-  int quiescence_retries = 0;
-  uint64_t pause_ns = 0;
-  uint64_t retry_ticks = 0;
   uint32_t bytes_restored = 0;            // trampoline bytes put back
   uint32_t primary_bytes_reclaimed = 0;   // module arena bytes freed
   uint32_t helper_bytes_reclaimed = 0;    // 0 when already unloaded
@@ -265,7 +272,6 @@ struct UndoReport {
   // Newer updates whose stacked records were re-pointed at this update's
   // replaced code when it left the stack (0 for LIFO undo).
   uint32_t chains_rewritten = 0;
-  std::vector<QuiescenceBlocker> blockers;  // see ApplyReport::blockers
 
   std::string ToJson() const;
 };

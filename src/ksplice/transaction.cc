@@ -376,55 +376,34 @@ ks::Status UpdateTransaction::Rendezvous() {
     // reverse hooks of the packages whose apply hooks already ran —
     // all inside this same stop window, so no thread ever observes the
     // partial state.
-    std::vector<std::pair<uint32_t, std::vector<uint8_t>>> written;
+    WindowWriteLog log(m, "ksplice.txn.splice");
     size_t hooked = 0;
-    auto unwind = [&]() {
-      // Unwinding must not itself be fault-injected: the rollback promise
-      // is what the injected faults are probing.
-      ks::ScopedFaultSuppression suppress;
-      for (auto it = written.rbegin(); it != written.rend(); ++it) {
-        (void)m.WriteBytes(it->first, it->second);
+    auto splice = [&]() -> ks::Status {
+      for (Staged& staged : staged_) {
+        KS_RETURN_IF_ERROR(core_->RunHooks(staged.update.hooks.apply));
+        ++hooked;
+        for (AppliedFunction& fn : staged.update.functions) {
+          KS_RETURN_IF_ERROR(log.Write(
+              fn.orig_address,
+              kvx::EncodeTrampoline(fn.orig_address, fn.repl_address),
+              &fn.saved_bytes));
+        }
       }
-      for (size_t i = hooked; i-- > 0;) {
-        core_->RunHooksBestEffort(staged_[i].update.hooks.reverse);
-      }
+      return ks::OkStatus();
     };
-    for (Staged& staged : staged_) {
-      ks::Status hooks = core_->RunHooks(staged.update.hooks.apply);
-      if (!hooks.ok()) {
-        unwind();
-        return hooks;
-      }
-      ++hooked;
-      for (AppliedFunction& fn : staged.update.functions) {
-        ks::Result<std::vector<uint8_t>> saved =
-            m.ReadBytes(fn.orig_address, kvx::kTrampolineSize);
-        ks::Status st = saved.ok() ? ks::Faults().Check("ksplice.txn.splice")
-                                   : ks::Status(saved.status());
-        if (st.ok()) {
-          fn.saved_bytes = *saved;
-          st = m.WriteBytes(fn.orig_address, kvx::EncodeTrampoline(
-                                                 fn.orig_address,
-                                                 fn.repl_address));
+    ks::Status spliced = splice();
+    if (!spliced.ok()) {
+      log.Unwind([&] {
+        for (size_t i = hooked; i-- > 0;) {
+          core_->RunHooksBestEffort(staged_[i].update.hooks.reverse);
         }
-        if (!st.ok()) {
-          unwind();
-          return st;
-        }
-        written.emplace_back(fn.orig_address, fn.saved_bytes);
-      }
+      });
     }
-    return ks::OkStatus();
+    return spliced;
   };
 
-  RendezvousOutcome outcome;
-  ks::Status stopped =
-      RunRendezvous(*machine_, options_.rendezvous, ranges, body, "apply",
-                    &outcome);
-  batch_.attempts = outcome.attempts;
-  batch_.retry_ticks = outcome.retry_ticks;
-  batch_.pause_ns = outcome.pause_ns;
-  batch_.blockers = outcome.blockers;
+  ks::Status stopped = RunRendezvous(*machine_, options_.rendezvous, ranges,
+                                     body, "apply", &batch_);
   if (!stopped.ok()) {
     if (staged_.size() == 1) {
       return stopped.WithContext(
@@ -433,7 +412,6 @@ ks::Status UpdateTransaction::Rendezvous() {
     return stopped.WithContext(
         ks::StrPrintf("applying %zu packages", staged_.size()));
   }
-  batch_.quiescence_retries = batch_.attempts - 1;
   return ks::OkStatus();
 }
 
@@ -461,11 +439,7 @@ ks::Status UpdateTransaction::Commit() {
     }
 
     ApplyReport& report = staged.report;
-    report.attempts = batch_.attempts;
-    report.quiescence_retries = batch_.quiescence_retries;
-    report.pause_ns = batch_.pause_ns;
-    report.retry_ticks = batch_.retry_ticks;
-    report.blockers = batch_.blockers;
+    static_cast<StopWindow&>(report) = batch_;
     for (const AppliedFunction& fn : staged.update.functions) {
       SpliceRecord record;
       record.unit = fn.unit;
@@ -496,12 +470,6 @@ ks::Status UpdateTransaction::Commit() {
     KS_LOG(kInfo) << "applied " << staged.plan->package->id << " ("
                   << function_count << " functions)";
   }
-  static ks::Counter& retries =
-      ks::Metrics().GetCounter("ksplice.quiescence_retries");
-  static ks::Histogram& pause =
-      ks::Metrics().GetHistogram("ksplice.stop_pause_ns");
-  retries.Add(static_cast<uint64_t>(batch_.quiescence_retries));
-  pause.Observe(batch_.pause_ns);
   return first_error;
 }
 

@@ -175,12 +175,11 @@ ks::Result<std::unique_ptr<Machine>> Machine::Boot(
   uint32_t remaining = config.memory_bytes - cursor;
   uint32_t arena_size = remaining / 4;
   uint32_t heap_size = remaining / 4;
-  machine->arena_base_ = cursor;
-  machine->arena_cursor_ = cursor;
-  machine->arena_limit_ = cursor + arena_size;
-  machine->heap_base_ = machine->arena_limit_;
-  machine->heap_limit_ = machine->heap_base_ + heap_size;
-  machine->stack_limit_ = machine->heap_limit_;
+  machine->arena_.cursor = cursor;
+  machine->arena_.limit = cursor + arena_size;
+  machine->heap_.cursor = machine->arena_.limit;
+  machine->heap_.limit = machine->heap_.cursor + heap_size;
+  machine->stack_limit_ = machine->heap_.limit;
   machine->stack_cursor_ = config.memory_bytes;
   return machine;
 }
@@ -329,25 +328,35 @@ ks::Result<uint32_t> Machine::GlobalSymbol(std::string_view name) const {
 // ---------------------------------------------------------------------------
 // Modules
 
-ks::Result<uint32_t> Machine::ArenaAlloc(uint32_t size, uint32_t align) {
-  size = AlignUp(size, kPageAlign);
-  for (ArenaBlock& block : arena_blocks_) {
+ks::Result<uint32_t> Machine::TakeBlock(BlockList& list, uint32_t size,
+                                        uint32_t align, bool zero_reused,
+                                        const char* exhausted) {
+  for (Block& block : list.blocks) {
     if (block.free && block.size >= size) {
       block.free = false;
+      if (zero_reused) {
+        std::fill(memory_.data() + block.base,
+                  memory_.data() + block.base + block.size, 0);
+      }
       return block.base;
     }
   }
-  uint32_t base = AlignUp(arena_cursor_, align);
-  if (base + size > arena_limit_) {
-    return ks::ResourceExhausted("module arena exhausted");
+  uint32_t base = AlignUp(list.cursor, align);
+  if (base + size > list.limit) {
+    return ks::ResourceExhausted(exhausted);
   }
-  arena_cursor_ = base + size;
-  arena_blocks_.push_back(ArenaBlock{base, size, false});
+  list.cursor = base + size;
+  list.blocks.push_back(Block{base, size, false});
   return base;
 }
 
+ks::Result<uint32_t> Machine::ArenaAlloc(uint32_t size, uint32_t align) {
+  return TakeBlock(arena_, AlignUp(size, kPageAlign), align,
+                   /*zero_reused=*/false, "module arena exhausted");
+}
+
 void Machine::ArenaFree(uint32_t base) {
-  for (ArenaBlock& block : arena_blocks_) {
+  for (Block& block : arena_.blocks) {
     if (block.base == base) {
       block.free = true;
       // Poison so stale code faults loudly instead of executing.
@@ -664,7 +673,7 @@ ks::Result<uint32_t> Machine::CallFunction(uint32_t entry, uint32_t arg,
 uint32_t Machine::ModuleArenaBytesInUse() const {
   std::unique_lock<std::recursive_mutex> lock(mu_);
   uint32_t total = 0;
-  for (const ArenaBlock& block : arena_blocks_) {
+  for (const Block& block : arena_.blocks) {
     if (!block.free) {
       total += block.size;
     }
@@ -676,30 +685,12 @@ uint32_t Machine::ModuleArenaBytesInUse() const {
 // Heap
 
 ks::Result<uint32_t> Machine::HeapAlloc(uint32_t size) {
-  if (size == 0) {
-    size = 4;
-  }
-  size = AlignUp(size, 16);
-  for (ArenaBlock& block : heap_blocks_) {
-    if (block.free && block.size >= size) {
-      block.free = false;
-      std::fill(memory_.data() + block.base,
-                memory_.data() + block.base + block.size, 0);
-      return block.base;
-    }
-  }
-  uint32_t base = heap_blocks_.empty()
-                      ? heap_base_
-                      : heap_blocks_.back().base + heap_blocks_.back().size;
-  if (base + size > heap_limit_) {
-    return ks::ResourceExhausted("kernel heap exhausted");
-  }
-  heap_blocks_.push_back(ArenaBlock{base, size, false});
-  return base;
+  return TakeBlock(heap_, AlignUp(size == 0 ? 4 : size, 16), 1,
+                   /*zero_reused=*/true, "kernel heap exhausted");
 }
 
 ks::Status Machine::HeapFree(uint32_t addr) {
-  for (ArenaBlock& block : heap_blocks_) {
+  for (Block& block : heap_.blocks) {
     if (block.base == addr && !block.free) {
       block.free = true;
       return ks::OkStatus();

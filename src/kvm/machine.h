@@ -382,10 +382,18 @@ class Machine {
     std::string fault;
   };
 
-  struct ArenaBlock {
+  // First-fit blocks carved in order from [cursor, limit): a request
+  // reuses the first free block it fits in whole, else takes fresh space
+  // at the cursor. The module arena and the kernel heap are one each.
+  struct Block {
     uint32_t base = 0;
     uint32_t size = 0;
     bool free = false;
+  };
+  struct BlockList {
+    uint32_t cursor = 0;
+    uint32_t limit = 0;
+    std::vector<Block> blocks;
   };
 
   // Internal (lock already held) ------------------------------------------
@@ -397,6 +405,11 @@ class Machine {
   ks::Result<uint32_t> ReadWordLocked(uint32_t addr) const;
   ks::Status WriteWordLocked(uint32_t addr, uint32_t value);
 
+  // Takes `size` bytes from `list`, zeroing a reused block when
+  // `zero_reused`; `exhausted` is the error text when the range is full.
+  ks::Result<uint32_t> TakeBlock(BlockList& list, uint32_t size,
+                                 uint32_t align, bool zero_reused,
+                                 const char* exhausted);
   ks::Result<uint32_t> ArenaAlloc(uint32_t size, uint32_t align);
   void ArenaFree(uint32_t base);
 
@@ -452,13 +465,8 @@ class Machine {
 
   GuestMemory memory_;
   uint32_t kernel_end_ = 0;     // first address past the kernel image
-  uint32_t arena_base_ = 0;     // module arena start
-  uint32_t arena_cursor_ = 0;
-  uint32_t arena_limit_ = 0;
-  std::vector<ArenaBlock> arena_blocks_;
-  uint32_t heap_base_ = 0;
-  uint32_t heap_limit_ = 0;
-  std::vector<ArenaBlock> heap_blocks_;
+  BlockList arena_;  // module arena
+  BlockList heap_;   // kernel heap (kmalloc)
   uint32_t stack_cursor_ = 0;  // stacks grow downward from memory end
   uint32_t stack_limit_ = 0;
 

@@ -240,6 +240,19 @@ TEST(JsonWriterTest, NestedArraysAndReports) {
 }
 
 // The test checker itself must be strict, or an escaping bug slips through.
+TEST(JsonCheckerTest, ReadsTopLevelMembersBack) {
+  const std::string json =
+      "{\"n\": -2.5e1, \"inner\": {\"n\": 7}, \"list\": [[1, 2, 3], {}],"
+      " \"empty\": [], \"s\": \"n\"}";
+  EXPECT_EQ(test::JsonNumberAt(json, "n"), -25.0);
+  EXPECT_EQ(test::JsonArrayLengthAt(json, "list"), 2u);
+  EXPECT_EQ(test::JsonArrayLengthAt(json, "empty"), 0u);
+  EXPECT_EQ(test::JsonNumberAt(json, "s"), std::nullopt);
+  EXPECT_EQ(test::JsonNumberAt(json, "missing"), std::nullopt);
+  EXPECT_EQ(test::JsonArrayLengthAt(json, "n"), std::nullopt);
+  EXPECT_EQ(test::JsonNumberAt("{\"n\": 1,}", "n"), std::nullopt);
+}
+
 TEST(JsonCheckerTest, RejectsWhatRfc8259Rejects) {
   EXPECT_TRUE(
       test::ValidJson("{\"a\":[1,-0.5,2e10,\"\\u00e9\\/\"],\"b\":null}"));

@@ -2,13 +2,16 @@
 // validate real syntax instead of grepping for braces. Strings may not hold
 // raw bytes below 0x20 and may use only the escapes \" \\ \/ \b \f \n \r \t
 // and \uXXXX; numbers follow the RFC grammar (no leading zeros, no bare
-// '.', no nan/inf).
+// '.', no nan/inf). JsonNumberAt and JsonArrayLengthAt read one member of
+// a top-level object back, so tests can round-trip values, not only syntax.
 
 #ifndef KSPLICE_TESTS_JSON_CHECKER_H_
 #define KSPLICE_TESTS_JSON_CHECKER_H_
 
 #include <cctype>
+#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 namespace ks::test {
@@ -26,6 +29,43 @@ class JsonChecker {
     SkipWs();
     return pos_ == text_.size();
   }
+
+  // The text of member `key` of a valid top-level object, or nullopt.
+  // Keys are compared as written (escapes are not decoded).
+  std::optional<std::string> Member(const std::string& key) {
+    if (!Valid()) {
+      return std::nullopt;
+    }
+    pos_ = 0;
+    SkipWs();
+    if (Peek() != '{') {
+      return std::nullopt;
+    }
+    ++pos_;  // '{'
+    SkipWs();
+    while (Peek() == '"') {
+      size_t name = pos_ + 1;
+      String();
+      bool match = text_.substr(name, pos_ - 1 - name) == key;
+      SkipWs();
+      ++pos_;  // ':'
+      SkipWs();
+      size_t value = pos_;
+      Value();
+      if (match) {
+        return text_.substr(value, pos_ - value);
+      }
+      SkipWs();
+      if (Peek() == ',') {
+        ++pos_;
+        SkipWs();
+      }
+    }
+    return std::nullopt;
+  }
+
+  // Elements of the outermost array the last Value() parsed.
+  size_t array_length() const { return array_length_; }
 
  private:
   bool Value() {
@@ -86,9 +126,10 @@ class JsonChecker {
     SkipWs();
     if (Peek() == ']') {
       ++pos_;
+      array_length_ = 0;
       return true;
     }
-    while (true) {
+    for (size_t length = 1;; ++length) {
       SkipWs();
       if (!Value()) {
         return false;
@@ -100,6 +141,7 @@ class JsonChecker {
       }
       if (Peek() == ']') {
         ++pos_;
+        array_length_ = length;  // after any nested array's own
         return true;
       }
       return false;
@@ -196,10 +238,37 @@ class JsonChecker {
 
   const std::string& text_;
   size_t pos_ = 0;
+  size_t array_length_ = 0;
 };
 
 inline bool ValidJson(const std::string& text) {
   return JsonChecker(text).Valid();
+}
+
+// The number at top-level member `key` of `text`, or nullopt when the
+// member is missing or not a number.
+inline std::optional<double> JsonNumberAt(const std::string& text,
+                                          const std::string& key) {
+  std::optional<std::string> member = JsonChecker(text).Member(key);
+  if (!member.has_value() ||
+      (!std::isdigit(static_cast<unsigned char>((*member)[0])) &&
+       (*member)[0] != '-')) {
+    return std::nullopt;
+  }
+  return std::strtod(member->c_str(), nullptr);
+}
+
+// The length of the array at top-level member `key` of `text`, or nullopt
+// when the member is missing or not an array.
+inline std::optional<size_t> JsonArrayLengthAt(const std::string& text,
+                                               const std::string& key) {
+  std::optional<std::string> member = JsonChecker(text).Member(key);
+  if (!member.has_value() || (*member)[0] != '[') {
+    return std::nullopt;
+  }
+  JsonChecker array(*member);
+  array.Valid();
+  return array.array_length();
 }
 
 }  // namespace ks::test

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "kcc/compile.h"
 #include "kdiff/diff.h"
 #include "ksplice/core.h"
 #include "ksplice/create.h"
 #include "kvm/machine.h"
+#include "json_checker.h"
 
 namespace ksplice {
 namespace {
@@ -90,10 +93,8 @@ int get_mode() {
       << "pre_reverse, reverse, post_reverse in order";
 }
 
-TEST(QuiescenceTest, ApplyRetriesUntilFunctionQuiesces) {
-  // A thread sleeps *inside* the patched function briefly; apply's retry
-  // loop must advance the machine and succeed automatically (§5.2's
-  // "tries again after a short delay").
+// A kernel whose busy_op sleeps mid-body, and an update that changes it.
+SourceTree BusyTree() {
   SourceTree tree;
   tree.Write("m.kc", R"(
 int busy_stat_a; int busy_stat_b; int busy_stat_c; int busy_stat_d;
@@ -108,19 +109,30 @@ void runner(int n) {
   record(1, busy_op(n));
 }
 )");
-  std::unique_ptr<kvm::Machine> machine = Boot(tree);
-  ASSERT_NE(machine, nullptr);
-  ASSERT_TRUE(machine->SpawnNamed("runner", 30'000).ok());
-  ASSERT_TRUE(machine->Run(5'000).ok());  // park inside busy_op's sleep
+  return tree;
+}
 
+ks::Result<CreateResult> CreateBusyUpdate(const SourceTree& tree) {
   SourceTree post = tree;
   std::string contents = *tree.Read("m.kc");
   contents.replace(contents.find("return 7;"), 9, "return 8;");
   post.Write("m.kc", contents);
   CreateOptions options;
   options.compile = Monolithic();
-  ks::Result<CreateResult> created =
-      CreateUpdate(tree, kdiff::MakeUnifiedDiff(tree, post), options);
+  return CreateUpdate(tree, kdiff::MakeUnifiedDiff(tree, post), options);
+}
+
+TEST(QuiescenceTest, ApplyRetriesUntilFunctionQuiesces) {
+  // A thread sleeps *inside* the patched function briefly; apply's retry
+  // loop must advance the machine and succeed automatically (§5.2's
+  // "tries again after a short delay").
+  SourceTree tree = BusyTree();
+  std::unique_ptr<kvm::Machine> machine = Boot(tree);
+  ASSERT_NE(machine, nullptr);
+  ASSERT_TRUE(machine->SpawnNamed("runner", 30'000).ok());
+  ASSERT_TRUE(machine->Run(5'000).ok());  // park inside busy_op's sleep
+
+  ks::Result<CreateResult> created = CreateBusyUpdate(tree);
   ASSERT_TRUE(created.ok());
 
   KspliceCore core(machine.get());
@@ -141,6 +153,65 @@ void runner(int n) {
   ASSERT_TRUE(machine->SpawnNamed("runner", 1).ok());
   ASSERT_TRUE(machine->RunToCompletion().ok());
   EXPECT_EQ(machine->RecordsWithKey(1).back(), 8u);
+}
+
+// The stop-window fields of `json` read back equal to `window`'s.
+void ExpectWindowInJson(const StopWindow& window, const std::string& json) {
+  EXPECT_EQ(ks::test::JsonNumberAt(json, "attempts"),
+            static_cast<double>(window.attempts))
+      << json;
+  EXPECT_EQ(ks::test::JsonNumberAt(json, "quiescence_retries"),
+            static_cast<double>(window.quiescence_retries()))
+      << json;
+  EXPECT_EQ(ks::test::JsonNumberAt(json, "pause_ns"),
+            static_cast<double>(window.pause_ns))
+      << json;
+  EXPECT_EQ(ks::test::JsonNumberAt(json, "retry_ticks"),
+            static_cast<double>(window.retry_ticks))
+      << json;
+  EXPECT_EQ(ks::test::JsonArrayLengthAt(json, "blockers"),
+            window.blockers.size())
+      << json;
+}
+
+// A batch apply and an undo that both had to wait for a sleeper: every
+// report's JSON carries the window it waited through, value for value.
+TEST(QuiescenceTest, RetriedWindowRoundTripsThroughReportJson) {
+  SourceTree tree = BusyTree();
+  std::unique_ptr<kvm::Machine> machine = Boot(tree);
+  ASSERT_NE(machine, nullptr);
+  ks::Result<CreateResult> created = CreateBusyUpdate(tree);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+
+  ASSERT_TRUE(machine->SpawnNamed("runner", 30'000).ok());
+  ASSERT_TRUE(machine->Run(5'000).ok());  // park inside busy_op's sleep
+  KspliceCore core(machine.get());
+  ApplyOptions options;
+  options.rendezvous.max_attempts = 10;
+  ks::Result<BatchApplyReport> batch =
+      core.ApplyAll(std::span(&created->package, 1), options);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_GE(batch->attempts, 2);
+  EXPECT_EQ(batch->quiescence_retries(), batch->attempts - 1);
+  EXPECT_GT(batch->retry_ticks, 0u);
+  EXPECT_FALSE(batch->blockers.empty());
+  ExpectWindowInJson(*batch, batch->ToJson());
+  ASSERT_EQ(batch->updates.size(), 1u);
+  const ApplyReport& applied = batch->updates[0];
+  EXPECT_EQ(applied.attempts, batch->attempts);
+  EXPECT_EQ(applied.blockers.size(), batch->blockers.size());
+  ExpectWindowInJson(applied, applied.ToJson());
+
+  // Now park a caller inside the replacement code: undo has to wait too.
+  ASSERT_TRUE(machine->RunToCompletion().ok());
+  ASSERT_TRUE(machine->SpawnNamed("runner", 30'000).ok());
+  ASSERT_TRUE(machine->Run(5'000).ok());
+  ks::Result<UndoReport> undone =
+      core.Undo(applied.id, options.rendezvous);
+  ASSERT_TRUE(undone.ok()) << undone.status().ToString();
+  ASSERT_GE(undone->attempts, 2);
+  EXPECT_FALSE(undone->blockers.empty());
+  ExpectWindowInJson(*undone, undone->ToJson());
 }
 
 TEST(SmpTest, ApplyWhileVirtualCpusChurn) {

@@ -9,6 +9,7 @@
 
 #include "base/faultinject.h"
 #include "base/metrics.h"
+#include "base/strings.h"
 #include "kcc/compile.h"
 #include "kdiff/diff.h"
 #include "ksplice/core.h"
@@ -397,6 +398,167 @@ TEST(TxnRollbackTest, PreApplyFailureCompensatesSideEffects) {
   EXPECT_EQ(*machine->ReadWord(state_addr), state_before);
   EXPECT_EQ(machine->ModuleArenaBytesInUse(), arena_before);
   EXPECT_EQ(machine->Kallsyms().size(), kallsyms_before);
+}
+
+// ------------------------------------------------- rollback in the window
+
+// Appends an apply hook and a reverse hook to `path` in `post`; each
+// records `key` (apply) or `key + 1` (reverse) when it runs.
+void AddHookPair(SourceTree* post, const std::string& path,
+                 const std::string& name, uint32_t key) {
+  std::string contents = *post->Read(path);
+  contents += ks::StrPrintf(
+      "void %s_apply_hook() {\n  record(%u, 1);\n}\n"
+      "void %s_reverse_hook() {\n  record(%u, 1);\n}\n"
+      "ksplice_apply(%s_apply_hook);\n"
+      "ksplice_reverse(%s_reverse_hook);\n",
+      name.c_str(), key, name.c_str(), key + 1, name.c_str(), name.c_str());
+  post->Write(path, contents);
+}
+
+// A splice that fails partway through the window undoes every trampoline
+// it wrote and runs the reverse hooks of exactly the packages whose apply
+// hooks ran, inside the same window. The batch splices four functions
+// (alpha_op and alpha_probe, beta_op, gamma_op) in package order, so
+// nth:k faults the k-th splice for every k.
+TEST(TxnRollbackTest, SpliceFailureInsideWindowUnwindsEveryWrite) {
+  ks::Faults().Reset();
+  SourceTree tree = TriKernel();
+  std::unique_ptr<kvm::Machine> machine = Boot(tree);
+  ASSERT_NE(machine, nullptr);
+
+  struct Edit {
+    const char* path;
+    const char* name;
+    const char* from;
+    const char* to;
+  };
+  const Edit edits[] = {
+      {"alpha.kc", "alpha", "int a = x + 1;", "int a = x + 10;"},
+      {"beta.kc", "beta", "int b = a + 5;", "int b = a + 50;"},
+      {"gamma.kc", "gamma", "int c = b - 2;", "int c = b - 20;"},
+  };
+  std::vector<UpdatePackage> packages;
+  std::vector<size_t> splices_before;  // splices of earlier packages
+  size_t splices = 0;
+  for (size_t p = 0; p < std::size(edits); ++p) {
+    SourceTree post;
+    EditTree(tree, edits[p].path, edits[p].from, edits[p].to, &post);
+    if (p == 0) {
+      SourceTree edited = post;
+      EditTree(edited, "alpha.kc", "record(11, alpha_op(x));",
+               "record(11, alpha_op(x) + 1);", &post);
+    }
+    AddHookPair(&post, edits[p].path, edits[p].name,
+                static_cast<uint32_t>(100 + 10 * p));
+    ks::Result<CreateResult> created =
+        Create(tree, kdiff::MakeUnifiedDiff(tree, post),
+               std::string("window-") + edits[p].name);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    splices_before.push_back(splices);
+    splices += created->package.targets.size();
+    packages.push_back(created->package);
+  }
+  ASSERT_EQ(splices, 4u);
+
+  std::vector<uint8_t> boot = KernelImage(*machine);
+  uint32_t arena_before = machine->ModuleArenaBytesInUse();
+  KspliceCore core(machine.get());
+  for (size_t k = 1; k <= splices; ++k) {
+    SCOPED_TRACE("ksplice.txn.splice=nth:" + std::to_string(k));
+    std::vector<size_t> applied_before, reversed_before;
+    for (size_t p = 0; p < packages.size(); ++p) {
+      uint32_t key = static_cast<uint32_t>(100 + 10 * p);
+      applied_before.push_back(machine->RecordsWithKey(key).size());
+      reversed_before.push_back(machine->RecordsWithKey(key + 1).size());
+    }
+    {
+      ks::ScopedFaultPlan plan;
+      ASSERT_TRUE(
+          plan.Arm("ksplice.txn.splice=nth:" + std::to_string(k)).ok());
+      ks::Result<BatchApplyReport> batch = core.ApplyAll(packages);
+      ASSERT_FALSE(batch.ok());
+      EXPECT_NE(batch.status().message().find("ksplice.txn.splice"),
+                std::string::npos)
+          << batch.status().ToString();
+    }
+    EXPECT_EQ(KernelImage(*machine), boot);
+    EXPECT_TRUE(core.applied().empty());
+    EXPECT_EQ(machine->ModuleArenaBytesInUse(), arena_before);
+    for (size_t p = 0; p < packages.size(); ++p) {
+      uint32_t key = static_cast<uint32_t>(100 + 10 * p);
+      // Package p's apply hooks ran iff its splices start before the
+      // faulted one.
+      size_t ran = splices_before[p] < k ? 1 : 0;
+      EXPECT_EQ(machine->RecordsWithKey(key).size() - applied_before[p], ran)
+          << packages[p].id;
+      EXPECT_EQ(machine->RecordsWithKey(key + 1).size() - reversed_before[p],
+                ran)
+          << packages[p].id;
+    }
+  }
+
+  // The unwound machine still takes the whole batch.
+  ks::Result<BatchApplyReport> batch = core.ApplyAll(packages);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->functions_spliced, splices);
+  ASSERT_TRUE(core.UndoAll().ok());
+  EXPECT_EQ(KernelImage(*machine), boot);
+}
+
+// An undo whose k-th restore fails writes the earlier restores back and
+// re-runs the apply hooks inside the window: the update stays fully
+// applied, and a clean undo afterwards returns the boot image.
+TEST(TxnRollbackTest, RestoreFailureInsideWindowKeepsUpdateApplied) {
+  ks::Faults().Reset();
+  SourceTree tree = TriKernel();
+  std::unique_ptr<kvm::Machine> machine = Boot(tree);
+  ASSERT_NE(machine, nullptr);
+  const uint32_t before_alpha = Probe(*machine, "alpha_probe", 1, 11);
+  const uint32_t before_beta = Probe(*machine, "beta_probe", 1, 22);
+  const uint32_t before_gamma = Probe(*machine, "gamma_probe", 1, 33);
+  std::vector<uint8_t> boot = KernelImage(*machine);
+
+  SourceTree post;
+  EditTree(tree, "alpha.kc", "int a = x + 1;", "int a = x + 10;", &post);
+  SourceTree step = post;
+  EditTree(step, "beta.kc", "int b = a + 5;", "int b = a + 50;", &post);
+  step = post;
+  EditTree(step, "gamma.kc", "int c = b - 2;", "int c = b - 20;", &post);
+  ks::Result<CreateResult> created =
+      Create(tree, kdiff::MakeUnifiedDiff(tree, post), "window-undo");
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  const size_t restores = created->package.targets.size();
+  ASSERT_EQ(restores, 3u);
+
+  KspliceCore core(machine.get());
+  for (size_t k = 1; k <= restores; ++k) {
+    SCOPED_TRACE("ksplice.undo.restore=nth:" + std::to_string(k));
+    ASSERT_TRUE(core.Apply(created->package).ok());
+    std::vector<uint8_t> patched = KernelImage(*machine);
+    const uint32_t alpha = Probe(*machine, "alpha_probe", 1, 11);
+    const uint32_t beta = Probe(*machine, "beta_probe", 1, 22);
+    const uint32_t gamma = Probe(*machine, "gamma_probe", 1, 33);
+    EXPECT_NE(alpha, before_alpha);
+    EXPECT_NE(beta, before_beta);
+    EXPECT_NE(gamma, before_gamma);
+    {
+      ks::ScopedFaultPlan plan;
+      ASSERT_TRUE(
+          plan.Arm("ksplice.undo.restore=nth:" + std::to_string(k)).ok());
+      EXPECT_FALSE(core.Undo("window-undo").ok());
+    }
+    EXPECT_TRUE(core.IsApplied("window-undo"));
+    EXPECT_EQ(KernelImage(*machine), patched);
+    EXPECT_EQ(Probe(*machine, "alpha_probe", 1, 11), alpha);
+    EXPECT_EQ(Probe(*machine, "beta_probe", 1, 22), beta);
+    EXPECT_EQ(Probe(*machine, "gamma_probe", 1, 33), gamma);
+
+    ks::Result<UndoReport> undone = core.Undo("window-undo");
+    ASSERT_TRUE(undone.ok()) << undone.status().ToString();
+    EXPECT_EQ(undone->functions_restored, restores);
+    EXPECT_EQ(KernelImage(*machine), boot);
+  }
 }
 
 // ------------------------------------------------------ out-of-order undo

@@ -340,7 +340,7 @@ TEST(ReportTest, FullCyclePopulatesCreateApplyUndoReports) {
   EXPECT_EQ(applied->functions[0].symbol, "check_access");
   EXPECT_GT(applied->functions[0].trampoline_bytes, 0u);
   EXPECT_GE(applied->attempts, 1);
-  EXPECT_EQ(applied->quiescence_retries, applied->attempts - 1);
+  EXPECT_EQ(applied->quiescence_retries(), applied->attempts - 1);
   EXPECT_GT(applied->trampoline_bytes, 0u);
   EXPECT_GT(applied->primary_bytes, 0u);
   EXPECT_GT(applied->helper_bytes, 0u);

@@ -110,6 +110,19 @@ ks::Result<kdiff::SourceTree> LoadTree(const std::string& dir) {
   return tree;
 }
 
+// Reads and parses the package file at `path`. A parse error is prefixed
+// with `context` when one is given; a read error names the path already.
+ks::Result<ksplice::UpdatePackage> ReadPackage(
+    const std::string& path, const std::string& context = "") {
+  KS_ASSIGN_OR_RETURN(std::string raw, ReadFile(path));
+  ks::Result<ksplice::UpdatePackage> package = ksplice::UpdatePackage::Parse(
+      std::vector<uint8_t>(raw.begin(), raw.end()));
+  if (!package.ok() && !context.empty()) {
+    return ks::Status(package.status()).WithContext(context);
+  }
+  return package;
+}
+
 int Fail(const ks::Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
@@ -538,14 +551,18 @@ void PrintLintReport(const ksplice::LintReport& report) {
   }
 }
 
+// "<pause> ms pause (<n> attempt(s), <n - 1> quiescence retries)".
+std::string WindowText(const ksplice::StopWindow& window) {
+  return ks::StrPrintf("%.3f ms pause (%d attempt(s), %d quiescence retr%s)",
+                       static_cast<double>(window.pause_ns) / 1e6,
+                       window.attempts, window.quiescence_retries(),
+                       window.quiescence_retries() == 1 ? "y" : "ies");
+}
+
 void PrintApplyReport(const ksplice::ApplyReport& report) {
-  std::printf(
-      "applied %s: %zu function(s) spliced in %.3f ms pause "
-      "(%d attempt(s), %d quiescence retr%s)\n",
-      report.id.c_str(), report.functions.size(),
-      static_cast<double>(report.pause_ns) / 1e6, report.attempts,
-      report.quiescence_retries,
-      report.quiescence_retries == 1 ? "y" : "ies");
+  std::printf("applied %s: %zu function(s) spliced in %s\n",
+              report.id.c_str(), report.functions.size(),
+              WindowText(report).c_str());
   std::printf(
       "  run-pre: %llu candidate(s), %llu byte(s) matched, %llu "
       "relocation inversions\n",
@@ -569,11 +586,8 @@ void PrintApplyReport(const ksplice::ApplyReport& report) {
 void PrintBatchApplyReport(const ksplice::BatchApplyReport& report) {
   std::printf(
       "applied %u package(s) in one rendezvous: %u function(s) spliced in "
-      "%.3f ms pause (%d attempt(s), %d quiescence retr%s)\n",
-      report.packages, report.functions_spliced,
-      static_cast<double>(report.pause_ns) / 1e6, report.attempts,
-      report.quiescence_retries,
-      report.quiescence_retries == 1 ? "y" : "ies");
+      "%s\n",
+      report.packages, report.functions_spliced, WindowText(report).c_str());
   std::printf("  stages:");
   for (const ksplice::StageTiming& stage : report.stages) {
     std::printf(" %s %.3fms", stage.stage.c_str(),
@@ -689,6 +703,21 @@ int CmdBuild(const std::vector<std::string>& args) {
 
 // --------------------------------------------------------------- create
 
+// Reads --lint=off|warn|error (create, rollout) into *mode, leaving it as
+// is when the flag is absent. Returns the usage exit code for any other
+// value, else 0.
+int ParseLintFlag(ksplice::LintMode* mode) {
+  const std::string& v = g_cmd.lint_mode;
+  if (v == "off" || v == "warn" || v == "error") {
+    *mode = v == "off"    ? ksplice::LintMode::kOff
+            : v == "warn" ? ksplice::LintMode::kWarn
+                          : ksplice::LintMode::kError;
+  } else if (!v.empty()) {
+    return UsageError("--lint=" + v + " is not off, warn or error");
+  }
+  return 0;
+}
+
 int CmdCreate(const std::vector<std::string>& args) {
   const std::string& out_path = args[2];
   ks::Result<kdiff::SourceTree> tree = LoadTree(args[0]);
@@ -701,17 +730,8 @@ int CmdCreate(const std::vector<std::string>& args) {
   }
   ksplice::CreateOptions options;
   options.compile = DefaultBuild();
-  if (!g_cmd.lint_mode.empty()) {
-    if (g_cmd.lint_mode == "off") {
-      options.lint = ksplice::LintMode::kOff;
-    } else if (g_cmd.lint_mode == "warn") {
-      options.lint = ksplice::LintMode::kWarn;
-    } else if (g_cmd.lint_mode == "error") {
-      options.lint = ksplice::LintMode::kError;
-    } else {
-      return UsageError("--lint=" + g_cmd.lint_mode +
-                        " is not off, warn or error");
-    }
+  if (int rc = ParseLintFlag(&options.lint); rc != 0) {
+    return rc;
   }
   ks::Result<ksplice::CreateResult> created =
       ksplice::CreateUpdate(*tree, *patch, options);
@@ -752,12 +772,7 @@ int CmdLint(const std::vector<std::string>& args) {
     return UsageError("--fail-on=" + g_cmd.fail_on +
                       " is not note, warning or error");
   }
-  ks::Result<std::string> raw = ReadFile(args[0]);
-  if (!raw.ok()) {
-    return Fail(raw.status());
-  }
-  ks::Result<ksplice::UpdatePackage> pkg = ksplice::UpdatePackage::Parse(
-      std::vector<uint8_t>(raw->begin(), raw->end()));
+  ks::Result<ksplice::UpdatePackage> pkg = ReadPackage(args[0]);
   if (!pkg.ok()) {
     return Fail(pkg.status());
   }
@@ -784,12 +799,7 @@ int CmdLint(const std::vector<std::string>& args) {
 
 int CmdInspect(const std::vector<std::string>& args) {
   const std::string& pkg_path = args[0];
-  ks::Result<std::string> raw = ReadFile(pkg_path);
-  if (!raw.ok()) {
-    return Fail(raw.status());
-  }
-  ks::Result<ksplice::UpdatePackage> pkg = ksplice::UpdatePackage::Parse(
-      std::vector<uint8_t>(raw->begin(), raw->end()));
+  ks::Result<ksplice::UpdatePackage> pkg = ReadPackage(pkg_path);
   if (!pkg.ok()) {
     return Fail(pkg.status());
   }
@@ -909,14 +919,9 @@ ks::Result<std::vector<ksplice::UpdatePackage>> LoadPackages(
     const std::vector<std::string>& paths) {
   std::vector<ksplice::UpdatePackage> packages;
   for (const std::string& path : paths) {
-    KS_ASSIGN_OR_RETURN(std::string raw, ReadFile(path));
-    ks::Result<ksplice::UpdatePackage> package = ksplice::UpdatePackage::Parse(
-        std::vector<uint8_t>(raw.begin(), raw.end()));
-    if (!package.ok()) {
-      ks::Status status = package.status();
-      return status.WithContext("parsing " + path);
-    }
-    packages.push_back(std::move(package).value());
+    KS_ASSIGN_OR_RETURN(ksplice::UpdatePackage package,
+                        ReadPackage(path, "parsing " + path));
+    packages.push_back(std::move(package));
   }
   return packages;
 }
@@ -1071,9 +1076,9 @@ int CmdRollout(const std::vector<std::string>& args) {
   if (g_cmd.abort_frac < 0.0) {
     return UsageError("--abort-frac must not be negative");
   }
-  std::string lint_mode = g_cmd.lint_mode.empty() ? "error" : g_cmd.lint_mode;
-  if (lint_mode != "off" && lint_mode != "warn" && lint_mode != "error") {
-    return UsageError("--lint=" + lint_mode + " is not off, warn or error");
+  ksplice::LintMode lint_mode = ksplice::LintMode::kError;
+  if (int rc = ParseLintFlag(&lint_mode); rc != 0) {
+    return rc;
   }
   std::vector<std::string> cves;
   std::vector<std::string> package_paths;
@@ -1101,7 +1106,7 @@ int CmdRollout(const std::vector<std::string>& args) {
 
   // The gate: a package that static analysis can condemn must be refused
   // before any node is touched.
-  if (lint_mode != "off") {
+  if (lint_mode != ksplice::LintMode::kOff) {
     kanalyze::AnalyzeOptions lint_options;
     lint_options.cache = &ToolCache();
     for (const ksplice::UpdatePackage& pkg : *packages) {
@@ -1122,7 +1127,7 @@ int CmdRollout(const std::vector<std::string>& args) {
           std::fprintf(stderr, "  %s\n", finding.ToString().c_str());
         }
       }
-      if (lint_mode == "error") {
+      if (lint_mode == ksplice::LintMode::kError) {
         std::fprintf(stderr,
                      "rollout refused before touching any node "
                      "(--lint=warn to override)\n");
