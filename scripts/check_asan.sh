@@ -9,7 +9,9 @@
 # module symbol overlay; the srcpatch test looks symbols up through that
 # overlay while it loads and unloads its modules. The kelf,
 # summary and fuzz tests drive the shared byte codec (base/bytes.h), which
-# parses untrusted .kspl bytes.
+# parses untrusted .kspl bytes. The kcc, assembler and kcc property tests
+# drive the assembler's raw byte buffers: fixed bytes appended per section,
+# then spliced with relaxed branches, alignment fill and relocations.
 #
 # Guest memory is an anonymous mmap, not a heap allocation, so ASAN does
 # not instrument accesses to it: every guest access is bounds-checked by
@@ -21,12 +23,14 @@ cmake -B build-asan -G Ninja -DKSPLICE_SANITIZE="address;undefined"
 cmake --build build-asan --target ksplice_txn_test concurrency_test \
   ksplice_hooks_smp_test kanalyze_test fuzz_negative_test chaos_test \
   runpre_test runpre_index_test fleet_test howto_test watchdog_test \
-  kvm_test corpus_test kelf_test kanalyze_summary_test srcpatch_test
+  kvm_test corpus_test kelf_test kanalyze_summary_test srcpatch_test \
+  kcc_test kvx_asm_test kcc_exec_property_test
 for t in ksplice_txn_test concurrency_test ksplice_hooks_smp_test \
          kanalyze_test fuzz_negative_test chaos_test \
          runpre_test runpre_index_test fleet_test howto_test \
          watchdog_test kvm_test corpus_test kelf_test \
-         kanalyze_summary_test srcpatch_test; do
+         kanalyze_summary_test srcpatch_test kcc_test kvx_asm_test \
+         kcc_exec_property_test; do
   echo "== build-asan/tests/$t =="
   "./build-asan/tests/$t"
 done

@@ -13,6 +13,12 @@ namespace kcc {
 
 namespace {
 
+using kvx::Op;
+using Kind = kvx::Stmt::Kind;
+
+// Register operands.
+enum Reg : uint8_t { R0, R1, R2, R3, FP = kvx::kRegFp, SP = kvx::kRegSp };
+
 // ------------------------------------------------------------------------
 // Builtins lowered to SYS instructions (see kvx::Sys).
 
@@ -38,27 +44,15 @@ const std::map<std::string, Builtin>& Builtins() {
   return table;
 }
 
-std::string EscapeAsciz(std::string_view content) {
-  std::string escaped;
-  for (char c : content) {
-    switch (c) {
-      case '\n':
-        escaped += "\\n";
-        break;
-      case '\t':
-        escaped += "\\t";
-        break;
-      case '"':
-        escaped += "\\\"";
-        break;
-      case '\\':
-        escaped += "\\\\";
-        break;
-      default:
-        escaped += c;
-    }
+// Opens `symbol` in `segment` (a segment or section switch): the
+// statements that precede its data.
+void OpenData(std::vector<kvx::Stmt>& out, kvx::Stmt segment,
+              const std::string& symbol, bool global = false) {
+  out.push_back(std::move(segment));
+  if (global) {
+    out.emplace_back(Kind::kGlobal, symbol);
   }
-  return escaped;
+  out.emplace_back(Kind::kLabel, symbol);
 }
 
 // ------------------------------------------------------------------------
@@ -96,10 +90,11 @@ struct LocalInfo {
 
 class Codegen {
  public:
-  Codegen(const Unit& unit, const CodegenOptions& options)
-      : unit_(unit), options_(options) {}
+  Codegen(const Unit& unit, const CodegenOptions& options,
+          const StmtSink& sink)
+      : unit_(unit), options_(options), sink_(sink) {}
 
-  ks::Result<std::string> Run();
+  ks::Status Run();
 
   const std::set<std::string>& inlined_functions() const {
     return inlined_functions_;
@@ -119,10 +114,30 @@ class Codegen {
                                              line, message.c_str()));
   }
 
-  // Emission ------------------------------------------------------------
-  void Emit(const std::string& line) { body_ += "    " + line + "\n"; }
-  void EmitLabel(const std::string& label) { body_ += label + ":\n"; }
-  std::string NewLabel() { return ks::StrPrintf(".L%d", label_counter_++); }
+  // Emission: code goes to text_ ---------------------------------------
+  kvx::Stmt& Emit(Op op, uint8_t reg1 = 0, uint8_t reg2 = 0) {
+    kvx::Stmt& stmt = text_.emplace_back();
+    stmt.insn.op = op;
+    stmt.insn.reg1 = reg1;
+    stmt.insn.reg2 = reg2;
+    return stmt;
+  }
+  void EmitImm(Op op, uint8_t reg, int32_t imm) {
+    Emit(op, reg).insn.imm = static_cast<uint32_t>(imm);
+  }
+  // mov reg, =symbol
+  void EmitAddrOf(uint8_t reg, std::string symbol) {
+    Emit(Op::kMovRI, reg).name = std::move(symbol);
+  }
+  void EmitBranch(Op op, std::string target) {
+    kvx::Stmt& stmt = Emit(op);
+    stmt.kind = Kind::kBranch;
+    stmt.name = std::move(target);
+  }
+  void EmitLabel(std::string label) {
+    text_.emplace_back(Kind::kLabel, std::move(label));
+  }
+  std::string NewLabel() { return ".L" + std::to_string(label_counter_++); }
 
   // Functions -----------------------------------------------------------
   ks::Status EmitFunction(const FuncDecl& fn);
@@ -179,17 +194,20 @@ class Codegen {
 
   const Unit& unit_;
   CodegenOptions options_;
+  const StmtSink& sink_;
 
   std::map<std::string, StructLayout> structs_;
   std::map<std::string, GlobalInfo> globals_;
   std::map<std::string, int> static_ordinal_;  // per-name counter
 
-  std::string text_;  // emitted function text
-  std::string data_;  // emitted data directives
-  std::string hook_directives_;
-  std::string body_;  // current function body under construction
+  // Output in the order it is emitted: each function's text as soon as the
+  // function is complete, then static locals' data, other data and hook
+  // directives, which are buffered to the end.
+  std::vector<kvx::Stmt> text_;
+  std::vector<kvx::Stmt> static_data_;
+  std::vector<kvx::Stmt> data_;
+  std::vector<kvx::Stmt> hooks_;
   std::map<std::string, std::string> strings_;  // content -> symbol
-  std::set<std::string> emitted_strings_;
   // __DATE__/__TIME__ symbols; empty until first use. Hash-suffixed with
   // the unit name so every unit's build strings are distinct symbols (a
   // content-ignoring matcher could never disambiguate same-named ones).
@@ -204,7 +222,6 @@ class Codegen {
   std::vector<std::string> inline_stack_;  // functions being expanded
   std::string return_label_;
   TypeRef return_type_;
-  std::vector<std::string> deferred_static_data_;
   std::set<std::string> inlined_functions_;
 };
 
@@ -417,7 +434,7 @@ int Codegen::AllocSlot(int size) {
 // --------------------------------------------------------------------------
 // Functions
 
-ks::Result<std::string> Codegen::Run() {
+ks::Status Codegen::Run() {
   KS_RETURN_IF_ERROR(BuildStructTable());
   KS_RETURN_IF_ERROR(BuildSymbolTables());
 
@@ -428,17 +445,17 @@ ks::Result<std::string> Codegen::Run() {
                    ks::StrPrintf("ksplice_%s names undefined function '%s'",
                                  hook.kind.c_str(), hook.func.c_str()));
     }
-    hook_directives_ +=
-        ks::StrPrintf(".ksplice_%s %s\n", hook.kind.c_str(),
-                      hook.func.c_str());
+    hooks_.emplace_back(Kind::kHook, hook.func).args = {hook.kind};
   }
 
-  text_ += ".text\n";
+  text_.emplace_back(Kind::kText);
   for (const FuncDecl& fn : unit_.functions) {
     if (!fn.is_definition) {
       continue;
     }
     KS_RETURN_IF_ERROR(EmitFunction(fn));
+    sink_(text_);
+    text_.clear();
   }
 
   for (const GlobalDecl& decl : unit_.globals) {
@@ -451,34 +468,29 @@ ks::Result<std::string> Codegen::Run() {
     by_symbol[symbol] = content;
   }
   for (const auto& [symbol, content] : by_symbol) {
-    data_ += ".data\n";
-    data_ += symbol + ":\n";
-    data_ += "    .asciz \"" + EscapeAsciz(content) + "\"\n";
+    OpenData(data_, kvx::Stmt(Kind::kData), symbol);
+    data_.emplace_back(Kind::kAsciz, content);
   }
 
   // Build-timestamp strings, each in its own howto-tagged section.
   if (!date_symbol_.empty()) {
-    data_ += ".howto_section .rodata.date\n";
-    data_ += date_symbol_ + ":\n";
-    data_ += "    .asciz \"" + EscapeAsciz(options_.build_date) + "\"\n";
+    OpenData(data_, kvx::Stmt(Kind::kSection, ".rodata.date"), date_symbol_);
+    data_.emplace_back(Kind::kAsciz, options_.build_date);
   }
   if (!time_symbol_.empty()) {
-    data_ += ".howto_section .rodata.time\n";
-    data_ += time_symbol_ + ":\n";
-    data_ += "    .asciz \"" + EscapeAsciz(options_.build_time) + "\"\n";
+    OpenData(data_, kvx::Stmt(Kind::kSection, ".rodata.time"), time_symbol_);
+    data_.emplace_back(Kind::kAsciz, options_.build_time);
   }
 
-  std::string out = text_;
-  for (const std::string& chunk : deferred_static_data_) {
-    out += chunk;
+  for (const std::vector<kvx::Stmt>* part :
+       {&text_, &static_data_, &data_, &hooks_}) {
+    sink_(*part);
   }
-  out += data_;
-  out += hook_directives_;
-  return out;
+  return ks::OkStatus();
 }
 
 ks::Status Codegen::EmitFunction(const FuncDecl& fn) {
-  body_.clear();
+  size_t start = text_.size();
   frame_size_ = 0;
   scopes_.clear();
   loops_.clear();
@@ -504,23 +516,25 @@ ks::Status Codegen::EmitFunction(const FuncDecl& fn) {
   scopes_.push_back(std::move(param_scope));
 
   KS_RETURN_IF_ERROR(EmitStmt(*fn.body));
+  EmitLabel(return_label_);
+  Emit(Op::kMovRR, SP, FP);
+  Emit(Op::kPop, FP);
+  Emit(Op::kRet);
 
-  std::string out;
+  // The prologue needs the frame size, known only now: emit it last, then
+  // rotate it in front of the body.
+  size_t end = text_.size();
   if (!fn.is_static) {
-    out += ".global " + fn.name + "\n";
+    text_.emplace_back(Kind::kGlobal, fn.name);
   }
-  out += fn.name + ":\n";
-  out += "    push fp\n";
-  out += "    mov fp, sp\n";
+  EmitLabel(fn.name);
+  Emit(Op::kPush, FP);
+  Emit(Op::kMovRR, FP, SP);
   if (frame_size_ > 0) {
-    out += ks::StrPrintf("    sub sp, %d\n", frame_size_);
+    EmitImm(Op::kSubRI, SP, frame_size_);
   }
-  out += body_;
-  out += return_label_ + ":\n";
-  out += "    mov sp, fp\n";
-  out += "    pop fp\n";
-  out += "    ret\n";
-  text_ += out;
+  std::rotate(text_.begin() + static_cast<long>(start),
+              text_.begin() + static_cast<long>(end), text_.end());
   return ks::OkStatus();
 }
 
@@ -546,12 +560,12 @@ ks::Status Codegen::EmitStmt(const Stmt& stmt) {
     case Stmt::Kind::kIf: {
       std::string else_label = NewLabel();
       KS_RETURN_IF_ERROR(EmitExpr(*stmt.cond).status());
-      Emit("cmp r0, 0");
-      Emit("jz " + else_label);
+      EmitImm(Op::kCmpRI, R0, 0);
+      EmitBranch(Op::kJz32, else_label);
       KS_RETURN_IF_ERROR(EmitStmt(*stmt.then_body));
       if (stmt.else_body != nullptr) {
         std::string end_label = NewLabel();
-        Emit("jmp " + end_label);
+        EmitBranch(Op::kJmp32, end_label);
         EmitLabel(else_label);
         KS_RETURN_IF_ERROR(EmitStmt(*stmt.else_body));
         EmitLabel(end_label);
@@ -565,12 +579,12 @@ ks::Status Codegen::EmitStmt(const Stmt& stmt) {
       std::string end = NewLabel();
       EmitLabel(head);
       KS_RETURN_IF_ERROR(EmitExpr(*stmt.cond).status());
-      Emit("cmp r0, 0");
-      Emit("jz " + end);
+      EmitImm(Op::kCmpRI, R0, 0);
+      EmitBranch(Op::kJz32, end);
       loops_.push_back(LoopLabels{end, head});
       KS_RETURN_IF_ERROR(EmitStmt(*stmt.body));
       loops_.pop_back();
-      Emit("jmp " + head);
+      EmitBranch(Op::kJmp32, head);
       EmitLabel(end);
       return ks::OkStatus();
     }
@@ -585,8 +599,8 @@ ks::Status Codegen::EmitStmt(const Stmt& stmt) {
       EmitLabel(head);
       if (stmt.cond != nullptr) {
         KS_RETURN_IF_ERROR(EmitExpr(*stmt.cond).status());
-        Emit("cmp r0, 0");
-        Emit("jz " + end);
+        EmitImm(Op::kCmpRI, R0, 0);
+        EmitBranch(Op::kJz32, end);
       }
       loops_.push_back(LoopLabels{end, step_label});
       KS_RETURN_IF_ERROR(EmitStmt(*stmt.body));
@@ -595,7 +609,7 @@ ks::Status Codegen::EmitStmt(const Stmt& stmt) {
       if (stmt.step != nullptr) {
         KS_RETURN_IF_ERROR(EmitExpr(*stmt.step).status());
       }
-      Emit("jmp " + head);
+      EmitBranch(Op::kJmp32, head);
       EmitLabel(end);
       scopes_.pop_back();
       return ks::OkStatus();
@@ -605,21 +619,21 @@ ks::Status Codegen::EmitStmt(const Stmt& stmt) {
         KS_ASSIGN_OR_RETURN(Value value, EmitExpr(*stmt.expr));
         EmitConvert(value.type, return_type_);
       }
-      Emit("jmp " + return_label_);
+      EmitBranch(Op::kJmp32, return_label_);
       return ks::OkStatus();
     }
     case Stmt::Kind::kBreak: {
       if (loops_.empty()) {
         return Error(stmt.line, "break outside loop");
       }
-      Emit("jmp " + loops_.back().break_label);
+      EmitBranch(Op::kJmp32, loops_.back().break_label);
       return ks::OkStatus();
     }
     case Stmt::Kind::kContinue: {
       if (loops_.empty()) {
         return Error(stmt.line, "continue outside loop");
       }
-      Emit("jmp " + loops_.back().continue_label);
+      EmitBranch(Op::kJmp32, loops_.back().continue_label);
       return ks::OkStatus();
     }
   }
@@ -650,13 +664,9 @@ ks::Status Codegen::EmitLocalDecl(const Stmt& stmt) {
     }
     KS_ASSIGN_OR_RETURN(Value value, EmitExpr(*stmt.init));
     EmitConvert(value.type, stmt.decl_type);
-    Emit("mov r1, fp");
-    Emit(ks::StrPrintf("add r1, %d", slot));
-    if (stmt.decl_type->IsChar()) {
-      Emit("storeb [r1], r0");
-    } else {
-      Emit("store [r1], r0");
-    }
+    Emit(Op::kMovRR, R1, FP);
+    EmitImm(Op::kAddRI, R1, slot);
+    EmitStore(stmt.decl_type);
   }
   return ks::OkStatus();
 }
@@ -665,26 +675,24 @@ ks::Status Codegen::EmitStaticLocalData(const std::string& symbol,
                                         const TypeRef& type, const Expr* init,
                                         int line) {
   KS_ASSIGN_OR_RETURN(int size, SizeOf(type, line));
-  std::string chunk;
   if (init == nullptr) {
-    chunk = ".bss\n" + symbol + ":\n" + ks::StrPrintf("    .space %d\n", size);
-  } else {
-    if (init->kind != Expr::Kind::kIntLit) {
-      return Error(line, "static local initializer must be constant");
-    }
-    if (!type->IsScalar()) {
-      return Error(line, "static local aggregate initializer unsupported");
-    }
-    chunk = ".data\n" + symbol + ":\n";
-    if (type->IsChar()) {
-      chunk += ks::StrPrintf("    .byte %d\n",
-                             static_cast<int>(init->int_value & 0xff));
-    } else {
-      chunk += ks::StrPrintf("    .word %d\n",
-                             static_cast<int>(init->int_value));
-    }
+    OpenData(static_data_, kvx::Stmt(Kind::kBss), symbol);
+    static_data_.emplace_back(Kind::kSpace, "", size);
+    return ks::OkStatus();
   }
-  deferred_static_data_.push_back(std::move(chunk));
+  if (init->kind != Expr::Kind::kIntLit) {
+    return Error(line, "static local initializer must be constant");
+  }
+  if (!type->IsScalar()) {
+    return Error(line, "static local aggregate initializer unsupported");
+  }
+  OpenData(static_data_, kvx::Stmt(Kind::kData), symbol);
+  if (type->IsChar()) {
+    static_data_.emplace_back(Kind::kByte, "", init->int_value & 0xff);
+  } else {
+    static_data_.emplace_back(Kind::kWord, "",
+                              static_cast<int32_t>(init->int_value));
+  }
   return ks::OkStatus();
 }
 
@@ -698,25 +706,17 @@ ks::Status Codegen::EmitLoad(const TypeRef& type, int line) {
   if (type->kind == Type::Kind::kVoid) {
     return Error(line, "load of void");
   }
-  if (type->IsChar()) {
-    Emit("loadb r0, [r0]");
-  } else {
-    Emit("load r0, [r0]");
-  }
+  Emit(type->IsChar() ? Op::kLoadBI : Op::kLoadI, R0, R0);
   return ks::OkStatus();
 }
 
 void Codegen::EmitStore(const TypeRef& type) {
-  if (type->IsChar()) {
-    Emit("storeb [r1], r0");
-  } else {
-    Emit("store [r1], r0");
-  }
+  Emit(type->IsChar() ? Op::kStoreBI : Op::kStoreI, R1, R0);
 }
 
 void Codegen::EmitConvert(const TypeRef& from, const TypeRef& to) {
   if (to->IsChar() && !from->IsChar()) {
-    Emit("and r0, 255");
+    EmitImm(Op::kAndRI, R0, 255);
   }
 }
 
@@ -726,16 +726,16 @@ ks::Result<Value> Codegen::EmitAddr(const Expr& expr) {
       std::optional<LocalInfo> local = LookupLocal(expr.name);
       if (local.has_value()) {
         if (!local->symbol.empty()) {
-          Emit("mov r0, =" + local->symbol);
+          EmitAddrOf(R0, local->symbol);
         } else {
-          Emit("mov r0, fp");
-          Emit(ks::StrPrintf("add r0, %d", local->fp_offset));
+          Emit(Op::kMovRR, R0, FP);
+          EmitImm(Op::kAddRI, R0, local->fp_offset);
         }
         return Value{local->type};
       }
       auto global = globals_.find(expr.name);
       if (global != globals_.end()) {
-        Emit("mov r0, =" + global->second.symbol);
+        EmitAddrOf(R0, global->second.symbol);
         return Value{global->second.type};
       }
       return Error(expr.line,
@@ -760,18 +760,18 @@ ks::Result<Value> Codegen::EmitAddr(const Expr& expr) {
       }
       elem = base_type->pointee;
       KS_ASSIGN_OR_RETURN(int elem_size, SizeOf(elem, expr.line));
-      Emit("push r0");
+      Emit(Op::kPush, R0);
       KS_ASSIGN_OR_RETURN(Value index, EmitExpr(*expr.rhs));
       if (!DecayType(index.type)->IsScalar()) {
         return Error(expr.line, "non-scalar subscript");
       }
       if (elem_size != 1) {
-        Emit(ks::StrPrintf("mov r1, %d", elem_size));
-        Emit("mul r0, r1");
+        EmitImm(Op::kMovRI, R1, elem_size);
+        Emit(Op::kMulRR, R0, R1);
       }
-      Emit("mov r1, r0");
-      Emit("pop r0");
-      Emit("add r0, r1");
+      Emit(Op::kMovRR, R1, R0);
+      Emit(Op::kPop, R0);
+      Emit(Op::kAddRR, R0, R1);
       return Value{elem};
     }
     case Expr::Kind::kMember: {
@@ -789,7 +789,7 @@ ks::Result<Value> Codegen::EmitAddr(const Expr& expr) {
                                    base.type->struct_name.c_str()));
       }
       if (field->second.offset != 0) {
-        Emit(ks::StrPrintf("add r0, %d", field->second.offset));
+        EmitImm(Op::kAddRI, R0, field->second.offset);
       }
       return Value{field->second.type};
     }
@@ -809,7 +809,7 @@ ks::Result<Value> Codegen::EmitAddr(const Expr& expr) {
                                    t->pointee->struct_name.c_str()));
       }
       if (field->second.offset != 0) {
-        Emit(ks::StrPrintf("add r0, %d", field->second.offset));
+        EmitImm(Op::kAddRI, R0, field->second.offset);
       }
       return Value{field->second.type};
     }
@@ -822,19 +822,18 @@ ks::Result<Value> Codegen::EmitAddr(const Expr& expr) {
 ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
   switch (expr.kind) {
     case Expr::Kind::kIntLit:
-      Emit(ks::StrPrintf("mov r0, %d",
-                         static_cast<int32_t>(expr.int_value)));
+      EmitImm(Op::kMovRI, R0, static_cast<int32_t>(expr.int_value));
       return Value{Type::Int()};
     case Expr::Kind::kStrLit: {
       std::string symbol = InternString(expr.str_value);
-      Emit("mov r0, =" + symbol);
+      EmitAddrOf(R0, symbol);
       return Value{Type::PointerTo(Type::Char())};
     }
     case Expr::Kind::kVar: {
       if (expr.name == "__DATE__" || expr.name == "__TIME__") {
         // Build-timestamp strings land in .rodata.date/.rodata.time howto
         // sections, which run-pre matching compares content-ignoring.
-        Emit("mov r0, =" + InternBuildString(expr.name == "__DATE__"));
+        EmitAddrOf(R0, InternBuildString(expr.name == "__DATE__"));
         return Value{Type::PointerTo(Type::Char())};
       }
       std::optional<LocalInfo> local = LookupLocal(expr.name);
@@ -848,7 +847,7 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
           Builtins().count(expr.name) == 0) {
         // Unknown names are assumed to be functions defined in another
         // unit; the assembler interns an import.
-        Emit("mov r0, =" + expr.name);
+        EmitAddrOf(R0, expr.name);
         return Value{Type::Int()};
       }
       return Error(expr.line, ks::StrPrintf("builtin '%s' is not a value",
@@ -856,7 +855,7 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
     }
     case Expr::Kind::kSizeof: {
       KS_ASSIGN_OR_RETURN(int size, SizeOf(expr.sizeof_type, expr.line));
-      Emit(ks::StrPrintf("mov r0, %d", size));
+      EmitImm(Op::kMovRI, R0, size);
       return Value{Type::Int()};
     }
     case Expr::Kind::kCast: {
@@ -880,20 +879,20 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
       }
       KS_ASSIGN_OR_RETURN(Value value, EmitExpr(*expr.lhs));
       if (expr.op == "-") {
-        Emit("mov r1, r0");
-        Emit("mov r0, 0");
-        Emit("sub r0, r1");
+        Emit(Op::kMovRR, R1, R0);
+        EmitImm(Op::kMovRI, R0, 0);
+        Emit(Op::kSubRR, R0, R1);
       } else if (expr.op == "!") {
         std::string is_zero = NewLabel();
-        Emit("cmp r0, 0");
-        Emit("mov r0, 1");
-        Emit("jz " + is_zero);
-        Emit("mov r0, 0");
+        EmitImm(Op::kCmpRI, R0, 0);
+        EmitImm(Op::kMovRI, R0, 1);
+        EmitBranch(Op::kJz32, is_zero);
+        EmitImm(Op::kMovRI, R0, 0);
         EmitLabel(is_zero);
       } else if (expr.op == "~") {
-        Emit("mov r1, r0");
-        Emit("mov r0, -1");
-        Emit("xor r0, r1");
+        Emit(Op::kMovRR, R1, R0);
+        EmitImm(Op::kMovRI, R0, -1);
+        Emit(Op::kXorRR, R0, R1);
       } else {
         return Error(expr.line, "unhandled unary op");
       }
@@ -904,37 +903,37 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
     case Expr::Kind::kAssign: {
       if (expr.op == "=") {
         KS_ASSIGN_OR_RETURN(Value rhs, EmitExpr(*expr.rhs));
-        Emit("push r0");
+        Emit(Op::kPush, R0);
         KS_ASSIGN_OR_RETURN(Value lhs, EmitAddr(*expr.lhs));
         if (!lhs.type->IsScalar()) {
           return Error(expr.line, "assignment to non-scalar");
         }
-        Emit("mov r1, r0");
-        Emit("pop r0");
+        Emit(Op::kMovRR, R1, R0);
+        Emit(Op::kPop, R0);
         EmitConvert(DecayType(rhs.type), lhs.type);
         EmitStore(lhs.type);
         return Value{lhs.type};
       }
       // "+=" / "-=".
       KS_ASSIGN_OR_RETURN(Value rhs, EmitExpr(*expr.rhs));
-      Emit("push r0");
+      Emit(Op::kPush, R0);
       KS_ASSIGN_OR_RETURN(Value lhs, EmitAddr(*expr.lhs));
       if (!lhs.type->IsScalar()) {
         return Error(expr.line, "compound assignment to non-scalar");
       }
-      Emit("mov r2, r0");  // address
+      Emit(Op::kMovRR, R2, R0);  // address
       KS_RETURN_IF_ERROR(EmitLoad(lhs.type, expr.line));
-      Emit("pop r1");  // rhs value
+      Emit(Op::kPop, R1);  // rhs value
       if (lhs.type->IsPointer()) {
         KS_ASSIGN_OR_RETURN(int size, SizeOf(lhs.type->pointee, expr.line));
         if (size != 1) {
-          Emit(ks::StrPrintf("mov r3, %d", size));
-          Emit("mul r1, r3");
+          EmitImm(Op::kMovRI, R3, size);
+          Emit(Op::kMulRR, R1, R3);
         }
       }
-      Emit(expr.op == "+=" ? "add r0, r1" : "sub r0, r1");
+      Emit(expr.op == "+=" ? Op::kAddRR : Op::kSubRR, R0, R1);
       EmitConvert(Type::Int(), lhs.type);
-      Emit("mov r1, r2");
+      Emit(Op::kMovRR, R1, R2);
       EmitStore(lhs.type);
       return Value{lhs.type};
     }
@@ -947,15 +946,14 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
       if (lhs.type->IsPointer()) {
         KS_ASSIGN_OR_RETURN(delta, SizeOf(lhs.type->pointee, expr.line));
       }
-      Emit("mov r2, r0");  // address
+      Emit(Op::kMovRR, R2, R0);  // address
       KS_RETURN_IF_ERROR(EmitLoad(lhs.type, expr.line));
-      Emit("push r0");  // old value: the expression's result
-      Emit(ks::StrPrintf(expr.op == "++" ? "add r0, %d" : "sub r0, %d",
-                         delta));
+      Emit(Op::kPush, R0);  // old value: the expression's result
+      EmitImm(expr.op == "++" ? Op::kAddRI : Op::kSubRI, R0, delta);
       EmitConvert(Type::Int(), lhs.type);
-      Emit("mov r1, r2");
+      Emit(Op::kMovRR, R1, R2);
       EmitStore(lhs.type);
-      Emit("pop r0");
+      Emit(Op::kPop, R0);
       return Value{lhs.type};
     }
     case Expr::Kind::kCall:
@@ -973,24 +971,18 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
 
 ks::Status Codegen::EmitCompareSet(const std::string& op) {
   // Flags already set from "cmp r0, r1".
-  std::string taken = NewLabel();
-  Emit("mov r0, 1");
-  if (op == "==") {
-    Emit("jz " + taken);
-  } else if (op == "!=") {
-    Emit("jnz " + taken);
-  } else if (op == "<") {
-    Emit("jlt " + taken);
-  } else if (op == ">=") {
-    Emit("jge " + taken);
-  } else if (op == ">") {
-    Emit("jgt " + taken);
-  } else if (op == "<=") {
-    Emit("jle " + taken);
-  } else {
+  static const std::map<std::string, Op> kJumps = {
+      {"==", Op::kJz32},  {"!=", Op::kJnz32}, {"<", Op::kJlt32},
+      {">=", Op::kJge32}, {">", Op::kJgt32},  {"<=", Op::kJle32},
+  };
+  auto jump = kJumps.find(op);
+  if (jump == kJumps.end()) {
     return ks::Internal("bad comparison op " + op);
   }
-  Emit("mov r0, 0");
+  std::string taken = NewLabel();
+  EmitImm(Op::kMovRI, R0, 1);
+  EmitBranch(jump->second, taken);
+  EmitImm(Op::kMovRI, R0, 0);
   EmitLabel(taken);
   return ks::OkStatus();
 }
@@ -1002,24 +994,25 @@ ks::Result<Value> Codegen::EmitBinary(const Expr& expr) {
     std::string short_circuit = NewLabel();
     std::string done = NewLabel();
     KS_RETURN_IF_ERROR(EmitExpr(*expr.lhs).status());
-    Emit("cmp r0, 0");
-    Emit((op == "&&" ? "jz " : "jnz ") + short_circuit);
+    EmitImm(Op::kCmpRI, R0, 0);
+    Op jump = op == "&&" ? Op::kJz32 : Op::kJnz32;
+    EmitBranch(jump, short_circuit);
     KS_RETURN_IF_ERROR(EmitExpr(*expr.rhs).status());
-    Emit("cmp r0, 0");
-    Emit((op == "&&" ? "jz " : "jnz ") + short_circuit);
-    Emit(op == "&&" ? "mov r0, 1" : "mov r0, 0");
-    Emit("jmp " + done);
+    EmitImm(Op::kCmpRI, R0, 0);
+    EmitBranch(jump, short_circuit);
+    EmitImm(Op::kMovRI, R0, op == "&&" ? 1 : 0);
+    EmitBranch(Op::kJmp32, done);
     EmitLabel(short_circuit);
-    Emit(op == "&&" ? "mov r0, 0" : "mov r0, 1");
+    EmitImm(Op::kMovRI, R0, op == "&&" ? 0 : 1);
     EmitLabel(done);
     return Value{Type::Int()};
   }
 
   KS_ASSIGN_OR_RETURN(Value lhs, EmitExpr(*expr.lhs));
-  Emit("push r0");
+  Emit(Op::kPush, R0);
   KS_ASSIGN_OR_RETURN(Value rhs, EmitExpr(*expr.rhs));
-  Emit("mov r1, r0");
-  Emit("pop r0");
+  Emit(Op::kMovRR, R1, R0);
+  Emit(Op::kPop, R0);
 
   TypeRef lt = DecayType(lhs.type);
   TypeRef rt = DecayType(rhs.type);
@@ -1029,47 +1022,47 @@ ks::Result<Value> Codegen::EmitBinary(const Expr& expr) {
     if (lt->IsPointer() && !rt->IsPointer()) {
       KS_ASSIGN_OR_RETURN(int size, SizeOf(lt->pointee, expr.line));
       if (size != 1) {
-        Emit(ks::StrPrintf("mov r2, %d", size));
-        Emit("mul r1, r2");
+        EmitImm(Op::kMovRI, R2, size);
+        Emit(Op::kMulRR, R1, R2);
       }
-      Emit(op == "+" ? "add r0, r1" : "sub r0, r1");
+      Emit(op == "+" ? Op::kAddRR : Op::kSubRR, R0, R1);
       return Value{lt};
     }
     if (op == "+" && rt->IsPointer() && !lt->IsPointer()) {
       KS_ASSIGN_OR_RETURN(int size, SizeOf(rt->pointee, expr.line));
       if (size != 1) {
-        Emit(ks::StrPrintf("mov r2, %d", size));
-        Emit("mul r0, r2");
+        EmitImm(Op::kMovRI, R2, size);
+        Emit(Op::kMulRR, R0, R2);
       }
-      Emit("add r0, r1");
+      Emit(Op::kAddRR, R0, R1);
       return Value{rt};
     }
     if (op == "-" && lt->IsPointer() && rt->IsPointer()) {
       KS_ASSIGN_OR_RETURN(int size, SizeOf(lt->pointee, expr.line));
-      Emit("sub r0, r1");
+      Emit(Op::kSubRR, R0, R1);
       if (size != 1) {
-        Emit(ks::StrPrintf("mov r1, %d", size));
-        Emit("div r0, r1");
+        EmitImm(Op::kMovRI, R1, size);
+        Emit(Op::kDivRR, R0, R1);
       }
       return Value{Type::Int()};
     }
-    Emit(op == "+" ? "add r0, r1" : "sub r0, r1");
+    Emit(op == "+" ? Op::kAddRR : Op::kSubRR, R0, R1);
     return Value{Type::Int()};
   }
 
-  static const std::map<std::string, const char*> kSimple = {
-      {"*", "mul r0, r1"}, {"/", "div r0, r1"}, {"%", "mod r0, r1"},
-      {"&", "and r0, r1"}, {"|", "or r0, r1"},  {"^", "xor r0, r1"},
-      {"<<", "shl r0, r1"}, {">>", "shr r0, r1"},
+  static const std::map<std::string, Op> kSimple = {
+      {"*", Op::kMulRR}, {"/", Op::kDivRR},  {"%", Op::kModRR},
+      {"&", Op::kAndRR}, {"|", Op::kOrRR},   {"^", Op::kXorRR},
+      {"<<", Op::kShlRR}, {">>", Op::kShrRR},
   };
   auto simple = kSimple.find(op);
   if (simple != kSimple.end()) {
-    Emit(simple->second);
+    Emit(simple->second, R0, R1);
     return Value{Type::Int()};
   }
 
   // Comparison.
-  Emit("cmp r0, r1");
+  Emit(Op::kCmpRR, R0, R1);
   KS_RETURN_IF_ERROR(EmitCompareSet(op));
   return Value{Type::Int()};
 }
@@ -1082,10 +1075,10 @@ ks::Status Codegen::EmitArgsToRegs(const Expr& expr, int arity) {
   }
   for (const ExprPtr& arg : expr.args) {
     KS_RETURN_IF_ERROR(EmitExpr(*arg).status());
-    Emit("push r0");
+    Emit(Op::kPush, R0);
   }
   for (int i = arity - 1; i >= 0; --i) {
-    Emit(ks::StrPrintf("pop r%d", i));
+    Emit(Op::kPop, static_cast<uint8_t>(i));
   }
   return ks::OkStatus();
 }
@@ -1103,22 +1096,23 @@ ks::Result<Value> Codegen::EmitCall(const Expr& expr) {
         return Error(expr.line, "try_load needs (pointer, fallback)");
       }
       KS_RETURN_IF_ERROR(EmitExpr(*expr.args[1]).status());
-      Emit("push r0");
+      Emit(Op::kPush, R0);
       KS_RETURN_IF_ERROR(EmitExpr(*expr.args[0]).status());
-      Emit("pop r1");
+      Emit(Op::kPop, R1);
       std::string lext = NewLabel();
       std::string lfix = NewLabel();
       std::string ldone = NewLabel();
       EmitLabel(lext);
-      Emit("loadf r0, [r0]");
-      Emit("jmp " + ldone);
+      Emit(Op::kLoadF, R0, R0);
+      EmitBranch(Op::kJmp32, ldone);
       EmitLabel(lfix);
-      Emit("mov r0, r1");
+      Emit(Op::kMovRR, R0, R1);
       EmitLabel(ldone);
       // The entry attaches to the outermost function being emitted, so
       // inline expansion credits the host function's table.
-      Emit(".extable_entry " + inline_stack_.front() + ", " + lext + ", " +
-           lfix);
+      kvx::Stmt& entry =
+          text_.emplace_back(Kind::kExtable, inline_stack_.front());
+      entry.args = {lext, lfix};
       return Value{Type::Int()};
     }
     if (expr.name == "BUG") {
@@ -1129,10 +1123,9 @@ ks::Result<Value> Codegen::EmitCall(const Expr& expr) {
       }
       std::string lbug = NewLabel();
       EmitLabel(lbug);
-      Emit("bug");
-      Emit(ks::StrPrintf(".bug_entry %s, %s, %d",
-                         inline_stack_.front().c_str(), lbug.c_str(),
-                         expr.line));
+      Emit(Op::kBug);
+      text_.emplace_back(Kind::kBug, inline_stack_.front(), expr.line)
+          .args = {lbug};
       return Value{Type::Int()};
     }
   }
@@ -1149,19 +1142,19 @@ ks::Result<Value> Codegen::EmitCall(const Expr& expr) {
       int pushed = 0;
       for (size_t i = expr.args.size(); i-- > 1;) {
         KS_RETURN_IF_ERROR(EmitExpr(*expr.args[i]).status());
-        Emit("push r0");
+        Emit(Op::kPush, R0);
         ++pushed;
       }
       KS_RETURN_IF_ERROR(EmitExpr(*expr.args[0]).status());
-      Emit("mov r2, r0");
-      Emit("callr r2");
+      Emit(Op::kMovRR, R2, R0);
+      Emit(Op::kCallR, R2);
       if (pushed > 0) {
-        Emit(ks::StrPrintf("add sp, %d", 4 * pushed));
+        EmitImm(Op::kAddRI, SP, 4 * pushed);
       }
       return Value{Type::Int()};
     }
     KS_RETURN_IF_ERROR(EmitArgsToRegs(expr, builtin->second.arity));
-    Emit(ks::StrPrintf("sys %d", builtin->second.sys));
+    EmitImm(Op::kSys, R0, builtin->second.sys);
     TypeRef ret = Type::Int();
     if (expr.name == "kmalloc") {
       ret = Type::PointerTo(Type::Char());
@@ -1194,11 +1187,11 @@ ks::Result<Value> Codegen::EmitCall(const Expr& expr) {
     if (signature != nullptr) {
       EmitConvert(DecayType(arg.type), signature->params[i].type);
     }
-    Emit("push r0");
+    Emit(Op::kPush, R0);
   }
-  Emit("call " + expr.name);
+  EmitBranch(Op::kCall, expr.name);
   if (!expr.args.empty()) {
-    Emit(ks::StrPrintf("add sp, %zu", 4 * expr.args.size()));
+    EmitImm(Op::kAddRI, SP, static_cast<int32_t>(4 * expr.args.size()));
   }
   TypeRef ret = signature != nullptr ? signature->ret : Type::Int();
   return Value{ret};
@@ -1217,9 +1210,9 @@ ks::Result<Value> Codegen::EmitInlineCall(const FuncDecl& callee,
     EmitConvert(DecayType(arg.type), callee.params[i].type);
     int slot = AllocSlot(4);
     slots.push_back(slot);
-    Emit("mov r1, fp");
-    Emit(ks::StrPrintf("add r1, %d", slot));
-    Emit("store [r1], r0");
+    Emit(Op::kMovRR, R1, FP);
+    EmitImm(Op::kAddRI, R1, slot);
+    Emit(Op::kStoreI, R1, R0);
   }
   for (size_t i = 0; i < callee.params.size(); ++i) {
     callee_scope.vars[callee.params[i].name] =
@@ -1279,23 +1272,14 @@ ks::Status Codegen::EmitGlobal(const GlobalDecl& decl) {
   }
   KS_ASSIGN_OR_RETURN(int size, SizeOf(decl.type, decl.line));
 
-  std::string chunk;
-  auto header = [&](const char* segment) {
-    chunk += std::string(segment) + "\n";
-    if (!decl.is_static) {
-      chunk += ".global " + decl.name + "\n";
-    }
-    chunk += decl.name + ":\n";
-  };
-
+  // A failure below fails the whole unit, so partial output is harmless.
   if (!decl.has_init) {
-    header(".bss");
-    chunk += ks::StrPrintf("    .space %d\n", size);
-    data_ += chunk;
+    OpenData(data_, kvx::Stmt(Kind::kBss), decl.name, !decl.is_static);
+    data_.emplace_back(Kind::kSpace, "", size);
     return ks::OkStatus();
   }
 
-  header(".data");
+  OpenData(data_, kvx::Stmt(Kind::kData), decl.name, !decl.is_static);
   bool char_elems =
       decl.type->IsChar() ||
       (decl.type->IsArray() && decl.type->pointee->IsChar());
@@ -1304,12 +1288,11 @@ ks::Status Codegen::EmitGlobal(const GlobalDecl& decl) {
     switch (elem.kind) {
       case InitElem::Kind::kInt:
         if (char_elems) {
-          chunk += ks::StrPrintf("    .byte %d\n",
-                                 static_cast<int>(elem.int_value & 0xff));
+          data_.emplace_back(Kind::kByte, "", elem.int_value & 0xff);
           emitted += 1;
         } else {
-          chunk += ks::StrPrintf("    .word %d\n",
-                                 static_cast<int>(elem.int_value));
+          data_.emplace_back(Kind::kWord, "",
+                             static_cast<int32_t>(elem.int_value));
           emitted += 4;
         }
         break;
@@ -1317,14 +1300,14 @@ ks::Status Codegen::EmitGlobal(const GlobalDecl& decl) {
         if (char_elems) {
           return Error(decl.line, "symbol initializer in char array");
         }
-        chunk += "    .word " + elem.symbol + "\n";
+        data_.emplace_back(Kind::kWord, elem.symbol);
         emitted += 4;
         break;
       case InitElem::Kind::kStr: {
         if (!char_elems) {
           return Error(decl.line, "string initializer on non-char data");
         }
-        chunk += "    .asciz \"" + EscapeAsciz(elem.str_value) + "\"\n";
+        data_.emplace_back(Kind::kAsciz, elem.str_value);
         emitted += static_cast<int>(elem.str_value.size()) + 1;
         break;
       }
@@ -1335,24 +1318,24 @@ ks::Status Codegen::EmitGlobal(const GlobalDecl& decl) {
                                           emitted, size));
   }
   if (emitted < size) {
-    chunk += ks::StrPrintf("    .space %d\n", size - emitted);
+    data_.emplace_back(Kind::kSpace, "", size - emitted);
   }
-  data_ += chunk;
   return ks::OkStatus();
 }
 
 }  // namespace
 
-ks::Result<std::string> GenerateAsm(const Unit& unit,
-                                    const CodegenOptions& options) {
-  Codegen codegen(unit, options);
+ks::Status GenerateCode(const Unit& unit, const CodegenOptions& options,
+                        const StmtSink& sink) {
+  Codegen codegen(unit, options, sink);
   return codegen.Run();
 }
 
 ks::Result<std::vector<std::string>> InlinedFunctions(
     const Unit& unit, const CodegenOptions& options) {
-  Codegen codegen(unit, options);
-  KS_RETURN_IF_ERROR(codegen.Run().status());
+  StmtSink ignore = [](std::span<const kvx::Stmt>) {};
+  Codegen codegen(unit, options, ignore);
+  KS_RETURN_IF_ERROR(codegen.Run());
   return std::vector<std::string>(codegen.inlined_functions().begin(),
                                   codegen.inlined_functions().end());
 }

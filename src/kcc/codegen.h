@@ -1,4 +1,5 @@
-// KC code generation: AST -> KVX assembly text.
+// KC code generation: AST -> KVX assembly statements (kvx/asm.h), which
+// the assembler turns into an object without any text in between.
 //
 // Properties that matter to Ksplice (and are exercised by the evaluation):
 //
@@ -23,16 +24,20 @@
 //
 // The generator performs semantic analysis (scopes, types, struct layout)
 // in the same pass; it emits one assembly function per KC function in
-// declaration order, then data. Sectioning (-ffunction-sections) is the
-// assembler's concern.
+// declaration order, then data, then hook directives. Sectioning
+// (-ffunction-sections) is the assembler's concern.
 
 #ifndef KSPLICE_KCC_CODEGEN_H_
 #define KSPLICE_KCC_CODEGEN_H_
 
+#include <functional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "base/status.h"
 #include "kcc/ast.h"
+#include "kvx/asm.h"
 
 namespace kcc {
 
@@ -45,11 +50,16 @@ struct CodegenOptions {
   std::string build_time = "00:00:00";
 };
 
-// Lowers `unit` to KVX assembly text.
-ks::Result<std::string> GenerateAsm(const Unit& unit,
-                                    const CodegenOptions& options);
+// Receives generated statements, in output order.
+using StmtSink = std::function<void(std::span<const kvx::Stmt>)>;
 
-// Returns the names of functions in `unit` that GenerateAsm would expand
+// Lowers `unit` to KVX assembly statements. `sink` gets each function's
+// statements once the function is complete, then the data and the hook
+// directives; on error it may have seen a prefix of the unit.
+ks::Status GenerateCode(const Unit& unit, const CodegenOptions& options,
+                        const StmtSink& sink);
+
+// Returns the names of functions in `unit` that GenerateCode would expand
 // inline at some call site in `unit`, given `options`. Used by the
 // evaluation to report the paper's §6.3 inlining statistics.
 ks::Result<std::vector<std::string>> InlinedFunctions(

@@ -40,6 +40,17 @@ void CountCompiled(const kelf::ObjectFile& obj) {
   text_bytes.Add(bytes);
 }
 
+// Parses and lowers one .kc unit, handing its statements to `sink`.
+ks::Status GenerateUnit(const kdiff::SourceTree& tree, const std::string& path,
+                        const CompileOptions& options, const StmtSink& sink) {
+  KS_ASSIGN_OR_RETURN(Unit unit, ParseUnit(tree, path));
+  CodegenOptions cg;
+  cg.inline_threshold = options.inline_threshold;
+  cg.build_date = options.build_date;
+  cg.build_time = options.build_time;
+  return GenerateCode(unit, cg, sink);
+}
+
 }  // namespace
 
 bool IsCompilationUnit(const std::string& path) {
@@ -55,12 +66,11 @@ ks::Result<Unit> ParseUnit(const kdiff::SourceTree& tree,
 ks::Result<std::string> CompileToAsm(const kdiff::SourceTree& tree,
                                      const std::string& path,
                                      const CompileOptions& options) {
-  KS_ASSIGN_OR_RETURN(Unit unit, ParseUnit(tree, path));
-  CodegenOptions cg;
-  cg.inline_threshold = options.inline_threshold;
-  cg.build_date = options.build_date;
-  cg.build_time = options.build_time;
-  return GenerateAsm(unit, cg);
+  std::string listing;
+  KS_RETURN_IF_ERROR(GenerateUnit(
+      tree, path, options,
+      [&](std::span<const kvx::Stmt> stmts) { listing += kvx::Print(stmts); }));
+  return listing;
 }
 
 ks::Result<kelf::ObjectFile> CompileUnit(const kdiff::SourceTree& tree,
@@ -87,12 +97,17 @@ ks::Result<kelf::ObjectFile> CompileUnit(const kdiff::SourceTree& tree,
     return ks::InvalidArgument(
         ks::StrPrintf("%s is not a compilation unit", path.c_str()));
   }
-  KS_ASSIGN_OR_RETURN(std::string asm_text, CompileToAsm(tree, path, options));
-  ks::Result<kelf::ObjectFile> obj =
-      kvx::Assemble(asm_text, path, ToAsmOptions(options));
+  // Statements go straight to the assembler; no assembly text is built.
+  // An assembler error surfaces only at Finish, so a codegen error anywhere
+  // in the unit is the one reported.
+  kvx::Assembler assembler(path, ToAsmOptions(options));
+  KS_RETURN_IF_ERROR(GenerateUnit(
+      tree, path, options,
+      [&](std::span<const kvx::Stmt> stmts) { assembler.Add(stmts); }));
+  ks::Result<kelf::ObjectFile> obj = assembler.Finish();
   if (!obj.ok()) {
-    // Assembler rejections of compiler output are kcc bugs; surface the
-    // assembly for debugging.
+    // Assembler rejections of compiler output are kcc bugs; the line is
+    // the statement's line in the CompileToAsm listing.
     return ks::Internal(ks::StrPrintf(
         "internal: generated assembly for %s does not assemble: %s",
         path.c_str(), obj.status().message().c_str()));

@@ -67,7 +67,9 @@ ks::Result<kelf::ObjectFile> CompileUnit(const kdiff::SourceTree& tree,
                                          const std::string& path,
                                          const CompileOptions& options);
 
-// Lowers one .kc unit to assembly text (diagnostics / tests).
+// Lowers one .kc unit to an assembly listing (diagnostics / tests): the
+// only place kcc prints assembly text. CompileUnit assembles the same
+// statements without printing them.
 ks::Result<std::string> CompileToAsm(const kdiff::SourceTree& tree,
                                      const std::string& path,
                                      const CompileOptions& options);

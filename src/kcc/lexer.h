@@ -38,9 +38,6 @@ struct Token {
 ks::Result<std::vector<Token>> Lex(std::string_view source,
                                    const std::string& file);
 
-// True if `text` is a KC keyword.
-bool IsKeyword(std::string_view text);
-
 }  // namespace kcc
 
 #endif  // KSPLICE_KCC_LEXER_H_

@@ -1,12 +1,14 @@
 #include "kvx/asm.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "base/endian.h"
 #include "base/strings.h"
-#include "kvx/isa.h"
 
 namespace kvx {
 
@@ -19,119 +21,76 @@ using kelf::SectionKind;
 using kelf::Symbol;
 using kelf::SymbolBinding;
 using kelf::SymbolKind;
+using Kind = Stmt::Kind;
 
 // Text alignment before every function label (see the header comment).
 constexpr uint32_t kFuncAlign = 8;
 
-struct ItemReloc {
-  uint32_t offset = 0;  // within the item
-  std::string symbol;
-  int32_t addend = 0;
-  RelocType type = RelocType::kAbs32;
+// The default section of each segment, indexed by Kind::kText/kData/kBss.
+struct SegmentInfo {
+  const char* section;
+  SectionKind kind;
+  uint32_t align;
+};
+constexpr SegmentInfo kSegments[] = {
+    {".text", SectionKind::kText, kFuncAlign},
+    {".data", SectionKind::kData, 4},
+    {".bss", SectionKind::kBss, 4},
 };
 
+// A place in a section before relaxation: `at` fixed bytes and `item` item
+// records precede it.
+struct Pos {
+  uint32_t at = 0;
+  uint32_t item = 0;
+};
+
+// An item record: a part of a section whose bytes or offset are known only
+// after relaxation. It sits just before the section's fixed byte `at`.
+enum class ItemKind : uint8_t { kReloc, kBranch, kAlign };
 struct AsmItem {
-  enum class Kind { kBytes, kBranch, kAlign };
-  Kind kind = Kind::kBytes;
-  std::vector<uint8_t> bytes;       // kBytes payload (zeroes for .space)
-  std::vector<ItemReloc> relocs;    // kBytes relocations
-  Op branch_op = Op::kJmp32;        // kBranch: long form, or kCall
-  std::string target;               // kBranch target name
-  uint32_t align = 1;               // kAlign
-  bool is_long = false;             // kBranch relaxation state
-  int line = 0;
+  ItemKind kind = ItemKind::kReloc;
+  Op op = Op::kJmp32;    // kBranch: long form, or kCall
+  bool is_long = false;  // kBranch relaxation state
+  bool local = false;    // kBranch: `target` is a label of this section
+  uint32_t at = 0;
+  int32_t value = 0;     // kReloc: ABS32 addend; kAlign: alignment
+  Pos target;            // kBranch, when local
+  std::string symbol;    // kReloc: symbol; kBranch: target name
 };
 
 struct AsmSection {
   std::string name;
   SectionKind kind = SectionKind::kText;
   uint32_t align = 1;
-  std::vector<AsmItem> items;
-  // Label/symbol name -> position: offset of the label is the offset just
-  // before items[position].
-  std::map<std::string, size_t> labels;
+  std::vector<uint8_t> bytes;  // every fixed byte (zeroes in .bss)
+  std::vector<AsmItem> items;  // in `at` order
+  std::unordered_map<std::string, Pos> labels;
+  // Set by Layout: shift[k] is the size of the items before items[k].
+  std::vector<uint32_t> shift;
+
+  Pos Here() const {
+    return {static_cast<uint32_t>(bytes.size()),
+            static_cast<uint32_t>(items.size())};
+  }
+  uint32_t Offset(Pos pos) const { return pos.at + shift[pos.item]; }
 };
 
 struct DefinedSym {
   std::string name;
   size_t section = 0;  // index into sections vector
-  size_t position = 0; // item position within the section
+  Pos pos;
 };
 
 // A pending exception-table or bug-table entry. Entries reference local
 // labels whose offsets are only known after branch relaxation, so the
-// directives record them here and Finish() materializes the 8-byte items
+// directives record them here and Finish() materializes the 8-byte entries
 // (with ABS32 relocations against the enclosing function symbol) into a
 // per-function `.extable.<fn>` / `.bug_table.<fn>` section.
 struct DeferredEntry {
-  enum class Kind { kExtable, kBug };
-  Kind kind = Kind::kExtable;
+  Stmt stmt;
   size_t section = 0;  // text section holding fn and the labels
-  std::string fn;      // enclosing function symbol
-  std::string label1;  // faulting-insn / trap-site label
-  std::string label2;  // fixup label (extable only)
-  uint32_t bug_line = 0;  // source line (bug only)
-  int src_line = 0;       // assembly line, for diagnostics
-};
-
-class Assembler {
- public:
-  Assembler(std::string source_name, const AsmOptions& options)
-      : source_name_(std::move(source_name)), options_(options) {}
-
-  ks::Result<ObjectFile> Run(std::string_view source);
-
- private:
-  enum class Segment { kText, kData, kBss };
-
-  ks::Status ParseLine(std::string_view line);
-  ks::Status ParseDirective(const std::vector<std::string>& tokens);
-  ks::Status ParseInstruction(const std::vector<std::string>& tokens);
-  ks::Status DefineLabel(const std::string& name);
-
-  // Section management -------------------------------------------------
-  AsmSection& CurrentSection();
-  size_t EnsureSection(const std::string& name, SectionKind kind,
-                       uint32_t align);
-  ks::Status SwitchSegment(Segment segment);
-
-  // Emission helpers ----------------------------------------------------
-  void EmitBytes(std::vector<uint8_t> bytes,
-                 std::vector<ItemReloc> relocs = {});
-  void EmitBranch(Op long_op, std::string target);
-  void EmitAlign(uint32_t align);
-
-  ks::Status Error(const std::string& message) const {
-    return ks::InvalidArgument(ks::StrPrintf(
-        "%s:%d: %s", source_name_.c_str(), line_number_, message.c_str()));
-  }
-
-  // Operand parsing -----------------------------------------------------
-  std::optional<uint8_t> ParseRegister(std::string_view token) const;
-  std::optional<int64_t> ParseNumber(std::string_view token) const;
-  // Parses "name", "name+4", "name-4" into (symbol, addend).
-  std::optional<std::pair<std::string, int32_t>> ParseSymbolExpr(
-      std::string_view token) const;
-
-  // Final assembly ------------------------------------------------------
-  ks::Result<ObjectFile> Finish();
-  ks::Status MaterializeDeferredEntries();
-  static std::vector<uint32_t> ComputeOffsets(const AsmSection& section);
-  static ks::Status Relax(AsmSection& section);
-
-  std::string source_name_;
-  AsmOptions options_;
-  int line_number_ = 0;
-  Segment segment_ = Segment::kText;
-  std::vector<AsmSection> sections_;
-  size_t current_section_ = 0;
-  std::vector<DefinedSym> defined_;
-  std::vector<std::string> globals_;
-  std::vector<DeferredEntry> deferred_;
-  // True while inside a `.howto_section`: labels define symbols in place
-  // instead of splitting into fresh `.data.<name>` sections.
-  bool custom_section_ = false;
-  bool initialized_ = false;
+  int line = 0;        // for diagnostics
 };
 
 bool IsIdentChar(char c) {
@@ -139,10 +98,272 @@ bool IsIdentChar(char c) {
          (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '$';
 }
 
+// Sizes every item for the current branch forms.
+void Layout(AsmSection& sec) {
+  sec.shift.resize(sec.items.size() + 1);
+  uint32_t extra = 0;
+  for (size_t k = 0; k < sec.items.size(); ++k) {
+    sec.shift[k] = extra;
+    const AsmItem& item = sec.items[k];
+    if (item.kind == ItemKind::kBranch) {
+      extra += item.op == Op::kCall || item.is_long ? 5 : 2;
+    } else if (item.kind == ItemKind::kAlign) {
+      uint32_t align = static_cast<uint32_t>(item.value);
+      extra += (align - (item.at + extra) % align) % align;
+    }
+  }
+  sec.shift.back() = extra;
+}
+
+// Branches whose targets are not labels of the section always use the long
+// form with a relocation; the others start short and are widened until
+// every displacement fits. Leaves the section laid out.
+ks::Status Relax(AsmSection& sec) {
+  for (AsmItem& item : sec.items) {
+    if (item.kind != ItemKind::kBranch) {
+      continue;
+    }
+    auto label = sec.labels.find(item.symbol);
+    item.local = label != sec.labels.end();
+    if (item.local) {
+      item.target = label->second;
+    } else {
+      item.is_long = true;
+    }
+  }
+  for (int iteration = 0; iteration < 1000; ++iteration) {
+    Layout(sec);
+    bool changed = false;
+    for (size_t k = 0; k < sec.items.size(); ++k) {
+      AsmItem& item = sec.items[k];
+      if (item.kind != ItemKind::kBranch || item.is_long ||
+          item.op == Op::kCall) {
+        continue;
+      }
+      int64_t disp = static_cast<int64_t>(sec.Offset(item.target)) -
+                     (static_cast<int64_t>(item.at + sec.shift[k]) + 2);
+      if (disp < -128 || disp > 127) {
+        item.is_long = true;
+        changed = true;
+      }
+    }
+    if (!changed) {
+      return ks::OkStatus();
+    }
+  }
+  return ks::Internal("assembler relaxation did not converge");
+}
+
+// Appends an item record; a kReloc item relocates the field at `at`.
+AsmItem& AddItem(AsmSection& sec, ItemKind kind, size_t at, int64_t value,
+                 const std::string& symbol = "") {
+  AsmItem& item = sec.items.emplace_back();
+  item.kind = kind;
+  item.at = static_cast<uint32_t>(at);
+  item.value = static_cast<int32_t>(value);
+  item.symbol = symbol;
+  return item;
+}
+
+void AppendWord(std::vector<uint8_t>& bytes, uint32_t value) {
+  bytes.resize(bytes.size() + 4);
+  ks::WriteLe32(bytes.data() + bytes.size() - 4, value);
+}
+
+class Builder {
+ public:
+  Builder(std::string source_name, const AsmOptions& options)
+      : source_name_(std::move(source_name)), options_(options) {
+    EnsureSection(".text", SectionKind::kText, kFuncAlign);
+  }
+
+  // Adds one statement; error messages name line `line_number`.
+  ks::Status Add(const Stmt& stmt);
+  // The text front end: parses one line into statements.
+  ks::Status ParseLine(std::string_view line);
+  ks::Result<ObjectFile> Finish();
+
+  int line_number = 0;
+
+ private:
+  ks::Status ParseDirective(std::span<const std::string_view> tokens);
+  ks::Status ParseInstruction(std::span<const std::string_view> tokens);
+  ks::Status DefineLabel(const std::string& name);
+
+  AsmSection& Current() { return sections_[current_]; }
+  size_t EnsureSection(const std::string& name, SectionKind kind,
+                       uint32_t align);
+  ks::Status MaterializeDeferredEntries();
+
+  ks::Status Error(const std::string& message) const {
+    return ks::InvalidArgument(ks::StrPrintf(
+        "%s:%d: %s", source_name_.c_str(), line_number, message.c_str()));
+  }
+
+  std::string source_name_;
+  AsmOptions options_;
+  Kind segment_ = Kind::kText;
+  std::vector<AsmSection> sections_;
+  std::unordered_map<std::string, size_t> section_index_;
+  size_t current_ = 0;
+  std::vector<DefinedSym> defined_;
+  std::unordered_set<std::string> globals_;
+  std::vector<DeferredEntry> deferred_;
+  // True while inside a `.howto_section`: labels define symbols in place
+  // instead of splitting into fresh `.data.<name>` sections.
+  bool custom_section_ = false;
+};
+
+size_t Builder::EnsureSection(const std::string& name, SectionKind kind,
+                                uint32_t align) {
+  auto [it, added] = section_index_.try_emplace(name, sections_.size());
+  if (added) {
+    AsmSection& sec = sections_.emplace_back();
+    sec.name = name;
+    sec.kind = kind;
+    sec.align = align;
+  }
+  current_ = it->second;
+  return current_;
+}
+
+ks::Status Builder::DefineLabel(const std::string& name) {
+  if (name.empty() || !IsIdentChar(name[0])) {
+    return Error(ks::StrPrintf("bad label '%s'", name.c_str()));
+  }
+  bool symbol = name[0] != '.';
+  if (symbol && !custom_section_) {
+    // A symbol definition. With function/data sections, it opens a fresh
+    // section; otherwise we pad to the function/object alignment in place.
+    const SegmentInfo& seg = kSegments[static_cast<int>(segment_)];
+    bool split = segment_ == Kind::kText ? options_.function_sections
+                                         : options_.data_sections;
+    if (split) {
+      EnsureSection(seg.section + ("." + name), seg.kind, seg.align);
+    } else {
+      KS_RETURN_IF_ERROR(Add(Stmt(Kind::kAlign, "", seg.align)));
+    }
+  }
+  AsmSection& sec = Current();
+  if (!sec.labels.emplace(name, sec.Here()).second) {
+    return Error(ks::StrPrintf("duplicate label '%s'", name.c_str()));
+  }
+  if (symbol) {
+    defined_.push_back(DefinedSym{name, current_, sec.Here()});
+  }
+  return ks::OkStatus();
+}
+
+ks::Status Builder::Add(const Stmt& stmt) {
+  AsmSection& sec = Current();
+  bool in_text = segment_ == Kind::kText && sec.kind == SectionKind::kText;
+  auto not_in_bss = [&](const char* directive) {
+    return segment_ == Kind::kBss
+               ? Error(ks::StrPrintf("%s not allowed in .bss", directive))
+               : ks::OkStatus();
+  };
+  switch (stmt.kind) {
+    case Kind::kText:
+    case Kind::kData:
+    case Kind::kBss: {
+      const SegmentInfo& seg = kSegments[static_cast<int>(stmt.kind)];
+      segment_ = stmt.kind;
+      custom_section_ = false;
+      EnsureSection(seg.section, seg.kind, seg.align);
+      return ks::OkStatus();
+    }
+    case Kind::kSection:
+      segment_ = Kind::kData;
+      EnsureSection(stmt.name, SectionKind::kData, 4);
+      custom_section_ = true;
+      return ks::OkStatus();
+    case Kind::kGlobal:
+      globals_.insert(stmt.name);
+      return ks::OkStatus();
+    case Kind::kLabel:
+      return DefineLabel(stmt.name);
+    case Kind::kInsn:
+    case Kind::kBranch: {
+      if (!in_text) {
+        return Error("instructions are only allowed in .text");
+      }
+      size_t at = sec.bytes.size();
+      if (stmt.kind == Kind::kBranch) {
+        AddItem(sec, ItemKind::kBranch, at, 0, stmt.name).op = stmt.insn.op;
+        return ks::OkStatus();
+      }
+      Encode(stmt.insn, sec.bytes);
+      if (!stmt.name.empty()) {
+        AddItem(sec, ItemKind::kReloc, at + Imm32FieldOffset(stmt.insn.op),
+                stmt.value, stmt.name);
+      }
+      return ks::OkStatus();
+    }
+    case Kind::kAlign: {
+      int64_t n = stmt.value;
+      if (n < 1 || n > 4096 || (n & (n - 1)) != 0) {
+        return Error(".align value must be a power of two in [1,4096]");
+      }
+      if (n > 1) {
+        AddItem(sec, ItemKind::kAlign, sec.bytes.size(), n);
+      }
+      sec.align = std::max(sec.align, static_cast<uint32_t>(n));
+      return ks::OkStatus();
+    }
+    case Kind::kWord:
+      KS_RETURN_IF_ERROR(not_in_bss(".word"));
+      if (!stmt.name.empty()) {
+        AddItem(sec, ItemKind::kReloc, sec.bytes.size(), stmt.value,
+                stmt.name);
+      }
+      AppendWord(sec.bytes,
+                 stmt.name.empty() ? static_cast<uint32_t>(stmt.value) : 0);
+      return ks::OkStatus();
+    case Kind::kByte:
+      KS_RETURN_IF_ERROR(not_in_bss(".byte"));
+      sec.bytes.push_back(static_cast<uint8_t>(stmt.value));
+      return ks::OkStatus();
+    case Kind::kSpace:
+      if (stmt.value < 0 || stmt.value > (1 << 24)) {
+        return Error("bad .space size");
+      }
+      sec.bytes.resize(sec.bytes.size() + static_cast<size_t>(stmt.value));
+      return ks::OkStatus();
+    case Kind::kAsciz:
+      KS_RETURN_IF_ERROR(not_in_bss(".asciz"));
+      sec.bytes.insert(sec.bytes.end(), stmt.name.begin(), stmt.name.end());
+      sec.bytes.push_back(0);
+      return ks::OkStatus();
+    case Kind::kHook: {
+      size_t saved = current_;
+      AsmSection& notes =
+          sections_[EnsureSection(".ksplice." + stmt.args[0],
+                                  SectionKind::kNote, 4)];
+      AddItem(notes, ItemKind::kReloc, notes.bytes.size(), 0, stmt.name);
+      AppendWord(notes.bytes, 0);
+      current_ = saved;
+      return ks::OkStatus();
+    }
+    case Kind::kExtable:
+    case Kind::kBug:
+      if (sec.kind != SectionKind::kText) {
+        return Error(stmt.kind == Kind::kExtable
+                         ? ".extable_entry is only allowed in text"
+                         : ".bug_entry is only allowed in text");
+      }
+      deferred_.push_back(DeferredEntry{stmt, current_, line_number});
+      return ks::OkStatus();
+  }
+  return Error("unknown statement");
+}
+
+// ------------------------------------------------------------------------
+// Text front end
+
 // Splits an assembly line into tokens; commas separate operands, quoted
 // strings stay whole (including quotes).
-std::vector<std::string> Tokenize(std::string_view line) {
-  std::vector<std::string> tokens;
+std::vector<std::string_view> Tokenize(std::string_view line) {
+  std::vector<std::string_view> tokens;
   size_t i = 0;
   while (i < line.size()) {
     char c = line[i];
@@ -150,210 +371,22 @@ std::vector<std::string> Tokenize(std::string_view line) {
       ++i;
       continue;
     }
+    size_t j = i + 1;
     if (c == '"') {
-      size_t j = i + 1;
       while (j < line.size() && line[j] != '"') {
-        if (line[j] == '\\' && j + 1 < line.size()) {
-          ++j;
-        }
-        ++j;
+        j += line[j] == '\\' && j + 1 < line.size() ? 2 : 1;
       }
-      tokens.emplace_back(line.substr(i, j + 1 - i));
-      i = j + 1;
-      continue;
+      j = std::min(j + 1, line.size());
+    } else if (c != '[' && c != ']' && c != ':') {
+      j = std::min(line.find_first_of(" \t,[]:", i), line.size());
     }
-    if (c == '[' || c == ']' || c == ':') {
-      tokens.emplace_back(1, c);
-      ++i;
-      continue;
-    }
-    size_t j = i;
-    while (j < line.size() && line[j] != ' ' && line[j] != '\t' &&
-           line[j] != ',' && line[j] != '[' && line[j] != ']' &&
-           line[j] != ':') {
-      ++j;
-    }
-    tokens.emplace_back(line.substr(i, j - i));
+    tokens.push_back(line.substr(i, j - i));
     i = j;
   }
   return tokens;
 }
 
-ks::Result<ObjectFile> Assembler::Run(std::string_view source) {
-  EnsureSection(".text", SectionKind::kText, kFuncAlign);
-  initialized_ = true;
-  for (const std::string& raw_line : ks::SplitLines(source)) {
-    ++line_number_;
-    std::string_view line = raw_line;
-    size_t comment = line.find_first_of(";#");
-    // '#' inside a string would break here; our sources don't use it.
-    if (comment != std::string_view::npos) {
-      size_t quote = line.find('"');
-      if (quote == std::string_view::npos || comment < quote) {
-        line = line.substr(0, comment);
-      }
-    }
-    line = ks::Trim(line);
-    if (line.empty()) {
-      continue;
-    }
-    KS_RETURN_IF_ERROR(ParseLine(line));
-  }
-  return Finish();
-}
-
-ks::Status Assembler::ParseLine(std::string_view line) {
-  std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty()) {
-    return ks::OkStatus();
-  }
-  // Labels: NAME : [rest...]
-  while (tokens.size() >= 2 && tokens[1] == ":") {
-    KS_RETURN_IF_ERROR(DefineLabel(tokens[0]));
-    tokens.erase(tokens.begin(), tokens.begin() + 2);
-  }
-  if (tokens.empty()) {
-    return ks::OkStatus();
-  }
-  if (tokens[0][0] == '.') {
-    return ParseDirective(tokens);
-  }
-  return ParseInstruction(tokens);
-}
-
-AsmSection& Assembler::CurrentSection() { return sections_[current_section_]; }
-
-size_t Assembler::EnsureSection(const std::string& name, SectionKind kind,
-                                uint32_t align) {
-  for (size_t i = 0; i < sections_.size(); ++i) {
-    if (sections_[i].name == name) {
-      current_section_ = i;
-      return i;
-    }
-  }
-  AsmSection sec;
-  sec.name = name;
-  sec.kind = kind;
-  sec.align = align;
-  sections_.push_back(std::move(sec));
-  current_section_ = sections_.size() - 1;
-  return current_section_;
-}
-
-ks::Status Assembler::SwitchSegment(Segment segment) {
-  segment_ = segment;
-  custom_section_ = false;
-  switch (segment) {
-    case Segment::kText:
-      EnsureSection(".text", SectionKind::kText, kFuncAlign);
-      break;
-    case Segment::kData:
-      EnsureSection(".data", SectionKind::kData, 4);
-      break;
-    case Segment::kBss:
-      EnsureSection(".bss", SectionKind::kBss, 4);
-      break;
-  }
-  return ks::OkStatus();
-}
-
-ks::Status Assembler::DefineLabel(const std::string& name) {
-  if (name.empty() || !IsIdentChar(name[0])) {
-    return Error(ks::StrPrintf("bad label '%s'", name.c_str()));
-  }
-  bool local_label = name[0] == '.';
-  if (!local_label && custom_section_) {
-    // Inside a `.howto_section`: the label defines a symbol at the
-    // current position of the custom section, never a split section.
-    AsmSection& sec = CurrentSection();
-    if (sec.labels.count(name) != 0) {
-      return Error(ks::StrPrintf("duplicate label '%s'", name.c_str()));
-    }
-    sec.labels.emplace(name, sec.items.size());
-    defined_.push_back(DefinedSym{name, current_section_, sec.items.size()});
-    return ks::OkStatus();
-  }
-  if (!local_label) {
-    // A symbol definition. With function/data sections, it opens a fresh
-    // section; otherwise we pad to the function/object alignment in place.
-    bool split = false;
-    SectionKind kind = SectionKind::kText;
-    uint32_t align = 4;
-    std::string prefix;
-    switch (segment_) {
-      case Segment::kText:
-        split = options_.function_sections;
-        kind = SectionKind::kText;
-        align = kFuncAlign;
-        prefix = ".text.";
-        break;
-      case Segment::kData:
-        split = options_.data_sections;
-        kind = SectionKind::kData;
-        prefix = ".data.";
-        break;
-      case Segment::kBss:
-        split = options_.data_sections;
-        kind = SectionKind::kBss;
-        prefix = ".bss.";
-        break;
-    }
-    if (split) {
-      size_t idx = EnsureSection(prefix + name, kind, align);
-      AsmSection& sec = sections_[idx];
-      if (sec.labels.count(name) != 0) {
-        return Error(ks::StrPrintf("duplicate label '%s'", name.c_str()));
-      }
-      sec.labels.emplace(name, sec.items.size());
-      defined_.push_back(DefinedSym{name, idx, sec.items.size()});
-      return ks::OkStatus();
-    }
-    EmitAlign(align);
-  }
-  AsmSection& sec = CurrentSection();
-  if (sec.labels.count(name) != 0) {
-    return Error(ks::StrPrintf("duplicate label '%s'", name.c_str()));
-  }
-  sec.labels.emplace(name, sec.items.size());
-  if (!local_label) {
-    defined_.push_back(DefinedSym{name, current_section_, sec.items.size()});
-  }
-  return ks::OkStatus();
-}
-
-void Assembler::EmitBytes(std::vector<uint8_t> bytes,
-                          std::vector<ItemReloc> relocs) {
-  AsmSection& sec = CurrentSection();
-  // Merge adjacent byte items without relocations to keep item counts low.
-  AsmItem item;
-  item.kind = AsmItem::Kind::kBytes;
-  item.bytes = std::move(bytes);
-  item.relocs = std::move(relocs);
-  item.line = line_number_;
-  sec.items.push_back(std::move(item));
-}
-
-void Assembler::EmitBranch(Op long_op, std::string target) {
-  AsmItem item;
-  item.kind = AsmItem::Kind::kBranch;
-  item.branch_op = long_op;
-  item.target = std::move(target);
-  item.line = line_number_;
-  CurrentSection().items.push_back(std::move(item));
-}
-
-void Assembler::EmitAlign(uint32_t align) {
-  if (align <= 1) {
-    return;
-  }
-  AsmItem item;
-  item.kind = AsmItem::Kind::kAlign;
-  item.align = align;
-  item.line = line_number_;
-  CurrentSection().items.push_back(std::move(item));
-}
-
-std::optional<uint8_t> Assembler::ParseRegister(std::string_view token) const {
+std::optional<uint8_t> ParseRegister(std::string_view token) {
   if (token == "fp") {
     return kRegFp;
   }
@@ -367,603 +400,352 @@ std::optional<uint8_t> Assembler::ParseRegister(std::string_view token) const {
   return std::nullopt;
 }
 
-std::optional<int64_t> Assembler::ParseNumber(std::string_view token) const {
+std::optional<int64_t> ParseNumber(std::string_view token) {
+  bool negative = !token.empty() && token[0] == '-';
+  if (negative) {
+    token.remove_prefix(1);
+  }
+  int base = 10;
+  if (token.size() > 2 && token[0] == '0' &&
+      (token[1] == 'x' || token[1] == 'X')) {
+    base = 16;
+    token.remove_prefix(2);
+  }
   if (token.empty()) {
     return std::nullopt;
   }
-  bool negative = false;
-  size_t i = 0;
-  if (token[0] == '-') {
-    negative = true;
-    i = 1;
-  }
-  if (i >= token.size()) {
-    return std::nullopt;
-  }
-  int64_t value = 0;
-  if (token.size() > i + 2 && token[i] == '0' &&
-      (token[i + 1] == 'x' || token[i + 1] == 'X')) {
-    for (size_t j = i + 2; j < token.size(); ++j) {
-      char c = token[j];
-      int digit;
-      if (c >= '0' && c <= '9') {
-        digit = c - '0';
-      } else if (c >= 'a' && c <= 'f') {
-        digit = c - 'a' + 10;
-      } else if (c >= 'A' && c <= 'F') {
-        digit = c - 'A' + 10;
-      } else {
-        return std::nullopt;
-      }
-      value = value * 16 + digit;
+  uint64_t value = 0;  // an overlong literal wraps, as a 32-bit field does
+  for (char c : token) {
+    int digit = c >= '0' && c <= '9'   ? c - '0'
+                : c >= 'a' && c <= 'f' ? c - 'a' + 10
+                : c >= 'A' && c <= 'F' ? c - 'A' + 10
+                                       : base;
+    if (digit >= base) {
+      return std::nullopt;
     }
-  } else {
-    for (size_t j = i; j < token.size(); ++j) {
-      char c = token[j];
-      if (c < '0' || c > '9') {
-        return std::nullopt;
-      }
-      value = value * 10 + (c - '0');
-    }
+    value = value * static_cast<uint64_t>(base) + static_cast<uint64_t>(digit);
   }
-  return negative ? -value : value;
+  return static_cast<int64_t>(negative ? 0 - value : value);
 }
 
-std::optional<std::pair<std::string, int32_t>> Assembler::ParseSymbolExpr(
-    std::string_view token) const {
+// Parses "name", "name+4", "name-4" into a statement's name and value.
+bool ParseSymbolExpr(std::string_view token, Stmt& stmt) {
   if (token.empty() || !IsIdentChar(token[0]) ||
       (token[0] >= '0' && token[0] <= '9')) {
-    return std::nullopt;
+    return false;
   }
   size_t i = 0;
   while (i < token.size() && IsIdentChar(token[i])) {
     ++i;
   }
-  std::string name(token.substr(0, i));
-  int32_t addend = 0;
+  stmt.name = std::string(token.substr(0, i));
+  std::optional<int64_t> addend = 0;
   if (i < token.size()) {
-    std::optional<int64_t> n;
-    if (token[i] == '+') {
-      n = ParseNumber(token.substr(i + 1));
-    } else if (token[i] == '-') {
-      n = ParseNumber(token.substr(i));
-    }
-    if (!n.has_value()) {
-      return std::nullopt;
-    }
-    addend = static_cast<int32_t>(*n);
+    addend = token[i] == '+'   ? ParseNumber(token.substr(i + 1))
+             : token[i] == '-' ? ParseNumber(token.substr(i))
+                               : std::nullopt;
   }
-  return std::make_pair(std::move(name), addend);
+  stmt.value = static_cast<int32_t>(addend.value_or(0));
+  return addend.has_value();
 }
 
-ks::Status Assembler::ParseDirective(const std::vector<std::string>& tokens) {
-  const std::string& directive = tokens[0];
-  if (directive == ".text") {
-    return SwitchSegment(Segment::kText);
+// Hook kinds: `.ksplice_<kind> SYM` fills note section `.ksplice.<kind>`.
+constexpr std::string_view kHookKinds[] = {
+    "apply", "pre_apply", "post_apply", "reverse", "pre_reverse",
+    "post_reverse",
+};
+
+ks::Status Builder::ParseLine(std::string_view line) {
+  std::vector<std::string_view> tokens = Tokenize(line);
+  // Labels: NAME : [rest...]
+  size_t first = 0;
+  while (tokens.size() - first >= 2 && tokens[first + 1] == ":") {
+    KS_RETURN_IF_ERROR(DefineLabel(std::string(tokens[first])));
+    first += 2;
   }
-  if (directive == ".data") {
-    return SwitchSegment(Segment::kData);
+  std::span<const std::string_view> rest(tokens.data() + first,
+                                         tokens.size() - first);
+  if (rest.empty()) {
+    return ks::OkStatus();
   }
-  if (directive == ".bss") {
-    return SwitchSegment(Segment::kBss);
+  return rest[0][0] == '.' ? ParseDirective(rest) : ParseInstruction(rest);
+}
+
+ks::Status Builder::ParseDirective(std::span<const std::string_view> tokens) {
+  std::string directive(tokens[0]);
+  size_t argc = tokens.size() - 1;
+  std::string arg = argc >= 1 ? std::string(tokens[1]) : "";
+  static const std::map<std::string_view, Kind> kNoOperand = {
+      {".text", Kind::kText}, {".data", Kind::kData}, {".bss", Kind::kBss}};
+  auto plain = kNoOperand.find(directive);
+  if (plain != kNoOperand.end()) {
+    return Add(Stmt(plain->second));
   }
   if (directive == ".global") {
-    if (tokens.size() != 2) {
+    if (argc != 1) {
       return Error(".global needs one symbol");
     }
-    globals_.push_back(tokens[1]);
-    return ks::OkStatus();
+    return Add(Stmt(Kind::kGlobal, arg));
   }
-  if (directive == ".align") {
-    if (tokens.size() != 2) {
-      return Error(".align needs a value");
+  if (directive == ".align" || directive == ".space") {
+    bool align = directive == ".align";
+    if (argc != 1) {
+      return Error(align ? ".align needs a value" : ".space needs a size");
     }
-    std::optional<int64_t> n = ParseNumber(tokens[1]);
-    if (!n.has_value() || *n < 1 || *n > 4096 || (*n & (*n - 1)) != 0) {
-      return Error(".align value must be a power of two in [1,4096]");
+    std::optional<int64_t> n = ParseNumber(arg);
+    if (!n.has_value()) {
+      return Error(align ? ".align value must be a power of two in [1,4096]"
+                         : "bad .space size");
     }
-    EmitAlign(static_cast<uint32_t>(*n));
-    AsmSection& sec = CurrentSection();
-    if (sec.align < static_cast<uint32_t>(*n)) {
-      sec.align = static_cast<uint32_t>(*n);
-    }
-    return ks::OkStatus();
+    return Add(Stmt(align ? Kind::kAlign : Kind::kSpace, "", *n));
   }
   if (directive == ".word") {
-    if (segment_ == Segment::kBss) {
-      return Error(".word not allowed in .bss");
-    }
-    if (tokens.size() < 2) {
+    if (argc == 0) {
       return Error(".word needs at least one value");
     }
-    std::vector<uint8_t> bytes;
-    std::vector<ItemReloc> relocs;
-    for (size_t i = 1; i < tokens.size(); ++i) {
-      std::optional<int64_t> n = ParseNumber(tokens[i]);
+    for (std::string_view token : tokens.subspan(1)) {
+      Stmt word(Kind::kWord);
+      std::optional<int64_t> n = ParseNumber(token);
       if (n.has_value()) {
-        size_t at = bytes.size();
-        bytes.resize(at + 4);
-        ks::WriteLe32(bytes.data() + at, static_cast<uint32_t>(*n));
-        continue;
-      }
-      auto sym = ParseSymbolExpr(tokens[i]);
-      if (!sym.has_value()) {
+        word.value = *n;
+      } else if (!ParseSymbolExpr(token, word)) {
         return Error(ks::StrPrintf("bad .word operand '%s'",
-                                   tokens[i].c_str()));
+                                   std::string(token).c_str()));
       }
-      relocs.push_back(ItemReloc{static_cast<uint32_t>(bytes.size()),
-                                 sym->first, sym->second,
-                                 RelocType::kAbs32});
-      bytes.resize(bytes.size() + 4);
+      KS_RETURN_IF_ERROR(Add(word));
     }
-    EmitBytes(std::move(bytes), std::move(relocs));
     return ks::OkStatus();
   }
   if (directive == ".byte") {
-    if (segment_ == Segment::kBss) {
-      return Error(".byte not allowed in .bss");
-    }
-    std::vector<uint8_t> bytes;
-    for (size_t i = 1; i < tokens.size(); ++i) {
-      std::optional<int64_t> n = ParseNumber(tokens[i]);
+    for (std::string_view token : tokens.subspan(1)) {
+      std::optional<int64_t> n = ParseNumber(token);
       if (!n.has_value() || *n < -128 || *n > 255) {
-        return Error(
-            ks::StrPrintf("bad .byte operand '%s'", tokens[i].c_str()));
+        return Error(ks::StrPrintf("bad .byte operand '%s'",
+                                   std::string(token).c_str()));
       }
-      bytes.push_back(static_cast<uint8_t>(*n));
+      KS_RETURN_IF_ERROR(Add(Stmt(Kind::kByte, "", *n)));
     }
-    EmitBytes(std::move(bytes));
-    return ks::OkStatus();
-  }
-  if (directive == ".space") {
-    if (tokens.size() != 2) {
-      return Error(".space needs a size");
-    }
-    std::optional<int64_t> n = ParseNumber(tokens[1]);
-    if (!n.has_value() || *n < 0 || *n > (1 << 24)) {
-      return Error("bad .space size");
-    }
-    EmitBytes(std::vector<uint8_t>(static_cast<size_t>(*n), 0));
     return ks::OkStatus();
   }
   if (directive == ".asciz") {
-    if (segment_ == Segment::kBss) {
-      return Error(".asciz not allowed in .bss");
-    }
-    if (tokens.size() != 2 || tokens[1].size() < 2 || tokens[1][0] != '"' ||
-        tokens[1].back() != '"') {
+    if (argc != 1 || arg.size() < 2 || arg[0] != '"' || arg.back() != '"') {
       return Error(".asciz needs one quoted string");
     }
-    std::string_view body(tokens[1]);
-    body = body.substr(1, body.size() - 2);
-    std::vector<uint8_t> bytes;
-    for (size_t i = 0; i < body.size(); ++i) {
-      char c = body[i];
-      if (c == '\\' && i + 1 < body.size()) {
-        ++i;
-        switch (body[i]) {
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case '\\':
-            c = '\\';
-            break;
-          case '"':
-            c = '"';
-            break;
-          default:
-            return Error("bad escape in .asciz");
+    Stmt str(Kind::kAsciz);
+    for (size_t i = 1; i + 1 < arg.size(); ++i) {
+      char c = arg[i];
+      if (c == '\\' && i + 2 < arg.size()) {
+        static constexpr std::string_view kEscapes = "n\nt\t\\\\\"\"";
+        size_t e = kEscapes.find(arg[++i]);
+        if (e == std::string_view::npos || e % 2 != 0) {
+          return Error("bad escape in .asciz");
         }
+        c = kEscapes[e + 1];
       }
-      bytes.push_back(static_cast<uint8_t>(c));
+      str.name.push_back(c);
     }
-    bytes.push_back(0);
-    EmitBytes(std::move(bytes));
-    return ks::OkStatus();
+    return Add(str);
   }
-
   if (directive == ".howto_section") {
     // `.howto_section <name>`: switch to a literally-named data section
     // (e.g. `.rodata.date`); labels inside define symbols in place.
-    if (tokens.size() != 2 || tokens[1].empty() || tokens[1][0] != '.') {
+    if (argc != 1 || arg.empty() || arg[0] != '.') {
       return Error(".howto_section needs one section name");
     }
-    segment_ = Segment::kData;
-    EnsureSection(tokens[1], SectionKind::kData, 4);
-    custom_section_ = true;
-    return ks::OkStatus();
+    return Add(Stmt(Kind::kSection, arg));
   }
   if (directive == ".extable_entry") {
     // `.extable_entry <fn>, <insn_label>, <fixup_label>` inside <fn>'s
     // text: records an exception-table pair; materialized after relaxation.
-    if (tokens.size() != 4) {
+    if (argc != 3) {
       return Error(".extable_entry needs function, insn label, fixup label");
     }
-    if (CurrentSection().kind != SectionKind::kText) {
-      return Error(".extable_entry is only allowed in text");
-    }
-    DeferredEntry entry;
-    entry.kind = DeferredEntry::Kind::kExtable;
-    entry.section = current_section_;
-    entry.fn = tokens[1];
-    entry.label1 = tokens[2];
-    entry.label2 = tokens[3];
-    entry.src_line = line_number_;
-    deferred_.push_back(std::move(entry));
-    return ks::OkStatus();
+    Stmt entry(Kind::kExtable, arg);
+    entry.args = {std::string(tokens[2]), std::string(tokens[3])};
+    return Add(entry);
   }
   if (directive == ".bug_entry") {
     // `.bug_entry <fn>, <trap_label>, <line>`: records a bug-table entry.
-    if (tokens.size() != 4) {
+    if (argc != 3) {
       return Error(".bug_entry needs function, trap label, line number");
-    }
-    if (CurrentSection().kind != SectionKind::kText) {
-      return Error(".bug_entry is only allowed in text");
     }
     std::optional<int64_t> n = ParseNumber(tokens[3]);
     if (!n.has_value() || *n < 0 || *n > 0x7fffffff) {
       return Error(ks::StrPrintf("bad .bug_entry line '%s'",
-                                 tokens[3].c_str()));
+                                 std::string(tokens[3]).c_str()));
     }
-    DeferredEntry entry;
-    entry.kind = DeferredEntry::Kind::kBug;
-    entry.section = current_section_;
-    entry.fn = tokens[1];
-    entry.label1 = tokens[2];
-    entry.bug_line = static_cast<uint32_t>(*n);
-    entry.src_line = line_number_;
-    deferred_.push_back(std::move(entry));
-    return ks::OkStatus();
+    Stmt entry(Kind::kBug, arg, *n);
+    entry.args = {std::string(tokens[2])};
+    return Add(entry);
   }
-
-  static const std::map<std::string, std::string> kHookSections = {
-      {".ksplice_apply", ".ksplice.apply"},
-      {".ksplice_pre_apply", ".ksplice.pre_apply"},
-      {".ksplice_post_apply", ".ksplice.post_apply"},
-      {".ksplice_reverse", ".ksplice.reverse"},
-      {".ksplice_pre_reverse", ".ksplice.pre_reverse"},
-      {".ksplice_post_reverse", ".ksplice.post_reverse"},
-  };
-  auto hook = kHookSections.find(directive);
-  if (hook != kHookSections.end()) {
-    if (tokens.size() != 2) {
+  std::string_view hook = tokens[0];
+  if (hook.starts_with(".ksplice_") &&
+      std::find(std::begin(kHookKinds), std::end(kHookKinds),
+                hook.substr(9)) != std::end(kHookKinds)) {
+    if (argc != 1) {
       return Error(ks::StrPrintf("%s needs one symbol", directive.c_str()));
     }
-    size_t saved = current_section_;
-    EnsureSection(hook->second, SectionKind::kNote, 4);
-    EmitBytes(std::vector<uint8_t>(4, 0),
-              {ItemReloc{0, tokens[1], 0, RelocType::kAbs32}});
-    current_section_ = saved;
-    return ks::OkStatus();
+    Stmt entry(Kind::kHook, arg);
+    entry.args = {std::string(hook.substr(9))};
+    return Add(entry);
   }
-
   return Error(ks::StrPrintf("unknown directive '%s'", directive.c_str()));
 }
 
-ks::Status Assembler::ParseInstruction(const std::vector<std::string>& tokens) {
-  if (segment_ != Segment::kText ||
-      CurrentSection().kind != SectionKind::kText) {
-    return Error("instructions are only allowed in .text");
-  }
-  const std::string& mnemonic = tokens[0];
+ks::Status Builder::ParseInstruction(
+    std::span<const std::string_view> tokens) {
+  std::string mnemonic(tokens[0]);
   size_t argc = tokens.size() - 1;
-
-  auto encode0 = [&](Op op) {
-    Insn insn;
-    insn.op = op;
-    EmitBytes(Encode(insn));
-    return ks::OkStatus();
-  };
-
-  if (mnemonic == "nop") {
-    return encode0(Op::kNop);
+  // The mnemonic's forms in the ISA table, indexed by whether the second
+  // operand is a register. The multi-byte no-ops are alignment filler, not
+  // instructions to write.
+  std::optional<Op> forms[2];
+  for (int code = 0; code < 256; ++code) {
+    const OpInfo& info = GetOpInfo(static_cast<uint8_t>(code));
+    if (info.mnemonic != nullptr && info.mnemonic == mnemonic &&
+        (!info.is_nop || info.length == 1)) {
+      forms[info.has_reg2] = static_cast<Op>(code);
+    }
   }
-  if (mnemonic == "halt") {
-    return encode0(Op::kHalt);
+  if (!forms[0].has_value() && !forms[1].has_value()) {
+    return Error(ks::StrPrintf("unknown mnemonic '%s'", mnemonic.c_str()));
   }
-  if (mnemonic == "ret") {
-    return encode0(Op::kRet);
-  }
-  if (mnemonic == "bug") {
-    return encode0(Op::kBug);
-  }
-
-  if (mnemonic == "sys") {
+  Stmt stmt;
+  stmt.insn.op = forms[0].value_or(forms[1].value_or(Op::kHalt));
+  const OpInfo& info = GetOpInfo(stmt.insn.op);
+  if (IsPcRelative(stmt.insn.op)) {
+    // Jumps and calls name a target; relaxation picks the jump's form.
     if (argc != 1) {
-      return Error("sys needs one immediate");
+      return Error(ks::StrPrintf("%s needs one target", mnemonic.c_str()));
     }
-    std::optional<int64_t> n = ParseNumber(tokens[1]);
-    if (!n.has_value() || *n < 0 || *n > 255) {
-      return Error("bad sys number");
-    }
-    Insn insn;
-    insn.op = Op::kSys;
-    insn.imm = static_cast<uint32_t>(*n);
-    EmitBytes(Encode(insn));
-    return ks::OkStatus();
+    Stmt branch(Kind::kBranch, std::string(tokens[1]));
+    branch.insn.op = LongForm(stmt.insn.op);
+    return Add(branch);
   }
 
-  if (mnemonic == "push" || mnemonic == "pop" || mnemonic == "callr") {
-    if (argc != 1) {
-      return Error(ks::StrPrintf("%s needs one register", mnemonic.c_str()));
+  // load rd, [ rs ]  /  store [ rd ], rs  (and the byte/faulting forms)
+  if (IsMemLoad(stmt.insn.op) || IsMemStore(stmt.insn.op)) {
+    bool load = IsMemLoad(stmt.insn.op);
+    size_t open = load ? 2 : 1;
+    if (argc != 4 || tokens[open] != "[" || tokens[open + 2] != "]") {
+      return Error(ks::StrPrintf(
+          load ? "%s needs 'rD, [rS]'" : "%s needs '[rD], rS'",
+          mnemonic.c_str()));
     }
-    std::optional<uint8_t> reg = ParseRegister(tokens[1]);
-    if (!reg.has_value()) {
-      return Error(ks::StrPrintf("bad register '%s'", tokens[1].c_str()));
-    }
-    Insn insn;
-    insn.op = mnemonic == "push"  ? Op::kPush
-              : mnemonic == "pop" ? Op::kPop
-                                  : Op::kCallR;
-    insn.reg1 = *reg;
-    EmitBytes(Encode(insn));
-    return ks::OkStatus();
-  }
-
-  if (mnemonic == "call") {
-    if (argc != 1) {
-      return Error("call needs one target");
-    }
-    EmitBranch(Op::kCall, tokens[1]);
-    return ks::OkStatus();
-  }
-
-  static const std::map<std::string, Op> kJumps = {
-      {"jmp", Op::kJmp32}, {"jz", Op::kJz32},   {"jnz", Op::kJnz32},
-      {"jlt", Op::kJlt32}, {"jge", Op::kJge32}, {"jgt", Op::kJgt32},
-      {"jle", Op::kJle32},
-  };
-  auto jump = kJumps.find(mnemonic);
-  if (jump != kJumps.end()) {
-    if (argc != 1) {
-      return Error("jump needs one target");
-    }
-    EmitBranch(jump->second, tokens[1]);
-    return ks::OkStatus();
-  }
-
-  // load rd, [ rs ]   /  loadb rd, [ rs ]  /  loadf rd, [ rs ]
-  if (mnemonic == "load" || mnemonic == "loadb" || mnemonic == "loadf") {
-    if (argc != 4 || tokens[2] != "[" || tokens[4] != "]") {
-      return Error(ks::StrPrintf("%s needs 'rD, [rS]'", mnemonic.c_str()));
-    }
-    std::optional<uint8_t> rd = ParseRegister(tokens[1]);
-    std::optional<uint8_t> rs = ParseRegister(tokens[3]);
+    std::optional<uint8_t> rd = ParseRegister(tokens[load ? 1 : 2]);
+    std::optional<uint8_t> rs = ParseRegister(tokens[load ? 3 : 4]);
     if (!rd.has_value() || !rs.has_value()) {
-      return Error("bad register in load");
+      return Error(ks::StrPrintf("bad register in %s", mnemonic.c_str()));
     }
-    Insn insn;
-    insn.op = mnemonic == "load"    ? Op::kLoadI
-              : mnemonic == "loadf" ? Op::kLoadF
-                                    : Op::kLoadBI;
-    insn.reg1 = *rd;
-    insn.reg2 = *rs;
-    EmitBytes(Encode(insn));
-    return ks::OkStatus();
+    stmt.insn.reg1 = *rd;
+    stmt.insn.reg2 = *rs;
+    return Add(stmt);
   }
 
-  // store [ rd ], rs  /  storeb [ rd ], rs
-  if (mnemonic == "store" || mnemonic == "storeb") {
-    if (argc != 4 || tokens[1] != "[" || tokens[3] != "]") {
-      return Error(ks::StrPrintf("%s needs '[rD], rS'", mnemonic.c_str()));
-    }
-    std::optional<uint8_t> rd = ParseRegister(tokens[2]);
-    std::optional<uint8_t> rs = ParseRegister(tokens[4]);
-    if (!rd.has_value() || !rs.has_value()) {
-      return Error("bad register in store");
-    }
-    Insn insn;
-    insn.op = mnemonic == "store" ? Op::kStoreI : Op::kStoreBI;
-    insn.reg1 = *rd;
-    insn.reg2 = *rs;
-    EmitBytes(Encode(insn));
-    return ks::OkStatus();
+  // Otherwise: an optional register, then a source that is a register or an
+  // immediate (a number, or "=symbol[+off]" with mov). No operands: nop,
+  // halt, ret, bug.
+  bool has_source = info.has_reg2 || info.has_imm32 || info.has_imm8;
+  size_t operands = (info.has_reg1 ? 1 : 0) + (has_source ? 1 : 0);
+  if (operands == 0) {
+    return Add(stmt);
   }
-
-  struct AluOps {
-    Op rr;
-    Op ri;  // kHalt marks "no immediate form"
-  };
-  static const std::map<std::string, AluOps> kAlu = {
-      {"mov", {Op::kMovRR, Op::kMovRI}}, {"add", {Op::kAddRR, Op::kAddRI}},
-      {"sub", {Op::kSubRR, Op::kSubRI}}, {"cmp", {Op::kCmpRR, Op::kCmpRI}},
-      {"and", {Op::kAndRR, Op::kAndRI}}, {"mul", {Op::kMulRR, Op::kHalt}},
-      {"or", {Op::kOrRR, Op::kHalt}},    {"xor", {Op::kXorRR, Op::kHalt}},
-      {"div", {Op::kDivRR, Op::kHalt}},  {"mod", {Op::kModRR, Op::kHalt}},
-      {"shl", {Op::kShlRR, Op::kHalt}},  {"shr", {Op::kShrRR, Op::kHalt}},
-  };
-  auto alu = kAlu.find(mnemonic);
-  if (alu != kAlu.end()) {
-    if (argc != 2) {
-      return Error(ks::StrPrintf("%s needs two operands", mnemonic.c_str()));
-    }
+  if (argc != operands) {
+    return Error(ks::StrPrintf("%s needs %zu operand%s", mnemonic.c_str(),
+                               operands, operands == 1 ? "" : "s"));
+  }
+  if (info.has_reg1) {
     std::optional<uint8_t> rd = ParseRegister(tokens[1]);
     if (!rd.has_value()) {
-      return Error(ks::StrPrintf("bad destination '%s'", tokens[1].c_str()));
+      return Error(ks::StrPrintf("bad register '%s'",
+                                 std::string(tokens[1]).c_str()));
     }
-    std::optional<uint8_t> rs = ParseRegister(tokens[2]);
-    if (rs.has_value()) {
-      Insn insn;
-      insn.op = alu->second.rr;
-      insn.reg1 = *rd;
-      insn.reg2 = *rs;
-      EmitBytes(Encode(insn));
-      return ks::OkStatus();
-    }
-    if (alu->second.ri == Op::kHalt) {
-      return Error(
-          ks::StrPrintf("%s has no immediate form", mnemonic.c_str()));
-    }
+    stmt.insn.reg1 = *rd;
+  }
+  if (!has_source) {
+    return Add(stmt);
+  }
+  std::string source(tokens[argc]);
+  std::optional<uint8_t> rs = ParseRegister(source);
+  if (rs.has_value() && forms[1].has_value()) {
+    stmt.insn.op = *forms[1];
+    stmt.insn.reg2 = *rs;
+    return Add(stmt);
+  }
+  if (!forms[0].has_value()) {
+    return Error(ks::StrPrintf("%s has no immediate form", mnemonic.c_str()));
+  }
+  stmt.insn.op = *forms[0];
+  if (source[0] == '=') {
     // "=symbol[+off]" materializes an address with an ABS32 relocation.
-    if (tokens[2][0] == '=') {
-      if (alu->second.ri != Op::kMovRI) {
-        return Error("address expressions only valid with mov");
-      }
-      auto sym = ParseSymbolExpr(std::string_view(tokens[2]).substr(1));
-      if (!sym.has_value()) {
-        return Error(
-            ks::StrPrintf("bad address expression '%s'", tokens[2].c_str()));
-      }
-      Insn insn;
-      insn.op = Op::kMovRI;
-      insn.reg1 = *rd;
-      insn.imm = 0;
-      EmitBytes(Encode(insn),
-                {ItemReloc{2, sym->first, sym->second, RelocType::kAbs32}});
-      return ks::OkStatus();
+    if (stmt.insn.op != Op::kMovRI) {
+      return Error("address expressions only valid with mov");
     }
-    std::optional<int64_t> n = ParseNumber(tokens[2]);
-    if (!n.has_value()) {
-      return Error(ks::StrPrintf("bad operand '%s'", tokens[2].c_str()));
+    if (!ParseSymbolExpr(tokens[argc].substr(1), stmt)) {
+      return Error(
+          ks::StrPrintf("bad address expression '%s'", source.c_str()));
     }
-    Insn insn;
-    insn.op = alu->second.ri;
-    insn.reg1 = *rd;
-    insn.imm = static_cast<uint32_t>(*n);
-    EmitBytes(Encode(insn));
-    return ks::OkStatus();
+    return Add(stmt);
   }
-
-  return Error(ks::StrPrintf("unknown mnemonic '%s'", mnemonic.c_str()));
+  std::optional<int64_t> n = ParseNumber(source);
+  if (!n.has_value() ||
+      (GetOpInfo(stmt.insn.op).has_imm8 && (*n < 0 || *n > 255))) {
+    return Error(ks::StrPrintf("bad operand '%s'", source.c_str()));
+  }
+  stmt.insn.imm = static_cast<uint32_t>(*n);
+  return Add(stmt);
 }
 
-std::vector<uint32_t> Assembler::ComputeOffsets(const AsmSection& section) {
-  std::vector<uint32_t> offsets(section.items.size() + 1, 0);
-  uint32_t off = 0;
-  for (size_t i = 0; i < section.items.size(); ++i) {
-    offsets[i] = off;
-    const AsmItem& item = section.items[i];
-    switch (item.kind) {
-      case AsmItem::Kind::kBytes:
-        off += static_cast<uint32_t>(item.bytes.size());
-        break;
-      case AsmItem::Kind::kBranch:
-        if (item.branch_op == Op::kCall) {
-          off += 5;
-        } else {
-          off += item.is_long ? 5 : 2;
-        }
-        break;
-      case AsmItem::Kind::kAlign:
-        off += (item.align - (off % item.align)) % item.align;
-        break;
-    }
-  }
-  offsets[section.items.size()] = off;
-  return offsets;
-}
+// ------------------------------------------------------------------------
+// Final assembly
 
-ks::Status Assembler::Relax(AsmSection& section) {
-  // Branches whose targets are not labels of this section always use the
-  // long form with a relocation.
-  for (AsmItem& item : section.items) {
-    if (item.kind == AsmItem::Kind::kBranch &&
-        section.labels.count(item.target) == 0) {
-      item.is_long = true;
-    }
-  }
-  for (int iteration = 0; iteration < 1000; ++iteration) {
-    std::vector<uint32_t> offsets = ComputeOffsets(section);
-    bool changed = false;
-    for (size_t i = 0; i < section.items.size(); ++i) {
-      AsmItem& item = section.items[i];
-      if (item.kind != AsmItem::Kind::kBranch || item.is_long ||
-          item.branch_op == Op::kCall) {
-        continue;
-      }
-      auto label = section.labels.find(item.target);
-      if (label == section.labels.end()) {
-        continue;  // already forced long above
-      }
-      uint32_t target_off = offsets[label->second];
-      int64_t disp = static_cast<int64_t>(target_off) -
-                     (static_cast<int64_t>(offsets[i]) + 2);
-      if (disp < -128 || disp > 127) {
-        item.is_long = true;
-        changed = true;
-      }
-    }
-    if (!changed) {
-      return ks::OkStatus();
-    }
-  }
-  return ks::Internal("assembler relaxation did not converge");
-}
-
-ks::Status Assembler::MaterializeDeferredEntries() {
+ks::Status Builder::MaterializeDeferredEntries() {
   for (const DeferredEntry& e : deferred_) {
-    // Resolve the function and label offsets within the recorded text
-    // section (never hold references across EnsureSection: it may grow
-    // sections_).
-    std::vector<uint32_t> offsets = ComputeOffsets(sections_[e.section]);
-    auto resolve = [&](const std::string& label,
-                       uint32_t* out) -> ks::Status {
+    const Stmt& entry = e.stmt;
+    bool extable = entry.kind == Kind::kExtable;
+    // Offsets of the function, the faulting/trap site and the fixup.
+    uint32_t offset[3] = {};
+    for (size_t i = 0; i <= entry.args.size(); ++i) {
+      const std::string& name = i == 0 ? entry.name : entry.args[i - 1];
       const AsmSection& text = sections_[e.section];
-      auto it = text.labels.find(label);
+      auto it = text.labels.find(name);
       if (it == text.labels.end()) {
         return ks::InvalidArgument(ks::StrPrintf(
             "%s:%d: %s references unknown label '%s'", source_name_.c_str(),
-            e.src_line,
-            e.kind == DeferredEntry::Kind::kExtable ? ".extable_entry"
-                                                    : ".bug_entry",
-            label.c_str()));
+            e.line, extable ? ".extable_entry" : ".bug_entry", name.c_str()));
       }
-      *out = offsets[it->second];
-      return ks::OkStatus();
-    };
-    uint32_t fn_off = 0;
-    uint32_t site_off = 0;
-    KS_RETURN_IF_ERROR(resolve(e.fn, &fn_off));
-    KS_RETURN_IF_ERROR(resolve(e.label1, &site_off));
-
-    bool extable = e.kind == DeferredEntry::Kind::kExtable;
-    uint32_t aux = 0;
-    if (extable) {
-      KS_RETURN_IF_ERROR(resolve(e.label2, &aux));
-    } else {
-      aux = e.bug_line;
+      offset[i] = text.Offset(it->second);
     }
-
-    std::string table_name = (extable ? ".extable." : ".bug_table.") + e.fn;
-    std::string table_sym = (extable ? "__extable_" : "__bug_table_") + e.fn;
+    std::string table_name =
+        (extable ? ".extable." : ".bug_table.") + entry.name;
+    std::string table_sym =
+        (extable ? "__extable_" : "__bug_table_") + entry.name;
+    // Never hold references across EnsureSection: it may grow sections_.
     size_t idx = EnsureSection(table_name, SectionKind::kData, 4);
     AsmSection& table = sections_[idx];
-    if (table.labels.count(table_sym) == 0) {
-      table.labels.emplace(table_sym, 0);
-      defined_.push_back(DefinedSym{table_sym, idx, 0});
+    if (table.labels.emplace(table_sym, Pos{}).second) {
+      defined_.push_back(DefinedSym{table_sym, idx, Pos{}});
     }
-    AsmItem item;
-    item.kind = AsmItem::Kind::kBytes;
-    item.bytes.assign(8, 0);
-    item.line = e.src_line;
     // Word 0: address of the faulting/trap instruction, as fn+offset so
     // the linker and the structural matcher see it under relocation.
-    item.relocs.push_back(ItemReloc{
-        0, e.fn, static_cast<int32_t>(site_off - fn_off), RelocType::kAbs32});
+    AddItem(table, ItemKind::kReloc, table.bytes.size(),
+            offset[1] - offset[0], entry.name);
+    AppendWord(table.bytes, 0);
     if (extable) {
       // Word 1: the fixup landing pad, likewise fn-relative.
-      item.relocs.push_back(ItemReloc{
-          4, e.fn, static_cast<int32_t>(aux - fn_off), RelocType::kAbs32});
+      AddItem(table, ItemKind::kReloc, table.bytes.size(),
+              offset[2] - offset[0], entry.name);
+      AppendWord(table.bytes, 0);
     } else {
       // Word 1: the source line, a plain literal (no relocation).
-      ks::WriteLe32(item.bytes.data() + 4, aux);
+      AppendWord(table.bytes, static_cast<uint32_t>(entry.value));
     }
-    table.items.push_back(std::move(item));
+    Layout(table);
   }
   return ks::OkStatus();
 }
 
-ks::Result<ObjectFile> Assembler::Finish() {
-  ObjectFile obj(source_name_);
-
-  std::map<std::string, SymbolBinding> binding;
-  for (const std::string& name : globals_) {
-    binding[name] = SymbolBinding::kGlobal;
-  }
-
+ks::Result<ObjectFile> Builder::Finish() {
   for (AsmSection& asec : sections_) {
     KS_RETURN_IF_ERROR(Relax(asec));
   }
@@ -971,16 +753,11 @@ ks::Result<ObjectFile> Assembler::Finish() {
   // entries into per-function table sections before kelf emission.
   KS_RETURN_IF_ERROR(MaterializeDeferredEntries());
 
-  // First create all symbols (so relocations can reference them), then emit
-  // section payloads.
-  std::map<std::string, int> symbol_index;  // defined symbols by name
+  ObjectFile obj(source_name_);
   std::vector<int> section_index(sections_.size(), -1);
-
-  // Create kelf sections.
   for (size_t si = 0; si < sections_.size(); ++si) {
-    AsmSection& asec = sections_[si];
-    std::vector<uint32_t> offsets = ComputeOffsets(asec);
-    uint32_t total = offsets.back();
+    const AsmSection& asec = sections_[si];
+    uint32_t total = asec.Offset(asec.Here());
     bool last_chance = si + 1 == sections_.size() && obj.sections().empty();
     if (total == 0 && asec.items.empty() && asec.labels.empty() &&
         !last_chance) {
@@ -1002,123 +779,116 @@ ks::Result<ObjectFile> Assembler::Finish() {
     section_index[si] = obj.AddSection(std::move(sec));
   }
 
-  // Define symbols.
+  // Define symbols first, so relocations can reference them.
+  std::unordered_map<std::string, int> symbol_index;
   for (const DefinedSym& def : defined_) {
     const AsmSection& asec = sections_[def.section];
-    std::vector<uint32_t> offsets = ComputeOffsets(asec);
     if (section_index[def.section] < 0) {
       return ks::Internal("symbol defined in dropped section");
     }
     Symbol sym;
     sym.name = def.name;
-    sym.binding = binding.count(def.name) != 0 ? SymbolBinding::kGlobal
-                                               : SymbolBinding::kLocal;
+    sym.binding = globals_.count(def.name) != 0 ? SymbolBinding::kGlobal
+                                                : SymbolBinding::kLocal;
     sym.kind = asec.kind == SectionKind::kText ? SymbolKind::kFunction
                                                : SymbolKind::kObject;
     sym.section = section_index[def.section];
-    sym.value = offsets[def.position];
-    if (symbol_index.count(def.name) != 0) {
+    sym.value = asec.Offset(def.pos);
+    auto [it, added] = symbol_index.try_emplace(def.name, 0);
+    if (!added) {
       return ks::InvalidArgument(ks::StrPrintf(
           "%s: duplicate symbol '%s'", source_name_.c_str(),
           def.name.c_str()));
     }
-    symbol_index[def.name] = obj.AddSymbol(std::move(sym));
+    it->second = obj.AddSymbol(std::move(sym));
   }
-
-  // Emit payloads and relocations.
-  auto reloc_symbol = [&](const std::string& name) -> int {
-    auto it = symbol_index.find(name);
-    if (it != symbol_index.end()) {
-      return it->second;
+  auto reloc_symbol = [&](const std::string& name) {
+    auto [it, added] = symbol_index.try_emplace(name, 0);
+    if (added) {
+      it->second = obj.InternUndefinedSymbol(name);
     }
-    return obj.InternUndefinedSymbol(name);
+    return it->second;
   };
 
+  // Emit payloads: fixed bytes, with each item's bytes or relocation
+  // spliced in at its final offset.
   for (size_t si = 0; si < sections_.size(); ++si) {
-    if (section_index[si] < 0) {
-      continue;
+    const AsmSection& asec = sections_[si];
+    if (section_index[si] < 0 || asec.kind == SectionKind::kBss) {
+      continue;  // a .bss size is already recorded
     }
-    AsmSection& asec = sections_[si];
     Section& sec = obj.sections()[static_cast<size_t>(section_index[si])];
-    std::vector<uint32_t> offsets = ComputeOffsets(asec);
-    if (asec.kind == SectionKind::kBss) {
-      continue;  // size already recorded
-    }
-    for (size_t i = 0; i < asec.items.size(); ++i) {
-      AsmItem& item = asec.items[i];
-      uint32_t item_off = offsets[i];
+    std::vector<uint8_t>& out = sec.bytes;
+    uint32_t copied = 0;
+    for (size_t k = 0; k < asec.items.size(); ++k) {
+      const AsmItem& item = asec.items[k];
+      out.insert(out.end(), asec.bytes.begin() + copied,
+                 asec.bytes.begin() + item.at);
+      copied = item.at;
+      uint32_t item_off = item.at + asec.shift[k];
       switch (item.kind) {
-        case AsmItem::Kind::kBytes: {
-          sec.bytes.insert(sec.bytes.end(), item.bytes.begin(),
-                           item.bytes.end());
-          for (const ItemReloc& r : item.relocs) {
-            sec.relocs.push_back(kelf::Relocation{
-                .offset = item_off + r.offset,
-                .type = r.type,
-                .symbol = reloc_symbol(r.symbol),
-                .addend = r.addend,
-            });
-          }
+        case ItemKind::kReloc:
+          sec.relocs.push_back(kelf::Relocation{
+              .offset = item_off,
+              .type = RelocType::kAbs32,
+              .symbol = reloc_symbol(item.symbol),
+              .addend = item.value,
+          });
           break;
-        }
-        case AsmItem::Kind::kBranch: {
-          auto label = asec.labels.find(item.target);
-          if (label != asec.labels.end()) {
-            uint32_t target_off = offsets[label->second];
-            Insn insn;
-            uint32_t len = item.branch_op == Op::kCall ? 5
-                           : item.is_long              ? 5
-                                                       : 2;
-            insn.op = item.branch_op == Op::kCall ? Op::kCall
-                      : item.is_long ? item.branch_op
-                                     : ShortForm(item.branch_op);
-            insn.rel = static_cast<int32_t>(target_off) -
-                       static_cast<int32_t>(item_off + len);
-            std::vector<uint8_t> bytes = Encode(insn);
-            sec.bytes.insert(sec.bytes.end(), bytes.begin(), bytes.end());
+        case ItemKind::kBranch: {
+          Insn insn;
+          insn.op = item.op == Op::kCall || item.is_long ? item.op
+                                                         : ShortForm(item.op);
+          uint32_t end = item_off + GetOpInfo(insn.op).length;
+          if (item.local) {
+            insn.rel = static_cast<int32_t>(asec.Offset(item.target)) -
+                       static_cast<int32_t>(end);
           } else {
-            Insn insn;
-            insn.op = item.branch_op;
-            insn.rel = 0;
-            std::vector<uint8_t> bytes = Encode(insn);
-            uint32_t field = item_off + static_cast<uint32_t>(bytes.size()) - 4;
-            sec.bytes.insert(sec.bytes.end(), bytes.begin(), bytes.end());
             sec.relocs.push_back(kelf::Relocation{
-                .offset = field,
+                .offset = end - 4,
                 .type = RelocType::kPcrel32,
-                .symbol = reloc_symbol(item.target),
+                .symbol = reloc_symbol(item.symbol),
                 .addend = -4,
             });
           }
+          Encode(insn, out);
           break;
         }
-        case AsmItem::Kind::kAlign: {
-          uint32_t pad =
-              (item.align - (item_off % item.align)) % item.align;
+        case ItemKind::kAlign: {
+          uint32_t align = static_cast<uint32_t>(item.value);
+          uint32_t pad = (align - item_off % align) % align;
           if (asec.kind == SectionKind::kText) {
-            AppendNopFill(sec.bytes, pad);
+            AppendNopFill(out, pad);
           } else {
-            sec.bytes.insert(sec.bytes.end(), pad, 0);
+            out.insert(out.end(), pad, 0);
           }
           break;
         }
       }
     }
+    out.insert(out.end(), asec.bytes.begin() + copied, asec.bytes.end());
   }
 
-  // Symbol sizes: distance to the next symbol in the same section, or to
-  // the end of the section.
-  for (kelf::Symbol& sym : obj.symbols()) {
-    if (!sym.defined()) {
-      continue;
+  // Symbol sizes: distance to the next higher symbol in the same section,
+  // or to the end of the section. One sorted pass.
+  std::vector<kelf::Symbol>& symbols = obj.symbols();
+  std::vector<size_t> order;
+  for (size_t i = 0; i < symbols.size(); ++i) {
+    if (symbols[i].defined()) {
+      order.push_back(i);
     }
-    const Section& sec = obj.sections()[static_cast<size_t>(sym.section)];
-    uint32_t next = sec.size();
-    for (const kelf::Symbol& other : obj.symbols()) {
-      if (other.defined() && other.section == sym.section &&
-          other.value > sym.value && other.value < next) {
-        next = other.value;
-      }
+  }
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return std::pair(symbols[a].section, symbols[a].value) <
+           std::pair(symbols[b].section, symbols[b].value);
+  });
+  uint32_t next = 0;
+  for (size_t i = order.size(); i-- > 0;) {
+    kelf::Symbol& sym = symbols[order[i]];
+    if (i + 1 == order.size() || symbols[order[i + 1]].section != sym.section) {
+      next = obj.sections()[static_cast<size_t>(sym.section)].size();
+    } else if (symbols[order[i + 1]].value > sym.value) {
+      next = symbols[order[i + 1]].value;
     }
     sym.size = next - sym.value;
   }
@@ -1127,13 +897,161 @@ ks::Result<ObjectFile> Assembler::Finish() {
   return obj;
 }
 
+// ------------------------------------------------------------------------
+// Listing
+
+// The inverse of the .asciz escapes the text front end reads.
+std::string EscapeAsciz(std::string_view content) {
+  std::string escaped;
+  for (char c : content) {
+    const char* escape = c == '\n'   ? "\\n"
+                         : c == '\t' ? "\\t"
+                         : c == '"'  ? "\\\""
+                         : c == '\\' ? "\\\\"
+                                      : nullptr;
+    escaped += escape != nullptr ? std::string_view(escape)
+                                 : std::string_view(&c, 1);
+  }
+  return escaped;
+}
+
+std::string RegName(uint8_t reg) {
+  return reg == kRegFp   ? "fp"
+         : reg == kRegSp ? "sp"
+                         : "r" + std::to_string(reg);
+}
+
+std::string SymbolExpr(const Stmt& stmt) {
+  return stmt.name + (stmt.value > 0 ? "+" : "") +
+         (stmt.value != 0 ? std::to_string(stmt.value) : "");
+}
+
+std::string PrintInsn(const Stmt& stmt) {
+  const Insn& insn = stmt.insn;
+  const OpInfo& info = GetOpInfo(insn.op);
+  std::string out = info.mnemonic;
+  if (stmt.kind == Kind::kBranch) {
+    return out + " " + stmt.name;
+  }
+  if (IsMemLoad(insn.op)) {
+    return out + " " + RegName(insn.reg1) + ", [" + RegName(insn.reg2) + "]";
+  }
+  if (IsMemStore(insn.op)) {
+    return out + " [" + RegName(insn.reg1) + "], " + RegName(insn.reg2);
+  }
+  std::vector<std::string> operands;
+  if (info.has_reg1) {
+    operands.push_back(RegName(insn.reg1));
+  }
+  if (info.has_reg2) {
+    operands.push_back(RegName(insn.reg2));
+  }
+  if (info.has_imm32) {
+    operands.push_back(stmt.name.empty()
+                           ? std::to_string(static_cast<int32_t>(insn.imm))
+                           : "=" + SymbolExpr(stmt));
+  }
+  if (info.has_imm8) {
+    operands.push_back(std::to_string(insn.imm));
+  }
+  return operands.empty() ? out : out + " " + ks::Join(operands, ", ");
+}
+
 }  // namespace
+
+class Assembler::Impl : public Builder {
+ public:
+  using Builder::Builder;
+  ks::Status status;  // the first error
+};
+
+Assembler::Assembler(std::string source_name, const AsmOptions& options)
+    : impl_(std::make_unique<Impl>(std::move(source_name), options)) {}
+
+Assembler::~Assembler() = default;
+
+void Assembler::Add(std::span<const Stmt> program) {
+  for (size_t i = 0; i < program.size() && impl_->status.ok(); ++i) {
+    ++impl_->line_number;
+    impl_->status = impl_->Add(program[i]);
+  }
+}
+
+ks::Result<kelf::ObjectFile> Assembler::Finish() {
+  KS_RETURN_IF_ERROR(impl_->status);
+  return impl_->Finish();
+}
 
 ks::Result<kelf::ObjectFile> Assemble(std::string_view source,
                                       std::string source_name,
                                       const AsmOptions& options) {
-  Assembler assembler(std::move(source_name), options);
-  return assembler.Run(source);
+  Builder assembler(std::move(source_name), options);
+  for (const std::string& raw_line : ks::SplitLines(source)) {
+    ++assembler.line_number;
+    std::string_view line = raw_line;
+    // A ';' or '#' after the line's first quote counts as string text.
+    size_t comment = line.find_first_of(";#");
+    if (comment < line.find('"')) {
+      line = line.substr(0, comment);
+    }
+    KS_RETURN_IF_ERROR(assembler.ParseLine(ks::Trim(line)));
+  }
+  return assembler.Finish();
+}
+
+std::string Print(std::span<const Stmt> program) {
+  std::string out;
+  for (const Stmt& stmt : program) {
+    switch (stmt.kind) {
+      case Kind::kText:
+      case Kind::kData:
+      case Kind::kBss:
+        out += kSegments[static_cast<int>(stmt.kind)].section;
+        break;
+      case Kind::kSection:
+        out += ".howto_section " + stmt.name;
+        break;
+      case Kind::kGlobal:
+        out += ".global " + stmt.name;
+        break;
+      case Kind::kLabel:
+        out += stmt.name + ":";
+        break;
+      case Kind::kHook:
+        out += ".ksplice_" + stmt.args[0] + " " + stmt.name;
+        break;
+      case Kind::kInsn:
+      case Kind::kBranch:
+        out += "    " + PrintInsn(stmt);
+        break;
+      case Kind::kAlign:
+        out += "    .align " + std::to_string(stmt.value);
+        break;
+      case Kind::kWord:
+        out += "    .word " + (stmt.name.empty() ? std::to_string(stmt.value)
+                                                 : SymbolExpr(stmt));
+        break;
+      case Kind::kByte:
+        out += "    .byte " + std::to_string(stmt.value);
+        break;
+      case Kind::kSpace:
+        out += "    .space " + std::to_string(stmt.value);
+        break;
+      case Kind::kAsciz:
+        out += "    .asciz \"" + EscapeAsciz(stmt.name) + "\"";
+        break;
+      case Kind::kExtable:
+        out += "    .extable_entry " + stmt.name + ", " +
+               ks::Join(stmt.args, ", ");
+        break;
+      case Kind::kBug:
+        out += "    .bug_entry " + stmt.name + ", " + stmt.args[0] + ", " +
+               std::to_string(stmt.value);
+        break;
+    }
+    out += '\n';
+  }
+  return out;
 }
 
 }  // namespace kvx

@@ -266,6 +266,12 @@ ks::Result<Insn> Decode(std::span<const uint8_t> bytes) {
 }
 
 std::vector<uint8_t> Encode(const Insn& insn) {
+  std::vector<uint8_t> out;
+  Encode(insn, out);
+  return out;
+}
+
+void Encode(const Insn& insn, std::vector<uint8_t>& out) {
   const OpInfo& info = GetOpInfo(insn.op);
   assert(info.mnemonic != nullptr);
   uint8_t length = info.length;
@@ -273,32 +279,33 @@ std::vector<uint8_t> Encode(const Insn& insn) {
     assert(insn.len >= 2 && insn.len <= 15);
     length = insn.len;
   }
-  std::vector<uint8_t> out(length, 0);
-  out[0] = static_cast<uint8_t>(insn.op);
+  size_t start = out.size();
+  out.resize(start + length, 0);
+  uint8_t* p = out.data() + start;
+  p[0] = static_cast<uint8_t>(insn.op);
   size_t pos = 1;
   if (insn.op == Op::kNopN) {
-    out[1] = length;
-    return out;
+    p[1] = length;
+    return;
   }
   if (info.has_reg1) {
-    out[pos++] = insn.reg1;
+    p[pos++] = insn.reg1;
   }
   if (info.has_reg2) {
-    out[pos++] = insn.reg2;
+    p[pos++] = insn.reg2;
   }
   if (info.has_imm32) {
-    ks::WriteLe32(out.data() + pos, insn.imm);
+    ks::WriteLe32(p + pos, insn.imm);
   }
   if (info.has_imm8) {
-    out[pos] = static_cast<uint8_t>(insn.imm);
+    p[pos] = static_cast<uint8_t>(insn.imm);
   }
   if (info.has_rel8) {
-    out[1] = static_cast<uint8_t>(static_cast<int8_t>(insn.rel));
+    p[1] = static_cast<uint8_t>(static_cast<int8_t>(insn.rel));
   }
   if (info.has_rel32) {
-    ks::WriteLe32(out.data() + (length - 4), static_cast<uint32_t>(insn.rel));
+    ks::WriteLe32(p + (length - 4), static_cast<uint32_t>(insn.rel));
   }
-  return out;
 }
 
 std::vector<uint8_t> EncodeTrampoline(uint32_t from, uint32_t to) {

@@ -227,9 +227,11 @@ struct WalkEnd {
 WalkEnd WalkInsns(std::span<const uint8_t> code,
                   const std::function<bool(uint32_t, const Insn&)>& visit);
 
-// Encodes `insn` (op, registers, imm, rel as applicable) into bytes.
-// For kNopN, insn.len selects the total length (2..15).
+// Encodes `insn` (op, registers, imm, rel as applicable) into bytes, or
+// appends them to `out`. For kNopN, insn.len selects the total length
+// (2..15).
 std::vector<uint8_t> Encode(const Insn& insn);
+void Encode(const Insn& insn, std::vector<uint8_t>& out);
 
 // Appends an alignment no-op filler of exactly `n` bytes (using kNop, kNopW
 // and kNopN as appropriate), as the assembler does for .align in text.

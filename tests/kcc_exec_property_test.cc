@@ -1,7 +1,8 @@
 // Differential property tests: random KC expression trees are compiled by
 // kcc, executed in the VM, and compared against a host-side evaluator of
 // the same tree. Any divergence flags a bug somewhere in the compiler,
-// assembler, linker, or interpreter. Also: random control-flow programs
+// assembler, linker, or interpreter. Every program also goes through the
+// listing oracle (listing_oracle.h). Also: random control-flow programs
 // (loop/branch nests) against a host oracle, and a random-instruction
 // encode/decode round-trip sweep for the ISA.
 
@@ -14,6 +15,7 @@
 #include "kdiff/diff.h"
 #include "kvm/machine.h"
 #include "kvx/isa.h"
+#include "listing_oracle.h"
 
 namespace {
 
@@ -141,6 +143,7 @@ ks::Result<uint32_t> RunKernel(const std::string& source, uint32_t arg,
   kcc::CompileOptions options;
   options.function_sections = function_sections;
   options.data_sections = function_sections;
+  ExpectListingRoundTrip(tree, "m.kc", options);
   KS_ASSIGN_OR_RETURN(std::vector<kelf::ObjectFile> objects,
                       kcc::BuildTree(tree, options));
   kvm::MachineConfig config;

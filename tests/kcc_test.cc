@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
+#include "base/hash.h"
 #include "base/strings.h"
 #include "corpus/corpus.h"
 #include "kcc/codegen.h"
@@ -15,6 +17,7 @@
 #include "kcc/parser.h"
 #include "kcc/preprocess.h"
 #include "kdiff/diff.h"
+#include "listing_oracle.h"
 
 namespace kcc {
 namespace {
@@ -801,6 +804,110 @@ TEST(CodegenTest, CompileErrors) {
   EXPECT_FALSE(CompileUnit(tree, "u.kc", options).ok());
   tree.Write("u.kc", "ksplice_apply(nonexistent);\n");
   EXPECT_FALSE(CompileUnit(tree, "u.kc", options).ok());
+}
+
+// ------------------------------------------------------- Listing oracle
+
+// The direct path (CompileUnit) and the printed listing assembled as text
+// agree on every unit of every corpus release, monolithic and sectioned.
+TEST(ListingOracle, EveryCorpusReleaseUnitAssemblesIdentically) {
+  CompileOptions sectioned;
+  sectioned.function_sections = true;
+  sectioned.data_sections = true;
+  for (size_t release = 0; release < corpus::KernelVersions().size();
+       ++release) {
+    ks::Result<SourceTree> tree = corpus::KernelSourceAt(release);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    for (const std::string& path : tree->Paths()) {
+      if (!ks::EndsWith(path, ".kc")) {
+        continue;
+      }
+      for (const CompileOptions& options :
+           {corpus::RunBuildOptions(), CompileOptions{}, sectioned}) {
+        ExpectListingRoundTrip(*tree, path, options);
+      }
+    }
+  }
+}
+
+// Likewise for every unit a CVE fix rebuilds, on the patched (post) side,
+// for the original fix and, where there is one, the hook-carrying amended
+// fix. The pre-post build compiles these with sections on.
+TEST(ListingOracle, EveryRebuiltCvePostUnitAssemblesIdentically) {
+  CompileOptions sectioned = corpus::RunBuildOptions();
+  sectioned.function_sections = true;
+  sectioned.data_sections = true;
+  int units = 0;
+  for (const corpus::Vulnerability& vuln : corpus::Vulnerabilities()) {
+    std::vector<ks::Result<std::string>> fixes = {corpus::PatchFor(vuln)};
+    if (vuln.needs_custom_code) {
+      fixes.push_back(corpus::AmendedPatchFor(vuln));
+    }
+    for (const ks::Result<std::string>& fix : fixes) {
+      ASSERT_TRUE(fix.ok()) << vuln.cve << ": " << fix.status().ToString();
+      ks::Result<kdiff::Patch> patch = kdiff::ParseUnifiedDiff(*fix);
+      ASSERT_TRUE(patch.ok()) << vuln.cve;
+      ks::Result<SourceTree> post =
+          kdiff::ApplyPatch(corpus::KernelSource(), *patch);
+      ASSERT_TRUE(post.ok()) << vuln.cve;
+      std::vector<std::string> touched = patch->TouchedPaths();
+      for (const std::string& path : post->Paths()) {
+        if (!ks::EndsWith(path, ".kc")) {
+          continue;
+        }
+        ks::Result<std::vector<std::string>> closure =
+            IncludeClosure(*post, path);
+        ASSERT_TRUE(closure.ok()) << vuln.cve << " " << path;
+        if (std::find_first_of(closure->begin(), closure->end(),
+                               touched.begin(), touched.end()) ==
+            closure->end()) {
+          continue;
+        }
+        ++units;
+        ExpectListingRoundTrip(*post, path, sectioned);
+      }
+    }
+  }
+  EXPECT_GE(units, static_cast<int>(corpus::Vulnerabilities().size()));
+}
+
+// String bytes that the listing must escape or keep inside quotes:
+// carriage return, NUL, quote, backslash, and the comment characters.
+TEST(ListingOracle, StringLiteralsWithSpecialCharactersAssembleIdentically) {
+  SourceTree tree;
+  tree.Write("s.kc", R"(
+char banner[32] = "cr\r nul\0 q\" bs\\ ; # end";
+int f() {
+  printk("semi;colon #hash");
+  printk("\"quoted\" \\ back\r\0tail");
+  return banner[0];
+}
+)");
+  for (bool sections : {false, true}) {
+    CompileOptions options;
+    options.function_sections = sections;
+    options.data_sections = sections;
+    ExpectListingRoundTrip(tree, "s.kc", options);
+  }
+}
+
+// The listing is a diagnostic surface: its text for release 0 must not
+// move while the code it describes does not. FNV-64 of every .kc unit's
+// CompileToAsm listing, concatenated in path order.
+TEST(FormatPin, Release0ListingIsStable) {
+  const SourceTree& tree = corpus::KernelSource();
+  std::string listings;
+  for (const std::string& path : tree.Paths()) {
+    if (!ks::EndsWith(path, ".kc")) {
+      continue;
+    }
+    ks::Result<std::string> listing =
+        CompileToAsm(tree, path, CompileOptions{});
+    ASSERT_TRUE(listing.ok()) << path << ": " << listing.status().ToString();
+    listings += *listing;
+  }
+  EXPECT_EQ(ks::Fnv1a64(listings), 0x06ef0e1a2a357485ull)
+      << listings.size() << " bytes";
 }
 
 }  // namespace
