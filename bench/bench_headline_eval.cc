@@ -7,14 +7,18 @@
 // new code, how many need custom code (Table 1), and whether every
 // exploit is blocked.
 //
-// The sweep fans out per entry (-j N, default all hardware threads) over
-// a shared content-addressed object cache; rows are printed in corpus
-// order, so stdout is byte-identical for every worker count. Wall-clock
-// and pipeline statistics (from the metrics registry) go to stderr.
+// The sweep fans out per entry (-j N, default 1; -j 0 = all hardware
+// threads) over a shared content-addressed object cache; rows are printed
+// in corpus order, so stdout is byte-identical for every worker count.
+// Wall-clock and pipeline statistics (from the metrics registry) go to
+// stderr.
 //
 // --report-dir=DIR writes one JSON report per corpus entry
 // (EvalOutcome::ToJson: the per-phase create/apply/undo reports included)
-// plus a metrics.json snapshot of the whole-process registry.
+// plus a metrics.json snapshot of the whole-process registry. Only a
+// serial sweep makes those reports repeatable: with several workers,
+// whichever first fills the shared cache is charged the miss, so the
+// per-entry cache counters vary from run to run.
 //
 // Exits 1 when a paper claim below does not hold (56 apply with no new
 // code, 8 need custom code, every exploit that worked is blocked, all 64
@@ -38,7 +42,7 @@
 #include "corpus/corpus.h"
 
 int main(int argc, char** argv) {
-  int jobs = 0;  // 0 = one worker per hardware thread
+  int jobs = 1;  // 0 = one worker per hardware thread
   std::string report_dir;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];

@@ -55,36 +55,23 @@ print("trace + metrics JSON OK:",
       len(trace["traceEvents"]), "spans,", len(counters), "counters")
 EOF
 
-# Lint smoke: create a package from the prctl patch, run the kanalyze lint
-# over it (text + JSON), and validate the JSON shape: the fix must lint
-# clean and the .report.json sidecar must agree.
+# Lint CLI smoke. What the analysis finds is pinned by ctests: the lint
+# JSON of every corpus package, keys included
+# (FormatPin.CorpusLintReportsAreStable), nonzero work counters
+# (KanalyzeGolden.CleanPatchHasNoFindings,
+# SummaryPackage.ColdThenWarmCacheCountsAreExact) and the KSA503
+# lock-imbalance error (Semdiff.IntroducedLockImbalanceIsError).
+# Checked here: exit codes (the prctl fix lints clean even at
+# --fail-on=warning; a package that returns holding the big kernel lock
+# exits 1), `lint --json` and the .report.json sidecar agreeing
+# byte-for-byte on the findings array, and `rollout --lint` (the default)
+# refusing that package before touching any node.
 echo "== ksplice_tool lint smoke =="
 build/tools/ksplice_tool create "$obs_dir/corpus/src" \
   "$obs_dir/corpus/patches/CVE-2006-2451.patch" "$obs_dir/prctl.kspl"
 build/tools/ksplice_tool lint "$obs_dir/prctl.kspl"
 build/tools/ksplice_tool lint --json="$obs_dir/prctl.lint.json" \
   --fail-on=warning "$obs_dir/prctl.kspl"
-python3 - "$obs_dir" <<'EOF'
-import json, sys
-obs_dir = sys.argv[1]
-lint = json.load(open(obs_dir + "/prctl.lint.json"))
-for key in ("id", "errors", "warnings", "notes", "functions_scanned",
-            "blocks_analyzed", "findings"):
-    assert key in lint, f"lint JSON missing {key}: {sorted(lint)}"
-assert lint["errors"] == 0, f"clean package has errors: {lint['findings']}"
-assert lint["functions_scanned"] > 0 and lint["blocks_analyzed"] > 0
-sidecar = json.load(open(obs_dir + "/prctl.kspl.report.json"))
-assert sidecar["lint"]["errors"] == 0, "sidecar lint disagrees"
-print("lint JSON OK:", lint["functions_scanned"], "functions,",
-      lint["blocks_analyzed"], "blocks,", len(lint["findings"]), "findings")
-EOF
-
-# Semantic-diff + rollout gate smoke: a patch that returns holding the
-# big kernel lock must produce an error-severity KSA503 finding, `lint
-# --json` and the .report.json sidecar must agree byte-for-byte on the
-# findings array (one serializer), and `rollout --lint` (the default)
-# must refuse the package before touching any node.
-echo "== kanalyze semdiff + rollout --lint gate smoke =="
 python3 - "$obs_dir" <<'EOF'
 import difflib, pathlib, sys
 obs = pathlib.Path(sys.argv[1])
@@ -105,7 +92,7 @@ rc=0; build/tools/ksplice_tool lint --json="$obs_dir/doomed.lint.json" \
   "$obs_dir/doomed.kspl" || rc=$?
 test "$rc" -eq 1 || { echo "lint of doomed package exited $rc, want 1"; exit 1; }
 python3 - "$obs_dir" <<'EOF'
-import json, sys
+import sys
 obs = sys.argv[1]
 def findings_raw(text):
     at = text.index('"findings":')
@@ -117,15 +104,12 @@ def findings_raw(text):
         if depth == 0:
             return text[at:j + 1]
     raise AssertionError("unterminated findings array")
-lint_raw = open(obs + "/doomed.lint.json").read()
-side_raw = open(obs + "/doomed.kspl.report.json").read()
-assert findings_raw(lint_raw) == findings_raw(side_raw), \
-    "lint --json and sidecar disagree on the findings array"
-lint = json.loads(lint_raw)
-rules = {f["rule"] for f in lint["findings"]}
-assert "KSA503" in rules, rules
-assert lint["errors"] > 0 and lint["functions_summarized"] > 0, lint
-print("semdiff OK:", sorted(rules), "- findings byte-identical with sidecar")
+for name in ("prctl", "doomed"):
+    lint_raw = open(f"{obs}/{name}.lint.json").read()
+    side_raw = open(f"{obs}/{name}.kspl.report.json").read()
+    assert findings_raw(lint_raw) == findings_raw(side_raw), \
+        f"{name}: lint --json and sidecar disagree on the findings array"
+print("lint OK: lint --json and sidecar findings byte-identical")
 EOF
 rc=0; build/tools/ksplice_tool rollout --nodes=2 "$obs_dir/doomed.kspl" \
   2>"$obs_dir/rollout-refused.err" || rc=$?

@@ -95,9 +95,7 @@ void ApplyOnNode(Fleet& fleet, size_t node,
     return;
   }
 
-  state->report.attempts = batch->attempts;
-  state->report.quiescence_retries = batch->quiescence_retries();
-  state->report.pause_ns = batch->pause_ns;
+  static_cast<ksplice::StopWindow&>(state->report) = *batch;
   state->report.functions_spliced = batch->functions_spliced;
   for (const ksplice::PackagePlan* prepared : missing) {
     state->applied_ids.push_back(prepared->package->id);

@@ -13,21 +13,20 @@
 
 #include "base/strings.h"
 #include "kanalyze/kanalyze.h"
+#include "kanalyze/rules.h"
 
 namespace kanalyze {
 
 namespace {
 
-using ksplice::LintFinding;
-using ksplice::LintReport;
-using ksplice::LintSeverity;
-
 bool IsDataKind(kelf::SectionKind kind) {
   return kind == kelf::SectionKind::kData || kind == kelf::SectionKind::kBss;
 }
 
-const kelf::ObjectFile* HelperForUnit(
-    const ksplice::UpdatePackage& package, const std::string& unit) {
+}  // namespace
+
+const kelf::ObjectFile* HelperForUnit(const ksplice::UpdatePackage& package,
+                                      const std::string& unit) {
   for (const kelf::ObjectFile& helper : package.helper_objects) {
     if (helper.source_name() == unit) {
       return &helper;
@@ -35,22 +34,6 @@ const kelf::ObjectFile* HelperForUnit(
   }
   return nullptr;
 }
-
-LintFinding MakeFinding(const char* rule, LintSeverity severity,
-                        const std::string& unit, const std::string& section,
-                        std::string message, std::string hint) {
-  LintFinding finding;
-  finding.rule = rule;
-  finding.severity = severity;
-  finding.pass = "abi";
-  finding.unit = unit;
-  finding.symbol = section;
-  finding.message = std::move(message);
-  finding.hint = std::move(hint);
-  return finding;
-}
-
-}  // namespace
 
 // Any .ksplice.* hook table anywhere in the package counts: hooks are the
 // package-level declaration that apply-time custom code handles state.
@@ -67,7 +50,8 @@ bool PackageHasHooks(const ksplice::UpdatePackage& package) {
   return false;
 }
 
-void RunAbiPass(const ksplice::UpdatePackage& package, LintReport* report) {
+void RunAbiPass(const ksplice::UpdatePackage& package,
+                ksplice::LintReport* report) {
   const bool hooks = PackageHasHooks(package);
   const char* no_hooks_hint =
       "a data semantics change needs apply-time custom code: revise the "
@@ -97,29 +81,26 @@ void RunAbiPass(const ksplice::UpdatePackage& package, LintReport* report) {
       ++report->data_sections_compared;
 
       if (pre->size() != post.size() || pre->align != post.align) {
-        report->findings.push_back(MakeFinding(
-            hooks ? "KSA303" : "KSA301",
-            hooks ? LintSeverity::kNote : LintSeverity::kError,
-            primary.source_name(), post.name,
-            ks::StrPrintf(
-                "persistent data layout changes: %u -> %u bytes, align "
-                "%u -> %u%s",
-                pre->size(), post.size(), pre->align, post.align,
-                hooks ? " (gated by ksplice hooks)" : ""),
-            hooks ? hooks_hint : no_hooks_hint));
+        AddFinding(report, hooks ? RuleId("KSA303") : RuleId("KSA301"),
+                   primary.source_name(), post.name,
+                   ks::StrPrintf("persistent data layout changes: %u -> %u "
+                                 "bytes, align %u -> %u%s",
+                                 pre->size(), post.size(), pre->align,
+                                 post.align,
+                                 hooks ? " (gated by ksplice hooks)" : ""),
+                   hooks ? hooks_hint : no_hooks_hint);
         continue;
       }
       bool bytes_differ =
           pre->kind != kelf::SectionKind::kBss && pre->bytes != post.bytes;
       if (bytes_differ) {
-        report->findings.push_back(MakeFinding(
-            hooks ? "KSA303" : "KSA302",
-            hooks ? LintSeverity::kNote : LintSeverity::kError,
-            primary.source_name(), post.name,
-            ks::StrPrintf(
-                "persistent data contents change (%u bytes)%s",
-                post.size(), hooks ? " (gated by ksplice hooks)" : ""),
-            hooks ? hooks_hint : no_hooks_hint));
+        AddFinding(report, hooks ? RuleId("KSA303") : RuleId("KSA302"),
+                   primary.source_name(), post.name,
+                   ks::StrPrintf("persistent data contents change (%u "
+                                 "bytes)%s",
+                                 post.size(),
+                                 hooks ? " (gated by ksplice hooks)" : ""),
+                   hooks ? hooks_hint : no_hooks_hint);
       }
     }
   }

@@ -11,23 +11,6 @@ namespace kanalyze {
 
 namespace {
 
-// kanalyze must stay header-only towards ksplice (ks_ksplice links this
-// library, not the reverse), so split scoped names locally.
-std::string ScopedKey(const std::string& unit, const std::string& symbol) {
-  return unit + "::" + symbol;
-}
-
-bool SplitScoped(const std::string& name, std::string* unit,
-                 std::string* symbol) {
-  size_t sep = name.find("::");
-  if (sep == std::string::npos) {
-    return false;
-  }
-  *unit = name.substr(0, sep);
-  *symbol = name.substr(sep + 2);
-  return true;
-}
-
 struct SectionScan {
   bool self_call = false;
   uint64_t insns = 0;
@@ -39,18 +22,21 @@ struct SectionScan {
 // the side-effect summaries' job (summary.h), not the graph's.
 SectionScan ScanText(const kelf::Section& section) {
   SectionScan scan;
-  std::set<uint32_t> reloc_fields;
+  std::vector<uint32_t> reloc_fields;
+  reloc_fields.reserve(section.relocs.size());
   for (const kelf::Relocation& rel : section.relocs) {
-    reloc_fields.insert(rel.offset);
+    reloc_fields.push_back(rel.offset);
   }
+  std::sort(reloc_fields.begin(), reloc_fields.end());
   kvx::WalkInsns(std::span<const uint8_t>(section.bytes),
                  [&](uint32_t off, const kvx::Insn& insn) {
                    ++scan.insns;
                    if (insn.op == kvx::Op::kCall) {
                      int field = kvx::Imm32FieldOffset(insn.op);
                      if (field >= 0 &&
-                         reloc_fields.count(
-                             off + static_cast<uint32_t>(field)) == 0) {
+                         !std::binary_search(
+                             reloc_fields.begin(), reloc_fields.end(),
+                             off + static_cast<uint32_t>(field))) {
                        scan.self_call = true;
                      }
                    }
@@ -63,13 +49,13 @@ SectionScan ScanText(const kelf::Section& section) {
 
 int CallGraph::FindHelperNode(const std::string& unit,
                               const std::string& symbol) const {
-  auto it = helper_by_scoped_.find(ScopedKey(unit, symbol));
+  auto it = helper_by_scoped_.find(ksplice::ScopedName(unit, symbol));
   return it == helper_by_scoped_.end() ? -1 : it->second;
 }
 
 int CallGraph::FindPrimaryNode(const std::string& unit,
                                const std::string& symbol) const {
-  auto it = primary_by_scoped_.find(ScopedKey(unit, symbol));
+  auto it = primary_by_scoped_.find(ksplice::ScopedName(unit, symbol));
   return it == primary_by_scoped_.end() ? -1 : it->second;
 }
 
@@ -170,7 +156,7 @@ CallGraph BuildCallGraph(const ksplice::UpdatePackage& package) {
       if (!node.symbol.empty()) {
         auto& scoped = ref.in_primary ? graph.primary_by_scoped_
                                       : graph.helper_by_scoped_;
-        scoped.emplace(ScopedKey(node.unit, node.symbol), index);
+        scoped.emplace(ksplice::ScopedName(node.unit, node.symbol), index);
         if (binding == kelf::SymbolBinding::kGlobal) {
           auto& globals = ref.in_primary ? primary_globals : helper_globals;
           globals.emplace(node.symbol, index);
@@ -219,17 +205,16 @@ CallGraph BuildCallGraph(const ksplice::UpdatePackage& package) {
             to = to_it->second;
           }
         } else {
-          std::string import_unit;
-          std::string import_symbol;
-          if (SplitScoped(sym.name, &import_unit, &import_symbol)) {
+          if (sym.name.find(ksplice::kScopeSeparator) != std::string::npos) {
             // Scoped import: must resolve through that unit's helper.
             // Text targets become edges; data targets (statics, tables)
             // are fine as long as the helper defines the symbol at all.
-            to = graph.FindHelperNode(import_unit, import_symbol);
+            ksplice::ScopedSymbol import = ksplice::SplitScopedName(sym.name);
+            to = graph.FindHelperNode(import.unit, import.symbol);
             if (to < 0 && ref.in_primary) {
-              auto unit_it = helper_defined.find(import_unit);
+              auto unit_it = helper_defined.find(import.unit);
               if (unit_it == helper_defined.end() ||
-                  unit_it->second.count(import_symbol) == 0) {
+                  unit_it->second.count(import.symbol) == 0) {
                 graph.dangling.push_back(DanglingImport{
                     ref.obj->source_name(),
                     graph.nodes[static_cast<size_t>(from)].symbol,

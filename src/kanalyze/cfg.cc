@@ -2,20 +2,17 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <optional>
 #include <set>
-#include <span>
 
 #include "base/strings.h"
+#include "kanalyze/rules.h"
 
 namespace kanalyze {
 
 namespace {
 
-using ksplice::LintFinding;
 using ksplice::LintReport;
-using ksplice::LintSeverity;
 
 bool IsTerminator(kvx::Op op) {
   return op == kvx::Op::kRet || op == kvx::Op::kHalt ||
@@ -30,20 +27,6 @@ bool IsBranch(const kvx::OpInfo& info) {
 bool NoFallthrough(kvx::Op op) {
   return op == kvx::Op::kRet || op == kvx::Op::kHalt ||
          op == kvx::Op::kJmp8 || op == kvx::Op::kJmp32;
-}
-
-LintFinding MakeFinding(const char* rule, LintSeverity severity,
-                        const std::string& unit, const std::string& symbol,
-                        std::string message, std::string hint) {
-  LintFinding finding;
-  finding.rule = rule;
-  finding.severity = severity;
-  finding.pass = "cfg";
-  finding.unit = unit;
-  finding.symbol = symbol;
-  finding.message = std::move(message);
-  finding.hint = std::move(hint);
-  return finding;
 }
 
 // ---- Stack-balance abstract interpretation ---------------------------
@@ -154,20 +137,31 @@ std::optional<StackState> ApplyInsn(const kvx::Insn& insn,
   return state;
 }
 
+// Index of the instruction that starts at `offset` in `insns` (offset
+// order), or -1 when `offset` is not an instruction boundary.
+int64_t InsnAt(const std::vector<CfgInsn>& insns, int64_t offset) {
+  auto it = std::lower_bound(
+      insns.begin(), insns.end(), offset,
+      [](const CfgInsn& entry, int64_t at) { return entry.offset < at; });
+  return it != insns.end() && it->offset == offset ? it - insns.begin() : -1;
+}
+
 }  // namespace
 
 Cfg BuildCfg(const kelf::Section& section,
-             const std::set<uint32_t>& extra_entry_points) {
+             std::span<const uint32_t> extra_entry_points) {
   Cfg cfg;
   cfg.size = static_cast<uint32_t>(section.bytes.size());
 
-  std::set<uint32_t> reloc_fields;
+  std::vector<uint32_t> reloc_fields;
+  reloc_fields.reserve(section.relocs.size());
   for (const kelf::Relocation& rel : section.relocs) {
-    reloc_fields.insert(rel.offset);
+    reloc_fields.push_back(rel.offset);
   }
+  std::sort(reloc_fields.begin(), reloc_fields.end());
 
-  // ---- Linear decode.
-  std::set<uint32_t> boundaries;
+  // ---- Linear decode. cfg.insns is in offset order, so it doubles as the
+  // set of instruction boundaries.
   kvx::WalkEnd walk = kvx::WalkInsns(
       std::span<const uint8_t>(section.bytes),
       [&](uint32_t off, const kvx::Insn& insn) {
@@ -177,11 +171,11 @@ Cfg BuildCfg(const kelf::Section& section,
         int field = kvx::Imm32FieldOffset(insn.op);
         entry.reloc_in_field =
             field >= 0 &&
-            reloc_fields.count(off + static_cast<uint32_t>(field)) != 0;
+            std::binary_search(reloc_fields.begin(), reloc_fields.end(),
+                               off + static_cast<uint32_t>(field));
         // rel8 displacements live at offset 1 and are never relocation
         // sites, but a reloc anywhere inside the instruction still means
         // "patched by the linker" — stay conservative.
-        boundaries.insert(off);
         cfg.insns.push_back(entry);
         return true;
       });
@@ -191,57 +185,63 @@ Cfg BuildCfg(const kelf::Section& section,
     cfg.decode_error = walk.error;
   }
   const uint32_t decoded_end = walk.end;
+  const size_t num_insns = cfg.insns.size();
 
-  // ---- Branch targets and leaders.
-  std::set<uint32_t> leaders{0};
-  std::map<uint32_t, uint32_t> branch_target;  // insn offset -> target
-  for (const CfgInsn& entry : cfg.insns) {
+  // ---- Branch targets and leaders, by instruction index. Offset 0 always
+  // leads; `next < decoded_end` means instruction i + 1 starts at `next`.
+  std::vector<bool> leader(num_insns, false);
+  std::vector<int64_t> branch_target(num_insns, -1);
+  if (num_insns != 0) {
+    leader[0] = true;
+  }
+  for (size_t i = 0; i < num_insns; ++i) {
+    const CfgInsn& entry = cfg.insns[i];
     const kvx::OpInfo& info = kvx::GetOpInfo(entry.insn.op);
     uint32_t next = entry.offset + entry.insn.len;
     if (IsBranch(info) && !entry.reloc_in_field &&
         entry.insn.op != kvx::Op::kCall) {
       int64_t target = static_cast<int64_t>(next) + entry.insn.rel;
-      if (target < 0 || target >= decoded_end ||
-          boundaries.count(static_cast<uint32_t>(target)) == 0) {
+      int64_t at = InsnAt(cfg.insns, target);
+      if (at < 0) {
         cfg.wild_jumps.emplace_back(
             entry.offset,
             static_cast<uint32_t>(static_cast<int64_t>(target) & 0xffffffff));
       } else {
-        branch_target[entry.offset] = static_cast<uint32_t>(target);
-        leaders.insert(static_cast<uint32_t>(target));
+        branch_target[i] = at;
+        leader[static_cast<size_t>(at)] = true;
       }
       if (next < decoded_end) {
-        leaders.insert(next);  // block ends at any branch
+        leader[i + 1] = true;  // block ends at any branch
       }
     } else if (IsTerminator(entry.insn.op) && next < decoded_end) {
-      leaders.insert(next);
+      leader[i + 1] = true;
     }
   }
 
-  // ---- Blocks.
-  std::map<uint32_t, uint32_t> block_of_leader;
-  std::vector<uint32_t> leader_list(leaders.begin(), leaders.end());
-  for (size_t i = 0; i < leader_list.size(); ++i) {
-    block_of_leader[leader_list[i]] = static_cast<uint32_t>(i);
+  // ---- Blocks: each runs from its leader to the next (or decoded_end).
+  // With nothing decoded, one empty block stands at offset 0.
+  std::vector<uint32_t> block_of_insn(num_insns);
+  if (num_insns == 0) {
+    cfg.blocks.emplace_back();
   }
-  uint32_t insn_index = 0;
-  for (size_t i = 0; i < leader_list.size(); ++i) {
-    BasicBlock block;
-    block.start = leader_list[i];
-    block.end =
-        i + 1 < leader_list.size() ? leader_list[i + 1] : decoded_end;
-    block.first_insn = insn_index;
-    while (insn_index < cfg.insns.size() &&
-           cfg.insns[insn_index].offset < block.end) {
-      const CfgInsn& entry = cfg.insns[insn_index];
-      if (!kvx::GetOpInfo(entry.insn.op).is_nop) {
-        block.nops_only = false;
+  for (size_t i = 0; i < num_insns; ++i) {
+    const CfgInsn& entry = cfg.insns[i];
+    if (leader[i]) {
+      if (!cfg.blocks.empty()) {
+        cfg.blocks.back().end = entry.offset;
       }
-      ++block.num_insns;
-      ++insn_index;
+      BasicBlock& block = cfg.blocks.emplace_back();
+      block.start = entry.offset;
+      block.first_insn = static_cast<uint32_t>(i);
     }
-    cfg.blocks.push_back(std::move(block));
+    BasicBlock& block = cfg.blocks.back();
+    if (!kvx::GetOpInfo(entry.insn.op).is_nop) {
+      block.nops_only = false;
+    }
+    ++block.num_insns;
+    block_of_insn[i] = static_cast<uint32_t>(cfg.blocks.size() - 1);
   }
+  cfg.blocks.back().end = decoded_end;
 
   // ---- Edges.
   for (size_t i = 0; i < cfg.blocks.size(); ++i) {
@@ -249,16 +249,15 @@ Cfg BuildCfg(const kelf::Section& section,
     if (block.num_insns == 0) {
       continue;
     }
-    const CfgInsn& last = cfg.insns[block.first_insn + block.num_insns - 1];
-    block.terminated = NoFallthrough(last.insn.op);
-    auto target = branch_target.find(last.offset);
-    if (target != branch_target.end()) {
-      block.succ.push_back(block_of_leader[target->second]);
+    uint32_t last = block.first_insn + block.num_insns - 1;
+    block.terminated = NoFallthrough(cfg.insns[last].insn.op);
+    if (branch_target[last] >= 0) {
+      block.succ.push_back(
+          block_of_insn[static_cast<size_t>(branch_target[last])]);
     }
-    bool falls = !NoFallthrough(last.insn.op);
-    if (falls) {
+    if (!block.terminated) {
       if (block.end < decoded_end) {
-        block.succ.push_back(block_of_leader[block.end]);
+        block.succ.push_back(static_cast<uint32_t>(i + 1));
       } else {
         block.falls_off = true;
       }
@@ -270,24 +269,22 @@ Cfg BuildCfg(const kelf::Section& section,
   // dispatcher, not from a decoded branch). An extra point that is not a
   // block leader is ignored here — the howto pass's KSA602 owns
   // mid-instruction table targets.
-  if (!cfg.blocks.empty()) {
-    std::deque<uint32_t> queue{0};
-    for (uint32_t entry_point : extra_entry_points) {
-      auto leader = block_of_leader.find(entry_point);
-      if (leader != block_of_leader.end()) {
-        queue.push_back(leader->second);
-      }
+  std::deque<uint32_t> queue{0};
+  for (uint32_t entry_point : extra_entry_points) {
+    int64_t at = InsnAt(cfg.insns, entry_point);
+    if (at >= 0 && leader[static_cast<size_t>(at)]) {
+      queue.push_back(block_of_insn[static_cast<size_t>(at)]);
     }
-    while (!queue.empty()) {
-      uint32_t at = queue.front();
-      queue.pop_front();
-      if (cfg.blocks[at].reachable) {
-        continue;
-      }
-      cfg.blocks[at].reachable = true;
-      for (uint32_t next : cfg.blocks[at].succ) {
-        queue.push_back(next);
-      }
+  }
+  while (!queue.empty()) {
+    uint32_t at = queue.front();
+    queue.pop_front();
+    if (cfg.blocks[at].reachable) {
+      continue;
+    }
+    cfg.blocks[at].reachable = true;
+    for (uint32_t next : cfg.blocks[at].succ) {
+      queue.push_back(next);
     }
   }
   return cfg;
@@ -295,35 +292,30 @@ Cfg BuildCfg(const kelf::Section& section,
 
 size_t VerifyFunction(const std::string& unit, const std::string& symbol,
                       const kelf::Section& section, LintReport* report,
-                      const std::set<uint32_t>& extra_entry_points) {
+                      std::span<const uint32_t> extra_entry_points) {
   Cfg cfg = BuildCfg(section, extra_entry_points);
   report->insns_decoded += cfg.insns.size();
 
   // KSA201: undecodable instruction.
   if (!cfg.decode_ok) {
-    LintFinding finding = MakeFinding(
-        "KSA201", LintSeverity::kError, unit, symbol,
-        ks::StrPrintf("undecodable instruction (%s)",
-                      cfg.decode_error.c_str()),
-        "replacement code must be valid kvx; check .byte directives and "
-        "truncated instructions in hand-written assembly");
-    finding.offset = cfg.decode_error_offset;
-    finding.has_offset = true;
-    report->findings.push_back(std::move(finding));
+    AddFinding(report, "KSA201", unit, symbol,
+               ks::StrPrintf("undecodable instruction (%s)",
+                             cfg.decode_error.c_str()),
+               "replacement code must be valid kvx; check .byte directives "
+               "and truncated instructions in hand-written assembly",
+               cfg.decode_error_offset);
   }
 
   // KSA202: wild jumps.
   for (const auto& [branch_off, target] : cfg.wild_jumps) {
-    LintFinding finding = MakeFinding(
-        "KSA202", LintSeverity::kError, unit, symbol,
-        ks::StrPrintf("jump to 0x%x is outside the function or lands "
-                      "inside an instruction (%u code bytes)",
-                      target, cfg.size),
-        "intra-function branches must target instruction boundaries; "
-        "out-of-function control flow needs a relocation");
-    finding.offset = branch_off;
-    finding.has_offset = true;
-    report->findings.push_back(std::move(finding));
+    AddFinding(report, "KSA202", unit, symbol,
+               ks::StrPrintf("jump to 0x%x is outside the function or lands "
+                             "inside an instruction (%u code bytes)",
+                             target, cfg.size),
+               "intra-function branches must target instruction "
+               "boundaries; out-of-function control flow needs a "
+               "relocation",
+               branch_off);
   }
 
   // KSA203: control can run off the end (only meaningful when the whole
@@ -331,13 +323,9 @@ size_t VerifyFunction(const std::string& unit, const std::string& symbol,
   if (cfg.decode_ok) {
     for (const BasicBlock& block : cfg.blocks) {
       if (block.reachable && block.falls_off && block.num_insns > 0) {
-        LintFinding finding = MakeFinding(
-            "KSA203", LintSeverity::kError, unit, symbol,
-            "control falls off the end of the function",
-            "end every path with ret, jmp, or halt");
-        finding.offset = block.end;
-        finding.has_offset = true;
-        report->findings.push_back(std::move(finding));
+        AddFinding(report, "KSA203", unit, symbol,
+                   "control falls off the end of the function",
+                   "end every path with ret, jmp, or halt", block.end);
       }
     }
   }
@@ -346,15 +334,12 @@ size_t VerifyFunction(const std::string& unit, const std::string& symbol,
   // tails, which KSA201 already covers).
   for (const BasicBlock& block : cfg.blocks) {
     if (!block.reachable && !block.nops_only && block.num_insns > 0) {
-      LintFinding finding = MakeFinding(
-          "KSA204", LintSeverity::kWarning, unit, symbol,
-          ks::StrPrintf("unreachable code at 0x%x (%u instruction(s))",
-                        block.start, block.num_insns),
-          "dead blocks waste splice bytes and often indicate a wrong "
-          "branch polarity in the patch");
-      finding.offset = block.start;
-      finding.has_offset = true;
-      report->findings.push_back(std::move(finding));
+      AddFinding(report, "KSA204", unit, symbol,
+                 ks::StrPrintf("unreachable code at 0x%x (%u instruction(s))",
+                               block.start, block.num_insns),
+                 "dead blocks waste splice bytes and often indicate a wrong "
+                 "branch polarity in the patch",
+                 block.start);
     }
   }
 
@@ -373,14 +358,12 @@ size_t VerifyFunction(const std::string& unit, const std::string& symbol,
         const CfgInsn& entry = cfg.insns[block.first_insn + i];
         if (entry.insn.op == kvx::Op::kRet && state.known &&
             state.depth != 0 && reported_rets.insert(entry.offset).second) {
-          LintFinding finding = MakeFinding(
-              "KSA205", LintSeverity::kWarning, unit, symbol,
-              ks::StrPrintf("returns with %d byte(s) left on the frame",
-                            state.depth),
-              "pushes and pops must balance on every path to ret");
-          finding.offset = entry.offset;
-          finding.has_offset = true;
-          report->findings.push_back(std::move(finding));
+          AddFinding(report, "KSA205", unit, symbol,
+                     ks::StrPrintf("returns with %d byte(s) left on the "
+                                   "frame",
+                                   state.depth),
+                     "pushes and pops must balance on every path to ret",
+                     entry.offset);
         }
         state = *ApplyInsn(entry.insn, state);
       }

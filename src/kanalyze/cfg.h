@@ -23,7 +23,7 @@
 #define KSPLICE_KANALYZE_CFG_H_
 
 #include <cstdint>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "base/status.h"
@@ -72,7 +72,7 @@ struct Cfg {
 // fault dispatcher jumps there, so they seed reachability alongside
 // offset 0).
 Cfg BuildCfg(const kelf::Section& section,
-             const std::set<uint32_t>& extra_entry_points = {});
+             std::span<const uint32_t> extra_entry_points = {});
 
 // Runs all CFG/bytecode checks over one changed function and appends
 // findings (KSA201..KSA205) to `report`. Returns the number of basic
@@ -80,7 +80,7 @@ Cfg BuildCfg(const kelf::Section& section,
 size_t VerifyFunction(const std::string& unit, const std::string& symbol,
                       const kelf::Section& section,
                       ksplice::LintReport* report,
-                      const std::set<uint32_t>& extra_entry_points = {});
+                      std::span<const uint32_t> extra_entry_points = {});
 
 }  // namespace kanalyze
 

@@ -4,67 +4,42 @@
 // instruction boundaries of the packaged text — a patch that moved or
 // deleted the code a fixup pointed at would otherwise be discovered only
 // when a fault dispatches through a stale entry in the running kernel.
-//
-//   KSA601 (error): an entry word's relocation is missing, references an
-//          undefined or non-text symbol, or its addend lies past the end
-//          of the target section — the fixup target does not exist.
-//   KSA602 (error): the addend is inside the section but does not start
-//          an instruction — the patch rewrote the code under the entry
-//          (the classic "fixup into patched-out code").
-//   KSA603 (error): a bug-table entry's trap word decodes, but not to the
-//          bug trap opcode — the entry no longer guards a BUG().
-//   KSA604 (note): a build-timestamp section's content differs between
-//          the helper (pre) and primary (post) objects. Harmless by
-//          construction: run-pre matches date/time sections content-
-//          ignoring (§4.3 applied to special sections).
+// Rules KSA601-KSA604 (rules.h): a missing, undefined, non-text or
+// out-of-range entry target; a target inside an instruction; a bug entry
+// whose trap no longer decodes as one; and (a note) build timestamps that
+// differ pre vs post, harmless because run-pre matches date/time sections
+// content-ignoring (§4.3 applied to special sections).
 
+#include <algorithm>
 #include <map>
-#include <set>
+#include <vector>
 
 #include "base/strings.h"
 #include "kanalyze/kanalyze.h"
+#include "kanalyze/rules.h"
 #include "kvx/isa.h"
 
 namespace kanalyze {
 
 namespace {
 
-using ksplice::LintFinding;
 using ksplice::LintReport;
-using ksplice::LintSeverity;
 
-LintFinding MakeFinding(const char* rule, LintSeverity severity,
-                        const std::string& unit, const std::string& section,
-                        uint32_t offset, std::string message,
-                        std::string hint) {
-  LintFinding finding;
-  finding.rule = rule;
-  finding.severity = severity;
-  finding.pass = "howto";
-  finding.unit = unit;
-  finding.symbol = section;
-  finding.offset = offset;
-  finding.has_offset = true;
-  finding.message = std::move(message);
-  finding.hint = std::move(hint);
-  return finding;
-}
-
-// Instruction boundaries of a text section, including the end-of-walk
-// offset. Second member is false when the walk hit undecodable bytes
-// (the cfg pass reports that as KSA201; here it just truncates the set).
-std::pair<std::set<uint32_t>, uint64_t> TextBoundaries(
+// Instruction boundaries of a text section in ascending order, ending
+// with the end-of-walk offset, and the number of instructions decoded. A
+// walk that hits undecodable bytes (the cfg pass reports that as KSA201)
+// just truncates the list.
+std::pair<std::vector<uint32_t>, uint64_t> TextBoundaries(
     const kelf::Section& text) {
-  std::set<uint32_t> boundaries;
-  uint64_t decoded = 0;
+  std::vector<uint32_t> boundaries;
   kvx::WalkEnd walk = kvx::WalkInsns(
       std::span<const uint8_t>(text.bytes),
       [&](uint32_t pos, const kvx::Insn&) {
-        boundaries.insert(pos);
-        ++decoded;
+        boundaries.push_back(pos);
         return true;
       });
-  boundaries.insert(walk.end);
+  uint64_t decoded = boundaries.size();
+  boundaries.push_back(walk.end);
   return {std::move(boundaries), decoded};
 }
 
@@ -81,7 +56,7 @@ struct WordTarget {
 WordTarget CheckTableWord(
     const kelf::ObjectFile& obj, const kelf::Section& table, uint32_t off,
     const char* what,
-    std::map<const kelf::Section*, std::set<uint32_t>>& boundary_cache,
+    std::map<const kelf::Section*, std::vector<uint32_t>>& boundary_cache,
     LintReport* report) {
   WordTarget target;
   const kelf::Relocation* rel = nullptr;
@@ -95,22 +70,21 @@ WordTarget CheckTableWord(
       "rebuild the package: table entries must be regenerated with the "
       "code they describe, never patched independently";
   if (rel == nullptr) {
-    report->findings.push_back(MakeFinding(
-        "KSA601", LintSeverity::kError, obj.source_name(), table.name, off,
-        ks::StrPrintf("entry %u: %s word carries no relocation — the "
-                      "target cannot move with the code",
-                      off / kelf::kHowtoEntrySize, what),
-        hint));
+    AddFinding(report, "KSA601", obj.source_name(), table.name,
+               ks::StrPrintf("entry %u: %s word carries no relocation — "
+                             "the target cannot move with the code",
+                             off / kelf::kHowtoEntrySize, what),
+               hint, off);
     return target;
   }
   const kelf::Symbol& sym = obj.symbols()[static_cast<size_t>(rel->symbol)];
   if (!sym.defined()) {
-    report->findings.push_back(MakeFinding(
-        "KSA601", LintSeverity::kError, obj.source_name(), table.name, off,
-        ks::StrPrintf("entry %u: %s word references '%s', which this "
-                      "object does not define",
-                      off / kelf::kHowtoEntrySize, what, sym.name.c_str()),
-        hint));
+    AddFinding(report, "KSA601", obj.source_name(), table.name,
+               ks::StrPrintf("entry %u: %s word references '%s', which "
+                             "this object does not define",
+                             off / kelf::kHowtoEntrySize, what,
+                             sym.name.c_str()),
+               hint, off);
     return target;
   }
   const kelf::Section& text =
@@ -118,13 +92,14 @@ WordTarget CheckTableWord(
   uint32_t resolved = sym.value + static_cast<uint32_t>(rel->addend);
   if (text.kind != kelf::SectionKind::kText ||
       resolved >= text.bytes.size()) {
-    report->findings.push_back(MakeFinding(
-        "KSA601", LintSeverity::kError, obj.source_name(), table.name, off,
-        ks::StrPrintf("entry %u: %s target '%s'+%u is outside the "
-                      "function's code (%zu bytes)",
-                      off / kelf::kHowtoEntrySize, what, sym.name.c_str(),
-                      static_cast<uint32_t>(rel->addend), text.bytes.size()),
-        hint));
+    AddFinding(report, "KSA601", obj.source_name(), table.name,
+               ks::StrPrintf("entry %u: %s target '%s'+%u is outside the "
+                             "function's code (%zu bytes)",
+                             off / kelf::kHowtoEntrySize, what,
+                             sym.name.c_str(),
+                             static_cast<uint32_t>(rel->addend),
+                             text.bytes.size()),
+               hint, off);
     return target;
   }
   auto cached = boundary_cache.find(&text);
@@ -133,15 +108,15 @@ WordTarget CheckTableWord(
     report->insns_decoded += decoded;
     cached = boundary_cache.emplace(&text, std::move(boundaries)).first;
   }
-  if (cached->second.count(resolved) == 0) {
-    report->findings.push_back(MakeFinding(
-        "KSA602", LintSeverity::kError, obj.source_name(), table.name, off,
-        ks::StrPrintf("entry %u: %s target '%s'+%u does not start an "
-                      "instruction — the patch rewrote the code this "
-                      "entry described",
-                      off / kelf::kHowtoEntrySize, what, sym.name.c_str(),
-                      resolved),
-        hint));
+  if (!std::binary_search(cached->second.begin(), cached->second.end(),
+                          resolved)) {
+    AddFinding(report, "KSA602", obj.source_name(), table.name,
+               ks::StrPrintf("entry %u: %s target '%s'+%u does not start "
+                             "an instruction — the patch rewrote the code "
+                             "this entry described",
+                             off / kelf::kHowtoEntrySize, what,
+                             sym.name.c_str(), resolved),
+               hint, off);
     return target;
   }
   target.text = &text;
@@ -150,21 +125,11 @@ WordTarget CheckTableWord(
   return target;
 }
 
-const kelf::ObjectFile* HelperForUnit(const ksplice::UpdatePackage& package,
-                                      const std::string& unit) {
-  for (const kelf::ObjectFile& helper : package.helper_objects) {
-    if (helper.source_name() == unit) {
-      return &helper;
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 void RunHowtoPass(const ksplice::UpdatePackage& package, LintReport* report) {
   for (const kelf::ObjectFile& primary : package.primary_objects) {
-    std::map<const kelf::Section*, std::set<uint32_t>> boundary_cache;
+    std::map<const kelf::Section*, std::vector<uint32_t>> boundary_cache;
     for (const kelf::Section& section : primary.sections()) {
       if (section.howto != kelf::Howto::kExtable &&
           section.howto != kelf::Howto::kBug) {
@@ -189,15 +154,15 @@ void RunHowtoPass(const ksplice::UpdatePackage& package, LintReport* report) {
         ks::Result<kvx::Insn> insn = kvx::Decode(
             std::span<const uint8_t>(trap.text->bytes).subspan(trap.offset));
         if (!insn.ok() || insn->op != kvx::Op::kBug) {
-          report->findings.push_back(MakeFinding(
-              "KSA603", LintSeverity::kError, primary.source_name(),
-              section.name, off,
-              ks::StrPrintf("entry %u: trap address no longer decodes to a "
-                            "bug trap (found %s)",
-                            off / kelf::kHowtoEntrySize,
-                            insn.ok() ? kvx::FormatInsn(*insn).c_str()
-                                      : "undecodable bytes"),
-              "rebuild the package: the BUG() site moved or was removed"));
+          AddFinding(report, "KSA603", primary.source_name(), section.name,
+                     ks::StrPrintf("entry %u: trap address no longer decodes "
+                                   "to a bug trap (found %s)",
+                                   off / kelf::kHowtoEntrySize,
+                                   insn.ok() ? kvx::FormatInsn(*insn).c_str()
+                                             : "undecodable bytes"),
+                     "rebuild the package: the BUG() site moved or was "
+                     "removed",
+                     off);
         }
       }
     }
@@ -217,12 +182,11 @@ void RunHowtoPass(const ksplice::UpdatePackage& package, LintReport* report) {
       }
       const kelf::Section* pre = helper->SectionByName(post.name);
       if (pre != nullptr && pre->bytes != post.bytes) {
-        report->findings.push_back(MakeFinding(
-            "KSA604", LintSeverity::kNote, primary.source_name(), post.name,
-            0,
-            "build timestamp differs between pre and post objects",
-            "harmless: date/time sections match content-ignoring at "
-            "apply time"));
+        AddFinding(report, "KSA604", primary.source_name(), post.name,
+                   "build timestamp differs between pre and post objects",
+                   "harmless: date/time sections match content-ignoring at "
+                   "apply time",
+                   0);
       }
     }
   }

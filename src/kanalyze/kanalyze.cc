@@ -1,6 +1,7 @@
 #include "kanalyze/kanalyze.h"
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <tuple>
 
@@ -8,6 +9,7 @@
 #include "base/strings.h"
 #include "base/trace.h"
 #include "kanalyze/cfg.h"
+#include "kanalyze/rules.h"
 
 namespace kanalyze {
 
@@ -16,20 +18,6 @@ namespace {
 using ksplice::LintFinding;
 using ksplice::LintReport;
 using ksplice::LintSeverity;
-
-LintFinding CallGraphFinding(const char* rule, LintSeverity severity,
-                             std::string unit, std::string symbol,
-                             std::string message, std::string hint) {
-  LintFinding finding;
-  finding.rule = rule;
-  finding.severity = severity;
-  finding.pass = "callgraph";
-  finding.unit = std::move(unit);
-  finding.symbol = std::move(symbol);
-  finding.message = std::move(message);
-  finding.hint = std::move(hint);
-  return finding;
-}
 
 int SeverityRank(LintSeverity severity) {
   return -static_cast<int>(severity);  // errors first
@@ -54,13 +42,12 @@ void RunCallGraphPass(const ksplice::UpdatePackage& package,
              .second) {
       continue;
     }
-    report->findings.push_back(CallGraphFinding(
-        "KSA101", LintSeverity::kError, dangling.unit, dangling.symbol,
-        ks::StrPrintf("reference to '%s' cannot resolve: the unit's "
-                      "helper object defines no such symbol",
-                      dangling.import.c_str()),
-        "the helper must carry the entire optimization unit (§5.1); "
-        "rebuild the package from matching pre source"));
+    AddFinding(report, "KSA101", dangling.unit, dangling.symbol,
+               ks::StrPrintf("reference to '%s' cannot resolve: the "
+                             "unit's helper object defines no such symbol",
+                             dangling.import.c_str()),
+               "the helper must carry the entire optimization unit "
+               "(§5.1); rebuild the package from matching pre source");
   }
 
   // KSA104: targets that name code the package does not carry.
@@ -68,14 +55,13 @@ void RunCallGraphPass(const ksplice::UpdatePackage& package,
     bool has_primary = graph.FindPrimaryNode(target.unit, target.symbol) >= 0;
     bool has_helper = graph.FindHelperNode(target.unit, target.symbol) >= 0;
     if (!has_primary || !has_helper) {
-      report->findings.push_back(CallGraphFinding(
-          "KSA104", LintSeverity::kError, target.unit, target.symbol,
-          ks::StrPrintf(
-              "splice target missing from the package (%s object has no "
-              "'%s')",
-              !has_primary ? "primary" : "helper", target.symbol.c_str()),
-          "every target needs replacement code in a primary object and "
-          "its pre image in that unit's helper"));
+      AddFinding(report, "KSA104", target.unit, target.symbol,
+                 ks::StrPrintf("splice target missing from the package (%s "
+                               "object has no '%s')",
+                               !has_primary ? "primary" : "helper",
+                               target.symbol.c_str()),
+                 "every target needs replacement code in a primary object "
+                 "and its pre image in that unit's helper");
     }
   }
 
@@ -83,24 +69,23 @@ void RunCallGraphPass(const ksplice::UpdatePackage& package,
   for (const ksplice::Target& target : package.targets) {
     int primary = graph.FindPrimaryNode(target.unit, target.symbol);
     if (primary >= 0 && graph.OnCycle(primary)) {
-      report->findings.push_back(CallGraphFinding(
-          "KSA102", LintSeverity::kWarning, target.unit, target.symbol,
-          "patched function is recursive: long-lived activation frames "
-          "make the §4.2 stack check likelier to fail repeatedly",
-          "expect quiescence retries on busy systems"));
+      AddFinding(report, "KSA102", target.unit, target.symbol,
+                 "patched function is recursive: long-lived activation "
+                 "frames make the §4.2 stack check likelier to fail "
+                 "repeatedly",
+                 "expect quiescence retries on busy systems");
     }
     int helper = graph.FindHelperNode(target.unit, target.symbol);
     if (helper >= 0) {
       uint32_t fan_in = static_cast<uint32_t>(
           graph.callers[static_cast<size_t>(helper)].size());
       if (fan_in >= kFaninNoteThreshold) {
-        report->findings.push_back(CallGraphFinding(
-            "KSA103", LintSeverity::kNote, target.unit, target.symbol,
-            ks::StrPrintf("high fan-in: %u static caller(s) in the pre "
-                          "kernel reach this function",
-                          fan_in),
-            "a hot function raises the chance a thread is executing it "
-            "when stop_machine rendezvous"));
+        AddFinding(report, "KSA103", target.unit, target.symbol,
+                   ks::StrPrintf("high fan-in: %u static caller(s) in the "
+                                 "pre kernel reach this function",
+                                 fan_in),
+                   "a hot function raises the chance a thread is executing "
+                   "it when stop_machine rendezvous");
       }
     }
   }
@@ -111,7 +96,8 @@ void RunCfgPass(const ksplice::UpdatePackage& package, LintReport* report) {
     // Exception-table fixup targets are entry points the static CFG
     // cannot see (the fault dispatcher jumps there): collect them per
     // text section so the recovery blocks do not lint as unreachable.
-    std::map<int, std::set<uint32_t>> fixups_by_section;
+    std::vector<std::vector<uint32_t>> fixups_by_section(
+        primary.sections().size());
     for (const kelf::Section& table : primary.sections()) {
       if (table.howto != kelf::Howto::kExtable) {
         continue;
@@ -123,10 +109,11 @@ void RunCfgPass(const ksplice::UpdatePackage& package, LintReport* report) {
         }
         const kelf::Symbol& sym =
             primary.symbols()[static_cast<size_t>(rel.symbol)];
-        if (!sym.defined()) {
+        if (!sym.defined() ||
+            static_cast<size_t>(sym.section) >= fixups_by_section.size()) {
           continue;
         }
-        fixups_by_section[sym.section].insert(
+        fixups_by_section[static_cast<size_t>(sym.section)].push_back(
             sym.value + static_cast<uint32_t>(rel.addend));
       }
     }
@@ -143,9 +130,47 @@ void RunCfgPass(const ksplice::UpdatePackage& package, LintReport* report) {
         symbol = primary.symbols()[static_cast<size_t>(*def)].name;
       }
       VerifyFunction(primary.source_name(), symbol, section, report,
-                     fixups_by_section[static_cast<int>(si)]);
+                     fixups_by_section[si]);
     }
   }
+}
+
+// AnalyzePackage's passes, in run order. Each runs under the trace span
+// kPassSpans[pass] and observes its wall time in "<span>_ns".
+enum Pass {
+  kCallGraphPass,
+  kSummaryPass,
+  kCfgPass,
+  kAbiPass,
+  kQuiescencePass,
+  kSemdiffPass,
+  kHowtoPass,
+  kNumPasses
+};
+
+constexpr std::array<const char*, kNumPasses> kPassSpans = {
+    "kanalyze.callgraph", "kanalyze.summary",    "kanalyze.cfg",
+    "kanalyze.abi",       "kanalyze.quiescence", "kanalyze.semdiff",
+    "kanalyze.howto"};
+
+ks::Histogram& PassHistogram(Pass pass) {
+  static const std::array<ks::Histogram*, kNumPasses> histograms = [] {
+    std::array<ks::Histogram*, kNumPasses> out{};
+    for (size_t i = 0; i < kNumPasses; ++i) {
+      out[i] = &ks::Metrics().GetHistogram(std::string(kPassSpans[i]) + "_ns");
+    }
+    return out;
+  }();
+  return *histograms[pass];
+}
+
+// Runs `body` as `pass`; the body adds the pass's span annotations.
+template <typename Body>
+void RunPass(Pass pass, Body&& body) {
+  ks::TraceSpan span(kPassSpans[pass]);
+  uint64_t begin = ks::NowNs();
+  body(span);
+  PassHistogram(pass).Observe(ks::NowNs() - begin);
 }
 
 }  // namespace
@@ -157,82 +182,46 @@ ks::Result<LintReport> AnalyzePackage(const ksplice::UpdatePackage& package,
       ks::Metrics().GetCounter("kanalyze.packages_linted");
   static ks::Counter& functions_scanned =
       ks::Metrics().GetCounter("kanalyze.functions_scanned");
-  static ks::Counter& findings_error =
-      ks::Metrics().GetCounter("kanalyze.findings.error");
-  static ks::Counter& findings_warning =
-      ks::Metrics().GetCounter("kanalyze.findings.warning");
-  static ks::Counter& findings_note =
-      ks::Metrics().GetCounter("kanalyze.findings.note");
-  static ks::Histogram& callgraph_ns =
-      ks::Metrics().GetHistogram("kanalyze.callgraph_ns");
-  static ks::Histogram& summary_ns =
-      ks::Metrics().GetHistogram("kanalyze.summary_ns");
-  static ks::Histogram& cfg_ns = ks::Metrics().GetHistogram("kanalyze.cfg_ns");
-  static ks::Histogram& abi_ns = ks::Metrics().GetHistogram("kanalyze.abi_ns");
-  static ks::Histogram& quiescence_ns =
-      ks::Metrics().GetHistogram("kanalyze.quiescence_ns");
-  static ks::Histogram& semdiff_ns =
-      ks::Metrics().GetHistogram("kanalyze.semdiff_ns");
-  static ks::Histogram& howto_ns =
-      ks::Metrics().GetHistogram("kanalyze.howto_ns");
+  // Indexed by LintSeverity.
+  static ks::Counter* const findings_by_severity[] = {
+      &ks::Metrics().GetCounter("kanalyze.findings.note"),
+      &ks::Metrics().GetCounter("kanalyze.findings.warning"),
+      &ks::Metrics().GetCounter("kanalyze.findings.error")};
 
   LintReport report;
   report.id = package.id;
 
   CallGraph graph;
-  {
-    ks::TraceSpan pass_span("kanalyze.callgraph");
-    uint64_t begin = ks::NowNs();
+  RunPass(kCallGraphPass, [&](ks::TraceSpan& pass_span) {
     graph = BuildCallGraph(package);
     RunCallGraphPass(package, graph, &report);
-    callgraph_ns.Observe(ks::NowNs() - begin);
     pass_span.Annotate("edges", graph.edges);
-  }
+  });
   PackageSummaries summaries;
-  {
-    ks::TraceSpan pass_span("kanalyze.summary");
-    uint64_t begin = ks::NowNs();
+  RunPass(kSummaryPass, [&](ks::TraceSpan& pass_span) {
     summaries = ComputeSummaries(package, graph, options.cache);
-    summary_ns.Observe(ks::NowNs() - begin);
     report.functions_summarized += summaries.functions.size();
     report.insns_decoded += summaries.insns_interpreted;
     pass_span.Annotate("functions",
                        static_cast<uint64_t>(summaries.functions.size()));
     pass_span.Annotate("cache_hits", summaries.cache_hits);
     pass_span.Annotate("cache_misses", summaries.cache_misses);
-  }
-  {
-    ks::TraceSpan pass_span("kanalyze.cfg");
-    uint64_t begin = ks::NowNs();
+  });
+  RunPass(kCfgPass, [&](ks::TraceSpan& pass_span) {
     RunCfgPass(package, &report);
-    cfg_ns.Observe(ks::NowNs() - begin);
     pass_span.Annotate("blocks", report.blocks_analyzed);
-  }
-  {
-    ks::TraceSpan pass_span("kanalyze.abi");
-    uint64_t begin = ks::NowNs();
+  });
+  RunPass(kAbiPass, [&](ks::TraceSpan& pass_span) {
     RunAbiPass(package, &report);
-    abi_ns.Observe(ks::NowNs() - begin);
     pass_span.Annotate("sections", report.data_sections_compared);
-  }
-  {
-    ks::TraceSpan pass_span("kanalyze.quiescence");
-    uint64_t begin = ks::NowNs();
+  });
+  RunPass(kQuiescencePass, [&](ks::TraceSpan&) {
     RunQuiescencePass(package, graph, summaries, &report);
-    quiescence_ns.Observe(ks::NowNs() - begin);
-  }
-  {
-    ks::TraceSpan pass_span("kanalyze.semdiff");
-    uint64_t begin = ks::NowNs();
+  });
+  RunPass(kSemdiffPass, [&](ks::TraceSpan&) {
     RunSemanticDiffPass(package, graph, summaries, &report);
-    semdiff_ns.Observe(ks::NowNs() - begin);
-  }
-  {
-    ks::TraceSpan pass_span("kanalyze.howto");
-    uint64_t begin = ks::NowNs();
-    RunHowtoPass(package, &report);
-    howto_ns.Observe(ks::NowNs() - begin);
-  }
+  });
+  RunPass(kHowtoPass, [&](ks::TraceSpan&) { RunHowtoPass(package, &report); });
 
   std::stable_sort(
       report.findings.begin(), report.findings.end(),
@@ -246,22 +235,28 @@ ks::Result<LintReport> AnalyzePackage(const ksplice::UpdatePackage& package,
   packages_linted.Add(1);
   functions_scanned.Add(report.functions_scanned);
   for (const LintFinding& finding : report.findings) {
-    switch (finding.severity) {
-      case LintSeverity::kError:
-        findings_error.Add(1);
-        break;
-      case LintSeverity::kWarning:
-        findings_warning.Add(1);
-        break;
-      case LintSeverity::kNote:
-        findings_note.Add(1);
-        break;
-    }
+    findings_by_severity[static_cast<size_t>(finding.severity)]->Add(1);
   }
   span.Annotate("id", package.id);
   span.Annotate("findings", static_cast<uint64_t>(report.findings.size()));
   span.Annotate("errors", static_cast<uint64_t>(report.errors()));
   return report;
+}
+
+LintFinding& AddFinding(LintReport* report, RuleId rule, std::string unit,
+                        std::string symbol, std::string message,
+                        std::string hint, std::optional<uint32_t> offset) {
+  LintFinding& finding = report->findings.emplace_back();
+  finding.rule = rule.rule().id;
+  finding.severity = rule.rule().severity;
+  finding.pass = rule.rule().pass;
+  finding.unit = std::move(unit);
+  finding.symbol = std::move(symbol);
+  finding.offset = offset.value_or(0);
+  finding.has_offset = offset.has_value();
+  finding.message = std::move(message);
+  finding.hint = std::move(hint);
+  return finding;
 }
 
 }  // namespace kanalyze

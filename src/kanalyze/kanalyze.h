@@ -5,43 +5,18 @@
 // changes data-structure semantics, and §4.2's stack check only discovers
 // an unsafe function after stop_machine has already paused the kernel.
 // kanalyze moves both forward to create time: a package is vetted
-// statically — call graph, per-function CFG/bytecode verification,
-// pre-vs-post ABI/layout diff, and quiescence-risk prediction — and the
-// findings become typed lint diagnostics (ksplice::LintReport) that
-// `ksplice_tool lint` prints, the .report.json sidecar carries, and
-// CreateUpdate's --lint gate enforces.
+// statically and the findings become typed lint diagnostics
+// (ksplice::LintReport) that `ksplice_tool lint` prints, the .report.json
+// sidecar carries, and CreateUpdate's --lint gate enforces.
 //
-// Pass families and rules (full catalog in DESIGN.md):
-//   callgraph  KSA101 dangling scoped import        error
-//              KSA102 recursive patched function    warning
-//              KSA103 high fan-in patched function  note
-//              KSA104 target missing from package   error
-//   cfg        KSA201 undecodable instruction       error
-//              KSA202 wild jump                     error
-//              KSA203 falls off function end        error
-//              KSA204 unreachable code              warning
-//              KSA205 stack imbalance at ret        warning
-//   abi        KSA301 data layout change, no hooks  error
-//              KSA302 data content change, no hooks error
-//              KSA303 data change gated by hooks    note
-//   quiescence KSA401 patched function blocks       warning
-//              KSA402 reaches a blocking primitive  note
-//   semdiff    KSA501 write-set grew into
-//                     persistent data               warning
-//              KSA502 store width changed at a
-//                     shared field                  error (note w/ hooks)
-//              KSA503 lock imbalance introduced     error
-//              KSA504 new call path writes
-//                     hook-gated data               note
-//   howto      KSA601 dangling fixup target         error
-//              KSA602 fixup into patched-out code   error
-//              KSA603 bug-table trap address does
-//                     not decode to a bug trap      error
-//              KSA604 build timestamp differs
-//                     pre vs post                   note
-//
-// The quiescence and semdiff passes consume per-function side-effect
-// summaries (summary.h) computed between the callgraph and cfg phases.
+// Six pass families raise the rules: callgraph (KSA1xx), cfg (KSA2xx,
+// per-function CFG/bytecode verification), abi (KSA3xx, pre-vs-post data
+// layout), quiescence (KSA4xx), semdiff (KSA5xx) and howto (KSA6xx,
+// exception/bug tables). The rule catalog — each rule's id, severity and
+// pass — is kRules in rules.h, and every finding is built by AddFinding
+// from it; DESIGN.md §7 explains each rule. The quiescence and semdiff
+// passes read per-function side-effect summaries (summary.h), a seventh
+// pass run between callgraph and cfg.
 //
 // Layering: ks_ksplice links ks_kanalyze (CreateUpdate calls
 // AnalyzePackage), so this library must consume ksplice/package.h and
@@ -72,7 +47,7 @@ struct AnalyzeOptions {
   kcc::ObjectCache* cache = nullptr;
 };
 
-// Runs all four pass families over `package` and returns the findings,
+// Runs every pass family over `package` and returns the findings,
 // deterministically ordered (severity first, then rule/unit/symbol/
 // offset). Returns a Status only for conditions that prevent analysis
 // altogether; structural problems in the package become findings.
@@ -106,6 +81,10 @@ void RunHowtoPass(const ksplice::UpdatePackage& package,
 // package-level declaration that apply-time custom code handles state).
 // Defined in abi.cc; the abi and semdiff passes both key off it.
 bool PackageHasHooks(const ksplice::UpdatePackage& package);
+
+// The helper (pre) object of `unit`, or nullptr. Defined in abi.cc.
+const kelf::ObjectFile* HelperForUnit(const ksplice::UpdatePackage& package,
+                                      const std::string& unit);
 
 }  // namespace kanalyze
 

@@ -7,7 +7,7 @@
 // every retry.
 //
 // Blocking facts come from the side-effect summaries (summary.h): the pre
-// function's direct `blocks` bit feeds KSA401, and its transitive
+// function's direct `blocks` bit feeds KSA401 (rules.h), and its transitive
 // `reachable_blocking` set — one entry per distinct primitive, however
 // many call paths reach it — feeds KSA402. Deduplicating by (rule,
 // function, primitive) is therefore structural: two call paths to the
@@ -19,36 +19,15 @@
 
 #include "base/strings.h"
 #include "kanalyze/kanalyze.h"
+#include "kanalyze/rules.h"
 #include "kanalyze/summary.h"
 
 namespace kanalyze {
 
-namespace {
-
-using ksplice::LintFinding;
-using ksplice::LintReport;
-using ksplice::LintSeverity;
-
-LintFinding MakeFinding(const char* rule, LintSeverity severity,
-                        const ksplice::Target& target, std::string message,
-                        std::string hint) {
-  LintFinding finding;
-  finding.rule = rule;
-  finding.severity = severity;
-  finding.pass = "quiescence";
-  finding.unit = target.unit;
-  finding.symbol = target.symbol;
-  finding.message = std::move(message);
-  finding.hint = std::move(hint);
-  return finding;
-}
-
-}  // namespace
-
 void RunQuiescencePass(const ksplice::UpdatePackage& package,
                        const CallGraph& graph,
                        const PackageSummaries& summaries,
-                       LintReport* report) {
+                       ksplice::LintReport* report) {
   // (rule, function, primitive) already reported — a target listed twice,
   // or two call paths to one primitive, must not double-report.
   std::set<std::tuple<std::string, std::string, std::string>> emitted;
@@ -59,6 +38,7 @@ void RunQuiescencePass(const ksplice::UpdatePackage& package,
       continue;  // callgraph pass reports the inconsistency (KSA104)
     }
     const FunctionSummary& fn = summaries.functions[static_cast<size_t>(node)];
+    const std::string key = ksplice::ScopedName(target.unit, target.symbol);
     if (fn.blocks) {
       std::string prims;
       for (const std::string& prim : fn.blocking_primitives) {
@@ -67,31 +47,29 @@ void RunQuiescencePass(const ksplice::UpdatePackage& package,
         }
         prims += prim;
       }
-      if (emitted.insert({"KSA401", target.unit + "::" + target.symbol, prims})
-              .second) {
-        report->findings.push_back(MakeFinding(
-            "KSA401", LintSeverity::kWarning, target,
-            ks::StrPrintf("patched function blocks (%s): threads may be "
-                          "parked inside it, defeating the §4.2 stack check",
-                          prims.c_str()),
-            "expect quiescence retries; consider splitting the blocking "
-            "region out of the patched function or raising max_attempts"));
+      if (emitted.insert({"KSA401", key, prims}).second) {
+        AddFinding(report, "KSA401", target.unit, target.symbol,
+                   ks::StrPrintf("patched function blocks (%s): threads may "
+                                 "be parked inside it, defeating the §4.2 "
+                                 "stack check",
+                                 prims.c_str()),
+                   "expect quiescence retries; consider splitting the "
+                   "blocking region out of the patched function or raising "
+                   "max_attempts");
       }
     } else {
       for (const std::string& prim : fn.reachable_blocking) {
-        if (!emitted
-                 .insert({"KSA402", target.unit + "::" + target.symbol, prim})
-                 .second) {
+        if (!emitted.insert({"KSA402", key, prim}).second) {
           continue;
         }
-        report->findings.push_back(MakeFinding(
-            "KSA402", LintSeverity::kNote, target,
-            ks::StrPrintf("patched function can reach blocking primitive "
-                          "'%s' through its callees; a thread may hold it "
-                          "on the stack while sleeping",
-                          prim.c_str()),
-            "apply during low activity or raise "
-            "RendezvousOptions::max_attempts"));
+        AddFinding(report, "KSA402", target.unit, target.symbol,
+                   ks::StrPrintf("patched function can reach blocking "
+                                 "primitive '%s' through its callees; a "
+                                 "thread may hold it on the stack while "
+                                 "sleeping",
+                                 prim.c_str()),
+                   "apply during low activity or raise "
+                   "RendezvousOptions::max_attempts");
       }
     }
   }

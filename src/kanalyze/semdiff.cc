@@ -6,11 +6,8 @@
 // holding the big kernel lock is semantically suspect even when every
 // data section compares byte-identical.
 //
-// Rules (catalog in DESIGN.md §7):
-//   KSA501 write-set grew into persistent data          warning
-//   KSA502 store width changed at a shared field        error (note w/ hooks)
-//   KSA503 lock acquire/release imbalance introduced    error
-//   KSA504 new call path writes hook-gated data         note
+// Rules KSA501-KSA504 (rules.h); KSA502 drops to a note when the package
+// declares hooks.
 
 #include <map>
 #include <set>
@@ -18,29 +15,12 @@
 
 #include "base/strings.h"
 #include "kanalyze/kanalyze.h"
+#include "kanalyze/rules.h"
 #include "kanalyze/summary.h"
 
 namespace kanalyze {
 
 namespace {
-
-using ksplice::LintFinding;
-using ksplice::LintReport;
-using ksplice::LintSeverity;
-
-LintFinding MakeFinding(const char* rule, LintSeverity severity,
-                        const ksplice::Target& target, std::string message,
-                        std::string hint) {
-  LintFinding finding;
-  finding.rule = rule;
-  finding.severity = severity;
-  finding.pass = "semdiff";
-  finding.unit = target.unit;
-  finding.symbol = target.symbol;
-  finding.message = std::move(message);
-  finding.hint = std::move(hint);
-  return finding;
-}
 
 // Every named datum the helper (pre) objects define: state that outlives
 // any one call and persists across the splice. A write-set that grows into
@@ -65,13 +45,8 @@ std::set<std::string> HookGatedDataSymbols(
     const ksplice::UpdatePackage& package) {
   std::set<std::string> gated;
   for (const kelf::ObjectFile& primary : package.primary_objects) {
-    const kelf::ObjectFile* helper = nullptr;
-    for (const kelf::ObjectFile& h : package.helper_objects) {
-      if (h.source_name() == primary.source_name()) {
-        helper = &h;
-        break;
-      }
-    }
+    const kelf::ObjectFile* helper =
+        HelperForUnit(package, primary.source_name());
     if (helper == nullptr) {
       continue;
     }
@@ -115,7 +90,7 @@ std::set<std::string> WriteRegions(const std::vector<MemEffect>& writes) {
 void RunSemanticDiffPass(const ksplice::UpdatePackage& package,
                          const CallGraph& graph,
                          const PackageSummaries& summaries,
-                         LintReport* report) {
+                         ksplice::LintReport* report) {
   const bool hooks = PackageHasHooks(package);
   const std::set<std::string> persistent = PersistentDataSymbols(package);
   const std::set<std::string> gated =
@@ -153,13 +128,14 @@ void RunSemanticDiffPass(const ksplice::UpdatePackage& package,
         continue;
       }
       if (emit_once("KSA501", target, region)) {
-        report->findings.push_back(MakeFinding(
-            "KSA501", LintSeverity::kWarning, target,
-            ks::StrPrintf("write-set grew: patched code writes persistent "
-                          "data '%s' that the pre function never wrote",
-                          region.c_str()),
-            "a new write to shared state is a semantic change (§3.4); "
-            "confirm every reader tolerates the new protocol"));
+        AddFinding(report, "KSA501", target.unit, target.symbol,
+                   ks::StrPrintf("write-set grew: patched code writes "
+                                 "persistent data '%s' that the pre "
+                                 "function never wrote",
+                                 region.c_str()),
+                   "a new write to shared state is a semantic change "
+                   "(§3.4); confirm every reader tolerates the new "
+                   "protocol");
       }
     }
 
@@ -182,9 +158,8 @@ void RunSemanticDiffPass(const ksplice::UpdatePackage& package,
         continue;  // new field (KSA501's job) or same-width store
       }
       if (emit_once("KSA502", target, e.ToString())) {
-        LintFinding finding = MakeFinding(
-            "KSA502", hooks ? LintSeverity::kNote : LintSeverity::kError,
-            target,
+        ksplice::LintFinding& finding = AddFinding(
+            report, "KSA502", target.unit, target.symbol,
             ks::StrPrintf("store width changed at shared field %s+%d: pre "
                           "wrote %u byte(s), post writes %u",
                           e.symbol.c_str(), e.offset,
@@ -193,10 +168,11 @@ void RunSemanticDiffPass(const ksplice::UpdatePackage& package,
             hooks ? "hooks declared: verify the apply-time transformer "
                     "covers this field's representation"
                   : "a width change reinterprets the field for every "
-                    "other reader; gate it with .ksplice hooks (§5.3)");
-        finding.offset = static_cast<uint32_t>(e.offset);
-        finding.has_offset = true;
-        report->findings.push_back(std::move(finding));
+                    "other reader; gate it with .ksplice hooks (§5.3)",
+            static_cast<uint32_t>(e.offset));
+        if (hooks) {
+          finding.severity = ksplice::LintSeverity::kNote;
+        }
       }
     }
 
@@ -204,15 +180,16 @@ void RunSemanticDiffPass(const ksplice::UpdatePackage& package,
     // return and the post function provably does not.
     if (pre.ProvablyLockBalanced() && post.lock_imbalance &&
         emit_once("KSA503", target, "lock")) {
-      report->findings.push_back(MakeFinding(
-          "KSA503", LintSeverity::kError, target,
-          ks::StrPrintf("lock imbalance introduced: post function returns "
-                        "with lock depth %+d (pre was balanced; %u "
-                        "acquire(s), %u release(s) in post)",
-                        post.lock_imbalance_depth, post.lock_acquires,
-                        post.lock_releases),
-          "a caller of the patched function would inherit or lose the "
-          "big kernel lock; pair every lock_kernel with unlock_kernel"));
+      AddFinding(report, "KSA503", target.unit, target.symbol,
+                 ks::StrPrintf("lock imbalance introduced: post function "
+                               "returns with lock depth %+d (pre was "
+                               "balanced; %u acquire(s), %u release(s) in "
+                               "post)",
+                               post.lock_imbalance_depth, post.lock_acquires,
+                               post.lock_releases),
+                 "a caller of the patched function would inherit or lose "
+                 "the big kernel lock; pair every lock_kernel with "
+                 "unlock_kernel");
     }
 
     // KSA504: hooks gate a data transformation, and the patch adds a call
@@ -227,14 +204,13 @@ void RunSemanticDiffPass(const ksplice::UpdatePackage& package,
           continue;
         }
         if (emit_once("KSA504", target, region)) {
-          report->findings.push_back(MakeFinding(
-              "KSA504", LintSeverity::kNote, target,
-              ks::StrPrintf("new call path writes hook-gated data '%s' "
-                            "(its pre/post images differ and the pre "
-                            "function never reached it)",
-                            region.c_str()),
-              "review the apply-time hooks: a write from new code may "
-              "race or undo the hook's transformation"));
+          AddFinding(report, "KSA504", target.unit, target.symbol,
+                     ks::StrPrintf("new call path writes hook-gated data "
+                                   "'%s' (its pre/post images differ and "
+                                   "the pre function never reached it)",
+                                   region.c_str()),
+                     "review the apply-time hooks: a write from new code "
+                     "may race or undo the hook's transformation");
         }
       }
     }

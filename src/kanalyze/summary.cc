@@ -325,11 +325,7 @@ std::string MemEffect::ToString() const {
 }
 
 std::string NormalizeEffectSymbol(const std::string& name) {
-  size_t scope = name.find("::");
-  if (scope == std::string::npos) {
-    return name;
-  }
-  return name.substr(scope + 2);
+  return ksplice::SplitScopedName(name).symbol;
 }
 
 FunctionSummary SummarizeSection(const kelf::ObjectFile& object,

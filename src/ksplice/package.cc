@@ -26,19 +26,6 @@ constexpr uint32_t kVersion = 2;         // v2: payload checksum after magic
 
 }  // namespace
 
-std::string ScopedName(const std::string& unit, const std::string& symbol) {
-  return unit + std::string(kScopeSeparator) + symbol;
-}
-
-ScopedSymbol SplitScopedName(const std::string& name) {
-  size_t sep = name.find(kScopeSeparator);
-  if (sep == std::string::npos) {
-    return ScopedSymbol{"", name};
-  }
-  return ScopedSymbol{name.substr(0, sep),
-                      name.substr(sep + kScopeSeparator.size())};
-}
-
 std::vector<uint8_t> UpdatePackage::Serialize() const {
   std::vector<uint8_t> out;
   ks::ByteWriter w(out);

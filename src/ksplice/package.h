@@ -29,15 +29,27 @@ namespace ksplice {
 // Separator between the unit scope and symbol name in scoped imports.
 inline constexpr std::string_view kScopeSeparator = "::";
 
-// Builds/splits scoped import names.
-std::string ScopedName(const std::string& unit, const std::string& symbol);
-// Returns (unit, symbol) if `name` is scoped, nullopt-like empty unit if
-// not.
+// Builds/splits scoped import names. Inline so kanalyze, which uses this
+// header without linking ks_ksplice, shares them.
+inline std::string ScopedName(const std::string& unit,
+                              const std::string& symbol) {
+  return unit + std::string(kScopeSeparator) + symbol;
+}
+
 struct ScopedSymbol {
   std::string unit;    // empty => unscoped
   std::string symbol;
 };
-ScopedSymbol SplitScopedName(const std::string& name);
+
+// Splits at the first separator; an unscoped `name` gives an empty unit.
+inline ScopedSymbol SplitScopedName(const std::string& name) {
+  size_t sep = name.find(kScopeSeparator);
+  if (sep == std::string::npos) {
+    return ScopedSymbol{"", name};
+  }
+  return ScopedSymbol{name.substr(0, sep),
+                      name.substr(sep + kScopeSeparator.size())};
+}
 
 struct Target {
   std::string unit;

@@ -318,15 +318,14 @@ const char* RolloutNodeOutcomeName(RolloutNodeOutcome outcome) {
 }
 
 std::string RolloutNodeReport::ToJson() const {
-  return ks::JsonWriter().BeginObject()
+  ks::JsonWriter json;
+  json.BeginObject()
       .Field("node", node)
       .Field("version", version)
       .Field("wave", wave)
       .Field("canary", canary)
-      .Field("outcome", RolloutNodeOutcomeName(outcome))
-      .Field("pause_ns", pause_ns)
-      .Field("attempts", attempts)
-      .Field("quiescence_retries", quiescence_retries)
+      .Field("outcome", RolloutNodeOutcomeName(outcome));
+  return WriteJson(json)
       .Field("functions_spliced", functions_spliced)
       .Field("soak_faults", soak_faults)
       .Field("error", error)

@@ -402,16 +402,14 @@ enum class RolloutNodeOutcome : uint8_t {
 
 const char* RolloutNodeOutcomeName(RolloutNodeOutcome outcome);
 
-// One node's row in the rollout ledger.
-struct RolloutNodeReport {
+// One node's row in the rollout ledger. The window is the node's batch
+// apply's (zero if the node was not patched).
+struct RolloutNodeReport : StopWindow {
   std::string node;      // fleet node id
   std::string version;   // kernel version label ("v2.6.1", ...)
   int wave = -1;         // wave index the node was scheduled in (-1 = none)
   bool canary = false;   // scheduled in the canary wave
   RolloutNodeOutcome outcome = RolloutNodeOutcome::kNotAttempted;
-  uint64_t pause_ns = 0;        // combined stop window (0 if not patched)
-  int attempts = 0;             // stop_machine attempts
-  int quiescence_retries = 0;
   uint32_t functions_spliced = 0;
   uint64_t soak_faults = 0;  // faults attributed during the soak phase
   std::string error;  // status message for kSkippedStale / kFailed

@@ -8,6 +8,7 @@
 
 #include <tuple>
 
+#include "base/hash.h"
 #include "corpus/corpus.h"
 #include "ksplice/core.h"
 #include "ksplice/create.h"
@@ -552,6 +553,43 @@ TEST(CorpusInvariants, AllTextSectionsDecodeCleanly) {
       }
     }
   }
+}
+
+
+// The lint output over the whole corpus is a user-facing surface (`lint
+// --json`, the .report.json sidecar): it must not move while the packages
+// it describes do not. FNV-64 of every created package's
+// LintReport::ToJson(), concatenated in corpus order (each fix, then the
+// amended fix of each Table-1 entry), plus the patches CreateUpdate
+// refuses outright.
+TEST(FormatPin, CorpusLintReportsAreStable) {
+  std::string reports;
+  std::vector<std::string> refused;
+  auto lint = [&](const std::string& id, ks::Result<std::string> patch) {
+    ASSERT_TRUE(patch.ok()) << id << ": " << patch.status().ToString();
+    ksplice::CreateOptions options;
+    options.compile = RunBuildOptions();
+    options.id = id;
+    options.lint = ksplice::LintMode::kWarn;
+    ks::Result<ksplice::CreateResult> created =
+        ksplice::CreateUpdate(KernelSource(), *patch, options);
+    if (!created.ok()) {
+      refused.push_back(id);
+      return;
+    }
+    reports += created->report.lint.ToJson();
+  };
+  for (const Vulnerability& vuln : Vulnerabilities()) {
+    lint(vuln.cve, PatchFor(vuln));
+    if (vuln.needs_custom_code) {
+      lint(vuln.cve + "-amended", AmendedPatchFor(vuln));
+    }
+  }
+  EXPECT_EQ(refused, (std::vector<std::string>{
+                         "CVE-2007-3851", "CVE-2007-4571", "CVE-2006-2071",
+                         "CVE-2006-5753", "CVE-2005-2709"}));
+  EXPECT_EQ(ks::Fnv1a64(reports), 0x5f619abb6e9ff448ull)
+      << reports.size() << " bytes";
 }
 
 }  // namespace
