@@ -15,10 +15,11 @@
 //
 // --report-dir=DIR writes one JSON report per corpus entry
 // (EvalOutcome::ToJson: the per-phase create/apply/undo reports included)
-// plus a metrics.json snapshot of the whole-process registry. Only a
-// serial sweep makes those reports repeatable: with several workers,
-// whichever first fills the shared cache is charged the miss, so the
-// per-entry cache counters vary from run to run.
+// plus a metrics.json snapshot of the whole-process registry. DIR is
+// created if missing; when it cannot be, the bench exits 2 before the
+// sweep. Only a serial sweep makes those reports repeatable: with several
+// workers, whichever first fills the shared cache is charged the miss, so
+// the per-entry cache counters vary from run to run.
 //
 // Exits 1 when a paper claim below does not hold (56 apply with no new
 // code, 8 need custom code, every exploit that worked is blocked, all 64
@@ -32,6 +33,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -52,6 +54,15 @@ int main(int argc, char** argv) {
       jobs = std::atoi(arg.c_str() + 2);
     } else if (arg.rfind("--report-dir=", 0) == 0) {
       report_dir = arg.substr(13);
+    }
+  }
+  if (!report_dir.empty()) {
+    std::error_code error;
+    std::filesystem::create_directories(report_dir, error);
+    if (error) {
+      std::fprintf(stderr, "bench_headline_eval: cannot create %s: %s\n",
+                   report_dir.c_str(), error.message().c_str());
+      return 2;
     }
   }
 

@@ -11,7 +11,11 @@
 # summary and fuzz tests drive the shared byte codec (base/bytes.h), which
 # parses untrusted .kspl bytes. The kcc, assembler and kcc property tests
 # drive the assembler's raw byte buffers: fixed bytes appended per section,
-# then spliced with relaxed branches, alignment fill and relocations.
+# then spliced with relaxed branches, alignment fill and relocations. kcc
+# tokens point into the preprocessed source, the include graph's file
+# records point into a source tree's paths and contents, and a patched
+# tree shares its untouched files with the original: the kcc, ksplice
+# (pre-post builds) and kdiff tests catch a view that outlives its text.
 #
 # Guest memory is an anonymous mmap, not a heap allocation, so ASAN does
 # not instrument accesses to it: every guest access is bounds-checked by
@@ -24,13 +28,13 @@ cmake --build build-asan --target ksplice_txn_test concurrency_test \
   ksplice_hooks_smp_test kanalyze_test fuzz_negative_test chaos_test \
   runpre_test runpre_index_test fleet_test howto_test watchdog_test \
   kvm_test corpus_test kelf_test kanalyze_summary_test srcpatch_test \
-  kcc_test kvx_asm_test kcc_exec_property_test
+  kcc_test kvx_asm_test kcc_exec_property_test ksplice_test kdiff_test
 for t in ksplice_txn_test concurrency_test ksplice_hooks_smp_test \
          kanalyze_test fuzz_negative_test chaos_test \
          runpre_test runpre_index_test fleet_test howto_test \
          watchdog_test kvm_test corpus_test kelf_test \
          kanalyze_summary_test srcpatch_test kcc_test kvx_asm_test \
-         kcc_exec_property_test; do
+         kcc_exec_property_test ksplice_test kdiff_test; do
   echo "== build-asan/tests/$t =="
   "./build-asan/tests/$t"
 done

@@ -59,26 +59,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-bool StartsWith(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() &&
-         text.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
-std::string_view Trim(std::string_view text) {
-  const char* kWhitespace = " \t\r\n";
-  size_t begin = text.find_first_not_of(kWhitespace);
-  if (begin == std::string_view::npos) {
-    return std::string_view();
-  }
-  size_t end = text.find_last_not_of(kWhitespace);
-  return text.substr(begin, end - begin + 1);
-}
-
 std::string Hex32(uint32_t value) { return StrPrintf("0x%08x", value); }
 
 }  // namespace ks

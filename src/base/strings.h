@@ -27,11 +27,27 @@ std::vector<std::string> SplitLines(std::string_view text);
 // Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
+inline bool StartsWith(std::string_view text, std::string_view prefix) {
+  return text.starts_with(prefix);
+}
+inline bool EndsWith(std::string_view text, std::string_view suffix) {
+  return text.ends_with(suffix);
+}
 
-// Strips leading and trailing whitespace (space, tab, CR, LF).
-std::string_view Trim(std::string_view text);
+// Strips leading and trailing whitespace (space, tab, CR, LF). Inline: the
+// preprocessor and the include scan trim every directive line.
+inline std::string_view Trim(std::string_view text) {
+  auto blank = [](char c) {
+    return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+  };
+  while (!text.empty() && blank(text.front())) {
+    text.remove_prefix(1);
+  }
+  while (!text.empty() && blank(text.back())) {
+    text.remove_suffix(1);
+  }
+  return text.empty() ? std::string_view() : text;
+}
 
 // Formats a byte count or address as fixed-width hex: "0x0000f010".
 std::string Hex32(uint32_t value);

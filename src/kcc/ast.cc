@@ -67,49 +67,50 @@ std::string Type::ToString() const {
   return "?";
 }
 
-int CountExprNodes(const Expr& expr) {
-  int count = 1;
-  if (expr.lhs != nullptr) {
-    count += CountExprNodes(*expr.lhs);
-  }
-  if (expr.rhs != nullptr) {
-    count += CountExprNodes(*expr.rhs);
+namespace {
+
+void ForEachExpr(const Expr& expr,
+                 const std::function<void(const Expr&)>& on_expr) {
+  on_expr(expr);
+  for (const Expr* child : {expr.lhs.get(), expr.rhs.get()}) {
+    if (child != nullptr) {
+      ForEachExpr(*child, on_expr);
+    }
   }
   for (const ExprPtr& arg : expr.args) {
-    count += CountExprNodes(*arg);
+    ForEachExpr(*arg, on_expr);
   }
-  return count;
+}
+
+}  // namespace
+
+void ForEachNode(const Stmt& stmt,
+                 const std::function<void(const Stmt&)>& on_stmt,
+                 const std::function<void(const Expr&)>& on_expr) {
+  on_stmt(stmt);
+  for (const Expr* expr :
+       {stmt.expr.get(), stmt.init.get(), stmt.cond.get(), stmt.step.get()}) {
+    if (expr != nullptr) {
+      ForEachExpr(*expr, on_expr);
+    }
+  }
+  for (const Stmt* child :
+       {stmt.init_stmt.get(), stmt.then_body.get(), stmt.else_body.get(),
+        stmt.body.get()}) {
+    if (child != nullptr) {
+      ForEachNode(*child, on_stmt, on_expr);
+    }
+  }
+  for (const StmtPtr& child : stmt.stmts) {
+    ForEachNode(*child, on_stmt, on_expr);
+  }
 }
 
 int CountStmtNodes(const Stmt& stmt) {
-  int count = 1;
-  if (stmt.expr != nullptr) {
-    count += CountExprNodes(*stmt.expr);
-  }
-  if (stmt.init != nullptr) {
-    count += CountExprNodes(*stmt.init);
-  }
-  if (stmt.cond != nullptr) {
-    count += CountExprNodes(*stmt.cond);
-  }
-  if (stmt.step != nullptr) {
-    count += CountExprNodes(*stmt.step);
-  }
-  if (stmt.init_stmt != nullptr) {
-    count += CountStmtNodes(*stmt.init_stmt);
-  }
-  if (stmt.then_body != nullptr) {
-    count += CountStmtNodes(*stmt.then_body);
-  }
-  if (stmt.else_body != nullptr) {
-    count += CountStmtNodes(*stmt.else_body);
-  }
-  if (stmt.body != nullptr) {
-    count += CountStmtNodes(*stmt.body);
-  }
-  for (const StmtPtr& child : stmt.stmts) {
-    count += CountStmtNodes(*child);
-  }
+  int count = 0;
+  ForEachNode(
+      stmt, [&count](const Stmt&) { ++count; },
+      [&count](const Expr&) { ++count; });
   return count;
 }
 

@@ -9,9 +9,12 @@
 #define KSPLICE_KCC_AST_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "kcc/lexer.h"
 
 namespace kcc {
 
@@ -59,10 +62,10 @@ struct Expr {
     kIntLit,     // int_value
     kStrLit,     // str_value
     kVar,        // name (variable, or function designator yielding address)
-    kUnary,      // op in {"-","!","~","*","&"}; child lhs
+    kUnary,      // op in {-, !, ~, *, &}; child lhs
     kBinary,     // op arithmetic/comparison/logical; children lhs, rhs
-    kAssign,     // op in {"=","+=","-="}; children lhs, rhs
-    kPostIncDec, // op in {"++","--"}; child lhs
+    kAssign,     // op in {=, +=, -=}; children lhs, rhs
+    kPostIncDec, // op in {++, --}; child lhs
     kCall,       // name = callee, args
     kIndex,      // lhs [ rhs ]
     kMember,     // lhs . member
@@ -76,7 +79,7 @@ struct Expr {
   int64_t int_value = 0;
   std::string str_value;
   std::string name;
-  std::string op;
+  Tok op = Tok::kNone;  // the operator's punctuator
   std::string member;
   ExprPtr lhs;
   ExprPtr rhs;
@@ -193,9 +196,14 @@ struct Unit {
   std::vector<KspliceHook> hooks;
 };
 
+// Calls on_stmt for `stmt` and every statement nested in it, and on_expr
+// for every expression they hold, subexpressions included.
+void ForEachNode(const Stmt& stmt,
+                 const std::function<void(const Stmt&)>& on_stmt,
+                 const std::function<void(const Expr&)>& on_expr);
+
 // Counts AST nodes in a statement subtree (inlining heuristic input).
 int CountStmtNodes(const Stmt& stmt);
-int CountExprNodes(const Expr& expr);
 
 }  // namespace kcc
 

@@ -65,7 +65,6 @@ struct FieldLayout {
 
 struct StructLayout {
   std::map<std::string, FieldLayout> fields;
-  std::vector<std::string> order;
   int size = 0;
   int align = 1;
 };
@@ -170,7 +169,7 @@ class Codegen {
   ks::Result<Value> EmitInlineCall(const FuncDecl& callee, const Expr& expr);
   ks::Status EmitArgsToRegs(const Expr& expr, int arity);
   ks::Result<Value> EmitBinary(const Expr& expr);
-  ks::Status EmitCompareSet(const std::string& op);
+  ks::Status EmitCompareSet(Tok op);
 
   // Loads the scalar at address r0 with the width of `type`.
   ks::Status EmitLoad(const TypeRef& type, int line);
@@ -238,7 +237,6 @@ ks::Status Codegen::BuildStructTable() {
                                              field.name.c_str()));
       }
       layout.fields[field.name] = FieldLayout{field.type, offset};
-      layout.order.push_back(field.name);
       offset += size;
       layout.align = std::max(layout.align, align);
     }
@@ -328,88 +326,24 @@ const FuncDecl* Codegen::FindSignature(const std::string& name) const {
   return nullptr;
 }
 
-namespace {
-
-bool StmtHasStaticLocal(const Stmt& stmt);
-
-bool StmtListHasStaticLocal(const std::vector<StmtPtr>& stmts) {
-  for (const StmtPtr& stmt : stmts) {
-    if (StmtHasStaticLocal(*stmt)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool StmtHasStaticLocal(const Stmt& stmt) {
-  if (stmt.kind == Stmt::Kind::kDecl && stmt.is_static_local) {
-    return true;
-  }
-  for (const Stmt* child :
-       {stmt.init_stmt.get(), stmt.then_body.get(), stmt.else_body.get(),
-        stmt.body.get()}) {
-    if (child != nullptr && StmtHasStaticLocal(*child)) {
-      return true;
-    }
-  }
-  return StmtListHasStaticLocal(stmt.stmts);
-}
-
-bool ExprCalls(const Expr& expr, const std::string& name) {
-  if (expr.kind == Expr::Kind::kCall && expr.name == name) {
-    return true;
-  }
-  for (const Expr* child : {expr.lhs.get(), expr.rhs.get()}) {
-    if (child != nullptr && ExprCalls(*child, name)) {
-      return true;
-    }
-  }
-  for (const ExprPtr& arg : expr.args) {
-    if (ExprCalls(*arg, name)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool StmtCalls(const Stmt& stmt, const std::string& name) {
-  for (const Expr* expr :
-       {stmt.expr.get(), stmt.init.get(), stmt.cond.get(), stmt.step.get()}) {
-    if (expr != nullptr && ExprCalls(*expr, name)) {
-      return true;
-    }
-  }
-  for (const Stmt* child :
-       {stmt.init_stmt.get(), stmt.then_body.get(), stmt.else_body.get(),
-        stmt.body.get()}) {
-    if (child != nullptr && StmtCalls(*child, name)) {
-      return true;
-    }
-  }
-  for (const StmtPtr& child : stmt.stmts) {
-    if (StmtCalls(*child, name)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 bool Codegen::IsInlinable(const FuncDecl& fn) const {
-  if (!fn.is_definition || options_.inline_threshold <= 0) {
+  if (!fn.is_definition || options_.inline_threshold <= 0 ||
+      fn.body_size > options_.inline_threshold) {
     return false;
   }
-  if (fn.body_size > options_.inline_threshold) {
-    return false;
-  }
-  if (StmtHasStaticLocal(*fn.body)) {
-    return false;
-  }
-  if (StmtCalls(*fn.body, fn.name)) {
-    return false;  // direct recursion
-  }
-  return true;
+  bool static_local = false;
+  bool recursive = false;  // calls itself directly
+  ForEachNode(
+      *fn.body,
+      [&](const Stmt& stmt) {
+        static_local = static_local ||
+                       (stmt.kind == Stmt::Kind::kDecl && stmt.is_static_local);
+      },
+      [&](const Expr& expr) {
+        recursive = recursive ||
+                    (expr.kind == Expr::Kind::kCall && expr.name == fn.name);
+      });
+  return !static_local && !recursive;
 }
 
 std::optional<LocalInfo> Codegen::LookupLocal(const std::string& name) const {
@@ -622,18 +556,15 @@ ks::Status Codegen::EmitStmt(const Stmt& stmt) {
       EmitBranch(Op::kJmp32, return_label_);
       return ks::OkStatus();
     }
-    case Stmt::Kind::kBreak: {
-      if (loops_.empty()) {
-        return Error(stmt.line, "break outside loop");
-      }
-      EmitBranch(Op::kJmp32, loops_.back().break_label);
-      return ks::OkStatus();
-    }
+    case Stmt::Kind::kBreak:
     case Stmt::Kind::kContinue: {
+      const bool is_break = stmt.kind == Stmt::Kind::kBreak;
       if (loops_.empty()) {
-        return Error(stmt.line, "continue outside loop");
+        return Error(stmt.line, is_break ? "break outside loop"
+                                         : "continue outside loop");
       }
-      EmitBranch(Op::kJmp32, loops_.back().continue_label);
+      EmitBranch(Op::kJmp32, is_break ? loops_.back().break_label
+                                      : loops_.back().continue_label);
       return ks::OkStatus();
     }
   }
@@ -742,7 +673,7 @@ ks::Result<Value> Codegen::EmitAddr(const Expr& expr) {
                    ks::StrPrintf("'%s' is not an lvalue", expr.name.c_str()));
     }
     case Expr::Kind::kUnary:
-      if (expr.op == "*") {
+      if (expr.op == Tok::kStar) {
         KS_ASSIGN_OR_RETURN(Value ptr, EmitExpr(*expr.lhs));
         TypeRef t = DecayType(ptr.type);
         if (!t->IsPointer()) {
@@ -752,13 +683,12 @@ ks::Result<Value> Codegen::EmitAddr(const Expr& expr) {
       }
       break;
     case Expr::Kind::kIndex: {
-      TypeRef elem;
       KS_ASSIGN_OR_RETURN(Value base, EmitExpr(*expr.lhs));
       TypeRef base_type = DecayType(base.type);
       if (!base_type->IsPointer()) {
         return Error(expr.line, "subscript of non-pointer");
       }
-      elem = base_type->pointee;
+      TypeRef elem = base_type->pointee;
       KS_ASSIGN_OR_RETURN(int elem_size, SizeOf(elem, expr.line));
       Emit(Op::kPush, R0);
       KS_ASSIGN_OR_RETURN(Value index, EmitExpr(*expr.rhs));
@@ -774,39 +704,31 @@ ks::Result<Value> Codegen::EmitAddr(const Expr& expr) {
       Emit(Op::kAddRR, R0, R1);
       return Value{elem};
     }
-    case Expr::Kind::kMember: {
-      KS_ASSIGN_OR_RETURN(Value base, EmitAddr(*expr.lhs));
-      if (!base.type->IsStruct()) {
-        return Error(expr.line, "'.' on non-struct");
-      }
-      KS_ASSIGN_OR_RETURN(const StructLayout* layout,
-                          LayoutOf(base.type->struct_name, expr.line));
-      auto field = layout->fields.find(expr.member);
-      if (field == layout->fields.end()) {
-        return Error(expr.line,
-                     ks::StrPrintf("no field '%s' in struct %s",
-                                   expr.member.c_str(),
-                                   base.type->struct_name.c_str()));
-      }
-      if (field->second.offset != 0) {
-        EmitImm(Op::kAddRI, R0, field->second.offset);
-      }
-      return Value{field->second.type};
-    }
+    case Expr::Kind::kMember:
     case Expr::Kind::kArrow: {
-      KS_ASSIGN_OR_RETURN(Value base, EmitExpr(*expr.lhs));
-      TypeRef t = DecayType(base.type);
-      if (!t->IsPointer() || !t->pointee->IsStruct()) {
-        return Error(expr.line, "'->' on non-struct-pointer");
+      // The struct's address in r0, then the field's offset added.
+      TypeRef type;
+      if (expr.kind == Expr::Kind::kMember) {
+        KS_ASSIGN_OR_RETURN(Value base, EmitAddr(*expr.lhs));
+        type = base.type;
+        if (!type->IsStruct()) {
+          return Error(expr.line, "'.' on non-struct");
+        }
+      } else {
+        KS_ASSIGN_OR_RETURN(Value base, EmitExpr(*expr.lhs));
+        TypeRef t = DecayType(base.type);
+        if (!t->IsPointer() || !t->pointee->IsStruct()) {
+          return Error(expr.line, "'->' on non-struct-pointer");
+        }
+        type = t->pointee;
       }
       KS_ASSIGN_OR_RETURN(const StructLayout* layout,
-                          LayoutOf(t->pointee->struct_name, expr.line));
+                          LayoutOf(type->struct_name, expr.line));
       auto field = layout->fields.find(expr.member);
       if (field == layout->fields.end()) {
-        return Error(expr.line,
-                     ks::StrPrintf("no field '%s' in struct %s",
-                                   expr.member.c_str(),
-                                   t->pointee->struct_name.c_str()));
+        return Error(expr.line, ks::StrPrintf("no field '%s' in struct %s",
+                                              expr.member.c_str(),
+                                              type->struct_name.c_str()));
       }
       if (field->second.offset != 0) {
         EmitImm(Op::kAddRI, R0, field->second.offset);
@@ -864,44 +786,45 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
       return Value{expr.cast_type};
     }
     case Expr::Kind::kUnary: {
-      if (expr.op == "&") {
+      if (expr.op == Tok::kAmp) {
         KS_ASSIGN_OR_RETURN(Value addr, EmitAddr(*expr.lhs));
         return Value{Type::PointerTo(addr.type)};
       }
-      if (expr.op == "*") {
-        KS_ASSIGN_OR_RETURN(Value ptr, EmitExpr(*expr.lhs));
-        TypeRef t = DecayType(ptr.type);
-        if (!t->IsPointer()) {
-          return Error(expr.line, "dereference of non-pointer");
-        }
-        KS_RETURN_IF_ERROR(EmitLoad(t->pointee, expr.line));
-        return Value{DecayType(t->pointee)};
+      if (expr.op == Tok::kStar) {
+        KS_ASSIGN_OR_RETURN(Value addr, EmitAddr(expr));
+        KS_RETURN_IF_ERROR(EmitLoad(addr.type, expr.line));
+        return Value{DecayType(addr.type)};
       }
-      KS_ASSIGN_OR_RETURN(Value value, EmitExpr(*expr.lhs));
-      if (expr.op == "-") {
-        Emit(Op::kMovRR, R1, R0);
-        EmitImm(Op::kMovRI, R0, 0);
-        Emit(Op::kSubRR, R0, R1);
-      } else if (expr.op == "!") {
-        std::string is_zero = NewLabel();
-        EmitImm(Op::kCmpRI, R0, 0);
-        EmitImm(Op::kMovRI, R0, 1);
-        EmitBranch(Op::kJz32, is_zero);
-        EmitImm(Op::kMovRI, R0, 0);
-        EmitLabel(is_zero);
-      } else if (expr.op == "~") {
-        Emit(Op::kMovRR, R1, R0);
-        EmitImm(Op::kMovRI, R0, -1);
-        Emit(Op::kXorRR, R0, R1);
-      } else {
-        return Error(expr.line, "unhandled unary op");
+      KS_RETURN_IF_ERROR(EmitExpr(*expr.lhs).status());
+      switch (expr.op) {
+        case Tok::kMinus:
+          Emit(Op::kMovRR, R1, R0);
+          EmitImm(Op::kMovRI, R0, 0);
+          Emit(Op::kSubRR, R0, R1);
+          break;
+        case Tok::kNot: {
+          std::string is_zero = NewLabel();
+          EmitImm(Op::kCmpRI, R0, 0);
+          EmitImm(Op::kMovRI, R0, 1);
+          EmitBranch(Op::kJz32, is_zero);
+          EmitImm(Op::kMovRI, R0, 0);
+          EmitLabel(is_zero);
+          break;
+        }
+        case Tok::kTilde:
+          Emit(Op::kMovRR, R1, R0);
+          EmitImm(Op::kMovRI, R0, -1);
+          Emit(Op::kXorRR, R0, R1);
+          break;
+        default:
+          return Error(expr.line, "unhandled unary op");
       }
       return Value{Type::Int()};
     }
     case Expr::Kind::kBinary:
       return EmitBinary(expr);
     case Expr::Kind::kAssign: {
-      if (expr.op == "=") {
+      if (expr.op == Tok::kAssign) {
         KS_ASSIGN_OR_RETURN(Value rhs, EmitExpr(*expr.rhs));
         Emit(Op::kPush, R0);
         KS_ASSIGN_OR_RETURN(Value lhs, EmitAddr(*expr.lhs));
@@ -931,7 +854,7 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
           Emit(Op::kMulRR, R1, R3);
         }
       }
-      Emit(expr.op == "+=" ? Op::kAddRR : Op::kSubRR, R0, R1);
+      Emit(expr.op == Tok::kPlusAssign ? Op::kAddRR : Op::kSubRR, R0, R1);
       EmitConvert(Type::Int(), lhs.type);
       Emit(Op::kMovRR, R1, R2);
       EmitStore(lhs.type);
@@ -949,7 +872,7 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
       Emit(Op::kMovRR, R2, R0);  // address
       KS_RETURN_IF_ERROR(EmitLoad(lhs.type, expr.line));
       Emit(Op::kPush, R0);  // old value: the expression's result
-      EmitImm(expr.op == "++" ? Op::kAddRI : Op::kSubRI, R0, delta);
+      EmitImm(expr.op == Tok::kInc ? Op::kAddRI : Op::kSubRI, R0, delta);
       EmitConvert(Type::Int(), lhs.type);
       Emit(Op::kMovRR, R1, R2);
       EmitStore(lhs.type);
@@ -969,41 +892,45 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
   return Error(expr.line, "unhandled expression");
 }
 
-ks::Status Codegen::EmitCompareSet(const std::string& op) {
+ks::Status Codegen::EmitCompareSet(Tok op) {
   // Flags already set from "cmp r0, r1".
-  static const std::map<std::string, Op> kJumps = {
-      {"==", Op::kJz32},  {"!=", Op::kJnz32}, {"<", Op::kJlt32},
-      {">=", Op::kJge32}, {">", Op::kJgt32},  {"<=", Op::kJle32},
-  };
-  auto jump = kJumps.find(op);
-  if (jump == kJumps.end()) {
-    return ks::Internal("bad comparison op " + op);
+  Op jump;
+  switch (op) {
+    case Tok::kEq: jump = Op::kJz32; break;
+    case Tok::kNe: jump = Op::kJnz32; break;
+    case Tok::kLt: jump = Op::kJlt32; break;
+    case Tok::kGe: jump = Op::kJge32; break;
+    case Tok::kGt: jump = Op::kJgt32; break;
+    case Tok::kLe: jump = Op::kJle32; break;
+    default:
+      return ks::Internal("bad comparison op " + std::string(Spelling(op)));
   }
   std::string taken = NewLabel();
   EmitImm(Op::kMovRI, R0, 1);
-  EmitBranch(jump->second, taken);
+  EmitBranch(jump, taken);
   EmitImm(Op::kMovRI, R0, 0);
   EmitLabel(taken);
   return ks::OkStatus();
 }
 
 ks::Result<Value> Codegen::EmitBinary(const Expr& expr) {
-  const std::string& op = expr.op;
+  const Tok op = expr.op;
 
-  if (op == "&&" || op == "||") {
+  if (op == Tok::kAndAnd || op == Tok::kOrOr) {
+    const bool is_and = op == Tok::kAndAnd;
     std::string short_circuit = NewLabel();
     std::string done = NewLabel();
     KS_RETURN_IF_ERROR(EmitExpr(*expr.lhs).status());
     EmitImm(Op::kCmpRI, R0, 0);
-    Op jump = op == "&&" ? Op::kJz32 : Op::kJnz32;
+    Op jump = is_and ? Op::kJz32 : Op::kJnz32;
     EmitBranch(jump, short_circuit);
     KS_RETURN_IF_ERROR(EmitExpr(*expr.rhs).status());
     EmitImm(Op::kCmpRI, R0, 0);
     EmitBranch(jump, short_circuit);
-    EmitImm(Op::kMovRI, R0, op == "&&" ? 1 : 0);
+    EmitImm(Op::kMovRI, R0, is_and ? 1 : 0);
     EmitBranch(Op::kJmp32, done);
     EmitLabel(short_circuit);
-    EmitImm(Op::kMovRI, R0, op == "&&" ? 0 : 1);
+    EmitImm(Op::kMovRI, R0, is_and ? 0 : 1);
     EmitLabel(done);
     return Value{Type::Int()};
   }
@@ -1017,7 +944,8 @@ ks::Result<Value> Codegen::EmitBinary(const Expr& expr) {
   TypeRef lt = DecayType(lhs.type);
   TypeRef rt = DecayType(rhs.type);
 
-  if (op == "+" || op == "-") {
+  if (op == Tok::kPlus || op == Tok::kMinus) {
+    const Op add_or_sub = op == Tok::kPlus ? Op::kAddRR : Op::kSubRR;
     // Pointer arithmetic scaling.
     if (lt->IsPointer() && !rt->IsPointer()) {
       KS_ASSIGN_OR_RETURN(int size, SizeOf(lt->pointee, expr.line));
@@ -1025,10 +953,10 @@ ks::Result<Value> Codegen::EmitBinary(const Expr& expr) {
         EmitImm(Op::kMovRI, R2, size);
         Emit(Op::kMulRR, R1, R2);
       }
-      Emit(op == "+" ? Op::kAddRR : Op::kSubRR, R0, R1);
+      Emit(add_or_sub, R0, R1);
       return Value{lt};
     }
-    if (op == "+" && rt->IsPointer() && !lt->IsPointer()) {
+    if (op == Tok::kPlus && rt->IsPointer() && !lt->IsPointer()) {
       KS_ASSIGN_OR_RETURN(int size, SizeOf(rt->pointee, expr.line));
       if (size != 1) {
         EmitImm(Op::kMovRI, R2, size);
@@ -1037,7 +965,7 @@ ks::Result<Value> Codegen::EmitBinary(const Expr& expr) {
       Emit(Op::kAddRR, R0, R1);
       return Value{rt};
     }
-    if (op == "-" && lt->IsPointer() && rt->IsPointer()) {
+    if (op == Tok::kMinus && lt->IsPointer() && rt->IsPointer()) {
       KS_ASSIGN_OR_RETURN(int size, SizeOf(lt->pointee, expr.line));
       Emit(Op::kSubRR, R0, R1);
       if (size != 1) {
@@ -1046,19 +974,24 @@ ks::Result<Value> Codegen::EmitBinary(const Expr& expr) {
       }
       return Value{Type::Int()};
     }
-    Emit(op == "+" ? Op::kAddRR : Op::kSubRR, R0, R1);
+    Emit(add_or_sub, R0, R1);
     return Value{Type::Int()};
   }
 
-  static const std::map<std::string, Op> kSimple = {
-      {"*", Op::kMulRR}, {"/", Op::kDivRR},  {"%", Op::kModRR},
-      {"&", Op::kAndRR}, {"|", Op::kOrRR},   {"^", Op::kXorRR},
-      {"<<", Op::kShlRR}, {">>", Op::kShrRR},
-  };
-  auto simple = kSimple.find(op);
-  if (simple != kSimple.end()) {
-    Emit(simple->second, R0, R1);
+  auto simple = [this](Op insn) {
+    Emit(insn, R0, R1);
     return Value{Type::Int()};
+  };
+  switch (op) {
+    case Tok::kStar: return simple(Op::kMulRR);
+    case Tok::kSlash: return simple(Op::kDivRR);
+    case Tok::kPercent: return simple(Op::kModRR);
+    case Tok::kAmp: return simple(Op::kAndRR);
+    case Tok::kPipe: return simple(Op::kOrRR);
+    case Tok::kCaret: return simple(Op::kXorRR);
+    case Tok::kShl: return simple(Op::kShlRR);
+    case Tok::kShr: return simple(Op::kShrRR);
+    default: break;
   }
 
   // Comparison.
@@ -1155,11 +1088,8 @@ ks::Result<Value> Codegen::EmitCall(const Expr& expr) {
     }
     KS_RETURN_IF_ERROR(EmitArgsToRegs(expr, builtin->second.arity));
     EmitImm(Op::kSys, R0, builtin->second.sys);
-    TypeRef ret = Type::Int();
-    if (expr.name == "kmalloc") {
-      ret = Type::PointerTo(Type::Char());
-    }
-    return Value{ret};
+    return Value{expr.name == "kmalloc" ? Type::PointerTo(Type::Char())
+                                        : Type::Int()};
   }
 
   const FuncDecl* signature = FindSignature(expr.name);
@@ -1193,8 +1123,7 @@ ks::Result<Value> Codegen::EmitCall(const Expr& expr) {
   if (!expr.args.empty()) {
     EmitImm(Op::kAddRI, SP, static_cast<int32_t>(4 * expr.args.size()));
   }
-  TypeRef ret = signature != nullptr ? signature->ret : Type::Int();
-  return Value{ret};
+  return Value{signature != nullptr ? signature->ret : Type::Int()};
 }
 
 ks::Result<Value> Codegen::EmitInlineCall(const FuncDecl& callee,

@@ -16,7 +16,7 @@
 // Closures come from one kcc::IncludeGraph per tree (preprocess.h), never
 // from expanding the unit: a cached BuildTree scans the tree once and keys
 // every unit by its closure, and the pre–post build (ksplice::prepost)
-// reuses the same closures to pick the units a patch can affect.
+// walks the same kind of graph to pick the units a patch can affect.
 
 #ifndef KSPLICE_KCC_COMPILE_H_
 #define KSPLICE_KCC_COMPILE_H_

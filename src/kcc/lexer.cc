@@ -1,6 +1,8 @@
 #include "kcc/lexer.h"
 
+#include <algorithm>
 #include <array>
+#include <iterator>
 
 #include "base/strings.h"
 
@@ -8,11 +10,70 @@ namespace kcc {
 
 namespace {
 
-constexpr std::string_view kKeywords[] = {
-    "int",    "char",  "void",   "struct", "static", "inline",
-    "extern", "if",    "else",   "while",  "for",    "return",
-    "break",  "continue", "sizeof",
+// Indexed by Tok.
+constexpr std::string_view kSpellings[] = {
+    "",
+    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=", "-=", "->", "++",
+    "--", "+", "-", "&", "|", "!", "<", ">", "=",
+    "*", "/", "%", "^", "~", "(", ")", "{", "}", "[", "]", ";", ",", ".",
+    "int", "char", "void", "struct", "static", "inline", "extern", "if",
+    "else", "while", "for", "return", "break", "continue", "sizeof",
 };
+static_assert(std::size(kSpellings) == static_cast<size_t>(Tok::kSizeof) + 1);
+
+// The punctuators from Tok::kStar on, in order: none starts a longer one.
+constexpr std::string_view kSingles = "*/%^~(){}[];,.";
+
+// Keywords by a perfect hash of first character, last character and length.
+constexpr size_t KeywordHash(std::string_view word) {
+  return (static_cast<size_t>(word.front() + word.back()) * 7 + word.size()) %
+         19;
+}
+constexpr std::array<Tok, 19> kKeywordTable = [] {
+  std::array<Tok, 19> table{};
+  for (size_t t = static_cast<size_t>(Tok::kInt);
+       t <= static_cast<size_t>(Tok::kSizeof); ++t) {
+    table[KeywordHash(kSpellings[t])] = static_cast<Tok>(t);
+  }
+  return table;
+}();
+static_assert(std::count(kKeywordTable.begin(), kKeywordTable.end(),
+                         Tok::kNone) == 19 - 15,
+              "two of the 15 keywords share a hash slot");
+
+// The keyword spelled `word`, or kNone.
+Tok Keyword(std::string_view word) {
+  Tok tok = kKeywordTable[KeywordHash(word)];
+  return Spelling(tok) == word ? tok : Tok::kNone;
+}
+
+// The punctuator `rest` starts with, longest first, or kNone.
+Tok Punct(std::string_view rest) {
+  const char next = rest.size() > 1 ? rest[1] : '\0';
+  switch (rest[0]) {
+    case '<':
+      return next == '<' ? Tok::kShl : next == '=' ? Tok::kLe : Tok::kLt;
+    case '>':
+      return next == '>' ? Tok::kShr : next == '=' ? Tok::kGe : Tok::kGt;
+    case '=': return next == '=' ? Tok::kEq : Tok::kAssign;
+    case '!': return next == '=' ? Tok::kNe : Tok::kNot;
+    case '&': return next == '&' ? Tok::kAndAnd : Tok::kAmp;
+    case '|': return next == '|' ? Tok::kOrOr : Tok::kPipe;
+    case '+':
+      return next == '=' ? Tok::kPlusAssign
+             : next == '+' ? Tok::kInc : Tok::kPlus;
+    case '-':
+      return next == '=' ? Tok::kMinusAssign
+             : next == '>' ? Tok::kArrow
+             : next == '-' ? Tok::kDec : Tok::kMinus;
+    default: {
+      size_t at = kSingles.find(rest[0]);
+      return at == std::string_view::npos
+                 ? Tok::kNone
+                 : static_cast<Tok>(static_cast<size_t>(Tok::kStar) + at);
+    }
+  }
+}
 
 bool IsIdentStart(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
@@ -21,14 +82,6 @@ bool IsIdentCont(char c) {
   return IsIdentStart(c) || (c >= '0' && c <= '9');
 }
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
-
-// Multi-character punctuators, longest first.
-constexpr std::string_view kPuncts[] = {
-    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=", "-=",
-    "->", "++", "--", "+",  "-",  "*",  "/",  "%",  "&",  "|",
-    "^",  "~",  "!",  "<",  ">",  "=",  "(",  ")",  "{",  "}",
-    "[",  "]",  ";",  ",",  ".",
-};
 
 ks::Result<char> UnescapeChar(std::string_view src, size_t& i,
                               const std::string& file, int line) {
@@ -42,36 +95,24 @@ ks::Result<char> UnescapeChar(std::string_view src, size_t& i,
   }
   char e = src[i++];
   switch (e) {
-    case 'n':
-      return '\n';
-    case 't':
-      return '\t';
-    case 'r':
-      return '\r';
-    case '0':
-      return '\0';
-    case '\\':
-      return '\\';
-    case '\'':
-      return '\'';
-    case '"':
-      return '"';
+    case 'n': return '\n';
+    case 't': return '\t';
+    case 'r': return '\r';
+    case '0': return '\0';
+    case '\\': return '\\';
+    case '\'': return '\'';
+    case '"': return '"';
     default:
       return ks::InvalidArgument(
           ks::StrPrintf("%s:%d: bad escape '\\%c'", file.c_str(), line, e));
   }
 }
 
-bool IsKeyword(std::string_view text) {
-  for (std::string_view kw : kKeywords) {
-    if (kw == text) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
+
+std::string_view Spelling(Tok tok) {
+  return kSpellings[static_cast<size_t>(tok)];
+}
 
 ks::Result<std::vector<Token>> Lex(std::string_view src,
                                    const std::string& file) {
@@ -81,14 +122,14 @@ ks::Result<std::vector<Token>> Lex(std::string_view src,
   tokens.reserve(src.size() / 3 + 1);
   size_t i = 0;
   int line = 1;
+  auto error = [&file, &line](const char* what) {
+    return ks::InvalidArgument(
+        ks::StrPrintf("%s:%d: %s", file.c_str(), line, what));
+  };
   while (i < src.size()) {
     char c = src[i];
-    if (c == '\n') {
-      ++line;
-      ++i;
-      continue;
-    }
-    if (c == ' ' || c == '\t' || c == '\r') {
+    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
+      line += c == '\n' ? 1 : 0;
       ++i;
       continue;
     }
@@ -108,20 +149,17 @@ ks::Result<std::vector<Token>> Lex(std::string_view src,
         ++i;
       }
       if (i + 1 >= src.size()) {
-        return ks::InvalidArgument(
-            ks::StrPrintf("%s:%d: unterminated comment", file.c_str(), line));
+        return error("unterminated comment");
       }
       i += 2;
       continue;
     }
     // Preprocessor lines reaching the lexer are a bug (see preprocess.cc).
     if (c == '#') {
-      return ks::InvalidArgument(ks::StrPrintf(
-          "%s:%d: unexpected '#' (unpreprocessed input?)", file.c_str(),
-          line));
+      return error("unexpected '#' (unpreprocessed input?)");
     }
 
-    Token tok;
+    Token& tok = tokens.emplace_back();
     tok.line = line;
 
     if (IsIdentStart(c)) {
@@ -129,9 +167,9 @@ ks::Result<std::vector<Token>> Lex(std::string_view src,
       while (j < src.size() && IsIdentCont(src[j])) {
         ++j;
       }
-      tok.text = std::string(src.substr(i, j - i));
-      tok.kind = IsKeyword(tok.text) ? TokKind::kKeyword : TokKind::kIdent;
-      tokens.push_back(std::move(tok));
+      tok.ident = src.substr(i, j - i);
+      tok.tok = Keyword(tok.ident);
+      tok.kind = tok.tok == Tok::kNone ? TokKind::kIdent : TokKind::kKeyword;
       i = j;
       continue;
     }
@@ -154,8 +192,7 @@ ks::Result<std::vector<Token>> Lex(std::string_view src,
           ++j;
         }
         if (j == start) {
-          return ks::InvalidArgument(
-              ks::StrPrintf("%s:%d: bad hex literal", file.c_str(), line));
+          return error("bad hex literal");
         }
       } else {
         while (j < src.size() && IsDigit(src[j])) {
@@ -164,31 +201,25 @@ ks::Result<std::vector<Token>> Lex(std::string_view src,
         }
       }
       if (j < src.size() && IsIdentStart(src[j])) {
-        return ks::InvalidArgument(ks::StrPrintf(
-            "%s:%d: bad numeric literal suffix", file.c_str(), line));
+        return error("bad numeric literal suffix");
       }
       tok.kind = TokKind::kIntLit;
       tok.int_value = value;
-      tokens.push_back(std::move(tok));
       i = j;
       continue;
     }
 
     if (c == '\'') {
-      ++i;
-      if (i >= src.size()) {
-        return ks::InvalidArgument(ks::StrPrintf(
-            "%s:%d: unterminated char literal", file.c_str(), line));
+      if (++i >= src.size()) {
+        return error("unterminated char literal");
       }
       KS_ASSIGN_OR_RETURN(char value, UnescapeChar(src, i, file, line));
       if (i >= src.size() || src[i] != '\'') {
-        return ks::InvalidArgument(ks::StrPrintf(
-            "%s:%d: unterminated char literal", file.c_str(), line));
+        return error("unterminated char literal");
       }
       ++i;
       tok.kind = TokKind::kCharLit;
       tok.int_value = static_cast<uint8_t>(value);
-      tokens.push_back(std::move(tok));
       continue;
     }
 
@@ -197,44 +228,29 @@ ks::Result<std::vector<Token>> Lex(std::string_view src,
       std::string value;
       while (i < src.size() && src[i] != '"') {
         if (src[i] == '\n') {
-          return ks::InvalidArgument(ks::StrPrintf(
-              "%s:%d: newline in string literal", file.c_str(), line));
+          return error("newline in string literal");
         }
         KS_ASSIGN_OR_RETURN(char ch, UnescapeChar(src, i, file, line));
         value.push_back(ch);
       }
       if (i >= src.size()) {
-        return ks::InvalidArgument(ks::StrPrintf(
-            "%s:%d: unterminated string literal", file.c_str(), line));
+        return error("unterminated string literal");
       }
       ++i;
       tok.kind = TokKind::kStrLit;
       tok.str_value = std::move(value);
-      tokens.push_back(std::move(tok));
       continue;
     }
 
-    // Punctuators.
-    bool matched = false;
-    for (std::string_view punct : kPuncts) {
-      if (src.substr(i).substr(0, punct.size()) == punct) {
-        tok.kind = TokKind::kPunct;
-        tok.text = std::string(punct);
-        tokens.push_back(std::move(tok));
-        i += punct.size();
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) {
+    tok.tok = Punct(src.substr(i));
+    if (tok.tok == Tok::kNone) {
       return ks::InvalidArgument(ks::StrPrintf(
           "%s:%d: unexpected character '%c'", file.c_str(), line, c));
     }
+    tok.kind = TokKind::kPunct;
+    i += Spelling(tok.tok).size();
   }
-  Token eof;
-  eof.kind = TokKind::kEof;
-  eof.line = line;
-  tokens.push_back(std::move(eof));
+  tokens.emplace_back().line = line;  // kEof
   return tokens;
 }
 

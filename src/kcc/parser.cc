@@ -1,7 +1,5 @@
 #include "kcc/parser.h"
 
-#include <cassert>
-
 #include "base/strings.h"
 
 namespace kcc {
@@ -9,7 +7,7 @@ namespace kcc {
 namespace {
 
 // Hook spellings accepted at file scope (§5.3 of the paper).
-const char* const kHookNames[] = {
+constexpr std::string_view kHookNames[] = {
     "ksplice_apply",       "ksplice_pre_apply",  "ksplice_post_apply",
     "ksplice_reverse",     "ksplice_pre_reverse", "ksplice_post_reverse",
 };
@@ -30,21 +28,10 @@ class Parser {
   const Token& Advance() { return tokens_[pos_++]; }
   bool AtEof() const { return Peek().kind == TokKind::kEof; }
 
-  bool CheckPunct(std::string_view text) const {
-    return Peek().kind == TokKind::kPunct && Peek().text == text;
-  }
-  bool CheckKeyword(std::string_view text) const {
-    return Peek().kind == TokKind::kKeyword && Peek().text == text;
-  }
-  bool MatchPunct(std::string_view text) {
-    if (CheckPunct(text)) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool MatchKeyword(std::string_view text) {
-    if (CheckKeyword(text)) {
+  // Tests for a punctuator or keyword.
+  bool Check(Tok tok) const { return Peek().tok == tok; }
+  bool Match(Tok tok) {
+    if (Check(tok)) {
       ++pos_;
       return true;
     }
@@ -55,29 +42,43 @@ class Parser {
     return ks::InvalidArgument(ks::StrPrintf("%s:%d: %s", unit_name_.c_str(),
                                              Peek().line, message.c_str()));
   }
-  ks::Status ExpectPunct(std::string_view text) {
-    if (!MatchPunct(text)) {
-      return Error(ks::StrPrintf("expected '%.*s', got '%s'",
-                                 static_cast<int>(text.size()), text.data(),
-                                 Peek().text.c_str()));
+  // The token at hand as diagnostics quote it: its spelling, or '' for a
+  // literal or the end of input.
+  std::string Quoted() const {
+    const Token& tok = Peek();
+    std::string text(tok.tok != Tok::kNone ? Spelling(tok.tok) : tok.ident);
+    return "'" + text + "'";
+  }
+  ks::Status Expect(Tok tok) {
+    if (!Match(tok)) {
+      return Error("expected '" + std::string(Spelling(tok)) + "', got " +
+                   Quoted());
     }
     return ks::OkStatus();
   }
   ks::Result<std::string> ExpectIdent() {
     if (Peek().kind != TokKind::kIdent) {
-      return Error(ks::StrPrintf("expected identifier, got '%s'",
-                                 Peek().text.c_str()));
+      return Error("expected identifier, got " + Quoted());
     }
-    return Advance().text;
+    return std::string(Advance().ident);
   }
 
   // Types ----------------------------------------------------------------
-  bool AtTypeStart() const {
-    return CheckKeyword("int") || CheckKeyword("char") ||
-           CheckKeyword("void") || CheckKeyword("struct");
+  static bool IsTypeKeyword(Tok tok) {
+    return tok == Tok::kInt || tok == Tok::kChar || tok == Tok::kVoid ||
+           tok == Tok::kStruct;
   }
+  bool AtTypeStart() const { return IsTypeKeyword(Peek().tok); }
   ks::Result<TypeRef> ParseBaseType();
-  ks::Result<TypeRef> ParsePointers(TypeRef base);
+  ks::Result<TypeRef> ParseType() {  // a base type, then any '*'s
+    KS_ASSIGN_OR_RETURN(TypeRef type, ParseBaseType());
+    while (Match(Tok::kStar)) {
+      type = Type::PointerTo(std::move(type));
+    }
+    return type;
+  }
+  // `type`, or an array of it when "[" INT "]" follows.
+  ks::Result<TypeRef> ParseFixedArray(TypeRef type);
 
   // Top level -------------------------------------------------------------
   ks::Status ParseTop(Unit& unit);
@@ -108,27 +109,32 @@ class Parser {
 };
 
 ks::Result<TypeRef> Parser::ParseBaseType() {
-  if (MatchKeyword("int")) {
+  if (Match(Tok::kInt)) {
     return Type::Int();
   }
-  if (MatchKeyword("char")) {
+  if (Match(Tok::kChar)) {
     return Type::Char();
   }
-  if (MatchKeyword("void")) {
+  if (Match(Tok::kVoid)) {
     return Type::Void();
   }
-  if (MatchKeyword("struct")) {
+  if (Match(Tok::kStruct)) {
     KS_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
     return Type::Struct(std::move(name));
   }
   return Error("expected type");
 }
 
-ks::Result<TypeRef> Parser::ParsePointers(TypeRef base) {
-  while (MatchPunct("*")) {
-    base = Type::PointerTo(std::move(base));
+ks::Result<TypeRef> Parser::ParseFixedArray(TypeRef type) {
+  if (!Match(Tok::kLBracket)) {
+    return type;
   }
-  return base;
+  if (Peek().kind != TokKind::kIntLit) {
+    return Error("expected array length");
+  }
+  int len = static_cast<int>(Advance().int_value);
+  KS_RETURN_IF_ERROR(Expect(Tok::kRBracket));
+  return Type::ArrayOf(std::move(type), len);
 }
 
 ks::Result<Unit> Parser::Run() {
@@ -142,14 +148,14 @@ ks::Result<Unit> Parser::Run() {
 
 ks::Status Parser::ParseTop(Unit& unit) {
   // struct definition: "struct NAME {" (otherwise it's a type use).
-  if (CheckKeyword("struct") && Peek(1).kind == TokKind::kIdent &&
-      Peek(2).kind == TokKind::kPunct && Peek(2).text == "{") {
+  if (Check(Tok::kStruct) && Peek(1).kind == TokKind::kIdent &&
+      Peek(2).tok == Tok::kLBrace) {
     return ParseStructDef(unit);
   }
   // ksplice hook.
   if (Peek().kind == TokKind::kIdent) {
-    for (const char* hook : kHookNames) {
-      if (Peek().text == hook) {
+    for (std::string_view hook : kHookNames) {
+      if (Peek().ident == hook) {
         return ParseHook(unit);
       }
     }
@@ -158,27 +164,17 @@ ks::Status Parser::ParseTop(Unit& unit) {
   bool is_static = false;
   bool is_extern = false;
   bool is_inline = false;
-  while (true) {
-    if (MatchKeyword("static")) {
-      is_static = true;
-    } else if (MatchKeyword("extern")) {
-      is_extern = true;
-    } else if (MatchKeyword("inline")) {
-      is_inline = true;
-    } else {
-      break;
-    }
+  while (Check(Tok::kStatic) || Check(Tok::kExtern) || Check(Tok::kInline)) {
+    Tok qualifier = Advance().tok;
+    is_static = is_static || qualifier == Tok::kStatic;
+    is_extern = is_extern || qualifier == Tok::kExtern;
+    is_inline = is_inline || qualifier == Tok::kInline;
   }
   int line = Peek().line;
-  KS_ASSIGN_OR_RETURN(TypeRef base, ParseBaseType());
-  KS_ASSIGN_OR_RETURN(TypeRef type, ParsePointers(std::move(base)));
+  KS_ASSIGN_OR_RETURN(TypeRef type, ParseType());
   KS_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
 
-  if (CheckPunct("(")) {
-    if (is_extern) {
-      // `extern` on a prototype is redundant but legal.
-      is_extern = false;
-    }
+  if (Check(Tok::kLParen)) {  // `extern` on a prototype is redundant
     return ParseFunctionRest(unit, std::move(type), std::move(name),
                              is_static, is_inline, line);
   }
@@ -190,29 +186,19 @@ ks::Status Parser::ParseTop(Unit& unit) {
 }
 
 ks::Status Parser::ParseStructDef(Unit& unit) {
-  MatchKeyword("struct");
+  Match(Tok::kStruct);
   KS_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
   int line = Peek().line;
-  KS_RETURN_IF_ERROR(ExpectPunct("{"));
-  StructDef def;
-  def.name = std::move(name);
-  def.line = line;
-  while (!MatchPunct("}")) {
-    KS_ASSIGN_OR_RETURN(TypeRef base, ParseBaseType());
-    KS_ASSIGN_OR_RETURN(TypeRef type, ParsePointers(std::move(base)));
+  KS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
+  StructDef def{std::move(name), {}, line};
+  while (!Match(Tok::kRBrace)) {
+    KS_ASSIGN_OR_RETURN(TypeRef type, ParseType());
     KS_ASSIGN_OR_RETURN(std::string field, ExpectIdent());
-    if (MatchPunct("[")) {
-      if (Peek().kind != TokKind::kIntLit) {
-        return Error("expected array length");
-      }
-      int len = static_cast<int>(Advance().int_value);
-      KS_RETURN_IF_ERROR(ExpectPunct("]"));
-      type = Type::ArrayOf(std::move(type), len);
-    }
-    KS_RETURN_IF_ERROR(ExpectPunct(";"));
+    KS_ASSIGN_OR_RETURN(type, ParseFixedArray(std::move(type)));
+    KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
     def.fields.push_back(StructField{std::move(type), std::move(field)});
   }
-  KS_RETURN_IF_ERROR(ExpectPunct(";"));
+  KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
   if (def.fields.empty()) {
     return Error("empty struct");
   }
@@ -226,23 +212,21 @@ ks::Status Parser::ParseStructDef(Unit& unit) {
 }
 
 ks::Status Parser::ParseHook(Unit& unit) {
-  std::string spelling = Advance().text;
-  KS_RETURN_IF_ERROR(ExpectPunct("("));
+  std::string_view spelling = Advance().ident;
+  KS_RETURN_IF_ERROR(Expect(Tok::kLParen));
   KS_ASSIGN_OR_RETURN(std::string func, ExpectIdent());
-  KS_RETURN_IF_ERROR(ExpectPunct(")"));
-  KS_RETURN_IF_ERROR(ExpectPunct(";"));
-  KspliceHook hook;
-  hook.kind = spelling.substr(std::string("ksplice_").size());
-  hook.func = std::move(func);
-  hook.line = Peek().line;
-  unit.hooks.push_back(std::move(hook));
+  KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
+  KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
+  unit.hooks.push_back(KspliceHook{
+      std::string(spelling.substr(std::string_view("ksplice_").size())),
+      std::move(func), Peek().line});
   return ks::OkStatus();
 }
 
 ks::Status Parser::ParseFunctionRest(Unit& unit, TypeRef ret,
                                      std::string name, bool is_static,
                                      bool is_inline, int line) {
-  KS_RETURN_IF_ERROR(ExpectPunct("("));
+  KS_RETURN_IF_ERROR(Expect(Tok::kLParen));
   FuncDecl fn;
   fn.ret = std::move(ret);
   fn.name = std::move(name);
@@ -250,44 +234,32 @@ ks::Status Parser::ParseFunctionRest(Unit& unit, TypeRef ret,
   fn.is_inline_kw = is_inline;
   fn.line = line;
 
-  if (MatchKeyword("void") && CheckPunct(")")) {
-    // (void): no parameters.
-  } else if (!CheckPunct(")")) {
-    // We may have consumed "void" as the base of "void *x".
-    bool pending_void = tokens_[pos_ - 1].kind == TokKind::kKeyword &&
-                        tokens_[pos_ - 1].text == "void" &&
-                        !CheckPunct(")");
-    bool first = true;
+  if (Check(Tok::kVoid) && Peek(1).tok == Tok::kRParen) {
+    Advance();  // (void): no parameters
+  } else if (!Check(Tok::kRParen)) {
     while (true) {
-      TypeRef base;
-      if (first && pending_void) {
-        base = Type::Void();
-      } else {
-        KS_ASSIGN_OR_RETURN(base, ParseBaseType());
-      }
-      first = false;
-      KS_ASSIGN_OR_RETURN(TypeRef type, ParsePointers(std::move(base)));
+      KS_ASSIGN_OR_RETURN(TypeRef type, ParseType());
       if (type->kind == Type::Kind::kVoid) {
         return Error("parameter of type void");
       }
       // Prototypes may omit parameter names.
       std::string pname;
       if (Peek().kind == TokKind::kIdent) {
-        pname = Advance().text;
+        pname = std::string(Advance().ident);
       }
-      if (MatchPunct("[")) {
-        KS_RETURN_IF_ERROR(ExpectPunct("]"));
+      if (Match(Tok::kLBracket)) {
+        KS_RETURN_IF_ERROR(Expect(Tok::kRBracket));
         type = Type::PointerTo(std::move(type));  // array param decays
       }
       fn.params.push_back(ParamDecl{std::move(type), std::move(pname)});
-      if (!MatchPunct(",")) {
+      if (!Match(Tok::kComma)) {
         break;
       }
     }
   }
-  KS_RETURN_IF_ERROR(ExpectPunct(")"));
+  KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
 
-  if (MatchPunct(";")) {
+  if (Match(Tok::kSemi)) {
     fn.is_definition = false;
     unit.functions.push_back(std::move(fn));
     return ks::OkStatus();
@@ -306,25 +278,25 @@ ks::Status Parser::ParseGlobalRest(Unit& unit, TypeRef type, std::string name,
   decl.is_extern = is_extern;
   decl.line = line;
 
-  if (MatchPunct("[")) {
+  if (Match(Tok::kLBracket)) {
     int len = -1;  // inferred from initializer
     if (Peek().kind == TokKind::kIntLit) {
       len = static_cast<int>(Advance().int_value);
     }
-    KS_RETURN_IF_ERROR(ExpectPunct("]"));
+    KS_RETURN_IF_ERROR(Expect(Tok::kRBracket));
     type = Type::ArrayOf(std::move(type), len);
   }
   decl.type = std::move(type);
   decl.name = std::move(name);
 
-  if (MatchPunct("=")) {
+  if (Match(Tok::kAssign)) {
     if (decl.is_extern) {
       return Error("extern declaration with initializer");
     }
     KS_ASSIGN_OR_RETURN(decl.init, ParseInitializer(decl.type));
     decl.has_init = true;
   }
-  KS_RETURN_IF_ERROR(ExpectPunct(";"));
+  KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
 
   // Fix inferred array lengths.
   if (decl.type->IsArray() && decl.type->array_len < 0) {
@@ -338,9 +310,7 @@ ks::Status Parser::ParseGlobalRest(Unit& unit, TypeRef type, std::string name,
                  ? static_cast<int>(elem.str_value.size()) + 1
                  : 1;
     }
-    auto fixed = std::make_shared<Type>(*decl.type);
-    fixed->array_len = len;
-    decl.type = fixed;
+    decl.type = Type::ArrayOf(decl.type->pointee, len);
   }
   unit.globals.push_back(std::move(decl));
   return ks::OkStatus();
@@ -355,10 +325,10 @@ ks::Result<InitElem> Parser::ParseInitElem() {
   }
   // Symbol reference: bare identifier or &identifier.
   if (Peek().kind == TokKind::kIdent ||
-      (CheckPunct("&") && Peek(1).kind == TokKind::kIdent)) {
-    MatchPunct("&");
+      (Check(Tok::kAmp) && Peek(1).kind == TokKind::kIdent)) {
+    Match(Tok::kAmp);
     elem.kind = InitElem::Kind::kSym;
-    elem.symbol = Advance().text;
+    elem.symbol = std::string(Advance().ident);
     return elem;
   }
   // Constant expression: parse and fold.
@@ -374,18 +344,18 @@ ks::Result<InitElem> Parser::ParseInitElem() {
 ks::Result<std::vector<InitElem>> Parser::ParseInitializer(
     const TypeRef& type) {
   std::vector<InitElem> elems;
-  if (MatchPunct("{")) {
+  if (Match(Tok::kLBrace)) {
     if (!type->IsArray()) {
       return Error("brace initializer on non-array");
     }
-    while (!CheckPunct("}")) {
+    while (!Check(Tok::kRBrace)) {
       KS_ASSIGN_OR_RETURN(InitElem elem, ParseInitElem());
       elems.push_back(std::move(elem));
-      if (!MatchPunct(",")) {
+      if (!Match(Tok::kComma)) {
         break;
       }
     }
-    KS_RETURN_IF_ERROR(ExpectPunct("}"));
+    KS_RETURN_IF_ERROR(Expect(Tok::kRBrace));
     return elems;
   }
   KS_ASSIGN_OR_RETURN(InitElem elem, ParseInitElem());
@@ -397,11 +367,11 @@ ks::Result<std::vector<InitElem>> Parser::ParseInitializer(
 // Statements
 
 ks::Result<StmtPtr> Parser::ParseBlock() {
-  KS_RETURN_IF_ERROR(ExpectPunct("{"));
+  KS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
   auto block = std::make_unique<Stmt>();
   block->kind = Stmt::Kind::kBlock;
   block->line = Peek().line;
-  while (!MatchPunct("}")) {
+  while (!Match(Tok::kRBrace)) {
     if (AtEof()) {
       return Error("unterminated block");
     }
@@ -412,99 +382,74 @@ ks::Result<StmtPtr> Parser::ParseBlock() {
 }
 
 ks::Result<StmtPtr> Parser::ParseStmt() {
-  int line = Peek().line;
   auto stmt = std::make_unique<Stmt>();
-  stmt->line = line;
+  stmt->line = Peek().line;
 
-  if (CheckPunct("{")) {
+  if (Check(Tok::kLBrace)) {
     return ParseBlock();
   }
-  if (MatchPunct(";")) {
+  if (Match(Tok::kSemi)) {
     stmt->kind = Stmt::Kind::kEmpty;
     return stmt;
   }
-  if (MatchKeyword("if")) {
-    stmt->kind = Stmt::Kind::kIf;
-    KS_RETURN_IF_ERROR(ExpectPunct("("));
+  if (Check(Tok::kIf) || Check(Tok::kWhile)) {
+    const bool is_if = Advance().tok == Tok::kIf;
+    stmt->kind = is_if ? Stmt::Kind::kIf : Stmt::Kind::kWhile;
+    KS_RETURN_IF_ERROR(Expect(Tok::kLParen));
     KS_ASSIGN_OR_RETURN(stmt->cond, ParseExpr());
-    KS_RETURN_IF_ERROR(ExpectPunct(")"));
-    KS_ASSIGN_OR_RETURN(stmt->then_body, ParseStmt());
-    if (MatchKeyword("else")) {
+    KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
+    StmtPtr& body = is_if ? stmt->then_body : stmt->body;
+    KS_ASSIGN_OR_RETURN(body, ParseStmt());
+    if (is_if && Match(Tok::kElse)) {
       KS_ASSIGN_OR_RETURN(stmt->else_body, ParseStmt());
     }
     return stmt;
   }
-  if (MatchKeyword("while")) {
-    stmt->kind = Stmt::Kind::kWhile;
-    KS_RETURN_IF_ERROR(ExpectPunct("("));
-    KS_ASSIGN_OR_RETURN(stmt->cond, ParseExpr());
-    KS_RETURN_IF_ERROR(ExpectPunct(")"));
-    KS_ASSIGN_OR_RETURN(stmt->body, ParseStmt());
-    return stmt;
-  }
-  if (MatchKeyword("for")) {
+  if (Match(Tok::kFor)) {
     stmt->kind = Stmt::Kind::kFor;
-    KS_RETURN_IF_ERROR(ExpectPunct("("));
-    if (!CheckPunct(";")) {
+    KS_RETURN_IF_ERROR(Expect(Tok::kLParen));
+    if (!Match(Tok::kSemi)) {
       KS_ASSIGN_OR_RETURN(stmt->init_stmt, ParseStmt());  // consumes ';'
-    } else {
-      MatchPunct(";");
     }
-    if (!CheckPunct(";")) {
+    if (!Check(Tok::kSemi)) {
       KS_ASSIGN_OR_RETURN(stmt->cond, ParseExpr());
     }
-    KS_RETURN_IF_ERROR(ExpectPunct(";"));
-    if (!CheckPunct(")")) {
+    KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
+    if (!Check(Tok::kRParen)) {
       KS_ASSIGN_OR_RETURN(stmt->step, ParseExpr());
     }
-    KS_RETURN_IF_ERROR(ExpectPunct(")"));
+    KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
     KS_ASSIGN_OR_RETURN(stmt->body, ParseStmt());
     return stmt;
   }
-  if (MatchKeyword("return")) {
+  if (Match(Tok::kReturn)) {
     stmt->kind = Stmt::Kind::kReturn;
-    if (!CheckPunct(";")) {
+    if (!Check(Tok::kSemi)) {
       KS_ASSIGN_OR_RETURN(stmt->expr, ParseExpr());
     }
-    KS_RETURN_IF_ERROR(ExpectPunct(";"));
+    KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
     return stmt;
   }
-  if (MatchKeyword("break")) {
-    stmt->kind = Stmt::Kind::kBreak;
-    KS_RETURN_IF_ERROR(ExpectPunct(";"));
-    return stmt;
-  }
-  if (MatchKeyword("continue")) {
-    stmt->kind = Stmt::Kind::kContinue;
-    KS_RETURN_IF_ERROR(ExpectPunct(";"));
+  if (Check(Tok::kBreak) || Check(Tok::kContinue)) {
+    stmt->kind = Advance().tok == Tok::kBreak ? Stmt::Kind::kBreak
+                                              : Stmt::Kind::kContinue;
+    KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
     return stmt;
   }
 
   // Local declaration?
-  bool is_static_local = false;
-  if (CheckKeyword("static")) {
-    is_static_local = true;
-    MatchKeyword("static");
-  }
+  bool is_static_local = Match(Tok::kStatic);
   if (AtTypeStart()) {
     stmt->kind = Stmt::Kind::kDecl;
     stmt->is_static_local = is_static_local;
-    KS_ASSIGN_OR_RETURN(TypeRef base, ParseBaseType());
-    KS_ASSIGN_OR_RETURN(TypeRef type, ParsePointers(std::move(base)));
+    KS_ASSIGN_OR_RETURN(TypeRef type, ParseType());
     KS_ASSIGN_OR_RETURN(stmt->decl_name, ExpectIdent());
-    if (MatchPunct("[")) {
-      if (Peek().kind != TokKind::kIntLit) {
-        return Error("expected array length");
-      }
-      int len = static_cast<int>(Advance().int_value);
-      KS_RETURN_IF_ERROR(ExpectPunct("]"));
-      type = Type::ArrayOf(std::move(type), len);
-    }
+    KS_ASSIGN_OR_RETURN(type, ParseFixedArray(std::move(type)));
     stmt->decl_type = std::move(type);
-    if (MatchPunct("=")) {
+    if (Match(Tok::kAssign)) {
       KS_ASSIGN_OR_RETURN(stmt->init, ParseExpr());
     }
-    KS_RETURN_IF_ERROR(ExpectPunct(";"));
+    KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
     return stmt;
   }
   if (is_static_local) {
@@ -513,7 +458,7 @@ ks::Result<StmtPtr> Parser::ParseStmt() {
 
   stmt->kind = Stmt::Kind::kExpr;
   KS_ASSIGN_OR_RETURN(stmt->expr, ParseExpr());
-  KS_RETURN_IF_ERROR(ExpectPunct(";"));
+  KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
   return stmt;
 }
 
@@ -523,140 +468,132 @@ ks::Result<StmtPtr> Parser::ParseStmt() {
 namespace {
 
 // Binary operator precedence; higher binds tighter.
-int Precedence(const std::string& op) {
-  if (op == "||") return 1;
-  if (op == "&&") return 2;
-  if (op == "|") return 3;
-  if (op == "^") return 4;
-  if (op == "&") return 5;
-  if (op == "==" || op == "!=") return 6;
-  if (op == "<" || op == "<=" || op == ">" || op == ">=") return 7;
-  if (op == "<<" || op == ">>") return 8;
-  if (op == "+" || op == "-") return 9;
-  if (op == "*" || op == "/" || op == "%") return 10;
-  return -1;
+int Precedence(Tok op) {
+  switch (op) {
+    case Tok::kOrOr: return 1;
+    case Tok::kAndAnd: return 2;
+    case Tok::kPipe: return 3;
+    case Tok::kCaret: return 4;
+    case Tok::kAmp: return 5;
+    case Tok::kEq: case Tok::kNe: return 6;
+    case Tok::kLt: case Tok::kLe: case Tok::kGt: case Tok::kGe: return 7;
+    case Tok::kShl: case Tok::kShr: return 8;
+    case Tok::kPlus: case Tok::kMinus: return 9;
+    case Tok::kStar: case Tok::kSlash: case Tok::kPercent: return 10;
+    default: return -1;
+  }
+}
+
+// A new expression node.
+ExprPtr NewExpr(Expr::Kind kind, int line, ExprPtr lhs = nullptr,
+                ExprPtr rhs = nullptr, Tok op = Tok::kNone) {
+  auto e = std::make_unique<Expr>();
+  e->kind = kind;
+  e->line = line;
+  e->op = op;
+  e->lhs = std::move(lhs);
+  e->rhs = std::move(rhs);
+  return e;
 }
 
 // Folds a binary op over constants; used opportunistically so that trivial
 // arithmetic does not inflate AST size (and thus inlining decisions).
-ExprPtr TryFold(std::string op, ExprPtr lhs, ExprPtr rhs, int line) {
+ExprPtr TryFold(Tok op, ExprPtr lhs, ExprPtr rhs, int line) {
   auto make = [&](int64_t v) {
-    auto e = std::make_unique<Expr>();
-    e->kind = Expr::Kind::kIntLit;
+    ExprPtr e = NewExpr(Expr::Kind::kIntLit, line);
     e->int_value = static_cast<int32_t>(v);
-    e->line = line;
     return e;
   };
   if (lhs->kind == Expr::Kind::kIntLit && rhs->kind == Expr::Kind::kIntLit) {
     int64_t a = lhs->int_value;
     int64_t b = rhs->int_value;
-    if (op == "+") return make(a + b);
-    if (op == "-") return make(a - b);
-    if (op == "*") return make(a * b);
-    if (op == "/" && b != 0) return make(a / b);
-    if (op == "%" && b != 0) return make(a % b);
-    if (op == "&") return make(a & b);
-    if (op == "|") return make(a | b);
-    if (op == "^") return make(a ^ b);
-    if (op == "<<" && b >= 0 && b < 32) return make(a << b);
-    if (op == ">>" && b >= 0 && b < 32)
-      return make(static_cast<int64_t>(static_cast<uint32_t>(a) >> b));
-    if (op == "==") return make(a == b ? 1 : 0);
-    if (op == "!=") return make(a != b ? 1 : 0);
-    if (op == "<") return make(a < b ? 1 : 0);
-    if (op == "<=") return make(a <= b ? 1 : 0);
-    if (op == ">") return make(a > b ? 1 : 0);
-    if (op == ">=") return make(a >= b ? 1 : 0);
+    switch (op) {
+      case Tok::kPlus: return make(a + b);
+      case Tok::kMinus: return make(a - b);
+      case Tok::kStar: return make(a * b);
+      case Tok::kSlash: if (b != 0) return make(a / b); break;
+      case Tok::kPercent: if (b != 0) return make(a % b); break;
+      case Tok::kAmp: return make(a & b);
+      case Tok::kPipe: return make(a | b);
+      case Tok::kCaret: return make(a ^ b);
+      case Tok::kShl: if (b >= 0 && b < 32) return make(a << b); break;
+      case Tok::kShr:
+        if (b >= 0 && b < 32) {
+          return make(static_cast<int64_t>(static_cast<uint32_t>(a) >> b));
+        }
+        break;
+      case Tok::kEq: return make(a == b ? 1 : 0);
+      case Tok::kNe: return make(a != b ? 1 : 0);
+      case Tok::kLt: return make(a < b ? 1 : 0);
+      case Tok::kLe: return make(a <= b ? 1 : 0);
+      case Tok::kGt: return make(a > b ? 1 : 0);
+      case Tok::kGe: return make(a >= b ? 1 : 0);
+      default: break;
+    }
   }
-  auto e = std::make_unique<Expr>();
-  e->kind = Expr::Kind::kBinary;
-  e->op = std::move(op);
-  e->lhs = std::move(lhs);
-  e->rhs = std::move(rhs);
-  e->line = line;
-  return e;
+  return NewExpr(Expr::Kind::kBinary, line, std::move(lhs), std::move(rhs),
+                 op);
 }
 
 }  // namespace
 
 ks::Result<ExprPtr> Parser::ParseAssign() {
   KS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseBinary(1));
-  if (CheckPunct("=") || CheckPunct("+=") || CheckPunct("-=")) {
-    std::string op = Advance().text;
+  if (Check(Tok::kAssign) || Check(Tok::kPlusAssign) ||
+      Check(Tok::kMinusAssign)) {
+    Tok op = Advance().tok;
     int line = Peek().line;
     KS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAssign());
-    auto e = std::make_unique<Expr>();
-    e->kind = Expr::Kind::kAssign;
-    e->op = std::move(op);
-    e->lhs = std::move(lhs);
-    e->rhs = std::move(rhs);
-    e->line = line;
-    return e;
+    return NewExpr(Expr::Kind::kAssign, line, std::move(lhs), std::move(rhs),
+                   op);
   }
   return lhs;
 }
 
 ks::Result<ExprPtr> Parser::ParseBinary(int min_prec) {
   KS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
-  while (Peek().kind == TokKind::kPunct) {
-    int prec = Precedence(Peek().text);
-    if (prec < min_prec) {
-      break;
-    }
-    std::string op = Advance().text;
+  for (int prec = Precedence(Peek().tok); prec >= min_prec;
+       prec = Precedence(Peek().tok)) {
+    Tok op = Advance().tok;
     int line = Peek().line;
     KS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseBinary(prec + 1));
-    lhs = TryFold(std::move(op), std::move(lhs), std::move(rhs), line);
+    lhs = TryFold(op, std::move(lhs), std::move(rhs), line);
   }
   return lhs;
 }
 
 ks::Result<ExprPtr> Parser::ParseUnary() {
   int line = Peek().line;
-  if (CheckPunct("-") || CheckPunct("!") || CheckPunct("~") ||
-      CheckPunct("*") || CheckPunct("&")) {
-    std::string op = Advance().text;
+  if (Check(Tok::kMinus) || Check(Tok::kNot) || Check(Tok::kTilde) ||
+      Check(Tok::kStar) || Check(Tok::kAmp)) {
+    Tok op = Advance().tok;
     KS_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-    if (operand->kind == Expr::Kind::kIntLit && op != "*" && op != "&") {
+    if (operand->kind == Expr::Kind::kIntLit && op != Tok::kStar &&
+        op != Tok::kAmp) {
       int64_t v = operand->int_value;
-      operand->int_value = op == "-"   ? -v
-                           : op == "!" ? (v == 0 ? 1 : 0)
-                                       : static_cast<int32_t>(~v);
+      operand->int_value = op == Tok::kMinus ? -v
+                           : op == Tok::kNot ? (v == 0 ? 1 : 0)
+                                             : static_cast<int32_t>(~v);
       return operand;
     }
-    auto e = std::make_unique<Expr>();
-    e->kind = Expr::Kind::kUnary;
-    e->op = std::move(op);
-    e->lhs = std::move(operand);
-    e->line = line;
-    return e;
+    return NewExpr(Expr::Kind::kUnary, line, std::move(operand), nullptr, op);
   }
   // Cast: "(" type ")" unary
-  if (CheckPunct("(") &&
-      (Peek(1).kind == TokKind::kKeyword &&
-       (Peek(1).text == "int" || Peek(1).text == "char" ||
-        Peek(1).text == "void" || Peek(1).text == "struct"))) {
-    MatchPunct("(");
-    KS_ASSIGN_OR_RETURN(TypeRef base, ParseBaseType());
-    KS_ASSIGN_OR_RETURN(TypeRef type, ParsePointers(std::move(base)));
-    KS_RETURN_IF_ERROR(ExpectPunct(")"));
+  if (Check(Tok::kLParen) && IsTypeKeyword(Peek(1).tok)) {
+    Match(Tok::kLParen);
+    KS_ASSIGN_OR_RETURN(TypeRef type, ParseType());
+    KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
     KS_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-    auto e = std::make_unique<Expr>();
-    e->kind = Expr::Kind::kCast;
+    ExprPtr e = NewExpr(Expr::Kind::kCast, line, std::move(operand));
     e->cast_type = std::move(type);
-    e->lhs = std::move(operand);
-    e->line = line;
     return e;
   }
-  if (MatchKeyword("sizeof")) {
-    KS_RETURN_IF_ERROR(ExpectPunct("("));
-    KS_ASSIGN_OR_RETURN(TypeRef base, ParseBaseType());
-    KS_ASSIGN_OR_RETURN(TypeRef type, ParsePointers(std::move(base)));
-    KS_RETURN_IF_ERROR(ExpectPunct(")"));
-    auto e = std::make_unique<Expr>();
-    e->kind = Expr::Kind::kSizeof;
+  if (Match(Tok::kSizeof)) {
+    KS_RETURN_IF_ERROR(Expect(Tok::kLParen));
+    KS_ASSIGN_OR_RETURN(TypeRef type, ParseType());
+    KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
+    ExprPtr e = NewExpr(Expr::Kind::kSizeof, line);
     e->sizeof_type = std::move(type);
-    e->line = line;
     return e;
   }
   return ParsePostfix();
@@ -666,99 +603,63 @@ ks::Result<ExprPtr> Parser::ParsePostfix() {
   KS_ASSIGN_OR_RETURN(ExprPtr expr, ParsePrimary());
   while (true) {
     int line = Peek().line;
-    if (MatchPunct("[")) {
+    if (Match(Tok::kLBracket)) {
       KS_ASSIGN_OR_RETURN(ExprPtr index, ParseExpr());
-      KS_RETURN_IF_ERROR(ExpectPunct("]"));
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kIndex;
-      e->lhs = std::move(expr);
-      e->rhs = std::move(index);
-      e->line = line;
-      expr = std::move(e);
-      continue;
-    }
-    if (MatchPunct(".")) {
+      KS_RETURN_IF_ERROR(Expect(Tok::kRBracket));
+      expr = NewExpr(Expr::Kind::kIndex, line, std::move(expr),
+                     std::move(index));
+    } else if (Check(Tok::kDot) || Check(Tok::kArrow)) {
+      Expr::Kind kind = Advance().tok == Tok::kDot ? Expr::Kind::kMember
+                                                   : Expr::Kind::kArrow;
       KS_ASSIGN_OR_RETURN(std::string member, ExpectIdent());
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kMember;
-      e->lhs = std::move(expr);
-      e->member = std::move(member);
-      e->line = line;
-      expr = std::move(e);
-      continue;
+      expr = NewExpr(kind, line, std::move(expr));
+      expr->member = std::move(member);
+    } else if (Check(Tok::kInc) || Check(Tok::kDec)) {
+      Tok op = Advance().tok;
+      expr = NewExpr(Expr::Kind::kPostIncDec, line, std::move(expr), nullptr,
+                     op);
+    } else {
+      return expr;
     }
-    if (MatchPunct("->")) {
-      KS_ASSIGN_OR_RETURN(std::string member, ExpectIdent());
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kArrow;
-      e->lhs = std::move(expr);
-      e->member = std::move(member);
-      e->line = line;
-      expr = std::move(e);
-      continue;
-    }
-    if (CheckPunct("++") || CheckPunct("--")) {
-      std::string op = Advance().text;
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kPostIncDec;
-      e->op = std::move(op);
-      e->lhs = std::move(expr);
-      e->line = line;
-      expr = std::move(e);
-      continue;
-    }
-    break;
   }
-  return expr;
 }
 
 ks::Result<ExprPtr> Parser::ParsePrimary() {
   int line = Peek().line;
   if (Peek().kind == TokKind::kIntLit || Peek().kind == TokKind::kCharLit) {
-    auto e = std::make_unique<Expr>();
-    e->kind = Expr::Kind::kIntLit;
+    ExprPtr e = NewExpr(Expr::Kind::kIntLit, line);
     e->int_value = Advance().int_value;
-    e->line = line;
     return e;
   }
   if (Peek().kind == TokKind::kStrLit) {
-    auto e = std::make_unique<Expr>();
-    e->kind = Expr::Kind::kStrLit;
+    ExprPtr e = NewExpr(Expr::Kind::kStrLit, line);
     e->str_value = Advance().str_value;
-    e->line = line;
     return e;
   }
-  if (MatchPunct("(")) {
+  if (Match(Tok::kLParen)) {
     KS_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
-    KS_RETURN_IF_ERROR(ExpectPunct(")"));
+    KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
     return inner;
   }
   if (Peek().kind == TokKind::kIdent) {
-    std::string name = Advance().text;
-    if (MatchPunct("(")) {
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kCall;
-      e->name = std::move(name);
-      e->line = line;
-      if (!CheckPunct(")")) {
+    const bool call = Peek(1).tok == Tok::kLParen;
+    ExprPtr e = NewExpr(call ? Expr::Kind::kCall : Expr::Kind::kVar, line);
+    e->name = std::string(Advance().ident);
+    if (Match(Tok::kLParen)) {
+      if (!Check(Tok::kRParen)) {
         while (true) {
           KS_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
           e->args.push_back(std::move(arg));
-          if (!MatchPunct(",")) {
+          if (!Match(Tok::kComma)) {
             break;
           }
         }
       }
-      KS_RETURN_IF_ERROR(ExpectPunct(")"));
-      return e;
+      KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
     }
-    auto e = std::make_unique<Expr>();
-    e->kind = Expr::Kind::kVar;
-    e->name = std::move(name);
-    e->line = line;
     return e;
   }
-  return Error(ks::StrPrintf("unexpected token '%s'", Peek().text.c_str()));
+  return Error("unexpected token " + Quoted());
 }
 
 }  // namespace

@@ -20,8 +20,9 @@
 #ifndef KSPLICE_KCC_PREPROCESS_H_
 #define KSPLICE_KCC_PREPROCESS_H_
 
+#include <forward_list>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "base/status.h"
@@ -43,42 +44,68 @@ struct PreprocessedSource {
 ks::Result<PreprocessedSource> Preprocess(const kdiff::SourceTree& tree,
                                           const std::string& path);
 
-// Every file's direct includes, scanned once in place from a SourceTree.
-// Immutable after construction apart from Rescan, so Closure may run on
-// many threads at once.
+// Every file's direct includes, scanned once in place from a SourceTree
+// and, after AddPost, from a patched copy of it. Files are numbered: the
+// tree's own in path order, then paths it lacks. A file's path points into
+// a tree (a key, or an include line's target), so the trees must outlive
+// the graph. Immutable after AddPost; queries may run on many threads.
 class IncludeGraph {
  public:
+  enum class Side { kPre, kPost };
+
   // Scans every .kc unit of `tree` and every file they reach.
   explicit IncludeGraph(const kdiff::SourceTree& tree);
-  // Scans `unit` and the files it reaches: enough for Closure(unit), the
-  // one query such a graph is built for.
-  IncludeGraph(const kdiff::SourceTree& tree, const std::string& unit);
 
-  // Brings the graph up to date with `tree`, which may differ from the
-  // scanned tree only at `paths`: drops those entries, rescans the ones
-  // that exist in `tree`, and scans any file they newly reach.
-  void Rescan(const kdiff::SourceTree& tree,
-              const std::vector<std::string>& paths);
+  // Adds the post side: `post` is the scanned tree changed only at `paths`.
+  // Only those paths, and files they newly reach, are scanned; every other
+  // file's record serves both sides.
+  void AddPost(const kdiff::SourceTree& post,
+               const std::vector<std::string>& paths);
 
-  // The unit followed by its transitive includes in Preprocess order; see
-  // the contract at the top of this file.
-  ks::Result<std::vector<std::string>> Closure(const std::string& unit) const;
+  // The unit followed by its transitive includes in Preprocess order on
+  // `side`; see the contract at the top of this file.
+  ks::Result<std::vector<std::string>> Closure(const std::string& unit,
+                                               Side side = Side::kPre) const;
+
+  // The scanned tree's .kc units whose Closure would contain one of
+  // `paths` or fail, found by walking file numbers, not building closures.
+  // A closure that reaches none of a patch's touched paths reads the same
+  // after the patch, so for those paths this decides the post side too.
+  std::vector<std::string_view> UnitsReaching(
+      const std::vector<std::string>& paths) const;
 
  private:
+  struct Scan {  // one file's include lines on one side
+    enum class State : uint8_t { kUnscanned, kMissing, kPresent };
+    State state = State::kUnscanned;
+    uint32_t first = 0;  // the includes before the first bad directive:
+    uint32_t end = 0;    // edges_[first, end)
+    ks::Status error;    // that directive's error
+  };
   struct File {
-    std::vector<std::string> includes;  // targets before the first error
-    ks::Status error;                   // the first bad directive, if any
+    std::string_view path;
+    const std::string* contents = nullptr;  // in the scanned tree
+    Scan pre;
+    int post = -1;  // index into post_ when the patch touched the file
   };
 
-  void ScanFrom(const kdiff::SourceTree& tree,
-                std::vector<std::string> pending);
-  ks::Status Walk(const std::string& path, int depth,
-                  std::vector<std::string>& closure) const;
+  int Find(std::string_view path) const;  // -1 when unnumbered
+  int Intern(std::string_view path);      // `path` must outlive the graph
+  const Scan& At(int file, Side side) const;
+  void ScanFrom(std::vector<int> pending, Side side,
+                const kdiff::SourceTree* post);
+  ks::Status Walk(int file, int depth, Side side, std::vector<int>& closure,
+                  std::vector<bool>& seen) const;
 
-  std::unordered_map<std::string, File> files_;
+  size_t tree_files_ = 0;  // files_[0, tree_files_) are the tree's own
+  std::vector<File> files_;
+  std::vector<Scan> post_;                  // touched files' post records
+  std::vector<int> edges_;                  // include targets
+  std::vector<int> units_;                  // the tree's .kc units
+  std::forward_list<std::string> owned_;    // touched paths no tree holds
 };
 
-// One-off closure query: IncludeGraph(tree, path).Closure(path).
+// One-off closure query: IncludeGraph(tree).Closure(path).
 ks::Result<std::vector<std::string>> IncludeClosure(
     const kdiff::SourceTree& tree, const std::string& path);
 

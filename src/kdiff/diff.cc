@@ -27,7 +27,16 @@ ks::Result<std::string> SourceTree::Read(const std::string& path) const {
   if (it == files_.end()) {
     return ks::NotFound(ks::StrPrintf("no such file: %s", path.c_str()));
   }
-  return it->second;
+  return *it->second;
+}
+
+bool SourceTree::operator==(const SourceTree& other) const {
+  return std::equal(
+      files_.begin(), files_.end(), other.files_.begin(), other.files_.end(),
+      [](const auto& a, const auto& b) {
+        return a.first == b.first &&
+               (a.second == b.second || *a.second == *b.second);
+      });
 }
 
 std::vector<std::string> SourceTree::Paths() const {
@@ -439,9 +448,10 @@ ks::Result<SourceTree> ApplyPatch(const SourceTree& pre, const Patch& patch) {
       continue;
     }
 
-    ks::Result<std::string> contents = post.Read(file.path);
-    if (!contents.ok()) {
-      return ks::Status(contents.status()).WithContext("applying patch");
+    const std::string* contents = post.Find(file.path);
+    if (contents == nullptr) {
+      return ks::Status(post.Read(file.path).status())
+          .WithContext("applying patch");
     }
     std::vector<std::string> lines = ks::SplitLines(*contents);
 

@@ -9,7 +9,9 @@
 #ifndef KSPLICE_KDIFF_DIFF_H_
 #define KSPLICE_KDIFF_DIFF_H_
 
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,34 +21,48 @@
 namespace kdiff {
 
 // An in-memory source tree: path -> file contents. Paths are
-// '/'-separated relative paths ("drivers/dvb/dst_ca.kc").
+// '/'-separated relative paths ("drivers/dvb/dst_ca.kc"). File contents are
+// immutable and shared: a copy of a tree shares every file with the
+// original until one of them is rewritten, so a patched copy costs only
+// the files the patch touches.
 class SourceTree {
  public:
   SourceTree() = default;
 
   void Write(std::string path, std::string contents) {
-    files_[std::move(path)] = std::move(contents);
+    files_[std::move(path)] =
+        std::make_shared<const std::string>(std::move(contents));
   }
   ks::Result<std::string> Read(const std::string& path) const;
   // The contents of `path` without a copy, or null when it does not exist.
-  const std::string* Find(const std::string& path) const {
+  // The pointer stays valid while the file is neither rewritten nor
+  // removed, in this tree and in every copy that still shares it.
+  const std::string* Find(std::string_view path) const {
     auto it = files_.find(path);
-    return it == files_.end() ? nullptr : &it->second;
+    return it == files_.end() ? nullptr : it->second.get();
   }
-  bool Exists(const std::string& path) const {
-    return files_.count(path) != 0;
+  bool Exists(std::string_view path) const {
+    return files_.find(path) != files_.end();
   }
   void Remove(const std::string& path) { files_.erase(path); }
 
   std::vector<std::string> Paths() const;
   size_t size() const { return files_.size(); }
-
-  bool operator==(const SourceTree& other) const {
-    return files_ == other.files_;
+  // Calls fn(path, contents) for every file, in path order. Both
+  // references point into the tree.
+  template <typename Fn>
+  void ForEachFile(Fn&& fn) const {
+    for (const auto& [path, contents] : files_) {
+      fn(path, *contents);
+    }
   }
 
+  // Equal paths with equal contents, shared or not.
+  bool operator==(const SourceTree& other) const;
+
  private:
-  std::map<std::string, std::string> files_;
+  std::map<std::string, std::shared_ptr<const std::string>, std::less<>>
+      files_;
 };
 
 // One step of a minimal line edit script.

@@ -1,8 +1,9 @@
 #include "ksplice/prepost.h"
 
-#include <map>
+#include <algorithm>
 #include <optional>
 #include <set>
+#include <string_view>
 
 #include "base/metrics.h"
 #include "base/strings.h"
@@ -79,6 +80,38 @@ bool SectionsEquivalent(const kelf::ObjectFile& pre_obj,
   return true;
 }
 
+std::vector<RebuildUnit> SelectRebuildSet(
+    const kdiff::SourceTree& pre_tree, const kdiff::SourceTree& post_tree,
+    const std::vector<std::string>& touched) {
+  // One include graph serves both sides. The pre side decides: a closure
+  // that reaches no touched path is the same after the patch, and a unit
+  // only the post tree has is itself touched.
+  kcc::IncludeGraph graph(pre_tree);
+  std::vector<std::string_view> units = graph.UnitsReaching(touched);
+  for (const std::string& path : touched) {
+    if (kcc::IsCompilationUnit(path) &&
+        (pre_tree.Exists(path) || post_tree.Exists(path))) {
+      units.push_back(path);
+    }
+  }
+  std::sort(units.begin(), units.end());
+  units.erase(std::unique(units.begin(), units.end()), units.end());
+  graph.AddPost(post_tree, touched);
+
+  std::vector<RebuildUnit> rebuild(units.size());
+  for (size_t i = 0; i < units.size(); ++i) {
+    RebuildUnit& out = rebuild[i];
+    out.unit = std::string(units[i]);
+    if (pre_tree.Exists(out.unit)) {
+      out.pre = graph.Closure(out.unit, kcc::IncludeGraph::Side::kPre);
+    }
+    if (post_tree.Exists(out.unit)) {
+      out.post = graph.Closure(out.unit, kcc::IncludeGraph::Side::kPost);
+    }
+  }
+  return rebuild;
+}
+
 ks::Result<PrePostResult> RunPrePost(const kdiff::SourceTree& pre_tree,
                                      const kdiff::Patch& patch,
                                      kcc::CompileOptions options) {
@@ -92,66 +125,15 @@ ks::Result<PrePostResult> RunPrePost(const kdiff::SourceTree& pre_tree,
     return ks::Status(post_tree.status()).WithContext("pre-post: patch");
   }
 
-  const std::vector<std::string> touched = patch.TouchedPaths();
-  const std::set<std::string> touched_set(touched.begin(), touched.end());
-
-  // A unit is rebuilt when its include closure on either side contains a
-  // touched path (a created or deleted unit contains itself), or when its
-  // closure fails on a side: that side's build below then reports the
-  // better error. The closures are kept: they key the cached compiles.
-  using Closure = ks::Result<std::vector<std::string>>;
-  struct Sides {
-    std::optional<Closure> pre, post;  // unset where the unit is absent
-  };
-  std::map<std::string, Sides> rebuild;
+  std::vector<RebuildUnit> rebuild;
   {
     ks::TraceSpan select("prepost.rebuild_set");
-    // One include graph per side. The post tree differs from the pre tree
-    // only at the touched paths, so the post graph is the pre graph with
-    // just those rescanned.
-    kcc::IncludeGraph pre_graph(pre_tree);
-    kcc::IncludeGraph post_graph = pre_graph;
-    post_graph.Rescan(*post_tree, touched);
-    auto affected = [&touched_set](const std::optional<Closure>& closure) {
-      if (!closure.has_value()) {
-        return false;
-      }
-      if (!closure->ok()) {
-        return true;
-      }
-      for (const std::string& dep : **closure) {
-        if (touched_set.count(dep) != 0) {
-          return true;
-        }
-      }
-      return false;
-    };
-    std::set<std::string> units;
-    for (const kdiff::SourceTree* tree :
-         {&pre_tree, static_cast<const kdiff::SourceTree*>(&*post_tree)}) {
-      for (const std::string& path : tree->Paths()) {
-        if (kcc::IsCompilationUnit(path)) {
-          units.insert(path);
-        }
-      }
-    }
-    for (const std::string& unit : units) {
-      Sides sides;
-      if (pre_tree.Exists(unit)) {
-        sides.pre = pre_graph.Closure(unit);
-      }
-      if (post_tree->Exists(unit)) {
-        sides.post = post_graph.Closure(unit);
-      }
-      if (affected(sides.pre) || affected(sides.post)) {
-        rebuild.emplace(unit, std::move(sides));
-      }
-    }
+    rebuild = SelectRebuildSet(pre_tree, *post_tree, patch.TouchedPaths());
   }
 
   PrePostResult result;
-  for (const auto& [unit, sides] : rebuild) {
-    result.rebuilt_units.push_back(unit);
+  for (const RebuildUnit& unit : rebuild) {
+    result.rebuilt_units.push_back(unit.unit);
   }
 
   // Every unit's double build and section diff is independent of every
@@ -169,8 +151,8 @@ ks::Result<PrePostResult> RunPrePost(const kdiff::SourceTree& pre_tree,
   // a cache is in play.
   auto compile_side = [&options](const kdiff::SourceTree& tree,
                                  const std::string& unit,
-                                 const Closure& closure, const char* side,
-                                 bool* was_hit)
+                                 const RebuildUnit::Closure& closure,
+                                 const char* side, bool* was_hit)
       -> ks::Result<kelf::ObjectFile> {
     ks::Result<kelf::ObjectFile> built =
         options.cache != nullptr
@@ -183,10 +165,10 @@ ks::Result<PrePostResult> RunPrePost(const kdiff::SourceTree& pre_tree,
     return built;
   };
   auto build_and_diff =
-      [&](const std::string& unit) -> ks::Result<UnitOutcome> {
+      [&](const RebuildUnit& sides) -> ks::Result<UnitOutcome> {
+    const std::string& unit = sides.unit;
     ks::TraceSpan unit_span("prepost.build_and_diff");
     unit_span.Annotate("unit", unit);
-    const Sides& sides = rebuild.at(unit);
     UnitOutcome out{kelf::ObjectFile(unit), kelf::ObjectFile(unit), {}, {}};
     out.report.unit = unit;
     if (sides.pre.has_value()) {
@@ -261,7 +243,7 @@ ks::Result<PrePostResult> RunPrePost(const kdiff::SourceTree& pre_tree,
   std::vector<std::optional<ks::Result<UnitOutcome>>> slots(
       result.rebuilt_units.size());
   ks::ParallelFor(options.jobs, result.rebuilt_units.size(), [&](size_t i) {
-    slots[i] = build_and_diff(result.rebuilt_units[i]);
+    slots[i] = build_and_diff(rebuild[i]);
   });
 
   for (std::optional<ks::Result<UnitOutcome>>& slot : slots) {

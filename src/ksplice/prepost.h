@@ -13,6 +13,7 @@
 #ifndef KSPLICE_KSPLICE_PREPOST_H_
 #define KSPLICE_KSPLICE_PREPOST_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,25 @@ bool SectionsEquivalent(const kelf::ObjectFile& pre_obj,
                         const kelf::Section& pre_sec,
                         const kelf::ObjectFile& post_obj,
                         const kelf::Section& post_sec);
+
+// A unit the pre-post build rebuilds, with its include closure on each
+// side where it exists (kcc::IncludeGraph::Closure). The closures key the
+// object cache.
+struct RebuildUnit {
+  using Closure = ks::Result<std::vector<std::string>>;
+  std::string unit;
+  std::optional<Closure> pre, post;  // unset where the unit is absent
+};
+
+// The units a patch from `pre_tree` to `post_tree` affects, where the two
+// trees differ only at `touched`: every compilation unit whose include
+// closure on either side contains a touched path (a created or deleted
+// unit contains itself) or fails, in path order. A failed closure sends
+// the unit to the build, whose error names the problem. Closures are built
+// only for the units returned.
+std::vector<RebuildUnit> SelectRebuildSet(
+    const kdiff::SourceTree& pre_tree, const kdiff::SourceTree& post_tree,
+    const std::vector<std::string>& touched);
 
 // Builds pre and post objects for every unit affected by `patch` and
 // diffs them. `options.function_sections`/`data_sections` are forced on.

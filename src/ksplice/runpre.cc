@@ -45,7 +45,7 @@ void DecodePre(PlannedSection& section) {
   kvx::WalkEnd walk = kvx::WalkInsns(
       std::span<const uint8_t>(section.section->bytes),
       [&](uint32_t pos, const kvx::Insn& insn) {
-        section.boundary[pos] = section.recs.size();
+        section.boundary.emplace_back(pos, section.recs.size());
         if (!kvx::GetOpInfo(insn.op).is_nop) {
           section.recs.push_back(CodeRec{pos, insn});
         }
@@ -53,7 +53,8 @@ void DecodePre(PlannedSection& section) {
       });
   section.decode_error = !walk.decode_ok;
   section.end = walk.end;
-  section.boundary[section.end] = section.recs.size();
+  // The walk visits ascending offsets, each short of `end`.
+  section.boundary.emplace_back(section.end, section.recs.size());
 }
 
 // Lazily-decoded run code at one candidate address. Bytes are fetched from
@@ -453,8 +454,10 @@ ks::Result<LocalMatch> VerifyCandidate(
     return run_start + rec.pos;
   };
   for (const BranchCheck& check : checks) {
-    auto bit = predec.boundary.find(check.pre_target);
-    if (bit == predec.boundary.end()) {
+    auto bit = std::lower_bound(
+        predec.boundary.begin(), predec.boundary.end(), check.pre_target,
+        [](const auto& entry, uint32_t pos) { return entry.first < pos; });
+    if (bit == predec.boundary.end() || bit->first != check.pre_target) {
       return mismatch(check.at, "branch targets a non-boundary");
     }
     size_t k = bit->second;

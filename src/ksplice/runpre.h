@@ -47,6 +47,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/status.h"
@@ -105,11 +106,12 @@ struct PlannedSection {
   };
   std::vector<Rec> recs;
   // Every instruction boundary the decode walk visits (nop starts
-  // included, plus the end-of-walk boundary) -> index of the first record
-  // at or after it (recs.size() for boundaries past the last record).
-  // This is the record-level image of branch correspondence and nop
-  // normalization of branch targets.
-  std::map<uint32_t, size_t> boundary;
+  // included, plus the end-of-walk boundary) with the index of the first
+  // record at or after it (recs.size() for boundaries past the last
+  // record), in ascending offset order for binary search. This is the
+  // record-level image of branch correspondence and nop normalization of
+  // branch targets.
+  std::vector<std::pair<uint32_t, size_t>> boundary;
   uint32_t end = 0;           // bytes consumed by the decode walk
   bool decode_error = false;  // decoding failed at offset `end`
 };

@@ -32,7 +32,7 @@ TEST(LexerTest, TokenKinds) {
   ASSERT_TRUE(tokens.ok()) << tokens.status().ToString();
   ASSERT_GE(tokens->size(), 11u);
   EXPECT_EQ((*tokens)[0].kind, TokKind::kKeyword);
-  EXPECT_EQ((*tokens)[0].text, "int");
+  EXPECT_EQ((*tokens)[0].tok, Tok::kInt);
   EXPECT_EQ((*tokens)[1].kind, TokKind::kIdent);
   EXPECT_EQ((*tokens)[3].kind, TokKind::kIntLit);
   EXPECT_EQ((*tokens)[3].int_value, 0x1f);
@@ -187,6 +187,79 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseSource("int a[] ;", "t.kc").ok());
 }
 
+// Every front-end diagnostic, pinned to its full text: each lexer error,
+// each Expect* path, and the spelling of every token kind in "got '%s'"
+// (identifiers, keywords, one- and two-character punctuators; literals
+// and end of input print as '').
+TEST(FrontEndTest, DiagnosticTextIsPinned) {
+  const std::pair<const char*, const char*> kCases[] = {
+      // Lexer.
+      {"/* never closed", "t.kc:1: unterminated comment"},
+      {"int x;\n#include \"a.h\"",
+       "t.kc:2: unexpected '#' (unpreprocessed input?)"},
+      {"int x = 0x;", "t.kc:1: bad hex literal"},
+      {"int y = 123abc;", "t.kc:1: bad numeric literal suffix"},
+      {"char c = '", "t.kc:1: unterminated char literal"},
+      {"char c = 'ab';", "t.kc:1: unterminated char literal"},
+      {"char c = '\\", "t.kc:1: dangling escape"},
+      {"char *s = \"\\q\";", "t.kc:1: bad escape '\\q'"},
+      {"char *s = \"ab\ncd\";", "t.kc:1: newline in string literal"},
+      {"char *s = \"unterminated", "t.kc:1: unterminated string literal"},
+      {"int x = `;", "t.kc:1: unexpected character '`'"},
+      {"/* line1\nline2 */ @", "t.kc:2: unexpected character '@'"},
+      // Expecting a punctuator, with every kind of token found instead.
+      {"int f() { return 1 }", "t.kc:1: expected ';', got '}'"},
+      {"int f() { return 1 int }", "t.kc:1: expected ';', got 'int'"},
+      {"int x y;", "t.kc:1: expected ';', got 'y'"},
+      {"int x 5;", "t.kc:1: expected ';', got ''"},
+      {"int x", "t.kc:1: expected ';', got ''"},
+      {"int x \"s\";", "t.kc:1: expected ';', got ''"},
+      {"int x <<= 1;", "t.kc:1: expected ';', got '<<'"},
+      {"int x += 1;", "t.kc:1: expected ';', got '+='"},
+      {"int x && y;", "t.kc:1: expected ';', got '&&'"},
+      {"ksplice_apply x;", "t.kc:1: expected '(', got 'x'"},
+      {"int f() { if x) return 1; }", "t.kc:1: expected '(', got 'x'"},
+      {"int f() { return (int 3; }", "t.kc:1: expected ')', got ''"},
+      {"int f() { g(1, 2; }", "t.kc:1: expected ')', got ';'"},
+      {"int f(int a[3]);", "t.kc:1: expected ']', got ''"},
+      {"int g[4 = 1;", "t.kc:1: expected ']', got '='"},
+      {"int f() { for (;;) return 1 }", "t.kc:1: expected ';', got '}'"},
+      {"int f() {\n  return 1\n}", "t.kc:3: expected ';', got '}'"},
+      // Expecting an identifier.
+      {"int (;", "t.kc:1: expected identifier, got '('"},
+      {"int int;", "t.kc:1: expected identifier, got 'int'"},
+      {"int f() { return a->5; }", "t.kc:1: expected identifier, got ''"},
+      {"int f() { a.1; }", "t.kc:1: expected identifier, got ''"},
+      // The parser's other errors.
+      {"x;", "t.kc:1: expected type"},
+      {"int x = sizeof(y);", "t.kc:1: expected type"},
+      {"struct s { int a[x]; };", "t.kc:1: expected array length"},
+      {"struct s { };", "t.kc:1: empty struct"},
+      {"struct s { int a; };\nstruct s { int b; };",
+       "t.kc:2: duplicate struct 's'"},
+      {"inline int x;", "t.kc:1: 'inline' is only valid on functions"},
+      {"extern int x = 5;", "t.kc:1: extern declaration with initializer"},
+      {"int a[] ;", "t.kc:1: array 'a' has no size"},
+      {"int x = 1 + y;", "t.kc:1: initializer is not a constant"},
+      {"int x = {1};", "t.kc:1: brace initializer on non-array"},
+      {"int f() { return 1;", "t.kc:1: unterminated block"},
+      {"int f() { static x = 1; }",
+       "t.kc:1: expected declaration after 'static'"},
+      {"int f() { return ); }", "t.kc:1: unexpected token ')'"},
+      {"int f() { return while; }", "t.kc:1: unexpected token 'while'"},
+      {"int f() {\n  x = 3 +;\n}", "t.kc:2: unexpected token ';'"},
+      {"int f() {\n\n  return -;", "t.kc:3: unexpected token ';'"},
+      {"int f(int a, void);", "t.kc:1: parameter of type void"},
+  };
+  for (const auto& [source, message] : kCases) {
+    SCOPED_TRACE(source);
+    ks::Result<Unit> unit = ParseSource(source, "t.kc");
+    ASSERT_FALSE(unit.ok());
+    EXPECT_EQ(unit.status().code(), ks::ErrorCode::kInvalidArgument);
+    EXPECT_EQ(unit.status().message(), message);
+  }
+}
+
 // ------------------------------------------------------------ Preprocess
 
 TEST(PreprocessTest, IncludeOnceAndClosure) {
@@ -248,17 +321,19 @@ void ExpectSameClosure(const ks::Result<std::vector<std::string>>& got,
   EXPECT_EQ(*got, *want);
 }
 
-// Every unit of `tree`: the graph's closure equals Preprocess's, element by
-// element, from a graph of the whole tree and from a one-unit query.
-void ExpectGraphMatchesPreprocess(const SourceTree& tree,
-                                  const IncludeGraph& graph) {
+// Every unit of `tree`: the graph's closure on `side` equals Preprocess's,
+// element by element, from a graph of the whole tree and from a one-unit
+// query.
+void ExpectGraphMatchesPreprocess(
+    const SourceTree& tree, const IncludeGraph& graph,
+    IncludeGraph::Side side = IncludeGraph::Side::kPre) {
   for (const std::string& path : tree.Paths()) {
     if (!IsCompilationUnit(path)) {
       continue;
     }
     SCOPED_TRACE(path);
     ks::Result<std::vector<std::string>> want = PreprocessClosure(tree, path);
-    ExpectSameClosure(graph.Closure(path), want);
+    ExpectSameClosure(graph.Closure(path, side), want);
     ExpectSameClosure(IncludeClosure(tree, path), want);
   }
 }
@@ -274,7 +349,6 @@ TEST(IncludeGraphTest, MatchesPreprocessOnEveryRelease) {
 
 TEST(IncludeGraphTest, MatchesPreprocessOnEveryCvePostTree) {
   const SourceTree& pre = corpus::KernelSource();
-  const IncludeGraph pre_graph(pre);
   for (const corpus::Vulnerability& vuln : corpus::Vulnerabilities()) {
     SCOPED_TRACE(vuln.cve);
     ks::Result<std::string> text = corpus::AmendedPatchFor(vuln);
@@ -284,11 +358,12 @@ TEST(IncludeGraphTest, MatchesPreprocessOnEveryCvePostTree) {
     ks::Result<SourceTree> post = kdiff::ApplyPatch(pre, *patch);
     ASSERT_TRUE(post.ok()) << post.status().ToString();
     ExpectGraphMatchesPreprocess(*post, IncludeGraph(*post));
-    // The incremental graph RunPrePost uses: the pre graph with only the
-    // touched paths rescanned.
-    IncludeGraph rescanned = pre_graph;
-    rescanned.Rescan(*post, patch->TouchedPaths());
-    ExpectGraphMatchesPreprocess(*post, rescanned);
+    // The two-sided graph RunPrePost uses: the pre graph with only the
+    // touched paths rescanned for the post side.
+    IncludeGraph both(pre);
+    both.AddPost(*post, patch->TouchedPaths());
+    ExpectGraphMatchesPreprocess(*post, both, IncludeGraph::Side::kPost);
+    ExpectGraphMatchesPreprocess(pre, both, IncludeGraph::Side::kPre);
   }
 }
 
@@ -403,8 +478,9 @@ TEST(IncludeGraphTest, CacheKeyIsTheSameThroughEveryEntryPoint) {
   EXPECT_EQ(cache.hits(), 3u);
 }
 
-// Rescan brings a graph up to date with an edited tree: a created header
-// reached through an edited one, a deleted header, an edited unit.
+// AddPost rescans only the touched paths for the post side: a created
+// header reached through an edited one, a deleted header, an edited unit.
+// The pre side still answers for the unedited tree.
 TEST(IncludeGraphTest, RescanTracksCreatedDeletedAndEditedFiles) {
   SourceTree pre;
   pre.Write("api.h", "int api(int x);\n");
@@ -419,12 +495,17 @@ TEST(IncludeGraphTest, RescanTracksCreatedDeletedAndEditedFiles) {
   post.Write("api.h", "#include \"new.h\"\nint api(int x);\n");
   post.Remove("old.h");
   post.Write("c.kc", "#include \"api.h\"\nint c;\n");
-  graph.Rescan(post, {"new.h", "api.h", "old.h", "c.kc"});
+  graph.AddPost(post, {"new.h", "api.h", "old.h", "c.kc"});
 
-  ExpectGraphMatchesPreprocess(post, graph);
-  EXPECT_EQ(*graph.Closure("a.kc"),
+  constexpr IncludeGraph::Side kPost = IncludeGraph::Side::kPost;
+  ExpectGraphMatchesPreprocess(post, graph, kPost);
+  ExpectGraphMatchesPreprocess(pre, graph);
+  EXPECT_EQ(*graph.Closure("a.kc", kPost),
             (std::vector<std::string>{"a.kc", "api.h", "new.h"}));
-  EXPECT_EQ(graph.Closure("b.kc").status().code(), ks::ErrorCode::kNotFound);
+  EXPECT_EQ(graph.Closure("b.kc", kPost).status().code(),
+            ks::ErrorCode::kNotFound);
+  EXPECT_EQ(*graph.Closure("b.kc"),
+            (std::vector<std::string>{"b.kc", "old.h"}));
 }
 
 // --------------------------------------------------------------- Codegen

@@ -156,6 +156,28 @@ TEST(UnifiedDiffTest, RoundTripFileCreationAndDeletion) {
   EXPECT_EQ(*applied, post);
 }
 
+// Applying a patch shares every untouched file's contents with the pre tree
+// and gives each patched file its own; equality compares contents either
+// way.
+TEST(UnifiedDiffTest, ApplySharesUntouchedFiles) {
+  SourceTree pre = TreeWith({{"edit.kc", "a\nb\nc\n"}, {"keep.kc", "k\n"}});
+  SourceTree want = TreeWith({{"edit.kc", "a\nB\nc\n"}, {"keep.kc", "k\n"}});
+  ks::Result<SourceTree> post =
+      ApplyUnifiedDiff(pre, MakeUnifiedDiff(pre, want));
+  ASSERT_TRUE(post.ok()) << post.status().ToString();
+  EXPECT_EQ(post->Find("keep.kc"), pre.Find("keep.kc"));
+  EXPECT_NE(post->Find("edit.kc"), pre.Find("edit.kc"));
+  EXPECT_EQ(*pre.Find("edit.kc"), "a\nb\nc\n");
+  EXPECT_EQ(*post, want);
+  EXPECT_NE(post->Find("keep.kc"), want.Find("keep.kc"));
+  EXPECT_FALSE(*post == pre);
+  // Rewriting a shared file in one tree leaves the other's copy alone.
+  SourceTree copy = pre;
+  copy.Write("keep.kc", "changed\n");
+  EXPECT_EQ(*pre.Find("keep.kc"), "k\n");
+  EXPECT_FALSE(copy == pre);
+}
+
 TEST(UnifiedDiffTest, RoundTripMultipleHunksAndFiles) {
   std::string big_pre;
   std::string big_post;

@@ -893,5 +893,109 @@ TEST(RebuildSetTest, CreatedDeletedAndAssemblyUnits) {
                                       "sys/limits.kc"}));
 }
 
+// The graph corner cases, where a build fails and RunPrePost reports no
+// rebuild set: SelectRebuildSet, which RunPrePost builds from, against the
+// oracle. Returns the selected units.
+std::vector<std::string> ExpectSelectionMatchesOracle(const SourceTree& pre,
+                                                      const SourceTree& post) {
+  ks::Result<kdiff::Patch> patch =
+      kdiff::ParseUnifiedDiff(kdiff::MakeUnifiedDiff(pre, post));
+  EXPECT_TRUE(patch.ok()) << patch.status().ToString();
+  if (!patch.ok()) {
+    return {};
+  }
+  std::vector<std::string> units;
+  for (const RebuildUnit& unit :
+       SelectRebuildSet(pre, post, patch->TouchedPaths())) {
+    units.push_back(unit.unit);
+  }
+  EXPECT_EQ(units, BruteForceRebuildSet(pre, *patch));
+  return units;
+}
+
+// `deep.kc` reaches a chain of 33 headers through the touched `t.h`, so its
+// closure is too deep on both sides. Untouched units include the chain at
+// depths 1, 2 and 3: only the first passes the nesting limit.
+TEST(RebuildSetTest, IncludeChainDeeperThanTheLimitThroughATouchedHeader) {
+  SourceTree pre;
+  pre.Write("deep.kc", "#include \"t.h\"\nint deep;\n");
+  pre.Write("t.h", "#include \"c1.h\"\n");
+  for (int i = 1; i <= 33; ++i) {
+    pre.Write(ks::StrPrintf("c%d.h", i),
+              i < 33 ? ks::StrPrintf("#include \"c%d.h\"\n", i + 1)
+                     : std::string("int last;\n"));
+  }
+  pre.Write("far.kc", "#include \"c1.h\"\nint far;\n");
+  pre.Write("near.kc", "#include \"c2.h\"\nint near;\n");
+  pre.Write("nearer.kc", "#include \"c3.h\"\nint nearer;\n");
+  SourceTree post = pre;
+  post.Write("t.h", "#include \"c1.h\"\nint t;\n");
+  EXPECT_EQ(ExpectSelectionMatchesOracle(pre, post),
+            (std::vector<std::string>{"deep.kc", "far.kc"}));
+  ks::Result<kdiff::Patch> patch =
+      kdiff::ParseUnifiedDiff(kdiff::MakeUnifiedDiff(pre, post));
+  ASSERT_TRUE(patch.ok());
+  ks::Result<PrePostResult> result =
+      RunPrePost(pre, *patch, RunBuildOptions());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().message(),
+            "pre build: c32.h: include nesting too deep");
+}
+
+// A cycle through the touched header rebuilds its includers; an untouched
+// cycle elsewhere rebuilds nothing.
+TEST(RebuildSetTest, IncludeCycleThroughATouchedHeader) {
+  SourceTree pre;
+  pre.Write("a.h", "#include \"b.h\"\nint a;\n");
+  pre.Write("b.h", "#include \"a.h\"\nint b;\n");
+  pre.Write("c.h", "#include \"d.h\"\nint c;\n");
+  pre.Write("d.h", "#include \"c.h\"\nint d;\n");
+  pre.Write("u.kc", "#include \"a.h\"\nint u() { return a + b; }\n");
+  pre.Write("v.kc", "#include \"d.h\"\nint v() { return c + d; }\n");
+  pre.Write("w.kc", "int w() { return 0; }\n");
+  SourceTree post = pre;
+  post.Write("b.h", "#include \"a.h\"\nint b;\nint b2;\n");
+  EXPECT_EQ(ExpectSelectionMatchesOracle(pre, post),
+            std::vector<std::string>{"u.kc"});
+  ks::Result<PrePostResult> result = CheckRebuildSet(
+      pre, kdiff::MakeUnifiedDiff(pre, post), RunBuildOptions());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rebuilt_units, std::vector<std::string>{"u.kc"});
+}
+
+TEST(RebuildSetTest, TouchedHeaderNoUnitIncludesRebuildsNothing) {
+  SourceTree pre = TestKernelTree();
+  pre.Write("orphan.h", "int orphan(int x);\n");
+  SourceTree post = pre;
+  post.Write("orphan.h", "int orphan(char x);\n");
+  EXPECT_EQ(ExpectSelectionMatchesOracle(pre, post),
+            std::vector<std::string>{});
+  ks::Result<PrePostResult> result = CheckRebuildSet(
+      pre, kdiff::MakeUnifiedDiff(pre, post), RunBuildOptions());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->rebuilt_units.empty());
+}
+
+// The touched `h.h` gains an include of `ghost.h`, which neither tree has:
+// `u.kc` is untouched and its closure fails on the post side only.
+TEST(RebuildSetTest, IncludeMissingOnThePostSideOnly) {
+  SourceTree pre;
+  pre.Write("h.h", "int h;\n");
+  pre.Write("u.kc", "#include \"h.h\"\nint u() { return h; }\n");
+  pre.Write("x.kc", "int x() { return 1; }\n");
+  SourceTree post = pre;
+  post.Write("h.h", "#include \"ghost.h\"\nint h;\n");
+  EXPECT_EQ(ExpectSelectionMatchesOracle(pre, post),
+            std::vector<std::string>{"u.kc"});
+  ks::Result<kdiff::Patch> patch =
+      kdiff::ParseUnifiedDiff(kdiff::MakeUnifiedDiff(pre, post));
+  ASSERT_TRUE(patch.ok());
+  ks::Result<PrePostResult> result =
+      RunPrePost(pre, *patch, RunBuildOptions());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().message(),
+            "post build: preprocess: no such file: ghost.h");
+}
+
 }  // namespace
 }  // namespace ksplice
