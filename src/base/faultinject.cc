@@ -15,7 +15,11 @@ namespace {
 
 thread_local int g_suppress_depth = 0;
 
-constexpr uint64_t kDefaultSeed = 0x9e3779b97f4a7c15u;
+// A site's stream start: a function of (seed, site name) alone.
+uint64_t StreamStart(uint64_t seed, std::string_view site) {
+  uint64_t state = seed ^ Fnv1a64(site);
+  return SplitMix64(&state);
+}
 
 double NextUnit(uint64_t* state) {
   return static_cast<double>(SplitMix64(state) >> 11) * 0x1.0p-53;
@@ -44,7 +48,7 @@ FaultInjector& FaultInjector::Global() {
 
 FaultInjector& Faults() { return FaultInjector::Global(); }
 
-FaultInjector::FaultInjector() : rng_state_(kDefaultSeed) {
+FaultInjector::FaultInjector() {
   const char* plan = std::getenv("KSPLICE_FAULTS");
   if (plan != nullptr && plan[0] != '\0') {
     ks::Status st = Configure(plan);
@@ -59,8 +63,7 @@ ks::Status FaultInjector::Configure(const std::string& plan,
   // Two passes: parse everything, then arm, so a bad clause arms nothing.
   struct Parsed {
     std::string site;
-    SiteState state;
-    bool disarm = false;
+    SiteState state;  // armed unless the clause is `off`
   };
   std::vector<Parsed> parsed;
   for (std::string_view clause : ks::Split(plan, ',')) {
@@ -78,6 +81,7 @@ ks::Status FaultInjector::Configure(const std::string& plan,
     }
     Parsed p;
     p.site = std::string(clause.substr(0, eq));
+    p.state.armed = true;
     std::string_view mode = clause.substr(eq + 1);
     size_t at = mode.rfind('@');
     if (at != std::string_view::npos) {
@@ -89,7 +93,7 @@ ks::Status FaultInjector::Configure(const std::string& plan,
       mode = mode.substr(0, at);
     }
     if (mode == "off") {
-      p.disarm = true;
+      p.state.armed = false;
     } else if (mode == "once") {
       p.state.mode = FaultMode::kNth;
       p.state.nth = 1;
@@ -118,11 +122,15 @@ ks::Status FaultInjector::Configure(const std::string& plan,
   }
   std::lock_guard<std::mutex> lock(mu_);
   for (Parsed& p : parsed) {
-    if (p.disarm) {
-      sites_[p.site].armed = false;
+    SiteState& slot = SiteLocked(p.site);
+    if (p.state.armed) {
+      // Re-arming restarts the hit count since arming and keeps the rest.
+      p.state.hits = slot.hits;
+      p.state.injected = slot.injected;
+      p.state.stream = slot.stream;
+      slot = p.state;
     } else {
-      p.state.armed = true;
-      ArmLocked(p.site, p.state);
+      slot.armed = false;
     }
     if (sites != nullptr) {
       sites->push_back(std::move(p.site));
@@ -132,46 +140,12 @@ ks::Status FaultInjector::Configure(const std::string& plan,
   return ks::OkStatus();
 }
 
-void FaultInjector::ArmLocked(const std::string& site, SiteState state) {
-  SiteState& slot = sites_[site];
-  state.hits = slot.hits;
-  state.injected = slot.injected;
-  state.armed_hits = 0;
-  slot = state;
-}
-
-void FaultInjector::ArmNth(const std::string& site, uint64_t nth,
-                           ErrorCode code) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SiteState state;
-  state.armed = true;
-  state.mode = FaultMode::kNth;
-  state.nth = nth == 0 ? 1 : nth;
-  state.code = code;
-  ArmLocked(site, state);
-  RefreshEnabled();
-}
-
-void FaultInjector::ArmProbability(const std::string& site, double p,
-                                   ErrorCode code) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SiteState state;
-  state.armed = true;
-  state.mode = FaultMode::kProbability;
-  state.probability = p;
-  state.code = code;
-  ArmLocked(site, state);
-  RefreshEnabled();
-}
-
-void FaultInjector::ArmAlways(const std::string& site, ErrorCode code) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SiteState state;
-  state.armed = true;
-  state.mode = FaultMode::kAlways;
-  state.code = code;
-  ArmLocked(site, state);
-  RefreshEnabled();
+FaultInjector::SiteState& FaultInjector::SiteLocked(const std::string& site) {
+  auto [it, inserted] = sites_.try_emplace(site);
+  if (inserted) {
+    it->second.stream = StreamStart(seed_, site);
+  }
+  return it->second;
 }
 
 void FaultInjector::Disarm(const std::string& site) {
@@ -186,13 +160,16 @@ void FaultInjector::Disarm(const std::string& site) {
 void FaultInjector::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   sites_.clear();
-  rng_state_ = kDefaultSeed;
+  seed_ = 0;
   RefreshEnabled();
 }
 
 void FaultInjector::SetSeed(uint64_t seed) {
   std::lock_guard<std::mutex> lock(mu_);
-  rng_state_ = seed ^ kDefaultSeed;
+  seed_ = seed;
+  for (auto& [site, state] : sites_) {
+    state.stream = StreamStart(seed, site);
+  }
 }
 
 void FaultInjector::RefreshEnabled() {
@@ -221,7 +198,7 @@ ks::Status FaultInjector::Check(const char* site) {
 
   std::lock_guard<std::mutex> lock(mu_);
   checks.Add(1);
-  SiteState& state = sites_[site];
+  SiteState& state = SiteLocked(site);
   ++state.hits;
   if (!state.armed) {
     return ks::OkStatus();
@@ -237,7 +214,7 @@ ks::Status FaultInjector::Check(const char* site) {
       }
       break;
     case FaultMode::kProbability:
-      fire = NextUnit(&rng_state_) < state.probability;
+      fire = NextUnit(&state.stream) < state.probability;
       break;
     case FaultMode::kAlways:
       fire = true;

@@ -24,10 +24,13 @@
 //              | 'off'             disarm the site
 //
 // e.g. KSPLICE_FAULTS="kvm.write_bytes=nth:3,kcc.compile=prob:0.1@internal".
-// Hit counts restart when a site is (re)armed, and `prob:` draws from a
-// splitmix64 PRNG seeded via SetSeed, so a given (plan, seed, workload)
-// triple always injects the same faults — chaos runs are reproducible from
-// their seed alone.
+// Hit counts restart when a site is (re)armed. Each site draws its `prob:`
+// decisions from its own splitmix64 stream, seeded from (SetSeed's seed,
+// site name) and advanced only by that site's armed hits; re-arming a site
+// keeps its stream. So a given (plan, seed, workload) triple always
+// injects the same faults — chaos runs are reproducible from their seed
+// alone — and a change in how often code passes one site moves only the
+// decisions of plans that name it.
 //
 // Recovery code (rollback, unwind, compensation) must be exempt: a fault
 // injected while *undoing* the effects of a previous fault would make the
@@ -71,26 +74,23 @@ class FaultInjector {
  public:
   static FaultInjector& Global();
 
-  // Parses and arms a full plan (see grammar above). Sites already armed
-  // stay armed unless the plan re-specifies them; a parse error arms
-  // nothing and reports the offending clause. On success, appends every
-  // site the plan names to `*sites` when `sites` is non-null.
+  // Parses and arms a full plan (see grammar above); the one way to arm a
+  // site. Sites already armed stay armed unless the plan re-specifies
+  // them; re-arming restarts a site's count of hits since arming and keeps
+  // its total hits and its stream. A parse error arms nothing and reports
+  // the offending clause. On success, appends every site the plan names to
+  // `*sites` when `sites` is non-null.
   ks::Status Configure(const std::string& plan,
                        std::vector<std::string>* sites = nullptr);
-
-  // Programmatic arming. (Re)arming a site restarts its hit count.
-  void ArmNth(const std::string& site, uint64_t nth,
-              ErrorCode code = ErrorCode::kInternal);
-  void ArmProbability(const std::string& site, double p,
-                      ErrorCode code = ErrorCode::kInternal);
-  void ArmAlways(const std::string& site,
-                 ErrorCode code = ErrorCode::kInternal);
   void Disarm(const std::string& site);
 
-  // Disarms every site and forgets all accounting.
+  // Disarms every site, forgets all accounting and restores the default
+  // seed.
   void Reset();
 
-  // Seeds the PRNG behind `prob:` draws (and restarts its sequence).
+  // Seeds the streams behind `prob:` draws: restarts every known site's
+  // stream from (seed, site name), and sites first seen later start from
+  // the same seed.
   void SetSeed(uint64_t seed);
 
   // The injection point. Returns ok unless `site` is armed and its mode
@@ -117,14 +117,16 @@ class FaultInjector {
     uint64_t armed_hits = 0;  // hits since last (re)arm
     uint64_t hits = 0;        // hits since first seen
     uint64_t injected = 0;
+    uint64_t stream = 0;      // this site's splitmix64 state for `prob:`
   };
 
-  void ArmLocked(const std::string& site, SiteState state);
+  // The site's state, created with its stream on first sight.
+  SiteState& SiteLocked(const std::string& site);
   void RefreshEnabled();  // recomputes enabled_ + the sites_armed gauge
 
   mutable std::mutex mu_;
   std::map<std::string, SiteState> sites_;
-  uint64_t rng_state_ = 0;
+  uint64_t seed_ = 0;
   std::atomic<bool> enabled_{false};  // any site armed (fast-path gate)
 };
 

@@ -154,12 +154,8 @@ ks::Result<std::shared_ptr<const Release>> VersionImage(size_t index) {
     options.cache = &SharedObjectCache();
     KS_ASSIGN_OR_RETURN(std::vector<kelf::ObjectFile> objects,
                         kcc::BuildTree(tree, options));
-    kelf::Linker linker;
-    for (kelf::ObjectFile& obj : objects) {
-      linker.AddObject(std::move(obj));
-    }
     ks::Result<kelf::LinkedImage> image =
-        linker.Link(kvm::MachineConfig().kernel_base);
+        kelf::Link(objects, kvm::MachineConfig().kernel_base);
     if (!image.ok()) {
       return ks::Status(image.status()).WithContext("linking kernel");
     }

@@ -32,9 +32,31 @@ int LayoutPass(SectionKind kind) {
 
 }  // namespace
 
-ks::Result<LinkedImage> Linker::Link(uint32_t base) const {
+uint32_t LayOut(std::span<const ObjectFile> objects, uint32_t base,
+                const std::function<void(size_t, size_t, uint32_t)>& place) {
+  uint32_t cursor = base;
+  for (int pass = 0; pass <= 2; ++pass) {
+    for (size_t oi = 0; oi < objects.size(); ++oi) {
+      const std::vector<Section>& sections = objects[oi].sections();
+      for (size_t si = 0; si < sections.size(); ++si) {
+        if (LayoutPass(sections[si].kind) != pass) {
+          continue;
+        }
+        cursor = AlignUp(cursor, sections[si].align);
+        if (place) {
+          place(oi, si, cursor);
+        }
+        cursor += sections[si].size();
+      }
+    }
+  }
+  return cursor;
+}
+
+ks::Result<LinkedImage> Link(std::span<const ObjectFile> objects,
+                             uint32_t base, const ExternalResolver& resolver) {
   KS_FAULT_POINT("kelf.link");
-  for (const ObjectFile& obj : objects_) {
+  for (const ObjectFile& obj : objects) {
     ks::Status st = obj.Validate();
     if (!st.ok()) {
       return st.WithContext(
@@ -43,42 +65,32 @@ ks::Result<LinkedImage> Linker::Link(uint32_t base) const {
   }
 
   // Section addresses, indexed [object][section].
-  std::vector<std::vector<uint32_t>> section_addr(objects_.size());
-  for (size_t oi = 0; oi < objects_.size(); ++oi) {
-    section_addr[oi].assign(objects_[oi].sections().size(), 0);
+  std::vector<std::vector<uint32_t>> section_addr(objects.size());
+  for (size_t oi = 0; oi < objects.size(); ++oi) {
+    section_addr[oi].assign(objects[oi].sections().size(), 0);
   }
 
   LinkedImage image;
   image.base = base;
-
-  uint32_t cursor = base;
-  for (int pass = 0; pass <= 2; ++pass) {
-    for (size_t oi = 0; oi < objects_.size(); ++oi) {
-      const ObjectFile& obj = objects_[oi];
-      for (size_t si = 0; si < obj.sections().size(); ++si) {
+  const uint32_t end =
+      LayOut(objects, base, [&](size_t oi, size_t si, uint32_t address) {
+        const ObjectFile& obj = objects[oi];
         const Section& sec = obj.sections()[si];
-        if (LayoutPass(sec.kind) != pass) {
-          continue;
-        }
-        cursor = AlignUp(cursor, sec.align);
-        section_addr[oi][si] = cursor;
+        section_addr[oi][si] = address;
         image.placements.push_back(PlacedSection{
             .unit = obj.source_name(),
             .name = sec.name,
             .kind = sec.kind,
             .howto = sec.howto,
-            .address = cursor,
+            .address = address,
             .size = sec.size(),
         });
-        cursor += sec.size();
-      }
-    }
-  }
-  image.bytes.assign(cursor - base, 0);
+      });
+  image.bytes.assign(end - base, 0);
 
   // Copy section payloads (bss stays zero).
-  for (size_t oi = 0; oi < objects_.size(); ++oi) {
-    const ObjectFile& obj = objects_[oi];
+  for (size_t oi = 0; oi < objects.size(); ++oi) {
+    const ObjectFile& obj = objects[oi];
     for (size_t si = 0; si < obj.sections().size(); ++si) {
       const Section& sec = obj.sections()[si];
       std::copy(sec.bytes.begin(), sec.bytes.end(),
@@ -88,8 +100,8 @@ ks::Result<LinkedImage> Linker::Link(uint32_t base) const {
 
   // Global symbol table: name -> address. Duplicate globals are an error.
   std::map<std::string, uint32_t> globals;
-  for (size_t oi = 0; oi < objects_.size(); ++oi) {
-    const ObjectFile& obj = objects_[oi];
+  for (size_t oi = 0; oi < objects.size(); ++oi) {
+    const ObjectFile& obj = objects[oi];
     for (const Symbol& sym : obj.symbols()) {
       if (!sym.defined() || sym.binding != SymbolBinding::kGlobal) {
         continue;
@@ -106,8 +118,8 @@ ks::Result<LinkedImage> Linker::Link(uint32_t base) const {
   }
 
   // Emit the kallsyms-like table: every defined symbol, locals included.
-  for (size_t oi = 0; oi < objects_.size(); ++oi) {
-    const ObjectFile& obj = objects_[oi];
+  for (size_t oi = 0; oi < objects.size(); ++oi) {
+    const ObjectFile& obj = objects[oi];
     for (const Symbol& sym : obj.symbols()) {
       if (!sym.defined()) {
         continue;
@@ -125,8 +137,8 @@ ks::Result<LinkedImage> Linker::Link(uint32_t base) const {
   }
 
   // Resolve relocations.
-  for (size_t oi = 0; oi < objects_.size(); ++oi) {
-    const ObjectFile& obj = objects_[oi];
+  for (size_t oi = 0; oi < objects.size(); ++oi) {
+    const ObjectFile& obj = objects[oi];
     for (size_t si = 0; si < obj.sections().size(); ++si) {
       const Section& sec = obj.sections()[si];
       uint32_t sec_addr = section_addr[oi][si];
@@ -140,18 +152,17 @@ ks::Result<LinkedImage> Linker::Link(uint32_t base) const {
           auto it = globals.find(sym.name);
           if (it != globals.end()) {
             s_value = it->second;
-          } else if (external_resolver_) {
-            std::optional<uint32_t> ext = external_resolver_(sym.name);
+          } else {
+            std::optional<uint32_t> ext;
+            if (resolver) {
+              ext = resolver(sym.name);
+            }
             if (!ext.has_value()) {
               return ks::NotFound(ks::StrPrintf(
                   "link: undefined symbol '%s' referenced from %s",
                   sym.name.c_str(), obj.source_name().c_str()));
             }
             s_value = *ext;
-          } else {
-            return ks::NotFound(ks::StrPrintf(
-                "link: undefined symbol '%s' referenced from %s",
-                sym.name.c_str(), obj.source_name().c_str()));
           }
         }
         uint32_t p = sec_addr + rel.offset;

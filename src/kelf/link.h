@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,31 +51,26 @@ struct LinkedImage {
   }
 };
 
-class Linker {
- public:
-  // Resolves imports that no added object defines (e.g. kernel exports when
-  // linking a module). Returns the symbol's address, or nullopt if unknown.
-  using ExternalResolver =
-      std::function<std::optional<uint32_t>(const std::string&)>;
+// Resolves imports that no linked object defines (e.g. kernel exports when
+// linking a module). Returns the symbol's address, or nullopt if unknown.
+using ExternalResolver =
+    std::function<std::optional<uint32_t>(const std::string&)>;
 
-  void AddObject(ObjectFile object) {
-    objects_.push_back(std::move(object));
-  }
+// Lays out `objects` from `base` without linking them: text, then
+// initialized data and notes, then bss, each section at its alignment.
+// Calls `place` (when set) with each section's (object, section) index and
+// address in that order, and returns the image end. No fault site.
+uint32_t LayOut(
+    std::span<const ObjectFile> objects, uint32_t base,
+    const std::function<void(size_t, size_t, uint32_t)>& place = nullptr);
 
-  void set_external_resolver(ExternalResolver resolver) {
-    external_resolver_ = std::move(resolver);
-  }
-
-  // Lays out all added objects starting at `base` (text, then data/note,
-  // then bss), resolves every relocation, and returns the image.
-  // Errors: duplicate global definitions, unresolvable imports, malformed
-  // objects.
-  ks::Result<LinkedImage> Link(uint32_t base) const;
-
- private:
-  std::vector<ObjectFile> objects_;
-  ExternalResolver external_resolver_;
-};
+// Lays out `objects` at `base` (LayOut), resolves every relocation, and
+// returns the image. The objects are borrowed, not copied.
+// Errors: malformed objects, duplicate global definitions, unresolvable
+// imports.
+ks::Result<LinkedImage> Link(std::span<const ObjectFile> objects,
+                             uint32_t base,
+                             const ExternalResolver& resolver = nullptr);
 
 }  // namespace kelf
 

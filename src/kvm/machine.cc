@@ -185,13 +185,10 @@ ks::Result<std::unique_ptr<Machine>> Machine::Boot(
 }
 
 ks::Result<std::unique_ptr<Machine>> Machine::Boot(
-    std::vector<kelf::ObjectFile> kernel_objects,
+    std::span<const kelf::ObjectFile> kernel_objects,
     const MachineConfig& config) {
-  kelf::Linker linker;
-  for (kelf::ObjectFile& obj : kernel_objects) {
-    linker.AddObject(std::move(obj));
-  }
-  ks::Result<kelf::LinkedImage> image = linker.Link(config.kernel_base);
+  ks::Result<kelf::LinkedImage> image =
+      kelf::Link(kernel_objects, config.kernel_base);
   if (!image.ok()) {
     return ks::Status(image.status()).WithContext("booting kernel");
   }
@@ -329,7 +326,7 @@ ks::Result<uint32_t> Machine::GlobalSymbol(std::string_view name) const {
 // Modules
 
 ks::Result<uint32_t> Machine::TakeBlock(BlockList& list, uint32_t size,
-                                        uint32_t align, bool zero_reused,
+                                        bool zero_reused,
                                         const char* exhausted) {
   for (Block& block : list.blocks) {
     if (block.free && block.size >= size) {
@@ -341,7 +338,7 @@ ks::Result<uint32_t> Machine::TakeBlock(BlockList& list, uint32_t size,
       return block.base;
     }
   }
-  uint32_t base = AlignUp(list.cursor, align);
+  const uint32_t base = list.cursor;
   if (base + size > list.limit) {
     return ks::ResourceExhausted(exhausted);
   }
@@ -350,9 +347,9 @@ ks::Result<uint32_t> Machine::TakeBlock(BlockList& list, uint32_t size,
   return base;
 }
 
-ks::Result<uint32_t> Machine::ArenaAlloc(uint32_t size, uint32_t align) {
-  return TakeBlock(arena_, AlignUp(size, kPageAlign), align,
-                   /*zero_reused=*/false, "module arena exhausted");
+ks::Result<uint32_t> Machine::ArenaAlloc(uint32_t size) {
+  return TakeBlock(arena_, AlignUp(size, kPageAlign), /*zero_reused=*/false,
+                   "module arena exhausted");
 }
 
 void Machine::ArenaFree(uint32_t base) {
@@ -385,16 +382,25 @@ ks::Result<ModuleHandle> Machine::LoadModule(
     }
   }
 
-  kelf::Linker linker;
+  // A section aligned beyond a page could land past the end of its arena
+  // block, which is only page-aligned. Refusing them also makes the
+  // layout the same at every page-aligned base.
   for (const kelf::ObjectFile& obj : objects) {
-    linker.AddObject(obj);
+    for (const kelf::Section& sec : obj.sections()) {
+      if (sec.align > kPageAlign) {
+        return ks::InvalidArgument(ks::StrPrintf(
+            "module %s: section '%s' of %s is aligned to %u bytes, beyond "
+            "a page",
+            name.c_str(), sec.name.c_str(), obj.source_name().c_str(),
+            sec.align));
+      }
+    }
   }
+
   // Record every external resolution so the module's import bindings can
-  // be inspected after the fact (ModuleImports). The link runs twice (once
-  // to measure, once to place); imports are base-independent, so the map
-  // simply deduplicates.
+  // be inspected after the fact (ModuleImports).
   std::map<std::string, uint32_t> imports;
-  linker.set_external_resolver(
+  const kelf::ExternalResolver resolver =
       [this, &extra_resolver, &imports](
           const std::string& symbol) -> std::optional<uint32_t> {
         std::optional<uint32_t> value;
@@ -408,17 +414,10 @@ ks::Result<ModuleHandle> Machine::LoadModule(
           imports[symbol] = *value;
         }
         return value;
-      });
+      };
 
-  // First link to measure, then place.
-  ks::Result<kelf::LinkedImage> sized = linker.Link(config_.kernel_base);
-  if (!sized.ok()) {
-    return ks::Status(sized.status())
-        .WithContext(ks::StrPrintf("loading module %s", name.c_str()));
-  }
-  uint32_t size = sized->end() - sized->base;
-  KS_ASSIGN_OR_RETURN(uint32_t base, ArenaAlloc(size, kPageAlign));
-  ks::Result<kelf::LinkedImage> image = linker.Link(base);
+  KS_ASSIGN_OR_RETURN(uint32_t base, ArenaAlloc(kelf::LayOut(objects, 0)));
+  ks::Result<kelf::LinkedImage> image = kelf::Link(objects, base, resolver);
   if (!image.ok()) {
     ArenaFree(base);
     return ks::Status(image.status())
@@ -528,7 +527,7 @@ ks::Result<ModuleHandle> Machine::LoadBlob(const std::string& name,
                                            const std::string& group) {
   KS_FAULT_POINT("kvm.load_blob");
   std::unique_lock<std::recursive_mutex> lock(mu_);
-  KS_ASSIGN_OR_RETURN(uint32_t base, ArenaAlloc(size, kPageAlign));
+  KS_ASSIGN_OR_RETURN(uint32_t base, ArenaAlloc(size));
   Module module;
   module.name = name;
   module.group = group;
@@ -685,7 +684,7 @@ uint32_t Machine::ModuleArenaBytesInUse() const {
 // Heap
 
 ks::Result<uint32_t> Machine::HeapAlloc(uint32_t size) {
-  return TakeBlock(heap_, AlignUp(size == 0 ? 4 : size, 16), 1,
+  return TakeBlock(heap_, AlignUp(size == 0 ? 4 : size, 16),
                    /*zero_reused=*/true, "kernel heap exhausted");
 }
 

@@ -201,7 +201,7 @@ class Machine {
       const MachineConfig& config);
   // Links `kernel_objects` at config.kernel_base, then boots the result.
   static ks::Result<std::unique_ptr<Machine>> Boot(
-      std::vector<kelf::ObjectFile> kernel_objects,
+      std::span<const kelf::ObjectFile> kernel_objects,
       const MachineConfig& config);
 
   ~Machine();
@@ -244,9 +244,9 @@ class Machine {
   // into the module arena. `extra_resolver`, when given, supplies values
   // for imports that are not exported symbols (Ksplice uses it to feed
   // run-pre recovered values for unit-scoped names); it is consulted after
-  // the exported-symbol table.
-  using SymbolResolver =
-      std::function<std::optional<uint32_t>(const std::string&)>;
+  // the exported-symbol table. A section aligned beyond a page (4 KiB) is
+  // refused with InvalidArgument.
+  using SymbolResolver = kelf::ExternalResolver;
   // `group` tags the module so related loads (e.g. every module of one
   // update transaction) can be accounted for and unloaded together.
   ks::Result<ModuleHandle> LoadModule(
@@ -405,12 +405,16 @@ class Machine {
   ks::Result<uint32_t> ReadWordLocked(uint32_t addr) const;
   ks::Status WriteWordLocked(uint32_t addr, uint32_t value);
 
-  // Takes `size` bytes from `list`, zeroing a reused block when
+  // Takes `size` bytes from `list`: the first free block that fits, else
+  // the next bytes at its cursor. A reused block is zeroed when
   // `zero_reused`; `exhausted` is the error text when the range is full.
+  // Blocks lie end to end from the list's start, so each base is as
+  // aligned as that start and the sizes taken (the arena rounds both to a
+  // page).
   ks::Result<uint32_t> TakeBlock(BlockList& list, uint32_t size,
-                                 uint32_t align, bool zero_reused,
-                                 const char* exhausted);
-  ks::Result<uint32_t> ArenaAlloc(uint32_t size, uint32_t align);
+                                 bool zero_reused, const char* exhausted);
+  // Takes a page-aligned block of at least `size` bytes from the arena.
+  ks::Result<uint32_t> ArenaAlloc(uint32_t size);
   void ArenaFree(uint32_t base);
 
   ks::Result<uint32_t> HeapAlloc(uint32_t size);

@@ -13,13 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "base/faultinject.h"
+#include "base/hash.h"
 #include "base/metrics.h"
+#include "base/strings.h"
 #include "kcc/compile.h"
 #include "kcc/objcache.h"
 #include "kdiff/diff.h"
@@ -187,16 +190,21 @@ ks::Result<CreateResult> CreateTwoFunctionPatch(const SourceTree& tree,
 // injector's, so a seed fully determines a run).
 struct Rng {
   uint64_t state;
-  uint64_t Next() {
-    state += 0x9e3779b97f4a7c15u;
-    uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9u;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebu;
-    return z ^ (z >> 31);
+  uint64_t Below(uint64_t n) { return ks::SplitMix64(&state) % n; }
+  double Unit() {
+    return static_cast<double>(ks::SplitMix64(&state) >> 11) * 0x1.0p-53;
   }
-  uint64_t Below(uint64_t n) { return Next() % n; }
-  double Unit() { return static_cast<double>(Next() >> 11) / 9007199254740992.0; }
 };
+
+// A seed derived from (seed, round, stream). Each round draws its plan and
+// ops, and each step its fault decisions, from a stream of its own, so a
+// round that takes another path shifts no other round's or step's draws.
+uint64_t SubSeed(uint64_t seed, uint64_t round, uint64_t stream) {
+  uint64_t state = seed;
+  state = ks::SplitMix64(&state) ^ round;
+  state = ks::SplitMix64(&state) ^ stream;
+  return ks::SplitMix64(&state);
+}
 
 // ------------------------------------------------------ injector mechanics
 
@@ -230,7 +238,7 @@ TEST_F(FaultInjectorTest, BadPlansArmNothing) {
 // A scoped plan disarms exactly the sites its plan named — `@code`
 // clauses included — and leaves a site armed before the scope armed.
 TEST_F(FaultInjectorTest, ScopedPlanDisarmsExactlyItsSites) {
-  ks::Faults().ArmAlways("chaos.outer");
+  ASSERT_TRUE(ks::Faults().Configure("chaos.outer=always").ok());
   {
     ks::ScopedFaultPlan plan;
     ASSERT_TRUE(plan.Arm("chaos.a=always@not_found,chaos.b=nth:2").ok());
@@ -254,7 +262,7 @@ TEST_F(FaultInjectorTest, ScopedPlanDisarmsExactlyItsSites) {
 }
 
 TEST_F(FaultInjectorTest, NthFailsExactlyThatHitThenHeals) {
-  ks::Faults().ArmNth("chaos.unit", 3, ks::ErrorCode::kAborted);
+  ASSERT_TRUE(ks::Faults().Configure("chaos.unit=nth:3@aborted").ok());
   EXPECT_TRUE(ks::Faults().Check("chaos.unit").ok());
   EXPECT_TRUE(ks::Faults().Check("chaos.unit").ok());
   ks::Status injected = ks::Faults().Check("chaos.unit");
@@ -279,7 +287,7 @@ TEST_F(FaultInjectorTest, OnceIsNthOne) {
 }
 
 TEST_F(FaultInjectorTest, AlwaysFailsUntilDisarmed) {
-  ks::Faults().ArmAlways("chaos.unit");
+  ASSERT_TRUE(ks::Faults().Configure("chaos.unit=always").ok());
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(ks::Faults().Check("chaos.unit").code(),
               ks::ErrorCode::kInternal);
@@ -292,7 +300,7 @@ TEST_F(FaultInjectorTest, AlwaysFailsUntilDisarmed) {
 TEST_F(FaultInjectorTest, ProbabilityIsDeterministicUnderSeed) {
   std::vector<bool> first;
   ks::Faults().SetSeed(42);
-  ks::Faults().ArmProbability("chaos.unit", 0.5);
+  ASSERT_TRUE(ks::Faults().Configure("chaos.unit=prob:0.5").ok());
   for (int i = 0; i < 64; ++i) {
     first.push_back(!ks::Faults().Check("chaos.unit").ok());
   }
@@ -302,14 +310,61 @@ TEST_F(FaultInjectorTest, ProbabilityIsDeterministicUnderSeed) {
 
   ks::Faults().Reset();
   ks::Faults().SetSeed(42);
-  ks::Faults().ArmProbability("chaos.unit", 0.5);
+  ASSERT_TRUE(ks::Faults().Configure("chaos.unit=prob:0.5").ok());
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(!ks::Faults().Check("chaos.unit").ok(), first[i]) << i;
   }
 }
 
+// Each site draws its `prob:` decisions from its own stream: hits at
+// another armed site leave this site's decisions unchanged.
+TEST_F(FaultInjectorTest, SiteDrawsIgnoreOtherSitesHits) {
+  auto draws = [](int other_hits_per_hit) {
+    ks::Faults().Reset();
+    ks::Faults().SetSeed(7);
+    EXPECT_TRUE(
+        ks::Faults().Configure("chaos.a=prob:0.5,chaos.b=prob:0.5").ok());
+    std::vector<bool> fired;
+    for (int i = 0; i < 64; ++i) {
+      for (int j = 0; j < other_hits_per_hit; ++j) {
+        (void)ks::Faults().Check("chaos.b");
+      }
+      fired.push_back(!ks::Faults().Check("chaos.a").ok());
+    }
+    return fired;
+  };
+  const std::vector<bool> alone = draws(0);
+  EXPECT_EQ(draws(1), alone);
+  EXPECT_EQ(draws(3), alone);
+}
+
+// Re-arming a site keeps its stream (as it keeps its hit count); SetSeed
+// restarts it.
+TEST_F(FaultInjectorTest, RearmingKeepsTheSiteStream) {
+  auto draws = [](bool rearm_midway) {
+    ks::Faults().Reset();
+    ks::Faults().SetSeed(11);
+    EXPECT_TRUE(ks::Faults().Configure("chaos.unit=prob:0.5").ok());
+    std::vector<bool> fired;
+    for (int i = 0; i < 64; ++i) {
+      if (rearm_midway && i == 32) {
+        EXPECT_TRUE(ks::Faults().Configure("chaos.unit=prob:0.5").ok());
+      }
+      fired.push_back(!ks::Faults().Check("chaos.unit").ok());
+    }
+    return fired;
+  };
+  const std::vector<bool> straight = draws(false);
+  EXPECT_EQ(draws(true), straight);
+
+  ks::Faults().SetSeed(11);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(!ks::Faults().Check("chaos.unit").ok(), straight[i]) << i;
+  }
+}
+
 TEST_F(FaultInjectorTest, SuppressionExemptsRecoveryCode) {
-  ks::Faults().ArmAlways("chaos.unit");
+  ASSERT_TRUE(ks::Faults().Configure("chaos.unit=always").ok());
   EXPECT_FALSE(ks::ScopedFaultSuppression::Active());
   {
     ks::ScopedFaultSuppression guard;
@@ -331,7 +386,7 @@ TEST_F(ChaosTest, EveryCatalogSiteIsReachable) {
   // Arm an inert sentinel: with anything armed the injector records hits
   // at every site, so one full workload proves each KS_FAULT_POINT in the
   // catalog actually executes.
-  ks::Faults().ArmNth("chaos.sentinel", 1'000'000'000);
+  ASSERT_TRUE(ks::Faults().Configure("chaos.sentinel=nth:1000000000").ok());
 
   SourceTree tree = TriKernel();
 
@@ -421,7 +476,8 @@ TEST_F(ChaosTest, ApplySweepEverySiteRollsBackByteIdentical) {
     for (uint64_t nth = 1; nth <= 2; ++nth) {
       SCOPED_TRACE(site + " nth:" + std::to_string(nth));
       ks::Faults().Reset();
-      ks::Faults().ArmNth(site, nth);
+      ASSERT_TRUE(
+          ks::Faults().Configure(site + "=nth:" + std::to_string(nth)).ok());
       ks::Result<ApplyReport> applied = core.Apply(created->package);
       ks::Faults().Reset();
 
@@ -472,7 +528,8 @@ TEST_F(ChaosTest, UndoSweepEverySiteRestoresOrAborts) {
       const std::vector<uint8_t> patched = KernelImage(*machine);
       ASSERT_NE(patched, pristine);
 
-      ks::Faults().ArmNth(site, nth);
+      ASSERT_TRUE(
+          ks::Faults().Configure(site + "=nth:" + std::to_string(nth)).ok());
       ks::Result<UndoReport> undone = core.Undo("usweep");
       ks::Faults().Reset();
       EXPECT_EQ(RegistryIds(core), StatusIds(core));
@@ -520,7 +577,7 @@ TEST_F(ChaosTest, WatchdogRevertSweepByteIdenticalOrQuarantined) {
     const std::vector<uint8_t> patched = KernelImage(*machine);
     ASSERT_NE(patched, pristine);
 
-    ks::Faults().ArmNth(site, 1);
+    ASSERT_TRUE(ks::Faults().Configure(site + "=once").ok());
     HealthMonitor monitor(&core);
     AttributedFault trigger;
     trigger.update = "wd";
@@ -553,6 +610,9 @@ TEST_F(ChaosTest, WatchdogRevertSweepByteIdenticalOrQuarantined) {
 
 // --------------------------------------------------- randomized sequences
 
+// Prints one `[replay]` line per round (its plan) and per step (op,
+// outcome, status text, FNV-64 of the kernel image, arena bytes in use), so
+// two trees' runs of one seed can be diffed.
 TEST_F(ChaosTest, RandomizedFaultCombinationsPreserveInvariants) {
   uint64_t seed = 0xC0FFEE;
   if (const char* env = std::getenv("KSPLICE_CHAOS_SEED")) {
@@ -563,7 +623,6 @@ TEST_F(ChaosTest, RandomizedFaultCombinationsPreserveInvariants) {
   std::printf("[chaos] KSPLICE_CHAOS_SEED=%llu\n",
               static_cast<unsigned long long>(seed));
   RecordProperty("chaos_seed", static_cast<int>(seed & 0x7fffffff));
-  Rng rng{seed};
 
   SourceTree tree = TriKernel();
   struct Pkg {
@@ -597,34 +656,22 @@ TEST_F(ChaosTest, RandomizedFaultCombinationsPreserveInvariants) {
     ASSERT_NE(machine, nullptr);
     const std::vector<uint8_t> pristine = KernelImage(*machine);
     KspliceCore core(machine.get());
+    Rng rng{SubSeed(seed, round, 0)};
 
     // A random plan: 2-4 sites, each nth:1-3 or prob:0.2-0.6.
-    struct Clause {
-      std::string site;
-      bool prob;
-      uint64_t nth;
-      double p;
-    };
-    std::vector<Clause> plan;
+    std::string plan;
     size_t sites = 2 + rng.Below(3);
     for (size_t i = 0; i < sites; ++i) {
-      Clause clause;
-      clause.site = catalog[rng.Below(catalog.size())];
-      clause.prob = rng.Below(2) == 0;
-      clause.nth = 1 + rng.Below(3);
-      clause.p = 0.2 + 0.4 * rng.Unit();
-      plan.push_back(clause);
+      const std::string& site = catalog[rng.Below(catalog.size())];
+      const bool prob = rng.Below(2) == 0;
+      const uint64_t nth = 1 + rng.Below(3);
+      const double p = 0.2 + 0.4 * rng.Unit();
+      plan += (i == 0 ? "" : ",") + site +
+              (prob ? ks::StrPrintf("=prob:%.17g", p)
+                    : "=nth:" + std::to_string(nth));
     }
-    ks::Faults().SetSeed(seed ^ (round * 0x9e3779b9u));
-    auto rearm = [&plan] {
-      for (const Clause& clause : plan) {
-        if (clause.prob) {
-          ks::Faults().ArmProbability(clause.site, clause.p);
-        } else {
-          ks::Faults().ArmNth(clause.site, clause.nth);
-        }
-      }
-    };
+    std::printf("[replay] seed=%llu round=%d plan=%s\n",
+                static_cast<unsigned long long>(seed), round, plan.c_str());
 
     for (int step = 0; step < kStepsPerRound; ++step) {
       SCOPED_TRACE("step " + std::to_string(step));
@@ -644,20 +691,27 @@ TEST_F(ChaosTest, RandomizedFaultCombinationsPreserveInvariants) {
           unapplied.push_back(&pkg);
         }
       }
-      bool failed = false;
-      rearm();
+      ks::Faults().SetSeed(SubSeed(seed, round, 1 + step));
+      ASSERT_TRUE(ks::Faults().Configure(plan).ok());
+      ks::Status status;
+      std::string op;
       int choice = static_cast<int>(rng.Below(3));
       if ((choice == 0 && !unapplied.empty()) || before_ids.empty()) {
         const Pkg& pkg = *unapplied[rng.Below(unapplied.size())];
-        failed = !core.Apply(pkg.package).ok();
+        op = "apply " + pkg.id;
+        status = core.Apply(pkg.package).status();
       } else if (choice == 1 && unapplied.size() >= 2) {
         std::vector<UpdatePackage> batch;
+        op = "batch";
         for (const Pkg* pkg : unapplied) {
           batch.push_back(pkg->package);
+          op += " " + pkg->id;
         }
-        failed = !core.ApplyAll(batch).ok();
+        status = core.ApplyAll(batch).status();
       } else {
-        failed = !core.Undo(before_ids[rng.Below(before_ids.size())]).ok();
+        const std::string& id = before_ids[rng.Below(before_ids.size())];
+        op = "undo " + id;
+        status = core.Undo(id).status();
       }
       ks::Faults().Reset();
 
@@ -666,10 +720,23 @@ TEST_F(ChaosTest, RandomizedFaultCombinationsPreserveInvariants) {
       // the kernel image and module arena untouched.
       std::vector<std::string> after_ids = RegistryIds(core);
       EXPECT_EQ(after_ids, StatusIds(core));
-      if (failed && after_ids == before_ids) {
-        EXPECT_EQ(KernelImage(*machine), before_image);
-        EXPECT_EQ(machine->ModuleArenaBytesInUse(), before_arena);
+      const std::vector<uint8_t> after_image = KernelImage(*machine);
+      const uint32_t after_arena = machine->ModuleArenaBytesInUse();
+      const bool rolled_back = !status.ok() && after_ids == before_ids;
+      if (rolled_back) {
+        EXPECT_EQ(after_image, before_image);
+        EXPECT_EQ(after_arena, before_arena);
       }
+      std::string text = status.ToString();
+      std::replace(text.begin(), text.end(), '\n', ' ');
+      std::printf(
+          "[replay] round=%d step=%d op=%s outcome=%s status=%s "
+          "image=%016llx arena=%u\n",
+          round, step, op.c_str(),
+          status.ok() ? "ok" : rolled_back ? "rolled_back" : "committed",
+          text.c_str(),
+          static_cast<unsigned long long>(ks::Fnv1a64(after_image)),
+          after_arena);
     }
 
     // End of round: clean undo of whatever survived must restore the

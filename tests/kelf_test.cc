@@ -161,7 +161,7 @@ TEST(ObjectFileTest, ValidateCatchesNonPowerOfTwoAlign) {
   EXPECT_FALSE(obj.Validate().ok());
 }
 
-// Linker ----------------------------------------------------------------
+// Link ------------------------------------------------------------------
 
 TEST(LinkerTest, LaysOutTextBeforeDataBeforeBss) {
   ObjectFile obj("m.kc");
@@ -174,9 +174,7 @@ TEST(LinkerTest, LaysOutTextBeforeDataBeforeBss) {
   bss.bss_size = 16;
   obj.AddSection(std::move(bss));
 
-  Linker linker;
-  linker.AddObject(obj);
-  ks::Result<LinkedImage> image = linker.Link(0x1000);
+  ks::Result<LinkedImage> image = Link({&obj, 1}, 0x1000);
   ASSERT_TRUE(image.ok()) << image.status().ToString();
   ASSERT_EQ(image->placements.size(), 3u);
   EXPECT_EQ(image->placements[0].name, ".text.f");
@@ -185,6 +183,8 @@ TEST(LinkerTest, LaysOutTextBeforeDataBeforeBss) {
   EXPECT_LT(image->placements[1].address, image->placements[2].address);
   EXPECT_EQ(image->placements[2].name, ".bss.z");
   EXPECT_EQ(image->bytes.size(), image->end() - image->base);
+  // The layout-only pass ends where the link does.
+  EXPECT_EQ(LayOut({&obj, 1}, 0x1000), image->end());
   // bss bytes are zero.
   uint32_t bss_off = image->placements[2].address - image->base;
   for (uint32_t i = 0; i < 16; ++i) {
@@ -222,9 +222,7 @@ TEST(LinkerTest, ResolvesAbs32AndPcrel32) {
                  .symbol = target,
                  .addend = -4});
 
-  Linker linker;
-  linker.AddObject(obj);
-  ks::Result<LinkedImage> image = linker.Link(0x2000);
+  ks::Result<LinkedImage> image = Link({&obj, 1}, 0x2000);
   ASSERT_TRUE(image.ok()) << image.status().ToString();
 
   uint32_t target_addr = 0;
@@ -267,10 +265,8 @@ TEST(LinkerTest, CrossObjectGlobalResolution) {
                      .section = helper_sec,
                      .size = 1});
 
-  Linker linker;
-  linker.AddObject(a);
-  linker.AddObject(b);
-  ks::Result<LinkedImage> image = linker.Link(0x1000);
+  ks::Result<LinkedImage> image =
+      Link(std::vector<ObjectFile>{a, b}, 0x1000);
   ASSERT_TRUE(image.ok()) << image.status().ToString();
 }
 
@@ -285,9 +281,7 @@ TEST(LinkerTest, UndefinedSymbolFails) {
                  .type = RelocType::kPcrel32,
                  .symbol = imported,
                  .addend = -4});
-  Linker linker;
-  linker.AddObject(a);
-  ks::Result<LinkedImage> image = linker.Link(0x1000);
+  ks::Result<LinkedImage> image = Link({&a, 1}, 0x1000);
   ASSERT_FALSE(image.ok());
   EXPECT_EQ(image.status().code(), ks::ErrorCode::kNotFound);
 }
@@ -303,13 +297,11 @@ TEST(LinkerTest, ExternalResolverSuppliesKernelExports) {
                  .type = RelocType::kPcrel32,
                  .symbol = imported,
                  .addend = -4});
-  Linker linker;
-  linker.AddObject(a);
-  linker.set_external_resolver([](const std::string& name) {
-    return name == "printk" ? std::optional<uint32_t>(0x500)
-                            : std::nullopt;
-  });
-  ks::Result<LinkedImage> image = linker.Link(0x1000);
+  ks::Result<LinkedImage> image =
+      Link({&a, 1}, 0x1000, [](const std::string& name) {
+        return name == "printk" ? std::optional<uint32_t>(0x500)
+                                : std::nullopt;
+      });
   ASSERT_TRUE(image.ok()) << image.status().ToString();
   uint32_t field = ks::ReadLe32(image->bytes.data() + 1);
   EXPECT_EQ(0x1001u + 4u + field, 0x500u);
@@ -330,10 +322,7 @@ TEST(LinkerTest, DuplicateGlobalsFail) {
                      .kind = SymbolKind::kFunction,
                      .section = sb,
                      .size = 1});
-  Linker linker;
-  linker.AddObject(a);
-  linker.AddObject(b);
-  EXPECT_EQ(linker.Link(0x1000).status().code(),
+  EXPECT_EQ(Link(std::vector<ObjectFile>{a, b}, 0x1000).status().code(),
             ks::ErrorCode::kAlreadyExists);
 }
 
@@ -354,10 +343,8 @@ TEST(LinkerTest, DuplicateLocalsAreFine) {
                      .kind = SymbolKind::kObject,
                      .section = sb,
                      .size = 4});
-  Linker linker;
-  linker.AddObject(a);
-  linker.AddObject(b);
-  ks::Result<LinkedImage> image = linker.Link(0x1000);
+  ks::Result<LinkedImage> image =
+      Link(std::vector<ObjectFile>{a, b}, 0x1000);
   ASSERT_TRUE(image.ok()) << image.status().ToString();
   int debug_count = 0;
   for (const LinkedSymbol& sym : image->symbols) {
@@ -374,9 +361,7 @@ TEST(LinkerTest, AlignmentIsHonoured) {
   Section b = TextSection(".text.b", {0x42});
   b.align = 16;
   obj.AddSection(std::move(b));
-  Linker linker;
-  linker.AddObject(obj);
-  ks::Result<LinkedImage> image = linker.Link(0x1001);
+  ks::Result<LinkedImage> image = Link({&obj, 1}, 0x1001);
   ASSERT_TRUE(image.ok());
   EXPECT_EQ(image->placements[1].address % 16, 0u);
 }

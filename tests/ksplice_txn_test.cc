@@ -760,7 +760,7 @@ TEST(UndoAllTest, StopsAtFirstFailureLeavingReversedUpdatesReversed) {
 
   // Each update patches one function, so each undo restores one
   // trampoline: the second restore belongs to the second undo (all-2).
-  ks::Faults().ArmNth("ksplice.undo.restore", 2);
+  ASSERT_TRUE(ks::Faults().Configure("ksplice.undo.restore=nth:2").ok());
   ks::Result<std::vector<UndoReport>> failed = core.UndoAll();
   EXPECT_FALSE(failed.ok());
   EXPECT_EQ(core.AppliedIds(), (std::vector<std::string>{"all-1", "all-2"}));

@@ -599,6 +599,83 @@ TEST(MachineTest, ModuleWithUnresolvedImportFails) {
   EXPECT_FALSE(machine->LoadModule(*objects, "bad").ok());
 }
 
+std::vector<kelf::ObjectFile> BuildObjects(const std::string& source) {
+  SourceTree tree;
+  tree.Write("kernel.kc", source);
+  ks::Result<std::vector<kelf::ObjectFile>> objects =
+      kcc::BuildTree(tree, kcc::CompileOptions());
+  EXPECT_TRUE(objects.ok()) << objects.status().ToString();
+  return objects.ok() ? std::move(objects).value()
+                      : std::vector<kelf::ObjectFile>();
+}
+
+// A section aligned beyond a page is refused before the module takes an
+// arena block. Its layout would otherwise depend on the block's base: here
+// it would reuse a freed one-page block that sits right below a live
+// neighbour, and spill into it.
+TEST(MachineTest, OverAlignedModuleSectionIsRefused) {
+  std::unique_ptr<Machine> machine = BootSource("int kernel_value = 40;\n");
+  ASSERT_NE(machine, nullptr);
+  std::vector<kelf::ObjectFile> first = BuildObjects(
+      "int first_value = 1;\nint first_get(int x) { return x; }\n");
+  std::vector<kelf::ObjectFile> neighbour = BuildObjects(
+      "int next_value = 2;\nint next_get(int x) { return next_value + x; }\n");
+  std::vector<kelf::ObjectFile> wide =
+      BuildObjects("int wide_get(int x) { return x + 3; }\n");
+  ASSERT_FALSE(first.empty() || neighbour.empty() || wide.empty());
+
+  ks::Result<ModuleHandle> first_handle = machine->LoadModule(first, "first");
+  ASSERT_TRUE(first_handle.ok()) << first_handle.status().ToString();
+  ks::Result<ModuleHandle> next_handle =
+      machine->LoadModule(neighbour, "neighbour");
+  ASSERT_TRUE(next_handle.ok()) << next_handle.status().ToString();
+  ks::Result<ModuleInfo> first_info = machine->GetModuleInfo(*first_handle);
+  ks::Result<ModuleInfo> next_info = machine->GetModuleInfo(*next_handle);
+  ASSERT_TRUE(first_info.ok() && next_info.ok());
+  ASSERT_EQ(first_info->base + 0x1000, next_info->base);
+  ks::Result<std::vector<uint8_t>> next_bytes =
+      machine->ReadBytes(next_info->base, next_info->size);
+  ASSERT_TRUE(next_bytes.ok());
+  ASSERT_TRUE(machine->UnloadModule(*first_handle).ok());
+  const uint32_t arena = machine->ModuleArenaBytesInUse();
+
+  wide[0].sections()[0].align = 0x10000;
+  const std::string section = wide[0].sections()[0].name;
+  ks::Result<ModuleHandle> refused = machine->LoadModule(wide, "wide");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), ks::ErrorCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("module wide"), std::string::npos)
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().message().find("'" + section + "'"),
+            std::string::npos)
+      << refused.status().ToString();
+  EXPECT_EQ(machine->ModuleArenaBytesInUse(), arena);
+  EXPECT_EQ(machine->ReadBytes(next_info->base, next_info->size).value(),
+            *next_bytes);
+}
+
+// The loader sizes a module with a layout-only pass and links it once, at
+// its arena block's base.
+TEST(KvmTest, LoadModuleLinksOnce) {
+  std::unique_ptr<Machine> machine = BootSource("int kernel_value = 40;\n");
+  ASSERT_NE(machine, nullptr);
+  std::vector<kelf::ObjectFile> objects = BuildObjects(
+      "extern int kernel_value;\n"
+      "int mod_get(int x) { return kernel_value + x; }\n");
+  ASSERT_FALSE(objects.empty());
+
+  // Any armed site makes the injector count hits at every site.
+  ks::ScopedFaultPlan plan;
+  ASSERT_TRUE(plan.Arm("kvm.test.sentinel=nth:1000000000").ok());
+  for (int load = 0; load < 3; ++load) {
+    const uint64_t before = ks::Faults().Hits("kelf.link");
+    ks::Result<ModuleHandle> handle = machine->LoadModule(objects, "mod");
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    EXPECT_EQ(ks::Faults().Hits("kelf.link"), before + 1) << "load " << load;
+    ASSERT_TRUE(machine->UnloadModule(*handle).ok());
+  }
+}
+
 TEST(MachineTest, StopMachineRunsQuiesced) {
   std::unique_ptr<Machine> machine = BootSource(R"(
 int spin = 1;
@@ -804,23 +881,9 @@ void main(int unused) {
 // ---------------------------------------------------------------------------
 // Boot from a linked image, and the guest memory model.
 
-std::vector<kelf::ObjectFile> BuildObjects(const std::string& source) {
-  SourceTree tree;
-  tree.Write("kernel.kc", source);
-  ks::Result<std::vector<kelf::ObjectFile>> objects =
-      kcc::BuildTree(tree, kcc::CompileOptions());
-  EXPECT_TRUE(objects.ok()) << objects.status().ToString();
-  return objects.ok() ? std::move(objects).value()
-                      : std::vector<kelf::ObjectFile>();
-}
-
 kelf::LinkedImage LinkObjects(const std::vector<kelf::ObjectFile>& objects,
                               uint32_t base) {
-  kelf::Linker linker;
-  for (const kelf::ObjectFile& obj : objects) {
-    linker.AddObject(obj);
-  }
-  ks::Result<kelf::LinkedImage> image = linker.Link(base);
+  ks::Result<kelf::LinkedImage> image = kelf::Link(objects, base);
   EXPECT_TRUE(image.ok()) << image.status().ToString();
   return image.ok() ? std::move(image).value() : kelf::LinkedImage();
 }

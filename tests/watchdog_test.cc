@@ -523,8 +523,10 @@ TEST_F(WatchdogTest, ChaosSeedReproducesWatchdogRun) {
     EXPECT_TRUE(core.Apply(bad).ok());
     EXPECT_TRUE(machine->SpawnNamed("alpha_load", 8).ok());
     ks::Faults().SetSeed(seed);
-    ks::Faults().ArmProbability("ksplice.watchdog.sample", 0.5);
-    ks::Faults().ArmProbability("ksplice.watchdog.revert", 0.5);
+    EXPECT_TRUE(ks::Faults()
+                    .Configure("ksplice.watchdog.sample=prob:0.5,"
+                               "ksplice.watchdog.revert=prob:0.5")
+                    .ok());
     HealthMonitor monitor(&core, FastSoak());
     WatchdogReport report = monitor.Soak();
     ks::Faults().Reset();
@@ -546,6 +548,13 @@ TEST_F(WatchdogTest, ChaosSeedReproducesWatchdogRun) {
     outcome.reverted =
         report.reverts.empty() ? false : report.reverts[0].reverted;
     outcome.applied = core.applied().size();
+    std::printf(
+        "[replay] seed=%llu samples=%llu attributed=%llu reverts=%zu "
+        "attempts=%d reverted=%d applied=%zu\n",
+        static_cast<unsigned long long>(seed),
+        static_cast<unsigned long long>(outcome.samples),
+        static_cast<unsigned long long>(outcome.attributed), outcome.reverts,
+        outcome.attempts, outcome.reverted ? 1 : 0, outcome.applied);
     return outcome;
   };
 
