@@ -10,7 +10,8 @@
 # The fleet test drives wave rollouts at max_in_flight 4 and 8, where
 # worker threads share the fault injector, the metrics registry and each
 # package's read-only PackagePlan (the pre side every node matches
-# against). Fleet nodes also share each release's symbol table read-only:
+# against), and each match holds its node's machine lock for its whole
+# duration while it reads run code in place. Fleet nodes also share each release's symbol table read-only:
 # every node booted from a release looks kernel symbols up in one
 # immutable table, and only its own module overlay is written. The corpus
 # test boots machines from the per-release linked image and symbol table

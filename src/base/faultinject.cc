@@ -280,7 +280,8 @@ const std::vector<std::string>& KnownFaultSites() {
       "kvm.load_blob",      // helper image accounting allocation
       "kvm.unload_module",  // single module unload
       "kvm.unload_group",   // transaction group unload
-      "kvm.read_bytes",     // host reads (saving bytes under a trampoline)
+      "kvm.read_bytes",     // host reads: bytes saved under a trampoline,
+                            // and one in-place view per run-pre candidate
       "kvm.write_bytes",    // host writes (splicing a trampoline)
       "kvm.write_word",     // host word pokes
       "kvm.stop_machine",   // rendezvous entry

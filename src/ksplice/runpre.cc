@@ -57,18 +57,51 @@ void DecodePre(PlannedSection& section) {
   section.boundary.emplace_back(section.end, section.recs.size());
 }
 
-// Lazily-decoded run code at one candidate address. Bytes are fetched from
-// the machine in growing chunks — the run rendering of a function can be
-// arbitrarily longer than the pre section (alignment padding), so there is
-// no fixed window slack to outgrow — and decoded into non-nop records on
-// demand. One stream per candidate address is shared by every section and
-// fixpoint pass of a MatchUnit.
+// Plans the byte path of a decoded text section: comparable unless it
+// failed to decode, a relocation is not at a record's imm32/rel32 field, or
+// a branch without one targets anything but a record start.
+void PlanBytePath(PlannedSection& section) {
+  bool comparable = !section.decode_error;
+  for (const CodeRec& rec : section.recs) {
+    section.code_nops += rec.pos - section.code_end;
+    section.code_end = rec.pos + rec.insn.len;
+    int field = kvx::Imm32FieldOffset(rec.insn.op);
+    uint32_t at = rec.pos + static_cast<uint32_t>(field);
+    auto it = field >= 0 ? section.reloc_at.find(at) : section.reloc_at.end();
+    if (it != section.reloc_at.end()) {
+      section.fields.push_back({at, rec.pos, section.code_end,
+                                section.code_nops, it->second});
+    } else if (kvx::IsPcRelative(rec.insn.op)) {
+      uint32_t target =
+          section.code_end + static_cast<uint32_t>(rec.insn.rel);
+      auto hit = std::lower_bound(
+          section.recs.begin(), section.recs.end(), target,
+          [](const CodeRec& other, uint32_t pos) { return other.pos < pos; });
+      comparable =
+          comparable && hit != section.recs.end() && hit->pos == target;
+    }
+  }
+  section.byte_comparable =
+      comparable && section.fields.size() == section.reloc_at.size();
+}
+
+// Run code at one candidate address, read in place from the anchor to the
+// end of memory while MatchUnit holds its view, and decoded into non-nop
+// records on demand. One stream per candidate address is shared by every
+// section and fixpoint pass of a MatchUnit.
 class RunStream {
  public:
-  RunStream(const kvm::Machine& machine, uint32_t start)
-      : machine_(machine),
-        start_(start),
-        mem_end_(machine.config().memory_bytes) {}
+  RunStream(const kvm::Machine::MemoryView& memory, uint32_t start,
+            uint64_t mem_end) {
+    if (start >= mem_end) {
+      state_ = Pull::kOutOfRange;
+    } else if (ks::Result<std::span<const uint8_t>> code = memory.From(start);
+               code.ok()) {
+      code_ = *code;
+    } else {
+      state_ = Pull::kUnreadable;
+    }
+  }
 
   enum class Pull {
     kRec,         // *rec filled
@@ -92,43 +125,31 @@ class RunStream {
     return state_;
   }
 
-  // The contiguous run bytes decoded so far, for branch-target
-  // nop-normalization. Only the first `len` bytes are exposed; `len` must
-  // not exceed consumed().
-  std::span<const uint8_t> Window(uint64_t len) const {
-    return std::span<const uint8_t>(bytes_).first(static_cast<size_t>(len));
+  // The run code from the anchor on; empty if out of range or unreadable.
+  std::span<const uint8_t> code() const { return code_; }
+
+  // Charges a decode of the first `end` bytes, `nops` of them no-ops.
+  void Claim(uint64_t end, uint64_t nops) {
+    if (end > claimed_end_) {
+      claimed_end_ = end;
+      claimed_nops_ = nops;
+    }
   }
 
-  uint32_t start() const { return start_; }
-  uint64_t consumed() const { return decode_pos_; }    // bytes decoded
-  uint64_t nops_skipped() const { return nops_skipped_; }
+  // Bytes decoded (or claimed), and the nop bytes among them.
+  uint64_t consumed() const { return std::max(decode_pos_, claimed_end_); }
+  uint64_t nops_skipped() const {
+    return decode_pos_ >= claimed_end_ ? nops_skipped_ : claimed_nops_;
+  }
 
  private:
   void DecodeNext() {
-    // Keep >= one max-length instruction of lookahead unless memory ends.
-    uint64_t want = decode_pos_ + 16;
-    while (bytes_.size() < want && start_ + bytes_.size() < mem_end_) {
-      uint64_t grow = std::max<uint64_t>(256, bytes_.size());
-      grow = std::min(grow, mem_end_ - start_ - bytes_.size());
-      if (start_ >= mem_end_) {
-        break;
-      }
-      ks::Result<std::vector<uint8_t>> chunk = machine_.ReadBytes(
-          static_cast<uint32_t>(start_ + bytes_.size()),
-          static_cast<uint32_t>(grow));
-      if (!chunk.ok()) {
-        state_ = bytes_.empty() ? Pull::kUnreadable : Pull::kEndOfCode;
-        return;
-      }
-      bytes_.insert(bytes_.end(), chunk->begin(), chunk->end());
-    }
-    if (decode_pos_ >= bytes_.size()) {
-      state_ = start_ >= mem_end_ ? Pull::kOutOfRange : Pull::kEndOfCode;
+    if (decode_pos_ >= code_.size()) {
+      state_ = Pull::kEndOfCode;
       return;
     }
-    ks::Result<kvx::Insn> insn = kvx::Decode(
-        std::span<const uint8_t>(bytes_).subspan(
-            static_cast<size_t>(decode_pos_)));
+    ks::Result<kvx::Insn> insn =
+        kvx::Decode(code_.subspan(static_cast<size_t>(decode_pos_)));
     if (!insn.ok()) {
       state_ = Pull::kBadDecode;
       return;
@@ -145,16 +166,14 @@ class RunStream {
     decode_pos_ += insn->len;
   }
 
-  const kvm::Machine& machine_;
-  const uint32_t start_;
-  const uint64_t mem_end_;
-
-  std::vector<uint8_t> bytes_;  // fetched image bytes from start_
+  std::span<const uint8_t> code_;
   std::vector<CodeRec> recs_;
   std::vector<uint64_t> nops_before_;
   uint64_t decode_pos_ = 0;
   uint64_t nop_accum_ = 0;
   uint64_t nops_skipped_ = 0;
+  uint64_t claimed_end_ = 0;
+  uint64_t claimed_nops_ = 0;
   Pull state_ = Pull::kRec;  // kRec = decoding can continue
 };
 
@@ -278,20 +297,60 @@ ks::Status RecoverSymbol(const MatchPlan& plan, const SlotSymbols& symbols,
   return ks::OkStatus();
 }
 
+// The byte path: if the run code equals the pre code outside the
+// relocation fields, inverts the fields and decides as the walk would,
+// charging `run` what it would have decoded; else nullopt.
+std::optional<ks::Result<LocalMatch>> CompareBytes(
+    const MatchPlan& plan, const PlannedSection& predec, uint32_t run_start,
+    RunStream& run, const SlotSymbols& symbols, const Valuation& committed,
+    MatchStats& stats) {
+  const uint8_t* pre = predec.section->bytes.data();
+  const uint8_t* code = run.code().data();
+  uint32_t from = 0;
+  for (size_t i = 0; i <= predec.fields.size(); ++i) {
+    uint32_t to =
+        i < predec.fields.size() ? predec.fields[i].at : predec.code_end;
+    if (run.code().size() < predec.code_end ||
+        !std::equal(pre + from, pre + to, code + from)) {
+      return std::nullopt;
+    }
+    from = to + 4;
+  }
+  LocalMatch local;
+  for (const PlannedSection::Field& field : predec.fields) {
+    ks::Status recovered = RecoverSymbol(
+        plan, symbols, field.site, ks::ReadLe32(code + field.at),
+        run_start + field.at, field.rec_pos, "", committed, local, stats);
+    if (!recovered.ok()) {
+      run.Claim(field.rec_end, field.nops_before);
+      return ks::Aborted(MismatchMessage(*plan.object, *predec.section,
+                                         field.rec_pos, run_start,
+                                         recovered.message()));
+    }
+  }
+  run.Claim(predec.code_end, predec.code_nops);
+  local.run_size = predec.code_end;
+  return local;
+}
+
 // Verifies one (section, candidate) pair by walking pre and run
-// instruction records in step. `predec` carries the pre decode and
-// relocation index; `run` the (lazily extended) run decode. `committed` is
-// the valuation accumulated so far (a conflicting recovery fails the
-// match). When `walk_acct` is
-// set (the linear oracle) the walk charges pre_bytes_walked /
-// nop_bytes_skipped exactly as the byte-by-byte matcher did: bytes up to
-// the mismatch point, per attempt. Relocation inversions always charge
-// into `stats`.
+// instruction records in step, after trying the byte path unless
+// `walk_acct` is set (the linear oracle, whose walk charges pre_bytes_walked
+// and nop_bytes_skipped up to the mismatch point, per attempt). `predec`
+// carries the pre decode and relocation index; `run` the run code.
+// `committed` is the valuation accumulated so far (a conflicting recovery
+// fails the match). Relocation inversions always charge into `stats`.
 ks::Result<LocalMatch> VerifyCandidate(
     const MatchPlan& plan, const PlannedSection& predec, uint32_t run_start,
     RunStream& run, const SlotSymbols& symbols, const Valuation& committed,
     MatchStats& stats, bool walk_acct) {
   stats.candidates_tried += 1;
+  if (!walk_acct && predec.byte_comparable) {
+    if (auto decided = CompareBytes(plan, predec, run_start, run, symbols,
+                                    committed, stats)) {
+      return *std::move(decided);
+    }
+  }
   auto mismatch = [&](uint32_t pre_pos, const std::string& why) {
     return ks::Aborted(MismatchMessage(*plan.object, *predec.section,
                                        pre_pos, run_start, why));
@@ -484,7 +543,7 @@ ks::Result<LocalMatch> VerifyCandidate(
     uint64_t expect =
         k < npre ? run_rec_addr(k)
                  : static_cast<uint64_t>(run_start) + last_run_end;
-    uint64_t got = NormalizeBranchTarget(run.Window(last_run_end),
+    uint64_t got = NormalizeBranchTarget(run.code().first(last_run_end),
                                          run_start, check.run_target);
     if (expect != got) {
       return mismatch(check.at, "branch target does not correspond");
@@ -508,10 +567,10 @@ ks::Result<LocalMatch> VerifyCandidate(
 //    and recovers the symbol value, a word without one must be identical.
 //    Failures name the entry index.
 //
-// Reads run bytes through the machine directly (no RunStream), so the
+// Reads run bytes in place but not through a RunStream, so the
 // decode-once path and the linear oracle take the identical path here.
 ks::Result<LocalMatch> VerifyTableCandidate(
-    const kvm::Machine& machine, const MatchPlan& plan,
+    const kvm::Machine::MemoryView& memory, const MatchPlan& plan,
     const PlannedSection& planned, uint32_t run_start,
     const SlotSymbols& symbols, const Valuation& committed,
     MatchStats& stats) {
@@ -523,9 +582,8 @@ ks::Result<LocalMatch> VerifyTableCandidate(
   };
 
   const uint32_t size = static_cast<uint32_t>(section.bytes.size());
-  ks::Result<std::vector<uint8_t>> run_bytes =
-      machine.ReadBytes(run_start, size);
-  if (!run_bytes.ok()) {
+  ks::Result<std::span<const uint8_t>> run_bytes = memory.From(run_start);
+  if (!run_bytes.ok() || run_bytes->size() < size) {
     return mismatch(0, "candidate address unreadable");
   }
 
@@ -534,7 +592,7 @@ ks::Result<LocalMatch> VerifyTableCandidate(
 
   if (section.howto == kelf::Howto::kDate ||
       section.howto == kelf::Howto::kTime) {
-    if (run_bytes->empty() || run_bytes->back() != 0) {
+    if (size == 0 || (*run_bytes)[size - 1] != 0) {
       return mismatch(size == 0 ? 0 : size - 1,
                       "build timestamp string is not NUL-terminated");
     }
@@ -678,6 +736,7 @@ ks::Result<MatchPlan> MatchPlan::Build(const kelf::ObjectFile& pre,
     }
     if (!howto_table) {
       DecodePre(planned);
+      PlanBytePath(planned);
       decoded += planned.end;
     }
   }
@@ -731,6 +790,9 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
     bool ok = false;
     ~Publisher() { PublishMatchStats(tally, ok); }
   } publisher{tally};
+  // The machine lock, held for the whole match: run code is read in place.
+  const kvm::Machine::MemoryView memory(machine_);
+  const uint64_t mem_end = machine_.config().memory_bytes;
 
   UnitMatch match;
   match.unit = pre.source_name();
@@ -787,18 +849,19 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
   auto verify = [&](const PendingSection& entry, uint32_t candidate) {
     const PlannedSection& section = *entry.plan;
     if (section.howto != kelf::Howto::kNone) {
-      return VerifyTableCandidate(machine_, plan, section, candidate, symbols,
+      return VerifyTableCandidate(memory, plan, section, candidate, symbols,
                                   values, tally);
     }
     if (options_.decode_once) {
       RunStream& stream =
-          streams.try_emplace(candidate, machine_, candidate).first->second;
+          streams.try_emplace(candidate, memory, candidate, mem_end)
+              .first->second;
       return VerifyCandidate(plan, section, candidate, stream, symbols,
                              values, tally, /*walk_acct=*/false);
     }
     PlannedSection fresh = section;
     DecodePre(fresh);
-    RunStream stream(machine_, candidate);
+    RunStream stream(memory, candidate, mem_end);
     return VerifyCandidate(plan, fresh, candidate, stream, symbols, values,
                            tally, /*walk_acct=*/true);
   };

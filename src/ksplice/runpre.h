@@ -18,10 +18,9 @@
 // ksplice_symbol of the original), and its relocation sites carry slots:
 // a match values symbols by slot and looks up each slot's kallsyms
 // entries once, so names come back only in UnitMatch and error text.
-// The run side is never planned: the run code at each candidate address is
-// decoded lazily, per MatchUnit call, into one stream shared by every
-// section and fixpoint pass, because run-pre's safety rests on reading the
-// live bytes (§4.3).
+// The run side is never planned: MatchUnit reads the live run code in place
+// (§4.3), compares it byte by byte, and decodes it only where bytes differ,
+// lazily, into one stream per candidate shared by every section and pass.
 //
 // Candidates of a section are the same-named kallsyms symbols (or a
 // committed or redirected address); a section whose symbol name is
@@ -35,8 +34,8 @@
 //
 // MatcherOptions::decode_once = false selects the linear oracle that tests
 // compare against: every attempt decodes its pre section and run code
-// afresh. Decisions, recovered valuations and failure messages are
-// byte-identical in both modes.
+// afresh and walks them, bytes equal or not. Decisions, recovered
+// valuations and failure messages are byte-identical in both modes.
 
 #ifndef KSPLICE_KSPLICE_RUNPRE_H_
 #define KSPLICE_KSPLICE_RUNPRE_H_
@@ -114,6 +113,16 @@ struct PlannedSection {
   std::vector<std::pair<uint32_t, size_t>> boundary;
   uint32_t end = 0;           // bytes consumed by the decode walk
   bool decode_error = false;  // decoding failed at offset `end`
+  // Text sections only: the byte path (§4). When set, run bytes equal to
+  // the pre bytes over [0, code_end) outside `fields` provably pass the walk.
+  bool byte_comparable = false;
+  struct Field {  // a relocation field, its record and the nops before it
+    uint32_t at = 0, rec_pos = 0, rec_end = 0, nops_before = 0;
+    PlannedReloc site;
+  };
+  std::vector<Field> fields;  // walk order
+  uint32_t code_end = 0;      // end of the last record
+  uint32_t code_nops = 0;     // nop bytes before code_end
 };
 
 // The pre side of one helper unit, decoded once. Borrows `object`, which
@@ -150,10 +159,10 @@ struct PackagePlan {
 
 // Matching knobs.
 struct MatcherOptions {
-  // Decode each pre section once and share one run stream per candidate
-  // address across sections and passes. Off = the linear oracle: every
-  // attempt decodes and walks its own copies (same decisions, charging
-  // pre_bytes_walked per attempt). Only tests turn it off.
+  // Decode each pre section once, compare bytes before walking, and share
+  // one run stream per candidate address across sections and passes. Off =
+  // the linear oracle: every attempt decodes and walks its own copies
+  // (same decisions, charging pre_bytes_walked per attempt). Tests only.
   bool decode_once = true;
 };
 
@@ -176,12 +185,12 @@ class RunPreMatcher {
         redirect_(std::move(redirect)),
         options_(options) {}
 
-  // Matches every section of `plan` against the run image. When `stats`
-  // is non-null it is filled with this call's matching statistics
-  // (populated on failure too, up to the point of the abort): run-side
-  // work only, since the plan's decode was charged when it was built. The
-  // same numbers are aggregated into the global metrics registry under the
-  // "runpre." prefix either way.
+  // Matches every section of `plan` against the run image, holding the
+  // machine lock throughout (the redirect runs under it). When `stats` is
+  // non-null it is filled with this call's matching statistics (populated
+  // on failure too, up to the point of the abort): run-side work only,
+  // since the plan's decode was charged when it was built. The same
+  // numbers go to the metrics registry under the "runpre." prefix either way.
   ks::Result<UnitMatch> MatchUnit(const MatchPlan& plan,
                                   MatchStats* stats = nullptr) const;
   // Builds a plan for `pre` and matches it; `stats` then also carries the

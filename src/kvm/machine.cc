@@ -259,6 +259,17 @@ ks::Result<std::vector<uint8_t>> Machine::ReadBytes(uint32_t addr,
                               memory_.data() + addr + size);
 }
 
+ks::Result<std::span<const uint8_t>> Machine::MemoryView::From(
+    uint32_t addr) const {
+  KS_FAULT_POINT("kvm.read_bytes");
+  if (!machine_.InBounds(addr, 1)) {
+    return ks::InvalidArgument(
+        ks::StrPrintf("bad read at %s", ks::Hex32(addr).c_str()));
+  }
+  return std::span<const uint8_t>(machine_.memory_.data() + addr,
+                                  machine_.memory_.size() - addr);
+}
+
 ks::Status Machine::WriteBytes(uint32_t addr,
                                const std::vector<uint8_t>& bytes) {
   KS_FAULT_POINT("kvm.write_bytes");

@@ -218,6 +218,20 @@ class Machine {
   ks::Result<std::vector<uint8_t>> ReadBytes(uint32_t addr,
                                              uint32_t size) const;
   ks::Status WriteBytes(uint32_t addr, const std::vector<uint8_t>& bytes);
+  // In-place reads for a host reader that makes many: a view holds the
+  // machine lock while it lives, and no span it returns may outlive it.
+  class MemoryView {
+   public:
+    explicit MemoryView(const Machine& machine)
+        : machine_(machine), lock_(machine.mu_) {}
+    // Memory from `addr` to the end of the image, without a copy; checked
+    // like ReadBytes, its fault point included.
+    ks::Result<std::span<const uint8_t>> From(uint32_t addr) const;
+
+   private:
+    const Machine& machine_;
+    std::unique_lock<std::recursive_mutex> lock_;
+  };
 
   // Symbols ----------------------------------------------------------------
   // The kallsyms table: kernel symbols, then those of loaded modules in

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "base/hash.h"
@@ -384,6 +385,107 @@ TEST_P(TamperSweep, CorruptedRunCodeAbortsApply) {
   ASSERT_FALSE(applied.ok()) << vuln.cve;
   EXPECT_EQ(applied.status().code(), ks::ErrorCode::kAborted);
   EXPECT_TRUE(core.applied().empty());
+}
+
+// The bytes run-pre does not compare are still verified: corrupt one byte
+// inside the first relocation field of the first target's section, where
+// matching recovers a symbol value instead of comparing bytes. A leaf
+// target has no relocation, so the first target section that has one is
+// taken, else the first helper text section that has one; a package whose
+// helper code has none skips. Apply must abort and leave the registry
+// empty and the kernel image byte-identical.
+TEST_P(TamperSweep, CorruptedRelocationFieldAbortsApply) {
+  const Vulnerability& vuln =
+      Vulnerabilities()[static_cast<size_t>(GetParam())];
+  SCOPED_TRACE(vuln.cve);
+  ks::Result<std::string> patch =
+      vuln.needs_custom_code ? AmendedPatchFor(vuln) : PatchFor(vuln);
+  ASSERT_TRUE(patch.ok());
+  ksplice::CreateOptions options;
+  options.compile = RunBuildOptions();
+  options.id = vuln.cve;
+  ks::Result<ksplice::CreateResult> created =
+      ksplice::CreateUpdate(KernelSource(), *patch, options);
+  if (!created.ok() || created->package.targets.empty()) {
+    GTEST_SKIP() << "no splice targets (hook-only update)";
+  }
+  ks::Result<std::unique_ptr<kvm::Machine>> machine = BootKernel();
+  ASSERT_TRUE(machine.ok());
+
+  // Candidate sections in order of preference, with their unit and
+  // defining symbol.
+  struct Site {
+    std::string unit;
+    std::string symbol;
+    const kelf::Section* section;
+  };
+  std::vector<Site> sites;
+  for (const ksplice::Target& target : created->package.targets) {
+    for (const kelf::ObjectFile& helper : created->package.helper_objects) {
+      const kelf::Section* section = helper.SectionByName(target.section);
+      if (helper.source_name() == target.unit && section != nullptr) {
+        sites.push_back({target.unit, target.symbol, section});
+      }
+    }
+  }
+  for (const kelf::ObjectFile& helper : created->package.helper_objects) {
+    for (size_t i = 0; i < helper.sections().size(); ++i) {
+      std::optional<int> def =
+          helper.DefiningSymbolForSection(static_cast<int>(i));
+      if (helper.sections()[i].kind == kelf::SectionKind::kText &&
+          def.has_value()) {
+        sites.push_back({helper.source_name(),
+                         helper.symbols()[static_cast<size_t>(*def)].name,
+                         &helper.sections()[i]});
+      }
+    }
+  }
+  auto site = std::find_if(sites.begin(), sites.end(), [](const Site& s) {
+    return !s.section->relocs.empty();
+  });
+  if (site == sites.end()) {
+    GTEST_SKIP() << "no relocation field in the helper code";
+  }
+  const kelf::Section* section = site->section;
+  uint32_t field = section->relocs[0].offset;
+  for (const kelf::Relocation& rel : section->relocs) {
+    field = std::min(field, rel.offset);
+  }
+  uint32_t addr = 0;
+  for (const kelf::LinkedSymbol& sym :
+       (*machine)->SymbolsNamed(site->symbol)) {
+    if (sym.unit == site->unit) {
+      addr = sym.address;
+    }
+  }
+  ASSERT_NE(addr, 0u) << site->symbol;
+  // The run code before the field is the pre code, so the field sits at
+  // the same offset in both.
+  ks::Result<std::vector<uint8_t>> before = (*machine)->ReadBytes(addr, field);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(std::equal(before->begin(), before->end(),
+                         section->bytes.begin()));
+  uint32_t corrupt = addr + field + static_cast<uint32_t>(GetParam() % 4);
+  ASSERT_TRUE((*machine)
+                  ->WriteByte(corrupt, static_cast<uint8_t>(
+                                           *(*machine)->ReadByte(corrupt) ^
+                                           0x3c))
+                  .ok());
+  const uint32_t base = (*machine)->config().kernel_base;
+  const uint32_t image_bytes = (*machine)->kernel_end() - base;
+  ks::Result<std::vector<uint8_t>> image =
+      (*machine)->ReadBytes(base, image_bytes);
+  ASSERT_TRUE(image.ok());
+
+  ksplice::KspliceCore core(machine->get());
+  ks::Result<ksplice::ApplyReport> applied = core.Apply(created->package);
+  ASSERT_FALSE(applied.ok()) << vuln.cve;
+  EXPECT_EQ(applied.status().code(), ks::ErrorCode::kAborted);
+  EXPECT_TRUE(core.applied().empty());
+  ks::Result<std::vector<uint8_t>> after =
+      (*machine)->ReadBytes(base, image_bytes);
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(*after == *image) << "apply changed the kernel image";
 }
 
 INSTANTIATE_TEST_SUITE_P(All64, TamperSweep, ::testing::Range(0, 64));

@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "base/strings.h"
 #include "kcc/compile.h"
 #include "kdiff/diff.h"
 #include "ksplice/runpre.h"
 #include "kvm/machine.h"
 #include "kvx/asm.h"
+#include "kvx/isa.h"
 
 namespace ksplice {
 namespace {
@@ -441,6 +444,320 @@ bail_out:
       setup.machine->SymbolsNamed("skew_fn")[0].address, 0);
   ASSERT_TRUE(r0.ok()) << r0.status().ToString();
   EXPECT_EQ(*r0, 2u);
+}
+
+// ------------------------------------------------------------------
+// The byte path: a byte-comparable section whose run bytes equal its pre
+// bytes outside the relocation fields is verified without the decode
+// walk. Every case checks the production matcher against the linear
+// oracle, which always walks.
+
+// Matches `pre` both ways and expects the same decision, valuation,
+// sections and refusal text. Returns the production result.
+ks::Result<UnitMatch> MatchAgreesWithOracle(const kvm::Machine& machine,
+                                            const kelf::ObjectFile& pre) {
+  RunPreMatcher matcher(machine);
+  RunPreMatcher linear(machine, nullptr, {.decode_once = false});
+  ks::Result<UnitMatch> got = matcher.MatchUnit(pre);
+  ks::Result<UnitMatch> want = linear.MatchUnit(pre);
+  EXPECT_EQ(got.ok(), want.ok());
+  if (got.ok() && want.ok()) {
+    EXPECT_EQ(got->symbol_values, want->symbol_values);
+    EXPECT_EQ(got->sections.size(), want->sections.size());
+    for (const auto& [name, section] : got->sections) {
+      auto it = want->sections.find(name);
+      if (it == want->sections.end()) {
+        ADD_FAILURE() << "the oracle matched no " << name;
+        continue;
+      }
+      EXPECT_EQ(section.symbol, it->second.symbol) << name;
+      EXPECT_EQ(section.run_address, it->second.run_address) << name;
+      EXPECT_EQ(section.run_size, it->second.run_size) << name;
+    }
+  } else if (!got.ok() && !want.ok()) {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+  }
+  return got;
+}
+
+// The plan of `pre`'s section `name`.
+PlannedSection PlannedByName(const kelf::ObjectFile& pre,
+                             const std::string& name) {
+  ks::Result<MatchPlan> plan = MatchPlan::Build(pre);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  if (plan.ok()) {
+    for (const PlannedSection& section : plan->sections) {
+      if (section.section->name == name) {
+        return section;
+      }
+    }
+  }
+  ADD_FAILURE() << "no planned section " << name;
+  return PlannedSection{};
+}
+
+uint32_t AddressOf(const kvm::Machine& machine, const std::string& name) {
+  std::vector<kelf::LinkedSymbol> syms = machine.SymbolsNamed(name);
+  EXPECT_EQ(syms.size(), 1u) << name;
+  return syms.empty() ? 0 : syms[0].address;
+}
+
+void FlipByte(kvm::Machine& machine, uint32_t addr, uint8_t mask) {
+  ks::Result<uint8_t> byte = machine.ReadByte(addr);
+  ASSERT_TRUE(byte.ok());
+  ASSERT_TRUE(
+      machine.WriteByte(addr, static_cast<uint8_t>(*byte ^ mask)).ok());
+}
+
+// A unit with absolute and pc-relative relocations, an unrelocated imm32
+// and an internal branch.
+constexpr char kByteUnit[] = R"(
+int counter = 5;
+int bump(int d) {
+  counter = counter + d;
+  return counter;
+}
+int scaled(int x) {
+  int total = 0;
+  while (x > 0) {
+    total = total + bump(x) + 100000;
+    x = x - 1;
+  }
+  return total;
+}
+)";
+
+TEST(RunPreBytePath, IdenticalRunBytesMatchWithoutTheWalk) {
+  SourceTree tree;
+  tree.Write("m.kc", kByteUnit);
+  MatchSetup setup = MakeSetup(tree, "m.kc");
+  ASSERT_NE(setup.machine, nullptr);
+  for (const char* name : {".text.bump", ".text.scaled"}) {
+    PlannedSection planned = PlannedByName(setup.pre, name);
+    EXPECT_TRUE(planned.byte_comparable) << name;
+    EXPECT_EQ(planned.fields.size(), planned.reloc_at.size()) << name;
+    EXPECT_FALSE(planned.fields.empty()) << name;
+  }
+  ks::Result<UnitMatch> match = MatchAgreesWithOracle(*setup.machine,
+                                                      setup.pre);
+  ASSERT_TRUE(match.ok()) << match.status().ToString();
+  EXPECT_EQ(match->symbol_values["counter"],
+            AddressOf(*setup.machine, "counter"));
+  EXPECT_EQ(match->symbol_values["bump"], AddressOf(*setup.machine, "bump"));
+}
+
+TEST(RunPreBytePath, FlippedByteOutsideRelocationFieldsIsRefusedAsTheWalkDoes) {
+  SourceTree tree;
+  tree.Write("m.kc", kByteUnit);
+  PlannedSection planned;
+  {
+    MatchSetup setup = MakeSetup(tree, "m.kc");
+    ASSERT_NE(setup.machine, nullptr);
+    planned = PlannedByName(setup.pre, ".text.scaled");
+    ASSERT_TRUE(planned.byte_comparable);
+  }
+  // One record of each kind: any opcode, a register operand, an imm32 no
+  // relocation covers, and the last opcode (past every relocation field).
+  std::optional<uint32_t> opcode, reg, imm;
+  for (const PlannedSection::Rec& rec : planned.recs) {
+    const kvx::OpInfo& info = kvx::GetOpInfo(rec.insn.op);
+    opcode = opcode.value_or(rec.pos);
+    if (info.has_reg1 && !reg.has_value()) {
+      reg = rec.pos + 1;
+    }
+    if (info.has_imm32 && !imm.has_value() &&
+        !planned.reloc_at.count(rec.pos + 2)) {
+      imm = rec.pos + 3;
+    }
+  }
+  ASSERT_TRUE(opcode.has_value() && reg.has_value() && imm.has_value());
+  ASSERT_GT(planned.recs.back().pos, planned.fields.back().at);
+  for (uint32_t offset : {*opcode, *reg, *imm, planned.recs.back().pos}) {
+    SCOPED_TRACE("offset " + std::to_string(offset));
+    MatchSetup setup = MakeSetup(tree, "m.kc");
+    ASSERT_NE(setup.machine, nullptr);
+    FlipByte(*setup.machine, AddressOf(*setup.machine, "scaled") + offset,
+             0x01);
+    ks::Result<UnitMatch> match = MatchAgreesWithOracle(*setup.machine,
+                                                        setup.pre);
+    ASSERT_FALSE(match.ok());
+    EXPECT_EQ(match.status().code(), ks::ErrorCode::kAborted);
+  }
+}
+
+TEST(RunPreBytePath, RelocationFieldMatchingNoSymbolIsRefused) {
+  SourceTree tree;
+  tree.Write("m.kc", kByteUnit);
+  MatchSetup setup = MakeSetup(tree, "m.kc");
+  ASSERT_NE(setup.machine, nullptr);
+  PlannedSection planned = PlannedByName(setup.pre, ".text.bump");
+  ASSERT_TRUE(planned.byte_comparable);
+  ASSERT_FALSE(planned.fields.empty());
+  // The bytes equal the pre code everywhere else, so the byte path
+  // decides: it must refuse at the field as the walk does.
+  FlipByte(*setup.machine,
+           AddressOf(*setup.machine, "bump") + planned.fields[0].at + 1,
+           0x40);
+  ks::Result<UnitMatch> match = MatchAgreesWithOracle(*setup.machine,
+                                                      setup.pre);
+  ASSERT_FALSE(match.ok());
+  EXPECT_NE(match.status().message().find("matches no symbol of that name"),
+            std::string::npos)
+      << match.status().ToString();
+  EXPECT_NE(match.status().message().find(
+                ks::StrPrintf("at pre offset %u", planned.fields[0].rec_pos)),
+            std::string::npos)
+      << match.status().ToString();
+}
+
+TEST(RunPreBytePath, RefusedCandidateIsChargedAsTheWalkChargesIt) {
+  // Two byte-identical static `pick`s. Corrupting the relocation field of
+  // b.kc's copy refuses that candidate, and a.kc's copy matches. With
+  // only the field corrupted the byte path refuses it; with its last byte
+  // flipped too the walk refuses it, at the same record. Both runs must
+  // report the same statistics.
+  SourceTree tree;
+  tree.Write("a.kc", R"(
+int shared = 3;
+static int pick(int x) {
+  return x + shared;
+}
+int entry_a(int x) {
+  return pick(x) + 1;
+}
+)");
+  tree.Write("b.kc", R"(
+extern int shared;
+static int pick(int x) {
+  return x + shared;
+}
+int entry_b(int x) {
+  return pick(x) + 2;
+}
+)");
+  auto stats_with = [&](bool flip_last) -> std::string {
+    MatchSetup setup = MakeSetup(tree, "a.kc", /*inline_threshold=*/0);
+    if (setup.machine == nullptr) {
+      return "";
+    }
+    PlannedSection planned = PlannedByName(setup.pre, ".text.pick");
+    EXPECT_TRUE(planned.byte_comparable);
+    EXPECT_EQ(planned.fields.size(), 1u);
+    uint32_t b_pick = 0;
+    for (const kelf::LinkedSymbol& sym : setup.machine->SymbolsNamed("pick")) {
+      if (sym.unit == "b.kc") {
+        b_pick = sym.address;
+      }
+    }
+    EXPECT_NE(b_pick, 0u);
+    if (planned.fields.empty() || b_pick == 0) {
+      return "";
+    }
+    FlipByte(*setup.machine, b_pick + planned.fields[0].at + 3, 0x40);
+    if (flip_last) {
+      FlipByte(*setup.machine, b_pick + planned.recs.back().pos, 0x01);
+    }
+    MatchStats stats;
+    ks::Result<UnitMatch> match =
+        RunPreMatcher(*setup.machine).MatchUnit(setup.pre, &stats);
+    EXPECT_TRUE(match.ok()) << match.status().ToString();
+    return stats.ToJson();
+  };
+  std::string byte_path = stats_with(false);
+  EXPECT_FALSE(byte_path.empty());
+  EXPECT_EQ(byte_path, stats_with(true));
+}
+
+TEST(RunPreBytePath, WalkOnlyEquivalencesAreLeftToTheWalk) {
+  // Different nop padding in run and pre code: functions are 8-aligned,
+  // so `padded` starts 8 bytes into the run build's text but at 0 in its
+  // pre section, and `.align 16` pads it with 2 bytes in run and 10 in
+  // pre. And a cross-function jump that is
+  // rel8 in run but rel32 with a relocation in pre. The bytes differ, so
+  // the byte path declines, and the walk accepts both (§4.3).
+  SourceTree tree;
+  tree.Write("w.kvs", R"(
+.text
+.global lead
+lead:
+    mov r0, 1
+    ret
+.global padded
+padded:
+    mov r1, 3
+.align 16
+.loop:
+    sub r1, 1
+    jnz .loop
+    ret
+.global hop
+hop:
+    cmp r0, 0
+    jnz .stay
+    jmp lead      ; rel8 in run, rel32+reloc in pre
+.stay:
+    ret
+)");
+  MatchSetup setup = MakeSetup(tree, "w.kvs");
+  ASSERT_NE(setup.machine, nullptr);
+  for (const char* name : {".text.padded", ".text.hop"}) {
+    EXPECT_TRUE(PlannedByName(setup.pre, name).byte_comparable) << name;
+  }
+  uint32_t padded = AddressOf(*setup.machine, "padded");
+  ks::Result<std::vector<uint8_t>> run = setup.machine->ReadBytes(padded, 8);
+  ASSERT_TRUE(run.ok());
+  const kelf::Section* pre_padded = setup.pre.SectionByName(".text.padded");
+  ASSERT_NE(pre_padded, nullptr);
+  ASSERT_NE(std::vector<uint8_t>(pre_padded->bytes.begin(),
+                                 pre_padded->bytes.begin() + 8),
+            *run)
+      << "the padding must differ";
+  ks::Result<UnitMatch> match = MatchAgreesWithOracle(*setup.machine,
+                                                      setup.pre);
+  ASSERT_TRUE(match.ok()) << match.status().ToString();
+  EXPECT_EQ(match->symbol_values["lead"], AddressOf(*setup.machine, "lead"));
+  EXPECT_EQ(match->sections[".text.padded"].run_address, padded);
+}
+
+TEST(RunPreBytePath, IneligibleSectionsStayOnTheWalk) {
+  // tail_fn branches to the second of two trailing nops. The walk's
+  // nop-normalization refuses that target even when run and pre bytes
+  // are identical, so the plan must keep the section off the byte path.
+  // word_fn carries a relocation that is no instruction's imm32/rel32
+  // field (its pre bytes decode as halts), which the walk never inverts.
+  SourceTree tree;
+  tree.Write("t.kvs", R"(
+.text
+.global tail_fn
+tail_fn:
+    cmp r0, 0
+    jnz .pad
+    ret
+    nop
+.pad:
+    nop
+.global word_fn
+word_fn:
+    ret
+    .word after
+.global after
+after:
+    ret
+)");
+  MatchSetup setup = MakeSetup(tree, "t.kvs");
+  ASSERT_NE(setup.machine, nullptr);
+  EXPECT_FALSE(PlannedByName(setup.pre, ".text.tail_fn").byte_comparable);
+  PlannedSection word_fn = PlannedByName(setup.pre, ".text.word_fn");
+  EXPECT_FALSE(word_fn.decode_error);
+  EXPECT_EQ(word_fn.reloc_at.size(), 1u);
+  EXPECT_FALSE(word_fn.byte_comparable);
+  EXPECT_TRUE(PlannedByName(setup.pre, ".text.after").byte_comparable);
+  ks::Result<UnitMatch> match = MatchAgreesWithOracle(*setup.machine,
+                                                      setup.pre);
+  ASSERT_FALSE(match.ok());
+  EXPECT_NE(match.status().message().find("branch target does not correspond"),
+            std::string::npos)
+      << match.status().ToString();
 }
 
 }  // namespace
