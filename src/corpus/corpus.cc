@@ -365,7 +365,7 @@ ks::Result<EvalOutcome> Evaluate(const Vulnerability& vuln,
           for (const kcc::GlobalDecl& global : unit->globals) {
             consider(global.line);
           }
-          extents.push_back(Extent{fn.name, fn.line, fn_end});
+          extents.push_back(Extent{std::string(fn.name), fn.line, fn_end});
         }
         std::set<std::string> changed;
         for (const kdiff::Hunk& hunk : file.hunks) {
@@ -385,12 +385,11 @@ ks::Result<EvalOutcome> Evaluate(const Vulnerability& vuln,
             }
           }
         }
-        kcc::CodegenOptions cg;
-        cg.inline_threshold = RunBuildOptions().inline_threshold;
         ks::Result<kcc::Unit> full_unit =
             kcc::ParseUnit(KernelSource(), file.path);
         ks::Result<std::vector<std::string>> inlined =
-            full_unit.ok() ? kcc::InlinedFunctions(*full_unit, cg)
+            full_unit.ok() ? kcc::InlinedFunctions(*full_unit,
+                                                   RunBuildOptions())
                            : ks::Result<std::vector<std::string>>(
                                  full_unit.status());
         kcc::CompileOptions sec_options = RunBuildOptions();

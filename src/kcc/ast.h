@@ -1,17 +1,22 @@
 // AST for KC, the C subset compiled by kcc.
 //
-// The AST is deliberately plain: tagged structs with owned children. Types
-// are structural except structs, which are referenced by name and resolved
-// against the unit's struct table during code generation (this permits
-// self-referential structs through pointers).
+// A Unit owns what its nodes point at: one Storage that never moves holds
+// the preprocessed text, which names are views into, and one arena, which
+// holds every node, list, copied string literal and type. Nodes are
+// trivially destructible, and moving a Unit moves one pointer. Types are
+// interned per unit (TypeTable); structs are referenced by name and laid
+// out by codegen, which permits self-referential structs through pointers.
+// Locals are resolved to slots when the unit is parsed (see FuncDecl).
 
 #ifndef KSPLICE_KCC_AST_H_
 #define KSPLICE_KCC_AST_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <memory_resource>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kcc/lexer.h"
@@ -21,22 +26,15 @@ namespace kcc {
 // ---------------------------------------------------------------------
 // Types
 
-struct Type;
-using TypeRef = std::shared_ptr<const Type>;
-
 struct Type {
-  enum class Kind { kVoid, kInt, kChar, kPointer, kArray, kStruct };
+  enum class Kind : uint8_t { kVoid, kInt, kChar, kPointer, kArray, kStruct };
   Kind kind = Kind::kInt;
-  TypeRef pointee;          // kPointer / kArray element type
-  int array_len = 0;        // kArray
-  std::string struct_name;  // kStruct
-
-  static TypeRef Void();
-  static TypeRef Int();
-  static TypeRef Char();
-  static TypeRef PointerTo(TypeRef pointee);
-  static TypeRef ArrayOf(TypeRef element, int len);
-  static TypeRef Struct(std::string name);
+  int array_len = 0;              // kArray
+  int struct_index = -1;          // kStruct: Unit::structs index, if parsed
+  const Type* pointee = nullptr;  // kPointer / kArray element type
+  std::string_view struct_name{};  // kStruct
+  // PointerTo(this), once made; written only by the owning TypeTable.
+  mutable const Type* pointer_to = nullptr;
 
   bool IsChar() const { return kind == Kind::kChar; }
   bool IsPointer() const { return kind == Kind::kPointer; }
@@ -51,14 +49,39 @@ struct Type {
   std::string ToString() const;
 };
 
+// One unit's types. void, int and char are three immutable objects that
+// every unit shares, so any thread may read them; every other type is made
+// in the unit's arena, and never twice: PointerTo(t) returns one object per
+// t and Struct(name) one per name.
+class TypeTable {
+ public:
+  explicit TypeTable(std::pmr::memory_resource* arena)
+      : arena_(arena), structs_(arena) {}
+
+  static constexpr const Type* Void() { return &kVoid; }
+  static constexpr const Type* Int() { return &kInt; }
+  static constexpr const Type* Char() { return &kChar; }
+  const Type* PointerTo(const Type* pointee);
+  const Type* ArrayOf(const Type* element, int len);
+  Type* Struct(std::string_view name);
+
+ private:
+  Type* Make(const Type& type);
+
+  inline static const Type kVoid{.kind = Type::Kind::kVoid};
+  inline static const Type kInt{.kind = Type::Kind::kInt};
+  inline static const Type kChar{.kind = Type::Kind::kChar};
+
+  std::pmr::memory_resource* arena_;
+  const Type* base_pointers_[3] = {};  // PointerTo(void / int / char)
+  std::pmr::vector<Type*> structs_;
+};
+
 // ---------------------------------------------------------------------
 // Expressions
 
-struct Expr;
-using ExprPtr = std::unique_ptr<Expr>;
-
 struct Expr {
-  enum class Kind {
+  enum class Kind : uint8_t {
     kIntLit,     // int_value
     kStrLit,     // str_value
     kVar,        // name (variable, or function designator yielding address)
@@ -68,34 +91,30 @@ struct Expr {
     kPostIncDec, // op in {++, --}; child lhs
     kCall,       // name = callee, args
     kIndex,      // lhs [ rhs ]
-    kMember,     // lhs . member
-    kArrow,      // lhs -> member
-    kSizeof,     // sizeof_type
-    kCast,       // (cast_type) lhs
+    kMember,     // lhs . name
+    kArrow,      // lhs -> name
+    kSizeof,     // type
+    kCast,       // (type) lhs
   };
   Kind kind = Kind::kIntLit;
+  Tok op = Tok::kNone;  // the operator's punctuator
   int line = 0;
+  int slot = -1;  // kVar, kCall: the local `name` names, or -1
 
   int64_t int_value = 0;
-  std::string str_value;
-  std::string name;
-  Tok op = Tok::kNone;  // the operator's punctuator
-  std::string member;
-  ExprPtr lhs;
-  ExprPtr rhs;
-  std::vector<ExprPtr> args;
-  TypeRef sizeof_type;
-  TypeRef cast_type;
+  std::string_view str_value{};  // unescaped, in the arena
+  std::string_view name{};  // identifier, member or callee
+  const Expr* lhs = nullptr;
+  const Expr* rhs = nullptr;
+  std::span<const Expr* const> args{};
+  const Type* type = nullptr;  // kSizeof, kCast
 };
 
 // ---------------------------------------------------------------------
 // Statements
 
-struct Stmt;
-using StmtPtr = std::unique_ptr<Stmt>;
-
 struct Stmt {
-  enum class Kind {
+  enum class Kind : uint8_t {
     kExpr,      // expr;
     kDecl,      // [static] type name [= init];
     kIf,        // if (cond) then_body [else else_body]
@@ -110,100 +129,117 @@ struct Stmt {
   Kind kind = Kind::kEmpty;
   int line = 0;
 
-  ExprPtr expr;  // kExpr payload; kReturn value (may be null)
+  const Expr* expr = nullptr;  // kExpr payload; kReturn value (may be null)
   // kDecl:
-  TypeRef decl_type;
-  std::string decl_name;
-  ExprPtr init;
+  const Type* decl_type = nullptr;
+  std::string_view decl_name{};
+  const Expr* init = nullptr;
+  int slot = -1;
   bool is_static_local = false;
+  bool redeclares = false;  // names a local of the same scope again
   // kIf / kWhile / kFor:
-  ExprPtr cond;
-  StmtPtr init_stmt;  // kFor
-  ExprPtr step;       // kFor
-  StmtPtr then_body;
-  StmtPtr else_body;
-  StmtPtr body;
+  const Expr* cond = nullptr;
+  const Stmt* init_stmt = nullptr;  // kFor
+  const Expr* step = nullptr;       // kFor
+  const Stmt* then_body = nullptr;
+  const Stmt* else_body = nullptr;
+  const Stmt* body = nullptr;
   // kBlock:
-  std::vector<StmtPtr> stmts;
+  std::span<const Stmt* const> stmts{};
 };
 
 // ---------------------------------------------------------------------
 // Top-level declarations
 
-struct StructField {
-  TypeRef type;
-  std::string name;
+// A struct field or a function parameter.
+struct Declarator {
+  const Type* type = nullptr;
+  std::string_view name;
 };
 
 struct StructDef {
-  std::string name;
-  std::vector<StructField> fields;
+  std::string_view name;
+  std::span<const Declarator> fields;
   int line = 0;
 };
 
 // One element of a global initializer after flattening: a constant, a
 // symbol address (+addend), or raw string bytes.
 struct InitElem {
-  enum class Kind { kInt, kSym, kStr };
+  enum class Kind : uint8_t { kInt, kSym, kStr };
   Kind kind = Kind::kInt;
   int64_t int_value = 0;
-  std::string symbol;
-  std::string str_value;
+  std::string_view symbol;
+  std::string_view str_value;
 };
 
 struct GlobalDecl {
-  TypeRef type;
-  std::string name;
+  const Type* type = nullptr;
+  std::string_view name{};
   bool is_static = false;
   bool is_extern = false;  // declaration only; storage elsewhere
   bool has_init = false;
-  std::vector<InitElem> init;
+  std::span<const InitElem> init{};
   int line = 0;
 };
 
-struct ParamDecl {
-  TypeRef type;
-  std::string name;
-};
-
 struct FuncDecl {
-  TypeRef ret;
-  std::string name;
-  std::vector<ParamDecl> params;
+  const Type* ret = nullptr;
+  std::string_view name{};
+  std::span<const Declarator> params{};
   bool is_static = false;
   bool is_inline_kw = false;  // `inline` keyword present (a hint only;
                               // kcc inlines by size, like gcc — §4.2)
   bool is_definition = false;
-  StmtPtr body;
+  // Inputs to the inlining heuristic, found while the body is parsed:
+  bool is_recursive = false;      // the body calls `name` directly
+  bool has_static_local = false;  // the body declares a static local
+  int body_size = 0;              // AST nodes in the body
+  // Parameters plus local declarations: parameter i has slot i, and each
+  // declaration the next one.
+  int slots = 0;
+  const Stmt* body = nullptr;
   int line = 0;
-  int body_size = 0;  // AST node count, input to the inlining heuristic
 };
 
 // ksplice_apply(fn); and friends at file scope (§5.3).
 struct KspliceHook {
-  std::string kind;  // "apply", "pre_apply", "post_apply", "reverse",
-                     // "pre_reverse", "post_reverse"
-  std::string func;
+  std::string_view kind;  // "apply", "pre_apply", "post_apply", "reverse",
+                          // "pre_reverse", "post_reverse"
+  std::string_view func;
   int line = 0;
 };
 
 // A parsed compilation unit.
 struct Unit {
+  // Takes the unit's preprocessed text; the parser fills in the rest.
+  Unit(std::string unit_name, std::string text)
+      : name(std::move(unit_name)), storage_(new Storage(std::move(text))) {}
+
   std::string name;  // e.g. "drivers/dvb/dst_ca.kc"
-  std::vector<StructDef> structs;
-  std::vector<GlobalDecl> globals;    // in declaration order
-  std::vector<FuncDecl> functions;    // prototypes and definitions, in order
-  std::vector<KspliceHook> hooks;
+  std::span<const StructDef> structs;
+  std::span<const GlobalDecl> globals;  // in declaration order
+  std::span<const FuncDecl> functions;  // prototypes and definitions, in order
+  std::span<const KspliceHook> hooks;
+
+  std::string_view text() const { return storage_->text; }
+  std::pmr::memory_resource* arena() const { return &storage_->arena; }
+  // Code generation interns pointer types while it lowers the unit, so the
+  // table grows behind a const Unit. One thread uses a Unit at a time.
+  TypeTable& types() const { return storage_->types; }
+
+ private:
+  struct Storage {
+    // The arena's first block is sized from the text; a corpus unit's AST
+    // takes about twice its preprocessed text.
+    explicit Storage(std::string source)
+        : text(std::move(source)), arena(2 * text.size() + 1024) {}
+    std::string text;
+    std::pmr::monotonic_buffer_resource arena;
+    TypeTable types{&arena};
+  };
+  std::unique_ptr<Storage> storage_;
 };
-
-// Calls on_stmt for `stmt` and every statement nested in it, and on_expr
-// for every expression they hold, subexpressions included.
-void ForEachNode(const Stmt& stmt,
-                 const std::function<void(const Stmt&)>& on_stmt,
-                 const std::function<void(const Expr&)>& on_expr);
-
-// Counts AST nodes in a statement subtree (inlining heuristic input).
-int CountStmtNodes(const Stmt& stmt);
 
 }  // namespace kcc
 

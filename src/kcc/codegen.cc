@@ -1,8 +1,8 @@
 #include "kcc/codegen.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -19,52 +19,54 @@ using Kind = kvx::Stmt::Kind;
 // Register operands.
 enum Reg : uint8_t { R0, R1, R2, R3, FP = kvx::kRegFp, SP = kvx::kRegSp };
 
+// For "%s" in diagnostics.
+std::string Str(std::string_view text) { return std::string(text); }
+
 // ------------------------------------------------------------------------
 // Builtins lowered to SYS instructions (see kvx::Sys).
 
 struct Builtin {
-  int sys = -1;       // SYS number; -1 for `invoke`
+  std::string_view name;
+  int sys = -1;  // SYS number; -1 for `invoke`
   int arity = 0;
-  bool returns_value = false;
 };
 
-const std::map<std::string, Builtin>& Builtins() {
-  static const std::map<std::string, Builtin> table = {
-      {"printk", {0, 1, false}},       {"ticks", {1, 0, true}},
-      {"yield", {2, 0, false}},        {"sleep", {3, 1, false}},
-      {"tid", {4, 0, true}},           {"krand", {5, 0, true}},
-      {"exit_thread", {6, 0, false}},  {"record", {7, 2, false}},
-      {"kthread", {8, 2, true}},       {"lock_kernel", {9, 0, false}},
-      {"unlock_kernel", {10, 0, false}},
-      {"shadow_attach", {11, 3, true}},
-      {"shadow_get", {12, 2, true}},   {"shadow_detach", {13, 2, false}},
-      {"kmalloc", {14, 1, true}},      {"kfree", {15, 1, false}},
-      {"invoke", {-1, -1, true}},
-  };
-  return table;
+constexpr Builtin kBuiltins[] = {
+    {"printk", 0, 1},      {"ticks", 1, 0},          {"yield", 2, 0},
+    {"sleep", 3, 1},       {"tid", 4, 0},            {"krand", 5, 0},
+    {"exit_thread", 6, 0}, {"record", 7, 2},         {"kthread", 8, 2},
+    {"lock_kernel", 9, 0}, {"unlock_kernel", 10, 0}, {"shadow_attach", 11, 3},
+    {"shadow_get", 12, 2}, {"shadow_detach", 13, 2}, {"kmalloc", 14, 1},
+    {"kfree", 15, 1},      {"invoke", -1, -1},
+};
+
+const Builtin* FindBuiltin(std::string_view name) {
+  auto it = std::ranges::find(kBuiltins, name, &Builtin::name);
+  return it == std::end(kBuiltins) ? nullptr : it;
 }
 
 // Opens `symbol` in `segment` (a segment or section switch): the
 // statements that precede its data.
 void OpenData(std::vector<kvx::Stmt>& out, kvx::Stmt segment,
-              const std::string& symbol, bool global = false) {
+              std::string_view symbol, bool global = false) {
   out.push_back(std::move(segment));
   if (global) {
-    out.emplace_back(Kind::kGlobal, symbol);
+    out.emplace_back(Kind::kGlobal, Str(symbol));
   }
-  out.emplace_back(Kind::kLabel, symbol);
+  out.emplace_back(Kind::kLabel, Str(symbol));
 }
 
 // ------------------------------------------------------------------------
 // Struct layout
 
 struct FieldLayout {
-  TypeRef type;
+  int owner = 0;  // Type::struct_index
+  std::string_view name;
+  const Type* type = nullptr;
   int offset = 0;
 };
 
 struct StructLayout {
-  std::map<std::string, FieldLayout> fields;
   int size = 0;
   int align = 1;
 };
@@ -73,29 +75,30 @@ struct StructLayout {
 // Value categories
 
 struct Value {
-  TypeRef type;
-};
-
-struct GlobalInfo {
-  TypeRef type;
-  std::string symbol;
+  const Type* type;
 };
 
 struct LocalInfo {
-  TypeRef type;
-  int fp_offset = 0;      // negative: locals; positive: parameters
-  std::string symbol;     // non-empty for static locals (data symbol)
+  const Type* type = nullptr;
+  int fp_offset = 0;        // negative: locals; positive: parameters
+  std::string_view symbol;  // non-empty for static locals (data symbol)
+};
+
+// A function name's declarations in the unit.
+struct Callee {
+  const FuncDecl* first = nullptr;       // the first prototype or definition
+  const FuncDecl* definition = nullptr;  // the first definition
 };
 
 class Codegen {
  public:
-  Codegen(const Unit& unit, const CodegenOptions& options,
+  Codegen(const Unit& unit, const CompileOptions& options,
           const StmtSink& sink)
       : unit_(unit), options_(options), sink_(sink) {}
 
   ks::Status Run();
 
-  const std::set<std::string>& inlined_functions() const {
+  const std::pmr::set<std::string_view>& inlined_functions() const {
     return inlined_functions_;
   }
 
@@ -103,14 +106,24 @@ class Codegen {
   // Setup ---------------------------------------------------------------
   ks::Status BuildStructTable();
   ks::Status BuildSymbolTables();
-  ks::Result<int> SizeOf(const TypeRef& type, int line) const;
-  ks::Result<int> AlignOf(const TypeRef& type, int line) const;
-  ks::Result<const StructLayout*> LayoutOf(const std::string& name,
-                                           int line) const;
+  ks::Result<int> SizeOf(const Type* type, int line) const;
+  ks::Result<int> AlignOf(const Type* type, int line) const;
+  ks::Result<const StructLayout*> LayoutOf(const Type* type, int line) const;
+  const FieldLayout* FindField(int owner, std::string_view name) const {
+    auto it = std::ranges::find_if(fields_, [&](const FieldLayout& field) {
+      return field.owner == owner && field.name == name;
+    });
+    return it == fields_.end() ? nullptr : &*it;
+  }
 
   ks::Status Error(int line, const std::string& message) const {
     return ks::InvalidArgument(ks::StrPrintf("%s:%d: %s", unit_.name.c_str(),
                                              line, message.c_str()));
+  }
+  // A copy of `text` that lives as long as the generator.
+  std::string_view Keep(std::string_view text) {
+    char* out = static_cast<char*>(scratch_.allocate(text.size(), 1));
+    return {out, text.copy(out, text.size())};
   }
 
   // Emission: code goes to text_ ---------------------------------------
@@ -125,13 +138,13 @@ class Codegen {
     Emit(op, reg).insn.imm = static_cast<uint32_t>(imm);
   }
   // mov reg, =symbol
-  void EmitAddrOf(uint8_t reg, std::string symbol) {
-    Emit(Op::kMovRI, reg).name = std::move(symbol);
+  void EmitAddrOf(uint8_t reg, std::string_view symbol) {
+    Emit(Op::kMovRI, reg).name = symbol;
   }
-  void EmitBranch(Op op, std::string target) {
+  void EmitBranch(Op op, std::string_view target) {
     kvx::Stmt& stmt = Emit(op);
     stmt.kind = Kind::kBranch;
-    stmt.name = std::move(target);
+    stmt.name = target;
   }
   void EmitLabel(std::string label) {
     text_.emplace_back(Kind::kLabel, std::move(label));
@@ -140,17 +153,26 @@ class Codegen {
 
   // Functions -----------------------------------------------------------
   ks::Status EmitFunction(const FuncDecl& fn);
-  bool IsInlinable(const FuncDecl& fn) const;
-  const FuncDecl* FindDefinition(const std::string& name) const;
-  const FuncDecl* FindSignature(const std::string& name) const;
-
-  // Scopes: a stack of name->LocalInfo maps. Inline expansion pushes an
-  // opaque boundary so callee bodies do not see caller locals.
-  struct Scope {
-    std::map<std::string, LocalInfo> vars;
-    bool boundary = false;  // inline-expansion boundary
-  };
-  std::optional<LocalInfo> LookupLocal(const std::string& name) const;
+  bool IsInlinable(const FuncDecl& fn) const {
+    return fn.is_definition && options_.inline_threshold > 0 &&
+           fn.body_size <= options_.inline_threshold &&
+           !fn.has_static_local && !fn.is_recursive;
+  }
+  const FuncDecl* FindDefinition(std::string_view name) const {
+    auto it = callees_.find(name);
+    return it == callees_.end() ? nullptr : it->second.definition;
+  }
+  const FuncDecl* FindSignature(std::string_view name) const {
+    auto it = callees_.find(name);
+    return it == callees_.end()              ? nullptr
+           : it->second.definition != nullptr ? it->second.definition
+                                              : it->second.first;
+  }
+  // The local `expr` names, or null. An inline expansion's slots follow
+  // its caller's in locals_, from slot_base_.
+  const LocalInfo* LocalOf(const Expr& expr) const {
+    return expr.slot < 0 ? nullptr : &locals_[slot_base_ + expr.slot];
+  }
   int AllocSlot(int size);
 
   struct LoopLabels {
@@ -172,32 +194,40 @@ class Codegen {
   ks::Status EmitCompareSet(Tok op);
 
   // Loads the scalar at address r0 with the width of `type`.
-  ks::Status EmitLoad(const TypeRef& type, int line);
+  ks::Status EmitLoad(const Type* type, int line);
   // Stores r0 to address r1 with the width of `type`.
-  void EmitStore(const TypeRef& type);
+  void EmitStore(const Type* type);
   // Converts r0 from `from` to `to` (mask for char narrowing).
-  void EmitConvert(const TypeRef& from, const TypeRef& to);
+  void EmitConvert(const Type* from, const Type* to);
 
   // Decay: arrays yield their address as a pointer value.
-  static TypeRef DecayType(const TypeRef& type) {
-    return type->IsArray() ? Type::PointerTo(type->pointee) : type;
+  const Type* Decay(const Type* type) {
+    return type->IsArray() ? types_.PointerTo(type->pointee) : type;
   }
+  const Type* CharPointer() { return types_.PointerTo(TypeTable::Char()); }
 
   // Data ----------------------------------------------------------------
   ks::Status EmitGlobal(const GlobalDecl& decl);
-  std::string InternString(const std::string& value);
+  std::string_view InternString(std::string_view value);
   std::string InternBuildString(bool date);
-  ks::Status EmitStaticLocalData(const std::string& symbol,
-                                 const TypeRef& type, const Expr* init,
-                                 int line);
+  ks::Status EmitStaticLocalData(std::string_view symbol, const Type* type,
+                                 const Expr* init, int line);
 
   const Unit& unit_;
-  CodegenOptions options_;
+  const CompileOptions& options_;
   const StmtSink& sink_;
+  TypeTable& types_ = unit_.types();
 
-  std::map<std::string, StructLayout> structs_;
-  std::map<std::string, GlobalInfo> globals_;
-  std::map<std::string, int> static_ordinal_;  // per-name counter
+  // The generator's own tables live in scratch_, which starts in a buffer
+  // inside the generator and is freed with it.
+  std::array<std::byte, 4096> scratch_buffer_;
+  std::pmr::monotonic_buffer_resource scratch_{scratch_buffer_.data(),
+                                               scratch_buffer_.size()};
+  std::pmr::vector<StructLayout> layouts_{&scratch_};  // by struct_index
+  std::pmr::vector<FieldLayout> fields_{&scratch_};
+  std::pmr::map<std::string_view, const GlobalDecl*> globals_{&scratch_};
+  std::pmr::map<std::string_view, Callee> callees_{&scratch_};
+  std::pmr::map<std::string_view, int> static_ordinal_{&scratch_};
 
   // Output in the order it is emitted: each function's text as soon as the
   // function is complete, then static locals' data, other data and hook
@@ -206,7 +236,8 @@ class Codegen {
   std::vector<kvx::Stmt> static_data_;
   std::vector<kvx::Stmt> data_;
   std::vector<kvx::Stmt> hooks_;
-  std::map<std::string, std::string> strings_;  // content -> symbol
+  // String literals: content -> symbol.
+  std::pmr::map<std::string_view, std::string_view> strings_{&scratch_};
   // __DATE__/__TIME__ symbols; empty until first use. Hash-suffixed with
   // the unit name so every unit's build strings are distinct symbols (a
   // content-ignoring matcher could never disambiguate same-named ones).
@@ -216,37 +247,42 @@ class Codegen {
   int label_counter_ = 0;
   int frame_size_ = 0;
 
-  std::vector<Scope> scopes_;
+  std::pmr::vector<LocalInfo> locals_{&scratch_};  // by slot, per expansion
+  size_t slot_base_ = 0;
   std::vector<LoopLabels> loops_;
-  std::vector<std::string> inline_stack_;  // functions being expanded
+  // The functions being expanded, outermost first.
+  std::pmr::vector<std::string_view> inline_stack_{&scratch_};
   std::string return_label_;
-  TypeRef return_type_;
-  std::set<std::string> inlined_functions_;
+  const Type* return_type_ = nullptr;
+  std::pmr::set<std::string_view> inlined_functions_{&scratch_};
 };
 
 ks::Status Codegen::BuildStructTable() {
+  // A struct is laid out after the ones defined before it, so a field of
+  // a struct type defined later, or of its own, is unknown.
   for (const StructDef& def : unit_.structs) {
+    const int owner = static_cast<int>(layouts_.size());
     StructLayout layout;
     int offset = 0;
-    for (const StructField& field : def.fields) {
+    for (const Declarator& field : def.fields) {
       KS_ASSIGN_OR_RETURN(int size, SizeOf(field.type, def.line));
       KS_ASSIGN_OR_RETURN(int align, AlignOf(field.type, def.line));
       offset = (offset + align - 1) / align * align;
-      if (layout.fields.count(field.name) != 0) {
+      if (FindField(owner, field.name) != nullptr) {
         return Error(def.line, ks::StrPrintf("duplicate field '%s'",
-                                             field.name.c_str()));
+                                             Str(field.name).c_str()));
       }
-      layout.fields[field.name] = FieldLayout{field.type, offset};
+      fields_.push_back(FieldLayout{owner, field.name, field.type, offset});
       offset += size;
       layout.align = std::max(layout.align, align);
     }
     layout.size = (offset + layout.align - 1) / layout.align * layout.align;
-    structs_[def.name] = std::move(layout);
+    layouts_.push_back(layout);
   }
   return ks::OkStatus();
 }
 
-ks::Result<int> Codegen::SizeOf(const TypeRef& type, int line) const {
+ks::Result<int> Codegen::SizeOf(const Type* type, int line) const {
   switch (type->kind) {
     case Type::Kind::kVoid:
       return Error(line, "sizeof(void)");
@@ -260,23 +296,21 @@ ks::Result<int> Codegen::SizeOf(const TypeRef& type, int line) const {
       return elem * type->array_len;
     }
     case Type::Kind::kStruct: {
-      KS_ASSIGN_OR_RETURN(const StructLayout* layout,
-                          LayoutOf(type->struct_name, line));
+      KS_ASSIGN_OR_RETURN(const StructLayout* layout, LayoutOf(type, line));
       return layout->size;
     }
   }
   return Error(line, "unsizeable type");
 }
 
-ks::Result<int> Codegen::AlignOf(const TypeRef& type, int line) const {
+ks::Result<int> Codegen::AlignOf(const Type* type, int line) const {
   switch (type->kind) {
     case Type::Kind::kChar:
       return 1;
     case Type::Kind::kArray:
       return AlignOf(type->pointee, line);
     case Type::Kind::kStruct: {
-      KS_ASSIGN_OR_RETURN(const StructLayout* layout,
-                          LayoutOf(type->struct_name, line));
+      KS_ASSIGN_OR_RETURN(const StructLayout* layout, LayoutOf(type, line));
       return layout->align;
     }
     default:
@@ -284,79 +318,33 @@ ks::Result<int> Codegen::AlignOf(const TypeRef& type, int line) const {
   }
 }
 
-ks::Result<const StructLayout*> Codegen::LayoutOf(const std::string& name,
+ks::Result<const StructLayout*> Codegen::LayoutOf(const Type* type,
                                                   int line) const {
-  auto it = structs_.find(name);
-  if (it == structs_.end()) {
-    return Error(line, ks::StrPrintf("unknown struct '%s'", name.c_str()));
+  if (type->struct_index < 0 ||
+      static_cast<size_t>(type->struct_index) >= layouts_.size()) {
+    return Error(line, ks::StrPrintf("unknown struct '%s'",
+                                     Str(type->struct_name).c_str()));
   }
-  return &it->second;
+  return &layouts_[static_cast<size_t>(type->struct_index)];
 }
 
 ks::Status Codegen::BuildSymbolTables() {
   for (const GlobalDecl& decl : unit_.globals) {
-    if (globals_.count(decl.name) != 0) {
-      return Error(decl.line,
-                   ks::StrPrintf("duplicate global '%s'", decl.name.c_str()));
+    if (!globals_.emplace(decl.name, &decl).second) {
+      return Error(decl.line, ks::StrPrintf("duplicate global '%s'",
+                                            Str(decl.name).c_str()));
     }
-    globals_[decl.name] = GlobalInfo{decl.type, decl.name};
+  }
+  for (const FuncDecl& fn : unit_.functions) {
+    Callee& callee = callees_[fn.name];
+    if (callee.first == nullptr) {
+      callee.first = &fn;
+    }
+    if (callee.definition == nullptr && fn.is_definition) {
+      callee.definition = &fn;
+    }
   }
   return ks::OkStatus();
-}
-
-const FuncDecl* Codegen::FindDefinition(const std::string& name) const {
-  for (const FuncDecl& fn : unit_.functions) {
-    if (fn.name == name && fn.is_definition) {
-      return &fn;
-    }
-  }
-  return nullptr;
-}
-
-const FuncDecl* Codegen::FindSignature(const std::string& name) const {
-  const FuncDecl* def = FindDefinition(name);
-  if (def != nullptr) {
-    return def;
-  }
-  for (const FuncDecl& fn : unit_.functions) {
-    if (fn.name == name) {
-      return &fn;
-    }
-  }
-  return nullptr;
-}
-
-bool Codegen::IsInlinable(const FuncDecl& fn) const {
-  if (!fn.is_definition || options_.inline_threshold <= 0 ||
-      fn.body_size > options_.inline_threshold) {
-    return false;
-  }
-  bool static_local = false;
-  bool recursive = false;  // calls itself directly
-  ForEachNode(
-      *fn.body,
-      [&](const Stmt& stmt) {
-        static_local = static_local ||
-                       (stmt.kind == Stmt::Kind::kDecl && stmt.is_static_local);
-      },
-      [&](const Expr& expr) {
-        recursive = recursive ||
-                    (expr.kind == Expr::Kind::kCall && expr.name == fn.name);
-      });
-  return !static_local && !recursive;
-}
-
-std::optional<LocalInfo> Codegen::LookupLocal(const std::string& name) const {
-  for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-    auto hit = it->vars.find(name);
-    if (hit != it->vars.end()) {
-      return hit->second;
-    }
-    if (it->boundary) {
-      break;
-    }
-  }
-  return std::nullopt;
 }
 
 int Codegen::AllocSlot(int size) {
@@ -377,11 +365,13 @@ ks::Status Codegen::Run() {
     if (FindDefinition(hook.func) == nullptr) {
       return Error(hook.line,
                    ks::StrPrintf("ksplice_%s names undefined function '%s'",
-                                 hook.kind.c_str(), hook.func.c_str()));
+                                 Str(hook.kind).c_str(),
+                                 Str(hook.func).c_str()));
     }
-    hooks_.emplace_back(Kind::kHook, hook.func).args = {hook.kind};
+    hooks_.emplace_back(Kind::kHook, Str(hook.func)).args = {Str(hook.kind)};
   }
 
+  text_.reserve(256);
   text_.emplace_back(Kind::kText);
   for (const FuncDecl& fn : unit_.functions) {
     if (!fn.is_definition) {
@@ -397,13 +387,13 @@ ks::Status Codegen::Run() {
   }
 
   // String literals, in deterministic (sorted-by-symbol) order.
-  std::map<std::string, std::string> by_symbol;
+  std::pmr::map<std::string_view, std::string_view> by_symbol(&scratch_);
   for (const auto& [content, symbol] : strings_) {
     by_symbol[symbol] = content;
   }
   for (const auto& [symbol, content] : by_symbol) {
     OpenData(data_, kvx::Stmt(Kind::kData), symbol);
-    data_.emplace_back(Kind::kAsciz, content);
+    data_.emplace_back(Kind::kAsciz, Str(content));
   }
 
   // Build-timestamp strings, each in its own howto-tagged section.
@@ -426,28 +416,27 @@ ks::Status Codegen::Run() {
 ks::Status Codegen::EmitFunction(const FuncDecl& fn) {
   size_t start = text_.size();
   frame_size_ = 0;
-  scopes_.clear();
+  locals_.assign(static_cast<size_t>(fn.slots), LocalInfo{});
+  slot_base_ = 0;
   loops_.clear();
   inline_stack_.clear();
   inline_stack_.push_back(fn.name);
   return_label_ = NewLabel();
   return_type_ = fn.ret;
 
-  Scope param_scope;
-  param_scope.boundary = true;
   int offset = 8;  // [fp]=saved fp, [fp+4]=return address
-  for (const ParamDecl& param : fn.params) {
+  for (size_t i = 0; i < fn.params.size(); ++i) {
+    const Declarator& param = fn.params[i];
     if (param.name.empty()) {
       return Error(fn.line, "definition with unnamed parameter");
     }
     if (!param.type->IsScalar()) {
       return Error(fn.line, ks::StrPrintf("parameter '%s' must be scalar",
-                                          param.name.c_str()));
+                                          Str(param.name).c_str()));
     }
-    param_scope.vars[param.name] = LocalInfo{param.type, offset, ""};
+    locals_[i] = LocalInfo{param.type, offset, {}};
     offset += 4;
   }
-  scopes_.push_back(std::move(param_scope));
 
   KS_RETURN_IF_ERROR(EmitStmt(*fn.body));
   EmitLabel(return_label_);
@@ -459,9 +448,9 @@ ks::Status Codegen::EmitFunction(const FuncDecl& fn) {
   // rotate it in front of the body.
   size_t end = text_.size();
   if (!fn.is_static) {
-    text_.emplace_back(Kind::kGlobal, fn.name);
+    text_.emplace_back(Kind::kGlobal, Str(fn.name));
   }
-  EmitLabel(fn.name);
+  EmitLabel(Str(fn.name));
   Emit(Op::kPush, FP);
   Emit(Op::kMovRR, FP, SP);
   if (frame_size_ > 0) {
@@ -484,11 +473,9 @@ ks::Status Codegen::EmitStmt(const Stmt& stmt) {
     case Stmt::Kind::kDecl:
       return EmitLocalDecl(stmt);
     case Stmt::Kind::kBlock: {
-      scopes_.push_back(Scope{});
-      for (const StmtPtr& child : stmt.stmts) {
+      for (const Stmt* child : stmt.stmts) {
         KS_RETURN_IF_ERROR(EmitStmt(*child));
       }
-      scopes_.pop_back();
       return ks::OkStatus();
     }
     case Stmt::Kind::kIf: {
@@ -523,7 +510,6 @@ ks::Status Codegen::EmitStmt(const Stmt& stmt) {
       return ks::OkStatus();
     }
     case Stmt::Kind::kFor: {
-      scopes_.push_back(Scope{});
       if (stmt.init_stmt != nullptr) {
         KS_RETURN_IF_ERROR(EmitStmt(*stmt.init_stmt));
       }
@@ -545,7 +531,6 @@ ks::Status Codegen::EmitStmt(const Stmt& stmt) {
       }
       EmitBranch(Op::kJmp32, head);
       EmitLabel(end);
-      scopes_.pop_back();
       return ks::OkStatus();
     }
     case Stmt::Kind::kReturn: {
@@ -572,23 +557,23 @@ ks::Status Codegen::EmitStmt(const Stmt& stmt) {
 }
 
 ks::Status Codegen::EmitLocalDecl(const Stmt& stmt) {
-  if (scopes_.back().vars.count(stmt.decl_name) != 0) {
+  if (stmt.redeclares) {
     return Error(stmt.line, ks::StrPrintf("duplicate local '%s'",
-                                          stmt.decl_name.c_str()));
+                                          Str(stmt.decl_name).c_str()));
   }
+  const size_t slot = slot_base_ + static_cast<size_t>(stmt.slot);
   if (stmt.is_static_local) {
     int ordinal = ++static_ordinal_[stmt.decl_name];
-    std::string symbol =
-        ks::StrPrintf("%s.%d", stmt.decl_name.c_str(), ordinal);
-    KS_RETURN_IF_ERROR(EmitStaticLocalData(symbol, stmt.decl_type,
-                                           stmt.init.get(), stmt.line));
-    scopes_.back().vars[stmt.decl_name] =
-        LocalInfo{stmt.decl_type, 0, symbol};
+    std::string_view symbol = Keep(ks::StrPrintf(
+        "%s.%d", Str(stmt.decl_name).c_str(), ordinal));
+    KS_RETURN_IF_ERROR(
+        EmitStaticLocalData(symbol, stmt.decl_type, stmt.init, stmt.line));
+    locals_[slot] = LocalInfo{stmt.decl_type, 0, symbol};
     return ks::OkStatus();
   }
   KS_ASSIGN_OR_RETURN(int size, SizeOf(stmt.decl_type, stmt.line));
-  int slot = AllocSlot(size);
-  scopes_.back().vars[stmt.decl_name] = LocalInfo{stmt.decl_type, slot, ""};
+  int fp_offset = AllocSlot(size);
+  locals_[slot] = LocalInfo{stmt.decl_type, fp_offset, {}};
   if (stmt.init != nullptr) {
     if (!stmt.decl_type->IsScalar()) {
       return Error(stmt.line, "initializer on non-scalar local");
@@ -596,14 +581,14 @@ ks::Status Codegen::EmitLocalDecl(const Stmt& stmt) {
     KS_ASSIGN_OR_RETURN(Value value, EmitExpr(*stmt.init));
     EmitConvert(value.type, stmt.decl_type);
     Emit(Op::kMovRR, R1, FP);
-    EmitImm(Op::kAddRI, R1, slot);
+    EmitImm(Op::kAddRI, R1, fp_offset);
     EmitStore(stmt.decl_type);
   }
   return ks::OkStatus();
 }
 
-ks::Status Codegen::EmitStaticLocalData(const std::string& symbol,
-                                        const TypeRef& type, const Expr* init,
+ks::Status Codegen::EmitStaticLocalData(std::string_view symbol,
+                                        const Type* type, const Expr* init,
                                         int line) {
   KS_ASSIGN_OR_RETURN(int size, SizeOf(type, line));
   if (init == nullptr) {
@@ -630,7 +615,7 @@ ks::Status Codegen::EmitStaticLocalData(const std::string& symbol,
 // --------------------------------------------------------------------------
 // Expressions
 
-ks::Status Codegen::EmitLoad(const TypeRef& type, int line) {
+ks::Status Codegen::EmitLoad(const Type* type, int line) {
   if (type->IsArray() || type->IsStruct()) {
     return ks::OkStatus();  // decays to address
   }
@@ -641,11 +626,11 @@ ks::Status Codegen::EmitLoad(const TypeRef& type, int line) {
   return ks::OkStatus();
 }
 
-void Codegen::EmitStore(const TypeRef& type) {
+void Codegen::EmitStore(const Type* type) {
   Emit(type->IsChar() ? Op::kStoreBI : Op::kStoreI, R1, R0);
 }
 
-void Codegen::EmitConvert(const TypeRef& from, const TypeRef& to) {
+void Codegen::EmitConvert(const Type* from, const Type* to) {
   if (to->IsChar() && !from->IsChar()) {
     EmitImm(Op::kAndRI, R0, 255);
   }
@@ -654,8 +639,7 @@ void Codegen::EmitConvert(const TypeRef& from, const TypeRef& to) {
 ks::Result<Value> Codegen::EmitAddr(const Expr& expr) {
   switch (expr.kind) {
     case Expr::Kind::kVar: {
-      std::optional<LocalInfo> local = LookupLocal(expr.name);
-      if (local.has_value()) {
+      if (const LocalInfo* local = LocalOf(expr)) {
         if (!local->symbol.empty()) {
           EmitAddrOf(R0, local->symbol);
         } else {
@@ -666,16 +650,16 @@ ks::Result<Value> Codegen::EmitAddr(const Expr& expr) {
       }
       auto global = globals_.find(expr.name);
       if (global != globals_.end()) {
-        EmitAddrOf(R0, global->second.symbol);
-        return Value{global->second.type};
+        EmitAddrOf(R0, global->second->name);
+        return Value{global->second->type};
       }
-      return Error(expr.line,
-                   ks::StrPrintf("'%s' is not an lvalue", expr.name.c_str()));
+      return Error(expr.line, ks::StrPrintf("'%s' is not an lvalue",
+                                            Str(expr.name).c_str()));
     }
     case Expr::Kind::kUnary:
       if (expr.op == Tok::kStar) {
         KS_ASSIGN_OR_RETURN(Value ptr, EmitExpr(*expr.lhs));
-        TypeRef t = DecayType(ptr.type);
+        const Type* t = Decay(ptr.type);
         if (!t->IsPointer()) {
           return Error(expr.line, "dereference of non-pointer");
         }
@@ -684,15 +668,15 @@ ks::Result<Value> Codegen::EmitAddr(const Expr& expr) {
       break;
     case Expr::Kind::kIndex: {
       KS_ASSIGN_OR_RETURN(Value base, EmitExpr(*expr.lhs));
-      TypeRef base_type = DecayType(base.type);
+      const Type* base_type = Decay(base.type);
       if (!base_type->IsPointer()) {
         return Error(expr.line, "subscript of non-pointer");
       }
-      TypeRef elem = base_type->pointee;
+      const Type* elem = base_type->pointee;
       KS_ASSIGN_OR_RETURN(int elem_size, SizeOf(elem, expr.line));
       Emit(Op::kPush, R0);
       KS_ASSIGN_OR_RETURN(Value index, EmitExpr(*expr.rhs));
-      if (!DecayType(index.type)->IsScalar()) {
+      if (!Decay(index.type)->IsScalar()) {
         return Error(expr.line, "non-scalar subscript");
       }
       if (elem_size != 1) {
@@ -707,7 +691,7 @@ ks::Result<Value> Codegen::EmitAddr(const Expr& expr) {
     case Expr::Kind::kMember:
     case Expr::Kind::kArrow: {
       // The struct's address in r0, then the field's offset added.
-      TypeRef type;
+      const Type* type;
       if (expr.kind == Expr::Kind::kMember) {
         KS_ASSIGN_OR_RETURN(Value base, EmitAddr(*expr.lhs));
         type = base.type;
@@ -716,24 +700,23 @@ ks::Result<Value> Codegen::EmitAddr(const Expr& expr) {
         }
       } else {
         KS_ASSIGN_OR_RETURN(Value base, EmitExpr(*expr.lhs));
-        TypeRef t = DecayType(base.type);
+        const Type* t = Decay(base.type);
         if (!t->IsPointer() || !t->pointee->IsStruct()) {
           return Error(expr.line, "'->' on non-struct-pointer");
         }
         type = t->pointee;
       }
-      KS_ASSIGN_OR_RETURN(const StructLayout* layout,
-                          LayoutOf(type->struct_name, expr.line));
-      auto field = layout->fields.find(expr.member);
-      if (field == layout->fields.end()) {
+      KS_RETURN_IF_ERROR(LayoutOf(type, expr.line).status());
+      const FieldLayout* field = FindField(type->struct_index, expr.name);
+      if (field == nullptr) {
         return Error(expr.line, ks::StrPrintf("no field '%s' in struct %s",
-                                              expr.member.c_str(),
-                                              type->struct_name.c_str()));
+                                              Str(expr.name).c_str(),
+                                              Str(type->struct_name).c_str()));
       }
-      if (field->second.offset != 0) {
-        EmitImm(Op::kAddRI, R0, field->second.offset);
+      if (field->offset != 0) {
+        EmitImm(Op::kAddRI, R0, field->offset);
       }
-      return Value{field->second.type};
+      return Value{field->type};
     }
     default:
       break;
@@ -745,55 +728,52 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
   switch (expr.kind) {
     case Expr::Kind::kIntLit:
       EmitImm(Op::kMovRI, R0, static_cast<int32_t>(expr.int_value));
-      return Value{Type::Int()};
-    case Expr::Kind::kStrLit: {
-      std::string symbol = InternString(expr.str_value);
-      EmitAddrOf(R0, symbol);
-      return Value{Type::PointerTo(Type::Char())};
-    }
+      return Value{TypeTable::Int()};
+    case Expr::Kind::kStrLit:
+      EmitAddrOf(R0, InternString(expr.str_value));
+      return Value{CharPointer()};
     case Expr::Kind::kVar: {
       if (expr.name == "__DATE__" || expr.name == "__TIME__") {
         // Build-timestamp strings land in .rodata.date/.rodata.time howto
         // sections, which run-pre matching compares content-ignoring.
         EmitAddrOf(R0, InternBuildString(expr.name == "__DATE__"));
-        return Value{Type::PointerTo(Type::Char())};
+        return Value{CharPointer()};
       }
-      std::optional<LocalInfo> local = LookupLocal(expr.name);
-      if (local.has_value() || globals_.count(expr.name) != 0) {
+      if (expr.slot >= 0 || globals_.count(expr.name) != 0) {
         KS_ASSIGN_OR_RETURN(Value addr, EmitAddr(expr));
         KS_RETURN_IF_ERROR(EmitLoad(addr.type, expr.line));
-        return Value{DecayType(addr.type)};
+        return Value{Decay(addr.type)};
       }
       // A function designator: its address, loosely typed as int.
       if (FindSignature(expr.name) != nullptr ||
-          Builtins().count(expr.name) == 0) {
+          FindBuiltin(expr.name) == nullptr) {
         // Unknown names are assumed to be functions defined in another
         // unit; the assembler interns an import.
         EmitAddrOf(R0, expr.name);
-        return Value{Type::Int()};
+        return Value{TypeTable::Int()};
       }
       return Error(expr.line, ks::StrPrintf("builtin '%s' is not a value",
-                                            expr.name.c_str()));
+                                            Str(expr.name).c_str()));
     }
     case Expr::Kind::kSizeof: {
-      KS_ASSIGN_OR_RETURN(int size, SizeOf(expr.sizeof_type, expr.line));
+      KS_ASSIGN_OR_RETURN(int size, SizeOf(expr.type, expr.line));
       EmitImm(Op::kMovRI, R0, size);
-      return Value{Type::Int()};
+      return Value{TypeTable::Int()};
     }
     case Expr::Kind::kCast: {
       KS_ASSIGN_OR_RETURN(Value value, EmitExpr(*expr.lhs));
-      EmitConvert(DecayType(value.type), expr.cast_type);
-      return Value{expr.cast_type};
+      EmitConvert(Decay(value.type), expr.type);
+      return Value{expr.type};
     }
     case Expr::Kind::kUnary: {
       if (expr.op == Tok::kAmp) {
         KS_ASSIGN_OR_RETURN(Value addr, EmitAddr(*expr.lhs));
-        return Value{Type::PointerTo(addr.type)};
+        return Value{types_.PointerTo(addr.type)};
       }
       if (expr.op == Tok::kStar) {
         KS_ASSIGN_OR_RETURN(Value addr, EmitAddr(expr));
         KS_RETURN_IF_ERROR(EmitLoad(addr.type, expr.line));
-        return Value{DecayType(addr.type)};
+        return Value{Decay(addr.type)};
       }
       KS_RETURN_IF_ERROR(EmitExpr(*expr.lhs).status());
       switch (expr.op) {
@@ -819,7 +799,7 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
         default:
           return Error(expr.line, "unhandled unary op");
       }
-      return Value{Type::Int()};
+      return Value{TypeTable::Int()};
     }
     case Expr::Kind::kBinary:
       return EmitBinary(expr);
@@ -833,12 +813,12 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
         }
         Emit(Op::kMovRR, R1, R0);
         Emit(Op::kPop, R0);
-        EmitConvert(DecayType(rhs.type), lhs.type);
+        EmitConvert(Decay(rhs.type), lhs.type);
         EmitStore(lhs.type);
         return Value{lhs.type};
       }
       // "+=" / "-=".
-      KS_ASSIGN_OR_RETURN(Value rhs, EmitExpr(*expr.rhs));
+      KS_RETURN_IF_ERROR(EmitExpr(*expr.rhs).status());
       Emit(Op::kPush, R0);
       KS_ASSIGN_OR_RETURN(Value lhs, EmitAddr(*expr.lhs));
       if (!lhs.type->IsScalar()) {
@@ -855,7 +835,7 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
         }
       }
       Emit(expr.op == Tok::kPlusAssign ? Op::kAddRR : Op::kSubRR, R0, R1);
-      EmitConvert(Type::Int(), lhs.type);
+      EmitConvert(TypeTable::Int(), lhs.type);
       Emit(Op::kMovRR, R1, R2);
       EmitStore(lhs.type);
       return Value{lhs.type};
@@ -873,7 +853,7 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
       KS_RETURN_IF_ERROR(EmitLoad(lhs.type, expr.line));
       Emit(Op::kPush, R0);  // old value: the expression's result
       EmitImm(expr.op == Tok::kInc ? Op::kAddRI : Op::kSubRI, R0, delta);
-      EmitConvert(Type::Int(), lhs.type);
+      EmitConvert(TypeTable::Int(), lhs.type);
       Emit(Op::kMovRR, R1, R2);
       EmitStore(lhs.type);
       Emit(Op::kPop, R0);
@@ -886,7 +866,7 @@ ks::Result<Value> Codegen::EmitExpr(const Expr& expr) {
     case Expr::Kind::kArrow: {
       KS_ASSIGN_OR_RETURN(Value addr, EmitAddr(expr));
       KS_RETURN_IF_ERROR(EmitLoad(addr.type, expr.line));
-      return Value{DecayType(addr.type)};
+      return Value{Decay(addr.type)};
     }
   }
   return Error(expr.line, "unhandled expression");
@@ -932,7 +912,7 @@ ks::Result<Value> Codegen::EmitBinary(const Expr& expr) {
     EmitLabel(short_circuit);
     EmitImm(Op::kMovRI, R0, is_and ? 0 : 1);
     EmitLabel(done);
-    return Value{Type::Int()};
+    return Value{TypeTable::Int()};
   }
 
   KS_ASSIGN_OR_RETURN(Value lhs, EmitExpr(*expr.lhs));
@@ -941,8 +921,8 @@ ks::Result<Value> Codegen::EmitBinary(const Expr& expr) {
   Emit(Op::kMovRR, R1, R0);
   Emit(Op::kPop, R0);
 
-  TypeRef lt = DecayType(lhs.type);
-  TypeRef rt = DecayType(rhs.type);
+  const Type* lt = Decay(lhs.type);
+  const Type* rt = Decay(rhs.type);
 
   if (op == Tok::kPlus || op == Tok::kMinus) {
     const Op add_or_sub = op == Tok::kPlus ? Op::kAddRR : Op::kSubRR;
@@ -972,15 +952,15 @@ ks::Result<Value> Codegen::EmitBinary(const Expr& expr) {
         EmitImm(Op::kMovRI, R1, size);
         Emit(Op::kDivRR, R0, R1);
       }
-      return Value{Type::Int()};
+      return Value{TypeTable::Int()};
     }
     Emit(add_or_sub, R0, R1);
-    return Value{Type::Int()};
+    return Value{TypeTable::Int()};
   }
 
   auto simple = [this](Op insn) {
     Emit(insn, R0, R1);
-    return Value{Type::Int()};
+    return Value{TypeTable::Int()};
   };
   switch (op) {
     case Tok::kStar: return simple(Op::kMulRR);
@@ -997,16 +977,17 @@ ks::Result<Value> Codegen::EmitBinary(const Expr& expr) {
   // Comparison.
   Emit(Op::kCmpRR, R0, R1);
   KS_RETURN_IF_ERROR(EmitCompareSet(op));
-  return Value{Type::Int()};
+  return Value{TypeTable::Int()};
 }
 
 ks::Status Codegen::EmitArgsToRegs(const Expr& expr, int arity) {
   if (static_cast<int>(expr.args.size()) != arity) {
     return Error(expr.line,
                  ks::StrPrintf("builtin '%s' expects %d arguments, got %zu",
-                               expr.name.c_str(), arity, expr.args.size()));
+                               Str(expr.name).c_str(), arity,
+                               expr.args.size()));
   }
-  for (const ExprPtr& arg : expr.args) {
+  for (const Expr* arg : expr.args) {
     KS_RETURN_IF_ERROR(EmitExpr(*arg).status());
     Emit(Op::kPush, R0);
   }
@@ -1017,10 +998,10 @@ ks::Status Codegen::EmitArgsToRegs(const Expr& expr, int arity) {
 }
 
 ks::Result<Value> Codegen::EmitCall(const Expr& expr) {
-  // Intrinsics that lower to howto-tagged special sections. Like the SYS
-  // builtins below, a user definition of the same name shadows them.
-  if (LookupLocal(expr.name) == std::nullopt &&
-      FindSignature(expr.name) == nullptr) {
+  const FuncDecl* signature = FindSignature(expr.name);
+  // Intrinsics that lower to howto-tagged special sections, and the SYS
+  // builtins. A local or a user declaration of the same name shadows them.
+  if (expr.slot < 0 && signature == nullptr) {
     if (expr.name == "try_load") {
       // try_load(p, fallback): a faulting load. A bad pointer does not
       // crash the kernel; the exception-table fixup substitutes the
@@ -1044,9 +1025,9 @@ ks::Result<Value> Codegen::EmitCall(const Expr& expr) {
       // The entry attaches to the outermost function being emitted, so
       // inline expansion credits the host function's table.
       kvx::Stmt& entry =
-          text_.emplace_back(Kind::kExtable, inline_stack_.front());
+          text_.emplace_back(Kind::kExtable, Str(inline_stack_.front()));
       entry.args = {lext, lfix};
-      return Value{Type::Int()};
+      return Value{TypeTable::Int()};
     }
     if (expr.name == "BUG") {
       // BUG(): an unconditional trap whose bug-table entry maps the trap
@@ -1057,16 +1038,10 @@ ks::Result<Value> Codegen::EmitCall(const Expr& expr) {
       std::string lbug = NewLabel();
       EmitLabel(lbug);
       Emit(Op::kBug);
-      text_.emplace_back(Kind::kBug, inline_stack_.front(), expr.line)
+      text_.emplace_back(Kind::kBug, Str(inline_stack_.front()), expr.line)
           .args = {lbug};
-      return Value{Type::Int()};
+      return Value{TypeTable::Int()};
     }
-  }
-
-  // Builtins.
-  auto builtin = Builtins().find(expr.name);
-  if (builtin != Builtins().end() && LookupLocal(expr.name) == std::nullopt &&
-      FindSignature(expr.name) == nullptr) {
     if (expr.name == "invoke") {
       // invoke(fnaddr, args...): indirect call through r2.
       if (expr.args.empty()) {
@@ -1084,20 +1059,20 @@ ks::Result<Value> Codegen::EmitCall(const Expr& expr) {
       if (pushed > 0) {
         EmitImm(Op::kAddRI, SP, 4 * pushed);
       }
-      return Value{Type::Int()};
+      return Value{TypeTable::Int()};
     }
-    KS_RETURN_IF_ERROR(EmitArgsToRegs(expr, builtin->second.arity));
-    EmitImm(Op::kSys, R0, builtin->second.sys);
-    return Value{expr.name == "kmalloc" ? Type::PointerTo(Type::Char())
-                                        : Type::Int()};
+    if (const Builtin* builtin = FindBuiltin(expr.name)) {
+      KS_RETURN_IF_ERROR(EmitArgsToRegs(expr, builtin->arity));
+      EmitImm(Op::kSys, R0, builtin->sys);
+      return Value{expr.name == "kmalloc" ? CharPointer() : TypeTable::Int()};
+    }
   }
 
-  const FuncDecl* signature = FindSignature(expr.name);
   if (signature != nullptr &&
       expr.args.size() != signature->params.size()) {
     return Error(expr.line,
                  ks::StrPrintf("call to '%s' with %zu args, expected %zu",
-                               expr.name.c_str(), expr.args.size(),
+                               Str(expr.name).c_str(), expr.args.size(),
                                signature->params.size()));
   }
 
@@ -1115,7 +1090,7 @@ ks::Result<Value> Codegen::EmitCall(const Expr& expr) {
   for (size_t i = expr.args.size(); i-- > 0;) {
     KS_ASSIGN_OR_RETURN(Value arg, EmitExpr(*expr.args[i]));
     if (signature != nullptr) {
-      EmitConvert(DecayType(arg.type), signature->params[i].type);
+      EmitConvert(Decay(arg.type), signature->params[i].type);
     }
     Emit(Op::kPush, R0);
   }
@@ -1123,48 +1098,46 @@ ks::Result<Value> Codegen::EmitCall(const Expr& expr) {
   if (!expr.args.empty()) {
     EmitImm(Op::kAddRI, SP, static_cast<int32_t>(4 * expr.args.size()));
   }
-  return Value{signature != nullptr ? signature->ret : Type::Int()};
+  return Value{signature != nullptr ? signature->ret : TypeTable::Int()};
 }
 
 ks::Result<Value> Codegen::EmitInlineCall(const FuncDecl& callee,
                                           const Expr& expr) {
   // Evaluate arguments into fresh frame slots with prototype conversions,
-  // then expand the body with a boundary scope mapping parameter names to
-  // those slots. `return` jumps to a per-site label with the value in r0.
-  Scope callee_scope;
-  callee_scope.boundary = true;
-  std::vector<int> slots;
+  // then expand the body with the callee's slots after the caller's:
+  // parameter i is slot i. `return` jumps to a per-site label with the
+  // value in r0.
+  const size_t base = locals_.size();
   for (size_t i = 0; i < expr.args.size(); ++i) {
     KS_ASSIGN_OR_RETURN(Value arg, EmitExpr(*expr.args[i]));
-    EmitConvert(DecayType(arg.type), callee.params[i].type);
-    int slot = AllocSlot(4);
-    slots.push_back(slot);
+    EmitConvert(Decay(arg.type), callee.params[i].type);
+    int fp_offset = AllocSlot(4);
+    locals_.push_back(LocalInfo{callee.params[i].type, fp_offset, {}});
     Emit(Op::kMovRR, R1, FP);
-    EmitImm(Op::kAddRI, R1, slot);
+    EmitImm(Op::kAddRI, R1, fp_offset);
     Emit(Op::kStoreI, R1, R0);
   }
-  for (size_t i = 0; i < callee.params.size(); ++i) {
-    callee_scope.vars[callee.params[i].name] =
-        LocalInfo{callee.params[i].type, slots[i], ""};
-  }
+  locals_.resize(base + static_cast<size_t>(callee.slots));
 
   std::string saved_return_label = return_label_;
-  TypeRef saved_return_type = return_type_;
+  const Type* saved_return_type = return_type_;
+  const size_t saved_slot_base = slot_base_;
   std::vector<LoopLabels> saved_loops = std::move(loops_);
   loops_.clear();
 
   return_label_ = NewLabel();
   return_type_ = callee.ret;
+  slot_base_ = base;
   inline_stack_.push_back(callee.name);
-  scopes_.push_back(std::move(callee_scope));
 
   ks::Status status = EmitStmt(*callee.body);
 
-  scopes_.pop_back();
   inline_stack_.pop_back();
   EmitLabel(return_label_);
   return_label_ = std::move(saved_return_label);
   return_type_ = saved_return_type;
+  slot_base_ = saved_slot_base;
+  locals_.resize(base);
   loops_ = std::move(saved_loops);
 
   KS_RETURN_IF_ERROR(status);
@@ -1174,16 +1147,16 @@ ks::Result<Value> Codegen::EmitInlineCall(const FuncDecl& callee,
 // --------------------------------------------------------------------------
 // Data
 
-std::string Codegen::InternString(const std::string& value) {
+std::string_view Codegen::InternString(std::string_view value) {
   auto it = strings_.find(value);
   if (it != strings_.end()) {
     return it->second;
   }
   // Leading-dot names would be section-local labels to the assembler; use
   // a plain identifier so the literal becomes a proper (local) symbol.
-  std::string symbol = ks::StrPrintf("str.h%08x", ks::Fnv1a32(value));
-  strings_[value] = symbol;
-  return symbol;
+  return strings_
+      .emplace(value, Keep(ks::StrPrintf("str.h%08x", ks::Fnv1a32(value))))
+      .first->second;
 }
 
 std::string Codegen::InternBuildString(bool date) {
@@ -1229,14 +1202,14 @@ ks::Status Codegen::EmitGlobal(const GlobalDecl& decl) {
         if (char_elems) {
           return Error(decl.line, "symbol initializer in char array");
         }
-        data_.emplace_back(Kind::kWord, elem.symbol);
+        data_.emplace_back(Kind::kWord, Str(elem.symbol));
         emitted += 4;
         break;
       case InitElem::Kind::kStr: {
         if (!char_elems) {
           return Error(decl.line, "string initializer on non-char data");
         }
-        data_.emplace_back(Kind::kAsciz, elem.str_value);
+        data_.emplace_back(Kind::kAsciz, Str(elem.str_value));
         emitted += static_cast<int>(elem.str_value.size()) + 1;
         break;
       }
@@ -1254,14 +1227,14 @@ ks::Status Codegen::EmitGlobal(const GlobalDecl& decl) {
 
 }  // namespace
 
-ks::Status GenerateCode(const Unit& unit, const CodegenOptions& options,
+ks::Status GenerateCode(const Unit& unit, const CompileOptions& options,
                         const StmtSink& sink) {
   Codegen codegen(unit, options, sink);
   return codegen.Run();
 }
 
 ks::Result<std::vector<std::string>> InlinedFunctions(
-    const Unit& unit, const CodegenOptions& options) {
+    const Unit& unit, const CompileOptions& options) {
   StmtSink ignore = [](std::span<const kvx::Stmt>) {};
   Codegen codegen(unit, options, ignore);
   KS_RETURN_IF_ERROR(codegen.Run());

@@ -37,33 +37,26 @@
 
 #include "base/status.h"
 #include "kcc/ast.h"
+#include "kcc/compile.h"
 #include "kvx/asm.h"
 
 namespace kcc {
-
-struct CodegenOptions {
-  // Callee bodies up to this many AST nodes are inlined at same-unit call
-  // sites. 0 disables inlining.
-  int inline_threshold = 24;
-  // Expansions of __DATE__ / __TIME__ (see CompileOptions).
-  std::string build_date = "Jan  1 2026";
-  std::string build_time = "00:00:00";
-};
 
 // Receives generated statements, in output order.
 using StmtSink = std::function<void(std::span<const kvx::Stmt>)>;
 
 // Lowers `unit` to KVX assembly statements. `sink` gets each function's
 // statements once the function is complete, then the data and the hook
-// directives; on error it may have seen a prefix of the unit.
-ks::Status GenerateCode(const Unit& unit, const CodegenOptions& options,
+// directives; on error it may have seen a prefix of the unit. Of
+// `options`, only inline_threshold, build_date and build_time apply.
+ks::Status GenerateCode(const Unit& unit, const CompileOptions& options,
                         const StmtSink& sink);
 
 // Returns the names of functions in `unit` that GenerateCode would expand
 // inline at some call site in `unit`, given `options`. Used by the
 // evaluation to report the paper's §6.3 inlining statistics.
 ks::Result<std::vector<std::string>> InlinedFunctions(
-    const Unit& unit, const CodegenOptions& options);
+    const Unit& unit, const CompileOptions& options);
 
 }  // namespace kcc
 

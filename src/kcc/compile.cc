@@ -44,11 +44,8 @@ void CountCompiled(const kelf::ObjectFile& obj) {
 ks::Status GenerateUnit(const kdiff::SourceTree& tree, const std::string& path,
                         const CompileOptions& options, const StmtSink& sink) {
   KS_ASSIGN_OR_RETURN(Unit unit, ParseUnit(tree, path));
-  CodegenOptions cg;
-  cg.inline_threshold = options.inline_threshold;
-  cg.build_date = options.build_date;
-  cg.build_time = options.build_time;
-  return GenerateCode(unit, cg, sink);
+  ks::TraceSpan span("kcc.codegen");  // ends before the unit's arena is freed
+  return GenerateCode(unit, options, sink);
 }
 
 }  // namespace
@@ -59,8 +56,9 @@ bool IsCompilationUnit(const std::string& path) {
 
 ks::Result<Unit> ParseUnit(const kdiff::SourceTree& tree,
                            const std::string& path) {
+  ks::TraceSpan span("kcc.parse");
   KS_ASSIGN_OR_RETURN(PreprocessedSource src, Preprocess(tree, path));
-  return ParseSource(src.text, path);
+  return Parse(std::move(src.text), path);
 }
 
 ks::Result<std::string> CompileToAsm(const kdiff::SourceTree& tree,

@@ -1,5 +1,8 @@
 #include "kcc/parser.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "base/strings.h"
 
 namespace kcc {
@@ -14,10 +17,10 @@ constexpr std::string_view kHookNames[] = {
 
 class Parser {
  public:
-  Parser(const std::vector<Token>& tokens, std::string unit_name)
-      : tokens_(tokens), unit_name_(std::move(unit_name)) {}
+  Parser(const std::vector<Token>& tokens, Unit& unit)
+      : tokens_(tokens), unit_(unit) {}
 
-  ks::Result<Unit> Run();
+  ks::Status Run();
 
  private:
   // Token access --------------------------------------------------------
@@ -39,7 +42,7 @@ class Parser {
   }
 
   ks::Status Error(const std::string& message) const {
-    return ks::InvalidArgument(ks::StrPrintf("%s:%d: %s", unit_name_.c_str(),
+    return ks::InvalidArgument(ks::StrPrintf("%s:%d: %s", unit_.name.c_str(),
                                              Peek().line, message.c_str()));
   }
   // The token at hand as diagnostics quote it: its spelling, or '' for a
@@ -56,11 +59,60 @@ class Parser {
     }
     return ks::OkStatus();
   }
-  ks::Result<std::string> ExpectIdent() {
+  ks::Result<std::string_view> ExpectIdent() {
     if (Peek().kind != TokKind::kIdent) {
       return Error("expected identifier, got " + Quoted());
     }
-    return std::string(Advance().ident);
+    return Advance().ident;
+  }
+
+  // Arena ----------------------------------------------------------------
+  Expr* NewExpr(Expr::Kind kind, int line, const Expr* lhs = nullptr,
+                const Expr* rhs = nullptr, Tok op = Tok::kNone) {
+    ++nodes_;
+    return alloc_.new_object<Expr>(Expr{
+        .kind = kind, .op = op, .line = line, .lhs = lhs, .rhs = rhs});
+  }
+  Stmt* NewStmt(Stmt::Kind kind, int line) {
+    ++nodes_;
+    return alloc_.new_object<Stmt>(Stmt{.kind = kind, .line = line});
+  }
+  // Moves the list being built at stack[from, end) into the arena. Lists
+  // nest (a block in a block), so each kind shares one stack.
+  template <typename T>
+  std::span<const T> Take(std::pmr::vector<T>& stack, size_t from) {
+    const size_t n = stack.size() - from;
+    T* out = alloc_.allocate_object<T>(n);
+    std::uninitialized_copy(stack.begin() + static_cast<long>(from),
+                            stack.end(), out);
+    stack.resize(from);
+    return {out, n};
+  }
+  std::string_view CopyString(std::string_view text) {
+    char* out = alloc_.allocate_object<char>(text.size());
+    return {out, text.copy(out, text.size())};
+  }
+
+  // Locals ---------------------------------------------------------------
+  // locals_ holds the function's visible locals, innermost last; the
+  // innermost scope's are locals_[scope_start_, end).
+  struct Local {
+    std::string_view name;
+    int slot;
+  };
+  int Declare(std::string_view name) {
+    locals_.push_back(Local{name, slots_});
+    return slots_++;
+  }
+  int Lookup(std::string_view name, size_t from = 0) const {
+    auto it = std::find_if(locals_.rbegin(), locals_.rend() - from,
+                           [name](const Local& l) { return l.name == name; });
+    return it == locals_.rend() - from ? -1 : it->slot;
+  }
+  // Opens a scope, returning the enclosing one's start for CloseScope.
+  size_t OpenScope() { return std::exchange(scope_start_, locals_.size()); }
+  void CloseScope(size_t outer) {
+    locals_.resize(std::exchange(scope_start_, outer));
   }
 
   // Types ----------------------------------------------------------------
@@ -69,63 +121,81 @@ class Parser {
            tok == Tok::kStruct;
   }
   bool AtTypeStart() const { return IsTypeKeyword(Peek().tok); }
-  ks::Result<TypeRef> ParseBaseType();
-  ks::Result<TypeRef> ParseType() {  // a base type, then any '*'s
-    KS_ASSIGN_OR_RETURN(TypeRef type, ParseBaseType());
+  ks::Result<const Type*> ParseBaseType();
+  ks::Result<const Type*> ParseType() {  // a base type, then any '*'s
+    KS_ASSIGN_OR_RETURN(const Type* type, ParseBaseType());
     while (Match(Tok::kStar)) {
-      type = Type::PointerTo(std::move(type));
+      type = types_.PointerTo(type);
     }
     return type;
   }
   // `type`, or an array of it when "[" INT "]" follows.
-  ks::Result<TypeRef> ParseFixedArray(TypeRef type);
+  ks::Result<const Type*> ParseFixedArray(const Type* type);
 
   // Top level -------------------------------------------------------------
-  ks::Status ParseTop(Unit& unit);
-  ks::Status ParseStructDef(Unit& unit);
-  ks::Status ParseHook(Unit& unit);
-  ks::Status ParseFunctionRest(Unit& unit, TypeRef ret, std::string name,
-                               bool is_static, bool is_inline, int line);
-  ks::Status ParseGlobalRest(Unit& unit, TypeRef type, std::string name,
-                             bool is_static, bool is_extern, int line);
-  ks::Result<std::vector<InitElem>> ParseInitializer(const TypeRef& type);
+  ks::Status ParseTop();
+  ks::Status ParseStructDef();
+  ks::Status ParseHook();
+  ks::Status ParseFunctionRest(FuncDecl fn);
+  ks::Status ParseGlobalRest(GlobalDecl decl);
+  ks::Status ParseInitializer(const Type* type);
   ks::Result<InitElem> ParseInitElem();
 
   // Statements ------------------------------------------------------------
-  ks::Result<StmtPtr> ParseStmt();
-  ks::Result<StmtPtr> ParseBlock();
+  ks::Result<const Stmt*> ParseStmt();
+  ks::Result<const Stmt*> ParseBlock();
 
   // Expressions -----------------------------------------------------------
-  ks::Result<ExprPtr> ParseExpr() { return ParseAssign(); }
-  ks::Result<ExprPtr> ParseAssign();
-  ks::Result<ExprPtr> ParseBinary(int min_prec);
-  ks::Result<ExprPtr> ParseUnary();
-  ks::Result<ExprPtr> ParsePostfix();
-  ks::Result<ExprPtr> ParsePrimary();
+  ks::Result<Expr*> ParseExpr() { return ParseAssign(); }
+  ks::Result<Expr*> ParseAssign();
+  ks::Result<Expr*> ParseBinary(int min_prec);
+  ks::Result<Expr*> ParseUnary();
+  ks::Result<Expr*> ParsePostfix();
+  ks::Result<Expr*> ParsePrimary();
+  Expr* Fold(Tok op, Expr* lhs, Expr* rhs, int line);
 
   const std::vector<Token>& tokens_;
-  std::string unit_name_;
+  Unit& unit_;
+  std::pmr::polymorphic_allocator<> alloc_{unit_.arena()};
+  TypeTable& types_ = unit_.types();
   size_t pos_ = 0;
+
+  // Lists under construction.
+  std::pmr::vector<const Expr*> exprs_{alloc_};
+  std::pmr::vector<const Stmt*> stmts_{alloc_};
+  std::pmr::vector<Declarator> decls_{alloc_};  // fields or parameters
+  std::pmr::vector<InitElem> inits_{alloc_};
+  std::pmr::vector<StructDef> structs_{alloc_};
+  std::pmr::vector<GlobalDecl> globals_{alloc_};
+  std::pmr::vector<FuncDecl> functions_{alloc_};
+  std::pmr::vector<KspliceHook> hooks_{alloc_};
+
+  // The definition whose body is being parsed, and its locals.
+  FuncDecl* function_ = nullptr;
+  std::pmr::vector<Local> locals_{alloc_};
+  size_t scope_start_ = 0;
+  int slots_ = 0;
+  int nodes_ = 0;  // nodes made, less nodes folded away
 };
 
-ks::Result<TypeRef> Parser::ParseBaseType() {
+ks::Result<const Type*> Parser::ParseBaseType() {
   if (Match(Tok::kInt)) {
-    return Type::Int();
+    return TypeTable::Int();
   }
   if (Match(Tok::kChar)) {
-    return Type::Char();
+    return TypeTable::Char();
   }
   if (Match(Tok::kVoid)) {
-    return Type::Void();
+    return TypeTable::Void();
   }
   if (Match(Tok::kStruct)) {
-    KS_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
-    return Type::Struct(std::move(name));
+    KS_ASSIGN_OR_RETURN(std::string_view name, ExpectIdent());
+    return types_.Struct(name);
   }
   return Error("expected type");
 }
 
-ks::Result<TypeRef> Parser::ParseFixedArray(TypeRef type) {
+ks::Result<const Type*> Parser::ParseFixedArray(const Type* type) {
   if (!Match(Tok::kLBracket)) {
     return type;
   }
@@ -134,29 +204,31 @@ ks::Result<TypeRef> Parser::ParseFixedArray(TypeRef type) {
   }
   int len = static_cast<int>(Advance().int_value);
   KS_RETURN_IF_ERROR(Expect(Tok::kRBracket));
-  return Type::ArrayOf(std::move(type), len);
+  return types_.ArrayOf(type, len);
 }
 
-ks::Result<Unit> Parser::Run() {
-  Unit unit;
-  unit.name = unit_name_;
+ks::Status Parser::Run() {
   while (!AtEof()) {
-    KS_RETURN_IF_ERROR(ParseTop(unit));
+    KS_RETURN_IF_ERROR(ParseTop());
   }
-  return unit;
+  unit_.structs = Take(structs_, 0);
+  unit_.globals = Take(globals_, 0);
+  unit_.functions = Take(functions_, 0);
+  unit_.hooks = Take(hooks_, 0);
+  return ks::OkStatus();
 }
 
-ks::Status Parser::ParseTop(Unit& unit) {
+ks::Status Parser::ParseTop() {
   // struct definition: "struct NAME {" (otherwise it's a type use).
   if (Check(Tok::kStruct) && Peek(1).kind == TokKind::kIdent &&
       Peek(2).tok == Tok::kLBrace) {
-    return ParseStructDef(unit);
+    return ParseStructDef();
   }
   // ksplice hook.
   if (Peek().kind == TokKind::kIdent) {
     for (std::string_view hook : kHookNames) {
       if (Peek().ident == hook) {
-        return ParseHook(unit);
+        return ParseHook();
       }
     }
   }
@@ -171,129 +243,127 @@ ks::Status Parser::ParseTop(Unit& unit) {
     is_inline = is_inline || qualifier == Tok::kInline;
   }
   int line = Peek().line;
-  KS_ASSIGN_OR_RETURN(TypeRef type, ParseType());
-  KS_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
+  KS_ASSIGN_OR_RETURN(const Type* type, ParseType());
+  KS_ASSIGN_OR_RETURN(std::string_view name, ExpectIdent());
 
   if (Check(Tok::kLParen)) {  // `extern` on a prototype is redundant
-    return ParseFunctionRest(unit, std::move(type), std::move(name),
-                             is_static, is_inline, line);
+    return ParseFunctionRest(FuncDecl{.ret = type, .name = name,
+                                      .is_static = is_static,
+                                      .is_inline_kw = is_inline, .line = line});
   }
   if (is_inline) {
     return Error("'inline' is only valid on functions");
   }
-  return ParseGlobalRest(unit, std::move(type), std::move(name), is_static,
-                         is_extern, line);
+  return ParseGlobalRest(GlobalDecl{.type = type, .name = name,
+                                    .is_static = is_static,
+                                    .is_extern = is_extern, .line = line});
 }
 
-ks::Status Parser::ParseStructDef(Unit& unit) {
+ks::Status Parser::ParseStructDef() {
   Match(Tok::kStruct);
-  KS_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
+  KS_ASSIGN_OR_RETURN(std::string_view name, ExpectIdent());
   int line = Peek().line;
   KS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
-  StructDef def{std::move(name), {}, line};
   while (!Match(Tok::kRBrace)) {
-    KS_ASSIGN_OR_RETURN(TypeRef type, ParseType());
-    KS_ASSIGN_OR_RETURN(std::string field, ExpectIdent());
-    KS_ASSIGN_OR_RETURN(type, ParseFixedArray(std::move(type)));
+    KS_ASSIGN_OR_RETURN(const Type* type, ParseType());
+    KS_ASSIGN_OR_RETURN(std::string_view field, ExpectIdent());
+    KS_ASSIGN_OR_RETURN(type, ParseFixedArray(type));
     KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
-    def.fields.push_back(StructField{std::move(type), std::move(field)});
+    decls_.push_back(Declarator{type, field});
   }
   KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
-  if (def.fields.empty()) {
+  if (decls_.empty()) {
     return Error("empty struct");
   }
-  for (const StructDef& existing : unit.structs) {
-    if (existing.name == def.name) {
-      return Error(ks::StrPrintf("duplicate struct '%s'", def.name.c_str()));
+  for (const StructDef& existing : structs_) {
+    if (existing.name == name) {
+      return Error(ks::StrPrintf("duplicate struct '%s'",
+                                 std::string(name).c_str()));
     }
   }
-  unit.structs.push_back(std::move(def));
+  types_.Struct(name)->struct_index = static_cast<int>(structs_.size());
+  structs_.push_back(StructDef{name, Take(decls_, 0), line});
   return ks::OkStatus();
 }
 
-ks::Status Parser::ParseHook(Unit& unit) {
+ks::Status Parser::ParseHook() {
   std::string_view spelling = Advance().ident;
   KS_RETURN_IF_ERROR(Expect(Tok::kLParen));
-  KS_ASSIGN_OR_RETURN(std::string func, ExpectIdent());
+  KS_ASSIGN_OR_RETURN(std::string_view func, ExpectIdent());
   KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
   KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
-  unit.hooks.push_back(KspliceHook{
-      std::string(spelling.substr(std::string_view("ksplice_").size())),
-      std::move(func), Peek().line});
+  hooks_.push_back(KspliceHook{
+      spelling.substr(std::string_view("ksplice_").size()), func,
+      Peek().line});
   return ks::OkStatus();
 }
 
-ks::Status Parser::ParseFunctionRest(Unit& unit, TypeRef ret,
-                                     std::string name, bool is_static,
-                                     bool is_inline, int line) {
+ks::Status Parser::ParseFunctionRest(FuncDecl fn) {
   KS_RETURN_IF_ERROR(Expect(Tok::kLParen));
-  FuncDecl fn;
-  fn.ret = std::move(ret);
-  fn.name = std::move(name);
-  fn.is_static = is_static;
-  fn.is_inline_kw = is_inline;
-  fn.line = line;
-
+  // Parameters take slots 0, 1, ... in a scope of their own, outside the
+  // body's block.
+  locals_.clear();
+  scope_start_ = 0;
+  slots_ = 0;
   if (Check(Tok::kVoid) && Peek(1).tok == Tok::kRParen) {
     Advance();  // (void): no parameters
   } else if (!Check(Tok::kRParen)) {
     while (true) {
-      KS_ASSIGN_OR_RETURN(TypeRef type, ParseType());
+      KS_ASSIGN_OR_RETURN(const Type* type, ParseType());
       if (type->kind == Type::Kind::kVoid) {
         return Error("parameter of type void");
       }
       // Prototypes may omit parameter names.
-      std::string pname;
+      std::string_view pname;
       if (Peek().kind == TokKind::kIdent) {
-        pname = std::string(Advance().ident);
+        pname = Advance().ident;
       }
       if (Match(Tok::kLBracket)) {
         KS_RETURN_IF_ERROR(Expect(Tok::kRBracket));
-        type = Type::PointerTo(std::move(type));  // array param decays
+        type = types_.PointerTo(type);  // array param decays
       }
-      fn.params.push_back(ParamDecl{std::move(type), std::move(pname)});
+      decls_.push_back(Declarator{type, pname});
+      Declare(pname);
       if (!Match(Tok::kComma)) {
         break;
       }
     }
   }
   KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
+  fn.params = Take(decls_, 0);
 
   if (Match(Tok::kSemi)) {
     fn.is_definition = false;
-    unit.functions.push_back(std::move(fn));
+    functions_.push_back(fn);
     return ks::OkStatus();
   }
+  function_ = &fn;
+  const int nodes = nodes_;
   KS_ASSIGN_OR_RETURN(fn.body, ParseBlock());
+  function_ = nullptr;
   fn.is_definition = true;
-  fn.body_size = CountStmtNodes(*fn.body);
-  unit.functions.push_back(std::move(fn));
+  fn.body_size = nodes_ - nodes;
+  fn.slots = slots_;
+  functions_.push_back(fn);
   return ks::OkStatus();
 }
 
-ks::Status Parser::ParseGlobalRest(Unit& unit, TypeRef type, std::string name,
-                                   bool is_static, bool is_extern, int line) {
-  GlobalDecl decl;
-  decl.is_static = is_static;
-  decl.is_extern = is_extern;
-  decl.line = line;
-
+ks::Status Parser::ParseGlobalRest(GlobalDecl decl) {
   if (Match(Tok::kLBracket)) {
     int len = -1;  // inferred from initializer
     if (Peek().kind == TokKind::kIntLit) {
       len = static_cast<int>(Advance().int_value);
     }
     KS_RETURN_IF_ERROR(Expect(Tok::kRBracket));
-    type = Type::ArrayOf(std::move(type), len);
+    decl.type = types_.ArrayOf(decl.type, len);
   }
-  decl.type = std::move(type);
-  decl.name = std::move(name);
 
   if (Match(Tok::kAssign)) {
     if (decl.is_extern) {
       return Error("extern declaration with initializer");
     }
-    KS_ASSIGN_OR_RETURN(decl.init, ParseInitializer(decl.type));
+    KS_RETURN_IF_ERROR(ParseInitializer(decl.type));
+    decl.init = Take(inits_, 0);
     decl.has_init = true;
   }
   KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
@@ -302,7 +372,7 @@ ks::Status Parser::ParseGlobalRest(Unit& unit, TypeRef type, std::string name,
   if (decl.type->IsArray() && decl.type->array_len < 0) {
     if (!decl.has_init) {
       return Error(ks::StrPrintf("array '%s' has no size",
-                                 decl.name.c_str()));
+                                 std::string(decl.name).c_str()));
     }
     int len = 0;
     for (const InitElem& elem : decl.init) {
@@ -310,9 +380,9 @@ ks::Status Parser::ParseGlobalRest(Unit& unit, TypeRef type, std::string name,
                  ? static_cast<int>(elem.str_value.size()) + 1
                  : 1;
     }
-    decl.type = Type::ArrayOf(decl.type->pointee, len);
+    decl.type = types_.ArrayOf(decl.type->pointee, len);
   }
-  unit.globals.push_back(std::move(decl));
+  globals_.push_back(decl);
   return ks::OkStatus();
 }
 
@@ -320,7 +390,7 @@ ks::Result<InitElem> Parser::ParseInitElem() {
   InitElem elem;
   if (Peek().kind == TokKind::kStrLit) {
     elem.kind = InitElem::Kind::kStr;
-    elem.str_value = Advance().str_value;
+    elem.str_value = CopyString(Advance().str_value);
     return elem;
   }
   // Symbol reference: bare identifier or &identifier.
@@ -328,11 +398,11 @@ ks::Result<InitElem> Parser::ParseInitElem() {
       (Check(Tok::kAmp) && Peek(1).kind == TokKind::kIdent)) {
     Match(Tok::kAmp);
     elem.kind = InitElem::Kind::kSym;
-    elem.symbol = std::string(Advance().ident);
+    elem.symbol = Advance().ident;
     return elem;
   }
   // Constant expression: parse and fold.
-  KS_ASSIGN_OR_RETURN(ExprPtr expr, ParseExpr());
+  KS_ASSIGN_OR_RETURN(const Expr* expr, ParseExpr());
   if (expr->kind != Expr::Kind::kIntLit) {
     return Error("initializer is not a constant");
   }
@@ -341,64 +411,60 @@ ks::Result<InitElem> Parser::ParseInitElem() {
   return elem;
 }
 
-ks::Result<std::vector<InitElem>> Parser::ParseInitializer(
-    const TypeRef& type) {
-  std::vector<InitElem> elems;
+ks::Status Parser::ParseInitializer(const Type* type) {
   if (Match(Tok::kLBrace)) {
     if (!type->IsArray()) {
       return Error("brace initializer on non-array");
     }
     while (!Check(Tok::kRBrace)) {
       KS_ASSIGN_OR_RETURN(InitElem elem, ParseInitElem());
-      elems.push_back(std::move(elem));
+      inits_.push_back(elem);
       if (!Match(Tok::kComma)) {
         break;
       }
     }
-    KS_RETURN_IF_ERROR(Expect(Tok::kRBrace));
-    return elems;
+    return Expect(Tok::kRBrace);
   }
   KS_ASSIGN_OR_RETURN(InitElem elem, ParseInitElem());
-  elems.push_back(std::move(elem));
-  return elems;
+  inits_.push_back(elem);
+  return ks::OkStatus();
 }
 
 // -------------------------------------------------------------------------
 // Statements
 
-ks::Result<StmtPtr> Parser::ParseBlock() {
+ks::Result<const Stmt*> Parser::ParseBlock() {
   KS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
-  auto block = std::make_unique<Stmt>();
-  block->kind = Stmt::Kind::kBlock;
-  block->line = Peek().line;
+  Stmt* block = NewStmt(Stmt::Kind::kBlock, Peek().line);
+  const size_t outer = OpenScope();
+  const size_t from = stmts_.size();
   while (!Match(Tok::kRBrace)) {
     if (AtEof()) {
       return Error("unterminated block");
     }
-    KS_ASSIGN_OR_RETURN(StmtPtr stmt, ParseStmt());
-    block->stmts.push_back(std::move(stmt));
+    KS_ASSIGN_OR_RETURN(const Stmt* stmt, ParseStmt());
+    stmts_.push_back(stmt);
   }
+  block->stmts = Take(stmts_, from);
+  CloseScope(outer);
   return block;
 }
 
-ks::Result<StmtPtr> Parser::ParseStmt() {
-  auto stmt = std::make_unique<Stmt>();
-  stmt->line = Peek().line;
-
+ks::Result<const Stmt*> Parser::ParseStmt() {
+  const int line = Peek().line;
   if (Check(Tok::kLBrace)) {
     return ParseBlock();
   }
   if (Match(Tok::kSemi)) {
-    stmt->kind = Stmt::Kind::kEmpty;
-    return stmt;
+    return NewStmt(Stmt::Kind::kEmpty, line);
   }
   if (Check(Tok::kIf) || Check(Tok::kWhile)) {
     const bool is_if = Advance().tok == Tok::kIf;
-    stmt->kind = is_if ? Stmt::Kind::kIf : Stmt::Kind::kWhile;
+    Stmt* stmt = NewStmt(is_if ? Stmt::Kind::kIf : Stmt::Kind::kWhile, line);
     KS_RETURN_IF_ERROR(Expect(Tok::kLParen));
     KS_ASSIGN_OR_RETURN(stmt->cond, ParseExpr());
     KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
-    StmtPtr& body = is_if ? stmt->then_body : stmt->body;
+    const Stmt*& body = is_if ? stmt->then_body : stmt->body;
     KS_ASSIGN_OR_RETURN(body, ParseStmt());
     if (is_if && Match(Tok::kElse)) {
       KS_ASSIGN_OR_RETURN(stmt->else_body, ParseStmt());
@@ -406,7 +472,8 @@ ks::Result<StmtPtr> Parser::ParseStmt() {
     return stmt;
   }
   if (Match(Tok::kFor)) {
-    stmt->kind = Stmt::Kind::kFor;
+    Stmt* stmt = NewStmt(Stmt::Kind::kFor, line);
+    const size_t outer = OpenScope();
     KS_RETURN_IF_ERROR(Expect(Tok::kLParen));
     if (!Match(Tok::kSemi)) {
       KS_ASSIGN_OR_RETURN(stmt->init_stmt, ParseStmt());  // consumes ';'
@@ -415,15 +482,27 @@ ks::Result<StmtPtr> Parser::ParseStmt() {
       KS_ASSIGN_OR_RETURN(stmt->cond, ParseExpr());
     }
     KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
+    const size_t step_pos = pos_;
+    const int nodes = nodes_;
     if (!Check(Tok::kRParen)) {
       KS_ASSIGN_OR_RETURN(stmt->step, ParseExpr());
     }
+    const int step_nodes = nodes_ - nodes;
     KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
     KS_ASSIGN_OR_RETURN(stmt->body, ParseStmt());
+    // A declaration that is the whole body joins the loop's scope, and the
+    // step, which runs after it, sees it: parse the step again.
+    if (stmt->step != nullptr && stmt->body->kind == Stmt::Kind::kDecl) {
+      const size_t end = std::exchange(pos_, step_pos);
+      KS_ASSIGN_OR_RETURN(stmt->step, ParseExpr());
+      pos_ = end;
+      nodes_ -= step_nodes;
+    }
+    CloseScope(outer);
     return stmt;
   }
   if (Match(Tok::kReturn)) {
-    stmt->kind = Stmt::Kind::kReturn;
+    Stmt* stmt = NewStmt(Stmt::Kind::kReturn, line);
     if (!Check(Tok::kSemi)) {
       KS_ASSIGN_OR_RETURN(stmt->expr, ParseExpr());
     }
@@ -431,21 +510,24 @@ ks::Result<StmtPtr> Parser::ParseStmt() {
     return stmt;
   }
   if (Check(Tok::kBreak) || Check(Tok::kContinue)) {
-    stmt->kind = Advance().tok == Tok::kBreak ? Stmt::Kind::kBreak
-                                              : Stmt::Kind::kContinue;
+    Stmt* stmt = NewStmt(Advance().tok == Tok::kBreak ? Stmt::Kind::kBreak
+                                                      : Stmt::Kind::kContinue,
+                         line);
     KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
     return stmt;
   }
 
-  // Local declaration?
+  // Local declaration? Its name is in scope in its own initializer.
   bool is_static_local = Match(Tok::kStatic);
   if (AtTypeStart()) {
-    stmt->kind = Stmt::Kind::kDecl;
+    Stmt* stmt = NewStmt(Stmt::Kind::kDecl, line);
     stmt->is_static_local = is_static_local;
-    KS_ASSIGN_OR_RETURN(TypeRef type, ParseType());
+    function_->has_static_local |= is_static_local;
+    KS_ASSIGN_OR_RETURN(const Type* type, ParseType());
     KS_ASSIGN_OR_RETURN(stmt->decl_name, ExpectIdent());
-    KS_ASSIGN_OR_RETURN(type, ParseFixedArray(std::move(type)));
-    stmt->decl_type = std::move(type);
+    KS_ASSIGN_OR_RETURN(stmt->decl_type, ParseFixedArray(type));
+    stmt->redeclares = Lookup(stmt->decl_name, scope_start_) >= 0;
+    stmt->slot = Declare(stmt->decl_name);
     if (Match(Tok::kAssign)) {
       KS_ASSIGN_OR_RETURN(stmt->init, ParseExpr());
     }
@@ -456,7 +538,7 @@ ks::Result<StmtPtr> Parser::ParseStmt() {
     return Error("expected declaration after 'static'");
   }
 
-  stmt->kind = Stmt::Kind::kExpr;
+  Stmt* stmt = NewStmt(Stmt::Kind::kExpr, line);
   KS_ASSIGN_OR_RETURN(stmt->expr, ParseExpr());
   KS_RETURN_IF_ERROR(Expect(Tok::kSemi));
   return stmt;
@@ -484,27 +566,19 @@ int Precedence(Tok op) {
   }
 }
 
-// A new expression node.
-ExprPtr NewExpr(Expr::Kind kind, int line, ExprPtr lhs = nullptr,
-                ExprPtr rhs = nullptr, Tok op = Tok::kNone) {
-  auto e = std::make_unique<Expr>();
-  e->kind = kind;
-  e->line = line;
-  e->op = op;
-  e->lhs = std::move(lhs);
-  e->rhs = std::move(rhs);
-  return e;
-}
+}  // namespace
 
 // Folds a binary op over constants; used opportunistically so that trivial
-// arithmetic does not inflate AST size (and thus inlining decisions).
-ExprPtr TryFold(Tok op, ExprPtr lhs, ExprPtr rhs, int line) {
-  auto make = [&](int64_t v) {
-    ExprPtr e = NewExpr(Expr::Kind::kIntLit, line);
-    e->int_value = static_cast<int32_t>(v);
-    return e;
-  };
+// arithmetic does not inflate AST size (and thus inlining decisions). The
+// folded value reuses the left operand's node.
+Expr* Parser::Fold(Tok op, Expr* lhs, Expr* rhs, int line) {
   if (lhs->kind == Expr::Kind::kIntLit && rhs->kind == Expr::Kind::kIntLit) {
+    auto make = [&](int64_t v) {
+      --nodes_;  // rhs
+      lhs->line = line;
+      lhs->int_value = static_cast<int32_t>(v);
+      return lhs;
+    };
     int64_t a = lhs->int_value;
     int64_t b = rhs->int_value;
     switch (op) {
@@ -531,43 +605,39 @@ ExprPtr TryFold(Tok op, ExprPtr lhs, ExprPtr rhs, int line) {
       default: break;
     }
   }
-  return NewExpr(Expr::Kind::kBinary, line, std::move(lhs), std::move(rhs),
-                 op);
+  return NewExpr(Expr::Kind::kBinary, line, lhs, rhs, op);
 }
 
-}  // namespace
-
-ks::Result<ExprPtr> Parser::ParseAssign() {
-  KS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseBinary(1));
+ks::Result<Expr*> Parser::ParseAssign() {
+  KS_ASSIGN_OR_RETURN(Expr* lhs, ParseBinary(1));
   if (Check(Tok::kAssign) || Check(Tok::kPlusAssign) ||
       Check(Tok::kMinusAssign)) {
     Tok op = Advance().tok;
     int line = Peek().line;
-    KS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAssign());
-    return NewExpr(Expr::Kind::kAssign, line, std::move(lhs), std::move(rhs),
-                   op);
+    KS_ASSIGN_OR_RETURN(Expr* rhs, ParseAssign());
+    return NewExpr(Expr::Kind::kAssign, line, lhs, rhs, op);
   }
   return lhs;
 }
 
-ks::Result<ExprPtr> Parser::ParseBinary(int min_prec) {
-  KS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
+ks::Result<Expr*> Parser::ParseBinary(int min_prec) {
+  KS_ASSIGN_OR_RETURN(Expr* lhs, ParseUnary());
   for (int prec = Precedence(Peek().tok); prec >= min_prec;
        prec = Precedence(Peek().tok)) {
     Tok op = Advance().tok;
     int line = Peek().line;
-    KS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseBinary(prec + 1));
-    lhs = TryFold(op, std::move(lhs), std::move(rhs), line);
+    KS_ASSIGN_OR_RETURN(Expr* rhs, ParseBinary(prec + 1));
+    lhs = Fold(op, lhs, rhs, line);
   }
   return lhs;
 }
 
-ks::Result<ExprPtr> Parser::ParseUnary() {
+ks::Result<Expr*> Parser::ParseUnary() {
   int line = Peek().line;
   if (Check(Tok::kMinus) || Check(Tok::kNot) || Check(Tok::kTilde) ||
       Check(Tok::kStar) || Check(Tok::kAmp)) {
     Tok op = Advance().tok;
-    KS_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+    KS_ASSIGN_OR_RETURN(Expr* operand, ParseUnary());
     if (operand->kind == Expr::Kind::kIntLit && op != Tok::kStar &&
         op != Tok::kAmp) {
       int64_t v = operand->int_value;
@@ -576,86 +646,90 @@ ks::Result<ExprPtr> Parser::ParseUnary() {
                                              : static_cast<int32_t>(~v);
       return operand;
     }
-    return NewExpr(Expr::Kind::kUnary, line, std::move(operand), nullptr, op);
+    return NewExpr(Expr::Kind::kUnary, line, operand, nullptr, op);
   }
   // Cast: "(" type ")" unary
   if (Check(Tok::kLParen) && IsTypeKeyword(Peek(1).tok)) {
     Match(Tok::kLParen);
-    KS_ASSIGN_OR_RETURN(TypeRef type, ParseType());
+    KS_ASSIGN_OR_RETURN(const Type* type, ParseType());
     KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
-    KS_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-    ExprPtr e = NewExpr(Expr::Kind::kCast, line, std::move(operand));
-    e->cast_type = std::move(type);
+    KS_ASSIGN_OR_RETURN(Expr* operand, ParseUnary());
+    Expr* e = NewExpr(Expr::Kind::kCast, line, operand);
+    e->type = type;
     return e;
   }
   if (Match(Tok::kSizeof)) {
     KS_RETURN_IF_ERROR(Expect(Tok::kLParen));
-    KS_ASSIGN_OR_RETURN(TypeRef type, ParseType());
+    KS_ASSIGN_OR_RETURN(const Type* type, ParseType());
     KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
-    ExprPtr e = NewExpr(Expr::Kind::kSizeof, line);
-    e->sizeof_type = std::move(type);
+    Expr* e = NewExpr(Expr::Kind::kSizeof, line);
+    e->type = type;
     return e;
   }
   return ParsePostfix();
 }
 
-ks::Result<ExprPtr> Parser::ParsePostfix() {
-  KS_ASSIGN_OR_RETURN(ExprPtr expr, ParsePrimary());
+ks::Result<Expr*> Parser::ParsePostfix() {
+  KS_ASSIGN_OR_RETURN(Expr* expr, ParsePrimary());
   while (true) {
     int line = Peek().line;
     if (Match(Tok::kLBracket)) {
-      KS_ASSIGN_OR_RETURN(ExprPtr index, ParseExpr());
+      KS_ASSIGN_OR_RETURN(Expr* index, ParseExpr());
       KS_RETURN_IF_ERROR(Expect(Tok::kRBracket));
-      expr = NewExpr(Expr::Kind::kIndex, line, std::move(expr),
-                     std::move(index));
+      expr = NewExpr(Expr::Kind::kIndex, line, expr, index);
     } else if (Check(Tok::kDot) || Check(Tok::kArrow)) {
       Expr::Kind kind = Advance().tok == Tok::kDot ? Expr::Kind::kMember
                                                    : Expr::Kind::kArrow;
-      KS_ASSIGN_OR_RETURN(std::string member, ExpectIdent());
-      expr = NewExpr(kind, line, std::move(expr));
-      expr->member = std::move(member);
+      KS_ASSIGN_OR_RETURN(std::string_view member, ExpectIdent());
+      expr = NewExpr(kind, line, expr);
+      expr->name = member;
     } else if (Check(Tok::kInc) || Check(Tok::kDec)) {
       Tok op = Advance().tok;
-      expr = NewExpr(Expr::Kind::kPostIncDec, line, std::move(expr), nullptr,
-                     op);
+      expr = NewExpr(Expr::Kind::kPostIncDec, line, expr, nullptr, op);
     } else {
       return expr;
     }
   }
 }
 
-ks::Result<ExprPtr> Parser::ParsePrimary() {
+ks::Result<Expr*> Parser::ParsePrimary() {
   int line = Peek().line;
   if (Peek().kind == TokKind::kIntLit || Peek().kind == TokKind::kCharLit) {
-    ExprPtr e = NewExpr(Expr::Kind::kIntLit, line);
+    Expr* e = NewExpr(Expr::Kind::kIntLit, line);
     e->int_value = Advance().int_value;
     return e;
   }
   if (Peek().kind == TokKind::kStrLit) {
-    ExprPtr e = NewExpr(Expr::Kind::kStrLit, line);
-    e->str_value = Advance().str_value;
+    Expr* e = NewExpr(Expr::Kind::kStrLit, line);
+    e->str_value = CopyString(Advance().str_value);
     return e;
   }
   if (Match(Tok::kLParen)) {
-    KS_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
+    KS_ASSIGN_OR_RETURN(Expr* inner, ParseExpr());
     KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
     return inner;
   }
   if (Peek().kind == TokKind::kIdent) {
     const bool call = Peek(1).tok == Tok::kLParen;
-    ExprPtr e = NewExpr(call ? Expr::Kind::kCall : Expr::Kind::kVar, line);
-    e->name = std::string(Advance().ident);
+    Expr* e = NewExpr(call ? Expr::Kind::kCall : Expr::Kind::kVar, line);
+    e->name = Advance().ident;
+    e->slot = Lookup(e->name);
+    if (call && function_ != nullptr && e->name == function_->name) {
+      function_->is_recursive = true;
+    }
     if (Match(Tok::kLParen)) {
+      const size_t from = exprs_.size();
       if (!Check(Tok::kRParen)) {
         while (true) {
-          KS_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
-          e->args.push_back(std::move(arg));
+          KS_ASSIGN_OR_RETURN(const Expr* arg, ParseExpr());
+          exprs_.push_back(arg);
           if (!Match(Tok::kComma)) {
             break;
           }
         }
       }
       KS_RETURN_IF_ERROR(Expect(Tok::kRParen));
+      e->args = Take(exprs_, from);
     }
     return e;
   }
@@ -664,15 +738,15 @@ ks::Result<ExprPtr> Parser::ParsePrimary() {
 
 }  // namespace
 
-ks::Result<Unit> Parse(const std::vector<Token>& tokens,
-                       std::string unit_name) {
-  Parser parser(tokens, std::move(unit_name));
-  return parser.Run();
+ks::Result<Unit> Parse(std::string text, std::string unit_name) {
+  Unit unit(std::move(unit_name), std::move(text));
+  KS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(unit.text(), unit.name));
+  KS_RETURN_IF_ERROR(Parser(tokens, unit).Run());
+  return unit;
 }
 
 ks::Result<Unit> ParseSource(std::string_view source, std::string unit_name) {
-  KS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(source, unit_name));
-  return Parse(tokens, std::move(unit_name));
+  return Parse(std::string(source), std::move(unit_name));
 }
 
 }  // namespace kcc

@@ -21,20 +21,19 @@
 #define KSPLICE_KCC_PARSER_H_
 
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "base/status.h"
 #include "kcc/ast.h"
-#include "kcc/lexer.h"
 
 namespace kcc {
 
-// Parses a token stream into a Unit. `unit_name` labels the compilation
-// unit (it becomes the object file's source_name).
-ks::Result<Unit> Parse(const std::vector<Token>& tokens,
-                       std::string unit_name);
+// Lexes and parses `text`, the preprocessed source of the unit named
+// `unit_name` (it becomes the object file's source_name). The Unit takes
+// the text; its names are views into it.
+ks::Result<Unit> Parse(std::string text, std::string unit_name);
 
-// Convenience: lex and parse.
+// Parse over a copy of `source`.
 ks::Result<Unit> ParseSource(std::string_view source, std::string unit_name);
 
 }  // namespace kcc

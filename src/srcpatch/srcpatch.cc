@@ -50,7 +50,7 @@ std::string FunctionSlice(const std::string& contents,
 }
 
 std::string SignatureOf(const kcc::FuncDecl& fn) {
-  std::string sig = fn.ret->ToString() + " " + fn.name + "(";
+  std::string sig = fn.ret->ToString() + " " + std::string(fn.name) + "(";
   for (size_t i = 0; i < fn.params.size(); ++i) {
     if (i != 0) {
       sig += ", ";
@@ -59,25 +59,6 @@ std::string SignatureOf(const kcc::FuncDecl& fn) {
   }
   sig += ")";
   return sig;
-}
-
-bool HasStaticLocal(const kcc::Stmt& stmt) {
-  if (stmt.kind == kcc::Stmt::Kind::kDecl && stmt.is_static_local) {
-    return true;
-  }
-  for (const kcc::Stmt* child :
-       {stmt.init_stmt.get(), stmt.then_body.get(), stmt.else_body.get(),
-        stmt.body.get()}) {
-    if (child != nullptr && HasStaticLocal(*child)) {
-      return true;
-    }
-  }
-  for (const kcc::StmtPtr& child : stmt.stmts) {
-    if (HasStaticLocal(*child)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 struct Candidate {
@@ -174,16 +155,18 @@ ks::Result<Analysis> Analyze(const kdiff::SourceTree& pre_tree,
       }
       if (SignatureOf(*pre_fn) != SignatureOf(post_fn)) {
         report.outcome = Outcome::kFailedSignature;
-        report.detail = post_fn.name + ": signature changed";
+        report.detail = std::string(post_fn.name) + ": signature changed";
         return analysis;
       }
-      if (HasStaticLocal(*post_fn.body) || HasStaticLocal(*pre_fn->body)) {
+      if (post_fn.has_static_local || pre_fn->has_static_local) {
         report.outcome = Outcome::kFailedStaticLocal;
-        report.detail = post_fn.name + ": function has static locals";
+        report.detail =
+            std::string(post_fn.name) + ": function has static locals";
         return analysis;
       }
-      analysis.candidates.push_back(Candidate{unit_path, post_fn.name});
-      report.replaced.push_back(post_fn.name);
+      analysis.candidates.push_back(
+          Candidate{unit_path, std::string(post_fn.name)});
+      report.replaced.emplace_back(post_fn.name);
       unit_has_candidates = true;
     }
     if (unit_has_candidates) {

@@ -17,6 +17,7 @@
 #include "kcc/parser.h"
 #include "kcc/preprocess.h"
 #include "kdiff/diff.h"
+#include "kvx/asm.h"
 #include "listing_oracle.h"
 
 namespace kcc {
@@ -258,6 +259,126 @@ TEST(FrontEndTest, DiagnosticTextIsPinned) {
     EXPECT_EQ(unit.status().code(), ks::ErrorCode::kInvalidArgument);
     EXPECT_EQ(unit.status().message(), message);
   }
+}
+
+// A Unit's names are views into its own copy of the text, so the source
+// string may be overwritten and destroyed, and the Unit moved, before code
+// is generated. The short source fits in std::string's inline buffer.
+TEST(FrontEndTest, UnitOwnsItsText) {
+  const std::string kShort = "int x;";
+  const std::string kLong = R"(struct node { int value; struct node* next; };
+static char tag[] = "a string literal longer than sixteen bytes";
+int sum(struct node* n) {
+  int total = 0;
+  while (n) { total += n->value; n = n->next; }
+  return total;
+}
+int twice(int v) { return sum(0) + v * 2 + tag[0]; }
+)";
+  auto listing = [](const Unit& unit) {
+    std::string out;
+    ks::Status status = GenerateCode(
+        unit, CompileOptions(),
+        [&out](std::span<const kvx::Stmt> stmts) { out += kvx::Print(stmts); });
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return out;
+  };
+  auto fresh = [&listing](const std::string& text) {
+    ks::Result<Unit> unit = ParseSource(text, "unit.kc");
+    EXPECT_TRUE(unit.ok()) << unit.status().ToString();
+    return unit.ok() ? listing(*unit) : "";
+  };
+  const std::string want_short = fresh(kShort);
+  const std::string want_long = fresh(kLong);
+  ASSERT_NE(want_short, want_long);
+
+  // One Unit copies its source, the other takes it; both sources are then
+  // overwritten and destroyed.
+  auto copied = std::make_unique<std::string>(kShort);
+  auto moved_in = std::make_unique<std::string>(kLong);
+  ks::Result<Unit> from_copy = ParseSource(*copied, "unit.kc");
+  ks::Result<Unit> from_move = Parse(std::move(*moved_in), "unit.kc");
+  ASSERT_TRUE(from_copy.ok() && from_move.ok());
+  for (std::string* source : {copied.get(), moved_in.get()}) {
+    source->assign(kLong.size() + 40, '#');
+  }
+  copied.reset();
+  moved_in.reset();
+  Unit a = std::move(from_copy).value();
+  Unit b = std::move(from_move).value();
+  std::swap(a, b);
+  EXPECT_EQ(listing(a), want_long);
+  EXPECT_EQ(listing(b), want_short);
+}
+
+// body_size and the inlining flags are counted while the body is parsed;
+// they equal a walk of the finished tree for every corpus function.
+int CountNodes(const Expr* expr) {
+  if (expr == nullptr) {
+    return 0;
+  }
+  int count = 1 + CountNodes(expr->lhs) + CountNodes(expr->rhs);
+  for (const Expr* arg : expr->args) {
+    count += CountNodes(arg);
+  }
+  return count;
+}
+
+int CountNodes(const Stmt* stmt, const FuncDecl& fn, bool& recursive,
+               bool& static_local) {
+  if (stmt == nullptr) {
+    return 0;
+  }
+  static_local = static_local || stmt->is_static_local;
+  int count = 1;
+  for (const Expr* expr : {stmt->expr, stmt->init, stmt->cond, stmt->step}) {
+    count += CountNodes(expr);
+    std::vector<const Expr*> pending{expr};
+    while (!pending.empty()) {
+      const Expr* e = pending.back();
+      pending.pop_back();
+      if (e == nullptr) {
+        continue;
+      }
+      recursive = recursive ||
+                  (e->kind == Expr::Kind::kCall && e->name == fn.name);
+      pending.insert(pending.end(), {e->lhs, e->rhs});
+      pending.insert(pending.end(), e->args.begin(), e->args.end());
+    }
+  }
+  for (const Stmt* child : {stmt->init_stmt, stmt->then_body,
+                            stmt->else_body, stmt->body}) {
+    count += CountNodes(child, fn, recursive, static_local);
+  }
+  for (const Stmt* child : stmt->stmts) {
+    count += CountNodes(child, fn, recursive, static_local);
+  }
+  return count;
+}
+
+TEST(ParserTest, InliningInputsEqualATreeWalk) {
+  const SourceTree& tree = corpus::KernelSource();
+  int definitions = 0;
+  for (const std::string& path : tree.Paths()) {
+    if (!ks::EndsWith(path, ".kc")) {
+      continue;
+    }
+    ks::Result<Unit> unit = ParseUnit(tree, path);
+    ASSERT_TRUE(unit.ok()) << unit.status().ToString();
+    for (const FuncDecl& fn : unit->functions) {
+      if (!fn.is_definition) {
+        continue;
+      }
+      SCOPED_TRACE(path + ": " + std::string(fn.name));
+      bool recursive = false;
+      bool static_local = false;
+      EXPECT_EQ(fn.body_size, CountNodes(fn.body, fn, recursive, static_local));
+      EXPECT_EQ(fn.is_recursive, recursive);
+      EXPECT_EQ(fn.has_static_local, static_local);
+      ++definitions;
+    }
+  }
+  EXPECT_GT(definitions, 100);
 }
 
 // ------------------------------------------------------------ Preprocess
@@ -569,7 +690,7 @@ int caller(int v) { return small(v) + big(v); }
   tree.Write("u.kc", src);
   ks::Result<Unit> unit = ParseUnit(tree, "u.kc");
   ASSERT_TRUE(unit.ok());
-  CodegenOptions options;
+  CompileOptions options;
   options.inline_threshold = 24;
   ks::Result<std::vector<std::string>> inlined =
       InlinedFunctions(*unit, options);
@@ -580,6 +701,32 @@ int caller(int v) { return small(v) + big(v); }
   std::string text = MustAsm(src);
   EXPECT_EQ(text.find("call small"), std::string::npos);
   EXPECT_NE(text.find("call big"), std::string::npos);
+}
+
+// Locals resolve by scope when the unit is parsed, as C scopes them: an
+// inner block shadows, a declaration is in scope in its own initializer,
+// and a declaration that is a loop's whole body is seen by the loop's
+// step, which runs after it.
+TEST(CodegenTest, LocalsResolveByScope) {
+  auto frame_refs = [](const std::string& source) {
+    std::string text = MustAsm(source, 0);
+    return std::count(text.begin(), text.end(), '=');  // symbol operands
+  };
+  // `y` below is a global unless a local of that name is in scope.
+  EXPECT_EQ(frame_refs("int y;\nint f() { int y = 1; { int y = 2; y = 3; }"
+                       " return y; }"),
+            0);
+  EXPECT_EQ(frame_refs("int y;\nint f() { int y = y + 1; return y; }"), 0);
+  EXPECT_EQ(frame_refs("int y;\nint f() { int i;"
+                       " for (i = 0; i < 2; y++) int y = 1; return 0; }"),
+            0);
+  EXPECT_EQ(frame_refs("int y;\nint f() { { int y = 1; } return y; }"), 1);
+
+  SourceTree tree;
+  tree.Write("u.kc", "int f(int a) { int b; { int a; } int b; return 0; }");
+  ks::Result<std::string> dup = CompileToAsm(tree, "u.kc", CompileOptions());
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.status().message(), "u.kc:1: duplicate local 'b'");
 }
 
 TEST(CodegenTest, InlineKeywordIsOnlyAHint) {

@@ -234,6 +234,29 @@ std::string FixPatch(const SourceTree& tree) {
   return kdiff::MakeUnifiedDiff(tree, post);
 }
 
+// A unit compile records its front end (preprocess, lex, parse) and its
+// code generation as spans one level inside kcc.compile_unit, in order.
+TEST(TraceTest, CompileStagesNestInTheUnitSpan) {
+  ScopedTrace trace(true);
+  ASSERT_TRUE(
+      kcc::CompileUnit(MiniKernelTree(), "sys/vuln.kc", MonolithicBuild())
+          .ok());
+  std::vector<ks::TraceEvent> events = ks::TraceSnapshot();
+  const ks::TraceEvent* unit = FindEvent(events, "kcc.compile_unit");
+  const ks::TraceEvent* parse = FindEvent(events, "kcc.parse");
+  const ks::TraceEvent* codegen = FindEvent(events, "kcc.codegen");
+  ASSERT_NE(unit, nullptr);
+  ASSERT_NE(parse, nullptr);
+  ASSERT_NE(codegen, nullptr);
+  for (const ks::TraceEvent* stage : {parse, codegen}) {
+    EXPECT_EQ(stage->depth, unit->depth + 1);
+    EXPECT_EQ(stage->thread, unit->thread);
+    EXPECT_LE(unit->start_ns, stage->start_ns);
+    EXPECT_GE(unit->start_ns + unit->dur_ns, stage->start_ns + stage->dur_ns);
+  }
+  EXPECT_LE(parse->start_ns + parse->dur_ns, codegen->start_ns);
+}
+
 TEST(ReportTest, FullCyclePopulatesCreateApplyUndoReports) {
   ScopedTrace trace(true);
   SourceTree tree = MiniKernelTree();
