@@ -9,7 +9,6 @@ void MatchStats::MergeFrom(const MatchStats& other) {
   sections_matched += other.sections_matched;
   candidates_tried += other.candidates_tried;
   run_bytes_matched += other.run_bytes_matched;
-  pre_bytes_walked += other.pre_bytes_walked;
   nop_bytes_skipped += other.nop_bytes_skipped;
   reloc_sites_inverted += other.reloc_sites_inverted;
   symbols_recovered += other.symbols_recovered;
@@ -28,7 +27,6 @@ std::string MatchStats::ToJson() const {
       .Field("sections_matched", sections_matched)
       .Field("candidates_tried", candidates_tried)
       .Field("run_bytes_matched", run_bytes_matched)
-      .Field("pre_bytes_walked", pre_bytes_walked)
       .Field("nop_bytes_skipped", nop_bytes_skipped)
       .Field("reloc_sites_inverted", reloc_sites_inverted)
       .Field("symbols_recovered", symbols_recovered)

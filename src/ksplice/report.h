@@ -3,7 +3,7 @@
 // Every phase of a Ksplice operation returns a machine-readable account of
 // what it did and why: CreateUpdate fills a CreateReport (per-unit
 // compile/cache/diff statistics and the changed-function list), run-pre
-// matching fills a MatchStats (candidates tried, bytes walked, relocation
+// matching fills a MatchStats (candidates tried, bytes decoded, relocation
 // sites inverted), and KspliceCore (core.h) returns ApplyReport from
 // Apply, BatchApplyReport from ApplyAll and UndoReport from Undo
 // (per-function splice records, stop_machine pause, quiescence retries,
@@ -33,10 +33,9 @@ namespace ksplice {
 // every byte of the pre code" made measurable).
 struct MatchStats {
   uint64_t sections_matched = 0;    // text sections accepted
-  uint64_t candidates_tried = 0;    // TryMatchText attempts
+  uint64_t candidates_tried = 0;    // (section, candidate) verifications
   uint64_t run_bytes_matched = 0;   // run bytes covered by accepted matches
-  uint64_t pre_bytes_walked = 0;    // pre bytes decoded across all attempts
-  uint64_t nop_bytes_skipped = 0;   // padding skipped on either side
+  uint64_t nop_bytes_skipped = 0;   // run nop bytes among those decoded
   uint64_t reloc_sites_inverted = 0;  // relocation algebra inversions
   uint64_t symbols_recovered = 0;   // distinct symbol values in the result
   uint64_t ambiguity_deferrals = 0; // sections deferred to a later pass
@@ -47,8 +46,8 @@ struct MatchStats {
   // built it: MatchUnit(ObjectFile) and Apply/ApplyAll(UpdatePackage)
   // report them, while a match against a shared, prebuilt plan (every
   // node of a fleet rollout) reports 0 here. Run bytes are decoded once
-  // per candidate address per match (zero in the tests' linear oracle,
-  // which re-decodes per attempt and counts pre_bytes_walked instead).
+  // per candidate address per match, or claimed without decoding where
+  // the byte path decides.
   uint64_t pre_bytes_canonicalized = 0;
   uint64_t run_bytes_canonicalized = 0;
   uint64_t revalidations = 0;  // cached successes re-checked across passes

@@ -40,8 +40,6 @@ using CodeRec = PlannedSection::Rec;
 
 // Decodes `section`'s text into its records and boundary map.
 void DecodePre(PlannedSection& section) {
-  section.recs.clear();
-  section.boundary.clear();
   kvx::WalkEnd walk = kvx::WalkInsns(
       std::span<const uint8_t>(section.section->bytes),
       [&](uint32_t pos, const kvx::Insn& insn) {
@@ -58,8 +56,9 @@ void DecodePre(PlannedSection& section) {
 }
 
 // Plans the byte path of a decoded text section: comparable unless it
-// failed to decode, a relocation is not at a record's imm32/rel32 field, or
-// a branch without one targets anything but a record start.
+// failed to decode or a branch without a relocation at its field targets
+// anything but a record start. A relocation elsewhere is not in `fields`,
+// so its bytes are compared like any others: the walk never reads it.
 void PlanBytePath(PlannedSection& section) {
   bool comparable = !section.decode_error;
   for (const CodeRec& rec : section.recs) {
@@ -81,8 +80,7 @@ void PlanBytePath(PlannedSection& section) {
           comparable && hit != section.recs.end() && hit->pos == target;
     }
   }
-  section.byte_comparable =
-      comparable && section.fields.size() == section.reloc_at.size();
+  section.byte_comparable = comparable;
 }
 
 // Run code at one candidate address, read in place from the anchor to the
@@ -111,15 +109,13 @@ class RunStream {
     kUnreadable,  // the machine refused to read at the anchor
   };
 
-  // Ensures record `k` is decoded. On kRec fills *rec and *nops_before
-  // (nop bytes skipped between record k-1 and record k).
-  Pull GetRec(size_t k, CodeRec* rec, uint64_t* nops_before) {
+  // Ensures record `k` is decoded. On kRec fills *rec.
+  Pull GetRec(size_t k, CodeRec* rec) {
     while (recs_.size() <= k && state_ == Pull::kRec) {
       DecodeNext();
     }
     if (k < recs_.size()) {
       *rec = recs_[k];
-      *nops_before = nops_before_[k];
       return Pull::kRec;
     }
     return state_;
@@ -155,22 +151,16 @@ class RunStream {
       return;
     }
     if (kvx::GetOpInfo(insn->op).is_nop) {
-      nop_accum_ += insn->len;
       nops_skipped_ += insn->len;
-      decode_pos_ += insn->len;
-      return;
+    } else {
+      recs_.push_back(CodeRec{static_cast<uint32_t>(decode_pos_), *insn});
     }
-    recs_.push_back(CodeRec{static_cast<uint32_t>(decode_pos_), *insn});
-    nops_before_.push_back(nop_accum_);
-    nop_accum_ = 0;
     decode_pos_ += insn->len;
   }
 
   std::span<const uint8_t> code_;
   std::vector<CodeRec> recs_;
-  std::vector<uint64_t> nops_before_;
   uint64_t decode_pos_ = 0;
-  uint64_t nop_accum_ = 0;
   uint64_t nops_skipped_ = 0;
   uint64_t claimed_end_ = 0;
   uint64_t claimed_nops_ = 0;
@@ -334,18 +324,17 @@ std::optional<ks::Result<LocalMatch>> CompareBytes(
 }
 
 // Verifies one (section, candidate) pair by walking pre and run
-// instruction records in step, after trying the byte path unless
-// `walk_acct` is set (the linear oracle, whose walk charges pre_bytes_walked
-// and nop_bytes_skipped up to the mismatch point, per attempt). `predec`
-// carries the pre decode and relocation index; `run` the run code.
-// `committed` is the valuation accumulated so far (a conflicting recovery
-// fails the match). Relocation inversions always charge into `stats`.
+// instruction records in step, after trying the byte path when the section
+// is byte-comparable. `predec` carries the pre decode and relocation index;
+// `run` the run code. `committed` is the valuation accumulated so far (a
+// conflicting recovery fails the match). Relocation inversions charge into
+// `stats`.
 ks::Result<LocalMatch> VerifyCandidate(
     const MatchPlan& plan, const PlannedSection& predec, uint32_t run_start,
     RunStream& run, const SlotSymbols& symbols, const Valuation& committed,
-    MatchStats& stats, bool walk_acct) {
+    MatchStats& stats) {
   stats.candidates_tried += 1;
-  if (!walk_acct && predec.byte_comparable) {
+  if (predec.byte_comparable) {
     if (auto decided = CompareBytes(plan, predec, run_start, run, symbols,
                                     committed, stats)) {
       return *std::move(decided);
@@ -374,19 +363,8 @@ ks::Result<LocalMatch> VerifyCandidate(
   uint32_t last_run_end = 0;  // offset after the last matched run insn
   for (size_t k = 0; k < npre; ++k) {
     const CodeRec& P = predec.recs[k];
-    if (walk_acct) {
-      uint32_t gap_start =
-          k == 0 ? 0 : predec.recs[k - 1].pos + predec.recs[k - 1].insn.len;
-      stats.pre_bytes_walked += P.pos - gap_start;
-      stats.nop_bytes_skipped += P.pos - gap_start;
-    }
     CodeRec R;
-    uint64_t run_nops = 0;
-    RunStream::Pull pull = run.GetRec(k, &R, &run_nops);
-    if (walk_acct && pull == RunStream::Pull::kRec) {
-      stats.nop_bytes_skipped += run_nops;
-    }
-    switch (pull) {
+    switch (run.GetRec(k, &R)) {
       case RunStream::Pull::kOutOfRange:
         return mismatch(0, "candidate address out of range");
       case RunStream::Pull::kUnreadable:
@@ -441,9 +419,6 @@ ks::Result<LocalMatch> VerifyCandidate(
             pre_insn_end + static_cast<uint32_t>(P.insn.rel),
             run_insn_end + static_cast<uint32_t>(R.insn.rel), P.pos});
       }
-      if (walk_acct) {
-        stats.pre_bytes_walked += P.insn.len;
-      }
       last_run_end = R.pos + R.insn.len;
       continue;
     }
@@ -478,9 +453,6 @@ ks::Result<LocalMatch> VerifyCandidate(
             pre_insn_end + static_cast<uint32_t>(P.insn.rel),
             run_insn_end + static_cast<uint32_t>(R.insn.rel), P.pos});
       }
-      if (walk_acct) {
-        stats.pre_bytes_walked += P.insn.len;
-      }
       last_run_end = R.pos + R.insn.len;
       continue;
     }
@@ -491,13 +463,6 @@ ks::Result<LocalMatch> VerifyCandidate(
                                   kvx::FormatInsn(R.insn).c_str()));
   }
 
-  // Trailing pre nop padding (walked but matched against nothing).
-  if (walk_acct) {
-    uint32_t tail_start =
-        npre == 0 ? 0 : predec.recs[npre - 1].pos + predec.recs[npre - 1].insn.len;
-    stats.pre_bytes_walked += predec.end - tail_start;
-    stats.nop_bytes_skipped += predec.end - tail_start;
-  }
   if (predec.decode_error) {
     return mismatch(predec.end, "pre bytes do not decode");
   }
@@ -506,8 +471,7 @@ ks::Result<LocalMatch> VerifyCandidate(
   // either side of a target.
   auto run_rec_addr = [&](size_t k) -> uint32_t {
     CodeRec rec;
-    uint64_t nops = 0;
-    RunStream::Pull pull = run.GetRec(k, &rec, &nops);
+    RunStream::Pull pull = run.GetRec(k, &rec);
     assert(pull == RunStream::Pull::kRec);  // pulled during the walk
     (void)pull;
     return run_start + rec.pos;
@@ -530,8 +494,7 @@ ks::Result<LocalMatch> VerifyCandidate(
       direct = run_start;
     } else {
       CodeRec rec;
-      uint64_t nops = 0;
-      RunStream::Pull pull = run.GetRec(k - 1, &rec, &nops);
+      RunStream::Pull pull = run.GetRec(k - 1, &rec);
       assert(pull == RunStream::Pull::kRec);
       (void)pull;
       direct = run_start + rec.pos + rec.insn.len;
@@ -566,9 +529,6 @@ ks::Result<LocalMatch> VerifyCandidate(
 //    relocation inverts it (Abs32: S = val - A; Pcrel32: S = val + P - A)
 //    and recovers the symbol value, a word without one must be identical.
 //    Failures name the entry index.
-//
-// Reads run bytes in place but not through a RunStream, so the
-// decode-once path and the linear oracle take the identical path here.
 ks::Result<LocalMatch> VerifyTableCandidate(
     const kvm::Machine::MemoryView& memory, const MatchPlan& plan,
     const PlannedSection& planned, uint32_t run_start,
@@ -638,8 +598,6 @@ void PublishMatchStats(const MatchStats& stats, bool ok) {
   static ks::Counter& candidates =
       ks::Metrics().GetCounter("runpre.candidates_tried");
   static ks::Counter& bytes = ks::Metrics().GetCounter("runpre.bytes_matched");
-  static ks::Counter& walked =
-      ks::Metrics().GetCounter("runpre.pre_bytes_walked");
   static ks::Counter& nops =
       ks::Metrics().GetCounter("runpre.nop_bytes_skipped");
   static ks::Counter& relocs =
@@ -662,7 +620,6 @@ void PublishMatchStats(const MatchStats& stats, bool ok) {
   sections.Add(stats.sections_matched);
   candidates.Add(stats.candidates_tried);
   bytes.Add(stats.run_bytes_matched);
-  walked.Add(stats.pre_bytes_walked);
   nops.Add(stats.nop_bytes_skipped);
   relocs.Add(stats.reloc_sites_inverted);
   deferrals.Add(stats.ambiguity_deferrals);
@@ -783,16 +740,26 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
   MatchStats scratch;
   MatchStats& tally = stats != nullptr ? *stats : scratch;
   tally = MatchStats{};
-  // Publish to the registry however this call ends (including every early
-  // error return below).
-  struct Publisher {
-    const MatchStats& tally;
-    bool ok = false;
-    ~Publisher() { PublishMatchStats(tally, ok); }
-  } publisher{tally};
   // The machine lock, held for the whole match: run code is read in place.
   const kvm::Machine::MemoryView memory(machine_);
   const uint64_t mem_end = machine_.config().memory_bytes;
+  // One RunStream per candidate address, shared across sections and passes.
+  std::map<uint32_t, RunStream> streams;
+  // However this call ends (including every early error return below),
+  // charge the run decode, counted once per stream however many sections
+  // and passes shared it, and publish to the registry.
+  struct Publisher {
+    MatchStats& tally;
+    const std::map<uint32_t, RunStream>& streams;
+    bool ok = false;
+    ~Publisher() {
+      for (const auto& [addr, stream] : streams) {
+        tally.run_bytes_canonicalized += stream.consumed();
+        tally.nop_bytes_skipped += stream.nops_skipped();
+      }
+      PublishMatchStats(tally, ok);
+    }
+  } publisher{tally, streams};
 
   UnitMatch match;
   match.unit = pre.source_name();
@@ -804,10 +771,6 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
   for (const PlannedSection& section : plan.sections) {
     pending.push_back(PendingSection{&section, {}});
   }
-
-  // One RunStream per candidate address, shared across sections and
-  // passes (decode-once mode).
-  std::map<uint32_t, RunStream> streams;
 
   // The candidate list for a section under the given valuation — the same
   // precedence as always: an already-committed value pins the candidate,
@@ -844,26 +807,17 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
   };
 
   // Verifies one candidate of one section against the current valuation.
-  // The linear oracle decodes the pre section and the run code afresh for
-  // every attempt.
   auto verify = [&](const PendingSection& entry, uint32_t candidate) {
     const PlannedSection& section = *entry.plan;
     if (section.howto != kelf::Howto::kNone) {
       return VerifyTableCandidate(memory, plan, section, candidate, symbols,
                                   values, tally);
     }
-    if (options_.decode_once) {
-      RunStream& stream =
-          streams.try_emplace(candidate, memory, candidate, mem_end)
-              .first->second;
-      return VerifyCandidate(plan, section, candidate, stream, symbols,
-                             values, tally, /*walk_acct=*/false);
-    }
-    PlannedSection fresh = section;
-    DecodePre(fresh);
-    RunStream stream(memory, candidate, mem_end);
-    return VerifyCandidate(plan, fresh, candidate, stream, symbols, values,
-                           tally, /*walk_acct=*/true);
+    RunStream& stream =
+        streams.try_emplace(candidate, memory, candidate, mem_end)
+            .first->second;
+    return VerifyCandidate(plan, section, candidate, stream, symbols, values,
+                           tally);
   };
 
   // Re-checks a cached successful verification against the current
@@ -1028,13 +982,6 @@ ks::Result<UnitMatch> RunPreMatcher::MatchUnit(const MatchPlan& plan,
           match.unit.c_str(), names.c_str()));
     }
     pending = std::move(still_pending);
-  }
-
-  // The decode-once run work, counted once per stream however many
-  // sections and passes shared it.
-  for (const auto& [addr, stream] : streams) {
-    tally.run_bytes_canonicalized += stream.consumed();
-    tally.nop_bytes_skipped += stream.nops_skipped();
   }
 
   for (uint32_t slot = 0; slot < values.size(); ++slot) {

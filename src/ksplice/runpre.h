@@ -32,10 +32,11 @@
 // Residual ambiguity or any run/pre difference aborts the update (§4.3,
 // §6.2 criterion (a)/(b)).
 //
-// MatcherOptions::decode_once = false selects the linear oracle that tests
-// compare against: every attempt decodes its pre section and run code
-// afresh and walks them, bytes equal or not. Decisions, recovered
-// valuations and failure messages are byte-identical in both modes.
+// A text section whose byte_comparable bit is set tries the byte path
+// first: run bytes equal to the pre bytes outside the relocation fields
+// decide as the walk would, without decoding the run code. Any other
+// section, and any byte difference, takes the walk. A plan with every bit
+// cleared walks everything; tests use one as the linear oracle.
 
 #ifndef KSPLICE_KSPLICE_RUNPRE_H_
 #define KSPLICE_KSPLICE_RUNPRE_H_
@@ -114,7 +115,8 @@ struct PlannedSection {
   uint32_t end = 0;           // bytes consumed by the decode walk
   bool decode_error = false;  // decoding failed at offset `end`
   // Text sections only: the byte path (§4). When set, run bytes equal to
-  // the pre bytes over [0, code_end) outside `fields` provably pass the walk.
+  // the pre bytes over [0, code_end) outside `fields` provably decide as
+  // the walk would.
   bool byte_comparable = false;
   struct Field {  // a relocation field, its record and the nops before it
     uint32_t at = 0, rec_pos = 0, rec_end = 0, nops_before = 0;
@@ -157,15 +159,6 @@ struct PackagePlan {
                                        MatchStats* stats = nullptr);
 };
 
-// Matching knobs.
-struct MatcherOptions {
-  // Decode each pre section once, compare bytes before walking, and share
-  // one run stream per candidate address across sections and passes. Off =
-  // the linear oracle: every attempt decodes and walks its own copies
-  // (same decisions, charging pre_bytes_walked per attempt). Tests only.
-  bool decode_once = true;
-};
-
 // Nop-normalizes a branch target (§4.3): when `target` lies inside
 // [window_base, window_base + window.size()), skips no-op instructions
 // starting at it and returns the first non-nop boundary; otherwise returns
@@ -179,11 +172,8 @@ uint64_t NormalizeBranchTarget(std::span<const uint8_t> window,
 class RunPreMatcher {
  public:
   explicit RunPreMatcher(const kvm::Machine& machine,
-                         PatchRedirect redirect = nullptr,
-                         MatcherOptions options = {})
-      : machine_(machine),
-        redirect_(std::move(redirect)),
-        options_(options) {}
+                         PatchRedirect redirect = nullptr)
+      : machine_(machine), redirect_(std::move(redirect)) {}
 
   // Matches every section of `plan` against the run image, holding the
   // machine lock throughout (the redirect runs under it). When `stats` is
@@ -201,7 +191,6 @@ class RunPreMatcher {
  private:
   const kvm::Machine& machine_;
   PatchRedirect redirect_;
-  MatcherOptions options_;
 };
 
 }  // namespace ksplice

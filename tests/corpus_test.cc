@@ -16,6 +16,7 @@
 #include "kcc/compile.h"
 #include "kdiff/diff.h"
 #include "kvx/isa.h"
+#include "runpre_oracle.h"
 
 namespace corpus {
 namespace {
@@ -491,8 +492,8 @@ TEST_P(TamperSweep, CorruptedRelocationFieldAbortsApply) {
 INSTANTIATE_TEST_SUITE_P(All64, TamperSweep, ::testing::Range(0, 64));
 
 // The slot matcher (each symbol interned into a plan slot and looked up
-// once per match) against the linear oracle (MatcherOptions::decode_once
-// = false), on every helper unit of every corpus package and every
+// once per match) against the linear oracle (the walk-only plan of
+// runpre_oracle.h), on every helper unit of every corpus package and every
 // release: same decision, same symbol_values and sections, and the same
 // refusal text. Releases 1-4 each edit one unit, so units built from the
 // pristine tree are refused as stale on the release that edits them.
@@ -530,12 +531,14 @@ TEST(CorpusRunPre, SlotMatcherAgreesWithLinearOracle) {
     for (size_t release = 0; release < releases.size(); ++release) {
       SCOPED_TRACE("release " + std::to_string(release));
       ksplice::RunPreMatcher slots(*releases[release]);
-      ksplice::RunPreMatcher linear(*releases[release], nullptr,
-                                    {.decode_once = false});
       for (const kelf::ObjectFile& unit : created->package.helper_objects) {
-        ks::Result<ksplice::UnitMatch> got = slots.MatchUnit(unit);
-        ks::Result<ksplice::UnitMatch> want = linear.MatchUnit(unit);
+        ksplice::MatchStats got_stats;
+        ksplice::MatchStats want_stats;
+        ks::Result<ksplice::UnitMatch> got = slots.MatchUnit(unit, &got_stats);
+        ks::Result<ksplice::UnitMatch> want =
+            ksplice::MatchWalkOnly(slots, unit, &want_stats);
         ASSERT_EQ(got.ok(), want.ok()) << unit.source_name();
+        EXPECT_EQ(got_stats.candidates_tried, want_stats.candidates_tried);
         if (!got.ok()) {
           EXPECT_EQ(got.status().ToString(), want.status().ToString());
           ++refused;

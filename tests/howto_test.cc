@@ -15,6 +15,7 @@
 #include "ksplice/create.h"
 #include "ksplice/runpre.h"
 #include "kvm/machine.h"
+#include "runpre_oracle.h"
 
 namespace ksplice {
 namespace {
@@ -197,10 +198,10 @@ TEST(HowtoMatch, ChangedExtableFixupRefusesNamingEntry) {
   ASSERT_TRUE((*machine)->WriteWord(table + 4, *fixup + 2).ok());
 
   std::string first_message;
-  for (MatcherOptions options :
-       {MatcherOptions{true}, MatcherOptions{false}}) {
-    RunPreMatcher matcher(**machine, nullptr, options);
-    ks::Result<UnitMatch> match = matcher.MatchUnit(pre);
+  for (bool walk_only : {false, true}) {
+    RunPreMatcher matcher(**machine);
+    ks::Result<UnitMatch> match =
+        walk_only ? MatchWalkOnly(matcher, pre) : matcher.MatchUnit(pre);
     ASSERT_FALSE(match.ok());
     EXPECT_EQ(match.status().code(), ks::ErrorCode::kAborted);
     // The per-entry diagnostic names the failing entry index.
@@ -210,7 +211,7 @@ TEST(HowtoMatch, ChangedExtableFixupRefusesNamingEntry) {
       first_message = match.status().message();
     } else {
       EXPECT_EQ(first_message, match.status().message())
-          << "refusals must be byte-identical in both matcher modes";
+          << "refusals must be byte-identical on both plans";
     }
   }
 }
@@ -226,13 +227,14 @@ TEST(HowtoMatch, DecisionsIdenticalAcrossJobsAndIndex) {
 
   std::optional<UnitMatch> baseline;
   std::optional<MatchStats> baseline_stats;
-  for (bool decode_once : {true, false}) {
-    RunPreMatcher matcher(**machine, nullptr,
-                          MatcherOptions{.decode_once = decode_once});
+  for (bool walk_only : {false, true}) {
+    RunPreMatcher matcher(**machine);
     MatchStats stats;
-    ks::Result<UnitMatch> match = matcher.MatchUnit(pre, &stats);
+    ks::Result<UnitMatch> match = walk_only
+                                      ? MatchWalkOnly(matcher, pre, &stats)
+                                      : matcher.MatchUnit(pre, &stats);
     ASSERT_TRUE(match.ok())
-        << "decode_once=" << decode_once << ": " << match.status().ToString();
+        << "walk_only=" << walk_only << ": " << match.status().ToString();
     if (!baseline.has_value()) {
       baseline = *match;
       baseline_stats = stats;

@@ -1,9 +1,9 @@
-// Tests for the decode-once run-pre matcher against its linear oracle
-// (MatcherOptions::decode_once = false): decision equivalence on
+// Tests for the run-pre matcher against its linear oracle, the walk-only
+// plan of runpre_oracle.h: decision equivalence on
 // structurally diverse ambiguous candidates, regression coverage for the
 // fixed-window and branch-normalization overflow bugs, attempt caching
 // across fixpoint passes, per-candidate failure diagnostics, and a seeded
-// fuzz round pitting the two modes against each other.
+// fuzz round pitting the two plans against each other.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "ksplice/runpre.h"
 #include "kvm/machine.h"
 #include "kvx/isa.h"
+#include "runpre_oracle.h"
 
 namespace ksplice {
 namespace {
@@ -156,17 +157,14 @@ int entry_b(int x) {
   ASSERT_NE(setup.machine, nullptr);
   ASSERT_EQ(setup.machine->SymbolsNamed("twin").size(), 2u);
 
-  RunPreMatcher decode_once(*setup.machine);
+  RunPreMatcher matcher(*setup.machine);
   MatchStats once_stats;
-  ks::Result<UnitMatch> once_match =
-      decode_once.MatchUnit(setup.pre, &once_stats);
+  ks::Result<UnitMatch> once_match = matcher.MatchUnit(setup.pre, &once_stats);
   ASSERT_TRUE(once_match.ok()) << once_match.status().ToString();
 
-  RunPreMatcher linear(*setup.machine, nullptr,
-                       MatcherOptions{.decode_once = false});
   MatchStats linear_stats;
   ks::Result<UnitMatch> linear_match =
-      linear.MatchUnit(setup.pre, &linear_stats);
+      MatchWalkOnly(matcher, setup.pre, &linear_stats);
   ASSERT_TRUE(linear_match.ok()) << linear_match.status().ToString();
 
   EXPECT_EQ(once_match->symbol_values, linear_match->symbol_values);
@@ -180,7 +178,7 @@ int entry_b(int x) {
         << name;
   }
   EXPECT_EQ(once_stats.sections_matched, linear_stats.sections_matched);
-  // Both twin copies are verified in both modes.
+  // Both twin copies are verified by both plans.
   EXPECT_EQ(once_stats.candidates_tried, linear_stats.candidates_tried);
 }
 
@@ -236,13 +234,14 @@ int keep(int x) {
     return std::nullopt;
   };
 
-  for (bool decode_once : {true, false}) {
-    RunPreMatcher matcher(*setup.machine, redirect,
-                          MatcherOptions{.decode_once = decode_once});
+  for (bool walk_only : {false, true}) {
+    RunPreMatcher matcher(*setup.machine, redirect);
     MatchStats stats;
-    ks::Result<UnitMatch> match = matcher.MatchUnit(pre, &stats);
+    ks::Result<UnitMatch> match = walk_only
+                                      ? MatchWalkOnly(matcher, pre, &stats)
+                                      : matcher.MatchUnit(pre, &stats);
     ASSERT_TRUE(match.ok())
-        << "decode_once=" << decode_once << ": " << match.status().ToString();
+        << "walk_only=" << walk_only << ": " << match.status().ToString();
     ASSERT_TRUE(match->sections.count(".text.padded_fn"));
     EXPECT_EQ(match->sections[".text.padded_fn"].run_address, run_addr);
     // The matched span ends at the final ret; trailing nop fill is not
@@ -336,12 +335,12 @@ int keep(int x) {
     return std::nullopt;
   };
 
-  for (bool decode_once : {true, false}) {
-    RunPreMatcher matcher(*machine, redirect,
-                          MatcherOptions{.decode_once = decode_once});
-    ks::Result<UnitMatch> match = matcher.MatchUnit(pre);
+  for (bool walk_only : {false, true}) {
+    RunPreMatcher matcher(*machine, redirect);
+    ks::Result<UnitMatch> match =
+        walk_only ? MatchWalkOnly(matcher, pre) : matcher.MatchUnit(pre);
     ASSERT_TRUE(match.ok())
-        << "decode_once=" << decode_once << ": " << match.status().ToString();
+        << "walk_only=" << walk_only << ": " << match.status().ToString();
     ASSERT_TRUE(match->sections.count(".text.skyline_fn"));
     EXPECT_EQ(match->sections[".text.skyline_fn"].run_address, run_addr);
     EXPECT_EQ(match->sections[".text.skyline_fn"].run_size,
@@ -408,11 +407,11 @@ int entry_b(int x) {
     ASSERT_TRUE(setup.machine->WriteByte(copy.address, 0xee).ok());
   }
 
-  for (bool decode_once : {true, false}) {
-    RunPreMatcher matcher(*setup.machine, nullptr,
-                          MatcherOptions{.decode_once = decode_once});
-    ks::Result<UnitMatch> match = matcher.MatchUnit(setup.pre);
-    ASSERT_FALSE(match.ok()) << "decode_once=" << decode_once;
+  for (bool walk_only : {false, true}) {
+    RunPreMatcher matcher(*setup.machine);
+    ks::Result<UnitMatch> match = walk_only ? MatchWalkOnly(matcher, setup.pre)
+                                            : matcher.MatchUnit(setup.pre);
+    ASSERT_FALSE(match.ok()) << "walk_only=" << walk_only;
     const std::string& message = match.status().message();
     EXPECT_NE(message.find("matches no candidate (2 tried)"),
               std::string::npos)
@@ -421,7 +420,7 @@ int entry_b(int x) {
     for (const kelf::LinkedSymbol& copy : copies) {
       EXPECT_NE(message.find("candidate " + ks::Hex32(copy.address)),
                 std::string::npos)
-          << "decode_once=" << decode_once << "\n"
+          << "walk_only=" << walk_only << "\n"
           << message;
     }
   }
@@ -479,15 +478,14 @@ TEST(RunPreIndexTest, AmbiguitySuccessesCarryForwardAcrossPasses) {
     once_match = matcher.MatchUnit(setup.pre, &once_stats);
   }
   {
-    RunPreMatcher matcher(*setup.machine, nullptr,
-                          MatcherOptions{.decode_once = false});
-    linear_match = matcher.MatchUnit(setup.pre, &linear_stats);
+    RunPreMatcher matcher(*setup.machine);
+    linear_match = MatchWalkOnly(matcher, setup.pre, &linear_stats);
   }
   ASSERT_TRUE(once_match.ok()) << once_match.status().ToString();
   ASSERT_TRUE(linear_match.ok()) << linear_match.status().ToString();
   EXPECT_EQ(once_match->symbol_values, linear_match->symbol_values);
 
-  // Both modes: dep and work defer on pass 1 (two verifiable candidates
+  // Both plans: dep and work defer on pass 1 (two verifiable candidates
   // each), entry_b commits and pins the valuation, pass 2 resolves the
   // rest from cached successes.
   for (const MatchStats* stats : {&once_stats, &linear_stats}) {
@@ -517,7 +515,7 @@ TEST(RunPreIndexTest, AmbiguitySuccessesCarryForwardAcrossPasses) {
 }
 
 // ------------------------------------------------------------------
-// Seeded fuzz: the decode-once matcher and the linear oracle must agree on
+// Seeded fuzz: the production plan and the walk-only oracle must agree on
 // every decision — acceptance, recovered valuation, matched sections, and
 // the exact failure message — across random single-byte tampering of the
 // run image.
@@ -587,11 +585,9 @@ int entry_b(int x) {
       tampered = true;
     }
 
-    RunPreMatcher decode_once(*setup.machine);
-    RunPreMatcher linear(*setup.machine, nullptr,
-                         MatcherOptions{.decode_once = false});
-    ks::Result<UnitMatch> once_match = decode_once.MatchUnit(setup.pre);
-    ks::Result<UnitMatch> linear_match = linear.MatchUnit(setup.pre);
+    RunPreMatcher matcher(*setup.machine);
+    ks::Result<UnitMatch> once_match = matcher.MatchUnit(setup.pre);
+    ks::Result<UnitMatch> linear_match = MatchWalkOnly(matcher, setup.pre);
 
     EXPECT_EQ(once_match.ok(), linear_match.ok()) << "round " << round;
     if (once_match.ok() && linear_match.ok()) {

@@ -13,6 +13,7 @@
 #include "kvm/machine.h"
 #include "kvx/asm.h"
 #include "kvx/isa.h"
+#include "runpre_oracle.h"
 
 namespace ksplice {
 namespace {
@@ -457,9 +458,8 @@ bail_out:
 ks::Result<UnitMatch> MatchAgreesWithOracle(const kvm::Machine& machine,
                                             const kelf::ObjectFile& pre) {
   RunPreMatcher matcher(machine);
-  RunPreMatcher linear(machine, nullptr, {.decode_once = false});
   ks::Result<UnitMatch> got = matcher.MatchUnit(pre);
-  ks::Result<UnitMatch> want = linear.MatchUnit(pre);
+  ks::Result<UnitMatch> want = MatchWalkOnly(matcher, pre);
   EXPECT_EQ(got.ok(), want.ok());
   if (got.ok() && want.ok()) {
     EXPECT_EQ(got->symbol_values, want->symbol_values);
@@ -723,8 +723,6 @@ TEST(RunPreBytePath, IneligibleSectionsStayOnTheWalk) {
   // tail_fn branches to the second of two trailing nops. The walk's
   // nop-normalization refuses that target even when run and pre bytes
   // are identical, so the plan must keep the section off the byte path.
-  // word_fn carries a relocation that is no instruction's imm32/rel32
-  // field (its pre bytes decode as halts), which the walk never inverts.
   SourceTree tree;
   tree.Write("t.kvs", R"(
 .text
@@ -736,6 +734,26 @@ tail_fn:
     nop
 .pad:
     nop
+)");
+  MatchSetup setup = MakeSetup(tree, "t.kvs");
+  ASSERT_NE(setup.machine, nullptr);
+  EXPECT_FALSE(PlannedByName(setup.pre, ".text.tail_fn").byte_comparable);
+  ks::Result<UnitMatch> match = MatchAgreesWithOracle(*setup.machine,
+                                                      setup.pre);
+  ASSERT_FALSE(match.ok());
+  EXPECT_NE(match.status().message().find("branch target does not correspond"),
+            std::string::npos)
+      << match.status().ToString();
+
+  // word_fn carries a relocation that is no instruction's imm32/rel32
+  // field (its pre bytes decode as halts), which the walk never inverts.
+  // The byte path compares that word like any other bytes, so the section
+  // stays byte-comparable and decides exactly as the walk: when the
+  // relocated run word differs from the pre bytes (the walk decides) and
+  // when it is overwritten with them (the byte path decides).
+  SourceTree words;
+  words.Write("w.kvs", R"(
+.text
 .global word_fn
 word_fn:
     ret
@@ -744,20 +762,29 @@ word_fn:
 after:
     ret
 )");
-  MatchSetup setup = MakeSetup(tree, "t.kvs");
-  ASSERT_NE(setup.machine, nullptr);
-  EXPECT_FALSE(PlannedByName(setup.pre, ".text.tail_fn").byte_comparable);
-  PlannedSection word_fn = PlannedByName(setup.pre, ".text.word_fn");
+  MatchSetup word_setup = MakeSetup(words, "w.kvs");
+  ASSERT_NE(word_setup.machine, nullptr);
+  PlannedSection word_fn = PlannedByName(word_setup.pre, ".text.word_fn");
   EXPECT_FALSE(word_fn.decode_error);
-  EXPECT_EQ(word_fn.reloc_at.size(), 1u);
-  EXPECT_FALSE(word_fn.byte_comparable);
-  EXPECT_TRUE(PlannedByName(setup.pre, ".text.after").byte_comparable);
-  ks::Result<UnitMatch> match = MatchAgreesWithOracle(*setup.machine,
-                                                      setup.pre);
-  ASSERT_FALSE(match.ok());
-  EXPECT_NE(match.status().message().find("branch target does not correspond"),
-            std::string::npos)
-      << match.status().ToString();
+  ASSERT_EQ(word_fn.reloc_at.size(), 1u);
+  EXPECT_TRUE(word_fn.fields.empty());
+  EXPECT_TRUE(word_fn.byte_comparable);
+  EXPECT_TRUE(PlannedByName(word_setup.pre, ".text.after").byte_comparable);
+  ks::Result<UnitMatch> relocated =
+      MatchAgreesWithOracle(*word_setup.machine, word_setup.pre);
+  EXPECT_FALSE(relocated.ok());
+
+  const uint32_t word_at = word_fn.reloc_at.begin()->first;
+  const uint32_t run_word_fn = AddressOf(*word_setup.machine, "word_fn");
+  for (uint32_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(word_setup.machine
+                    ->WriteByte(run_word_fn + word_at + i,
+                                word_fn.section->bytes[word_at + i])
+                    .ok());
+  }
+  ks::Result<UnitMatch> equal =
+      MatchAgreesWithOracle(*word_setup.machine, word_setup.pre);
+  EXPECT_TRUE(equal.ok()) << equal.status().ToString();
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/metrics.h"
@@ -17,6 +20,7 @@
 #include "ksplice/create.h"
 #include "ksplice/runpre.h"
 #include "kvm/machine.h"
+#include "runpre_oracle.h"
 
 namespace ksplice {
 namespace {
@@ -340,14 +344,13 @@ TEST(ReportTest, FullCyclePopulatesCreateApplyUndoReports) {
   EXPECT_EQ(pre_bytes.value(),
             pre_bytes_before + plan_stats.pre_bytes_canonicalized);
 
-  // The linear oracle reports the per-attempt byte walk, with decisions
-  // identical to the decode-once run.
-  RunPreMatcher linear(**machine, nullptr,
-                       MatcherOptions{.decode_once = false});
+  // The walk-only oracle decodes the run code it walks, with decisions
+  // identical to the production plan's.
   MatchStats linear_stats;
-  ks::Result<UnitMatch> linear_match = linear.MatchUnit(*pre, &linear_stats);
+  ks::Result<UnitMatch> linear_match =
+      MatchWalkOnly(matcher, *pre, &linear_stats);
   ASSERT_TRUE(linear_match.ok());
-  EXPECT_GT(linear_stats.pre_bytes_walked, 0u);
+  EXPECT_GT(linear_stats.run_bytes_canonicalized, 0u);
   EXPECT_EQ(linear_stats.sections_matched, stats.sections_matched);
   EXPECT_EQ(linear_stats.candidates_tried, stats.candidates_tried);
 
@@ -401,9 +404,9 @@ TEST(ReportTest, FullCyclePopulatesCreateApplyUndoReports) {
 
 TEST(ReportTest, MatchStatsCountEachCandidateAttemptOnce) {
   // Regression: deferred ambiguous sections used to re-try (and re-count)
-  // every candidate on every fixpoint pass, inflating candidates_tried and
-  // pre_bytes_walked. With the attempt cache each (section, candidate)
-  // pair is verified exactly once, however many passes run.
+  // every candidate on every fixpoint pass, inflating candidates_tried.
+  // With the attempt cache each (section, candidate) pair is verified
+  // exactly once, however many passes run.
   SourceTree tree;
   // Two same-named static functions with different bodies: the ambiguous
   // unit defers on pass 1 (both `pick` copies match some candidate until
@@ -445,52 +448,128 @@ int entry_b(int x) {
       kcc::CompileUnit(tree, "b.kc", pre_options);
   ASSERT_TRUE(pre.ok()) << pre.status().ToString();
 
-  // The linear oracle first: the unit has two sections (.text.pick with 2
-  // candidates, .text.entry_b with 1), hence exactly 3 verification
-  // attempts — even if ambiguity forces extra fixpoint passes. The b.kc copy of `pick` differs from
-  // a.kc's in imm32 constants only, which run-pre content comparison
-  // resolves directly.
-  RunPreMatcher linear(**machine, nullptr,
-                       MatcherOptions{.decode_once = false});
+  // The walk-only oracle first: the unit has two sections (.text.pick with
+  // 2 candidates, .text.entry_b with 1), hence exactly 3 verification
+  // attempts — even if ambiguity forces extra fixpoint passes. The b.kc
+  // copy of `pick` differs from a.kc's in imm32 constants only, which
+  // run-pre content comparison resolves directly.
+  RunPreMatcher matcher(**machine);
   MatchStats linear_stats;
   ks::Result<UnitMatch> linear_match =
-      linear.MatchUnit(*pre, &linear_stats);
+      MatchWalkOnly(matcher, *pre, &linear_stats);
   ASSERT_TRUE(linear_match.ok()) << linear_match.status().ToString();
   EXPECT_EQ(linear_stats.sections_matched, 2u);
   EXPECT_EQ(linear_stats.candidates_tried, 3u);
   EXPECT_EQ(linear_stats.ambiguity_deferrals, 0u);
   EXPECT_EQ(linear_stats.fixpoint_passes, 1u);
 
-  // The per-attempt pre byte walk is bounded by one full walk of each
-  // attempted (section, candidate) pair: no multiple of it can be charged
-  // again by later passes.
-  const kelf::ObjectFile& pre_obj = *pre;
-  uint64_t text_bytes = 0;
-  uint64_t pick_bytes = 0;
-  for (const kelf::Section& section : pre_obj.sections()) {
-    if (section.kind != kelf::SectionKind::kText || section.bytes.empty()) {
-      continue;
-    }
-    text_bytes += section.bytes.size();
-    if (section.name == ".text.pick") {
-      pick_bytes = section.bytes.size();
-    }
-  }
-  ASSERT_GT(pick_bytes, 0u);
-  // 3 attempts: both `pick` candidates walk up to .text.pick bytes, the
-  // unique entry_b candidate walks its section once.
-  EXPECT_LE(linear_stats.pre_bytes_walked, text_bytes + pick_bytes);
-  EXPECT_GT(linear_stats.pre_bytes_walked, 0u);
-
-  // The decode-once matcher agrees on every decision and attempt.
-  RunPreMatcher decode_once(**machine);
+  // The production plan agrees on every decision and attempt.
   MatchStats once_stats;
-  ks::Result<UnitMatch> once_match = decode_once.MatchUnit(*pre, &once_stats);
+  ks::Result<UnitMatch> once_match = matcher.MatchUnit(*pre, &once_stats);
   ASSERT_TRUE(once_match.ok()) << once_match.status().ToString();
   EXPECT_EQ(once_match->symbol_values, linear_match->symbol_values);
   EXPECT_EQ(once_stats.sections_matched, 2u);
   EXPECT_EQ(once_stats.candidates_tried, linear_stats.candidates_tried);
   EXPECT_EQ(once_stats.fixpoint_passes, linear_stats.fixpoint_passes);
+}
+
+TEST(ReportTest, RefusedMatchChargesItsRunDecode) {
+  // A stale unit: the pre object is built from source whose constant
+  // differs from the running kernel's, so the match is refused after the
+  // walk has decoded run code up to the differing immediate. That decode
+  // is charged like a successful match's, to the out-param and the
+  // registry alike.
+  SourceTree run_tree;
+  run_tree.Write("s.kc", R"(
+int stale_fn(int x) {
+  return x * 7 + 3;
+}
+int caller(int x) {
+  return stale_fn(x) + 1;
+}
+)");
+  SourceTree pre_tree;
+  pre_tree.Write("s.kc", R"(
+int stale_fn(int x) {
+  return x * 7 + 4;
+}
+int caller(int x) {
+  return stale_fn(x) + 1;
+}
+)");
+  kcc::CompileOptions run_options;
+  run_options.inline_threshold = 0;
+  ks::Result<std::vector<kelf::ObjectFile>> objects =
+      kcc::BuildTree(run_tree, run_options);
+  ASSERT_TRUE(objects.ok()) << objects.status().ToString();
+  ks::Result<std::unique_ptr<kvm::Machine>> machine =
+      kvm::Machine::Boot(std::move(objects).value(), kvm::MachineConfig{});
+  ASSERT_TRUE(machine.ok()) << machine.status().ToString();
+  kcc::CompileOptions pre_options = run_options;
+  pre_options.function_sections = true;
+  pre_options.data_sections = true;
+  ks::Result<kelf::ObjectFile> pre =
+      kcc::CompileUnit(pre_tree, "s.kc", pre_options);
+  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+  ks::Result<MatchPlan> plan = MatchPlan::Build(*pre);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  ks::Counter& failures = ks::Metrics().GetCounter("runpre.match_failures");
+  ks::Counter& run_bytes =
+      ks::Metrics().GetCounter("runpre.index.run_bytes_canonicalized");
+  ks::Counter& nops = ks::Metrics().GetCounter("runpre.nop_bytes_skipped");
+  const uint64_t failures_before = failures.value();
+  const uint64_t run_bytes_before = run_bytes.value();
+  const uint64_t nops_before = nops.value();
+  RunPreMatcher matcher(**machine);
+  MatchStats stats;
+  ks::Result<UnitMatch> match = matcher.MatchUnit(*plan, &stats);
+  ASSERT_FALSE(match.ok());
+  EXPECT_NE(match.status().message().find("immediate differs"),
+            std::string::npos)
+      << match.status().ToString();
+  EXPECT_GT(stats.run_bytes_canonicalized, 0u);
+  EXPECT_EQ(failures.value(), failures_before + 1);
+  EXPECT_EQ(run_bytes.value(), run_bytes_before + stats.run_bytes_canonicalized);
+  EXPECT_EQ(nops.value(), nops_before + stats.nop_bytes_skipped);
+}
+
+TEST(ReportTest, MatchStatsJsonRoundTripsEveryField) {
+  // Every field of MatchStats, each set to a distinct value, reads back
+  // from ToJson under its key, and the object holds no other member.
+  const std::pair<const char*, uint64_t MatchStats::*> fields[] = {
+      {"sections_matched", &MatchStats::sections_matched},
+      {"candidates_tried", &MatchStats::candidates_tried},
+      {"run_bytes_matched", &MatchStats::run_bytes_matched},
+      {"nop_bytes_skipped", &MatchStats::nop_bytes_skipped},
+      {"reloc_sites_inverted", &MatchStats::reloc_sites_inverted},
+      {"symbols_recovered", &MatchStats::symbols_recovered},
+      {"ambiguity_deferrals", &MatchStats::ambiguity_deferrals},
+      {"fixpoint_passes", &MatchStats::fixpoint_passes},
+      {"pre_bytes_canonicalized", &MatchStats::pre_bytes_canonicalized},
+      {"run_bytes_canonicalized", &MatchStats::run_bytes_canonicalized},
+      {"revalidations", &MatchStats::revalidations},
+      {"extable_sections_matched", &MatchStats::extable_sections_matched},
+      {"bug_table_sections_matched", &MatchStats::bug_table_sections_matched},
+      {"date_time_sections_matched", &MatchStats::date_time_sections_matched},
+  };
+  MatchStats stats;
+  uint64_t value = 1000003;
+  for (const auto& [key, field] : fields) {
+    stats.*field = value;
+    value += 7919;
+  }
+  const std::string json = stats.ToJson();
+  ASSERT_TRUE(ValidJson(json)) << json;
+  for (const auto& [key, field] : fields) {
+    EXPECT_EQ(ks::test::JsonNumberAt(json, key),
+              static_cast<double>(stats.*field))
+        << key << " in " << json;
+  }
+  // A flat object of numbers: one ':' per member.
+  EXPECT_EQ(static_cast<size_t>(std::count(json.begin(), json.end(), ':')),
+            std::size(fields))
+      << json;
 }
 
 }  // namespace
